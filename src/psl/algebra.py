@@ -29,6 +29,10 @@ class NotAnIdeal(ValueError):
     """Subspace is not a two-sided ideal."""
 
 
+class InvariantViolation(ValueError):
+    """A computed object breaks a mathematical invariant it must satisfy."""
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of an axiom check; failures carry human-readable witnesses."""

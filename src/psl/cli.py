@@ -19,17 +19,13 @@ import sys
 from psl.algebra import check_algebra
 from psl.exactla import Subspace
 from psl.hopf import check_hopf
-from psl.paction import check_partial_action, is_global
+from psl.paction import check_partial_action, colon_ideal, is_global
 from psl.pmod import check_partial_module
 from psl.radicals import (
     DimensionTooLarge,
     FieldNotFinite,
-    UnsupportedCharacteristic,
     enumerate_h_stable_ideals,
-    h_jacobson_radical,
-    h_prime_radical,
     jacobson_radical,
-    prime_radical,
 )
 from psl.smash import build_partial_smash
 from psl.verify import THEOREM_SUITES, VerifyReport, apply_theorem_to_instance, run_theorem
@@ -110,25 +106,15 @@ def cmd_smash(ws, name: str, output: str) -> int:
 def cmd_radicals(ws, name: str, output: str) -> int:
     pa = ws.action(name)
     field = pa.field
-    try:
-        sp = build_partial_smash(pa)
-        ja = jacobson_radical(pa.alg)
-        pa_rad = prime_radical(pa.alg)
-        jh = h_jacobson_radical(pa)
-        ph = h_prime_radical(pa)
-        jc = jacobson_radical(sp.carrier)
-        pc = prime_radical(sp.carrier)
-    except UnsupportedCharacteristic as exc:
-        print(
-            f"error: {exc}\nhint: use a field with characteristic 0 or larger than the "
-            "algebra dimension, or shrink the instance below the brute-force cap",
-            file=sys.stderr,
-        )
-        return EXIT_MATH_FAIL
+    sp = build_partial_smash(pa)
+    ja = jacobson_radical(pa.alg)
+    jc = jacobson_radical(sp.carrier)
+    # in finite dimension P = J, so P_H = (P:H) is the colon ideal J_H = (J:H)
+    jh = colon_ideal(pa, ja.radical)
     entries = [
-        ("J(A)", ja.radical), ("P(A)", pa_rad),
-        ("J_H(A)", jh), ("P_H(A)", ph),
-        ("J(A#H)", jc.radical), ("P(A#H)", pc),
+        ("J(A)", ja.radical), ("P(A)", ja.radical),
+        ("J_H(A)", jh), ("P_H(A)", jh),
+        ("J(A#H)", jc.radical), ("P(A#H)", jc.radical),
     ]
     payload = {
         "command": "radicals",
@@ -137,8 +123,11 @@ def cmd_radicals(ws, name: str, output: str) -> int:
             label: {"dim": s.dim, "basis": format_subspace(field, s)} for label, s in entries
         },
         "method": ja.method,
+        "carrier_method": jc.method,
     }
-    payload["lines"] = [f"radicals for {name} (method: {ja.method})"] + [
+    payload["lines"] = [
+        f"radicals for {name} (method: {ja.method}; A#H method: {jc.method})"
+    ] + [
         f"  {label}: dim {s.dim}"
         + (f", basis {format_subspace(field, s)}" if s.dim else "")
         for label, s in entries

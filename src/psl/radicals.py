@@ -4,18 +4,25 @@ H-(semi)primality predicates.
 For a finite-dimensional algebra the Jacobson radical is the largest
 nilpotent ideal and coincides with the prime radical, so one engine
 serves both.  Over characteristic 0 (or p > dim) the radical is the
-kernel of the trace form (x, y) |-> tr(L_{xy}); in small positive
-characteristic we fall back to an exhaustive search for nilpotent
-principal ideals, restricted to the trace-form kernel, which always
-contains the radical.
+kernel of the trace form (x, y) |-> tr(L_{xy}).  In small positive
+characteristic (p <= dim) the trace-form kernel only contains the
+radical, and the Cohen-Ivanyos-Wales algorithm cuts it down to J(A) in
+floor(log_p dim) further linear steps.  Every radical is checked to be
+a nilpotent two-sided ideal before it is returned.
+
+`brute_nilpotent_radical`, an exhaustive search over the nilpotent
+principal ideals inside the trace-form kernel, is exponential in the
+kernel's dimension; it is kept as an independent oracle for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from psl import _kernel
 from psl.algebra import (
     Algebra,
+    InvariantViolation,
     ideal_closure,
     is_ideal,
     is_nilpotent_subspace,
@@ -23,6 +30,7 @@ from psl.algebra import (
     span_products,
 )
 from psl.exactla import (
+    Fp,
     Matrix,
     Subspace,
     enumerate_invariant_subspaces,
@@ -38,7 +46,7 @@ from psl.paction import (
 
 
 class UnsupportedCharacteristic(ValueError):
-    """Radical not computable: char p <= dim and the search is over budget."""
+    """Brute-force radical not computable: no finite field, or over budget."""
 
 
 class FieldNotFinite(ValueError):
@@ -49,39 +57,100 @@ class DimensionTooLarge(ValueError):
     """Enumeration caps exceeded."""
 
 
-# enumeration candidates cap for the brute radical search (p ** dim of search space)
+# candidate cap of the brute-force oracle ((p^k - 1)/(p - 1) lines of a k-dim kernel)
 BRUTE_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
 class RadicalReport:
     radical: Subspace
-    method: str  # "trace-form" | "brute-nilpotent"
+    method: str  # "trace-form" | "cohen-ivanyos-wales"
     nilpotency_index: int
 
 
 def trace_form_kernel(A: Algebra) -> Subspace:
-    """Kernel of the bilinear form (x, y) |-> tr(L_{xy}); always contains J(A)."""
+    """Kernel of the bilinear form (x, y) |-> tr(L_{xy}); always contains J(A).
+
+    tr(L_x) is linear in x, so with t_m = tr(L_{e_m}) the Gram matrix is
+    gram[i][j] = sum_m c_ij^m t_m: O(n^3) scalar operations.
+    """
     n = A.dim
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(A.left_mult_matrix(A.mult[i][j]).trace())
-        gram.append(tuple(row))
+    mult = A.mult
+    zero = A.field.zero
+    t = [sum((mult[m][j][j] for j in range(n)), zero) for m in range(n)]
+    gram = [
+        [sum((c * tm for c, tm in zip(mult[i][j], t) if c), zero) for j in range(n)]
+        for i in range(n)
+    ]
     return Matrix(A.field, gram, ncols=n).left_kernel()
 
 
-def _matrix_nilpotent(M: Matrix) -> bool:
-    n = M.nrows
-    power = M
-    steps = 1
-    while steps < 2 * n:
-        if power.is_zero():
-            return True
-        power = power * power
-        steps *= 2
-    return power.is_zero()
+def _lifted_power_trace(L: list[list[int]], e: int, q: int) -> int:
+    """tr(L^e) mod q for an integer matrix L and e >= 1."""
+    n = len(L)
+    result = None
+    base = L
+    while e:
+        if e & 1:
+            result = base if result is None else _matmul_mod(result, base, q)
+        e >>= 1
+        if e:
+            base = _matmul_mod(base, base, q)
+    return sum(result[i][i] for i in range(n)) % q
+
+
+def _matmul_mod(X: list[list[int]], Y: list[list[int]], q: int) -> list[list[int]]:
+    cols = list(zip(*Y))
+    return [[sum(x * y for x, y in zip(row, col)) % q for col in cols] for row in X]
+
+
+def _cohen_ivanyos_wales_radical(A: Algebra) -> Subspace:
+    """J(A) over F_p by Cohen-Ivanyos-Wales on the left regular representation.
+
+    Cohen, Ivanyos, Wales, "Finding the radical of an algebra of linear
+    transformations", JPAA 117/118 (1997).  With L~_x an integer lift of
+    L_x (the value does not depend on which) and
+    g_i(x) = (tr(L~_x^(p^i)) mod p^(i+1)) / p^i, set I_0 = the
+    trace-form kernel and I_i = {a in I_{i-1} : g_i(ab) = 0 for all b in A};
+    then J(A) = I_l for l = floor(log_p dim A).  g_i is linear on the ideal
+    I_{i-1}, so g_i(a e_b) = sum_s coord_s(a e_b) g_i(a_s) over the RREF
+    basis a_s of I_{i-1}, and each step is one row reduction over F_p of the
+    rows [g_i(a_r e_b) for b | a_r].  All arithmetic is on plain ints.
+    """
+    p, n = A.field.char, A.dim
+    K = trace_form_kernel(A)
+    rows = [[x.v for x in r] for r in K.rows]
+    pivots = list(K.pivots)
+    # mult[m][j] = nonzero (k, c_mj^k): row j of L_{e_m}
+    mult = [[[(k, c.v) for k, c in enumerate(cell) if c] for cell in row] for row in A.mult]
+    pi = p
+    while rows and pi <= n:
+        q = pi * p
+        lifts, g = [], []
+        for a in rows:
+            L = [[0] * n for _ in range(n)]
+            for m, am in enumerate(a):
+                if am:
+                    for Lj, cells in zip(L, mult[m]):
+                        for k, c in cells:
+                            Lj[k] += am * c
+            # a = a*1 in I_{i-1} gives tr(L~^(p^(i-1))) = 0 mod p^i, and
+            # tr(M^(p^i)) = tr(M^(p^(i-1))) mod p^i for every integer matrix M
+            tr = _lifted_power_trace(L, pi, q)
+            if tr % pi:
+                raise InvariantViolation(f"tr(L^{pi}) = {tr} mod {q} is not divisible by {pi}")
+            lifts.append(L)
+            g.append(tr // pi)
+        aug = [
+            [sum(L[b][c] * gs for c, gs in zip(pivots, g)) % p for b in range(n)] + a
+            for L, a in zip(lifts, rows)
+        ]
+        red, rank, pivs = _kernel.rref_fp(aug, p)
+        # rows pivoting in the a-block have a zero g-block: the RREF basis of I_i
+        rows = [row[n:] for row, c in zip(red[:rank], pivs) if c >= n]
+        pivots = [c - n for c in pivs if c >= n]
+        pi = q
+    return Subspace.from_vectors(A.field, n, rows)
 
 
 def brute_nilpotent_radical(A: Algebra, budget: int = BRUTE_BUDGET) -> Subspace:
@@ -106,9 +175,6 @@ def brute_nilpotent_radical(A: Algebra, budget: int = BRUTE_BUDGET) -> Subspace:
         )
     # the compiled kernel prefilters by nilpotency of the left-multiplication
     # operator, a necessary condition for membership in the radical
-    from psl import _kernel
-    from psl.exactla import Fp
-
     kbasis = [[x.v for x in row] for row in K.rows]
     mult_flat = [x.v for plane in A.mult for row in plane for x in row]
     survivors = _kernel.nilpotent_lifts_fp(kbasis, mult_flat, A.dim, p)
@@ -125,7 +191,17 @@ def brute_nilpotent_radical(A: Algebra, budget: int = BRUTE_BUDGET) -> Subspace:
     return J
 
 
-def jacobson_radical(A: Algebra, budget: int = BRUTE_BUDGET) -> RadicalReport:
+def _check_radical(A: Algebra, J: Subspace) -> int:
+    """Nilpotency index of J, after checking that J is a nilpotent two-sided ideal."""
+    if not is_ideal(A, J):
+        raise InvariantViolation("radical is not a two-sided ideal")
+    idx = nilpotency_index(A, J)
+    if idx is None:
+        raise InvariantViolation("radical is not nilpotent")
+    return idx
+
+
+def jacobson_radical(A: Algebra) -> RadicalReport:
     """J(A) for a unital finite-dimensional algebra."""
     if A.unit is None:
         raise ValueError("jacobson_radical expects a unital algebra")
@@ -136,30 +212,27 @@ def jacobson_radical(A: Algebra, budget: int = BRUTE_BUDGET) -> RadicalReport:
         J = trace_form_kernel(A)
         method = "trace-form"
     else:
-        J = brute_nilpotent_radical(A, budget=budget)
-        method = "brute-nilpotent"
-    assert is_ideal(A, J), "radical is not a two-sided ideal"
-    idx = nilpotency_index(A, J)
-    assert idx is not None, "radical is not nilpotent"
-    return RadicalReport(J, method, idx)
+        J = _cohen_ivanyos_wales_radical(A)
+        method = "cohen-ivanyos-wales"
+    return RadicalReport(J, method, _check_radical(A, J))
 
 
-def prime_radical(A: Algebra, budget: int = BRUTE_BUDGET) -> Subspace:
+def prime_radical(A: Algebra) -> Subspace:
     """P(A) = J(A) for finite-dimensional algebras (J is nilpotent and P <= J)."""
-    return jacobson_radical(A, budget=budget).radical
+    return jacobson_radical(A).radical
 
 
-def h_jacobson_radical(pa: PartialAction, budget: int = BRUTE_BUDGET) -> Subspace:
+def h_jacobson_radical(pa: PartialAction) -> Subspace:
     """J_H(A) = (J(A):H)."""
-    return colon_ideal(pa, jacobson_radical(pa.alg, budget=budget).radical)
+    return colon_ideal(pa, jacobson_radical(pa.alg).radical)
 
 
-def h_prime_radical(pa: PartialAction, budget: int = BRUTE_BUDGET) -> Subspace:
+def h_prime_radical(pa: PartialAction) -> Subspace:
     """P_H(A) = (P(A):H)."""
-    return colon_ideal(pa, prime_radical(pa.alg, budget=budget))
+    return colon_ideal(pa, prime_radical(pa.alg))
 
 
-def h_radical_of_ideal(pa: PartialAction, I: Subspace, budget: int = BRUTE_BUDGET) -> Subspace:
+def h_radical_of_ideal(pa: PartialAction, I: Subspace) -> Subspace:
     """Smallest H-semiprime ideal containing the H-stable ideal I.
 
     Computed in the quotient: the preimage of P_H(A/I) under A -> A/I.
@@ -169,24 +242,23 @@ def h_radical_of_ideal(pa: PartialAction, I: Subspace, budget: int = BRUTE_BUDGE
     if I.is_full():
         raise ValueError("the improper ideal has no H-radical")
     qpa, proj = quotient_action(pa, I)
-    ph = h_prime_radical(qpa, budget=budget)
-    return preimage_under(proj.matrix, ph)
+    return preimage_under(proj.matrix, h_prime_radical(qpa))
 
 
-def is_semiprime(A: Algebra, budget: int = BRUTE_BUDGET) -> bool:
-    return prime_radical(A, budget=budget).is_zero()
+def is_semiprime(A: Algebra) -> bool:
+    return prime_radical(A).is_zero()
 
 
-def is_semiprimitive(A: Algebra, budget: int = BRUTE_BUDGET) -> bool:
-    return jacobson_radical(A, budget=budget).radical.is_zero()
+def is_semiprimitive(A: Algebra) -> bool:
+    return jacobson_radical(A).radical.is_zero()
 
 
-def is_h_semiprime(pa: PartialAction, budget: int = BRUTE_BUDGET) -> bool:
-    return h_prime_radical(pa, budget=budget).is_zero()
+def is_h_semiprime(pa: PartialAction) -> bool:
+    return h_prime_radical(pa).is_zero()
 
 
-def is_h_semiprimitive(pa: PartialAction, budget: int = BRUTE_BUDGET) -> bool:
-    return h_jacobson_radical(pa, budget=budget).is_zero()
+def is_h_semiprimitive(pa: PartialAction) -> bool:
+    return h_jacobson_radical(pa).is_zero()
 
 
 def enumerate_h_stable_ideals(

@@ -41,7 +41,6 @@ from psl.paction import (
 )
 from psl.radicals import (
     UnsupportedCharacteristic,
-    brute_nilpotent_radical,
     enumerate_h_stable_ideals,
     h_jacobson_radical,
     h_prime_radical,
@@ -443,7 +442,7 @@ def verify_C3_7(seed: int = 0, trials: int = 6, dim_cap: int = 6, field_cap: int
             pa = random_partial_action(rng, GF(p), max_carrier=8)
         except RuntimeError:
             continue
-        if pa.field.char <= field_cap:
+        if pa.alg.dim <= dim_cap and pa.field.char <= field_cap:
             cases.append((f"random-{t}(F{p})", pa))
     for tag, pa in cases:
         sp = build_partial_smash(pa)

@@ -184,28 +184,31 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
 
     for name, spec in doc.get("actions", {}).items():
         builder = spec.get("builder")
-        if builder == "trivial":
+        if builder in ("trivial", None):
             H = ws.hopf_algebras.get(spec.get("hopf"))
             A = ws.algebras.get(spec.get("algebra"))
             if H is None or A is None:
                 raise UnresolvedReference(f"action {name!r}: unknown hopf/algebra reference")
-            pa = trivial_action(H, A)
-        elif builder == "c4_triple":
-            pa = c4_triple(field)
-        elif builder == "dual_group_idempotent":
-            pa = dual_group_idempotent(field, get_group(spec["group"]), spec["subgroup"])
-        elif builder is None:
-            H = ws.hopf_algebras.get(spec.get("hopf"))
-            A = ws.algebras.get(spec.get("algebra"))
-            if H is None or A is None:
-                raise UnresolvedReference(f"action {name!r}: unknown hopf/algebra reference")
-            pa = PartialAction(H, A, _scalars(field, spec["act"]))
-            if check:
-                report = check_partial_action(pa)
-                if not report.ok:
-                    raise WorkspaceAxiomError(name, "action", report.failures)
-        else:
-            raise ParseError(f"action {name!r}: unknown builder {builder!r}")
+        try:
+            if builder == "trivial":
+                pa = trivial_action(H, A)
+            elif builder == "c4_triple":
+                pa = c4_triple(field)
+            elif builder == "dual_group_idempotent":
+                pa = dual_group_idempotent(field, get_group(spec["group"]), spec["subgroup"])
+            elif builder is None:
+                pa = PartialAction(H, A, _scalars(field, spec["act"]))
+            else:
+                raise ParseError(f"action {name!r}: unknown builder {builder!r}")
+        except ParseError:
+            raise
+        except ValueError as exc:
+            # e.g. BadSubgroup or CharDividesOrder: the document asks for an impossible action
+            raise ParseError(f"action {name!r}: {exc}") from exc
+        if builder is None and check:
+            report = check_partial_action(pa)
+            if not report.ok:
+                raise WorkspaceAxiomError(name, "action", report.failures)
         ws.actions[name] = pa
 
     for name, spec in doc.get("ideals", {}).items():

@@ -4,10 +4,16 @@ import random
 
 import pytest
 
-from psl.algebra import direct_product, ideal_closure, product_of_fields, quotient_algebra
+from psl.algebra import (
+    InvariantViolation,
+    direct_product,
+    ideal_closure,
+    product_of_fields,
+    quotient_algebra,
+)
 from psl.exactla import GF, QQ, Subspace
 from psl.hopf import GroupTable, group_algebra, is_semisimple, sweedler_h4
-from psl.paction import colon_ideal, quotient_action, trivial_action
+from psl.paction import c4_triple, colon_ideal, quotient_action, trivial_action
 from psl.radicals import (
     DimensionTooLarge,
     FieldNotFinite,
@@ -27,7 +33,12 @@ from psl.radicals import (
     prime_radical,
 )
 from psl.smash import build_partial_smash, psi_ideal
-from psl.verify import random_h_stable_ideal, random_partial_action, truncated_polynomial_algebra
+from psl.verify import (
+    random_algebra,
+    random_h_stable_ideal,
+    random_partial_action,
+    truncated_polynomial_algebra,
+)
 from helpers import fix_b, fix_c, fix_d
 
 F2 = GF(2)
@@ -41,7 +52,7 @@ def test_jacobson_examples():
     rep = jacobson_radical(group_algebra(F2, GroupTable.cyclic(2)).alg)
     assert rep.radical == Subspace.from_vectors(F2, 2, [[1, 1]])
     assert rep.nilpotency_index == 2
-    assert rep.method == "brute-nilpotent"
+    assert rep.method == "cohen-ivanyos-wales"
     rep4 = jacobson_radical(sweedler_h4(QQ).alg)
     assert rep4.method == "trace-form"
     assert rep4.radical == Subspace.from_vectors(QQ, 4, [[0, 0, 1, 0], [0, 0, 0, 1]])
@@ -149,9 +160,58 @@ def test_brute_budget_exceeded():
     # is the whole algebra; a tiny budget must be refused, a real one works
     A = group_algebra(F2, GroupTable.cyclic(4)).alg
     with pytest.raises(UnsupportedCharacteristic):
-        jacobson_radical(A, budget=3)
+        brute_nilpotent_radical(A, budget=3)
     rep = jacobson_radical(A)
     assert rep.radical.dim == 3  # augmentation ideal of F_2 C_4
+
+
+def test_cohen_ivanyos_wales_matches_brute_oracle():
+    # small characteristic (p <= dim): the polynomial radical against the
+    # exhaustive search, as subspaces
+    rng = random.Random(2024)
+    algebras = []
+    # F_p C_n with p | n, kept to orders whose search stays small
+    orders = {F2: (2, 4, 6, 8), F3: (3, 6), F5: (5,)}
+    for field in (F2, F3, F5):
+        algebras += [random_algebra(rng, field, max_dim=6) for _ in range(40)]
+        for _ in range(6):
+            pa = random_partial_action(rng, field, max_carrier=10)
+            algebras += [pa.alg, build_partial_smash(pa).carrier]
+        algebras += [group_algebra(field, GroupTable.cyclic(n)).alg for n in orders[field]]
+    # semisimple, but its whole 9-dim carrier is the trace-form kernel (9841 candidates)
+    algebras.append(build_partial_smash(c4_triple(F3)).carrier)
+    distinct = {A for A in algebras if A.field.char <= A.dim}
+    assert len(distinct) >= 30, len(distinct)
+    for A in distinct:
+        rep = jacobson_radical(A)
+        assert rep.method == "cohen-ivanyos-wales"
+        assert rep.radical == brute_nilpotent_radical(A), A
+
+
+def test_cohen_ivanyos_wales_group_algebra_dims():
+    # J(F_p C_n) for n = p^a m, p not dividing m, has dimension n - m and
+    # nilpotency index p^a; an oracle for sizes where the search is slow or
+    # over its budget
+    for p, n in ((2, 8), (2, 12), (3, 9), (3, 12), (5, 10)):
+        m = n
+        while m % p == 0:
+            m //= p
+        rep = jacobson_radical(group_algebra(GF(p), GroupTable.cyclic(n)).alg)
+        assert rep.radical.dim == n - m
+        assert rep.nilpotency_index == n // m
+
+
+def test_radical_postconditions_raise(monkeypatch):
+    # the checks on the computed radical are real exceptions, not asserts
+    import psl.radicals as radicals
+
+    A = group_algebra(QQ, GroupTable.cyclic(2)).alg
+    monkeypatch.setattr(radicals, "trace_form_kernel", lambda A: Subspace.from_vectors(QQ, 2, [[1, 0]]))
+    with pytest.raises(InvariantViolation, match="not a two-sided ideal"):
+        jacobson_radical(A)
+    monkeypatch.setattr(radicals, "trace_form_kernel", lambda A: Subspace.full_space(QQ, 2))
+    with pytest.raises(InvariantViolation, match="not nilpotent"):
+        jacobson_radical(A)
 
 
 def test_trace_vs_brute_cross_validation():

@@ -250,3 +250,48 @@ def test_cli_json_output_shape(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["radicals"]["J(A#H)"]["dim"] == 0
     assert payload["command"] == "radicals"
+
+
+def test_cli_radicals_reports_both_methods(tmp_path, capsys):
+    # A = F_3^2 has dim < 3, its 6-dim carrier under trivial F_3 C_3 does not
+    doc = {
+        "version": "psl-workspace/1",
+        "field": {"kind": "Fp", "p": 3},
+        "groups": {"C3": {"cyclic": 3}},
+        "hopf_algebras": {"H": {"constructor": "group_algebra", "group": "C3"}},
+        "algebras": {"A": {"constructor": "product_of_fields", "k": 2}},
+        "actions": {"t": {"builder": "trivial", "hopf": "H", "algebra": "A"}},
+    }
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert main(["radicals", "--workspace", str(path), "t", "--output", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "trace-form"
+    assert payload["carrier_method"] == "cohen-ivanyos-wales"
+    assert payload["radicals"]["J(A#H)"]["dim"] == 4
+
+
+def test_cli_radicals_non_normal_subgroup_exits_two(tmp_path, capsys):
+    doc = {
+        "version": "psl-workspace/1",
+        "field": {"kind": "Q"},
+        "groups": {
+            "S3": {
+                "cayley": [[0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 0, 1, 4, 5, 3],
+                           [3, 4, 5, 0, 1, 2], [4, 5, 3, 2, 0, 1], [5, 3, 4, 1, 2, 0]],
+            }
+        },
+        "actions": {"bad": {"builder": "dual_group_idempotent", "group": "S3", "subgroup": [0, 3]}},
+    }
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert main(["radicals", "--workspace", str(path), "bad"]) == 2
+    captured = capsys.readouterr()
+    assert "action 'bad'" in captured.err and "normal subgroup" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_cli_verify_c3_7_seed_1_passes(capsys):
+    # random instances with dim A above the cap are left out, not enumerated
+    assert main(["verify", "C3.7", "--seed", "1"]) == 0
+    assert "PASS" in capsys.readouterr().out
