@@ -28,7 +28,7 @@ from psl.radicals import (
     jacobson_radical,
 )
 from psl.smash import build_partial_smash
-from psl.verify import THEOREM_SUITES, VerifyReport, apply_theorem_to_instance, run_theorem
+from psl.verify import THEOREMS
 from psl.workspace import (
     ParseError,
     UnresolvedReference,
@@ -159,32 +159,21 @@ def cmd_enumerate_ideals(ws, name: str, dim_cap: int, field_cap: int, output: st
 
 
 def cmd_verify(args) -> int:
-    theorem = args.theorem
-    if theorem not in THEOREM_SUITES:
+    theorem = THEOREMS.get(args.theorem)
+    if theorem is None:
         print(
-            f"error: unknown theorem id {theorem!r}; known: {', '.join(sorted(THEOREM_SUITES))}",
+            f"error: unknown theorem id {args.theorem!r}; known: {', '.join(sorted(THEOREMS))}",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    report = run_theorem(
-        theorem,
-        seed=args.seed,
-        trials=args.trials,
-        dim_cap=args.dim_cap,
-        field_cap=args.field_cap,
-    )
+    workspace = ()
     if args.workspace:
         ws = load_workspace(args.workspace)
-        extra = VerifyReport(report.theorem)
-        for name, pa in ws.actions.items():
-            apply_theorem_to_instance(
-                theorem, f"workspace:{name}", pa, extra,
-                dim_cap=args.dim_cap, field_cap=args.field_cap, seed=args.seed,
-            )
-        report.cases.extend(extra.cases)
+        workspace = [(f"workspace:{name}", pa) for name, pa in ws.actions.items()]
+    report = theorem.run(args.seed, args.trials, args.dim_cap, args.field_cap, workspace)
     payload = {
         "command": "verify",
-        "theorem": theorem,
+        "theorem": args.theorem,
         "ok": report.ok,
         "checks": len(report.cases),
         "failures": [
@@ -194,6 +183,21 @@ def cmd_verify(args) -> int:
     }
     _emit(payload, args.output)
     return EXIT_PASS if report.ok else EXIT_MATH_FAIL
+
+
+def _int_at_least(low: int):
+    """argparse type for an int no smaller than `low`; argparse turns a refusal into exit 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,16 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate-ideals", help="list all H-stable ideals (finite fields)")
     common(p_enum)
     p_enum.add_argument("action")
-    p_enum.add_argument("--dim-cap", type=int, default=6)
-    p_enum.add_argument("--field-cap", type=int, default=5)
+    p_enum.add_argument("--dim-cap", type=_int_at_least(1), default=6)
+    p_enum.add_argument("--field-cap", type=_int_at_least(2), default=5)
 
     p_ver = sub.add_parser("verify", help="machine-verify one of the named theorems")
     common(p_ver, needs_workspace=False)
     p_ver.add_argument("theorem")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--trials", type=int, default=None)
-    p_ver.add_argument("--dim-cap", type=int, default=6)
-    p_ver.add_argument("--field-cap", type=int, default=5)
+    p_ver.add_argument("--trials", type=_int_at_least(0), default=None)
+    p_ver.add_argument("--dim-cap", type=_int_at_least(1), default=6)
+    p_ver.add_argument("--field-cap", type=_int_at_least(2), default=5)
     return parser
 
 

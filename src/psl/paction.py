@@ -19,6 +19,7 @@ from psl.algebra import (
     Algebra,
     AlgebraMap,
     CheckReport,
+    InvariantViolation,
     NotAnIdeal,
     is_ideal,
     quotient_algebra,
@@ -55,7 +56,8 @@ class CharDividesOrder(ValueError):
 
 
 class PartialAction:
-    __slots__ = ("hopf", "alg", "act")
+    # `_smash` holds the partial smash product once build_partial_smash has made it
+    __slots__ = ("hopf", "alg", "act", "_smash")
 
     def __init__(self, hopf: HopfAlgebra, alg: Algebra, act):
         if hopf.field != alg.field:
@@ -73,6 +75,7 @@ class PartialAction:
         )
         if any(len(self.act[i][j]) != n for i in range(m) for j in range(n)):
             raise DimensionMismatch("action tensor shape mismatch")
+        self._smash = None
 
     @property
     def field(self):
@@ -270,7 +273,7 @@ def induce_from_ideal(global_pa: PartialAction, e: Sequence) -> PartialAction:
     def coords(vec):
         c = ideal.coords_of(vec)
         if c is None:
-            raise AssertionError("product escaped the right ideal eB")
+            raise InvariantViolation("product escaped the right ideal eB")
         return c
 
     mult = [[coords(B.multiply(rows[s], rows[t])) for t in range(k)] for s in range(k)]
@@ -318,10 +321,10 @@ def invariant_subalgebra(pa: PartialAction) -> Subspace:
             blocks.extend(diff)
         rows.append(tuple(blocks))
     S = Matrix(pa.field, rows, ncols=n * pa.hopf.dim).left_kernel()
-    assert S.contains(A.unit), "invariant subalgebra lost the unit"
-    for u in S.rows:
-        for v in S.rows:
-            assert S.contains(A.multiply(u, v)), "invariant subalgebra not closed"
+    if not S.contains(A.unit):
+        raise InvariantViolation("invariant subalgebra lost the unit")
+    if not all(S.contains(A.multiply(u, v)) for u in S.rows for v in S.rows):
+        raise InvariantViolation("invariant subalgebra not closed")
     return S
 
 
@@ -339,8 +342,10 @@ def colon_ideal(pa: PartialAction, I: Subspace) -> Subspace:
         rows.append(tuple(blocks))
     z = Matrix(pa.field, rows, ncols=pa.alg.dim * pa.hopf.dim).left_kernel()
     result = Subspace.from_vectors(pa.field, pa.alg.dim, [I.lift(c) for c in z.rows])
-    assert result <= I
-    assert is_h_stable(pa, result), "colon ideal is not H-stable"
+    if not result <= I:
+        raise InvariantViolation("colon ideal is not inside I")
+    if not is_h_stable(pa, result):
+        raise InvariantViolation("colon ideal is not H-stable")
     return result
 
 

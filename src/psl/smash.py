@@ -13,6 +13,7 @@ from typing import Sequence
 from psl.algebra import (
     Algebra,
     AlgebraMap,
+    InvariantViolation,
     NotAnIdeal,
     check_algebra,
     is_ideal,
@@ -109,17 +110,10 @@ class SmashProduct:
 
     def carrier_coords(self, tensor_vec: Sequence) -> tuple:
         """Express an A(x)H vector lying in the carrier in carrier coordinates."""
-        space = Subspace(self.field, self.full.dim, self.coords.rows, self._pivots())
-        c = space.coords_of(tensor_vec)
+        c = self.coords.coords_of(tensor_vec)
         if c is None:
             raise ValueError("vector is not in the partial smash carrier")
         return c
-
-    def _pivots(self):
-        pivots = []
-        for row in self.coords.rows:
-            pivots.append(next(i for i, x in enumerate(row) if x))
-        return tuple(pivots)
 
     def project(self, tensor_vec: Sequence) -> tuple:
         """(x)(1_A # 1_H) in carrier coordinates, for any x in A # H."""
@@ -130,6 +124,13 @@ class SmashProduct:
 
 
 def build_partial_smash(pa: PartialAction) -> SmashProduct:
+    """The partial smash product of `pa`, built on the first call and kept on `pa`."""
+    if pa._smash is None:
+        pa._smash = _build_partial_smash(pa)
+    return pa._smash
+
+
+def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     H, A = pa.hopf, pa.alg
     m, n = H.dim, A.dim
     field = pa.field
@@ -141,12 +142,11 @@ def build_partial_smash(pa: PartialAction) -> SmashProduct:
     )
     rows = image.rows
     d = image.dim
-    coords = Matrix(field, rows, ncols=full.dim)
 
     def in_carrier(vec):
         c = image.coords_of(vec)
         if c is None:
-            raise AssertionError("carrier is not multiplicatively closed")
+            raise InvariantViolation("carrier is not multiplicatively closed")
         return c
 
     mult = [[in_carrier(full.multiply(rows[s], rows[t])) for t in range(d)] for s in range(d)]
@@ -157,8 +157,10 @@ def build_partial_smash(pa: PartialAction) -> SmashProduct:
 
     incl_rows = [in_carrier(tensor_coords(pa, A.basis_vector(j), H.unit)) for j in range(n)]
     include_A = AlgebraMap(A, carrier, Matrix(field, incl_rows, ncols=d))
-    assert include_A.is_injective(), "A does not embed in the partial smash product"
-    assert include_A.is_multiplicative(), "A -> A#H is not an algebra map"
+    if not include_A.is_injective():
+        raise InvariantViolation("A does not embed in the partial smash product")
+    if not include_A.is_multiplicative():
+        raise InvariantViolation("A -> A#H is not an algebra map")
 
     K = dual_hopf(H)
     act = []
@@ -179,9 +181,10 @@ def build_partial_smash(pa: PartialAction) -> SmashProduct:
         act.append(act_r)
     dual_action = PartialAction(K, carrier, act)
     check_partial_action(dual_action).raise_if_failed("dual Hopf action axioms")
-    assert is_global(dual_action), "H* action on the partial smash product must be global"
+    if not is_global(dual_action):
+        raise InvariantViolation("H* action on the partial smash product must be global")
 
-    return SmashProduct(pa, full, carrier, coords, include_A, u, dual_action)
+    return SmashProduct(pa, full, carrier, image, include_A, u, dual_action)
 
 
 def dual_hopf_action(sp: SmashProduct) -> PartialAction:
@@ -214,12 +217,12 @@ def psi_ideal(sp: SmashProduct, J: Subspace) -> Subspace:
     back = []
     for w in inter.rows:
         a = incl.solve_left(w)
-        assert a is not None, "intersection escaped the image of A"
+        if a is None:
+            raise InvariantViolation("intersection escaped the image of A")
         back.append(a)
     result = Subspace.from_vectors(sp.field, sp.pa.alg.dim, back)
-    assert is_ideal(sp.pa.alg, result) and is_h_stable(sp.pa, result), (
-        "psi image must be an H-stable ideal of A"
-    )
+    if not (is_ideal(sp.pa.alg, result) and is_h_stable(sp.pa, result)):
+        raise InvariantViolation("psi image must be an H-stable ideal of A")
     return result
 
 
@@ -242,5 +245,6 @@ def smash_quotient_map(sp: SmashProduct, I: Subspace) -> tuple[SmashProduct, Alg
                     out[t * m + i] = out[t * m + i] + c * x
         rows.append(sq.carrier_coords(tuple(out)))
     amap = AlgebraMap(sp.carrier, sq.carrier, Matrix(sp.field, rows, ncols=sq.carrier.dim))
-    assert amap.is_multiplicative(), "smash quotient map is not an algebra map"
+    if not amap.is_multiplicative():
+        raise InvariantViolation("smash quotient map is not an algebra map")
     return sq, amap

@@ -1,19 +1,23 @@
-"""Named theorem-verification suites and the seeded instance generator.
+"""The theorem table of `psl verify` and its seeded instance generator.
 
-Each suite checks one structural statement on the built-in fixtures plus
-randomized instances.  Random partial actions are produced only through
-soundness-preserving constructors (trivial actions, induced actions on
-idempotent ideals of group algebras, quotients by H-stable ideals):
-rejection-sampling raw tensors would find nothing.
+Each theorem in THEOREMS runs one per-instance `check` alike on built-in
+fixtures, seeded random instances and workspace actions.  Random partial
+actions come only from soundness-preserving constructors (trivial actions,
+induced actions on idempotent ideals of group algebras, quotients by H-stable
+ideals): rejection-sampling raw tensors would find nothing.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import partial, reduce
+from itertools import chain, combinations_with_replacement
+from typing import Callable, Iterable
 
 from psl.algebra import (
     Algebra,
+    InvariantViolation,
     direct_product,
     ideal_closure,
     is_ideal,
@@ -22,10 +26,9 @@ from psl.algebra import (
     quotient_algebra,
     span_products,
 )
-from psl.exactla import GF, QQ, Field, Fp, Subspace, unit_vec, zero_vec
+from psl.exactla import GF, QQ, Field, Subspace, unit_vec, zero_vec
 from psl.hopf import (
     GroupTable,
-    HopfAlgebra,
     dual_group_algebra,
     group_algebra,
     is_semisimple,
@@ -33,25 +36,24 @@ from psl.hopf import (
 )
 from psl.paction import (
     PartialAction,
+    c4_triple,
     colon_ideal,
     dual_group_idempotent,
-    is_h_stable,
     quotient_action,
     trivial_action,
 )
 from psl.radicals import (
-    UnsupportedCharacteristic,
     enumerate_h_stable_ideals,
     h_jacobson_radical,
-    h_prime_radical,
     h_radical_of_ideal,
     is_h_prime,
-    is_h_semiprimitive,
     jacobson_radical,
-    prime_radical,
     trace_form_kernel,
 )
 from psl.smash import build_partial_smash, phi_ideal, psi_ideal
+
+# max dim A * dim H of the ideal-lattice draws, and of the carriers C3.7 enumerates
+ENUM_CARRIER_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -76,33 +78,18 @@ class VerifyReport:
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         lines = [f"{self.theorem}: {status} ({len(self.cases)} checks)"]
-        for c in self.cases:
-            if not c.ok:
-                lines.append(f"  FAIL {c.name}: {c.detail}")
+        lines += [f"  FAIL {c.name}: {c.detail}" for c in self.cases if not c.ok]
         return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
-# fixtures
+# fixtures and random instances
 
-def fixture_actions() -> list[tuple[str, PartialAction]]:
+def fixture_d() -> PartialAction:
+    """F2C2 acting trivially on F2: the non-semisimple negative control."""
     F2 = GF(2)
-    return [
-        ("FIX-A", dual_group_idempotent(QQ, GroupTable.cyclic(2), [0, 1])),
-        ("FIX-B", _c4_triple(QQ)),
-        ("FIX-C", trivial_action(group_algebra(QQ, GroupTable.cyclic(2)), product_of_fields(QQ, 3))),
-        ("FIX-D", trivial_action(group_algebra(F2, GroupTable.cyclic(2)), product_of_fields(F2, 1))),
-    ]
+    return trivial_action(group_algebra(F2, GroupTable.cyclic(2)), product_of_fields(F2, 1))
 
-
-def _c4_triple(field):
-    from psl.paction import c4_triple
-
-    return c4_triple(field)
-
-
-# ---------------------------------------------------------------------------
-# random instances
 
 def truncated_polynomial_algebra(field: Field, k: int) -> Algebra:
     """field[x] / (x^k) on the basis 1, x, ..., x^{k-1}."""
@@ -113,6 +100,10 @@ def truncated_polynomial_algebra(field: Field, k: int) -> Algebra:
     ]
     labels = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, k)]
     return Algebra(field, mult, unit=unit_vec(field, k, 0), labels=labels)
+
+
+def _random_vec(rng: random.Random, field: Field, n: int) -> tuple:
+    return tuple(field.of(rng.randrange(field.char) if field.char else rng.randint(-2, 2)) for _ in range(n))
 
 
 def random_algebra(rng: random.Random, field: Field, max_dim: int = 4) -> Algebra:
@@ -130,8 +121,7 @@ def random_algebra(rng: random.Random, field: Field, max_dim: int = 4) -> Algebr
         prod = direct_product(a, b)
         return prod if prod.dim <= max_dim else a
     A = group_algebra(field, GroupTable.cyclic(rng.randint(2, max_dim))).alg
-    vec = tuple(field.of(rng.randrange(field.char) if field.char else rng.randint(-2, 2)) for _ in range(A.dim))
-    I = ideal_closure(A, [vec])
+    I = ideal_closure(A, [_random_vec(rng, field, A.dim)])
     if I.is_full():
         return A
     return quotient_algebra(A, I)[0]
@@ -162,10 +152,7 @@ def random_partial_action(
         try:
             if kind == 0:
                 order = rng.randint(1, 4)
-                if rng.random() < 0.5:
-                    H = group_algebra(field, GroupTable.cyclic(order))
-                else:
-                    H = dual_group_algebra(field, GroupTable.cyclic(order))
+                H = (group_algebra if rng.random() < 0.5 else dual_group_algebra)(field, GroupTable.cyclic(order))
                 if p == 2 and rng.random() < 0.3:
                     H = group_algebra(field, GroupTable.cyclic(2))
                 A = random_algebra(rng, field, max_dim=max(1, max_carrier // H.dim))
@@ -173,11 +160,10 @@ def random_partial_action(
             elif kind == 1:
                 if max_carrier < 12:
                     continue
-                pa = _c4_triple(field)
+                pa = c4_triple(field)
             elif kind == 2:
                 n = rng.choice([2, 3, 4, 6])
-                divisors = [d for d in range(1, n + 1) if n % d == 0 and d > 1]
-                d = rng.choice(divisors)
+                d = rng.choice([d for d in range(2, n + 1) if n % d == 0])
                 if p and d % p == 0:
                     continue
                 N = [i for i in range(n) if i % (n // d) == 0]
@@ -189,16 +175,14 @@ def random_partial_action(
                     rng, field, max_carrier=max_carrier, semisimple_hopf=semisimple_hopf,
                     tries=10,
                 )
-                vec = tuple(
-                    field.of(rng.randrange(p) if p else rng.randint(-2, 2))
-                    for _ in range(base.alg.dim)
-                )
-                I = colon_ideal(base, ideal_closure(base.alg, [vec]))
+                I = random_h_stable_ideal(rng, base)
                 if I.is_full() or I.is_zero():
                     pa = base
                 else:
                     pa = quotient_action(base, I)[0]
-        except (ValueError, UnsupportedCharacteristic):
+        except InvariantViolation:
+            raise
+        except ValueError:
             continue
         if pa.alg.dim * pa.hopf.dim > max_carrier:
             continue
@@ -214,27 +198,27 @@ def random_partial_action(
 
 
 def random_h_stable_ideal(rng: random.Random, pa: PartialAction) -> Subspace:
-    vec = tuple(
-        pa.field.of(rng.randrange(pa.field.char) if pa.field.char else rng.randint(-2, 2))
-        for _ in range(pa.alg.dim)
-    )
-    return colon_ideal(pa, ideal_closure(pa.alg, [vec]))
+    return colon_ideal(pa, ideal_closure(pa.alg, [_random_vec(rng, pa.field, pa.alg.dim)]))
 
 
 # ---------------------------------------------------------------------------
-# the dual-route radical comparisons (AC-4 / AC-7 cores)
+# per-instance checks
+#
+# A check adds the cases of one instance to the report and returns whether the
+# theorem's hypotheses held on it (the sources of the semisimple-H theorems yield
+# only semisimple H).  In finite dimension P(A) = J(A), so the P theorems run the
+# J code path and `kind` only labels their cases.
 
-def check_equivariant_radical_transfer(pa: PartialAction, report: VerifyReport, tag: str, kind: str) -> None:
-    """kind='J': J_{H*}(A#H) = J_H(A)#H; kind='P': same for the prime radical."""
+def _enumerable(pa: PartialAction, dim_cap: int, field_cap: int) -> bool:
+    """Whether the H-stable ideals of A can be enumerated within the caps."""
+    return 0 < pa.field.char <= field_cap and pa.alg.dim <= dim_cap
+
+
+def check_transfer(kind: str, report: VerifyReport, tag: str, pa: PartialAction, **_) -> bool:
+    """T4.26 / T4.14: kind_{H*}(A#H) = kind_H(A)#H, and back through Psi."""
     sp = build_partial_smash(pa)
-    if kind == "J":
-        rad_a = jacobson_radical(pa.alg).radical
-        rad_c = jacobson_radical(sp.carrier).radical
-    else:
-        rad_a = prime_radical(pa.alg)
-        rad_c = prime_radical(sp.carrier)
-    side_a = colon_ideal(pa, rad_a)
-    side_c = colon_ideal(sp.dual_action, rad_c)
+    side_a = colon_ideal(pa, jacobson_radical(pa.alg).radical)
+    side_c = colon_ideal(sp.dual_action, jacobson_radical(sp.carrier).radical)
     transferred = phi_ideal(sp, side_a)
     report.add(
         f"{tag}: {kind}_H*(A#H) = {kind}_H(A)#H",
@@ -247,456 +231,260 @@ def check_equivariant_radical_transfer(pa: PartialAction, report: VerifyReport, 
         pulled == side_a,
         f"psi dim {pulled.dim}, colon dim {side_a.dim}",
     )
+    return True
 
 
-def check_radical_intersection(pa: PartialAction, report: VerifyReport, tag: str, kind: str) -> None:
-    """(rad(A):H) = rad(A#H) /\\ A computed through independent routes."""
+def check_intersection(kind: str, report: VerifyReport, tag: str, pa: PartialAction, **_) -> bool:
+    """P4.20 / C4.13-INT: (kind(A):H) = kind(A#H) /\\ A through independent routes."""
     sp = build_partial_smash(pa)
-    if kind == "J":
-        rad_a = jacobson_radical(pa.alg).radical
-        rad_c = jacobson_radical(sp.carrier).radical
-    else:
-        rad_a = prime_radical(pa.alg)
-        rad_c = prime_radical(sp.carrier)
-    lhs = colon_ideal(pa, rad_a)
-    rhs = psi_ideal(sp, rad_c)
+    lhs = colon_ideal(pa, jacobson_radical(pa.alg).radical)
+    rhs = psi_ideal(sp, jacobson_radical(sp.carrier).radical)
     report.add(
         f"{tag}: ({kind}(A):H) = {kind}(A#H) /\\ A",
         lhs == rhs,
         f"colon dim {lhs.dim}, psi dim {rhs.dim}",
     )
+    return True
+
+
+def check_largest_h_ideal(report: VerifyReport, tag: str, pa: PartialAction, *,
+                          dim_cap: int, field_cap: int, **_) -> bool:
+    """P4.22: J_H = (J(A):H) is the largest H-stable ideal inside J(A)."""
+    if not _enumerable(pa, dim_cap, field_cap):
+        return check_intersection("J", report, tag, pa)
+    ja = jacobson_radical(pa.alg).radical
+    jh = colon_ideal(pa, ja)
+    ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
+    inside = [I for I in ideals if not I.is_zero() and I <= ja]
+    report.add(
+        f"{tag}: semiprimitivity criterion",
+        jh.is_zero() == (not inside),
+        f"J_H dim {jh.dim}, {len(inside)} nonzero H-stable ideals inside J(A)",
+    )
+    biggest = sum(inside, Subspace.zero_space(pa.field, pa.alg.dim))
+    report.add(f"{tag}: J_H is the largest H-stable ideal inside J(A)", jh == biggest, f"J_H dim {jh.dim}")
+    return True
+
+
+def check_h_radicals(report: VerifyReport, tag: str, pa: PartialAction, *,
+                     dim_cap: int, field_cap: int, **_) -> bool:
+    """C4.13: Hrz(I) = (sqrt(I):H), quotient route against the H-primes over I."""
+    if not _enumerable(pa, dim_cap, field_cap):
+        return check_intersection("P", report, tag, pa)
+    proper = [I for I in enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap) if not I.is_full()]
+    primes = [I for I in proper if is_h_prime(pa, I, dim_cap=dim_cap, field_cap=field_cap)]
+    for I in proper:
+        hrz = h_radical_of_ideal(pa, I)
+        inter = reduce(Subspace.intersect, [P for P in primes if I <= P], Subspace.full_space(pa.field, pa.alg.dim))
+        report.add(
+            f"{tag}: Hrz(ideal dim {I.dim})",
+            hrz == inter,
+            f"quotient route dim {hrz.dim}, enumeration dim {inter.dim}",
+        )
+        report.add(f"{tag}: idempotence at dim {I.dim}", h_radical_of_ideal(pa, hrz) == hrz, "")
+    return True
+
+
+def check_ideal_correspondence(report: VerifyReport, tag: str, pa: PartialAction, *,
+                               seed: int, dim_cap: int, field_cap: int) -> bool:
+    """T3.6: Phi/Psi round trips and lattice preservation on the H-stable ideals."""
+    sp = build_partial_smash(pa)
+    if _enumerable(pa, dim_cap, field_cap):
+        ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
+    else:  # beyond the caps, up to six random H-stable ideals
+        rng = random.Random(seed)
+        ideals = list({I.rows: I for I in (random_h_stable_ideal(rng, pa) for _ in range(6))}.values())
+    images = [phi_ideal(sp, I) for I in ideals]
+    for I, phi in zip(ideals, images):
+        report.add(f"{tag}: psi(phi(I)) = I at dim {I.dim}", psi_ideal(sp, phi) == I, "")
+    report.add(
+        f"{tag}: phi is injective",
+        len({im.rows for im in images}) == len(ideals),
+        f"{len(ideals)} ideals",
+    )
+    for i, j in combinations_with_replacement(range(len(ideals)), 2):
+        I, J = ideals[i], ideals[j]
+        ok_sum = phi_ideal(sp, I + J) == images[i] + images[j]
+        ok_int = phi_ideal(sp, I.intersect(J)) == images[i].intersect(images[j])
+        prod = span_products(pa.alg, I, J)
+        ok_prod = phi_ideal(sp, prod) == span_products(sp.carrier, images[i], images[j])
+        if not (ok_sum and ok_int and ok_prod):
+            report.add(
+                f"{tag}: lattice ops at pair ({i},{j})", False,
+                f"sum {ok_sum}, intersection {ok_int}, product {ok_prod}",
+            )
+    report.add(f"{tag}: lattice ops on all pairs", True, f"{len(ideals)}^2 pairs")
+    return True
+
+
+def check_dual_ideals(report: VerifyReport, tag: str, pa: PartialAction, *,
+                      seed: int, dim_cap: int, field_cap: int) -> bool:
+    """C3.7: H*-stable ideals of A#H correspond bijectively to H-stable ideals of A."""
+    if not (_enumerable(pa, dim_cap, field_cap) and pa.alg.dim * pa.hopf.dim <= ENUM_CARRIER_CAP):
+        return check_ideal_correspondence(report, tag, pa, seed=seed, dim_cap=dim_cap, field_cap=field_cap)
+    sp = build_partial_smash(pa)
+    ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
+    dual_ideals = enumerate_h_stable_ideals(sp.dual_action, dim_cap=max(dim_cap, sp.carrier.dim), field_cap=field_cap)
+    report.add(
+        f"{tag}: same count on both sides",
+        len(ideals) == len(dual_ideals),
+        f"{len(ideals)} vs {len(dual_ideals)}",
+    )
+    for J in dual_ideals:
+        back = psi_ideal(sp, J)
+        report.add(
+            f"{tag}: phi(psi(J)) = J at dim {J.dim}",
+            phi_ideal(sp, back) == J and any(back == I for I in ideals),
+            "",
+        )
+    return True
+
+
+def check_radical_vanishes(kind: str, report: VerifyReport, tag: str, pa: PartialAction, **_) -> bool:
+    """T5.1 / T5.8: semisimple H and H-semiprimitive A give kind(A#H) = 0."""
+    if not h_jacobson_radical(pa).is_zero():
+        return False
+    J = jacobson_radical(build_partial_smash(pa).carrier).radical
+    report.add(f"{tag}: {kind}(A#H) = 0", J.is_zero(), f"{kind} dim {J.dim}")
+    return True
+
+
+def check_semisimple_transfer(kind: str, report: VerifyReport, tag: str, pa: PartialAction, **_) -> bool:
+    """C5.7 / C5.9: for semisimple H, kind(A#H) = kind_H(A)#H."""
+    sp = build_partial_smash(pa)
+    lhs = jacobson_radical(sp.carrier).radical
+    rhs = phi_ideal(sp, h_jacobson_radical(pa))
+    report.add(tag, lhs == rhs, f"{kind}(A#H) dim {lhs.dim}, phi({kind}_H) dim {rhs.dim}")
+    return True
+
+
+def check_non_semisimple(report: VerifyReport, tag: str, pa: PartialAction, **_) -> bool:
+    """NEG-SS: non-semisimple H acting trivially gives J(A (x) H) >= A (x) J(H) != 0; see NEGATIVE_CONTROLS."""
+    want = NEGATIVE_CONTROLS[tag][1] if tag in NEGATIVE_CONTROLS else None
+    if is_semisimple(pa.hopf) or pa.act != trivial_action(pa.hopf, pa.alg).act:
+        if want:
+            report.add(f"{tag}: hypotheses hold", False, "H is semisimple or acts nontrivially")
+        return False
+    J = jacobson_radical(build_partial_smash(pa).carrier).radical
+    ok = J.dim == want if want else J.dim > 0
+    report.add(f"{tag}: J(A (x) H) has dimension {want or '> 0'}", ok, f"dim {J.dim}")
+    return True
 
 
 # ---------------------------------------------------------------------------
-# theorem suites
+# instance sources: (seed, trials, dim_cap, field_cap, workspace) -> (tag, action) pairs,
+# drawn lazily so that each action and its smash product die after its check
 
-def _finite_instances(seed: int, trials: int, max_carrier: int = 10):
+def seeded_instances(semisimple_hopf: bool | None, seed: int, trials: int, dim_cap: int, field_cap: int, workspace):
+    """Fixtures, draw t over the t-th of the primes 2, 3, 5, 7, 11, 13 cyclically, then the workspace."""
+    yield "FIX-A", dual_group_idempotent(QQ, GroupTable.cyclic(2), [0, 1])
+    yield "FIX-B", c4_triple(QQ)
+    yield "FIX-C", trivial_action(group_algebra(QQ, GroupTable.cyclic(2)), product_of_fields(QQ, 3))
+    if not semisimple_hopf:  # F2C2 is not semisimple
+        yield "FIX-D", fixture_d()
     rng = random.Random(seed)
-    primes = [2, 3, 5, 7, 11, 13]
-    out = []
     for t in range(trials):
-        p = primes[t % len(primes)]
-        cap = max_carrier if p in (11, 13) else (8 if p == 2 else (7 if p == 3 else 6))
-        out.append((f"random-{t}(F{p})", random_partial_action(rng, GF(p), max_carrier=cap)))
-    return out
-
-
-def verify_T4_26(seed: int = 0, trials: int = 100, **_) -> VerifyReport:
-    report = VerifyReport("T4.26 J_{H*}(A#H) = J_H(A)#H")
-    for tag, pa in fixture_actions():
-        check_equivariant_radical_transfer(pa, report, tag, "J")
-    for tag, pa in _finite_instances(seed, trials):
-        check_equivariant_radical_transfer(pa, report, tag, "J")
-    return report
-
-
-def verify_T4_14(seed: int = 0, trials: int = 100, **_) -> VerifyReport:
-    report = VerifyReport("T4.14 P_{H*}(A#H) = P_H(A)#H")
-    for tag, pa in fixture_actions():
-        check_equivariant_radical_transfer(pa, report, tag, "P")
-    for tag, pa in _finite_instances(seed, trials):
-        check_equivariant_radical_transfer(pa, report, tag, "P")
-    return report
-
-
-def verify_P4_20(seed: int = 0, trials: int = 40, **_) -> VerifyReport:
-    report = VerifyReport("P4.20 (J(A):H) = J(A#H) /\\ A")
-    for tag, pa in fixture_actions():
-        check_radical_intersection(pa, report, tag, "J")
-    for tag, pa in _finite_instances(seed, trials):
-        check_radical_intersection(pa, report, tag, "J")
-    return report
-
-
-def verify_C4_13_intersection(seed: int = 0, trials: int = 40, **_) -> VerifyReport:
-    report = VerifyReport("C4.13 (P(A):H) = P(A#H) /\\ A")
-    for tag, pa in fixture_actions():
-        check_radical_intersection(pa, report, tag, "P")
-    for tag, pa in _finite_instances(seed, trials):
-        check_radical_intersection(pa, report, tag, "P")
-    return report
-
-
-def verify_P4_22(seed: int = 0, trials: int = 12, dim_cap: int = 6, field_cap: int = 5, **_) -> VerifyReport:
-    """J_H = (J(A):H) and: A H-semiprimitive iff J(A) hides no H-stable ideal."""
-    report = VerifyReport("P4.22 J_H(A) = (J(A):H)")
-    rng = random.Random(seed)
-    cases = [(t, p) for t, p in fixture_actions() if p.field.char and p.alg.dim <= dim_cap]
-    for t in range(trials):
-        p = rng.choice([2, 3, 5])
-        try:
-            pa = random_partial_action(rng, GF(p), max_carrier=min(8, dim_cap * 2))
-        except RuntimeError:
-            continue
-        if pa.alg.dim <= dim_cap and pa.field.char <= field_cap:
-            cases.append((f"random-{t}(F{p})", pa))
-    for tag, pa in cases:
-        jh = h_jacobson_radical(pa)
-        ja = jacobson_radical(pa.alg).radical
-        ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
-        inside = [I for I in ideals if not I.is_zero() and I <= ja]
-        report.add(
-            f"{tag}: semiprimitivity criterion",
-            jh.is_zero() == (not inside),
-            f"J_H dim {jh.dim}, {len(inside)} nonzero H-stable ideals inside J(A)",
-        )
-        biggest = Subspace.zero_space(pa.field, pa.alg.dim)
-        for I in inside:
-            biggest = biggest + I
-        report.add(
-            f"{tag}: J_H is the largest H-stable ideal inside J(A)",
-            jh == biggest if inside else jh.is_zero(),
-            f"J_H dim {jh.dim}",
-        )
-    return report
-
-
-def verify_C4_13(seed: int = 0, trials: int = 10, dim_cap: int = 5, field_cap: int = 5, **_) -> VerifyReport:
-    """Hrz(I) = (sqrt(I):H): quotient route vs enumeration of H-prime ideals."""
-    report = VerifyReport("C4.13 Hrz(I) = intersection of H-primes over I")
-    rng = random.Random(seed)
-    cases = []
-    for t in range(trials):
-        p = rng.choice([2, 3])
-        try:
-            pa = random_partial_action(rng, GF(p), max_carrier=8)
-        except RuntimeError:
-            continue
-        if pa.alg.dim <= dim_cap:
-            cases.append((f"random-{t}(F{p})", pa))
-    for tag, pa in cases:
-        ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
-        primes = [I for I in ideals if not I.is_full() and is_h_prime(pa, I, dim_cap=dim_cap, field_cap=field_cap)]
-        for I in ideals:
-            if I.is_full():
-                continue
-            hrz = h_radical_of_ideal(pa, I)
-            over = [P for P in primes if I <= P]
-            inter = Subspace.full_space(pa.field, pa.alg.dim)
-            for P in over:
-                inter = inter.intersect(P)
-            report.add(
-                f"{tag}: Hrz(ideal dim {I.dim})",
-                hrz == inter,
-                f"quotient route dim {hrz.dim}, enumeration dim {inter.dim}",
-            )
-            report.add(
-                f"{tag}: idempotence at dim {I.dim}",
-                h_radical_of_ideal(pa, hrz) == hrz,
-                "",
-            )
-    return report
-
-
-def verify_T3_6(seed: int = 0, trials: int = 8, dim_cap: int = 6, field_cap: int = 5, **_) -> VerifyReport:
-    """Phi/Psi round trips and lattice preservation on enumerated H-stable ideals."""
-    report = VerifyReport("T3.6 ideal correspondence")
-    rng = random.Random(seed)
-    cases = [("FIX-D", fixture_actions()[3][1]), ("FIX-B(F2)", _c4_triple(GF(2)))]
-    for t in range(trials):
-        p = rng.choice([2, 3, 5])
-        try:
-            pa = random_partial_action(rng, GF(p), max_carrier=8)
-        except RuntimeError:
-            continue
-        if pa.alg.dim <= dim_cap and pa.field.char <= field_cap:
-            cases.append((f"random-{t}(F{p})", pa))
-    for tag, pa in cases:
-        sp = build_partial_smash(pa)
-        ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
-        images = []
-        for I in ideals:
-            phi = phi_ideal(sp, I)
-            images.append(phi)
-            report.add(f"{tag}: psi(phi(I)) = I at dim {I.dim}", psi_ideal(sp, phi) == I, "")
-        report.add(
-            f"{tag}: phi is injective",
-            len({im.rows for im in images}) == len(ideals),
-            f"{len(ideals)} ideals",
-        )
-        for i, I in enumerate(ideals):
-            for j, J in enumerate(ideals):
-                if j < i:
-                    continue
-                ok_sum = phi_ideal(sp, I + J) == images[i] + images[j]
-                ok_int = phi_ideal(sp, I.intersect(J)) == images[i].intersect(images[j])
-                prod = span_products(pa.alg, I, J)
-                ok_prod = phi_ideal(sp, prod) == span_products(sp.carrier, images[i], images[j])
-                if not (ok_sum and ok_int and ok_prod):
-                    report.add(
-                        f"{tag}: lattice ops at pair ({i},{j})", False,
-                        f"sum {ok_sum}, intersection {ok_int}, product {ok_prod}",
-                    )
-        report.add(f"{tag}: lattice ops on all pairs", True, f"{len(ideals)}^2 pairs")
-    return report
-
-
-def verify_C3_7(seed: int = 0, trials: int = 6, dim_cap: int = 6, field_cap: int = 5, **_) -> VerifyReport:
-    """H*-stable ideals of A#H correspond bijectively to H-stable ideals of A."""
-    report = VerifyReport("C3.7 H*-stable ideals of A#H")
-    rng = random.Random(seed)
-    cases = [("FIX-D", fixture_actions()[3][1])]
-    for t in range(trials):
-        p = rng.choice([2, 3])
-        try:
-            pa = random_partial_action(rng, GF(p), max_carrier=8)
-        except RuntimeError:
-            continue
-        if pa.alg.dim <= dim_cap and pa.field.char <= field_cap:
-            cases.append((f"random-{t}(F{p})", pa))
-    for tag, pa in cases:
-        sp = build_partial_smash(pa)
-        ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
-        dual_ideals = enumerate_h_stable_ideals(
-            sp.dual_action, dim_cap=max(dim_cap, sp.carrier.dim), field_cap=field_cap
-        )
-        report.add(
-            f"{tag}: same count on both sides",
-            len(ideals) == len(dual_ideals),
-            f"{len(ideals)} vs {len(dual_ideals)}",
-        )
-        for J in dual_ideals:
-            back = psi_ideal(sp, J)
-            report.add(
-                f"{tag}: phi(psi(J)) = J at dim {J.dim}",
-                phi_ideal(sp, back) == J and any(back == I for I in ideals),
-                "",
-            )
-    return report
-
-
-def verify_T5_1(seed: int = 0, trials: int = 30, **_) -> VerifyReport:
-    """Semisimple H + H-semiprimitive A => semiprimitive A#H (f.d. instances)."""
-    report = VerifyReport("T5.1/T5.6 semiprimitivity of A#H")
-    cases = [(t, p) for t, p in fixture_actions()]
-    rng = random.Random(seed)
-    primes = [2, 3, 5, 7, 11, 13]
-    for t in range(trials):
-        p = primes[t % len(primes)]
+        p = (2, 3, 5, 7, 11, 13)[t % 6]
         cap = 10 if p in (11, 13) else (8 if p == 2 else (7 if p == 3 else 6))
         try:
-            cases.append((f"random-{t}(F{p})", random_partial_action(rng, GF(p), max_carrier=cap, semisimple_hopf=True)))
+            pa = random_partial_action(rng, GF(p), max_carrier=cap, semisimple_hopf=semisimple_hopf)
         except RuntimeError:
             continue
-    applied = 0
-    for tag, pa in cases:
-        if not is_semisimple(pa.hopf) or not is_h_semiprimitive(pa):
-            continue
-        applied += 1
-        sp = build_partial_smash(pa)
-        J = jacobson_radical(sp.carrier).radical
-        report.add(f"{tag}: J(A#H) = 0", J.is_zero(), f"J dim {J.dim}")
-    report.add("hypotheses applied at least 10 times", applied >= 10, f"{applied} instances")
-    return report
+        yield f"random-{t}(F{p})", pa
+    yield from (item for item in workspace if not semisimple_hopf or is_semisimple(item[1].hopf))
 
 
-def verify_C5_7(seed: int = 0, trials: int = 30, **_) -> VerifyReport:
-    """Semisimple H: J(A#H) = J_H(A)#H."""
-    report = VerifyReport("C5.7 J(A#H) = J_H(A)#H")
-    cases = [(t, p) for t, p in fixture_actions() if is_semisimple(p.hopf)]
+def lattice_instances(primes: tuple[int, ...], fixtures: tuple, seed: int, trials: int, dim_cap: int, field_cap: int,
+                      workspace):
+    """(tag, builder) fixtures, seeded draws over `primes` whose ideals can be enumerated, the workspace actions."""
+    for tag, build in fixtures:
+        yield tag, build()
     rng = random.Random(seed)
-    primes = [2, 3, 5, 7, 11, 13]
     for t in range(trials):
-        p = primes[t % len(primes)]
-        cap = 10 if p in (11, 13) else (8 if p == 2 else (7 if p == 3 else 6))
+        p = rng.choice(primes)
         try:
-            cases.append((f"random-{t}(F{p})", random_partial_action(rng, GF(p), max_carrier=cap, semisimple_hopf=True)))
+            pa = random_partial_action(rng, GF(p), max_carrier=ENUM_CARRIER_CAP)
         except RuntimeError:
             continue
-    for tag, pa in cases:
-        sp = build_partial_smash(pa)
-        lhs = jacobson_radical(sp.carrier).radical
-        rhs = phi_ideal(sp, h_jacobson_radical(pa))
-        report.add(f"{tag}", lhs == rhs, f"J(A#H) dim {lhs.dim}, phi(J_H) dim {rhs.dim}")
-    return report
+        if _enumerable(pa, dim_cap, field_cap):
+            yield f"random-{t}(F{p})", pa
+    yield from workspace
 
 
-def verify_T5_8(seed: int = 0, trials: int = 30, **_) -> VerifyReport:
-    """Semisimple H + H-semiprime A => semiprime A#H."""
-    report = VerifyReport("T5.8 semiprimality of A#H")
-    cases = [(t, p) for t, p in fixture_actions()]
-    rng = random.Random(seed)
-    primes = [2, 3, 5, 7, 11, 13]
-    for t in range(trials):
-        p = primes[t % len(primes)]
-        cap = 10 if p in (11, 13) else (8 if p == 2 else (7 if p == 3 else 6))
-        try:
-            cases.append((f"random-{t}(F{p})", random_partial_action(rng, GF(p), max_carrier=cap, semisimple_hopf=True)))
-        except RuntimeError:
-            continue
-    applied = 0
-    for tag, pa in cases:
-        if not is_semisimple(pa.hopf) or not h_prime_radical(pa).is_zero():
-            continue
-        applied += 1
-        sp = build_partial_smash(pa)
-        P = prime_radical(sp.carrier)
-        report.add(f"{tag}: P(A#H) = 0", P.is_zero(), f"P dim {P.dim}")
-    report.add("hypotheses applied at least 10 times", applied >= 10, f"{applied} instances")
-    return report
-
-
-def verify_C5_9(seed: int = 0, trials: int = 30, **_) -> VerifyReport:
-    """Semisimple H: P(A#H) = P_H(A)#H."""
-    report = VerifyReport("C5.9 P(A#H) = P_H(A)#H")
-    cases = [(t, p) for t, p in fixture_actions() if is_semisimple(p.hopf)]
-    rng = random.Random(seed)
-    primes = [2, 3, 5, 7, 11, 13]
-    for t in range(trials):
-        p = primes[t % len(primes)]
-        cap = 10 if p in (11, 13) else (8 if p == 2 else (7 if p == 3 else 6))
-        try:
-            cases.append((f"random-{t}(F{p})", random_partial_action(rng, GF(p), max_carrier=cap, semisimple_hopf=True)))
-        except RuntimeError:
-            continue
-    for tag, pa in cases:
-        sp = build_partial_smash(pa)
-        lhs = prime_radical(sp.carrier)
-        rhs = phi_ideal(sp, h_prime_radical(pa))
-        report.add(f"{tag}", lhs == rhs, f"P(A#H) dim {lhs.dim}, phi(P_H) dim {rhs.dim}")
-    return report
-
-
-def verify_NEG_SS(**_) -> VerifyReport:
-    """Non-semisimple H forces a radical in A (x) H under the trivial action."""
-    report = VerifyReport("NEG-SS necessity of semisimplicity")
-    F2 = GF(2)
-    pa_d = trivial_action(group_algebra(F2, GroupTable.cyclic(2)), product_of_fields(F2, 1))
-    sp_d = build_partial_smash(pa_d)
-    rep = jacobson_radical(sp_d.carrier)
-    report.add(
-        "FIX-D: J(F2 # F2C2) has dimension 1",
-        rep.radical.dim == 1 and not is_semisimple(pa_d.hopf),
-        f"dim {rep.radical.dim}",
-    )
-    pa_s = trivial_action(sweedler_h4(QQ), product_of_fields(QQ, 1))
-    sp_s = build_partial_smash(pa_s)
-    rep_s = jacobson_radical(sp_s.carrier)
-    report.add(
-        "Sweedler H4 over Q: 2-dimensional radical in A (x) H",
-        rep_s.radical.dim == 2 and not is_semisimple(pa_s.hopf),
-        f"dim {rep_s.radical.dim}",
-    )
-    pa_m = trivial_action(group_algebra(GF(3), GroupTable.cyclic(3)), product_of_fields(GF(3), 2))
-    sp_m = build_partial_smash(pa_m)
-    rep_m = jacobson_radical(sp_m.carrier)
-    report.add(
-        "F3C3 trivial on F3^2: radical is nonzero",
-        rep_m.radical.dim > 0,
-        f"dim {rep_m.radical.dim}",
-    )
-    return report
-
-
-THEOREM_SUITES = {
-    "T3.6": verify_T3_6,
-    "C3.7": verify_C3_7,
-    "P4.20": verify_P4_20,
-    "P4.22": verify_P4_22,
-    "C4.13": verify_C4_13,
-    "C4.13-INT": verify_C4_13_intersection,
-    "T4.14": verify_T4_14,
-    "T4.26": verify_T4_26,
-    "T5.1": verify_T5_1,
-    "T5.6": verify_T5_1,
-    "C5.7": verify_C5_7,
-    "T5.8": verify_T5_8,
-    "C5.9": verify_C5_9,
-    "NEG-SS": verify_NEG_SS,
+# the built-in controls of NEG-SS: tag -> (builder, dimension of J(A (x) H) it must have)
+NEGATIVE_CONTROLS = {
+    "FIX-D": (fixture_d, 1),
+    "Sweedler H4 over Q": (lambda: trivial_action(sweedler_h4(QQ), product_of_fields(QQ, 1)), 2),
+    "F3C3 trivial on F3^2": (
+        lambda: trivial_action(group_algebra(GF(3), GroupTable.cyclic(3)), product_of_fields(GF(3), 2)), 4
+    ),
 }
+
+
+def negative_controls(seed: int, trials: int, dim_cap: int, field_cap: int, workspace):
+    return chain(((tag, build()) for tag, (build, _dim) in NEGATIVE_CONTROLS.items()), workspace)
+
+
+# ---------------------------------------------------------------------------
+# the theorem table
+
+@dataclass(frozen=True)
+class Theorem:
+    """One theorem: its instance source, the one check all instances get, the default
+    number of random draws, and how often (at most `trials`) its hypotheses must apply."""
+
+    title: str
+    instances: Callable[..., Iterable[tuple[str, PartialAction]]]
+    check: Callable[..., bool]
+    trials: int = 0
+    floor: int = 0
+
+    def run(self, seed: int = 0, trials: int | None = None, dim_cap: int = 6, field_cap: int = 5,
+            workspace: Iterable[tuple[str, PartialAction]] = ()) -> VerifyReport:
+        """Check the seeded instances, then the (tag, action) pairs of `workspace` the source admits."""
+        trials = self.trials if trials is None else trials
+        report = VerifyReport(self.title)
+        applied = 0
+        for tag, pa in self.instances(seed, trials, dim_cap, field_cap, workspace):
+            applied += self.check(report, tag, pa, seed=seed, dim_cap=dim_cap, field_cap=field_cap)
+        if self.floor:
+            need = min(self.floor, trials)
+            report.add(f"hypotheses applied at least {need} times", applied >= need, f"{applied} instances")
+        return report
+
+
+_SEEDED = partial(seeded_instances, None)
+_SEMISIMPLE = partial(seeded_instances, True)
+_FIX_D = ("FIX-D", fixture_d)
+
+THEOREMS = {
+    "T3.6": Theorem(
+        "T3.6 ideal correspondence",
+        partial(lattice_instances, (2, 3, 5), (_FIX_D, ("FIX-B(F2)", partial(c4_triple, GF(2))))),
+        check_ideal_correspondence, 8,
+    ),
+    "C3.7": Theorem(
+        "C3.7 H*-stable ideals of A#H", partial(lattice_instances, (2, 3), (_FIX_D,)), check_dual_ideals, 6
+    ),
+    "P4.20": Theorem("P4.20 (J(A):H) = J(A#H) /\\ A", _SEEDED, partial(check_intersection, "J"), 40),
+    "P4.22": Theorem(
+        "P4.22 J_H(A) = (J(A):H)", partial(lattice_instances, (2, 3, 5), (_FIX_D,)), check_largest_h_ideal, 12
+    ),
+    "C4.13": Theorem(
+        "C4.13 Hrz(I) = intersection of H-primes over I", partial(lattice_instances, (2, 3), ()), check_h_radicals, 10
+    ),
+    "C4.13-INT": Theorem("C4.13 (P(A):H) = P(A#H) /\\ A", _SEEDED, partial(check_intersection, "P"), 40),
+    "T4.14": Theorem("T4.14 P_{H*}(A#H) = P_H(A)#H", _SEEDED, partial(check_transfer, "P"), 100),
+    "T4.26": Theorem("T4.26 J_{H*}(A#H) = J_H(A)#H", _SEEDED, partial(check_transfer, "J"), 100),
+    "T5.1": Theorem("T5.1/T5.6 semiprimitivity of A#H", _SEMISIMPLE, partial(check_radical_vanishes, "J"), 30, 10),
+    "C5.7": Theorem("C5.7 J(A#H) = J_H(A)#H", _SEMISIMPLE, partial(check_semisimple_transfer, "J"), 30),
+    "T5.8": Theorem("T5.8 semiprimality of A#H", _SEMISIMPLE, partial(check_radical_vanishes, "P"), 30, 10),
+    "C5.9": Theorem("C5.9 P(A#H) = P_H(A)#H", _SEMISIMPLE, partial(check_semisimple_transfer, "P"), 30),
+    "NEG-SS": Theorem("NEG-SS necessity of semisimplicity", negative_controls, check_non_semisimple),
+}
+THEOREMS["T5.6"] = THEOREMS["T5.1"]
 
 
 def run_theorem(theorem_id: str, seed: int = 0, trials: int | None = None,
                 dim_cap: int = 6, field_cap: int = 5) -> VerifyReport:
-    if theorem_id not in THEOREM_SUITES:
-        raise KeyError(f"unknown theorem id {theorem_id!r}; known: {sorted(THEOREM_SUITES)}")
-    kwargs = {"seed": seed, "dim_cap": dim_cap, "field_cap": field_cap}
-    if trials is not None:
-        kwargs["trials"] = trials
-    return THEOREM_SUITES[theorem_id](**kwargs)
-
-
-def apply_theorem_to_instance(
-    theorem_id: str,
-    tag: str,
-    pa: PartialAction,
-    report: VerifyReport,
-    dim_cap: int = 6,
-    field_cap: int = 5,
-    seed: int = 0,
-) -> None:
-    """Run one theorem's per-instance check on a workspace-supplied action."""
-    finite_small = (
-        0 < pa.field.char <= field_cap and pa.alg.dim <= dim_cap
-    )
-    if theorem_id == "T4.26":
-        check_equivariant_radical_transfer(pa, report, tag, "J")
-    elif theorem_id == "T4.14":
-        check_equivariant_radical_transfer(pa, report, tag, "P")
-    elif theorem_id == "P4.20":
-        check_radical_intersection(pa, report, tag, "J")
-    elif theorem_id in ("C4.13", "C4.13-INT"):
-        check_radical_intersection(pa, report, tag, "P")
-    elif theorem_id == "P4.22":
-        jh = h_jacobson_radical(pa)
-        ja = jacobson_radical(pa.alg).radical
-        report.add(f"{tag}: J_H <= J(A) and H-stable", jh <= ja and is_h_stable(pa, jh), "")
-        check_radical_intersection(pa, report, tag, "J")
-    elif theorem_id in ("T3.6", "C3.7"):
-        sp = build_partial_smash(pa)
-        if finite_small:
-            ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
-        else:
-            rng = random.Random(seed)
-            ideals = {random_h_stable_ideal(rng, pa).rows for _ in range(6)}
-            ideals = [Subspace(pa.field, pa.alg.dim, rows, tuple(
-                next(i for i, x in enumerate(r) if x) for r in rows
-            )) for rows in ideals]
-        for I in ideals:
-            report.add(
-                f"{tag}: psi(phi(I)) = I at dim {I.dim}",
-                psi_ideal(sp, phi_ideal(sp, I)) == I,
-                "",
-            )
-    elif theorem_id in ("T5.1", "T5.6"):
-        if is_semisimple(pa.hopf) and is_h_semiprimitive(pa):
-            sp = build_partial_smash(pa)
-            J = jacobson_radical(sp.carrier).radical
-            report.add(f"{tag}: J(A#H) = 0", J.is_zero(), f"dim {J.dim}")
-        else:
-            report.add(f"{tag}: hypotheses not satisfied, skipped", True, "")
-    elif theorem_id == "C5.7":
-        if is_semisimple(pa.hopf):
-            sp = build_partial_smash(pa)
-            lhs = jacobson_radical(sp.carrier).radical
-            rhs = phi_ideal(sp, h_jacobson_radical(pa))
-            report.add(f"{tag}: J(A#H) = J_H(A)#H", lhs == rhs, "")
-        else:
-            report.add(f"{tag}: H not semisimple, skipped", True, "")
-    elif theorem_id == "T5.8":
-        if is_semisimple(pa.hopf) and h_prime_radical(pa).is_zero():
-            sp = build_partial_smash(pa)
-            P = prime_radical(sp.carrier)
-            report.add(f"{tag}: P(A#H) = 0", P.is_zero(), f"dim {P.dim}")
-        else:
-            report.add(f"{tag}: hypotheses not satisfied, skipped", True, "")
-    elif theorem_id == "C5.9":
-        if is_semisimple(pa.hopf):
-            sp = build_partial_smash(pa)
-            lhs = prime_radical(sp.carrier)
-            rhs = phi_ideal(sp, h_prime_radical(pa))
-            report.add(f"{tag}: P(A#H) = P_H(A)#H", lhs == rhs, "")
-        else:
-            report.add(f"{tag}: H not semisimple, skipped", True, "")
-    elif theorem_id == "NEG-SS":
-        from psl.paction import is_global, trivial_action as _ta
-
-        trivial = pa.act == _ta(pa.hopf, pa.alg).act
-        if not is_semisimple(pa.hopf) and trivial and jacobson_radical(pa.alg).radical.is_zero():
-            sp = build_partial_smash(pa)
-            J = jacobson_radical(sp.carrier).radical
-            report.add(f"{tag}: J(A (x) H) != 0", not J.is_zero(), f"dim {J.dim}")
-        else:
-            report.add(f"{tag}: hypotheses not satisfied, skipped", True, "")
-    else:
-        raise KeyError(f"unknown theorem id {theorem_id!r}")
+    return THEOREMS[theorem_id].run(seed, trials, dim_cap, field_cap)

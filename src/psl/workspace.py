@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from psl.algebra import Algebra, check_algebra, product_of_fields
+from psl.algebra import Algebra, InvariantViolation, check_algebra, product_of_fields
 from psl.exactla import Field, Subspace, parse_field
 from psl.hopf import (
     GroupTable,
@@ -200,7 +200,7 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
                 pa = PartialAction(H, A, _scalars(field, spec["act"]))
             else:
                 raise ParseError(f"action {name!r}: unknown builder {builder!r}")
-        except ParseError:
+        except (ParseError, InvariantViolation):
             raise
         except ValueError as exc:
             # e.g. BadSubgroup or CharDividesOrder: the document asks for an impossible action

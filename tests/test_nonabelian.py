@@ -20,7 +20,7 @@ from psl.paction import (
 )
 from psl.radicals import enumerate_h_stable_ideals, h_jacobson_radical, jacobson_radical
 from psl.smash import build_partial_smash, phi_ideal, psi_ideal
-from psl.verify import VerifyReport, check_equivariant_radical_transfer
+from psl.verify import THEOREMS, VerifyReport
 
 
 def s3_table():
@@ -81,8 +81,14 @@ def test_s3_corner_action_and_radical_transfer():
     assert check_partial_action(pa).ok
     assert not is_global(pa)
     report = VerifyReport("S3 corner")
-    check_equivariant_radical_transfer(pa, report, "S3/A3 corner", "J")
-    check_equivariant_radical_transfer(pa, report, "S3/A3 corner", "P")
+    for theorem_id in ("T4.26", "T4.14"):
+        THEOREMS[theorem_id].check(report, "S3/A3 corner", pa)
+    assert [c.name for c in report.cases] == [
+        "S3/A3 corner: J_H*(A#H) = J_H(A)#H",
+        "S3/A3 corner: J_H(A) = J_H*(A#H) /\\ A",
+        "S3/A3 corner: P_H*(A#H) = P_H(A)#H",
+        "S3/A3 corner: P_H(A) = P_H*(A#H) /\\ A",
+    ]
     assert report.ok, report.summary()
 
 

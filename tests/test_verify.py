@@ -1,0 +1,150 @@
+"""The theorem table of `psl verify`: one check per theorem for seeded and workspace instances."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import psl.smash as smash
+import psl.verify as verify
+from psl.cli import main
+from psl.verify import NEGATIVE_CONTROLS, THEOREMS, fixture_d, run_theorem
+from psl.workspace import load_workspace
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE = ROOT / "workspaces" / "sample.json"
+
+
+def test_full_smash_built_once_per_action(monkeypatch):
+    built = []
+    real = smash.build_full_smash
+
+    def counting(pa):
+        built.append(pa)
+        return real(pa)
+
+    monkeypatch.setattr(smash, "build_full_smash", counting)
+    assert run_theorem("T4.26", trials=6).ok
+    assert built
+    assert len(built) == len({id(pa) for pa in built})
+
+
+@pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+def test_every_theorem_checks_the_sample_workspace(theorem_id, capsys):
+    argv = ["verify", theorem_id, "--workspace", str(SAMPLE), "--trials", "2", "--output", "json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] and payload["checks"] > 0 and payload["failures"] == []
+
+
+def f2_workspace(tmp_path, p: int = 2) -> Path:
+    # F_2^3 has 8 ideals, more than the six random ideals drawn beyond the caps
+    doc = {
+        "version": "psl-workspace/1",
+        "field": {"kind": "Fp", "p": p},
+        "groups": {"C2": {"cyclic": 2}},
+        "hopf_algebras": {"H": {"constructor": "group_algebra", "group": "C2"}},
+        "algebras": {"A": {"constructor": "product_of_fields", "k": 3}},
+        "actions": {"t": {"builder": "trivial", "hopf": "H", "algebra": "A"}},
+    }
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("theorem_id, name, detail", [
+    ("T3.6", "workspace:t: lattice ops on all pairs", "8^2 pairs"),
+    ("C3.7", "workspace:t: same count on both sides", "8 vs 8"),
+    ("P4.22", "workspace:t: semiprimitivity criterion", "J_H dim 0, 0 nonzero H-stable ideals inside J(A)"),
+    ("C4.13", "workspace:t: Hrz(ideal dim 2)", "quotient route dim 2, enumeration dim 2"),
+])
+def test_small_finite_workspace_actions_get_the_enumeration_cases(tmp_path, theorem_id, name, detail):
+    ws = load_workspace(str(f2_workspace(tmp_path)))
+    workspace = [(f"workspace:{n}", pa) for n, pa in ws.actions.items()]
+    report = THEOREMS[theorem_id].run(trials=0, workspace=workspace)
+    assert report.ok, report.summary()
+    assert (name, True, detail) in [(c.name, c.ok, c.detail) for c in report.cases]
+
+
+@pytest.mark.parametrize("theorem_id", ["T5.1", "C5.7", "T5.8", "C5.9"])
+def test_semisimple_theorems_take_only_workspace_actions_with_semisimple_h(tmp_path, theorem_id):
+    # C2 acts trivially on F_p^3: F_2C_2 is not semisimple, F_3C_2 is
+    tags = {}
+    for p in (2, 3):
+        ws = load_workspace(str(f2_workspace(tmp_path, p)))
+        report = THEOREMS[theorem_id].run(trials=0, workspace=[(f"workspace:{n}", pa) for n, pa in ws.actions.items()])
+        assert report.ok, report.summary()
+        tags[p] = [c.name for c in report.cases if c.name.startswith("workspace:")]
+    assert tags[2] == [] and len(tags[3]) == 1
+
+
+def test_negative_controls_have_their_radical_dimensions():
+    report = run_theorem("NEG-SS")
+    assert [(c.name, c.ok, c.detail) for c in report.cases] == [
+        (f"{tag}: J(A (x) H) has dimension {dim}", True, f"dim {dim}")
+        for tag, (_, dim) in NEGATIVE_CONTROLS.items()
+    ]
+    assert [dim for _, dim in NEGATIVE_CONTROLS.values()] == [1, 2, 4]
+
+
+def test_negative_control_with_another_radical_dimension_fails(monkeypatch):
+    monkeypatch.setitem(NEGATIVE_CONTROLS, "FIX-D", (fixture_d, 2))
+    report = run_theorem("NEG-SS")
+    assert not report.ok
+    assert [c.detail for c in report.cases if not c.ok] == ["dim 1"]
+
+
+def test_negative_control_that_fails_the_hypotheses_fails(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "is_semisimple", lambda H: True)
+    report = run_theorem("NEG-SS")
+    assert [c.name for c in report.cases] == [f"{tag}: hypotheses hold" for tag in NEGATIVE_CONTROLS]
+    assert not any(c.ok for c in report.cases)
+    assert main(["verify", "NEG-SS"]) == 1
+    capsys.readouterr()
+
+
+def test_hypotheses_floor_follows_trials(capsys):
+    report = run_theorem("T5.8", trials=6)
+    assert report.ok, report.summary()
+    floor = report.cases[-1]
+    assert floor.name == "hypotheses applied at least 6 times"
+    assert main(["verify", "T5.8", "--trials", "6"]) == 0
+    assert main(["verify", "T5.1", "--trials", "1", "--workspace", str(SAMPLE)]) == 0
+    capsys.readouterr()
+
+
+def test_default_trials_keep_the_floor_of_ten():
+    assert run_theorem("T5.1").cases[-1].name == "hypotheses applied at least 10 times"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "T4.26", "--trials", "-3"], "must be at least 0"),
+    (["verify", "T4.26", "--dim-cap", "0"], "must be at least 1"),
+    (["verify", "T4.26", "--field-cap", "1"], "must be at least 2"),
+    (["verify", "T4.26", "--trials", "x"], "invalid int value"),
+    (["enumerate-ideals", "--workspace", str(SAMPLE), "triple", "--dim-cap", "0"], "must be at least 1"),
+    (["enumerate-ideals", "--workspace", str(SAMPLE), "triple", "--field-cap", "1"], "must be at least 2"),
+])
+def test_out_of_range_counts_exit_two(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("argv", [["verify", "T4.26", "--trials", "3"], ["verify", "P4.22"]])
+def test_optimized_interpreter_reports_the_same(argv):
+    # python -O strips asserts, so equal reports show that no invariant rests on one
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "psl.cli", *argv, "--output", "json"],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
