@@ -5,17 +5,25 @@ e_i * e_j = sum_k mult[i][j][k] e_k, an optional unit coordinate vector
 (non-unital carriers are allowed for the full smash construction), and
 display labels.  Everything is immutable; elements are coordinate row
 vectors (tuples of scalars).
+
+`Algebra.terms[i][j]` lists the nonzero (k, c) of e_i * e_j with c unboxed:
+an int in [0, p) over F_p, a Fraction over Q.  The structure-constant loops
+(`multiply`, the axiom checkers, `build_full_smash`) run on sparse unboxed
+vectors through `_multiply_raw`; over F_p they leave sums unreduced and
+reduce mod p only where a value is compared, boxed or fed to a next product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from psl.exactla import (
     DimensionMismatch,
     Field,
     FieldMismatch,
+    Fp,
     Matrix,
     Subspace,
     is_zero_vec,
@@ -42,7 +50,7 @@ class CheckReport:
 
     def raise_if_failed(self, what: str = "check") -> None:
         if not self.ok:
-            raise AssertionError(f"{what} failed: " + "; ".join(self.failures[:5]))
+            raise InvariantViolation(f"{what} failed: " + "; ".join(self.failures[:5]))
 
 
 def merge_reports(*reports: CheckReport) -> CheckReport:
@@ -50,8 +58,71 @@ def merge_reports(*reports: CheckReport) -> CheckReport:
     return CheckReport(not failures, failures)
 
 
+# ---------------------------------------------------------------------------
+# unboxed kernel: F_p scalars as plain ints, Q scalars as Fractions.  Sparse
+# vectors are tuples of their nonzero (k, c); dense ones are lists.
+
+
+def _box(field: Field, raw: Sequence) -> tuple:
+    """Field elements of dense unboxed (possibly unreduced) coordinates; the zeros share one object."""
+    p = field.char
+    zero = field.zero
+    if p:
+        return tuple(Fp(v, p) if v % p else zero for v in raw)
+    return tuple(v if v.__class__ is Fraction and v else Fraction(v) if v else zero for v in raw)
+
+
+def _sparse(field: Field, vec: Sequence) -> tuple:
+    """The nonzero (k, c) of a boxed vector, c unboxed."""
+    if field.char:
+        return tuple((k, c.v) for k, c in enumerate(vec) if c.v)
+    return tuple((k, c) for k, c in enumerate(vec) if c)
+
+
+def _compact(raw: Sequence, p: int) -> tuple:
+    """The nonzero (k, c) of dense unboxed coordinates, reduced mod p (p = 0 over Q)."""
+    if p:
+        return tuple((k, v % p) for k, v in enumerate(raw) if v % p)
+    return tuple((k, v) for k, v in enumerate(raw) if v)
+
+
+def _differ(u: Sequence, v: Sequence, p: int) -> bool:
+    """Whether two dense unboxed vectors differ as field elements."""
+    if p:
+        return any((a - b) % p for a, b in zip(u, v))
+    return u != v
+
+
+def _multiply_raw(terms, x: Sequence, y: Sequence) -> list:
+    """x * y for sparse unboxed x, y through the structure constants; dense, unreduced."""
+    out = [0] * len(terms)
+    for i, xi in x:
+        row = terms[i]
+        for j, yj in y:
+            c = xi * yj
+            for k, m in row[j]:
+                out[k] += c * m
+    return out
+
+
+def _apply_raw(rows, x: Sequence, n: int) -> list:
+    """sum_l x_l rows[l] for sparse x and sparse rows; dense, unreduced."""
+    out = [0] * n
+    for l, xl in x:
+        for k, c in rows[l]:
+            out[k] += xl * c
+    return out
+
+
+def _add_scaled(acc: list, c, raw: Sequence) -> None:
+    """acc += c * raw on dense unboxed vectors."""
+    for t, x in enumerate(raw):
+        if x:
+            acc[t] += c * x
+
+
 class Algebra:
-    __slots__ = ("field", "dim", "mult", "unit", "labels")
+    __slots__ = ("field", "dim", "mult", "unit", "labels", "terms")
 
     def __init__(
         self,
@@ -75,6 +146,7 @@ class Algebra:
         self.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))
         if len(self.labels) != n:
             raise DimensionMismatch("wrong number of labels")
+        self.terms = tuple(tuple(_sparse(field, e) for e in row) for row in self.mult)
 
     def __eq__(self, other):
         return (
@@ -104,22 +176,10 @@ class Algebra:
         return v
 
     def multiply(self, x: Sequence, y: Sequence) -> tuple:
-        x = self.coerce(x)
-        y = self.coerce(y)
-        out = list(self.zero())
-        mult = self.mult
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = mult[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, m in enumerate(row[j]):
-                    if m:
-                        out[k] = out[k] + c * m
-        return tuple(out)
+        field = self.field
+        x = _sparse(field, self.coerce(x))
+        y = _sparse(field, self.coerce(y))
+        return _box(field, _multiply_raw(self.terms, x, y))
 
     def left_mult_matrix(self, x: Sequence) -> Matrix:
         """Matrix of a |-> x*a in the row-vector convention."""
@@ -150,20 +210,24 @@ def check_algebra(A: Algebra) -> CheckReport:
     """Associativity on all basis triples plus unit laws (when a unit is present)."""
     failures = []
     n = A.dim
-    basis = [A.basis_vector(i) for i in range(n)]
+    p = A.field.char
+    terms = A.terms
+    basis = [((i, 1),) for i in range(n)]
+    dense = [[int(t == i) for t in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            ij = A.mult[i][j]
+            ij = terms[i][j]
             for k in range(n):
-                lhs = A.multiply(ij, basis[k])
-                rhs = A.multiply(basis[i], A.mult[j][k])
-                if lhs != rhs:
+                lhs = _multiply_raw(terms, ij, basis[k])
+                rhs = _multiply_raw(terms, basis[i], terms[j][k])
+                if _differ(lhs, rhs, p):
                     failures.append(f"associativity fails at basis triple ({i},{j},{k})")
     if A.unit is not None:
+        unit = _sparse(A.field, A.unit)
         for i in range(n):
-            if A.multiply(A.unit, basis[i]) != basis[i]:
+            if _differ(_multiply_raw(terms, unit, basis[i]), dense[i], p):
                 failures.append(f"left unit law fails at basis {i}")
-            if A.multiply(basis[i], A.unit) != basis[i]:
+            if _differ(_multiply_raw(terms, basis[i], unit), dense[i], p):
                 failures.append(f"right unit law fails at basis {i}")
     return CheckReport(not failures, tuple(failures))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from psl.algebra import Algebra, CheckReport, check_algebra, merge_reports
+from psl.algebra import Algebra, CheckReport, InvariantViolation, check_algebra, merge_reports
 from psl.exactla import (
     Field,
     Matrix,
@@ -359,7 +359,7 @@ def is_semisimple(H: HopfAlgebra) -> bool:
     """Maschke criterion: eps(Lambda) != 0 for a basis integral Lambda."""
     ints = left_integrals(H)
     if ints.dim != 1:
-        raise AssertionError(
+        raise InvariantViolation(
             f"integral space has dimension {ints.dim}; expected 1 for a valid Hopf algebra"
         )
     return bool(H.counit_of(ints.rows[0]))

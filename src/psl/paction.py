@@ -21,6 +21,12 @@ from psl.algebra import (
     CheckReport,
     InvariantViolation,
     NotAnIdeal,
+    _add_scaled,
+    _apply_raw,
+    _compact,
+    _differ,
+    _multiply_raw,
+    _sparse,
     is_ideal,
     quotient_algebra,
 )
@@ -128,52 +134,67 @@ class PartialAction:
         return self.act_basis(i, self.alg.unit)
 
 
+def _act_terms(pa: PartialAction) -> tuple:
+    """act[i][j] = h_i . e_j as sparse unboxed rows."""
+    field = pa.field
+    return tuple(tuple(_sparse(field, v) for v in row) for row in pa.act)
+
+
+def _comul_terms(H: HopfAlgebra) -> tuple:
+    """Delta(h_i) as its nonzero unboxed (p, q, c), in index order."""
+    field = H.field
+    return tuple(
+        tuple((p, q, c) for p, row in enumerate(block) for q, c in _sparse(field, row))
+        for block in H.comul
+    )
+
+
 def check_partial_action(pa: PartialAction, samples: int = 4) -> CheckReport:
     """PA1, PA3, PA4 on all basis tuples; PA2 re-checked on seeded random samples."""
     failures = []
     H, A = pa.hopf, pa.alg
     m, n = H.dim, A.dim
-    basis_a = [A.basis_vector(j) for j in range(n)]
+    field = pa.field
+    p = field.char
+    terms, h_terms = A.terms, H.alg.terms
+    act = _act_terms(pa)
+    comul = _comul_terms(H)
+    basis = [((j, 1),) for j in range(n)]
+    dense = [[int(t == j) for t in range(n)] for j in range(n)]
+    # h . e_k as a linear function of h, then h_p . 1_A and (h_q h_g) . e_k
+    columns = [[act[r][k] for r in range(m)] for k in range(n)]
+    unit_a = _sparse(field, A.unit)
+    unit_images = [_compact(_apply_raw(act[i], unit_a, n), p) for i in range(m)]
+    hg_act = [
+        [[_compact(_apply_raw(columns[k], h_terms[q][g], n), p) for k in range(n)] for g in range(m)]
+        for q in range(m)
+    ]
 
+    unit_h = _sparse(field, H.unit)
     for j in range(n):
-        if pa.act_vec(H.unit, basis_a[j]) != basis_a[j]:
+        if _differ(_apply_raw(columns[j], unit_h, n), dense[j], p):
             failures.append(f"PA1 fails: 1_H . a != a at basis a={A.labels[j]}")
 
     # PA3 on all basis triples
     for i in range(m):
         for j in range(n):
             for k in range(n):
-                lhs = pa.act_basis(i, A.mult[j][k])
-                rhs = list(zero_vec(pa.field, n))
-                for p in range(m):
-                    for q in range(m):
-                        c = H.comul[i][p][q]
-                        if not c:
-                            continue
-                        prod = A.multiply(pa.act_basis(p, basis_a[j]), pa.act_basis(q, basis_a[k]))
-                        for t, x in enumerate(prod):
-                            if x:
-                                rhs[t] = rhs[t] + c * x
-                if lhs != tuple(rhs):
+                lhs = _apply_raw(act[i], terms[j][k], n)
+                rhs = [0] * n
+                for hp, hq, c in comul[i]:
+                    _add_scaled(rhs, c, _multiply_raw(terms, act[hp][j], act[hq][k]))
+                if _differ(lhs, rhs, p):
                     failures.append(f"PA3 fails at (h{i}, {A.labels[j]}, {A.labels[k]})")
 
     # PA4 on all basis triples
     for i in range(m):
         for g in range(m):
             for k in range(n):
-                lhs = pa.act_basis(i, pa.act_basis(g, basis_a[k]))
-                rhs = list(zero_vec(pa.field, n))
-                for p in range(m):
-                    for q in range(m):
-                        c = H.comul[i][p][q]
-                        if not c:
-                            continue
-                        hq_g = H.alg.mult[q][g]
-                        prod = A.multiply(pa.unit_image(p), pa.act_vec(hq_g, basis_a[k]))
-                        for t, x in enumerate(prod):
-                            if x:
-                                rhs[t] = rhs[t] + c * x
-                if lhs != tuple(rhs):
+                lhs = _apply_raw(act[i], act[g][k], n)
+                rhs = [0] * n
+                for hp, hq, c in comul[i]:
+                    _add_scaled(rhs, c, _multiply_raw(terms, unit_images[hp], hg_act[hq][g][k]))
+                if _differ(lhs, rhs, p):
                     failures.append(f"PA4 fails at (h{i}, h{g}, {A.labels[k]})")
 
     # PA2 is implied by PA1+PA3+PA4 for unital A; sample it as redundancy
@@ -181,21 +202,13 @@ def check_partial_action(pa: PartialAction, samples: int = 4) -> CheckReport:
     for _ in range(samples):
         i = rng.randrange(m)
         g = rng.randrange(m)
-        a = basis_a[rng.randrange(n)]
-        b = basis_a[rng.randrange(n)]
-        lhs = pa.act_basis(i, A.multiply(a, pa.act_basis(g, b)))
-        rhs = list(zero_vec(pa.field, n))
-        for p in range(m):
-            for q in range(m):
-                c = pa.hopf.comul[i][p][q]
-                if not c:
-                    continue
-                hq_g = H.alg.mult[q][g]
-                prod = A.multiply(pa.act_basis(p, a), pa.act_vec(hq_g, b))
-                for t, x in enumerate(prod):
-                    if x:
-                        rhs[t] = rhs[t] + c * x
-        if lhs != tuple(rhs):
+        a = rng.randrange(n)
+        b = rng.randrange(n)
+        lhs = _apply_raw(act[i], _compact(_multiply_raw(terms, basis[a], act[g][b]), p), n)
+        rhs = [0] * n
+        for hp, hq, c in comul[i]:
+            _add_scaled(rhs, c, _multiply_raw(terms, act[hp][a], hg_act[hq][g][b]))
+        if _differ(lhs, rhs, p):
             failures.append(f"PA2 fails at sampled (h{i}, h{g})")
 
     return CheckReport(not failures, tuple(failures))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from psl.algebra import Algebra, CheckReport, is_ideal
+from psl.algebra import Algebra, CheckReport, InvariantViolation, is_ideal
 from psl.exactla import (
     DimensionMismatch,
     Matrix,
@@ -391,8 +391,10 @@ def annihilator(M: PartialModule) -> Subspace:
             block.extend(M.act_a_basis(i, M.basis_vector(j)))
         rows.append(tuple(block))
     ann = Matrix(M.field, rows, ncols=M.dim * M.dim).left_kernel()
-    assert is_ideal(A, ann), "annihilator is not an ideal"
-    assert is_h_stable(M.pa, ann), "annihilator is not H-stable"
+    if not is_ideal(A, ann):
+        raise InvariantViolation("annihilator is not an ideal")
+    if not is_h_stable(M.pa, ann):
+        raise InvariantViolation("annihilator is not H-stable")
     return ann
 
 
@@ -454,7 +456,8 @@ def _operator_image_algebra(M: PartialModule):
 
     def coords(vec):
         c = span.coords_of(vec)
-        assert c is not None
+        if c is None:
+            raise InvariantViolation("operator image algebra is not closed")
         return c
 
     mult = []
@@ -494,7 +497,7 @@ def _restrict_operator(op: Matrix, W: Subspace) -> list[tuple]:
     for r in W.rows:
         c = W.coords_of(op.apply(r))
         if c is None:
-            raise AssertionError("extension space is not invariant under the action")
+            raise InvariantViolation("extension space is not invariant under the action")
         rows.append(c)
     return rows
 
@@ -593,7 +596,8 @@ def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     emb_rows = []
     for jv in range(V.dim):
         c = W.coords_of(tens(mod_basis(V, jv), H.unit))
-        assert c is not None, "V (x) 1_H does not sit inside W"
+        if c is None:
+            raise InvariantViolation("V (x) 1_H does not sit inside W")
         emb_rows.append(c)
     embedding = Matrix(field, emb_rows, ncols=W.dim)
     return ModuleExtension(module, embedding, W)
@@ -668,15 +672,19 @@ def irreducible_extension(
     killed = maximal[0]
     M, proj = _module_quotient(W_mod, killed)
     check_partial_module(M).raise_if_failed("irreducible extension axioms")
-    assert is_irreducible(M, budget=budget) is True, "quotient is not irreducible"
+    if is_irreducible(M, budget=budget) is not True:
+        raise InvariantViolation("quotient is not irreducible")
     emb = Matrix(field, [proj.apply(r) for r in ext.embedding.rows], ncols=M.dim)
-    assert emb.rank() == V.dim, "V does not survive into M"
-    assert M.dim <= pa.hopf.dim * V.dim, "dimension bound violated"
+    if emb.rank() != V.dim:
+        raise InvariantViolation("V does not survive into M")
+    if M.dim > pa.hopf.dim * V.dim:
+        raise InvariantViolation("dimension bound violated")
     ann_m = annihilator(M)
     from psl.paction import colon_ideal
 
     ann_v = module_annihilator(V)
-    assert ann_m == colon_ideal(pa, ann_v), "ann(M) != (ann(V):H)"
+    if ann_m != colon_ideal(pa, ann_v):
+        raise InvariantViolation("ann(M) != (ann(V):H)")
     return IrreducibleExtension(M, emb, ext, killed)
 
 
@@ -754,7 +762,8 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     check_partial_module(module).raise_if_failed("extended left module axioms")
 
     ints = left_integrals(K)
-    assert ints.dim == 1, "integral space of H* must be one-dimensional"
+    if ints.dim != 1:
+        raise InvariantViolation("integral space of H* must be one-dimensional")
     lam = ints.rows[0]
     emb_rows = []
     for jv in range(V.dim):
@@ -763,7 +772,8 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
             if c:
                 vec[jv * m + r] = c
         coords = W.coords_of(tuple(vec))
-        assert coords is not None, "V (x) lambda does not sit inside W"
+        if coords is None:
+            raise InvariantViolation("V (x) lambda does not sit inside W")
         emb_rows.append(coords)
     embedding = Matrix(field, emb_rows, ncols=W.dim)
     return ModuleExtension(module, embedding, W)

@@ -294,7 +294,11 @@ def is_h_prime(
         raise ValueError("an H-prime ideal must be proper")
     if not is_ideal(A, prime) or not is_h_stable(pa, prime):
         raise NotHStable("is_h_prime needs a proper H-stable ideal")
-    ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
+    return _is_h_prime_among(A, prime, enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap))
+
+
+def _is_h_prime_among(A: Algebra, prime: Subspace, ideals: list[Subspace]) -> bool:
+    """No pair of the H-stable `ideals` outside `prime` has its product inside it."""
     outside = [I for I in ideals if not I <= prime]
     for I in outside:
         for J in outside:

@@ -15,6 +15,12 @@ from psl.algebra import (
     AlgebraMap,
     InvariantViolation,
     NotAnIdeal,
+    _add_scaled,
+    _box,
+    _compact,
+    _differ,
+    _multiply_raw,
+    _sparse,
     check_algebra,
     is_ideal,
 )
@@ -23,6 +29,8 @@ from psl.hopf import dual_hopf
 from psl.paction import (
     NotHStable,
     PartialAction,
+    _act_terms,
+    _comul_terms,
     check_partial_action,
     is_global,
     is_h_stable,
@@ -49,39 +57,46 @@ def build_full_smash(pa: PartialAction) -> Algebra:
     m, n = H.dim, A.dim
     N = n * m
     field = pa.field
-    basis_a = [A.basis_vector(j) for j in range(n)]
-    mult = [[None] * N for _ in range(N)]
+    p = field.char
+    h_terms = H.alg.terms
+    act = _act_terms(pa)
+    comul = _comul_terms(H)
+    # e_j (h_r . e_k) for every j, k and r
+    a_parts = [
+        [[_compact(_multiply_raw(A.terms, ((j, 1),), act[r][k]), p) for r in range(m)] for k in range(n)]
+        for j in range(n)
+    ]
+    mult = []
     for j in range(n):
         for i in range(m):
+            row = []
             for k in range(n):
+                parts = a_parts[j][k]
                 for g in range(m):
-                    out = list(zero_vec(field, N))
-                    for p in range(m):
-                        for q in range(m):
-                            c = H.comul[i][p][q]
-                            if not c:
-                                continue
-                            apart = A.multiply(basis_a[j], pa.act_basis(p, basis_a[k]))
-                            hpart = H.alg.mult[q][g]
-                            for t, xa in enumerate(apart):
-                                if not xa:
-                                    continue
-                                cxa = c * xa
-                                for u, xh in enumerate(hpart):
-                                    if xh:
-                                        out[t * m + u] = out[t * m + u] + cxa * xh
-                    mult[j * m + i][k * m + g] = tuple(out)
+                    out = [0] * N
+                    for hp, hq, c in comul[i]:
+                        hpart = h_terms[hq][g]
+                        for t, xa in parts[hp]:
+                            cxa = c * xa
+                            for u, xh in hpart:
+                                out[t * m + u] += cxa * xh
+                    row.append(out)
+            mult.append(row)
     labels = tuple(f"{A.labels[j]}#{H.alg.labels[i]}" for j in range(n) for i in range(m))
     candidate_unit = tensor_coords(pa, A.unit, H.unit)
-    full = Algebra(field, mult, unit=None, labels=labels)
-    unit_ok = all(
-        full.multiply(candidate_unit, full.basis_vector(i)) == full.basis_vector(i)
-        and full.multiply(full.basis_vector(i), candidate_unit) == full.basis_vector(i)
-        for i in range(N)
-    )
-    if unit_ok:
-        full = Algebra(field, mult, unit=candidate_unit, labels=labels)
-    return full
+    unit = _sparse(field, candidate_unit)
+
+    def unit_laws_hold(b):
+        left, right = [0] * N, [0] * N
+        for a, c in unit:
+            _add_scaled(left, c, mult[a][b])
+            _add_scaled(right, c, mult[b][a])
+        e_b = [int(t == b) for t in range(N)]
+        return not (_differ(left, e_b, p) or _differ(right, e_b, p))
+
+    unit_ok = all(unit_laws_hold(b) for b in range(N))
+    boxed = [[_box(field, out) for out in row] for row in mult]
+    return Algebra(field, boxed, unit=candidate_unit if unit_ok else None, labels=labels)
 
 
 class SmashProduct:

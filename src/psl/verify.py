@@ -43,10 +43,10 @@ from psl.paction import (
     trivial_action,
 )
 from psl.radicals import (
+    _is_h_prime_among,
     enumerate_h_stable_ideals,
     h_jacobson_radical,
     h_radical_of_ideal,
-    is_h_prime,
     jacobson_radical,
     trace_form_kernel,
 )
@@ -271,8 +271,9 @@ def check_h_radicals(report: VerifyReport, tag: str, pa: PartialAction, *,
     """C4.13: Hrz(I) = (sqrt(I):H), quotient route against the H-primes over I."""
     if not _enumerable(pa, dim_cap, field_cap):
         return check_intersection("P", report, tag, pa)
-    proper = [I for I in enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap) if not I.is_full()]
-    primes = [I for I in proper if is_h_prime(pa, I, dim_cap=dim_cap, field_cap=field_cap)]
+    ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
+    proper = [I for I in ideals if not I.is_full()]
+    primes = [I for I in proper if _is_h_prime_among(pa.alg, I, ideals)]
     for I in proper:
         hrz = h_radical_of_ideal(pa, I)
         inter = reduce(Subspace.intersect, [P for P in primes if I <= P], Subspace.full_space(pa.field, pa.alg.dim))

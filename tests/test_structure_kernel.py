@@ -1,0 +1,86 @@
+"""The unboxed structure-constant kernel against the boxed loops it replaced.
+
+`boxed_reference` keeps the dense loops over boxed scalars.  On seeded
+random partial actions over Q, F_2, F_3 and F_5, each with copies that have
+one corrupted tensor entry, both must give the same CheckReport (the same
+failure strings in the same order) and the same full smash product.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import boxed_reference as ref
+from psl.algebra import Algebra, check_algebra
+from psl.exactla import GF, QQ, DimensionMismatch, FieldMismatch, Fp
+from psl.paction import PartialAction, check_partial_action
+from psl.smash import build_full_smash
+from psl.verify import random_partial_action
+from helpers import rand_vec
+
+FIELDS = [QQ, GF(2), GF(3), GF(5)]
+DRAWS = 30
+
+
+def corrupt(rng, field, tensor):
+    """A copy of a 3-index tensor with one entry moved by a nonzero scalar."""
+    out = [[list(v) for v in row] for row in tensor]
+    i = rng.randrange(len(out))
+    j = rng.randrange(len(out[i]))
+    k = rng.randrange(len(out[i][j]))
+    shift = Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)) if field.char == 0 else rng.randrange(1, field.char)
+    out[i][j][k] = out[i][j][k] + shift
+    return out
+
+
+def draws(field):
+    rng = random.Random(9100 + field.char)
+    for _ in range(DRAWS):
+        pa = random_partial_action(rng, field, max_carrier=12)
+        yield rng, pa
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_checkers_and_full_smash_match_boxed_loops(field):
+    failing_actions = failing_algebras = 0
+    for rng, pa in draws(field):
+        A = pa.alg
+        actions = [pa] + [PartialAction(pa.hopf, A, corrupt(rng, field, pa.act)) for _ in range(3)]
+        for act in actions:
+            got = check_partial_action(act)
+            assert got == ref.check_partial_action(act), act
+            failing_actions += not got.ok
+        mult, unit = ref.build_full_smash(pa)
+        full = build_full_smash(pa)
+        assert full.mult == mult and full.unit == unit
+        algebras = [A] + [Algebra(field, corrupt(rng, field, A.mult), unit=A.unit) for _ in range(3)] + [full]
+        for alg in algebras:
+            got = check_algebra(alg)
+            assert got == ref.check_algebra(alg), alg
+            failing_algebras += not got.ok
+    # the corrupted copies must exercise the failure paths
+    assert failing_actions >= DRAWS and failing_algebras >= DRAWS
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_multiply_matches_boxed_loop(field):
+    rng = random.Random(77)
+    for _, pa in draws(field):
+        for alg in (pa.alg, build_full_smash(pa)):
+            for _ in range(5):
+                x, y = rand_vec(rng, field, alg.dim), rand_vec(rng, field, alg.dim)
+                assert alg.multiply(x, y) == ref.multiply(alg, x, y)
+
+
+def test_multiply_rejects_foreign_scalars_and_lengths():
+    A = random_partial_action(random.Random(1), GF(3)).alg
+    x = (1,) * A.dim
+    with pytest.raises(FieldMismatch):
+        A.multiply((Fp(1, 5),) + x[1:], x)
+    with pytest.raises(FieldMismatch):
+        A.multiply(x, (Fp(2, 5),) * A.dim)
+    with pytest.raises(DimensionMismatch):
+        A.multiply(x + (1,), x)
+    with pytest.raises(DimensionMismatch):
+        A.multiply(x, x[1:])

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import psl.radicals as radicals
 import psl.smash as smash
 import psl.verify as verify
 from psl.cli import main
@@ -30,6 +32,28 @@ def test_full_smash_built_once_per_action(monkeypatch):
     assert run_theorem("T4.26", trials=6).ok
     assert built
     assert len(built) == len({id(pa) for pa in built})
+
+
+def test_h_radicals_enumerate_once_per_instance(monkeypatch):
+    calls = []
+    real = radicals.enumerate_h_stable_ideals
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radicals, "enumerate_h_stable_ideals", counting)
+    monkeypatch.setattr(verify, "enumerate_h_stable_ideals", counting)
+    theorem = THEOREMS["C4.13"]
+    enumerated = []
+
+    def check(report, tag, pa, **kwargs):
+        enumerated.append(verify._enumerable(pa, kwargs["dim_cap"], kwargs["field_cap"]))
+        return theorem.check(report, tag, pa, **kwargs)
+
+    for seed in range(4):
+        assert replace(theorem, check=check).run(seed).ok
+    assert 0 < len(calls) == sum(enumerated)
 
 
 @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
