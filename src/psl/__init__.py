@@ -2,9 +2,9 @@
 products and equivariant (H-)radicals of finite-dimensional algebras.
 
 Everything is computed over Q (arbitrary-precision rationals) or a prime
-field F_p; no floating point anywhere.  Row reduction over F_p uses a
-compiled kernel when available (see psl._kernel; PSL_PURE=1 forces the
-pure-Python fallback).
+field F_p; no floating point anywhere.  Matrices and subspaces keep
+unboxed scalars (ints mod p, or Fractions) and share one elimination
+routine; see psl.exactla.
 """
 
 from psl.exactla import GF, QQ, Field, Fp, Matrix, Subspace

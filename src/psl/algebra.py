@@ -8,9 +8,11 @@ vectors (tuples of scalars).
 
 `Algebra.terms[i][j]` lists the nonzero (k, c) of e_i * e_j with c unboxed:
 an int in [0, p) over F_p, a Fraction over Q.  The structure-constant loops
-(`multiply`, the axiom checkers, `build_full_smash`) run on sparse unboxed
-vectors through `_multiply_raw`; over F_p they leave sums unreduced and
-reduce mod p only where a value is compared, boxed or fed to a next product.
+(`multiply`, the axiom checkers, `build_full_smash`, the subspace products
+and ideal closures, algebra maps) run on sparse unboxed vectors and on the
+unboxed rows of `Subspace` through `_multiply_raw`; over F_p they leave sums
+unreduced and reduce mod p only where a value is compared, boxed, stored in
+a subspace or fed to a next product.
 """
 
 from __future__ import annotations
@@ -26,9 +28,13 @@ from psl.exactla import (
     Fp,
     Matrix,
     Subspace,
-    is_zero_vec,
+    _canon,
+    _coerce,
+    _dense,
+    _Echelon,
+    _nonzero,
+    _spin,
     unit_vec,
-    vec_add,
     zero_vec,
 )
 
@@ -176,23 +182,24 @@ class Algebra:
         return v
 
     def multiply(self, x: Sequence, y: Sequence) -> tuple:
-        field = self.field
-        x = _sparse(field, self.coerce(x))
-        y = _sparse(field, self.coerce(y))
-        return _box(field, _multiply_raw(self.terms, x, y))
+        x, y = _nonzero(_coerce(self.field, x, self.dim)), _nonzero(_coerce(self.field, y, self.dim))
+        return _box(self.field, _multiply_raw(self.terms, x, y))
+
+    def _mult_matrix(self, x: Sequence, left: bool) -> Matrix:
+        x = _nonzero(_coerce(self.field, x, self.dim))
+        p, terms = self.field.char, self.terms
+        rows = tuple(
+            _canon(_multiply_raw(terms, x, ((j, 1),)) if left else _multiply_raw(terms, ((j, 1),), x), p)
+            for j in range(self.dim)
+        )
+        return Matrix._of_raw(self.field, rows, self.dim)
 
     def left_mult_matrix(self, x: Sequence) -> Matrix:
         """Matrix of a |-> x*a in the row-vector convention."""
-        return Matrix(
-            self.field, [self.multiply(x, self.basis_vector(j)) for j in range(self.dim)],
-            ncols=self.dim,
-        )
+        return self._mult_matrix(x, True)
 
     def right_mult_matrix(self, x: Sequence) -> Matrix:
-        return Matrix(
-            self.field, [self.multiply(self.basis_vector(j), x) for j in range(self.dim)],
-            ncols=self.dim,
-        )
+        return self._mult_matrix(x, False)
 
     def describe(self, vec: Sequence) -> str:
         parts = []
@@ -232,45 +239,47 @@ def check_algebra(A: Algebra) -> CheckReport:
     return CheckReport(not failures, tuple(failures))
 
 
+def _check_inside(A: Algebra, U: Subspace) -> None:
+    if U.field != A.field:
+        raise FieldMismatch(f"subspace over {U.field}, algebra over {A.field}")
+    if U.ambient != A.dim:
+        raise DimensionMismatch(f"subspace of ambient {U.ambient} in an algebra of dim {A.dim}")
+
+
 def span_products(A: Algebra, U: Subspace, V: Subspace) -> Subspace:
     """Span of {u*v : u in U, v in V} (the subspace product U V)."""
-    vecs = [A.multiply(u, v) for u in U.rows for v in V.rows]
-    return Subspace.from_vectors(A.field, A.dim, vecs)
+    _check_inside(A, U)
+    _check_inside(A, V)
+    terms = A.terms
+    vs = [_nonzero(v) for v in V.rows]
+    return Subspace._span(A.field, A.dim, [_multiply_raw(terms, _nonzero(u), v) for u in U.rows for v in vs])
+
+
+def _mult_operators(A: Algebra, side: str) -> list:
+    """Multiplication by each basis element on the requested sides, as sparse operator rows."""
+    if side not in ("left", "right", "two_sided"):
+        raise ValueError(f"bad side {side!r}")
+    n, terms = A.dim, A.terms
+    ops = []
+    if side in ("left", "two_sided"):  # v |-> e_b v sends e_l to e_b e_l
+        ops += [terms[b] for b in range(n)]
+    if side in ("right", "two_sided"):  # v |-> v e_b sends e_l to e_l e_b
+        ops += [tuple(terms[l][b] for l in range(n)) for b in range(n)]
+    return ops
 
 
 def ideal_closure(A: Algebra, gens: Iterable[Sequence], side: str = "two_sided") -> Subspace:
     """Smallest subspace containing gens closed under the requested multiplications."""
-    if side not in ("left", "right", "two_sided"):
-        raise ValueError(f"bad side {side!r}")
-    S = Subspace.from_vectors(A.field, A.dim, [A.coerce(g) for g in gens])
-    basis = [A.basis_vector(i) for i in range(A.dim)]
-    # dimension strictly grows until the fixed point, so dim(A) rounds suffice
-    for _ in range(A.dim + 1):
-        new = list(S.rows)
-        for v in S.rows:
-            for b in basis:
-                if side in ("left", "two_sided"):
-                    new.append(A.multiply(b, v))
-                if side in ("right", "two_sided"):
-                    new.append(A.multiply(v, b))
-        S2 = Subspace.from_vectors(A.field, A.dim, new)
-        if S2.dim == S.dim:
-            return S2
-        S = S2
-    return S
+    ops = _mult_operators(A, side)
+    return _spin(A.field, A.dim, [_coerce(A.field, g, A.dim) for g in gens], ops)
 
 
 def is_ideal(A: Algebra, I: Subspace, side: str = "two_sided") -> bool:
     if I.ambient != A.dim or I.field != A.field:
         raise DimensionMismatch("subspace does not live in the algebra")
-    basis = [A.basis_vector(i) for i in range(A.dim)]
-    for v in I.rows:
-        for b in basis:
-            if side in ("left", "two_sided") and not I.contains(A.multiply(b, v)):
-                return False
-            if side in ("right", "two_sided") and not I.contains(A.multiply(v, b)):
-                return False
-    return True
+    ops = _mult_operators(A, side)
+    n = A.dim
+    return all(I._holds(_apply_raw(op, _nonzero(v), n)) for v in I.rows for op in ops)
 
 
 class AlgebraMap:
@@ -291,17 +300,17 @@ class AlgebraMap:
         return self.matrix.apply(self.source.coerce(vec))
 
     def is_multiplicative(self) -> bool:
-        for i in range(self.source.dim):
-            for j in range(self.source.dim):
-                lhs = self.apply(self.source.mult[i][j])
-                rhs = self.target.multiply(
-                    self.apply(self.source.basis_vector(i)),
-                    self.apply(self.source.basis_vector(j)),
-                )
-                if lhs != rhs:
+        src, tgt = self.source, self.target
+        p, n = src.field.char, tgt.dim
+        images = [_nonzero(r) for r in self.matrix.rows]
+        for i in range(src.dim):
+            for j in range(src.dim):
+                lhs = _apply_raw(images, src.terms[i][j], n)
+                if _differ(lhs, _multiply_raw(tgt.terms, images[i], images[j]), p):
                     return False
-        if self.source.unit is not None and self.target.unit is not None:
-            if self.apply(self.source.unit) != self.target.unit:
+        if src.unit is not None and tgt.unit is not None:
+            unit = _apply_raw(images, _nonzero(_coerce(src.field, src.unit, src.dim)), n)
+            if _differ(unit, _coerce(tgt.field, tgt.unit, n), p):
                 return False
         return True
 
@@ -318,30 +327,24 @@ def quotient_algebra(A: Algebra, I: Subspace) -> tuple[Algebra, AlgebraMap]:
         raise NotAnIdeal("subspace is not a two-sided ideal")
     comp = I.complement_indices()
     qdim = len(comp)
+    n, p = A.dim, A.field.char
 
-    def project(vec):
-        r = I.reduce(vec)
-        return tuple(r[c] for c in comp)
+    def project(raw):
+        r = I._residual(raw)
+        return _canon([r[c] for c in comp], p)
 
-    lifts = [A.basis_vector(c) for c in comp]
-    mult = [[project(A.multiply(lifts[i], lifts[j])) for j in range(qdim)] for i in range(qdim)]
-    unit = project(A.unit) if A.unit is not None else None
+    mult = [[project(_dense(A.terms[ci][cj], n)) for cj in comp] for ci in comp]
+    unit = project(_coerce(A.field, A.unit, n)) if A.unit is not None else None
     labels = tuple(f"[{A.labels[c]}]" for c in comp)
     Q = Algebra(A.field, mult, unit=unit, labels=labels)
-    proj = AlgebraMap(A, Q, Matrix(A.field, [project(A.basis_vector(i)) for i in range(A.dim)], ncols=qdim))
+    images = tuple(project(_dense(((i, 1),), n)) for i in range(n))
+    proj = AlgebraMap(A, Q, Matrix._of_raw(A.field, images, qdim))
     return Q, proj
 
 
 def is_nilpotent_subspace(A: Algebra, I: Subspace) -> bool:
     """True iff I^m = 0 for some m <= dim(A)+1 (iterated span products)."""
-    if I.is_zero():
-        return True
-    P = I
-    for _ in range(A.dim + 1):
-        P = span_products(A, I, P)
-        if P.is_zero():
-            return True
-    return False
+    return nilpotency_index(A, I) is not None
 
 
 def nilpotency_index(A: Algebra, I: Subspace) -> int | None:
@@ -387,18 +390,29 @@ def direct_product(A: Algebra, B: Algebra) -> Algebra:
 
 
 def subalgebra_closure(A: Algebra, gens: Iterable[Sequence]) -> Subspace:
-    """Smallest unital multiplicatively closed subspace containing gens."""
-    vecs = [A.coerce(g) for g in gens]
+    """Smallest unital multiplicatively closed subspace containing gens.
+
+    Spinning over pairs: each new basis vector is multiplied on both sides
+    by every basis vector before it and by itself, and each product is
+    reduced once against the basis built so far.
+    """
+    gens = list(gens)
     if A.unit is not None:
-        vecs.append(A.unit)
-    S = Subspace.from_vectors(A.field, A.dim, vecs)
-    for _ in range(A.dim + 1):
-        new = list(S.rows) + [A.multiply(u, v) for u in S.rows for v in S.rows]
-        S2 = Subspace.from_vectors(A.field, A.dim, new)
-        if S2.dim == S.dim:
-            return S2
-        S = S2
-    return S
+        gens.append(A.unit)
+    terms = A.terms
+    basis = _Echelon(A.field.char)
+    for g in gens:
+        basis.add(_coerce(A.field, g, A.dim))
+    rows = basis.rows
+    i = 0
+    while i < len(rows) < A.dim:
+        u = rows[i][1]
+        for j in range(i + 1):
+            w = rows[j][1]
+            basis.add(_multiply_raw(terms, u, w))
+            basis.add(_multiply_raw(terms, w, u))
+        i += 1
+    return basis.span(A.field, A.dim)
 
 
 def product_of_fields(field: Field, k: int) -> Algebra:

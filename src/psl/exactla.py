@@ -1,21 +1,29 @@
 """Exact linear algebra over Q and over prime fields F_p.
 
-Scalars are `fractions.Fraction` (over Q) or `Fp` instances (over F_p);
-vectors are tuples of scalars, matrices are row-major tuples of such
-tuples, and subspaces are kept in reduced row echelon form so that
-equality of subspaces is structural equality.  Everything is immutable
-and every operation is a pure function.
+A `Matrix` or `Subspace` keeps its field and rows of unboxed scalars: ints
+in [0, p) over F_p, `fractions.Fraction`s over Q.  Inputs are coerced once,
+when they enter a container; `Fp` objects are made only where a single
+scalar leaves the public API (`field.of`, `field.zero`, `field.one`,
+`field.elements`).  Vectors are tuples, matrices row-major tuples of such
+tuples; the vectors the containers return (`apply`, `reduce`, `coords_of`,
+`lift`, `solve_left`) are unboxed too.  Subspaces are kept in reduced row
+echelon form so that equality of subspaces is structural equality.
+Everything is immutable and every operation is a pure function.
 
-Row reduction over F_p dispatches to the compiled kernel when the
-extension is available (see psl._kernel).
+One elimination routine, `_rref`, serves both fields.  Over F_p it reduces
+mod p once per row update rather than once per scalar operation (the
+delayed reduction of Dumas, Giorgi and Pernet, "Dense linear algebra over
+word-size prime fields: the FFLAS and FFPACK packages", 2008).  Invariant
+subspaces are closed by spinning (Parker, "The computer calculation of
+modular characters (the Meat-Axe)", 1984): each new image is reduced once
+against a growing echelon basis and kept only if it is new.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator, Sequence
-
-from psl import _kernel
 
 
 class FieldMismatch(ValueError):
@@ -118,11 +126,19 @@ class Fp:
 
 
 class Field:
-    """Field descriptor; char 0 means Q, prime char means F_p."""
+    """Field descriptor; char 0 means Q, prime char means F_p.
+
+    `of` gives the boxed scalar of the public API, `_raw` the unboxed one
+    that containers store: both accept the same inputs and raise
+    `FieldMismatch` on the same foreign ones.
+    """
 
     char: int
 
     def of(self, x):
+        raise NotImplementedError
+
+    def _raw(self, x):
         raise NotImplementedError
 
     @property
@@ -154,6 +170,9 @@ class RationalField(Field):
         if isinstance(x, (int, str)):
             return Fraction(x)
         raise FieldMismatch(f"cannot coerce {type(x).__name__} into Q")
+
+    # a Fraction is its own unboxed form
+    _raw = of
 
     @property
     def zero(self):
@@ -203,6 +222,11 @@ class PrimeField(Field):
             return Fp(int(x), self.char)
         raise FieldMismatch(f"cannot coerce {type(x).__name__} into F_{self.char}")
 
+    def _raw(self, x):
+        if x.__class__ is int:
+            return x % self.char
+        return self.of(x).v
+
     @property
     def zero(self):
         return Fp(0, self.char)
@@ -215,10 +239,10 @@ class PrimeField(Field):
         return (Fp(v, self.char) for v in range(self.char))
 
     def format_scalar(self, x):
-        return str(x.v)
+        return str(self._raw(x))
 
     def sort_key(self, x):
-        return (x.v,)
+        return (self._raw(x),)
 
     def __repr__(self):
         return f"GF({self.char})"
@@ -251,7 +275,7 @@ def parse_field(spec: dict) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# vectors (tuples of scalars)
+# boxed vectors (tuples of field elements), for callers outside the containers
 
 def zero_vec(field: Field, n: int) -> tuple:
     return (field.zero,) * n
@@ -260,14 +284,6 @@ def zero_vec(field: Field, n: int) -> tuple:
 def unit_vec(field: Field, n: int, i: int) -> tuple:
     z = field.zero
     return tuple(field.one if j == i else z for j in range(n))
-
-
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(c, v: Sequence) -> tuple:
@@ -295,57 +311,247 @@ def all_vectors(field: Field, n: int) -> Iterator[tuple]:
 
 def projective_vectors(field: Field, n: int) -> Iterator[tuple]:
     """Nonzero vectors of F_p^n, one per scalar line (first nonzero entry 1)."""
-    for v in all_vectors(field, n):
-        lead = next((x for x in v if x), None)
-        if lead is not None and lead.v == 1:
-            yield v
+    if field.char == 0:
+        raise FieldMismatch("cannot enumerate vectors over Q")
+    p = field.char
+    for v in _projective_raw(p, n):
+        yield tuple(Fp(x, p) for x in v)
+
+
+# ---------------------------------------------------------------------------
+# the unboxed kernel: rows are sequences of ints (F_p, p > 0) or Fractions
+# (Q, p = 0); sparse rows are tuples of their nonzero (index, value) pairs.
+# Over F_p, entries handed to the kernel may be unreduced.
+
+_QZERO = Fraction(0)
+_QONE = Fraction(1)
+
+
+def _one(p: int):
+    return 1 if p else _QONE
+
+
+def _zeros(p: int, n: int) -> list:
+    return [0] * n if p else [_QZERO] * n
+
+
+def _canon(vec: Sequence, p: int) -> tuple:
+    """Unboxed entries as a container stores them: reduced mod p, or Fractions over Q.
+
+    Over Q every zero is the one shared `_QZERO`, so stored rows do not hold
+    a Fraction object per zero entry.
+    """
+    if p:
+        return tuple(x % p for x in vec)
+    return tuple((x if x.__class__ is Fraction else Fraction(x)) if x else _QZERO for x in vec)
+
+
+def _nonzero(row: Sequence) -> tuple:
+    """The sparse form of a dense row whose entries are reduced."""
+    return tuple((k, x) for k, x in enumerate(row) if x)
+
+
+def _dense(sparse: Iterable[tuple], n: int) -> list:
+    """The dense form of a sparse row of length n."""
+    out = [0] * n
+    for k, x in sparse:
+        out[k] = x
+    return out
+
+
+def _projective_raw(p: int, n: int) -> Iterator[list]:
+    """One vector per line of F_p^n: first nonzero entry 1, as lists of ints."""
+    for lead in range(n):
+        head = [0] * lead + [1]
+        for tail in product(range(p), repeat=n - lead - 1):
+            yield head + list(tail)
+
+
+def _rref(rows: Sequence[Sequence], p: int) -> tuple[list[list], int, list[int]]:
+    """Reduced row echelon form: (all rows, zero rows last; rank; pivot columns)."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if p:
+        a = [[x % p for x in row] for row in rows]
+    else:
+        a = [list(row) for row in rows]
+    pivots: list[int] = []
+    if m == 0 or n == 0:
+        return a, 0, pivots
+    r = 0
+    for c in range(n):
+        s = next((i for i in range(r, m) if a[i][c]), -1)
+        if s < 0:
+            continue
+        if s != r:
+            a[s], a[r] = a[r], a[s]
+        prow = a[r]
+        f = prow[c]
+        if f != 1:
+            if p:
+                f = pow(f, p - 2, p)
+                prow = [x * f % p for x in prow]
+            else:
+                f = f if f.__class__ is Fraction else Fraction(f)
+                prow = [x / f if x else x for x in prow]
+            a[r] = prow
+        nz = [(j, x) for j, x in enumerate(prow) if x]
+        for i in range(m):
+            if i == r:
+                continue
+            row = a[i]
+            f = row[c]
+            if not f:
+                continue
+            if p:
+                for j, x in nz:
+                    row[j] = (row[j] - f * x) % p
+            else:
+                for j, x in nz:
+                    row[j] = row[j] - f * x
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    if not p:
+        a = [list(_canon(row, 0)) for row in a]
+    return a, r, pivots
+
+
+def _residual(vec: Sequence, rows: Sequence[Sequence], pivots: Sequence[int], p: int) -> list:
+    """vec minus its combination of the RREF rows, reduced once at the end.
+
+    In RREF only row r is nonzero at pivot r, so its coefficient is vec's own
+    entry there and the rows can be subtracted in any order.
+    """
+    v = list(vec)
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f:
+            for j, x in enumerate(row):
+                if x:
+                    v[j] -= f * x
+    if p:
+        return [x % p for x in v]
+    return v
+
+
+def _combine(coeffs: Sequence, rows: Sequence[Sequence], n: int, p: int) -> tuple:
+    """sum_i coeffs[i] rows[i] for dense rows, reduced once at the end."""
+    out = _zeros(p, n)
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] += c * x
+    return _canon(out, p) if p else tuple(out)
+
+
+class _Echelon:
+    """A semi-echelon basis grown one vector at a time.
+
+    Each row is (pivot, sparse row) with entry 1 at its pivot, and every row
+    is zero at the pivots of the rows before it, so reducing a vector against
+    the rows in order clears every pivot.
+    """
+
+    __slots__ = ("p", "rows")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: list[tuple[int, tuple]] = []
+
+    def add(self, v: list) -> bool:
+        """Reduce the dense vector v (consumed) and append it if it is new."""
+        p = self.p
+        if p:
+            for c, row in self.rows:
+                f = v[c] % p
+                if f:
+                    for j, x in row:
+                        v[j] -= f * x
+            for lead, x in enumerate(v):
+                if x % p:
+                    break
+            else:
+                return False
+            inv = pow(x, p - 2, p)
+            self.rows.append((lead, tuple((j, y * inv % p) for j, y in enumerate(v) if y % p)))
+        else:
+            for c, row in self.rows:
+                f = v[c]
+                if f:
+                    for j, x in row:
+                        v[j] -= f * x
+            for lead, x in enumerate(v):
+                if x:
+                    break
+            else:
+                return False
+            x = x if x.__class__ is Fraction else Fraction(x)
+            self.rows.append((lead, tuple((j, y / x) for j, y in enumerate(v) if y)))
+        return True
+
+    def span(self, field: Field, n: int) -> "Subspace":
+        """The spanned subspace in canonical RREF."""
+        return Subspace._span(field, n, [_dense(row, n) for _, row in self.rows])
+
+
+def _spin(field: Field, n: int, seeds: Iterable[list], ops: Sequence[Sequence[tuple]]) -> "Subspace":
+    """Smallest subspace of F^n containing the seeds and invariant under ops.
+
+    ops[t][l] is the sparse image of e_l under operator t.  Every basis
+    vector's images are reduced once against the basis built so far.
+    """
+    basis = _Echelon(field.char)
+    for v in seeds:
+        basis.add(v)
+    rows = basis.rows
+    i = 0
+    while i < len(rows) < n:
+        w = rows[i][1]
+        i += 1
+        for op in ops:
+            out = [0] * n
+            for l, x in w:
+                for k, c in op[l]:
+                    out[k] += x * c
+            basis.add(out)
+    return basis.span(field, n)
+
+
+def _operator_terms(field: Field, n: int, operators: Sequence["Matrix"]) -> list[tuple]:
+    """Each n x n operator matrix as its sparse rows, images of the basis vectors."""
+    ops = []
+    for op in operators:
+        if op.field != field:
+            raise FieldMismatch(f"operator over {op.field}, space over {field}")
+        if op.nrows != n or op.ncols != n:
+            raise DimensionMismatch(f"operator is {op.nrows}x{op.ncols}, space has dim {n}")
+        ops.append(tuple(_nonzero(row) for row in op.rows))
+    return ops
+
+
+def _coerce(field: Field, vec: Sequence, n: int, error=DimensionMismatch) -> list:
+    """A vector entering from outside as a dense unboxed list, its length checked."""
+    raw = field._raw
+    v = [raw(x) for x in vec]
+    if len(v) != n:
+        raise error(f"vector length {len(v)} != {n}")
+    return v
 
 
 # ---------------------------------------------------------------------------
 # matrices
 
-def _rref_generic(rows: list[list]) -> tuple[list[list], int, list[int]]:
-    """Field-generic fraction-style elimination (used over Q)."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0 or n == 0:
-        return rows, 0, []
-    a = [list(row) for row in rows]
-    piv_r = 0
-    pivots = []
-    for c in range(n):
-        r = next((i for i in range(piv_r, m) if a[i][c]), -1)
-        if r < 0:
-            continue
-        if r != piv_r:
-            a[r], a[piv_r] = a[piv_r], a[r]
-        f = a[piv_r][c]
-        prow = a[piv_r]
-        for j in range(c, n):
-            prow[j] = prow[j] / f
-        for i in range(m):
-            if i == piv_r:
-                continue
-            f = a[i][c]
-            if not f:
-                continue
-            irow = a[i]
-            for j in range(c, n):
-                irow[j] = irow[j] - f * prow[j]
-        pivots.append(c)
-        piv_r += 1
-        if piv_r == m:
-            break
-    return a, piv_r, pivots
-
-
 class Matrix:
-    """Immutable dense matrix with a uniform field descriptor."""
+    """Immutable dense matrix over one field, rows of unboxed scalars."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: Field, rows: Iterable[Iterable], ncols: int | None = None):
-        rws = tuple(tuple(field.of(x) for x in row) for row in rows)
+        raw = field._raw
+        rws = tuple(tuple(raw(x) for x in row) for row in rows)
         if rws:
             ncols = len(rws[0])
             if any(len(r) != ncols for r in rws):
@@ -358,12 +564,23 @@ class Matrix:
         self.ncols = ncols
 
     @classmethod
+    def _of_raw(cls, field: Field, rows: tuple, ncols: int) -> "Matrix":
+        """A matrix on rows already in container form (reduced unboxed tuples)."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
+    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [unit_vec(field, n, i) for i in range(n)])
+        one = _one(field.char)
+        return cls._of_raw(field, tuple(_canon(_dense(((i, one),), n), field.char) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, field: Field, m: int, n: int) -> "Matrix":
-        return cls(field, [zero_vec(field, n) for _ in range(m)], ncols=n)
+        return cls._of_raw(field, tuple(tuple(_zeros(field.char, n)) for _ in range(m)), n)
 
     def _check_field(self, other: "Matrix") -> None:
         if self.field != other.field:
@@ -388,90 +605,75 @@ class Matrix:
         return self.rows[i]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows)) if self.rows else [], ncols=self.nrows)
+        return Matrix._of_raw(self.field, tuple(zip(*self.rows)), self.nrows)
 
     def stack(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
         if self.ncols != other.ncols and self.nrows and other.nrows:
             raise DimensionMismatch("column counts differ")
-        return Matrix(self.field, self.rows + other.rows, ncols=max(self.ncols, other.ncols))
+        return Matrix._of_raw(self.field, self.rows + other.rows, max(self.ncols, other.ncols))
 
     def apply(self, vec: Sequence) -> tuple:
         """Row-vector action: vec @ self (rows of self are images of basis)."""
-        if len(vec) != self.nrows:
-            raise DimensionMismatch(f"vector length {len(vec)} != {self.nrows}")
-        out = list(zero_vec(self.field, self.ncols))
-        for c, row in zip(vec, self.rows):
-            if not c:
-                continue
-            for j, x in enumerate(row):
-                if x:
-                    out[j] = out[j] + c * x
-        return tuple(out)
+        v = _coerce(self.field, vec, self.nrows)
+        return _combine(v, self.rows, self.ncols, self.field.char)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
         if self.ncols != other.nrows:
             raise DimensionMismatch("inner dimensions differ")
-        return Matrix(self.field, [other.apply(r) for r in self.rows], ncols=other.ncols)
+        p, n = self.field.char, other.ncols
+        return Matrix._of_raw(self.field, tuple(_combine(r, other.rows, n, p) for r in self.rows), n)
+
+    def _entrywise(self, other: "Matrix", sign: int) -> "Matrix":
+        self._check_field(other)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise DimensionMismatch("shapes differ")
+        p = self.field.char
+        rows = tuple(_canon([x + sign * y for x, y in zip(r, s)], p) for r, s in zip(self.rows, other.rows))
+        return Matrix._of_raw(self.field, rows, self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("shapes differ")
-        return Matrix(self.field, [vec_add(r, s) for r, s in zip(self.rows, other.rows)], ncols=self.ncols)
+        return self._entrywise(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("shapes differ")
-        return Matrix(self.field, [vec_sub(r, s) for r, s in zip(self.rows, other.rows)], ncols=self.ncols)
+        return self._entrywise(other, -1)
 
     def scale(self, c) -> "Matrix":
-        c = self.field.of(c)
-        return Matrix(self.field, [vec_scale(c, r) for r in self.rows], ncols=self.ncols)
+        c = self.field._raw(c)
+        p = self.field.char
+        return Matrix._of_raw(self.field, tuple(_canon([c * x for x in r], p) for r in self.rows), self.ncols)
 
     def trace(self):
         if self.nrows != self.ncols:
             raise DimensionMismatch("trace of non-square matrix")
-        t = self.field.zero
-        for i in range(self.nrows):
-            t = t + self.rows[i][i]
-        return t
+        return self.field.of(sum(self.rows[i][i] for i in range(self.nrows)))
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.rows)
-
-    def _rref_raw(self) -> tuple[list[list], int, list[int]]:
-        if not self.rows:
-            return [], 0, []
-        if self.field.char:
-            p = self.field.char
-            raw = [[x.v for x in row] for row in self.rows]
-            red, rank, pivots = _kernel.rref_fp(raw, p)
-            return [[Fp(x, p) for x in row] for row in red], rank, pivots
-        return _rref_generic([list(r) for r in self.rows])
+        return not any(any(r) for r in self.rows)
 
     def rref(self) -> tuple["Matrix", int]:
-        red, rank, _ = self._rref_raw()
-        return Matrix(self.field, red, ncols=self.ncols), rank
+        red, rank, _ = _rref(self.rows, self.field.char)
+        return Matrix._of_raw(self.field, tuple(map(tuple, red)), self.ncols), rank
 
     def rank(self) -> int:
-        return self._rref_raw()[1]
+        return _rref(self.rows, self.field.char)[1]
 
     def kernel(self) -> "Subspace":
         """Null space {x : self @ x^T = 0} as a subspace of F^ncols."""
-        red, rank, pivots = self._rref_raw()
+        p = self.field.char
+        red, _, pivots = _rref(self.rows, p)
         n = self.ncols
-        free = [c for c in range(n) if c not in pivots]
+        one = _one(p)
+        free = set(range(n)) - set(pivots)
         basis = []
-        for fc in free:
-            vec = list(zero_vec(self.field, n))
-            vec[fc] = self.field.one
+        for fc in sorted(free):
+            vec = _zeros(p, n)
+            vec[fc] = one
             for r, pc in enumerate(pivots):
                 vec[pc] = -red[r][fc]
             basis.append(vec)
-        return Subspace.from_vectors(self.field, n, basis)
+        return Subspace._span(self.field, n, basis)
 
     def left_kernel(self) -> "Subspace":
         """Solutions of x @ self = 0 as a subspace of F^nrows."""
@@ -479,19 +681,13 @@ class Matrix:
 
     def solve_left(self, target: Sequence) -> tuple | None:
         """One solution x of x @ self = target, or None if inconsistent."""
-        t = tuple(self.field.of(x) for x in target)
-        if len(t) != self.ncols:
-            raise DimensionMismatch("target length mismatch")
+        t = _coerce(self.field, target, self.ncols)
         # augmented column reduction of the transposed system
-        aug = Matrix(
-            self.field,
-            [row + (t[r],) for r, row in enumerate(self.transpose().rows)],
-            ncols=self.nrows + 1,
-        )
-        red, rank, pivots = aug._rref_raw()
+        aug = [col + (t[r],) for r, col in enumerate(zip(*self.rows))]
+        red, _, pivots = _rref(aug, self.field.char)
         if self.nrows in pivots:
             return None
-        sol = list(zero_vec(self.field, self.nrows))
+        sol = _zeros(self.field.char, self.nrows)
         for r, c in enumerate(pivots):
             sol[c] = red[r][self.nrows]
         return tuple(sol)
@@ -509,7 +705,7 @@ def kernel(m: Matrix) -> "Subspace":
 # subspaces (canonical RREF bases)
 
 class Subspace:
-    """Subspace of F^ambient given by an RREF basis with no zero rows."""
+    """Subspace of F^ambient given by an RREF basis of unboxed rows, no zero rows."""
 
     __slots__ = ("field", "ambient", "rows", "pivots")
 
@@ -521,14 +717,15 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [tuple(field.of(x) for x in v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient:
-                raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient}")
-        if not vecs:
+        return cls._span(field, ambient, [_coerce(field, v, ambient, AmbientMismatch) for v in vectors])
+
+    @classmethod
+    def _span(cls, field: Field, ambient: int, rows: Sequence[Sequence]) -> "Subspace":
+        """Span of unboxed rows of length `ambient` (unreduced entries allowed over F_p)."""
+        if not rows:
             return cls(field, ambient, (), ())
-        red, rank, pivots = Matrix(field, vecs, ncols=ambient)._rref_raw()
-        return cls(field, ambient, tuple(tuple(r) for r in red[:rank]), tuple(pivots))
+        red, rank, pivots = _rref(rows, field.char)
+        return cls(field, ambient, tuple(map(tuple, red[:rank])), tuple(pivots))
 
     @classmethod
     def zero_space(cls, field: Field, ambient: int) -> "Subspace":
@@ -536,8 +733,7 @@ class Subspace:
 
     @classmethod
     def full_space(cls, field: Field, ambient: int) -> "Subspace":
-        rows = tuple(unit_vec(field, ambient, i) for i in range(ambient))
-        return cls(field, ambient, rows, tuple(range(ambient)))
+        return cls(field, ambient, Matrix.identity(field, ambient).rows, tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -548,9 +744,6 @@ class Subspace:
 
     def is_full(self) -> bool:
         return self.dim == self.ambient
-
-    def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, self.rows, ncols=self.ambient)
 
     def _check_compat(self, other: "Subspace") -> None:
         if self.field != other.field:
@@ -576,72 +769,59 @@ class Subspace:
     def sort_key(self):
         return (self.dim, tuple(self.field.sort_key(x) for row in self.rows for x in row))
 
+    def _residual(self, vec: Sequence) -> list:
+        """Residual of an unboxed vector (unreduced entries allowed over F_p)."""
+        return _residual(vec, self.rows, self.pivots, self.field.char)
+
+    def _holds(self, vec: Sequence) -> bool:
+        """Membership of an unboxed vector."""
+        return not any(self._residual(vec))
+
+    def _coords(self, vec: Sequence) -> tuple | None:
+        """Coordinates of an unboxed vector in the RREF basis, or None if it is outside."""
+        if any(self._residual(vec)):
+            return None
+        return _canon([vec[c] for c in self.pivots], self.field.char)
+
     def reduce(self, vec: Sequence) -> tuple:
         """Residual of vec after elimination against the basis."""
-        v = tuple(self.field.of(x) for x in vec)
-        if len(v) != self.ambient:
-            raise AmbientMismatch(f"vector length {len(v)} != ambient {self.ambient}")
-        if not self.rows:
-            return v
-        if self.field.char:
-            p = self.field.char
-            raw = _kernel.reduce_fp(
-                [x.v for x in v], [[x.v for x in r] for r in self.rows], list(self.pivots), p
-            )
-            return tuple(Fp(x, p) for x in raw)
-        out = list(v)
-        for row, c in zip(self.rows, self.pivots):
-            f = out[c]
-            if not f:
-                continue
-            for j in range(self.ambient):
-                out[j] = out[j] - f * row[j]
-        return tuple(out)
+        return tuple(self._residual(_coerce(self.field, vec, self.ambient, AmbientMismatch)))
 
     def contains(self, vec: Sequence) -> bool:
-        return is_zero_vec(self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_compat(other)
-        return all(self.contains(r) for r in other.rows)
+        return all(self._holds(r) for r in other.rows)
 
     def __le__(self, other: "Subspace") -> bool:
         return other.contains_space(self)
 
     def coords_of(self, vec: Sequence) -> tuple | None:
         """Coordinates of vec in the RREF basis, or None if vec is outside."""
-        v = tuple(self.field.of(x) for x in vec)
-        if not self.contains(v):
-            return None
-        return tuple(v[c] for c in self.pivots)
+        return self._coords(_coerce(self.field, vec, self.ambient, AmbientMismatch))
 
     def lift(self, coords: Sequence) -> tuple:
         """Linear combination of the basis rows with the given coefficients."""
         if len(coords) != self.dim:
             raise DimensionMismatch(f"{len(coords)} coords for dim {self.dim}")
-        out = list(zero_vec(self.field, self.ambient))
-        for c, row in zip(coords, self.rows):
-            c = self.field.of(c)
-            if not c:
-                continue
-            for j, x in enumerate(row):
-                if x:
-                    out[j] = out[j] + c * x
-        return tuple(out)
+        c = _coerce(self.field, coords, self.dim)
+        return _combine(c, self.rows, self.ambient, self.field.char)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compat(other)
-        return Subspace.from_vectors(self.field, self.ambient, list(self.rows) + list(other.rows))
+        return Subspace._span(self.field, self.ambient, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compat(other)
         if self.is_zero() or other.is_zero():
             return Subspace.zero_space(self.field, self.ambient)
-        stacked = Matrix(self.field, list(self.rows) + list(other.rows), ncols=self.ambient)
+        stacked = Matrix._of_raw(self.field, self.rows + other.rows, self.ambient)
         null = stacked.left_kernel()
-        k = self.dim
-        vecs = [self.lift(z[:k]) for z in null.rows]
-        return Subspace.from_vectors(self.field, self.ambient, vecs)
+        k, p = self.dim, self.field.char
+        return Subspace._span(
+            self.field, self.ambient, [_combine(z[:k], self.rows, self.ambient, p) for z in null.rows]
+        )
 
     def complement_indices(self) -> tuple[int, ...]:
         """Unit-vector indices extending the basis, in increasing order."""
@@ -665,35 +845,20 @@ def contains(u: Subspace, x: Sequence) -> bool:
     return u.contains(x)
 
 
-def span_of_products(space_rows: Iterable[Sequence], mult) -> list[tuple]:
-    """Helper: all pairwise products under a bilinear map (used by callers)."""
-    rows = list(space_rows)
-    return [mult(a, b) for a in rows for b in rows]
-
-
 def preimage_under(matrix: Matrix, target: Subspace) -> Subspace:
     """{x : x @ matrix in target} as a subspace of F^nrows."""
     if matrix.ncols != target.ambient:
         raise AmbientMismatch("map target and subspace ambient differ")
-    rows = [target.reduce(r) for r in matrix.rows]
-    return Matrix(matrix.field, rows, ncols=matrix.ncols).left_kernel()
+    rows = tuple(tuple(target._residual(r)) for r in matrix.rows)
+    return Matrix._of_raw(matrix.field, rows, matrix.ncols).left_kernel()
 
 
 def closure_under_operators(
     field: Field, ambient: int, vecs: Iterable[Sequence], operators: Sequence[Matrix]
 ) -> Subspace:
     """Smallest subspace containing vecs and invariant under the row-vector operators."""
-    S = Subspace.from_vectors(field, ambient, [tuple(field.of(x) for x in v) for v in vecs])
-    for _ in range(ambient + 1):
-        new = list(S.rows)
-        for r in S.rows:
-            for op in operators:
-                new.append(op.apply(r))
-        S2 = Subspace.from_vectors(field, ambient, new)
-        if S2.dim == S.dim:
-            return S2
-        S = S2
-    return S
+    seeds = [_coerce(field, v, ambient, AmbientMismatch) for v in vecs]
+    return _spin(field, ambient, seeds, _operator_terms(field, ambient, operators))
 
 
 def enumerate_invariant_subspaces(
@@ -705,16 +870,17 @@ def enumerate_invariant_subspaces(
     vectors, so the lattice is generated by the closures of the projective
     representatives plus pairwise joins.  Returned in canonical order.
     """
-    if field.char == 0:
+    p = field.char
+    if p == 0:
         raise FieldMismatch("invariant-subspace enumeration needs a finite field")
-    count = (field.char ** ambient - 1) // (field.char - 1)
+    count = (p ** ambient - 1) // (p - 1)
     if count > budget:
         raise ValueError(f"projective space too large ({count} > {budget})")
-    found: dict = {}
+    ops = _operator_terms(field, ambient, operators)
     zero = Subspace.zero_space(field, ambient)
-    found[zero.rows] = zero
-    for v in projective_vectors(field, ambient):
-        c = closure_under_operators(field, ambient, [v], operators)
+    found: dict[tuple, Subspace] = {zero.rows: zero}
+    for v in _projective_raw(p, ambient):
+        c = _spin(field, ambient, [v], ops)
         found.setdefault(c.rows, c)
     frontier = list(found.values())
     while frontier:
@@ -727,4 +893,4 @@ def enumerate_invariant_subspaces(
                     found[s.rows] = s
                     fresh.append(s)
         frontier = fresh
-    return sorted(found.values(), key=lambda s: s.sort_key())
+    return sorted(found.values(), key=Subspace.sort_key)

@@ -34,7 +34,8 @@ from psl.exactla import (
     DimensionMismatch,
     Matrix,
     Subspace,
-    is_zero_vec,
+    _canon,
+    _nonzero,
     vec_scale,
     zero_vec,
 )
@@ -347,14 +348,14 @@ def colon_ideal(pa: PartialAction, I: Subspace) -> Subspace:
         raise NotAnIdeal("colon_ideal needs a two-sided ideal")
     if I.is_zero():
         return I
-    rows = []
-    for r in I.rows:
-        blocks = []
-        for i in range(pa.hopf.dim):
-            blocks.extend(I.reduce(pa.act_basis(i, r)))
-        rows.append(tuple(blocks))
-    z = Matrix(pa.field, rows, ncols=pa.alg.dim * pa.hopf.dim).left_kernel()
-    result = Subspace.from_vectors(pa.field, pa.alg.dim, [I.lift(c) for c in z.rows])
+    n = pa.alg.dim
+    act = _act_terms(pa)
+    rows = tuple(
+        _canon([x for op in act for x in I._residual(_apply_raw(op, _nonzero(r), n))], pa.field.char)
+        for r in I.rows
+    )
+    z = Matrix._of_raw(pa.field, rows, n * pa.hopf.dim).left_kernel()
+    result = Subspace._span(pa.field, n, [I.lift(c) for c in z.rows])
     if not result <= I:
         raise InvariantViolation("colon ideal is not inside I")
     if not is_h_stable(pa, result):
@@ -364,9 +365,9 @@ def colon_ideal(pa: PartialAction, I: Subspace) -> Subspace:
 
 def is_h_stable(pa: PartialAction, I: Subspace) -> bool:
     """H . I <= I, checked on basis pairs."""
-    return all(
-        I.contains(pa.act_basis(i, r)) for r in I.rows for i in range(pa.hopf.dim)
-    )
+    n = pa.alg.dim
+    act = _act_terms(pa)
+    return all(I._holds(_apply_raw(op, _nonzero(r), n)) for r in I.rows for op in act)
 
 
 def quotient_action(pa: PartialAction, I: Subspace) -> tuple[PartialAction, AlgebraMap]:

@@ -22,9 +22,12 @@ from psl.exactla import (
     DimensionMismatch,
     Matrix,
     Subspace,
-    closure_under_operators,
+    _Echelon,
+    _nonzero,
+    _operator_terms,
+    _projective_raw,
+    _spin,
     enumerate_invariant_subspaces,
-    projective_vectors,
     zero_vec,
 )
 from psl.hopf import dual_hopf, left_integrals
@@ -410,19 +413,17 @@ def is_irreducible(M: PartialModule, budget: int = 1 << 14) -> bool | None:
     if M.dim == 1:
         return True
     field = M.field
-    ops = M.operator_matrices()
+    d = M.dim
+    ops = _operator_terms(field, d, M.operator_matrices())
     if field.char:
-        count = (field.char ** M.dim - 1) // (field.char - 1)
+        count = (field.char ** d - 1) // (field.char - 1)
         if count > budget:
             raise DimensionTooLarge(f"{count} cyclic submodules exceed budget {budget}")
-        for v in projective_vectors(field, M.dim):
-            if closure_under_operators(field, M.dim, [v], ops).dim != M.dim:
-                return False
-        return True
+        return all(_spin(field, d, [v], ops).dim == d for v in _projective_raw(field.char, d))
 
     # Q mode: sufficient conditions only
-    for j in range(M.dim):
-        if closure_under_operators(field, M.dim, [M.basis_vector(j)], ops).dim != M.dim:
+    for e_j in Matrix.identity(field, d).rows:
+        if _spin(field, d, [list(e_j)], ops).dim != d:
             return False
     # the image algebra acts faithfully, so M is semisimple over it iff its
     # radical vanishes; together with a trivial commutant that forces simplicity
@@ -433,26 +434,40 @@ def is_irreducible(M: PartialModule, budget: int = 1 << 14) -> bool | None:
 
 
 def _operator_image_algebra(M: PartialModule):
-    """The unital subalgebra of End(M) generated by the partial-action operators."""
+    """The unital subalgebra of End(M) generated by the partial-action operators.
+
+    Operators are flattened d x d matrices; the span is closed under
+    composition by spinning over pairs, as in `subalgebra_closure`.
+    """
     field = M.field
     d = M.dim
-    flat = [tuple(x for row in op.rows for x in row) for op in M.operator_matrices()]
-    flat.append(tuple(x for row in Matrix.identity(field, d).rows for x in row))
-    span = Subspace.from_vectors(field, d * d, flat)
-    for _ in range(d * d + 1):
-        prods = []
-        for u in span.rows:
-            for v in span.rows:
-                mu = Matrix(field, [u[i * d:(i + 1) * d] for i in range(d)], ncols=d)
-                mv = Matrix(field, [v[i * d:(i + 1) * d] for i in range(d)], ncols=d)
-                mp = mu * mv
-                prods.append(tuple(x for row in mp.rows for x in row))
-        span2 = Subspace.from_vectors(field, d * d, list(span.rows) + prods)
-        if span2.dim == span.dim:
-            break
-        span = span2
-    rows = span.rows
-    e = span.dim
+
+    def compose(u, v):
+        """Flattened u @ v of sparse flattened matrices, dense and unreduced."""
+        v_rows = [[] for _ in range(d)]
+        for k, y in v:
+            v_rows[k // d].append((k % d, y))
+        out = [0] * (d * d)
+        for k, x in u:
+            i, j = divmod(k, d)
+            for l, y in v_rows[j]:
+                out[i * d + l] += x * y
+        return out
+
+    identity = Matrix.identity(field, d)
+    basis = _Echelon(field.char)
+    for op in M.operator_matrices() + [identity]:
+        basis.add([x for row in op.rows for x in row])
+    gens = basis.rows
+    i = 0
+    while i < len(gens) < d * d:
+        u = gens[i][1]
+        for j in range(i + 1):
+            w = gens[j][1]
+            basis.add(compose(u, w))
+            basis.add(compose(w, u))
+        i += 1
+    span = basis.span(field, d * d)
 
     def coords(vec):
         c = span.coords_of(vec)
@@ -460,16 +475,9 @@ def _operator_image_algebra(M: PartialModule):
             raise InvariantViolation("operator image algebra is not closed")
         return c
 
-    mult = []
-    for s in range(e):
-        ms = Matrix(field, [rows[s][i * d:(i + 1) * d] for i in range(d)], ncols=d)
-        mult_row = []
-        for t in range(e):
-            mt = Matrix(field, [rows[t][i * d:(i + 1) * d] for i in range(d)], ncols=d)
-            prod = ms * mt
-            mult_row.append(coords(tuple(x for row in prod.rows for x in row)))
-        mult.append(mult_row)
-    unit = coords(tuple(x for row in Matrix.identity(field, d).rows for x in row))
+    rows = [_nonzero(r) for r in span.rows]
+    mult = [[coords(compose(u, v)) for v in rows] for u in rows]
+    unit = coords([x for row in identity.rows for x in row])
     return Algebra(field, mult, unit=unit)
 
 
@@ -633,14 +641,11 @@ def module_is_irreducible_over_algebra(V: AlgebraModule, budget: int = 1 << 14) 
         raise ZeroModule("the zero module is not irreducible")
     if V.dim == 1:
         return True
-    ops = [V.act_matrix(i) for i in range(V.algebra.dim)]
+    ops = _operator_terms(field, V.dim, [V.act_matrix(i) for i in range(V.algebra.dim)])
     count = (field.char ** V.dim - 1) // (field.char - 1)
     if count > budget:
         raise DimensionTooLarge(f"{count} cyclic submodules exceed budget {budget}")
-    return all(
-        closure_under_operators(field, V.dim, [v], ops).dim == V.dim
-        for v in projective_vectors(field, V.dim)
-    )
+    return all(_spin(field, V.dim, [v], ops).dim == V.dim for v in _projective_raw(field.char, V.dim))
 
 
 def irreducible_extension(

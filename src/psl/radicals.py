@@ -9,30 +9,25 @@ characteristic (p <= dim) the trace-form kernel only contains the
 radical, and the Cohen-Ivanyos-Wales algorithm cuts it down to J(A) in
 floor(log_p dim) further linear steps.  Every radical is checked to be
 a nilpotent two-sided ideal before it is returned.
-
-`brute_nilpotent_radical`, an exhaustive search over the nilpotent
-principal ideals inside the trace-form kernel, is exponential in the
-kernel's dimension; it is kept as an independent oracle for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from psl import _kernel
 from psl.algebra import (
     Algebra,
     InvariantViolation,
-    ideal_closure,
     is_ideal,
     is_nilpotent_subspace,
     nilpotency_index,
     span_products,
 )
 from psl.exactla import (
-    Fp,
     Matrix,
     Subspace,
+    _canon,
+    _rref,
     enumerate_invariant_subspaces,
     preimage_under,
 )
@@ -45,20 +40,12 @@ from psl.paction import (
 )
 
 
-class UnsupportedCharacteristic(ValueError):
-    """Brute-force radical not computable: no finite field, or over budget."""
-
-
 class FieldNotFinite(ValueError):
     """Operation needs a finite field."""
 
 
 class DimensionTooLarge(ValueError):
     """Enumeration caps exceeded."""
-
-
-# candidate cap of the brute-force oracle ((p^k - 1)/(p - 1) lines of a k-dim kernel)
-BRUTE_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -74,15 +61,10 @@ def trace_form_kernel(A: Algebra) -> Subspace:
     tr(L_x) is linear in x, so with t_m = tr(L_{e_m}) the Gram matrix is
     gram[i][j] = sum_m c_ij^m t_m: O(n^3) scalar operations.
     """
-    n = A.dim
-    mult = A.mult
-    zero = A.field.zero
-    t = [sum((mult[m][j][j] for j in range(n)), zero) for m in range(n)]
-    gram = [
-        [sum((c * tm for c, tm in zip(mult[i][j], t) if c), zero) for j in range(n)]
-        for i in range(n)
-    ]
-    return Matrix(A.field, gram, ncols=n).left_kernel()
+    n, p, terms = A.dim, A.field.char, A.terms
+    t = [sum(c for j in range(n) for k, c in terms[m][j] if k == j) for m in range(n)]
+    gram = tuple(_canon([sum(c * t[k] for k, c in terms[i][j]) for j in range(n)], p) for i in range(n))
+    return Matrix._of_raw(A.field, gram, n).left_kernel()
 
 
 def _lifted_power_trace(L: list[list[int]], e: int, q: int) -> int:
@@ -119,10 +101,10 @@ def _cohen_ivanyos_wales_radical(A: Algebra) -> Subspace:
     """
     p, n = A.field.char, A.dim
     K = trace_form_kernel(A)
-    rows = [[x.v for x in r] for r in K.rows]
+    rows = [list(r) for r in K.rows]
     pivots = list(K.pivots)
     # mult[m][j] = nonzero (k, c_mj^k): row j of L_{e_m}
-    mult = [[[(k, c.v) for k, c in enumerate(cell) if c] for cell in row] for row in A.mult]
+    mult = A.terms
     pi = p
     while rows and pi <= n:
         q = pi * p
@@ -145,50 +127,12 @@ def _cohen_ivanyos_wales_radical(A: Algebra) -> Subspace:
             [sum(L[b][c] * gs for c, gs in zip(pivots, g)) % p for b in range(n)] + a
             for L, a in zip(lifts, rows)
         ]
-        red, rank, pivs = _kernel.rref_fp(aug, p)
+        red, rank, pivs = _rref(aug, p)
         # rows pivoting in the a-block have a zero g-block: the RREF basis of I_i
         rows = [row[n:] for row, c in zip(red[:rank], pivs) if c >= n]
         pivots = [c - n for c in pivs if c >= n]
         pi = q
-    return Subspace.from_vectors(A.field, n, rows)
-
-
-def brute_nilpotent_radical(A: Algebra, budget: int = BRUTE_BUDGET) -> Subspace:
-    """Largest nilpotent ideal by exhausting principal ideals (finite fields).
-
-    The search space is the trace-form kernel, which contains the radical:
-    the radical is the sum of the nilpotent principal ideals it contains.
-    """
-    if A.field.char == 0:
-        raise UnsupportedCharacteristic("brute-force radical needs a finite field")
-    K = trace_form_kernel(A)
-    if K.is_zero():
-        return K
-    # frequent fast path: the kernel itself is already a nilpotent ideal
-    if is_ideal(A, K) and is_nilpotent_subspace(A, K):
-        return K
-    p = A.field.char
-    candidates = (p ** K.dim - 1) // (p - 1)
-    if candidates > budget:
-        raise UnsupportedCharacteristic(
-            f"char {p} trace kernel of dim {K.dim} needs {candidates} candidates (> {budget})"
-        )
-    # the compiled kernel prefilters by nilpotency of the left-multiplication
-    # operator, a necessary condition for membership in the radical
-    kbasis = [[x.v for x in row] for row in K.rows]
-    mult_flat = [x.v for plane in A.mult for row in plane for x in row]
-    survivors = _kernel.nilpotent_lifts_fp(kbasis, mult_flat, A.dim, p)
-    J = Subspace.zero_space(A.field, A.dim)
-    for raw in survivors:
-        v = tuple(Fp(x, p) for x in raw)
-        if J.contains(v):
-            continue
-        closure = ideal_closure(A, [v])
-        if is_nilpotent_subspace(A, closure):
-            J = J + closure
-            if J == K:
-                break
-    return J
+    return Subspace._span(A.field, n, rows)
 
 
 def _check_radical(A: Algebra, J: Subspace) -> int:

@@ -24,7 +24,7 @@ from psl.algebra import (
     check_algebra,
     is_ideal,
 )
-from psl.exactla import Matrix, Subspace, zero_vec
+from psl.exactla import Matrix, Subspace, _coerce, _dense, _nonzero, zero_vec
 from psl.hopf import dual_hopf
 from psl.paction import (
     NotHStable,
@@ -102,7 +102,7 @@ def build_full_smash(pa: PartialAction) -> Algebra:
 class SmashProduct:
     """The unital partial smash product with its carrier data."""
 
-    __slots__ = ("pa", "full", "carrier", "coords", "include_A", "unit_element", "dual_action")
+    __slots__ = ("pa", "full", "carrier", "coords", "include_A", "unit_element", "dual_action", "_unit_terms")
 
     def __init__(self, pa, full, carrier, coords, include_A, unit_element, dual_action):
         self.pa = pa
@@ -112,6 +112,7 @@ class SmashProduct:
         self.include_A = include_A
         self.unit_element = unit_element
         self.dual_action = dual_action
+        self._unit_terms = _sparse(pa.field, unit_element)
 
     @property
     def field(self):
@@ -132,7 +133,14 @@ class SmashProduct:
 
     def project(self, tensor_vec: Sequence) -> tuple:
         """(x)(1_A # 1_H) in carrier coordinates, for any x in A # H."""
-        return self.carrier_coords(self.full.multiply(tensor_vec, self.unit_element))
+        return self._project(_nonzero(_coerce(self.field, tensor_vec, self.full.dim)))
+
+    def _project(self, x: tuple) -> tuple:
+        """project() of a sparse unboxed tensor vector."""
+        c = self.coords._coords(_multiply_raw(self.full.terms, x, self._unit_terms))
+        if c is None:
+            raise ValueError("vector is not in the partial smash carrier")
+        return c
 
     def include_a(self, avec: Sequence) -> tuple:
         return self.include_A.apply(avec)
@@ -150,49 +158,52 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     m, n = H.dim, A.dim
     field = pa.field
     full = build_full_smash(pa)
+    N = full.dim
+    terms = full.terms
     u = tensor_coords(pa, A.unit, H.unit)
+    u_terms = _sparse(field, u)
 
-    image = Subspace.from_vectors(
-        field, full.dim, [full.multiply(full.basis_vector(i), u) for i in range(full.dim)]
-    )
-    rows = image.rows
+    image = Subspace._span(field, N, [_multiply_raw(terms, ((i, 1),), u_terms) for i in range(N)])
+    rows = [_nonzero(r) for r in image.rows]
     d = image.dim
 
-    def in_carrier(vec):
-        c = image.coords_of(vec)
+    def in_carrier(raw):
+        c = image.coords_of(raw)
         if c is None:
             raise InvariantViolation("carrier is not multiplicatively closed")
         return c
 
-    mult = [[in_carrier(full.multiply(rows[s], rows[t])) for t in range(d)] for s in range(d)]
-    unit = in_carrier(u)
+    mult = [[in_carrier(_multiply_raw(terms, rows[s], rows[t])) for t in range(d)] for s in range(d)]
+    unit = in_carrier(_dense(u_terms, N))
     labels = tuple(f"w{s}" for s in range(d))
     carrier = Algebra(field, mult, unit=unit, labels=labels)
     check_algebra(carrier).raise_if_failed("partial smash carrier axioms")
 
-    incl_rows = [in_carrier(tensor_coords(pa, A.basis_vector(j), H.unit)) for j in range(n)]
-    include_A = AlgebraMap(A, carrier, Matrix(field, incl_rows, ncols=d))
+    # a # 1_H for the basis of A
+    h_unit = _sparse(field, H.unit)
+    incl_rows = tuple(in_carrier(_dense(((j * m + i, c) for i, c in h_unit), N)) for j in range(n))
+    include_A = AlgebraMap(A, carrier, Matrix._of_raw(field, incl_rows, d))
     if not include_A.is_injective():
         raise InvariantViolation("A does not embed in the partial smash product")
     if not include_A.is_multiplicative():
         raise InvariantViolation("A -> A#H is not an algebra map")
 
+    # h_r* -> (a # h_i) = sum_p comul[i][p][r] a # h_p
     K = dual_hopf(H)
+    coproducts = [[[] for _ in range(m)] for _ in range(m)]
+    for i, parts in enumerate(_comul_terms(H)):
+        for hp, hq, c in parts:
+            coproducts[hq][i].append((hp, c))
     act = []
     for r in range(m):
         act_r = []
-        for s in range(d):
-            out = list(zero_vec(field, full.dim))
-            row = rows[s]
-            for idx, c in enumerate(row):
-                if not c:
-                    continue
+        for row in rows:
+            out = [0] * N
+            for idx, c in row:
                 j, i = divmod(idx, m)
-                for p in range(m):
-                    x = H.comul[i][p][r]
-                    if x:
-                        out[j * m + p] = out[j * m + p] + c * x
-            act_r.append(in_carrier(tuple(out)))
+                for hp, x in coproducts[r][i]:
+                    out[j * m + hp] += c * x
+            act_r.append(in_carrier(out))
         act.append(act_r)
     dual_action = PartialAction(K, carrier, act)
     check_partial_action(dual_action).raise_if_failed("dual Hopf action axioms")
@@ -214,12 +225,13 @@ def phi_ideal(sp: SmashProduct, I: Subspace) -> Subspace:
         raise NotAnIdeal("phi_ideal needs a two-sided ideal of A")
     if not is_h_stable(pa, I):
         raise NotHStable("phi_ideal needs an H-stable ideal")
-    vecs = []
-    for x in I.rows:
-        for i in range(pa.hopf.dim):
-            t = tensor_coords(pa, x, pa.hopf.alg.basis_vector(i))
-            vecs.append(sp.project(t))
-    return Subspace.from_vectors(sp.field, sp.carrier.dim, vecs)
+    m = pa.hopf.dim
+    vecs = [
+        sp._project(tuple((j * m + i, c) for j, c in enumerate(x) if c))
+        for x in I.rows
+        for i in range(m)
+    ]
+    return Subspace._span(sp.field, sp.carrier.dim, vecs)
 
 
 def psi_ideal(sp: SmashProduct, J: Subspace) -> Subspace:

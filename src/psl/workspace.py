@@ -224,8 +224,12 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
             ambient = A.dim
         else:
             raise ParseError(f"ideal {name!r}: need an 'action' or 'algebra' reference")
-        vectors = [_scalars(field, v) for v in spec.get("vectors", [])]
-        ws.ideals[name] = Subspace.from_vectors(field, ambient, vectors)
+        try:
+            vectors = [_scalars(field, v) for v in spec.get("vectors", [])]
+            ws.ideals[name] = Subspace.from_vectors(field, ambient, vectors)
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            # e.g. an entry "1/0", or a vector whose length is not the ambient dimension
+            raise ParseError(f"ideal {name!r}: bad vector: {type(exc).__name__}: {exc}") from exc
 
     for name, spec in doc.get("modules", {}).items():
         pa = ws.actions.get(spec.get("action"))

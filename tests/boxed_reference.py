@@ -1,16 +1,20 @@
-"""The boxed structure-constant loops that the unboxed kernel replaced, kept as a test oracle.
+"""The boxed loops that the unboxed kernel replaced, kept as a test oracle.
 
 These walk the dense tensors of boxed field elements (`Fp` or `Fraction`)
 coordinate by coordinate, skipping zeros, exactly as `Algebra.multiply`,
 `check_algebra`, `check_partial_action` and `build_full_smash` did before
-they ran on sparse unboxed structure constants.  Nothing here calls the
-kernel, so tests can compare the two.
+they ran on sparse unboxed structure constants.  The subspace products,
+ideal closures, carrier of the partial smash product and algebra-map check
+below multiply through `multiply` here and close subspaces round by round,
+re-reducing the whole span each round, as `psl` did before it spun
+closures on unboxed rows.  Nothing here calls the kernel, so tests can
+compare the two.
 """
 
 import random
 
 from psl.algebra import Algebra, CheckReport
-from psl.exactla import zero_vec
+from psl.exactla import Subspace, zero_vec
 from psl.smash import tensor_coords
 
 
@@ -173,3 +177,112 @@ def build_full_smash(pa):
         for i in range(N)
     )
     return full.mult, unit if unit_ok else None
+
+
+def span_products(A, U, V):
+    return Subspace.from_vectors(A.field, A.dim, [multiply(A, u, v) for u in U.rows for v in V.rows])
+
+
+def closure_rounds(field, ambient, vecs, step):
+    """Close span(vecs) under `step(row) -> new vectors`, one full RREF per round."""
+    S = Subspace.from_vectors(field, ambient, vecs)
+    for _ in range(ambient + 1):
+        new = list(S.rows) + [w for r in S.rows for w in step(r)]
+        S2 = Subspace.from_vectors(field, ambient, new)
+        if S2.dim == S.dim:
+            return S2
+        S = S2
+    return S
+
+
+def closure_under_operators(field, ambient, vecs, operators):
+    return closure_rounds(field, ambient, vecs, lambda r: [op.apply(r) for op in operators])
+
+
+def ideal_closure(A, gens, side="two_sided"):
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+
+    def step(v):
+        out = []
+        for b in basis:
+            if side in ("left", "two_sided"):
+                out.append(multiply(A, b, v))
+            if side in ("right", "two_sided"):
+                out.append(multiply(A, v, b))
+        return out
+
+    return closure_rounds(A.field, A.dim, [A.coerce(g) for g in gens], step)
+
+
+def is_ideal(A, I, side="two_sided"):
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    for v in I.rows:
+        for b in basis:
+            if side in ("left", "two_sided") and not I.contains(multiply(A, b, v)):
+                return False
+            if side in ("right", "two_sided") and not I.contains(multiply(A, v, b)):
+                return False
+    return True
+
+
+def nilpotency_index(A, I):
+    if I.is_zero():
+        return 1
+    P = I
+    for m in range(2, A.dim + 3):
+        P = span_products(A, I, P)
+        if P.is_zero():
+            return m
+    return None
+
+
+def is_nilpotent_subspace(A, I):
+    if I.is_zero():
+        return True
+    P = I
+    for _ in range(A.dim + 1):
+        P = span_products(A, I, P)
+        if P.is_zero():
+            return True
+    return False
+
+
+def subalgebra_closure(A, gens):
+    vecs = [A.coerce(g) for g in gens]
+    if A.unit is not None:
+        vecs.append(A.unit)
+    S = Subspace.from_vectors(A.field, A.dim, vecs)
+    for _ in range(A.dim + 1):
+        new = list(S.rows) + [multiply(A, u, v) for u in S.rows for v in S.rows]
+        S2 = Subspace.from_vectors(A.field, A.dim, new)
+        if S2.dim == S.dim:
+            return S2
+        S = S2
+    return S
+
+
+def is_multiplicative(amap):
+    src, tgt = amap.source, amap.target
+    for i in range(src.dim):
+        for j in range(src.dim):
+            lhs = amap.apply(src.mult[i][j])
+            rhs = multiply(tgt, amap.apply(src.basis_vector(i)), amap.apply(src.basis_vector(j)))
+            if lhs != rhs:
+                return False
+    if src.unit is not None and tgt.unit is not None:
+        if amap.apply(src.unit) != tgt.unit:
+            return False
+    return True
+
+
+def carrier(pa, full):
+    """(mult, unit, include_A rows) of A #_par H on the RREF basis of (A # H)(1_A # 1_H)."""
+    A, H = pa.alg, pa.hopf
+    u = tensor_coords(pa, A.unit, H.unit)
+    image = Subspace.from_vectors(
+        pa.field, full.dim, [multiply(full, full.basis_vector(i), u) for i in range(full.dim)]
+    )
+    rows = image.rows
+    mult = [[image.coords_of(multiply(full, r, s)) for s in rows] for r in rows]
+    incl = [image.coords_of(tensor_coords(pa, A.basis_vector(j), H.unit)) for j in range(A.dim)]
+    return mult, image.coords_of(u), incl

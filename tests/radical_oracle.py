@@ -1,59 +1,23 @@
-"""Pure-Python fallback for the F_p row-reduction kernel.
+"""The brute-force radical over F_p, kept as an independent test oracle.
 
-Bit-for-bit the same results as the compiled psl._fpkernel.
+`brute_nilpotent_radical` exhausts the principal ideals inside the
+trace-form kernel and keeps the nilpotent ones; the radical is their sum.
+It is exponential in the kernel's dimension and shares nothing with the
+Cohen-Ivanyos-Wales steps of `psl.radicals` beyond the trace-form kernel,
+so tests compare the two.
 """
 
-IMPLEMENTATION = "python"
+from psl.algebra import Algebra, ideal_closure, is_ideal, is_nilpotent_subspace
+from psl.exactla import Fp, Subspace
+from psl.radicals import trace_form_kernel
 
 
-def rref_fp(rows, p):
-    """Reduced row echelon form over F_p.
-
-    Returns (new_rows, rank, pivot_cols); zero rows are moved to the bottom.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0 or n == 0:
-        return [list(r) for r in rows], 0, []
-    a = [[x % p for x in row] for row in rows]
-    piv_r = 0
-    pivots = []
-    for c in range(n):
-        r = next((i for i in range(piv_r, m) if a[i][c]), -1)
-        if r < 0:
-            continue
-        if r != piv_r:
-            a[r], a[piv_r] = a[piv_r], a[r]
-        f = pow(a[piv_r][c], p - 2, p)
-        prow = a[piv_r]
-        for j in range(c, n):
-            prow[j] = prow[j] * f % p
-        for i in range(m):
-            if i == piv_r:
-                continue
-            f = a[i][c]
-            if not f:
-                continue
-            irow = a[i]
-            for j in range(c, n):
-                irow[j] = (irow[j] - f * prow[j]) % p
-        pivots.append(c)
-        piv_r += 1
-        if piv_r == m:
-            break
-    return a, piv_r, pivots
+class UnsupportedCharacteristic(ValueError):
+    """Brute-force radical not computable: no finite field, or over budget."""
 
 
-def reduce_fp(vec, rows, pivots, p):
-    """Residual of vec after elimination against RREF rows (pivot columns given)."""
-    v = [x % p for x in vec]
-    for row, c in zip(rows, pivots):
-        f = v[c]
-        if not f:
-            continue
-        for j in range(len(v)):
-            v[j] = (v[j] - f * row[j]) % p
-    return v
+# candidate cap ((p^k - 1)/(p - 1) lines of a k-dim kernel)
+BRUTE_BUDGET = 1 << 17
 
 
 def _left_op_nilpotent(w, mult, n, p):
@@ -127,3 +91,41 @@ def nilpotent_lifts_fp(kbasis, mult_flat, n, p):
         if keep:
             out.append(list(v))
     return out
+
+
+def brute_nilpotent_radical(A: Algebra, budget: int = BRUTE_BUDGET) -> Subspace:
+    """Largest nilpotent ideal by exhausting principal ideals (finite fields).
+
+    The search space is the trace-form kernel, which contains the radical:
+    the radical is the sum of the nilpotent principal ideals it contains.
+    """
+    if A.field.char == 0:
+        raise UnsupportedCharacteristic("brute-force radical needs a finite field")
+    K = trace_form_kernel(A)
+    if K.is_zero():
+        return K
+    # frequent fast path: the kernel itself is already a nilpotent ideal
+    if is_ideal(A, K) and is_nilpotent_subspace(A, K):
+        return K
+    p = A.field.char
+    candidates = (p ** K.dim - 1) // (p - 1)
+    if candidates > budget:
+        raise UnsupportedCharacteristic(
+            f"char {p} trace kernel of dim {K.dim} needs {candidates} candidates (> {budget})"
+        )
+    # prefilter by nilpotency of the left-multiplication operator, a
+    # necessary condition for membership in the radical
+    kbasis = [list(row) for row in K.rows]
+    mult_flat = [x.v for plane in A.mult for row in plane for x in row]
+    survivors = nilpotent_lifts_fp(kbasis, mult_flat, A.dim, p)
+    J = Subspace.zero_space(A.field, A.dim)
+    for raw in survivors:
+        v = tuple(Fp(x, p) for x in raw)
+        if J.contains(v):
+            continue
+        closure = ideal_closure(A, [v])
+        if is_nilpotent_subspace(A, closure):
+            J = J + closure
+            if J == K:
+                break
+    return J

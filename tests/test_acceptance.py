@@ -34,7 +34,6 @@ from psl.pmod import (
     to_smash_module,
 )
 from psl.radicals import (
-    brute_nilpotent_radical,
     enumerate_h_stable_ideals,
     h_jacobson_radical,
     h_prime_radical,
@@ -48,6 +47,7 @@ from psl.verify import (
     truncated_polynomial_algebra,
 )
 from helpers import fix_a, fix_b, fix_c, fix_d
+from radical_oracle import brute_nilpotent_radical
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 

@@ -17,8 +17,6 @@ from psl.paction import c4_triple, colon_ideal, quotient_action, trivial_action
 from psl.radicals import (
     DimensionTooLarge,
     FieldNotFinite,
-    UnsupportedCharacteristic,
-    brute_nilpotent_radical,
     enumerate_h_stable_ideals,
     h_jacobson_radical,
     h_prime_radical,
@@ -40,6 +38,7 @@ from psl.verify import (
     truncated_polynomial_algebra,
 )
 from helpers import fix_b, fix_c, fix_d
+from radical_oracle import UnsupportedCharacteristic, brute_nilpotent_radical
 
 F2 = GF(2)
 F3 = GF(3)

@@ -3,7 +3,8 @@
 `boxed_reference` keeps the dense loops over boxed scalars.  On seeded
 random partial actions over Q, F_2, F_3 and F_5, each with copies that have
 one corrupted tensor entry, both must give the same CheckReport (the same
-failure strings in the same order) and the same full smash product.
+failure strings in the same order), the same full smash product, the same
+partial smash carrier, and the same subspace products and closures.
 """
 
 import random
@@ -12,12 +13,23 @@ from fractions import Fraction
 import pytest
 
 import boxed_reference as ref
-from psl.algebra import Algebra, check_algebra
-from psl.exactla import GF, QQ, DimensionMismatch, FieldMismatch, Fp
+from psl.algebra import (
+    Algebra,
+    AlgebraMap,
+    check_algebra,
+    ideal_closure,
+    is_ideal,
+    is_nilpotent_subspace,
+    nilpotency_index,
+    span_products,
+    subalgebra_closure,
+)
+from psl.exactla import GF, QQ, DimensionMismatch, FieldMismatch, Fp, Matrix
 from psl.paction import PartialAction, check_partial_action
-from psl.smash import build_full_smash
-from psl.verify import random_partial_action
-from helpers import rand_vec
+from psl.radicals import jacobson_radical
+from psl.smash import build_full_smash, build_partial_smash
+from psl.verify import random_partial_action, truncated_polynomial_algebra
+from helpers import rand_subspace, rand_vec
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 DRAWS = 30
@@ -84,3 +96,60 @@ def test_multiply_rejects_foreign_scalars_and_lengths():
         A.multiply(x + (1,), x)
     with pytest.raises(DimensionMismatch):
         A.multiply(x, x[1:])
+
+
+SIDES = ("left", "right", "two_sided")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_subspace_products_match_boxed_loops(field):
+    nilpotent = proper = 0
+    for t, (rng, pa) in enumerate(draws(field)):
+        carrier = build_partial_smash(pa).carrier
+        extra = [carrier] if carrier.dim <= 8 else []
+        if t % 5 == 0:  # k[x]/(x^5) has nilpotent ideals over every field
+            extra.append(truncated_polynomial_algebra(field, 5))
+        for A in [pa.alg] + extra:
+            n = A.dim
+            U = rand_subspace(rng, field, n, rng.randint(0, n))
+            V = rand_subspace(rng, field, n, rng.randint(0, 2))
+            gens = [rand_vec(rng, field, n) for _ in range(rng.randint(0, 2))]
+            assert span_products(A, U, V) == ref.span_products(A, U, V)
+            assert subalgebra_closure(A, gens) == ref.subalgebra_closure(A, gens)
+            spaces = [U, V, jacobson_radical(A).radical]
+            for side in SIDES:
+                closure = ideal_closure(A, gens, side)
+                assert closure == ref.ideal_closure(A, gens, side)
+                spaces.append(closure)
+            for S in spaces:
+                for side in SIDES:
+                    assert is_ideal(A, S, side) == ref.is_ideal(A, S, side)
+                idx = nilpotency_index(A, S)
+                assert idx == ref.nilpotency_index(A, S)
+                assert is_nilpotent_subspace(A, S) == ref.is_nilpotent_subspace(A, S) == (idx is not None)
+                nilpotent += idx is not None and not S.is_zero()
+                proper += not S.is_full() and not S.is_zero()
+    # both outcomes of every predicate must occur
+    assert nilpotent >= 6 and proper >= DRAWS
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_partial_smash_carrier_matches_boxed_loops(field):
+    broken = 0
+    for rng, pa in draws(field):
+        sp = build_partial_smash(pa)
+        mult, unit, incl = ref.carrier(pa, sp.full)
+        assert [list(row) for row in sp.carrier.mult] == mult
+        assert sp.carrier.unit == unit
+        assert list(sp.include_A.matrix.rows) == incl
+        maps = [sp.include_A]
+        rows = [list(r) for r in sp.include_A.matrix.rows]
+        if rows and rows[0]:
+            i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+            rows[i][j] = rows[i][j] + (Fraction(1) if field.char == 0 else 1)
+            maps.append(AlgebraMap(pa.alg, sp.carrier, Matrix(field, rows, ncols=sp.carrier.dim)))
+        for amap in maps:
+            got = amap.is_multiplicative()
+            assert got == ref.is_multiplicative(amap)
+            broken += not got
+    assert broken >= DRAWS // 2

@@ -295,3 +295,18 @@ def test_cli_verify_c3_7_seed_1_passes(capsys):
     # random instances with dim A above the cap are left out, not enumerated
     assert main(["verify", "C3.7", "--seed", "1"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("vector, message", [
+    (["1/0", "0", "0"], "ZeroDivisionError"),
+    (["1", "0"], "AmbientMismatch: vector length 2 != 3"),
+])
+def test_cli_malformed_ideal_vector_exits_two(tmp_path, capsys, vector, message):
+    doc = json.loads(SAMPLE.read_text())
+    doc["ideals"]["e1-line"]["vectors"] = [vector]
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert main(["radicals", "--workspace", str(path), "triple"]) == 2
+    captured = capsys.readouterr()
+    assert "ideal 'e1-line'" in captured.err and message in captured.err
+    assert "Traceback" not in captured.err + captured.out
