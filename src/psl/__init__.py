@@ -2,12 +2,12 @@
 products and equivariant (H-)radicals of finite-dimensional algebras.
 
 Everything is computed over Q (arbitrary-precision rationals) or a prime
-field F_p; no floating point anywhere.  Matrices and subspaces keep
-unboxed scalars (ints mod p, or Fractions) and share one elimination
-routine; see psl.exactla.
+field F_p; no floating point anywhere.  Every scalar is an int in [0, p)
+over F_p or a Fraction over Q, with the field kept on the container that
+holds it; see psl.exactla.
 """
 
-from psl.exactla import GF, QQ, Field, Fp, Matrix, Subspace
+from psl.exactla import GF, QQ, Field, Matrix, Subspace
 from psl.algebra import Algebra, AlgebraMap, check_algebra, product_of_fields
 from psl.hopf import (
     GroupTable,

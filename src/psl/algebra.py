@@ -4,28 +4,28 @@ An algebra of dimension n over a field is the tensor mult[i][j] with
 e_i * e_j = sum_k mult[i][j][k] e_k, an optional unit coordinate vector
 (non-unital carriers are allowed for the full smash construction), and
 display labels.  Everything is immutable; elements are coordinate row
-vectors (tuples of scalars).
+vectors (tuples of canonical scalars: ints in [0, p) over F_p, Fractions
+over Q).
 
-`Algebra.terms[i][j]` lists the nonzero (k, c) of e_i * e_j with c unboxed:
-an int in [0, p) over F_p, a Fraction over Q.  The structure-constant loops
-(`multiply`, the axiom checkers, `build_full_smash`, the subspace products
-and ideal closures, algebra maps) run on sparse unboxed vectors and on the
-unboxed rows of `Subspace` through `_multiply_raw`; over F_p they leave sums
-unreduced and reduce mod p only where a value is compared, boxed, stored in
-a subspace or fed to a next product.
+`Algebra.terms[i][j]` lists the nonzero (k, c) of e_i * e_j.  The
+structure-constant loops (`multiply`, the axiom checkers, `build_full_smash`,
+the subspace products and ideal closures, algebra maps, and the Hopf,
+action, coaction and module loops built on `_apply_raw`) run on sparse
+vectors and on the rows of `Subspace` through `_multiply_raw`; over F_p they
+leave sums unreduced and reduce mod p only where a value is compared
+(`_differ`), returned or stored (`_canon`), or fed to a next product
+(`_compact`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from psl.exactla import (
     DimensionMismatch,
     Field,
     FieldMismatch,
-    Fp,
     Matrix,
     Subspace,
     _canon,
@@ -65,42 +65,27 @@ def merge_reports(*reports: CheckReport) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# unboxed kernel: F_p scalars as plain ints, Q scalars as Fractions.  Sparse
-# vectors are tuples of their nonzero (k, c); dense ones are lists.
-
-
-def _box(field: Field, raw: Sequence) -> tuple:
-    """Field elements of dense unboxed (possibly unreduced) coordinates; the zeros share one object."""
-    p = field.char
-    zero = field.zero
-    if p:
-        return tuple(Fp(v, p) if v % p else zero for v in raw)
-    return tuple(v if v.__class__ is Fraction and v else Fraction(v) if v else zero for v in raw)
-
-
-def _sparse(field: Field, vec: Sequence) -> tuple:
-    """The nonzero (k, c) of a boxed vector, c unboxed."""
-    if field.char:
-        return tuple((k, c.v) for k, c in enumerate(vec) if c.v)
-    return tuple((k, c) for k, c in enumerate(vec) if c)
+# the structure-constant kernel: F_p scalars as plain ints, Q scalars as
+# Fractions.  Sparse vectors are tuples of their nonzero (k, c); dense ones
+# are lists.
 
 
 def _compact(raw: Sequence, p: int) -> tuple:
-    """The nonzero (k, c) of dense unboxed coordinates, reduced mod p (p = 0 over Q)."""
+    """The nonzero (k, c) of dense (possibly unreduced) coordinates, reduced mod p (p = 0 over Q)."""
     if p:
         return tuple((k, v % p) for k, v in enumerate(raw) if v % p)
     return tuple((k, v) for k, v in enumerate(raw) if v)
 
 
 def _differ(u: Sequence, v: Sequence, p: int) -> bool:
-    """Whether two dense unboxed vectors differ as field elements."""
+    """Whether two dense (possibly unreduced) vectors differ as field elements; over Q both are lists."""
     if p:
         return any((a - b) % p for a, b in zip(u, v))
     return u != v
 
 
 def _multiply_raw(terms, x: Sequence, y: Sequence) -> list:
-    """x * y for sparse unboxed x, y through the structure constants; dense, unreduced."""
+    """x * y for sparse x, y through the structure constants; dense, unreduced."""
     out = [0] * len(terms)
     for i, xi in x:
         row = terms[i]
@@ -120,8 +105,37 @@ def _apply_raw(rows, x: Sequence, n: int) -> list:
     return out
 
 
+def _apply_pair(rows, x: Sequence, v: Sequence, n: int) -> list:
+    """sum_i x_i rows[i](v): a sparse x acting on a sparse v through operators given by their
+    sparse rows, as in h . a = sum_i h_i (h_i . a); dense, unreduced."""
+    return _apply_raw({i: _nonzero(_apply_raw(rows[i], v, n)) for i, _ in x}, x, n)
+
+
+def _operate(field: Field, terms, i: int, vec: Sequence, n: int) -> tuple:
+    """vec (length n) under operator i of the sparse action tensor `terms`, canonical."""
+    return _canon(_apply_raw(terms[i], _nonzero(_coerce(field, vec, n)), n), field.char)
+
+
+def _operate_sum(field: Field, terms, x: Sequence, vec: Sequence, n: int) -> tuple:
+    """sum_i x_i (vec under operator i) of the sparse action tensor `terms`, canonical."""
+    x = _nonzero(_coerce(field, x, len(terms)))
+    return _canon(_apply_pair(terms, x, _nonzero(_coerce(field, vec, n)), n), field.char)
+
+
+def _tensor_terms(left, right) -> tuple:
+    """Structure constants of the tensor product of two algebras, index a*m + k (first factor major)."""
+    n, m = len(left), len(right)
+    return tuple(
+        tuple(
+            tuple((a * m + k, x * y) for a, x in left[a1][a2] for k, y in right[k1][k2])
+            for a2 in range(n) for k2 in range(m)
+        )
+        for a1 in range(n) for k1 in range(m)
+    )
+
+
 def _add_scaled(acc: list, c, raw: Sequence) -> None:
-    """acc += c * raw on dense unboxed vectors."""
+    """acc += c * raw on dense vectors."""
     for t, x in enumerate(raw):
         if x:
             acc[t] += c * x
@@ -140,19 +154,17 @@ class Algebra:
         n = len(mult)
         self.field = field
         self.dim = n
-        self.mult = tuple(
-            tuple(tuple(field.of(x) for x in mult[i][j]) for j in range(n)) for i in range(n)
-        )
-        for i in range(n):
-            if len(self.mult[i]) != n or any(len(self.mult[i][j]) != n for j in range(n)):
-                raise DimensionMismatch("structure tensor is not n x n x n")
-        self.unit = None if unit is None else tuple(field.of(x) for x in unit)
+        of = field.of
+        self.mult = tuple(tuple(tuple(of(x) for x in e) for e in row) for row in mult)
+        if any(len(row) != n or any(len(e) != n for e in row) for row in self.mult):
+            raise DimensionMismatch("structure tensor is not n x n x n")
+        self.unit = None if unit is None else tuple(of(x) for x in unit)
         if self.unit is not None and len(self.unit) != n:
             raise DimensionMismatch("unit vector has wrong length")
         self.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))
         if len(self.labels) != n:
             raise DimensionMismatch("wrong number of labels")
-        self.terms = tuple(tuple(_sparse(field, e) for e in row) for row in self.mult)
+        self.terms = tuple(tuple(_nonzero(e) for e in row) for row in self.mult)
 
     def __eq__(self, other):
         return (
@@ -175,15 +187,9 @@ class Algebra:
     def basis_vector(self, i: int) -> tuple:
         return unit_vec(self.field, self.dim, i)
 
-    def coerce(self, vec: Sequence) -> tuple:
-        v = tuple(self.field.of(x) for x in vec)
-        if len(v) != self.dim:
-            raise DimensionMismatch(f"vector length {len(v)} != dim {self.dim}")
-        return v
-
     def multiply(self, x: Sequence, y: Sequence) -> tuple:
         x, y = _nonzero(_coerce(self.field, x, self.dim)), _nonzero(_coerce(self.field, y, self.dim))
-        return _box(self.field, _multiply_raw(self.terms, x, y))
+        return _canon(_multiply_raw(self.terms, x, y), self.field.char)
 
     def _mult_matrix(self, x: Sequence, left: bool) -> Matrix:
         x = _nonzero(_coerce(self.field, x, self.dim))
@@ -230,7 +236,7 @@ def check_algebra(A: Algebra) -> CheckReport:
                 if _differ(lhs, rhs, p):
                     failures.append(f"associativity fails at basis triple ({i},{j},{k})")
     if A.unit is not None:
-        unit = _sparse(A.field, A.unit)
+        unit = _nonzero(A.unit)
         for i in range(n):
             if _differ(_multiply_raw(terms, unit, basis[i]), dense[i], p):
                 failures.append(f"left unit law fails at basis {i}")
@@ -297,7 +303,7 @@ class AlgebraMap:
         self.matrix = matrix
 
     def apply(self, vec: Sequence) -> tuple:
-        return self.matrix.apply(self.source.coerce(vec))
+        return self.matrix.apply(vec)
 
     def is_multiplicative(self) -> bool:
         src, tgt = self.source, self.target
@@ -309,8 +315,7 @@ class AlgebraMap:
                 if _differ(lhs, _multiply_raw(tgt.terms, images[i], images[j]), p):
                     return False
         if src.unit is not None and tgt.unit is not None:
-            unit = _apply_raw(images, _nonzero(_coerce(src.field, src.unit, src.dim)), n)
-            if _differ(unit, _coerce(tgt.field, tgt.unit, n), p):
+            if _differ(_apply_raw(images, _nonzero(src.unit), n), list(tgt.unit), p):
                 return False
         return True
 
@@ -334,7 +339,7 @@ def quotient_algebra(A: Algebra, I: Subspace) -> tuple[Algebra, AlgebraMap]:
         return _canon([r[c] for c in comp], p)
 
     mult = [[project(_dense(A.terms[ci][cj], n)) for cj in comp] for ci in comp]
-    unit = project(_coerce(A.field, A.unit, n)) if A.unit is not None else None
+    unit = project(A.unit) if A.unit is not None else None
     labels = tuple(f"[{A.labels[c]}]" for c in comp)
     Q = Algebra(A.field, mult, unit=unit, labels=labels)
     images = tuple(project(_dense(((i, 1),), n)) for i in range(n))

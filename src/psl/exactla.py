@@ -1,22 +1,22 @@
 """Exact linear algebra over Q and over prime fields F_p.
 
-A `Matrix` or `Subspace` keeps its field and rows of unboxed scalars: ints
-in [0, p) over F_p, `fractions.Fraction`s over Q.  Inputs are coerced once,
-when they enter a container; `Fp` objects are made only where a single
-scalar leaves the public API (`field.of`, `field.zero`, `field.one`,
-`field.elements`).  Vectors are tuples, matrices row-major tuples of such
-tuples; the vectors the containers return (`apply`, `reduce`, `coords_of`,
-`lift`, `solve_left`) are unboxed too.  Subspaces are kept in reduced row
-echelon form so that equality of subspaces is structural equality.
-Everything is immutable and every operation is a pure function.
+Every scalar psl stores or returns is canonical, and the field lives on
+the container that holds it: an int in [0, p) over F_p, a
+`fractions.Fraction` over Q (the word-size representation of Dumas, Giorgi
+and Pernet, "Dense linear algebra over word-size prime fields: the FFLAS
+and FFPACK packages", 2008).  Inputs are coerced once, by `Field.of`, when
+they enter a container, which is also where `FieldMismatch` is raised.
+Vectors are tuples, matrices row-major tuples of such tuples.  Subspaces
+are kept in reduced row echelon form so that equality of subspaces is
+structural equality.  Everything is immutable and every operation is a
+pure function.
 
 One elimination routine, `_rref`, serves both fields.  Over F_p it reduces
 mod p once per row update rather than once per scalar operation (the
-delayed reduction of Dumas, Giorgi and Pernet, "Dense linear algebra over
-word-size prime fields: the FFLAS and FFPACK packages", 2008).  Invariant
-subspaces are closed by spinning (Parker, "The computer calculation of
-modular characters (the Meat-Axe)", 1984): each new image is reduced once
-against a growing echelon basis and kept only if it is new.
+delayed reduction of the same paper).  Invariant subspaces are closed by
+spinning (Parker, "The computer calculation of modular characters (the
+Meat-Axe)", 1984): each new image is reduced once against a growing
+echelon basis and kept only if it is new.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ class DimensionMismatch(ValueError):
     """Vector or matrix shapes do not agree."""
 
 
+# zero and one over Q; `_canon` stores every zero over Q as this one object
+_QZERO = Fraction(0)
+_QONE = Fraction(1)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -49,96 +54,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Fp:
-    """Residue mod a prime p, reduced to [0, p)."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    def _check(self, other: "Fp") -> None:
-        if self.p != other.p:
-            raise FieldMismatch(f"F_{self.p} vs F_{other.p}")
-
-    def __add__(self, other):
-        if isinstance(other, Fp):
-            self._check(other)
-            return Fp(self.v + other.v, self.p)
-        if isinstance(other, int):
-            return Fp(self.v + other, self.p)
-        raise FieldMismatch(f"cannot combine F_{self.p} with {type(other).__name__}")
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Fp):
-            self._check(other)
-            return Fp(self.v - other.v, self.p)
-        if isinstance(other, int):
-            return Fp(self.v - other, self.p)
-        raise FieldMismatch(f"cannot combine F_{self.p} with {type(other).__name__}")
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return Fp(other - self.v, self.p)
-        raise FieldMismatch(f"cannot combine F_{self.p} with {type(other).__name__}")
-
-    def __mul__(self, other):
-        if isinstance(other, Fp):
-            self._check(other)
-            return Fp(self.v * other.v, self.p)
-        if isinstance(other, int):
-            return Fp(self.v * other, self.p)
-        raise FieldMismatch(f"cannot combine F_{self.p} with {type(other).__name__}")
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            other = Fp(other, self.p)
-        if isinstance(other, Fp):
-            self._check(other)
-            if other.v == 0:
-                raise ZeroDivisionError("division by zero in F_p")
-            return Fp(self.v * pow(other.v, self.p - 2, self.p), self.p)
-        raise FieldMismatch(f"cannot combine F_{self.p} with {type(other).__name__}")
-
-    def __neg__(self):
-        return Fp(-self.v, self.p)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __repr__(self):
-        return f"{self.v}"
-
-
 class Field:
     """Field descriptor; char 0 means Q, prime char means F_p.
 
-    `of` gives the boxed scalar of the public API, `_raw` the unboxed one
-    that containers store: both accept the same inputs and raise
-    `FieldMismatch` on the same foreign ones.
+    Scalars are canonical values, and the field lives on the container that
+    holds them: an int in [0, p) over F_p, a `Fraction` over Q.  `of` turns
+    an input (an int, a str, or a Fraction over Q) into that value and raises
+    `FieldMismatch` on a foreign type.
     """
 
     char: int
 
     def of(self, x):
-        raise NotImplementedError
-
-    def _raw(self, x):
         raise NotImplementedError
 
     @property
@@ -163,24 +90,21 @@ class RationalField(Field):
     char = 0
 
     def of(self, x):
-        if isinstance(x, Fp):
-            raise FieldMismatch("F_p value used over Q")
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, (int, str)):
+        if isinstance(x, int):
+            return Fraction(x) if x else _QZERO
+        if isinstance(x, str):
             return Fraction(x)
         raise FieldMismatch(f"cannot coerce {type(x).__name__} into Q")
 
-    # a Fraction is its own unboxed form
-    _raw = of
-
     @property
     def zero(self):
-        return Fraction(0)
+        return _QZERO
 
     @property
     def one(self):
-        return Fraction(1)
+        return _QONE
 
     def elements(self):
         raise FieldMismatch("Q is not finite")
@@ -212,37 +136,28 @@ class PrimeField(Field):
         return self.char
 
     def of(self, x):
-        if isinstance(x, Fp):
-            if x.p != self.char:
-                raise FieldMismatch(f"F_{x.p} value used over F_{self.char}")
-            return x
-        if isinstance(x, int):
-            return Fp(x, self.char)
-        if isinstance(x, str):
-            return Fp(int(x), self.char)
-        raise FieldMismatch(f"cannot coerce {type(x).__name__} into F_{self.char}")
-
-    def _raw(self, x):
         if x.__class__ is int:
             return x % self.char
-        return self.of(x).v
+        if isinstance(x, (int, str)):
+            return int(x) % self.char
+        raise FieldMismatch(f"cannot coerce {type(x).__name__} into F_{self.char}")
 
     @property
     def zero(self):
-        return Fp(0, self.char)
+        return 0
 
     @property
     def one(self):
-        return Fp(1, self.char)
+        return 1
 
     def elements(self):
-        return (Fp(v, self.char) for v in range(self.char))
+        return iter(range(self.char))
 
     def format_scalar(self, x):
-        return str(self._raw(x))
+        return str(self.of(x))
 
     def sort_key(self, x):
-        return (self._raw(x),)
+        return (self.of(x),)
 
     def __repr__(self):
         return f"GF({self.char})"
@@ -275,7 +190,7 @@ def parse_field(spec: dict) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# boxed vectors (tuples of field elements), for callers outside the containers
+# vectors (tuples of canonical scalars), for callers outside the containers
 
 def zero_vec(field: Field, n: int) -> tuple:
     return (field.zero,) * n
@@ -286,10 +201,6 @@ def unit_vec(field: Field, n: int, i: int) -> tuple:
     return tuple(field.one if j == i else z for j in range(n))
 
 
-def vec_scale(c, v: Sequence) -> tuple:
-    return tuple(c * a for a in v)
-
-
 def is_zero_vec(v: Sequence) -> bool:
     return not any(v)
 
@@ -298,33 +209,22 @@ def all_vectors(field: Field, n: int) -> Iterator[tuple]:
     """Every vector of F_p^n (finite fields only)."""
     if field.char == 0:
         raise FieldMismatch("cannot enumerate vectors over Q")
-    p = field.char
-    total = p ** n
-    for code in range(total):
-        vec = []
-        c = code
-        for _ in range(n):
-            vec.append(Fp(c % p, p))
-            c //= p
-        yield tuple(vec)
+    for v in product(range(field.char), repeat=n):
+        yield v[::-1]
 
 
 def projective_vectors(field: Field, n: int) -> Iterator[tuple]:
     """Nonzero vectors of F_p^n, one per scalar line (first nonzero entry 1)."""
     if field.char == 0:
         raise FieldMismatch("cannot enumerate vectors over Q")
-    p = field.char
-    for v in _projective_raw(p, n):
-        yield tuple(Fp(x, p) for x in v)
+    for v in _projective_raw(field.char, n):
+        yield tuple(v)
 
 
 # ---------------------------------------------------------------------------
-# the unboxed kernel: rows are sequences of ints (F_p, p > 0) or Fractions
-# (Q, p = 0); sparse rows are tuples of their nonzero (index, value) pairs.
-# Over F_p, entries handed to the kernel may be unreduced.
-
-_QZERO = Fraction(0)
-_QONE = Fraction(1)
+# the kernel: rows are sequences of ints (F_p, p > 0) or Fractions (Q, p = 0);
+# sparse rows are tuples of their nonzero (index, value) pairs.  Over F_p,
+# entries handed to the kernel may be unreduced.
 
 
 def _one(p: int):
@@ -336,7 +236,7 @@ def _zeros(p: int, n: int) -> list:
 
 
 def _canon(vec: Sequence, p: int) -> tuple:
-    """Unboxed entries as a container stores them: reduced mod p, or Fractions over Q.
+    """Entries as a container stores them: reduced mod p, or Fractions over Q.
 
     Over Q every zero is the one shared `_QZERO`, so stored rows do not hold
     a Fraction object per zero entry.
@@ -533,9 +433,9 @@ def _operator_terms(field: Field, n: int, operators: Sequence["Matrix"]) -> list
 
 
 def _coerce(field: Field, vec: Sequence, n: int, error=DimensionMismatch) -> list:
-    """A vector entering from outside as a dense unboxed list, its length checked."""
-    raw = field._raw
-    v = [raw(x) for x in vec]
+    """A vector entering from outside as a dense list of canonical scalars, its length checked."""
+    of = field.of
+    v = [of(x) for x in vec]
     if len(v) != n:
         raise error(f"vector length {len(v)} != {n}")
     return v
@@ -545,13 +445,13 @@ def _coerce(field: Field, vec: Sequence, n: int, error=DimensionMismatch) -> lis
 # matrices
 
 class Matrix:
-    """Immutable dense matrix over one field, rows of unboxed scalars."""
+    """Immutable dense matrix over one field, rows of canonical scalars."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: Field, rows: Iterable[Iterable], ncols: int | None = None):
-        raw = field._raw
-        rws = tuple(tuple(raw(x) for x in row) for row in rows)
+        of = field.of
+        rws = tuple(tuple(of(x) for x in row) for row in rows)
         if rws:
             ncols = len(rws[0])
             if any(len(r) != ncols for r in rws):
@@ -565,7 +465,7 @@ class Matrix:
 
     @classmethod
     def _of_raw(cls, field: Field, rows: tuple, ncols: int) -> "Matrix":
-        """A matrix on rows already in container form (reduced unboxed tuples)."""
+        """A matrix on rows already in container form (tuples of canonical scalars)."""
         m = cls.__new__(cls)
         m.field = field
         m.rows = rows
@@ -640,7 +540,7 @@ class Matrix:
         return self._entrywise(other, -1)
 
     def scale(self, c) -> "Matrix":
-        c = self.field._raw(c)
+        c = self.field.of(c)
         p = self.field.char
         return Matrix._of_raw(self.field, tuple(_canon([c * x for x in r], p) for r in self.rows), self.ncols)
 
@@ -682,8 +582,9 @@ class Matrix:
     def solve_left(self, target: Sequence) -> tuple | None:
         """One solution x of x @ self = target, or None if inconsistent."""
         t = _coerce(self.field, target, self.ncols)
-        # augmented column reduction of the transposed system
-        aug = [col + (t[r],) for r, col in enumerate(zip(*self.rows))]
+        # augmented column reduction of the transposed system, one equation per column
+        cols = zip(*self.rows) if self.rows else ((),) * self.ncols
+        aug = [col + (t[r],) for r, col in enumerate(cols)]
         red, _, pivots = _rref(aug, self.field.char)
         if self.nrows in pivots:
             return None
@@ -705,7 +606,7 @@ def kernel(m: Matrix) -> "Subspace":
 # subspaces (canonical RREF bases)
 
 class Subspace:
-    """Subspace of F^ambient given by an RREF basis of unboxed rows, no zero rows."""
+    """Subspace of F^ambient given by an RREF basis of canonical rows, no zero rows."""
 
     __slots__ = ("field", "ambient", "rows", "pivots")
 
@@ -721,7 +622,7 @@ class Subspace:
 
     @classmethod
     def _span(cls, field: Field, ambient: int, rows: Sequence[Sequence]) -> "Subspace":
-        """Span of unboxed rows of length `ambient` (unreduced entries allowed over F_p)."""
+        """Span of rows of length `ambient` (unreduced entries allowed over F_p)."""
         if not rows:
             return cls(field, ambient, (), ())
         red, rank, pivots = _rref(rows, field.char)
@@ -770,15 +671,15 @@ class Subspace:
         return (self.dim, tuple(self.field.sort_key(x) for row in self.rows for x in row))
 
     def _residual(self, vec: Sequence) -> list:
-        """Residual of an unboxed vector (unreduced entries allowed over F_p)."""
+        """Residual of a vector (unreduced entries allowed over F_p)."""
         return _residual(vec, self.rows, self.pivots, self.field.char)
 
     def _holds(self, vec: Sequence) -> bool:
-        """Membership of an unboxed vector."""
+        """Membership of a vector (unreduced entries allowed over F_p)."""
         return not any(self._residual(vec))
 
     def _coords(self, vec: Sequence) -> tuple | None:
-        """Coordinates of an unboxed vector in the RREF basis, or None if it is outside."""
+        """Coordinates of a vector in the RREF basis, or None if it is outside (unreduced entries allowed)."""
         if any(self._residual(vec)):
             return None
         return _canon([vec[c] for c in self.pivots], self.field.char)

@@ -10,11 +10,23 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from psl.algebra import Algebra, CheckReport, InvariantViolation, check_algebra, merge_reports
+from psl.algebra import (
+    Algebra,
+    CheckReport,
+    InvariantViolation,
+    _apply_raw,
+    _differ,
+    _multiply_raw,
+    _tensor_terms,
+    check_algebra,
+)
 from psl.exactla import (
     Field,
     Matrix,
     Subspace,
+    _canon,
+    _coerce,
+    _nonzero,
     unit_vec,
     zero_vec,
 )
@@ -95,23 +107,25 @@ class GroupTable:
 
 
 class HopfAlgebra:
-    __slots__ = ("alg", "comul", "counit", "antipode")
+    # `_delta` holds Delta(h_i) as the sparse (j*dim + k, c) of its H(x)H coordinates
+    __slots__ = ("alg", "comul", "counit", "antipode", "_delta")
 
     def __init__(self, alg: Algebra, comul, counit, antipode: Matrix):
         if alg.unit is None:
             raise ValueError("Hopf algebra needs a unital underlying algebra")
         m = alg.dim
-        field = alg.field
+        of = alg.field.of
         self.alg = alg
         self.comul = tuple(
-            tuple(tuple(field.of(x) for x in comul[i][j]) for j in range(m)) for i in range(m)
+            tuple(tuple(of(x) for x in comul[i][j]) for j in range(m)) for i in range(m)
         )
-        self.counit = tuple(field.of(x) for x in counit)
+        self.counit = tuple(of(x) for x in counit)
         if len(self.counit) != m:
             raise ValueError("counit length mismatch")
         if antipode.nrows != m or antipode.ncols != m:
             raise ValueError("antipode shape mismatch")
         self.antipode = antipode
+        self._delta = tuple(_nonzero([x for row in block for x in row]) for block in self.comul)
 
     @property
     def field(self) -> Field:
@@ -142,145 +156,81 @@ class HopfAlgebra:
 
     def comul_vec(self, vec: Sequence) -> tuple:
         """Delta extended linearly; result in first-factor-major H(x)H coords."""
-        v = self.alg.coerce(vec)
-        m = self.dim
-        out = list(zero_vec(self.field, m * m))
-        for i, c in enumerate(v):
-            if not c:
-                continue
-            di = self.comul[i]
-            for j in range(m):
-                row = di[j]
-                for k in range(m):
-                    x = row[k]
-                    if x:
-                        out[j * m + k] = out[j * m + k] + c * x
-        return tuple(out)
+        v = _nonzero(_coerce(self.field, vec, self.dim))
+        return _canon(_apply_raw(self._delta, v, self.dim ** 2), self.field.char)
 
     def counit_of(self, vec: Sequence):
-        v = self.alg.coerce(vec)
-        s = self.field.zero
-        for c, e in zip(v, self.counit):
-            if c and e:
-                s = s + c * e
-        return s
+        v = _coerce(self.field, vec, self.dim)
+        return self.field.of(sum(c * e for c, e in zip(v, self.counit)))
 
     def antipode_of(self, vec: Sequence) -> tuple:
-        return self.antipode.apply(self.alg.coerce(vec))
+        return self.antipode.apply(vec)
 
     def tensor_square_multiply(self, x2: Sequence, y2: Sequence) -> tuple:
         """(a(x)b)(c(x)d) = ac (x) bd on H(x)H coordinate vectors."""
-        m = self.dim
-        out = list(zero_vec(self.field, m * m))
-        for jk, c1 in enumerate(x2):
-            if not c1:
-                continue
-            j1, k1 = divmod(jk, m)
-            for jl, c2 in enumerate(y2):
-                if not c2:
-                    continue
-                j2, k2 = divmod(jl, m)
-                c = c1 * c2
-                left = self.alg.mult[j1][j2]
-                right = self.alg.mult[k1][k2]
-                for a, la in enumerate(left):
-                    if not la:
-                        continue
-                    ca = c * la
-                    for b, rb in enumerate(right):
-                        if rb:
-                            out[a * m + b] = out[a * m + b] + ca * rb
-        return tuple(out)
+        field, m2 = self.field, self.dim ** 2
+        x, y = _nonzero(_coerce(field, x2, m2)), _nonzero(_coerce(field, y2, m2))
+        terms = self.alg.terms
+        return _canon(_multiply_raw(_tensor_terms(terms, terms), x, y), field.char)
 
 
 def check_hopf(H: HopfAlgebra) -> CheckReport:
     """All five axiom families on basis elements, with witnesses."""
-    failures = []
-    alg_report = check_algebra(H.alg)
-    failures.extend(alg_report.failures)
+    failures = list(check_algebra(H.alg).failures)
     m = H.dim
-    field = H.field
+    p = H.field.char
+    terms, delta, eps = H.alg.terms, H._delta, H.counit
+    dense = [[int(t == i) for t in range(m)] for i in range(m)]
 
     # coassociativity and counit laws
     for i in range(m):
-        lhs = {}
-        rhs = {}
-        for j in range(m):
-            for k in range(m):
-                c = H.comul[i][j][k]
-                if not c:
-                    continue
-                for a in range(m):
-                    for b in range(m):
-                        x = H.comul[j][a][b]
-                        if x:
-                            key = (a, b, k)
-                            lhs[key] = lhs.get(key, field.zero) + c * x
-                        y = H.comul[k][a][b]
-                        if y:
-                            key = (j, a, b)
-                            rhs[key] = rhs.get(key, field.zero) + c * y
-        diff = {k for k in set(lhs) | set(rhs) if lhs.get(k, field.zero) != rhs.get(k, field.zero)}
-        if diff:
+        lhs, rhs = [0] * m ** 3, [0] * m ** 3
+        left_counit, right_counit = [0] * m, [0] * m
+        for jk, c in delta[i]:
+            j, k = divmod(jk, m)
+            for ab, x in delta[j]:
+                lhs[ab * m + k] += c * x
+            for ab, y in delta[k]:
+                rhs[j * m * m + ab] += c * y
+            left_counit[k] += eps[j] * c
+            right_counit[j] += eps[k] * c
+        if _differ(lhs, rhs, p):
             failures.append(f"coassociativity fails at basis {i}")
-
-        left_counit = list(zero_vec(field, m))
-        right_counit = list(zero_vec(field, m))
-        for j in range(m):
-            for k in range(m):
-                c = H.comul[i][j][k]
-                if not c:
-                    continue
-                left_counit[k] = left_counit[k] + H.counit[j] * c
-                right_counit[j] = right_counit[j] + H.counit[k] * c
-        e_i = H.alg.basis_vector(i)
-        if tuple(left_counit) != e_i:
+        if _differ(left_counit, dense[i], p):
             failures.append(f"(eps (x) id)Delta != id at basis {i}")
-        if tuple(right_counit) != e_i:
+        if _differ(right_counit, dense[i], p):
             failures.append(f"(id (x) eps)Delta != id at basis {i}")
 
     # bialgebra compatibility
-    unit_sq = H.comul_vec(H.unit)
-    expected_unit_sq = list(zero_vec(field, m * m))
-    for j, cj in enumerate(H.unit):
-        for k, ck in enumerate(H.unit):
-            if cj and ck:
-                expected_unit_sq[j * m + k] = cj * ck
-    if unit_sq != tuple(expected_unit_sq):
+    unit = _nonzero(H.unit)
+    unit_sq = [cj * ck for cj in H.unit for ck in H.unit]
+    if _differ(_apply_raw(delta, unit, m * m), unit_sq, p):
         failures.append("Delta(1) != 1 (x) 1")
-    if H.counit_of(H.unit) != field.one:
+    if _differ([sum(c * eps[k] for k, c in unit)], [1], p):
         failures.append("eps(1) != 1")
+    square = _tensor_terms(terms, terms)
     for i in range(m):
         for j in range(m):
-            lhs = H.comul_vec(H.alg.mult[i][j])
-            rhs = H.tensor_square_multiply(
-                H.comul_vec(H.alg.basis_vector(i)), H.comul_vec(H.alg.basis_vector(j))
-            )
-            if lhs != rhs:
+            ij = terms[i][j]
+            if _differ(_apply_raw(delta, ij, m * m), _multiply_raw(square, delta[i], delta[j]), p):
                 failures.append(f"Delta not multiplicative at basis pair ({i},{j})")
-            if H.counit_of(H.alg.mult[i][j]) != H.counit[i] * H.counit[j]:
+            if _differ([sum(c * eps[k] for k, c in ij)], [eps[i] * eps[j]], p):
                 failures.append(f"eps not multiplicative at basis pair ({i},{j})")
 
     # antipode convolution identities
+    s = [_nonzero(row) for row in H.antipode.rows]
     for i in range(m):
-        left = list(zero_vec(field, m))
-        right = list(zero_vec(field, m))
-        for j in range(m):
-            for k in range(m):
-                c = H.comul[i][j][k]
-                if not c:
-                    continue
-                sl = H.alg.multiply(H.antipode_of(H.alg.basis_vector(j)), H.alg.basis_vector(k))
-                sr = H.alg.multiply(H.alg.basis_vector(j), H.antipode_of(H.alg.basis_vector(k)))
-                for t in range(m):
-                    if sl[t]:
-                        left[t] = left[t] + c * sl[t]
-                    if sr[t]:
-                        right[t] = right[t] + c * sr[t]
-        target = tuple(H.counit[i] * u for u in H.unit)
-        if tuple(left) != target:
+        left, right = [0] * m, [0] * m
+        for jk, c in delta[i]:
+            j, k = divmod(jk, m)
+            for t, x in enumerate(_multiply_raw(terms, s[j], ((k, 1),))):
+                left[t] += c * x
+            for t, x in enumerate(_multiply_raw(terms, ((j, 1),), s[k])):
+                right[t] += c * x
+        target = [eps[i] * u for u in H.unit]
+        if _differ(left, target, p):
             failures.append(f"antipode law sum S(h1)h2 = eps(h)1 fails at basis {i}")
-        if tuple(right) != target:
+        if _differ(right, target, p):
             failures.append(f"antipode law sum h1 S(h2) = eps(h)1 fails at basis {i}")
 
     return CheckReport(not failures, tuple(failures))

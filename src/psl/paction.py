@@ -26,7 +26,9 @@ from psl.algebra import (
     _compact,
     _differ,
     _multiply_raw,
-    _sparse,
+    _operate,
+    _operate_sum,
+    _tensor_terms,
     is_ideal,
     quotient_algebra,
 )
@@ -35,8 +37,8 @@ from psl.exactla import (
     Matrix,
     Subspace,
     _canon,
+    _coerce,
     _nonzero,
-    vec_scale,
     zero_vec,
 )
 from psl.hopf import GroupTable, HopfAlgebra, dual_group_algebra, dual_hopf, group_algebra
@@ -63,8 +65,9 @@ class CharDividesOrder(ValueError):
 
 
 class PartialAction:
-    # `_smash` holds the partial smash product once build_partial_smash has made it
-    __slots__ = ("hopf", "alg", "act", "_smash")
+    # `_terms[i][j]` is h_i . e_j as a sparse row; `_smash` holds the partial
+    # smash product once build_partial_smash has made it
+    __slots__ = ("hopf", "alg", "act", "_terms", "_smash")
 
     def __init__(self, hopf: HopfAlgebra, alg: Algebra, act):
         if hopf.field != alg.field:
@@ -74,14 +77,15 @@ class PartialAction:
         if alg.dim == 0:
             raise ValueError("partial actions require a nonzero algebra")
         m, n = hopf.dim, alg.dim
-        field = alg.field
+        of = alg.field.of
         self.hopf = hopf
         self.alg = alg
         self.act = tuple(
-            tuple(tuple(field.of(x) for x in act[i][j]) for j in range(n)) for i in range(m)
+            tuple(tuple(of(x) for x in act[i][j]) for j in range(n)) for i in range(m)
         )
         if any(len(self.act[i][j]) != n for i in range(m) for j in range(n)):
             raise DimensionMismatch("action tensor shape mismatch")
+        self._terms = tuple(tuple(_nonzero(v) for v in row) for row in self.act)
         self._smash = None
 
     @property
@@ -104,50 +108,25 @@ class PartialAction:
 
     def act_basis(self, i: int, avec: Sequence) -> tuple:
         """h_i . a for a basis element h_i."""
-        v = self.alg.coerce(avec)
-        out = list(zero_vec(self.field, self.alg.dim))
-        for j, c in enumerate(v):
-            if not c:
-                continue
-            for k, x in enumerate(self.act[i][j]):
-                if x:
-                    out[k] = out[k] + c * x
-        return tuple(out)
+        return _operate(self.field, self._terms, i, avec, self.alg.dim)
 
     def act_vec(self, hvec: Sequence, avec: Sequence) -> tuple:
         """h . a for arbitrary coordinate vectors."""
-        h = self.hopf.alg.coerce(hvec)
-        out = list(zero_vec(self.field, self.alg.dim))
-        for i, c in enumerate(h):
-            if not c:
-                continue
-            for k, x in enumerate(self.act_basis(i, avec)):
-                if x:
-                    out[k] = out[k] + c * x
-        return tuple(out)
+        return _operate_sum(self.field, self._terms, hvec, avec, self.alg.dim)
 
     def act_matrix(self, i: int) -> Matrix:
         """Matrix of a |-> h_i . a in the row-vector convention."""
-        return Matrix(self.field, self.act[i], ncols=self.alg.dim)
+        return Matrix._of_raw(self.field, self.act[i], self.alg.dim)
 
     def unit_image(self, i: int) -> tuple:
         """h_i . 1_A."""
         return self.act_basis(i, self.alg.unit)
 
 
-def _act_terms(pa: PartialAction) -> tuple:
-    """act[i][j] = h_i . e_j as sparse unboxed rows."""
-    field = pa.field
-    return tuple(tuple(_sparse(field, v) for v in row) for row in pa.act)
-
-
 def _comul_terms(H: HopfAlgebra) -> tuple:
-    """Delta(h_i) as its nonzero unboxed (p, q, c), in index order."""
-    field = H.field
-    return tuple(
-        tuple((p, q, c) for p, row in enumerate(block) for q, c in _sparse(field, row))
-        for block in H.comul
-    )
+    """Delta(h_i) as its nonzero (p, q, c), in index order."""
+    m = H.dim
+    return tuple(tuple(divmod(pq, m) + (c,) for pq, c in d) for d in H._delta)
 
 
 def check_partial_action(pa: PartialAction, samples: int = 4) -> CheckReport:
@@ -158,20 +137,20 @@ def check_partial_action(pa: PartialAction, samples: int = 4) -> CheckReport:
     field = pa.field
     p = field.char
     terms, h_terms = A.terms, H.alg.terms
-    act = _act_terms(pa)
+    act = pa._terms
     comul = _comul_terms(H)
     basis = [((j, 1),) for j in range(n)]
     dense = [[int(t == j) for t in range(n)] for j in range(n)]
     # h . e_k as a linear function of h, then h_p . 1_A and (h_q h_g) . e_k
     columns = [[act[r][k] for r in range(m)] for k in range(n)]
-    unit_a = _sparse(field, A.unit)
+    unit_a = _nonzero(A.unit)
     unit_images = [_compact(_apply_raw(act[i], unit_a, n), p) for i in range(m)]
     hg_act = [
         [[_compact(_apply_raw(columns[k], h_terms[q][g], n), p) for k in range(n)] for g in range(m)]
         for q in range(m)
     ]
 
-    unit_h = _sparse(field, H.unit)
+    unit_h = _nonzero(H.unit)
     for j in range(n):
         if _differ(_apply_raw(columns[j], unit_h, n), dense[j], p):
             failures.append(f"PA1 fails: 1_H . a != a at basis a={A.labels[j]}")
@@ -217,9 +196,9 @@ def check_partial_action(pa: PartialAction, samples: int = 4) -> CheckReport:
 
 def is_global(pa: PartialAction) -> bool:
     """h . 1_A = eps(h) 1_A on every basis element."""
-    return all(
-        pa.unit_image(i) == vec_scale(pa.hopf.counit[i], pa.alg.unit)
-        for i in range(pa.hopf.dim)
+    unit, p = pa.alg.unit, pa.field.char
+    return not any(
+        _differ(list(pa.unit_image(i)), [e * x for x in unit], p) for i, e in enumerate(pa.hopf.counit)
     )
 
 
@@ -228,10 +207,8 @@ def is_global(pa: PartialAction) -> bool:
 
 def trivial_action(H: HopfAlgebra, A: Algebra) -> PartialAction:
     """The global action h . a = eps(h) a."""
-    act = [
-        [vec_scale(H.counit[i], A.basis_vector(j)) for j in range(A.dim)]
-        for i in range(H.dim)
-    ]
+    n = A.dim
+    act = [[[e if k == j else 0 for k in range(n)] for j in range(n)] for e in H.counit]
     return PartialAction(H, A, act)
 
 
@@ -271,7 +248,7 @@ def induce_from_ideal(global_pa: PartialAction, e: Sequence) -> PartialAction:
     if not is_global(global_pa):
         raise ValueError("induce_from_ideal needs a global action")
     B = global_pa.alg
-    e = B.coerce(e)
+    e = tuple(_coerce(B.field, e, B.dim))
     if B.multiply(e, e) != e:
         raise NotIdempotent("e is not idempotent")
     ideal = Subspace.from_vectors(
@@ -309,7 +286,7 @@ def dual_group_idempotent(field, G: GroupTable, N: Sequence[int]) -> PartialActi
     if field.char and len(Ns) % field.char == 0:
         raise CharDividesOrder(f"char {field.char} divides |N| = {len(Ns)}")
     B = group_algebra(field, G).alg
-    inv = field.one / field.of(len(Ns))
+    inv = pow(len(Ns), -1, field.char) if field.char else field.one / len(Ns)
     e_N = list(zero_vec(field, G.order))
     for idx in Ns:
         e_N[idx] = inv
@@ -349,7 +326,7 @@ def colon_ideal(pa: PartialAction, I: Subspace) -> Subspace:
     if I.is_zero():
         return I
     n = pa.alg.dim
-    act = _act_terms(pa)
+    act = pa._terms
     rows = tuple(
         _canon([x for op in act for x in I._residual(_apply_raw(op, _nonzero(r), n))], pa.field.char)
         for r in I.rows
@@ -366,7 +343,7 @@ def colon_ideal(pa: PartialAction, I: Subspace) -> Subspace:
 def is_h_stable(pa: PartialAction, I: Subspace) -> bool:
     """H . I <= I, checked on basis pairs."""
     n = pa.alg.dim
-    act = _act_terms(pa)
+    act = pa._terms
     return all(I._holds(_apply_raw(op, _nonzero(r), n)) for r in I.rows for op in act)
 
 
@@ -406,48 +383,15 @@ class PartialCoaction:
         return self.alg.field
 
     def rho_of(self, vec: Sequence) -> tuple:
-        return self.rho.apply(self.alg.coerce(vec))
-
-
-def _tensor_multiply(A: Algebra, K: Algebra, u: Sequence, v: Sequence) -> tuple:
-    """(a (x) k)(b (x) l) = ab (x) kl on A (x) K coordinate vectors."""
-    n, m = A.dim, K.dim
-    out = list(zero_vec(A.field, n * m))
-    for idx1, c1 in enumerate(u):
-        if not c1:
-            continue
-        a1, k1 = divmod(idx1, m)
-        for idx2, c2 in enumerate(v):
-            if not c2:
-                continue
-            a2, k2 = divmod(idx2, m)
-            c = c1 * c2
-            pa_ = A.mult[a1][a2]
-            pk = K.mult[k1][k2]
-            for a, xa in enumerate(pa_):
-                if not xa:
-                    continue
-                ca = c * xa
-                for k, xk in enumerate(pk):
-                    if xk:
-                        out[a * m + k] = out[a * m + k] + ca * xk
-    return tuple(out)
+        return self.rho.apply(vec)
 
 
 def action_to_coaction(pa: PartialAction) -> PartialCoaction:
     """rho(a) = sum_i (h_i . a) (x) p_i over the dual basis of H*."""
     K = dual_hopf(pa.hopf)
     n, m = pa.alg.dim, K.dim
-    rows = []
-    for j in range(n):
-        row = list(zero_vec(pa.field, n * m))
-        for i in range(m):
-            img = pa.act_basis(i, pa.alg.basis_vector(j))
-            for a, x in enumerate(img):
-                if x:
-                    row[a * m + i] = row[a * m + i] + x
-        rows.append(tuple(row))
-    return PartialCoaction(pa.alg, K, Matrix(pa.field, rows, ncols=n * m))
+    rows = tuple(tuple(pa.act[i][j][a] for a in range(n) for i in range(m)) for j in range(n))
+    return PartialCoaction(pa.alg, K, Matrix._of_raw(pa.field, rows, n * m))
 
 
 def coaction_to_action(pc: PartialCoaction, hopf: HopfAlgebra) -> PartialAction:
@@ -470,67 +414,43 @@ def check_partial_coaction(pc: PartialCoaction) -> CheckReport:
     failures = []
     A, K = pc.alg, pc.hopf
     n, m = A.dim, K.dim
-    field = pc.field
+    p = pc.field.char
+    rho = [_nonzero(r) for r in pc.rho.rows]
+    eps = K.counit
+    dense = [[int(t == j) for t in range(n)] for j in range(n)]
+    tensor = _tensor_terms(A.terms, K.alg.terms)
 
     for j in range(n):
-        row = pc.rho.rows[j]
-        counit_applied = list(zero_vec(field, n))
-        for idx, c in enumerate(row):
-            if not c:
-                continue
+        counit_applied = [0] * n
+        for idx, c in rho[j]:
             a, k = divmod(idx, m)
-            if K.counit[k]:
-                counit_applied[a] = counit_applied[a] + c * K.counit[k]
-        if tuple(counit_applied) != A.basis_vector(j):
+            counit_applied[a] += c * eps[k]
+        if _differ(counit_applied, dense[j], p):
             failures.append(f"PC1 fails at basis {A.labels[j]}")
 
     for j in range(n):
         for k in range(n):
-            lhs = pc.rho.apply(A.mult[j][k])
-            rhs = _tensor_multiply(A, K.alg, pc.rho.rows[j], pc.rho.rows[k])
-            if lhs != rhs:
+            lhs = _apply_raw(rho, A.terms[j][k], n * m)
+            if _differ(lhs, _multiply_raw(tensor, rho[j], rho[k]), p):
                 failures.append(f"PC2 fails at basis pair ({A.labels[j]}, {A.labels[k]})")
 
-    rho_unit = pc.rho_of(A.unit)
+    # (rho (x) id) rho(e_j) = (rho(1) (x) 1_K)((id (x) Delta) rho(e_j)) in A (x) K (x) K
+    rho_unit = _compact(_apply_raw(rho, _nonzero(A.unit), n * m), p)
+    comul = _comul_terms(K)
     for j in range(n):
-        lhs: dict = {}
-        for idx, c in enumerate(pc.rho.rows[j]):
-            if not c:
-                continue
+        lhs = [0] * (n * m * m)
+        slices = [[0] * (n * m) for _ in range(m)]  # (id (x) Delta) rho(e_j), by its last factor
+        for idx, c in rho[j]:
             a, k = divmod(idx, m)
-            for idx2, c2 in enumerate(pc.rho.rows[a]):
-                if not c2:
-                    continue
-                b, l = divmod(idx2, m)
-                key = (b, l, k)
-                lhs[key] = lhs.get(key, field.zero) + c * c2
-        rhs: dict = {}
-        for idx, c in enumerate(pc.rho.rows[j]):
-            if not c:
-                continue
-            a, k = divmod(idx, m)
-            for l1 in range(m):
-                for l2 in range(m):
-                    d = K.comul[k][l1][l2]
-                    if not d:
-                        continue
-                    # multiply (rho(1) (x) 1_K) on the left
-                    for idx0, c0 in enumerate(rho_unit):
-                        if not c0:
-                            continue
-                        b0, l0 = divmod(idx0, m)
-                        coef = c * d * c0
-                        pa_ = A.mult[b0][a]
-                        pk = K.alg.mult[l0][l1]
-                        for b, xb in enumerate(pa_):
-                            if not xb:
-                                continue
-                            for l, xl in enumerate(pk):
-                                if xl:
-                                    key = (b, l, l2)
-                                    rhs[key] = rhs.get(key, field.zero) + coef * xb * xl
-        keys = set(lhs) | set(rhs)
-        if any(lhs.get(t, field.zero) != rhs.get(t, field.zero) for t in keys):
+            for idx2, c2 in rho[a]:
+                lhs[idx2 * m + k] += c * c2
+            for l1, l2, d in comul[k]:
+                slices[l2][a * m + l1] += c * d
+        rhs = [0] * (n * m * m)
+        for l2, part in enumerate(slices):
+            for t, x in enumerate(_multiply_raw(tensor, rho_unit, _nonzero(part))):
+                rhs[t * m + l2] += x
+        if _differ(lhs, rhs, p):
             failures.append(f"PC3 fails at basis {A.labels[j]}")
 
     return CheckReport(not failures, tuple(failures))
@@ -540,13 +460,11 @@ def coinvariant_subalgebra(pc: PartialCoaction) -> Subspace:
     """Solutions of rho(x) = (x (x) 1_K) rho(1)."""
     A, K = pc.alg, pc.hopf
     n, m = A.dim, K.dim
-    rho_unit = pc.rho_of(A.unit)
+    tensor = _tensor_terms(A.terms, K.alg.terms)
+    rho_unit = _nonzero(pc.rho_of(A.unit))
     rows = []
     for j in range(n):
-        x_tensor_one = list(zero_vec(pc.field, n * m))
-        for k, c in enumerate(K.unit):
-            if c:
-                x_tensor_one[j * m + k] = c
-        rhs = _tensor_multiply(A, K.alg, tuple(x_tensor_one), rho_unit)
-        rows.append(tuple(a - b for a, b in zip(pc.rho.rows[j], rhs)))
+        x_tensor_one = tuple((j * m + k, c) for k, c in _nonzero(K.unit))
+        rhs = _multiply_raw(tensor, x_tensor_one, rho_unit)
+        rows.append([a - b for a, b in zip(pc.rho.rows[j], rhs)])
     return Matrix(pc.field, rows, ncols=n * m).left_kernel()

@@ -17,7 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from psl.algebra import Algebra, CheckReport, InvariantViolation, is_ideal
+from psl.algebra import (
+    Algebra,
+    CheckReport,
+    InvariantViolation,
+    _add_scaled,
+    _apply_pair,
+    _apply_raw,
+    _differ,
+    _operate,
+    _operate_sum,
+    is_ideal,
+)
 from psl.exactla import (
     DimensionMismatch,
     Matrix,
@@ -28,10 +39,11 @@ from psl.exactla import (
     _projective_raw,
     _spin,
     enumerate_invariant_subspaces,
+    unit_vec,
     zero_vec,
 )
 from psl.hopf import dual_hopf, left_integrals
-from psl.paction import PartialAction, action_to_coaction, is_h_stable
+from psl.paction import PartialAction, _comul_terms, action_to_coaction, is_h_stable
 from psl.radicals import DimensionTooLarge, FieldNotFinite, jacobson_radical
 
 
@@ -47,72 +59,64 @@ class NotAModule(ValueError):
     pass
 
 
+def _module_tensor(field, tensor, nops: int, dim: int, what: str) -> tuple:
+    """An action tensor (operator i, module basis j) -> image, as canonical tuples."""
+    of = field.of
+    out = tuple(tuple(tuple(of(x) for x in tensor[i][j]) for j in range(dim)) for i in range(nops))
+    if any(len(v) != dim for row in out for v in row):
+        raise DimensionMismatch(f"{what} action tensor shape mismatch")
+    return out
+
+
 class AlgebraModule:
     """Module over a plain Algebra (used for modules over the smash carrier)."""
 
-    __slots__ = ("algebra", "dim", "side", "act")
+    # `_terms[i][j]` is the image of module basis vector j under e_i, as a sparse row
+    __slots__ = ("algebra", "dim", "side", "act", "_terms")
 
     def __init__(self, algebra: Algebra, dim: int, side: str, act):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        field = algebra.field
         self.algebra = algebra
         self.dim = dim
         self.side = side
-        self.act = tuple(
-            tuple(tuple(field.of(x) for x in act[i][j]) for j in range(dim))
-            for i in range(algebra.dim)
-        )
-        if any(len(self.act[i][j]) != dim for i in range(algebra.dim) for j in range(dim)):
-            raise DimensionMismatch("module action tensor shape mismatch")
+        self.act = _module_tensor(algebra.field, act, algebra.dim, dim, "module")
+        self._terms = tuple(tuple(_nonzero(v) for v in row) for row in self.act)
 
     @property
     def field(self):
         return self.algebra.field
 
     def act_basis(self, i: int, mvec: Sequence) -> tuple:
-        out = list(zero_vec(self.field, self.dim))
-        for j, c in enumerate(mvec):
-            if not c:
-                continue
-            for k, x in enumerate(self.act[i][j]):
-                if x:
-                    out[k] = out[k] + c * x
-        return tuple(out)
+        return _operate(self.field, self._terms, i, mvec, self.dim)
 
     def act_vec(self, avec: Sequence, mvec: Sequence) -> tuple:
-        out = list(zero_vec(self.field, self.dim))
-        for i, c in enumerate(avec):
-            if not c:
-                continue
-            for k, x in enumerate(self.act_basis(i, mvec)):
-                if x:
-                    out[k] = out[k] + c * x
-        return tuple(out)
+        return _operate_sum(self.field, self._terms, avec, mvec, self.dim)
 
     def act_matrix(self, i: int) -> Matrix:
-        return Matrix(self.field, self.act[i], ncols=self.dim)
+        return Matrix._of_raw(self.field, self.act[i], self.dim)
 
     def check(self) -> CheckReport:
         """Unital module axioms on all basis pairs."""
         failures = []
         A = self.algebra
-        for j in range(self.dim):
-            w = tuple(
-                self.field.one if t == j else self.field.zero for t in range(self.dim)
-            )
-            if A.unit is not None and self.act_vec(A.unit, w) != w:
+        d, p, ops = self.dim, self.field.char, self._terms
+        unit = None if A.unit is None else _nonzero(A.unit)
+        for j in range(d):
+            w = [int(t == j) for t in range(d)]
+            # the images of w under every basis element of A
+            column = [ops[i][j] for i in range(A.dim)]
+            if unit is not None and _differ(_apply_raw(column, unit, d), w, p):
                 failures.append(f"unit does not act as identity on basis {j}")
             for i in range(A.dim):
                 for k in range(A.dim):
                     if self.side == "right":
                         # (w e_i) e_k = w (e_i e_k)
-                        lhs = self.act_basis(k, self.act_basis(i, w))
+                        lhs = _apply_raw(ops[k], ops[i][j], d)
                     else:
                         # e_i (e_k w) = (e_i e_k) w
-                        lhs = self.act_basis(i, self.act_basis(k, w))
-                    rhs = self.act_vec(A.mult[i][k], w)
-                    if lhs != rhs:
+                        lhs = _apply_raw(ops[i], ops[k][j], d)
+                    if _differ(lhs, _apply_raw(column, A.terms[i][k], d), p):
                         failures.append(f"module law fails at (e{i}, e{k}, w{j})")
         return CheckReport(not failures, tuple(failures))
 
@@ -165,78 +169,44 @@ def module_annihilator(mod: AlgebraModule) -> Subspace:
 class PartialModule:
     """Right or left partial (A,H)-module over a partial action."""
 
-    __slots__ = ("side", "pa", "dim", "a_act", "h_act")
+    # `_a_terms`/`_h_terms` hold `a_act`/`h_act` as sparse rows
+    __slots__ = ("side", "pa", "dim", "a_act", "h_act", "_a_terms", "_h_terms")
 
     def __init__(self, side: str, pa: PartialAction, dim: int, a_act, h_act):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        field = pa.field
         self.side = side
         self.pa = pa
         self.dim = dim
-        self.a_act = tuple(
-            tuple(tuple(field.of(x) for x in a_act[i][j]) for j in range(dim))
-            for i in range(pa.alg.dim)
-        )
-        self.h_act = tuple(
-            tuple(tuple(field.of(x) for x in h_act[i][j]) for j in range(dim))
-            for i in range(pa.hopf.dim)
-        )
+        self.a_act = _module_tensor(pa.field, a_act, pa.alg.dim, dim, "partial module A")
+        self.h_act = _module_tensor(pa.field, h_act, pa.hopf.dim, dim, "partial module H")
+        self._a_terms = tuple(tuple(_nonzero(v) for v in row) for row in self.a_act)
+        self._h_terms = tuple(tuple(_nonzero(v) for v in row) for row in self.h_act)
 
     @property
     def field(self):
         return self.pa.field
 
     def basis_vector(self, j: int) -> tuple:
-        return tuple(
-            self.field.one if t == j else self.field.zero for t in range(self.dim)
-        )
+        return unit_vec(self.field, self.dim, j)
 
     def act_a_basis(self, i: int, mvec: Sequence) -> tuple:
-        out = list(zero_vec(self.field, self.dim))
-        for j, c in enumerate(mvec):
-            if not c:
-                continue
-            for k, x in enumerate(self.a_act[i][j]):
-                if x:
-                    out[k] = out[k] + c * x
-        return tuple(out)
+        return _operate(self.field, self._a_terms, i, mvec, self.dim)
 
     def act_a(self, avec: Sequence, mvec: Sequence) -> tuple:
-        out = list(zero_vec(self.field, self.dim))
-        for i, c in enumerate(avec):
-            if not c:
-                continue
-            for k, x in enumerate(self.act_a_basis(i, mvec)):
-                if x:
-                    out[k] = out[k] + c * x
-        return tuple(out)
+        return _operate_sum(self.field, self._a_terms, avec, mvec, self.dim)
 
     def act_h_basis(self, i: int, mvec: Sequence) -> tuple:
-        out = list(zero_vec(self.field, self.dim))
-        for j, c in enumerate(mvec):
-            if not c:
-                continue
-            for k, x in enumerate(self.h_act[i][j]):
-                if x:
-                    out[k] = out[k] + c * x
-        return tuple(out)
+        return _operate(self.field, self._h_terms, i, mvec, self.dim)
 
     def act_h(self, hvec: Sequence, mvec: Sequence) -> tuple:
-        out = list(zero_vec(self.field, self.dim))
-        for i, c in enumerate(hvec):
-            if not c:
-                continue
-            for k, x in enumerate(self.act_h_basis(i, mvec)):
-                if x:
-                    out[k] = out[k] + c * x
-        return tuple(out)
+        return _operate_sum(self.field, self._h_terms, hvec, mvec, self.dim)
 
     def a_matrix(self, i: int) -> Matrix:
-        return Matrix(self.field, self.a_act[i], ncols=self.dim)
+        return Matrix._of_raw(self.field, self.a_act[i], self.dim)
 
     def h_matrix(self, i: int) -> Matrix:
-        return Matrix(self.field, self.h_act[i], ncols=self.dim)
+        return Matrix._of_raw(self.field, self.h_act[i], self.dim)
 
     def operator_matrices(self) -> list[Matrix]:
         return [self.a_matrix(i) for i in range(self.pa.alg.dim)] + [
@@ -250,71 +220,70 @@ def check_partial_module(M: PartialModule) -> CheckReport:
     pa = M.pa
     A, H = pa.alg, pa.hopf
     right = M.side == "right"
+    d, p = M.dim, M.field.char
+    a_ops, h_ops = M._a_terms, M._h_terms
+    comul = _comul_terms(H)
+    unit_a, unit_h = _nonzero(A.unit), _nonzero(H.unit)
+    # h_p . e_ia and h_p . 1_A, sparse
+    act = pa._terms
+    unit_images = [_nonzero(pa.unit_image(q)) for q in range(H.dim)]
 
-    for j in range(M.dim):
-        w = M.basis_vector(j)
-        if M.act_a(A.unit, w) != w:
+    def apply_a(x, v):
+        """x in A acting on the sparse module vector v."""
+        return _nonzero(_apply_pair(a_ops, x, v, d))
+
+    def apply_h(x, v):
+        return _nonzero(_apply_pair(h_ops, x, v, d))
+
+    for j in range(d):
+        w = ((j, 1),)
+        dense = [int(t == j) for t in range(d)]
+        if _differ(_apply_pair(a_ops, unit_a, w, d), dense, p):
             failures.append(f"A-unit law fails at w{j}")
-        if M.act_h(H.unit, w) != w:
+        if _differ(_apply_pair(h_ops, unit_h, w, d), dense, p):
             failures.append(f"PM1 fails at w{j}")
         for i in range(A.dim):
             for k in range(A.dim):
                 if right:
-                    lhs = M.act_a_basis(k, M.act_a_basis(i, w))
+                    lhs = _apply_raw(a_ops[k], a_ops[i][j], d)
                 else:
-                    lhs = M.act_a_basis(i, M.act_a_basis(k, w))
-                if lhs != M.act_a(A.mult[i][k], w):
+                    lhs = _apply_raw(a_ops[i], a_ops[k][j], d)
+                if _differ(lhs, _apply_pair(a_ops, A.terms[i][k], w, d), p):
                     failures.append(f"A-module law fails at (e{i}, e{k}, w{j})")
 
-    for j in range(M.dim):
-        w = M.basis_vector(j)
+    for j in range(d):
+        w = ((j, 1),)
         for ih in range(H.dim):
             for ia in range(A.dim):
                 # PM3
                 if right:
-                    lhs = M.act_a_basis(ia, M.act_h_basis(ih, w))
+                    lhs = _apply_raw(a_ops[ia], h_ops[ih][j], d)
                 else:
-                    lhs = M.act_h_basis(ih, M.act_a_basis(ia, w))
-                rhs = list(zero_vec(M.field, M.dim))
-                for p in range(H.dim):
-                    for q in range(H.dim):
-                        c = H.comul[ih][p][q]
-                        if not c:
-                            continue
-                        if right:
-                            term = M.act_h_basis(
-                                q, M.act_a(pa.act_basis(p, A.basis_vector(ia)), w)
-                            )
-                        else:
-                            term = M.act_a(
-                                pa.act_basis(p, A.basis_vector(ia)), M.act_h_basis(q, w)
-                            )
-                        for t, x in enumerate(term):
-                            if x:
-                                rhs[t] = rhs[t] + c * x
-                if lhs != tuple(rhs):
+                    lhs = _apply_raw(h_ops[ih], a_ops[ia][j], d)
+                rhs = [0] * d
+                for hp, hq, c in comul[ih]:
+                    if right:
+                        term = _apply_raw(h_ops[hq], apply_a(act[hp][ia], w), d)
+                    else:
+                        term = _apply_pair(a_ops, act[hp][ia], h_ops[hq][j], d)
+                    _add_scaled(rhs, c, term)
+                if _differ(lhs, rhs, p):
                     failures.append(f"PM3 fails at (h{ih}, e{ia}, w{j})")
             for g in range(H.dim):
                 # PM4
                 if right:
-                    lhs = M.act_h_basis(g, M.act_h_basis(ih, w))
+                    lhs = _apply_raw(h_ops[g], h_ops[ih][j], d)
                 else:
-                    lhs = M.act_h_basis(ih, M.act_h_basis(g, w))
-                rhs = list(zero_vec(M.field, M.dim))
-                for p in range(H.dim):
-                    for q in range(H.dim):
-                        c = H.comul[ih][p][q]
-                        if not c:
-                            continue
-                        hq_g = H.alg.mult[q][g]
-                        if right:
-                            term = M.act_h(hq_g, M.act_a(pa.unit_image(p), w))
-                        else:
-                            term = M.act_a(pa.unit_image(p), M.act_h(hq_g, w))
-                        for t, x in enumerate(term):
-                            if x:
-                                rhs[t] = rhs[t] + c * x
-                if lhs != tuple(rhs):
+                    lhs = _apply_raw(h_ops[ih], h_ops[g][j], d)
+                rhs = [0] * d
+                for hp, hq, c in comul[ih]:
+                    hq_g = H.alg.terms[hq][g]
+                    if right:
+                        term = _apply_pair(h_ops, hq_g, apply_a(unit_images[hp], w), d)
+                    else:
+                        term = _apply_pair(a_ops, unit_images[hp], apply_h(hq_g, w), d)
+                    _add_scaled(rhs, c, term)
+                if _differ(lhs, rhs, p):
                     failures.append(f"PM4 fails at (h{ih}, h{g}, w{j})")
 
     return CheckReport(not failures, tuple(failures))
@@ -379,7 +348,7 @@ def from_smash_module(sp, mod: AlgebraModule) -> PartialModule:
 
 
 def mod_basis(mod: AlgebraModule, j: int) -> tuple:
-    return tuple(mod.field.one if t == j else mod.field.zero for t in range(mod.dim))
+    return unit_vec(mod.field, mod.dim, j)
 
 
 def annihilator(M: PartialModule) -> Subspace:

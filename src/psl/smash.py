@@ -16,20 +16,18 @@ from psl.algebra import (
     InvariantViolation,
     NotAnIdeal,
     _add_scaled,
-    _box,
+    _apply_raw,
     _compact,
     _differ,
     _multiply_raw,
-    _sparse,
     check_algebra,
     is_ideal,
 )
-from psl.exactla import Matrix, Subspace, _coerce, _dense, _nonzero, zero_vec
+from psl.exactla import Matrix, Subspace, _canon, _coerce, _dense, _nonzero
 from psl.hopf import dual_hopf
 from psl.paction import (
     NotHStable,
     PartialAction,
-    _act_terms,
     _comul_terms,
     check_partial_action,
     is_global,
@@ -40,15 +38,9 @@ from psl.paction import (
 
 def tensor_coords(pa: PartialAction, avec: Sequence, hvec: Sequence) -> tuple:
     """Coordinates of a (x) h in A-block-major layout."""
-    m = pa.hopf.dim
-    out = list(zero_vec(pa.field, pa.alg.dim * m))
-    for j, ca in enumerate(avec):
-        if not ca:
-            continue
-        for i, ch in enumerate(hvec):
-            if ch:
-                out[j * m + i] = ca * ch
-    return tuple(out)
+    field = pa.field
+    h = _coerce(field, hvec, pa.hopf.dim)
+    return _canon([x * y for x in _coerce(field, avec, pa.alg.dim) for y in h], field.char)
 
 
 def build_full_smash(pa: PartialAction) -> Algebra:
@@ -59,7 +51,7 @@ def build_full_smash(pa: PartialAction) -> Algebra:
     field = pa.field
     p = field.char
     h_terms = H.alg.terms
-    act = _act_terms(pa)
+    act = pa._terms
     comul = _comul_terms(H)
     # e_j (h_r . e_k) for every j, k and r
     a_parts = [
@@ -84,7 +76,7 @@ def build_full_smash(pa: PartialAction) -> Algebra:
             mult.append(row)
     labels = tuple(f"{A.labels[j]}#{H.alg.labels[i]}" for j in range(n) for i in range(m))
     candidate_unit = tensor_coords(pa, A.unit, H.unit)
-    unit = _sparse(field, candidate_unit)
+    unit = _nonzero(candidate_unit)
 
     def unit_laws_hold(b):
         left, right = [0] * N, [0] * N
@@ -95,8 +87,7 @@ def build_full_smash(pa: PartialAction) -> Algebra:
         return not (_differ(left, e_b, p) or _differ(right, e_b, p))
 
     unit_ok = all(unit_laws_hold(b) for b in range(N))
-    boxed = [[_box(field, out) for out in row] for row in mult]
-    return Algebra(field, boxed, unit=candidate_unit if unit_ok else None, labels=labels)
+    return Algebra(field, mult, unit=candidate_unit if unit_ok else None, labels=labels)
 
 
 class SmashProduct:
@@ -112,7 +103,7 @@ class SmashProduct:
         self.include_A = include_A
         self.unit_element = unit_element
         self.dual_action = dual_action
-        self._unit_terms = _sparse(pa.field, unit_element)
+        self._unit_terms = _nonzero(unit_element)
 
     @property
     def field(self):
@@ -136,7 +127,7 @@ class SmashProduct:
         return self._project(_nonzero(_coerce(self.field, tensor_vec, self.full.dim)))
 
     def _project(self, x: tuple) -> tuple:
-        """project() of a sparse unboxed tensor vector."""
+        """project() of a sparse tensor vector."""
         c = self.coords._coords(_multiply_raw(self.full.terms, x, self._unit_terms))
         if c is None:
             raise ValueError("vector is not in the partial smash carrier")
@@ -161,7 +152,7 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     N = full.dim
     terms = full.terms
     u = tensor_coords(pa, A.unit, H.unit)
-    u_terms = _sparse(field, u)
+    u_terms = _nonzero(u)
 
     image = Subspace._span(field, N, [_multiply_raw(terms, ((i, 1),), u_terms) for i in range(N)])
     rows = [_nonzero(r) for r in image.rows]
@@ -180,7 +171,7 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     check_algebra(carrier).raise_if_failed("partial smash carrier axioms")
 
     # a # 1_H for the basis of A
-    h_unit = _sparse(field, H.unit)
+    h_unit = _nonzero(H.unit)
     incl_rows = tuple(in_carrier(_dense(((j * m + i, c) for i, c in h_unit), N)) for j in range(n))
     include_A = AlgebraMap(A, carrier, Matrix._of_raw(field, incl_rows, d))
     if not include_A.is_injective():
@@ -259,19 +250,12 @@ def smash_quotient_map(sp: SmashProduct, I: Subspace) -> tuple[SmashProduct, Alg
     qpa, proj = quotient_action(pa, I)
     sq = build_partial_smash(qpa)
     m = pa.hopf.dim
-    rows = []
-    for r in sp.coords.rows:
-        out = list(zero_vec(sp.field, qpa.alg.dim * m))
-        for idx, c in enumerate(r):
-            if not c:
-                continue
-            j, i = divmod(idx, m)
-            img = proj.apply(pa.alg.basis_vector(j))
-            for t, x in enumerate(img):
-                if x:
-                    out[t * m + i] = out[t * m + i] + c * x
-        rows.append(sq.carrier_coords(tuple(out)))
-    amap = AlgebraMap(sp.carrier, sq.carrier, Matrix(sp.field, rows, ncols=sq.carrier.dim))
+    # e_j (x) h_i |-> proj(e_j) (x) h_i on A (x) H
+    images = [_nonzero(r) for r in proj.matrix.rows]
+    lift = [tuple((t * m + i, x) for t, x in images[j]) for j in range(pa.alg.dim) for i in range(m)]
+    N = qpa.alg.dim * m
+    rows = [sq.carrier_coords(_apply_raw(lift, _nonzero(r), N)) for r in sp.coords.rows]
+    amap = AlgebraMap(sp.carrier, sq.carrier, Matrix._of_raw(sp.field, tuple(rows), sq.carrier.dim))
     if not amap.is_multiplicative():
         raise InvariantViolation("smash quotient map is not an algebra map")
     return sq, amap

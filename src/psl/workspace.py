@@ -9,6 +9,7 @@ are run through their checkers on load.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 from psl.algebra import Algebra, InvariantViolation, check_algebra, product_of_fields
@@ -89,6 +90,30 @@ def _scalars(field: Field, nested):
     return field.of(nested)
 
 
+def _section(doc: dict, key: str) -> dict:
+    """A name -> entry section of the document, every entry an object."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ParseError(f"{key!r} must be an object mapping names to entries")
+    for name, spec in section.items():
+        if not isinstance(spec, dict):
+            raise ParseError(f"{key!r} entry {name!r} must be an object")
+    return section
+
+
+@contextmanager
+def _entry(kind: str, name: str):
+    """Report a malformed entry as a ParseError that names it."""
+    try:
+        yield
+    except (ParseError, UnresolvedReference, InvariantViolation):
+        raise
+    except KeyError as exc:
+        raise ParseError(f"{kind} {name!r}: missing {exc}") from exc
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ParseError(f"{kind} {name!r}: {type(exc).__name__}: {exc}") from exc
+
+
 def load_workspace(path_or_dict, check: bool = True) -> Workspace:
     if isinstance(path_or_dict, dict):
         doc = path_or_dict
@@ -102,40 +127,43 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
         raise ParseError(f"workspace version must be {WORKSPACE_VERSION!r}")
     if "field" not in doc:
         raise ParseError("workspace needs a 'field' entry")
+    if not isinstance(doc["field"], dict):
+        raise ParseError(f"bad field spec: expected an object, got {type(doc['field']).__name__}")
     try:
         field = parse_field(doc["field"])
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"bad field spec: {exc}") from exc
     ws = Workspace(field=field)
 
-    for name, spec in doc.get("groups", {}).items():
-        if "cyclic" in spec:
-            ws.groups[name] = GroupTable.cyclic(int(spec["cyclic"]))
-        elif "cayley" in spec:
-            ws.groups[name] = GroupTable(spec["cayley"], labels=spec.get("labels"))
-        else:
-            raise ParseError(f"group {name!r}: need 'cyclic' or 'cayley'")
+    for name, spec in _section(doc, "groups").items():
+        with _entry("group", name):
+            if "cyclic" in spec:
+                ws.groups[name] = GroupTable.cyclic(int(spec["cyclic"]))
+            elif "cayley" in spec:
+                ws.groups[name] = GroupTable(spec["cayley"], labels=spec.get("labels"))
+            else:
+                raise ParseError(f"group {name!r}: need 'cyclic' or 'cayley'")
 
     def get_group(name):
         if name not in ws.groups:
             raise UnresolvedReference(f"group {name!r} not defined")
         return ws.groups[name]
 
-    for name, spec in doc.get("hopf_algebras", {}).items():
+    for name, spec in _section(doc, "hopf_algebras").items():
         ctor = spec.get("constructor")
-        if ctor == "group_algebra":
-            H = group_algebra(field, get_group(spec["group"]))
-        elif ctor == "dual_group_algebra":
-            H = dual_group_algebra(field, get_group(spec["group"]))
-        elif ctor == "sweedler_h4":
-            H = sweedler_h4(field)
-        elif ctor == "dual_hopf":
-            ref = spec.get("of")
-            if ref not in ws.hopf_algebras:
-                raise UnresolvedReference(f"hopf algebra {ref!r} not defined")
-            H = dual_hopf(ws.hopf_algebras[ref])
-        elif ctor is None:
-            try:
+        with _entry("hopf algebra", name):
+            if ctor == "group_algebra":
+                H = group_algebra(field, get_group(spec["group"]))
+            elif ctor == "dual_group_algebra":
+                H = dual_group_algebra(field, get_group(spec["group"]))
+            elif ctor == "sweedler_h4":
+                H = sweedler_h4(field)
+            elif ctor == "dual_hopf":
+                ref = spec.get("of")
+                if ref not in ws.hopf_algebras:
+                    raise UnresolvedReference(f"hopf algebra {ref!r} not defined")
+                H = dual_hopf(ws.hopf_algebras[ref])
+            elif ctor is None:
                 alg = Algebra(
                     field,
                     _scalars(field, spec["mult"]),
@@ -148,48 +176,45 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
                     _scalars(field, spec["counit"]),
                     Matrix(field, _scalars(field, spec["antipode"])),
                 )
-            except KeyError as exc:
-                raise ParseError(f"hopf algebra {name!r}: missing tensor {exc}") from exc
-            if check:
-                report = check_hopf(H)
-                if not report.ok:
-                    raise WorkspaceAxiomError(name, "hopf algebra", report.failures)
-        else:
-            raise ParseError(f"hopf algebra {name!r}: unknown constructor {ctor!r}")
+            else:
+                raise ParseError(f"hopf algebra {name!r}: unknown constructor {ctor!r}")
+        if ctor is None and check:
+            report = check_hopf(H)
+            if not report.ok:
+                raise WorkspaceAxiomError(name, "hopf algebra", report.failures)
         ws.hopf_algebras[name] = H
 
-    for name, spec in doc.get("algebras", {}).items():
+    for name, spec in _section(doc, "algebras").items():
         ctor = spec.get("constructor")
-        if ctor == "product_of_fields":
-            A = product_of_fields(field, int(spec["k"]))
-        elif ctor == "group_algebra":
-            A = group_algebra(field, get_group(spec["group"])).alg
-        elif ctor is None:
-            try:
+        with _entry("algebra", name):
+            if ctor == "product_of_fields":
+                A = product_of_fields(field, int(spec["k"]))
+            elif ctor == "group_algebra":
+                A = group_algebra(field, get_group(spec["group"])).alg
+            elif ctor is None:
                 A = Algebra(
                     field,
                     _scalars(field, spec["mult"]),
                     unit=_scalars(field, spec["unit"]) if "unit" in spec else None,
                     labels=spec.get("labels"),
                 )
-            except KeyError as exc:
-                raise ParseError(f"algebra {name!r}: missing {exc}") from exc
-            if check:
-                report = check_algebra(A)
-                if not report.ok:
-                    raise WorkspaceAxiomError(name, "algebra", report.failures)
-        else:
-            raise ParseError(f"algebra {name!r}: unknown constructor {ctor!r}")
+            else:
+                raise ParseError(f"algebra {name!r}: unknown constructor {ctor!r}")
+        if ctor is None and check:
+            report = check_algebra(A)
+            if not report.ok:
+                raise WorkspaceAxiomError(name, "algebra", report.failures)
         ws.algebras[name] = A
 
-    for name, spec in doc.get("actions", {}).items():
+    for name, spec in _section(doc, "actions").items():
         builder = spec.get("builder")
         if builder in ("trivial", None):
             H = ws.hopf_algebras.get(spec.get("hopf"))
             A = ws.algebras.get(spec.get("algebra"))
             if H is None or A is None:
                 raise UnresolvedReference(f"action {name!r}: unknown hopf/algebra reference")
-        try:
+        # e.g. BadSubgroup or CharDividesOrder: the document asks for an impossible action
+        with _entry("action", name):
             if builder == "trivial":
                 pa = trivial_action(H, A)
             elif builder == "c4_triple":
@@ -200,18 +225,13 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
                 pa = PartialAction(H, A, _scalars(field, spec["act"]))
             else:
                 raise ParseError(f"action {name!r}: unknown builder {builder!r}")
-        except (ParseError, InvariantViolation):
-            raise
-        except ValueError as exc:
-            # e.g. BadSubgroup or CharDividesOrder: the document asks for an impossible action
-            raise ParseError(f"action {name!r}: {exc}") from exc
         if builder is None and check:
             report = check_partial_action(pa)
             if not report.ok:
                 raise WorkspaceAxiomError(name, "action", report.failures)
         ws.actions[name] = pa
 
-    for name, spec in doc.get("ideals", {}).items():
+    for name, spec in _section(doc, "ideals").items():
         if "action" in spec:
             pa = ws.actions.get(spec["action"])
             if pa is None:
@@ -224,18 +244,16 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
             ambient = A.dim
         else:
             raise ParseError(f"ideal {name!r}: need an 'action' or 'algebra' reference")
-        try:
+        # e.g. an entry "1/0", or a vector whose length is not the ambient dimension
+        with _entry("ideal", name):
             vectors = [_scalars(field, v) for v in spec.get("vectors", [])]
             ws.ideals[name] = Subspace.from_vectors(field, ambient, vectors)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            # e.g. an entry "1/0", or a vector whose length is not the ambient dimension
-            raise ParseError(f"ideal {name!r}: bad vector: {type(exc).__name__}: {exc}") from exc
 
-    for name, spec in doc.get("modules", {}).items():
+    for name, spec in _section(doc, "modules").items():
         pa = ws.actions.get(spec.get("action"))
         if pa is None:
             raise UnresolvedReference(f"module {name!r}: unknown action {spec.get('action')!r}")
-        try:
+        with _entry("module", name):
             M = PartialModule(
                 spec.get("side", "right"),
                 pa,
@@ -243,8 +261,6 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
                 _scalars(field, spec["a_act"]),
                 _scalars(field, spec["h_act"]),
             )
-        except KeyError as exc:
-            raise ParseError(f"module {name!r}: missing {exc}") from exc
         if check:
             report = check_partial_module(M)
             if not report.ok:

@@ -1,31 +1,191 @@
-"""The boxed loops that the unboxed kernel replaced, kept as a test oracle.
+"""The boxed loops that the structure-constant kernel replaced, kept as a test oracle.
 
-These walk the dense tensors of boxed field elements (`Fp` or `Fraction`)
-coordinate by coordinate, skipping zeros, exactly as `Algebra.multiply`,
-`check_algebra`, `check_partial_action` and `build_full_smash` did before
-they ran on sparse unboxed structure constants.  The subspace products,
-ideal closures, carrier of the partial smash product and algebra-map check
-below multiply through `multiply` here and close subspaces round by round,
-re-reducing the whole span each round, as `psl` did before it spun
-closures on unboxed rows.  Nothing here calls the kernel, so tests can
-compare the two.
+These walk dense tensors of boxed field elements (`Fp` below, or `Fraction`
+over Q) coordinate by coordinate, skipping zeros, exactly as psl's
+multiplication, axiom checkers (algebra, partial action, Hopf algebra,
+partial coaction, module and partial module), comultiplication, counit,
+antipode, tensor-square products and `build_full_smash` did before they ran
+on sparse canonical scalars.  The subspace products, ideal closures,
+carrier of the partial smash product and algebra-map check below multiply
+through `multiply` here and close subspaces round by round, re-reducing the
+whole span each round, as psl did before it spun closures.
+
+`Fp` is the modular scalar psl used to box F_p values: its arithmetic
+reduces mod p after every operation and it compares equal to any int
+congruent to it.  Nothing here calls psl's kernel, so tests can compare
+the two.  Every function accepts psl's canonical scalars (or boxed ones)
+and returns canonical scalars: ints in [0, p) over F_p, Fractions over Q.
 """
 
 import random
+from fractions import Fraction
 
 from psl.algebra import Algebra, CheckReport
-from psl.exactla import Subspace, zero_vec
-from psl.smash import tensor_coords
+from psl.exactla import FieldMismatch, Subspace
 
+
+class Fp:
+    """Residue mod a prime p, reduced to [0, p)."""
+
+    __slots__ = ("v", "p")
+
+    def __init__(self, v: int, p: int):
+        self.v = v % p
+        self.p = p
+
+    def _check(self, other: "Fp") -> None:
+        if self.p != other.p:
+            raise FieldMismatch(f"F_{self.p} vs F_{other.p}")
+
+    def __add__(self, other):
+        if isinstance(other, Fp):
+            self._check(other)
+            return Fp(self.v + other.v, self.p)
+        if isinstance(other, int):
+            return Fp(self.v + other, self.p)
+        raise FieldMismatch(f"cannot combine F_{self.p} with {type(other).__name__}")
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Fp):
+            self._check(other)
+            return Fp(self.v - other.v, self.p)
+        if isinstance(other, int):
+            return Fp(self.v - other, self.p)
+        raise FieldMismatch(f"cannot combine F_{self.p} with {type(other).__name__}")
+
+    def __rsub__(self, other):
+        if isinstance(other, int):
+            return Fp(other - self.v, self.p)
+        raise FieldMismatch(f"cannot combine F_{self.p} with {type(other).__name__}")
+
+    def __mul__(self, other):
+        if isinstance(other, Fp):
+            self._check(other)
+            return Fp(self.v * other.v, self.p)
+        if isinstance(other, int):
+            return Fp(self.v * other, self.p)
+        raise FieldMismatch(f"cannot combine F_{self.p} with {type(other).__name__}")
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, int):
+            other = Fp(other, self.p)
+        if isinstance(other, Fp):
+            self._check(other)
+            if other.v == 0:
+                raise ZeroDivisionError("division by zero in F_p")
+            return Fp(self.v * pow(other.v, self.p - 2, self.p), self.p)
+        raise FieldMismatch(f"cannot combine F_{self.p} with {type(other).__name__}")
+
+    def __neg__(self):
+        return Fp(-self.v, self.p)
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __eq__(self, other):
+        if isinstance(other, Fp):
+            return self.p == other.p and self.v == other.v
+        if isinstance(other, int):
+            return self.v == other % self.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.v, self.p))
+
+    def __repr__(self):
+        return f"{self.v}"
+
+
+# ---------------------------------------------------------------------------
+# boxing at the boundary
+
+def box(field, x):
+    """A scalar as a boxed field element: an `Fp` over F_p, a Fraction over Q."""
+    if isinstance(x, Fp):
+        if x.p != field.char:
+            raise FieldMismatch(f"F_{x.p} value used over {field}")
+        return x
+    if field.char:
+        return Fp(x, field.char)
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def bvec(field, vec):
+    return tuple(box(field, x) for x in vec)
+
+
+def unbox(vec):
+    """Canonical scalars of a vector of boxed ones."""
+    return tuple(x.v if isinstance(x, Fp) else x for x in vec)
+
+
+def zero(field, n):
+    return (box(field, 0),) * n
+
+
+def basis(field, n, i):
+    return tuple(box(field, int(t == i)) for t in range(n))
+
+
+_BOXED = {}
+
+
+def boxed(field, tensor):
+    """The boxed copy of a nested tuple of scalars, made once per tensor object."""
+    hit = _BOXED.get(id(tensor))
+    if hit is None or hit[0] is not tensor:
+        if len(_BOXED) > 256:
+            _BOXED.clear()
+        hit = (tensor, _box_nested(field, tensor))
+        _BOXED[id(tensor)] = hit
+    return hit[1]
+
+
+def _box_nested(field, t):
+    if isinstance(t, tuple):
+        return tuple(_box_nested(field, x) for x in t)
+    return box(field, t)
+
+
+def tensor_coords(field, avec, hvec):
+    """a (x) h in first-factor-major coordinates."""
+    out = []
+    for a in bvec(field, avec):
+        out.extend(a * h for h in bvec(field, hvec))
+    return unbox(out)
+
+
+def apply(matrix, vec):
+    """vec @ matrix, the row-vector action."""
+    field = matrix.field
+    rows = boxed(field, matrix.rows)
+    out = list(zero(field, matrix.ncols))
+    for c, row in zip(bvec(field, vec), rows):
+        if not c:
+            continue
+        for k, x in enumerate(row):
+            if x:
+                out[k] = out[k] + c * x
+    return unbox(out)
+
+
+# ---------------------------------------------------------------------------
+# algebras and partial actions
 
 def multiply(A, x, y):
-    x = A.coerce(x)
-    y = A.coerce(y)
-    out = list(A.zero())
+    field = A.field
+    x = bvec(field, x)
+    y = bvec(field, y)
+    mult = boxed(field, A.mult)
+    out = list(zero(field, A.dim))
     for i, xi in enumerate(x):
         if not xi:
             continue
-        row = A.mult[i]
+        row = mult[i]
         for j, yj in enumerate(y):
             if not yj:
                 continue
@@ -33,50 +193,54 @@ def multiply(A, x, y):
             for k, m in enumerate(row[j]):
                 if m:
                     out[k] = out[k] + c * m
-    return tuple(out)
+    return unbox(out)
 
 
 def act_basis(pa, i, avec):
-    v = pa.alg.coerce(avec)
-    out = list(zero_vec(pa.field, pa.alg.dim))
+    field = pa.field
+    v = bvec(field, avec)
+    act = boxed(field, pa.act)
+    out = list(zero(field, pa.alg.dim))
     for j, c in enumerate(v):
         if not c:
             continue
-        for k, x in enumerate(pa.act[i][j]):
+        for k, x in enumerate(act[i][j]):
             if x:
                 out[k] = out[k] + c * x
-    return tuple(out)
+    return unbox(out)
 
 
 def act_vec(pa, hvec, avec):
-    h = pa.hopf.alg.coerce(hvec)
-    out = list(zero_vec(pa.field, pa.alg.dim))
+    field = pa.field
+    h = bvec(field, hvec)
+    out = list(zero(field, pa.alg.dim))
     for i, c in enumerate(h):
         if not c:
             continue
         for k, x in enumerate(act_basis(pa, i, avec)):
             if x:
                 out[k] = out[k] + c * x
-    return tuple(out)
+    return unbox(out)
 
 
 def check_algebra(A):
     failures = []
     n = A.dim
-    basis = [A.basis_vector(i) for i in range(n)]
+    mult = A.mult
+    base = [basis(A.field, n, i) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            ij = A.mult[i][j]
+            ij = mult[i][j]
             for k in range(n):
-                lhs = multiply(A, ij, basis[k])
-                rhs = multiply(A, basis[i], A.mult[j][k])
+                lhs = multiply(A, ij, base[k])
+                rhs = multiply(A, base[i], mult[j][k])
                 if lhs != rhs:
                     failures.append(f"associativity fails at basis triple ({i},{j},{k})")
     if A.unit is not None:
         for i in range(n):
-            if multiply(A, A.unit, basis[i]) != basis[i]:
+            if multiply(A, A.unit, base[i]) != unbox(base[i]):
                 failures.append(f"left unit law fails at basis {i}")
-            if multiply(A, basis[i], A.unit) != basis[i]:
+            if multiply(A, base[i], A.unit) != unbox(base[i]):
                 failures.append(f"right unit law fails at basis {i}")
     return CheckReport(not failures, tuple(failures))
 
@@ -85,26 +249,27 @@ def _comul_sum(pa, i, product):
     """sum over Delta(h_i) = sum c h_p (x) h_q of c * product(p, q)."""
     H = pa.hopf
     m = H.dim
-    rhs = list(zero_vec(pa.field, pa.alg.dim))
+    comul = boxed(pa.field, H.comul)
+    rhs = list(zero(pa.field, pa.alg.dim))
     for p in range(m):
         for q in range(m):
-            c = H.comul[i][p][q]
+            c = comul[i][p][q]
             if not c:
                 continue
             for t, x in enumerate(product(p, q)):
                 if x:
                     rhs[t] = rhs[t] + c * x
-    return tuple(rhs)
+    return unbox(rhs)
 
 
 def check_partial_action(pa, samples=4):
     failures = []
     H, A = pa.hopf, pa.alg
     m, n = H.dim, A.dim
-    basis_a = [A.basis_vector(j) for j in range(n)]
+    basis_a = [basis(pa.field, n, j) for j in range(n)]
 
     for j in range(n):
-        if act_vec(pa, H.unit, basis_a[j]) != basis_a[j]:
+        if act_vec(pa, H.unit, basis_a[j]) != unbox(basis_a[j]):
             failures.append(f"PA1 fails: 1_H . a != a at basis a={A.labels[j]}")
 
     for i in range(m):
@@ -147,20 +312,22 @@ def build_full_smash(pa):
     m, n = H.dim, A.dim
     N = n * m
     field = pa.field
-    basis_a = [A.basis_vector(j) for j in range(n)]
+    comul = boxed(field, H.comul)
+    hmult = boxed(field, H.alg.mult)
+    basis_a = [basis(field, n, j) for j in range(n)]
     mult = [[None] * N for _ in range(N)]
     for j in range(n):
         for i in range(m):
             for k in range(n):
                 for g in range(m):
-                    out = list(zero_vec(field, N))
+                    out = list(zero(field, N))
                     for p in range(m):
                         for q in range(m):
-                            c = H.comul[i][p][q]
+                            c = comul[i][p][q]
                             if not c:
                                 continue
                             apart = multiply(A, basis_a[j], act_basis(pa, p, basis_a[k]))
-                            hpart = H.alg.mult[q][g]
+                            hpart = hmult[q][g]
                             for t, xa in enumerate(apart):
                                 if not xa:
                                     continue
@@ -168,16 +335,381 @@ def build_full_smash(pa):
                                 for u, xh in enumerate(hpart):
                                     if xh:
                                         out[t * m + u] = out[t * m + u] + cxa * xh
-                    mult[j * m + i][k * m + g] = tuple(out)
+                    mult[j * m + i][k * m + g] = unbox(out)
     full = Algebra(field, mult)
-    unit = tensor_coords(pa, A.unit, H.unit)
+    unit = tensor_coords(field, A.unit, H.unit)
     unit_ok = all(
-        multiply(full, unit, full.basis_vector(i)) == full.basis_vector(i)
-        and multiply(full, full.basis_vector(i), unit) == full.basis_vector(i)
+        multiply(full, unit, basis(field, N, i)) == unbox(basis(field, N, i))
+        and multiply(full, basis(field, N, i), unit) == unbox(basis(field, N, i))
         for i in range(N)
     )
     return full.mult, unit if unit_ok else None
 
+
+# ---------------------------------------------------------------------------
+# Hopf algebras and partial coactions
+
+def comul_vec(H, vec):
+    field = H.field
+    v = bvec(field, vec)
+    comul = boxed(field, H.comul)
+    m = H.dim
+    out = list(zero(field, m * m))
+    for i, c in enumerate(v):
+        if not c:
+            continue
+        di = comul[i]
+        for j in range(m):
+            row = di[j]
+            for k in range(m):
+                x = row[k]
+                if x:
+                    out[j * m + k] = out[j * m + k] + c * x
+    return unbox(out)
+
+
+def counit_of(H, vec):
+    field = H.field
+    s = box(field, 0)
+    for c, e in zip(bvec(field, vec), bvec(field, H.counit)):
+        if c and e:
+            s = s + c * e
+    return unbox((s,))[0]
+
+
+def tensor_multiply(A, K, u, v):
+    """(a (x) k)(b (x) l) = ab (x) kl on A (x) K coordinate vectors."""
+    field = A.field
+    n, m = A.dim, K.dim
+    amult, kmult = boxed(field, A.mult), boxed(field, K.mult)
+    out = list(zero(field, n * m))
+    for idx1, c1 in enumerate(bvec(field, u)):
+        if not c1:
+            continue
+        a1, k1 = divmod(idx1, m)
+        for idx2, c2 in enumerate(bvec(field, v)):
+            if not c2:
+                continue
+            a2, k2 = divmod(idx2, m)
+            c = c1 * c2
+            for a, xa in enumerate(amult[a1][a2]):
+                if not xa:
+                    continue
+                ca = c * xa
+                for k, xk in enumerate(kmult[k1][k2]):
+                    if xk:
+                        out[a * m + k] = out[a * m + k] + ca * xk
+    return unbox(out)
+
+
+def check_hopf(H):
+    failures = list(check_algebra(H.alg).failures)
+    m = H.dim
+    field = H.field
+    comul = boxed(field, H.comul)
+    counit = bvec(field, H.counit)
+    fzero = box(field, 0)
+
+    for i in range(m):
+        lhs = {}
+        rhs = {}
+        for j in range(m):
+            for k in range(m):
+                c = comul[i][j][k]
+                if not c:
+                    continue
+                for a in range(m):
+                    for b in range(m):
+                        x = comul[j][a][b]
+                        if x:
+                            key = (a, b, k)
+                            lhs[key] = lhs.get(key, fzero) + c * x
+                        y = comul[k][a][b]
+                        if y:
+                            key = (j, a, b)
+                            rhs[key] = rhs.get(key, fzero) + c * y
+        if any(lhs.get(t, fzero) != rhs.get(t, fzero) for t in set(lhs) | set(rhs)):
+            failures.append(f"coassociativity fails at basis {i}")
+
+        left_counit = list(zero(field, m))
+        right_counit = list(zero(field, m))
+        for j in range(m):
+            for k in range(m):
+                c = comul[i][j][k]
+                if not c:
+                    continue
+                left_counit[k] = left_counit[k] + counit[j] * c
+                right_counit[j] = right_counit[j] + counit[k] * c
+        e_i = unbox(basis(field, m, i))
+        if unbox(left_counit) != e_i:
+            failures.append(f"(eps (x) id)Delta != id at basis {i}")
+        if unbox(right_counit) != e_i:
+            failures.append(f"(id (x) eps)Delta != id at basis {i}")
+
+    unit = bvec(field, H.unit)
+    expected_unit_sq = list(zero(field, m * m))
+    for j, cj in enumerate(unit):
+        for k, ck in enumerate(unit):
+            if cj and ck:
+                expected_unit_sq[j * m + k] = cj * ck
+    if comul_vec(H, unit) != unbox(expected_unit_sq):
+        failures.append("Delta(1) != 1 (x) 1")
+    if counit_of(H, unit) != unbox((box(field, 1),))[0]:
+        failures.append("eps(1) != 1")
+    for i in range(m):
+        for j in range(m):
+            ij = H.alg.mult[i][j]
+            lhs = comul_vec(H, ij)
+            rhs = tensor_multiply(
+                H.alg, H.alg, comul_vec(H, basis(field, m, i)), comul_vec(H, basis(field, m, j))
+            )
+            if lhs != rhs:
+                failures.append(f"Delta not multiplicative at basis pair ({i},{j})")
+            if counit_of(H, ij) != unbox((counit[i] * counit[j],))[0]:
+                failures.append(f"eps not multiplicative at basis pair ({i},{j})")
+
+    for i in range(m):
+        left = list(zero(field, m))
+        right = list(zero(field, m))
+        for j in range(m):
+            for k in range(m):
+                c = comul[i][j][k]
+                if not c:
+                    continue
+                sl = multiply(H.alg, apply(H.antipode, basis(field, m, j)), basis(field, m, k))
+                sr = multiply(H.alg, basis(field, m, j), apply(H.antipode, basis(field, m, k)))
+                for t in range(m):
+                    if sl[t]:
+                        left[t] = left[t] + c * sl[t]
+                    if sr[t]:
+                        right[t] = right[t] + c * sr[t]
+        target = unbox(tuple(counit[i] * u for u in unit))
+        if unbox(left) != target:
+            failures.append(f"antipode law sum S(h1)h2 = eps(h)1 fails at basis {i}")
+        if unbox(right) != target:
+            failures.append(f"antipode law sum h1 S(h2) = eps(h)1 fails at basis {i}")
+
+    return CheckReport(not failures, tuple(failures))
+
+
+def check_partial_coaction(pc):
+    failures = []
+    A, K = pc.alg, pc.hopf
+    n, m = A.dim, K.dim
+    field = pc.field
+    fzero = box(field, 0)
+    rho = boxed(field, pc.rho.rows)
+    counit = bvec(field, K.counit)
+    kcomul = boxed(field, K.comul)
+    amult, kmult = boxed(field, A.mult), boxed(field, K.alg.mult)
+
+    for j in range(n):
+        counit_applied = list(zero(field, n))
+        for idx, c in enumerate(rho[j]):
+            if not c:
+                continue
+            a, k = divmod(idx, m)
+            if counit[k]:
+                counit_applied[a] = counit_applied[a] + c * counit[k]
+        if unbox(counit_applied) != unbox(basis(field, n, j)):
+            failures.append(f"PC1 fails at basis {A.labels[j]}")
+
+    for j in range(n):
+        for k in range(n):
+            lhs = apply(pc.rho, A.mult[j][k])
+            rhs = tensor_multiply(A, K.alg, rho[j], rho[k])
+            if lhs != rhs:
+                failures.append(f"PC2 fails at basis pair ({A.labels[j]}, {A.labels[k]})")
+
+    rho_unit = bvec(field, apply(pc.rho, A.unit))
+    for j in range(n):
+        lhs = {}
+        for idx, c in enumerate(rho[j]):
+            if not c:
+                continue
+            a, k = divmod(idx, m)
+            for idx2, c2 in enumerate(rho[a]):
+                if not c2:
+                    continue
+                b, l = divmod(idx2, m)
+                key = (b, l, k)
+                lhs[key] = lhs.get(key, fzero) + c * c2
+        rhs = {}
+        for idx, c in enumerate(rho[j]):
+            if not c:
+                continue
+            a, k = divmod(idx, m)
+            for l1 in range(m):
+                for l2 in range(m):
+                    d = kcomul[k][l1][l2]
+                    if not d:
+                        continue
+                    # multiply (rho(1) (x) 1_K) on the left
+                    for idx0, c0 in enumerate(rho_unit):
+                        if not c0:
+                            continue
+                        b0, l0 = divmod(idx0, m)
+                        coef = c * d * c0
+                        for b, xb in enumerate(amult[b0][a]):
+                            if not xb:
+                                continue
+                            for l, xl in enumerate(kmult[l0][l1]):
+                                if xl:
+                                    key = (b, l, l2)
+                                    rhs[key] = rhs.get(key, fzero) + coef * xb * xl
+        if any(lhs.get(t, fzero) != rhs.get(t, fzero) for t in set(lhs) | set(rhs)):
+            failures.append(f"PC3 fails at basis {A.labels[j]}")
+
+    return CheckReport(not failures, tuple(failures))
+
+
+# ---------------------------------------------------------------------------
+# modules and partial modules
+
+def _act_tensor(field, tensor, i, mvec):
+    """mvec under operator i of a (operator, basis vector) -> image tensor."""
+    act = boxed(field, tensor)
+    out = list(zero(field, len(act[i])))
+    for j, c in enumerate(bvec(field, mvec)):
+        if not c:
+            continue
+        for k, x in enumerate(act[i][j]):
+            if x:
+                out[k] = out[k] + c * x
+    return unbox(out)
+
+
+def _act_sum(field, tensor, xvec, mvec):
+    out = list(zero(field, len(mvec)))
+    for i, c in enumerate(bvec(field, xvec)):
+        if not c:
+            continue
+        for k, x in enumerate(_act_tensor(field, tensor, i, mvec)):
+            if x:
+                out[k] = out[k] + c * x
+    return unbox(out)
+
+
+def module_act_basis(mod, i, mvec):
+    return _act_tensor(mod.field, mod.act, i, mvec)
+
+
+def module_act_vec(mod, avec, mvec):
+    return _act_sum(mod.field, mod.act, avec, mvec)
+
+
+def check_module(mod):
+    """AlgebraModule.check."""
+    failures = []
+    A = mod.algebra
+    for j in range(mod.dim):
+        w = unbox(basis(mod.field, mod.dim, j))
+        if A.unit is not None and module_act_vec(mod, A.unit, w) != w:
+            failures.append(f"unit does not act as identity on basis {j}")
+        for i in range(A.dim):
+            for k in range(A.dim):
+                if mod.side == "right":
+                    lhs = module_act_basis(mod, k, module_act_basis(mod, i, w))
+                else:
+                    lhs = module_act_basis(mod, i, module_act_basis(mod, k, w))
+                if lhs != module_act_vec(mod, A.mult[i][k], w):
+                    failures.append(f"module law fails at (e{i}, e{k}, w{j})")
+    return CheckReport(not failures, tuple(failures))
+
+
+def act_a_basis(M, i, mvec):
+    return _act_tensor(M.field, M.a_act, i, mvec)
+
+
+def act_a(M, avec, mvec):
+    return _act_sum(M.field, M.a_act, avec, mvec)
+
+
+def act_h_basis(M, i, mvec):
+    return _act_tensor(M.field, M.h_act, i, mvec)
+
+
+def act_h(M, hvec, mvec):
+    return _act_sum(M.field, M.h_act, hvec, mvec)
+
+
+def check_partial_module(M):
+    failures = []
+    pa = M.pa
+    A, H = pa.alg, pa.hopf
+    field = M.field
+    right = M.side == "right"
+    comul = boxed(field, H.comul)
+
+    for j in range(M.dim):
+        w = unbox(basis(field, M.dim, j))
+        if act_a(M, A.unit, w) != w:
+            failures.append(f"A-unit law fails at w{j}")
+        if act_h(M, H.unit, w) != w:
+            failures.append(f"PM1 fails at w{j}")
+        for i in range(A.dim):
+            for k in range(A.dim):
+                if right:
+                    lhs = act_a_basis(M, k, act_a_basis(M, i, w))
+                else:
+                    lhs = act_a_basis(M, i, act_a_basis(M, k, w))
+                if lhs != act_a(M, A.mult[i][k], w):
+                    failures.append(f"A-module law fails at (e{i}, e{k}, w{j})")
+
+    for j in range(M.dim):
+        w = unbox(basis(field, M.dim, j))
+        for ih in range(H.dim):
+            for ia in range(A.dim):
+                # PM3
+                if right:
+                    lhs = act_a_basis(M, ia, act_h_basis(M, ih, w))
+                else:
+                    lhs = act_h_basis(M, ih, act_a_basis(M, ia, w))
+                rhs = list(zero(field, M.dim))
+                for p in range(H.dim):
+                    for q in range(H.dim):
+                        c = comul[ih][p][q]
+                        if not c:
+                            continue
+                        e_ia = basis(field, A.dim, ia)
+                        if right:
+                            term = act_h_basis(M, q, act_a(M, act_basis(pa, p, e_ia), w))
+                        else:
+                            term = act_a(M, act_basis(pa, p, e_ia), act_h_basis(M, q, w))
+                        for t, x in enumerate(term):
+                            if x:
+                                rhs[t] = rhs[t] + c * x
+                if lhs != unbox(rhs):
+                    failures.append(f"PM3 fails at (h{ih}, e{ia}, w{j})")
+            for g in range(H.dim):
+                # PM4
+                if right:
+                    lhs = act_h_basis(M, g, act_h_basis(M, ih, w))
+                else:
+                    lhs = act_h_basis(M, ih, act_h_basis(M, g, w))
+                rhs = list(zero(field, M.dim))
+                for p in range(H.dim):
+                    for q in range(H.dim):
+                        c = comul[ih][p][q]
+                        if not c:
+                            continue
+                        hq_g = H.alg.mult[q][g]
+                        unit_image = act_basis(pa, p, A.unit)
+                        if right:
+                            term = act_h(M, hq_g, act_a(M, unit_image, w))
+                        else:
+                            term = act_a(M, unit_image, act_h(M, hq_g, w))
+                        for t, x in enumerate(term):
+                            if x:
+                                rhs[t] = rhs[t] + c * x
+                if lhs != unbox(rhs):
+                    failures.append(f"PM4 fails at (h{ih}, h{g}, w{j})")
+
+    return CheckReport(not failures, tuple(failures))
+
+
+# ---------------------------------------------------------------------------
+# subspace products, closures and the partial smash carrier
 
 def span_products(A, U, V):
     return Subspace.from_vectors(A.field, A.dim, [multiply(A, u, v) for u in U.rows for v in V.rows])
@@ -196,28 +728,28 @@ def closure_rounds(field, ambient, vecs, step):
 
 
 def closure_under_operators(field, ambient, vecs, operators):
-    return closure_rounds(field, ambient, vecs, lambda r: [op.apply(r) for op in operators])
+    return closure_rounds(field, ambient, vecs, lambda r: [apply(op, r) for op in operators])
 
 
 def ideal_closure(A, gens, side="two_sided"):
-    basis = [A.basis_vector(i) for i in range(A.dim)]
+    base = [basis(A.field, A.dim, i) for i in range(A.dim)]
 
     def step(v):
         out = []
-        for b in basis:
+        for b in base:
             if side in ("left", "two_sided"):
                 out.append(multiply(A, b, v))
             if side in ("right", "two_sided"):
                 out.append(multiply(A, v, b))
         return out
 
-    return closure_rounds(A.field, A.dim, [A.coerce(g) for g in gens], step)
+    return closure_rounds(A.field, A.dim, [unbox(bvec(A.field, g)) for g in gens], step)
 
 
 def is_ideal(A, I, side="two_sided"):
-    basis = [A.basis_vector(i) for i in range(A.dim)]
+    base = [basis(A.field, A.dim, i) for i in range(A.dim)]
     for v in I.rows:
-        for b in basis:
+        for b in base:
             if side in ("left", "two_sided") and not I.contains(multiply(A, b, v)):
                 return False
             if side in ("right", "two_sided") and not I.contains(multiply(A, v, b)):
@@ -248,7 +780,7 @@ def is_nilpotent_subspace(A, I):
 
 
 def subalgebra_closure(A, gens):
-    vecs = [A.coerce(g) for g in gens]
+    vecs = [unbox(bvec(A.field, g)) for g in gens]
     if A.unit is not None:
         vecs.append(A.unit)
     S = Subspace.from_vectors(A.field, A.dim, vecs)
@@ -263,14 +795,17 @@ def subalgebra_closure(A, gens):
 
 def is_multiplicative(amap):
     src, tgt = amap.source, amap.target
+    field = src.field
     for i in range(src.dim):
         for j in range(src.dim):
-            lhs = amap.apply(src.mult[i][j])
-            rhs = multiply(tgt, amap.apply(src.basis_vector(i)), amap.apply(src.basis_vector(j)))
+            lhs = apply(amap.matrix, src.mult[i][j])
+            rhs = multiply(
+                tgt, apply(amap.matrix, basis(field, src.dim, i)), apply(amap.matrix, basis(field, src.dim, j))
+            )
             if lhs != rhs:
                 return False
     if src.unit is not None and tgt.unit is not None:
-        if amap.apply(src.unit) != tgt.unit:
+        if apply(amap.matrix, src.unit) != tgt.unit:
             return False
     return True
 
@@ -278,11 +813,12 @@ def is_multiplicative(amap):
 def carrier(pa, full):
     """(mult, unit, include_A rows) of A #_par H on the RREF basis of (A # H)(1_A # 1_H)."""
     A, H = pa.alg, pa.hopf
-    u = tensor_coords(pa, A.unit, H.unit)
+    field = pa.field
+    u = tensor_coords(field, A.unit, H.unit)
     image = Subspace.from_vectors(
-        pa.field, full.dim, [multiply(full, full.basis_vector(i), u) for i in range(full.dim)]
+        field, full.dim, [multiply(full, basis(field, full.dim, i), u) for i in range(full.dim)]
     )
     rows = image.rows
     mult = [[image.coords_of(multiply(full, r, s)) for s in rows] for r in rows]
-    incl = [image.coords_of(tensor_coords(pa, A.basis_vector(j), H.unit)) for j in range(A.dim)]
+    incl = [image.coords_of(tensor_coords(field, basis(field, A.dim, j), H.unit)) for j in range(A.dim)]
     return mult, image.coords_of(u), incl

@@ -2,8 +2,9 @@
 
 import random
 
-from psl.exactla import Fp, Matrix, QQ, Subspace
 from fractions import Fraction
+
+from psl.exactla import Matrix, QQ, Subspace
 
 from psl.algebra import product_of_fields
 from psl.hopf import GroupTable, group_algebra
@@ -35,9 +36,10 @@ def fix_d():
 
 
 def rand_scalar(rng: random.Random, field):
+    """A canonical scalar: a Fraction over Q, an int in [0, p) over F_p."""
     if field.char == 0:
         return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return Fp(rng.randrange(field.char), field.char)
+    return rng.randrange(field.char)
 
 
 def rand_vec(rng: random.Random, field, n):

@@ -4,11 +4,13 @@
 trace-form kernel and keeps the nilpotent ones; the radical is their sum.
 It is exponential in the kernel's dimension and shares nothing with the
 Cohen-Ivanyos-Wales steps of `psl.radicals` beyond the trace-form kernel,
-so tests compare the two.
+so tests compare the two.  Its ideal closures and nilpotency tests are the
+boxed loops of `boxed_reference`, not psl's structure-constant kernel.
 """
 
-from psl.algebra import Algebra, ideal_closure, is_ideal, is_nilpotent_subspace
-from psl.exactla import Fp, Subspace
+from boxed_reference import ideal_closure, is_ideal, is_nilpotent_subspace
+from psl.algebra import Algebra
+from psl.exactla import Subspace
 from psl.radicals import trace_form_kernel
 
 
@@ -116,11 +118,11 @@ def brute_nilpotent_radical(A: Algebra, budget: int = BRUTE_BUDGET) -> Subspace:
     # prefilter by nilpotency of the left-multiplication operator, a
     # necessary condition for membership in the radical
     kbasis = [list(row) for row in K.rows]
-    mult_flat = [x.v for plane in A.mult for row in plane for x in row]
+    mult_flat = [x for plane in A.mult for row in plane for x in row]
     survivors = nilpotent_lifts_fp(kbasis, mult_flat, A.dim, p)
     J = Subspace.zero_space(A.field, A.dim)
     for raw in survivors:
-        v = tuple(Fp(x, p) for x in raw)
+        v = tuple(raw)
         if J.contains(v):
             continue
         closure = ideal_closure(A, [v])

@@ -1,0 +1,156 @@
+"""Every scalar psl stores or returns is canonical.
+
+Over F_p that is a plain int (not a bool) in [0, p); over Q a Fraction.  The
+walk covers the public tensors of the fixtures, of seeded random draws and of
+every workspace object, and the vectors the public methods return, fed with
+inputs that are not canonical themselves (ints outside [0, p), plain ints
+over Q).
+"""
+
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from helpers import fix_a, fix_b, fix_c, fix_d
+from psl.exactla import GF, QQ, Matrix, Subspace
+from psl.hopf import dual_hopf, sweedler_h4
+from psl.paction import action_to_coaction
+from psl.pmod import from_smash_module, regular_module
+from psl.smash import build_partial_smash, tensor_coords
+from psl.verify import random_partial_action
+from psl.workspace import load_workspace
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKSPACES = [ROOT / "workspaces" / "sample.json"] + sorted((ROOT / "pslbench" / "workspaces").glob("*.json"))
+
+
+def assert_canonical(field, value, what):
+    """Every scalar in a nested tuple is canonical for the field."""
+    if isinstance(value, tuple):
+        for x in value:
+            assert_canonical(field, x, what)
+        return
+    if field.char:
+        assert type(value) is int and 0 <= value < field.char, f"{what}: {value!r} over {field}"
+    else:
+        assert type(value) is Fraction, f"{what}: {value!r} over Q"
+
+
+def raw_input(rng, field, n):
+    """A vector of inputs that are valid but not canonical."""
+    if field.char:
+        return tuple(rng.randrange(-3 * field.char, 3 * field.char) for _ in range(n))
+    return tuple(rng.randint(-3, 3) for _ in range(n))
+
+
+def check_algebra_object(rng, A):
+    f, n = A.field, A.dim
+    assert_canonical(f, A.mult, "mult")
+    if A.unit is not None:
+        assert_canonical(f, A.unit, "unit")
+    assert_canonical(f, A.multiply(raw_input(rng, f, n), raw_input(rng, f, n)), "multiply")
+    assert_canonical(f, A.zero() + A.basis_vector(n - 1) if n else (), "basis")
+
+
+def check_hopf_object(rng, H):
+    f, m = H.field, H.dim
+    check_algebra_object(rng, H.alg)
+    assert_canonical(f, H.comul, "comul")
+    assert_canonical(f, H.counit, "counit")
+    assert_canonical(f, H.antipode.rows, "antipode")
+    x = raw_input(rng, f, m)
+    assert_canonical(f, H.comul_vec(x), "comul_vec")
+    assert_canonical(f, (H.counit_of(x),), "counit_of")
+    assert_canonical(f, H.antipode_of(x), "antipode_of")
+    assert_canonical(f, H.tensor_square_multiply(raw_input(rng, f, m * m), H.comul_vec(x)), "tensor_square_multiply")
+
+
+def check_action_object(rng, pa):
+    f, n, m = pa.field, pa.alg.dim, pa.hopf.dim
+    check_hopf_object(rng, pa.hopf)
+    check_algebra_object(rng, pa.alg)
+    assert_canonical(f, pa.act, "act")
+    a, h = raw_input(rng, f, n), raw_input(rng, f, m)
+    assert_canonical(f, pa.act_vec(h, a), "act_vec")
+    assert_canonical(f, pa.act_basis(m - 1, a), "act_basis")
+    assert_canonical(f, pa.unit_image(0), "unit_image")
+    assert_canonical(f, pa.act_matrix(0).apply(a), "Matrix.apply")
+    assert_canonical(f, action_to_coaction(pa).rho_of(a), "rho_of")
+    sp = build_partial_smash(pa)
+    check_algebra_object(rng, sp.full)
+    check_algebra_object(rng, sp.carrier)
+    assert_canonical(f, sp.dual_action.act, "dual act")
+    assert_canonical(f, sp.unit_element, "smash unit")
+    assert_canonical(f, sp.coords.rows, "carrier rows")
+    assert_canonical(f, sp.coords.lift(raw_input(rng, f, sp.coords.dim)), "Subspace.lift")
+    assert_canonical(f, sp.include_a(a), "include_a")
+    assert_canonical(f, tensor_coords(pa, a, h), "tensor_coords")
+    if sp.carrier.dim <= 6:
+        for side in ("right", "left"):
+            V = regular_module(sp.carrier, side)
+            M = from_smash_module(sp, V)
+            w = raw_input(rng, f, M.dim)
+            assert_canonical(f, V.act, "module act")
+            assert_canonical(f, V.act_vec(raw_input(rng, f, V.algebra.dim), w), "module act_vec")
+            assert_canonical(f, V.act_basis(0, w), "module act_basis")
+            assert_canonical(f, M.a_act, "a_act")
+            assert_canonical(f, M.h_act, "h_act")
+            assert_canonical(f, M.act_a(a, w), "act_a")
+            assert_canonical(f, M.act_h(h, w), "act_h")
+            assert_canonical(f, M.act_a_basis(0, w), "act_a_basis")
+            assert_canonical(f, M.act_h_basis(0, w), "act_h_basis")
+
+
+FIXTURES = {
+    "FIX-A": fix_a, "FIX-B": fix_b, "FIX-C": fix_c, "FIX-D": fix_d,
+    "FIX-A(F3)": lambda: fix_a(GF(3)), "FIX-B(F2)": lambda: fix_b(GF(2)), "FIX-C(F5)": lambda: fix_c(GF(5)),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixtures_are_canonical(name):
+    check_action_object(random.Random(5), FIXTURES[name]())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=repr)
+def test_random_draws_are_canonical(field):
+    rng = random.Random(9100 + field.char)
+    for _ in range(12):
+        pa = random_partial_action(rng, field, max_carrier=12)
+        check_action_object(rng, pa)
+        check_hopf_object(rng, dual_hopf(pa.hopf))
+    if field.char != 2:
+        check_hopf_object(rng, sweedler_h4(field))
+
+
+@pytest.mark.parametrize("path", WORKSPACES, ids=lambda p: p.name)
+def test_workspace_objects_are_canonical(path):
+    rng = random.Random(11)
+    ws = load_workspace(str(path))
+    f = ws.field
+    for H in ws.hopf_algebras.values():
+        check_hopf_object(rng, H)
+    for A in ws.algebras.values():
+        check_algebra_object(rng, A)
+    for pa in ws.actions.values():
+        check_action_object(rng, pa)
+    for I in ws.ideals.values():
+        assert_canonical(f, I.rows, "ideal")
+    for M in ws.modules.values():
+        assert_canonical(f, M.a_act + M.h_act, "module")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+def test_containers_store_canonical_rows(field):
+    rng = random.Random(3)
+    m = Matrix(field, [raw_input(rng, field, 3) for _ in range(2)] + [["7", True, -1]])
+    assert_canonical(field, m.rows, "Matrix.rows")
+    assert_canonical(field, m.apply(raw_input(rng, field, 3)), "Matrix.apply")
+    assert_canonical(field, (m.trace(),), "Matrix.trace")
+    S = Subspace.from_vectors(field, 3, [raw_input(rng, field, 3)])
+    assert_canonical(field, S.rows, "Subspace.rows")
+    assert_canonical(field, S.lift(raw_input(rng, field, S.dim)), "Subspace.lift")
+    assert_canonical(field, S.reduce(raw_input(rng, field, 3)), "Subspace.reduce")
+    assert_canonical(field, (field.zero, field.one) + tuple(field.elements() if field.char else ()), "field")

@@ -10,7 +10,6 @@ from psl.exactla import (
     QQ,
     AmbientMismatch,
     FieldMismatch,
-    Fp,
     Matrix,
     Subspace,
     all_vectors,
@@ -163,10 +162,18 @@ def test_field_mismatch_errors():
         mq.stack(m2)
     with pytest.raises(FieldMismatch):
         Subspace.from_vectors(QQ, 2, [[1, 0]]).intersect(Subspace.from_vectors(F2, 2, [[1, 0]]))
+    # foreign scalar types are rejected where they enter a container
     with pytest.raises(FieldMismatch):
-        Fp(1, 2) + Fp(1, 3)
+        Matrix(F2, [[Fraction(1), 0]])
     with pytest.raises(FieldMismatch):
-        Fp(1, 2) + Fraction(1)
+        Subspace.from_vectors(F5, 2, [[1, 0.5]])
+    with pytest.raises(FieldMismatch):
+        Matrix(QQ, [[1.0, 2]])
+    for field in (QQ, F2, F5):
+        with pytest.raises(FieldMismatch):
+            field.of(0.5)
+    with pytest.raises(FieldMismatch):
+        F5.of(Fraction(1))
 
 
 def test_ambient_mismatch_errors():
@@ -179,13 +186,16 @@ def test_ambient_mismatch_errors():
 
 
 def test_scalar_semantics():
-    x = Fp(7, 5)
-    assert x.v == 2 and x == 2
-    assert (Fp(3, 5) / Fp(2, 5)).v == 4
+    """Scalars are canonical: ints in [0, p) over F_p, Fractions over Q."""
+    assert F5.of(7) == 2 and F5.of(-3) == 2 and F5.of("12") == 2
+    assert type(F5.of(True)) is int and F5.zero == 0 and F5.one == 1
+    assert list(F5.elements()) == [0, 1, 2, 3, 4]
+    assert Matrix(F5, [[3]]).scale(F5.of(2)).rows == ((1,),)  # 3 * 2 = 6 = 1
     assert Fraction(2, 4) == Fraction(1, 2)
     assert QQ.of("3/6") == Fraction(1, 2)
+    assert type(QQ.of(3)) is Fraction and QQ.of(0) == QQ.zero
     with pytest.raises(ZeroDivisionError):
-        Fp(1, 5) / Fp(0, 5)
+        QQ.of("1/0")
 
 
 def test_projective_vectors_count():
@@ -197,3 +207,13 @@ def test_unit_vec_and_full_space():
     full = Subspace.full_space(F2, 3)
     assert all(full.contains(unit_vec(F2, 3, i)) for i in range(3))
     assert full.dim == 3
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=repr)
+def test_solve_left_without_rows(field):
+    """x @ M = t for a matrix with no rows: only the zero target is solvable."""
+    empty = Matrix(field, [], ncols=2)
+    assert empty.solve_left((0, 0)) == ()
+    assert empty.solve_left((1, 0)) is None
+    assert empty.solve_left((0, 1)) is None
+    assert Matrix(field, [], ncols=0).solve_left(()) == ()

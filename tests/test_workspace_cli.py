@@ -310,3 +310,27 @@ def test_cli_malformed_ideal_vector_exits_two(tmp_path, capsys, vector, message)
     captured = capsys.readouterr()
     assert "ideal 'e1-line'" in captured.err and message in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def _no_group(doc):
+    del doc["hopf_algebras"]["QC4"]["group"]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc.update(field="x"), "bad field spec"),
+    (lambda doc: doc.update(actions="x"), "'actions' must be an object"),
+    (lambda doc: doc["groups"].update(C2={"cyclic": 0}), "group 'C2'"),
+    (lambda doc: doc["algebras"]["Q3"].update(k="x"), "algebra 'Q3'"),
+    (_no_group, "hopf algebra 'QC4': missing 'group'"),
+], ids=["field", "section", "group-order", "algebra-k", "hopf-group"])
+def test_cli_malformed_workspace_exits_two(tmp_path, capsys, mutate, message):
+    doc = json.loads(SAMPLE.read_text())
+    mutate(doc)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        load_workspace(str(path))
+    assert main(["radicals", "--workspace", str(path), "triple"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err + captured.out
