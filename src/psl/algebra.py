@@ -59,11 +59,6 @@ class CheckReport:
             raise InvariantViolation(f"{what} failed: " + "; ".join(self.failures[:5]))
 
 
-def merge_reports(*reports: CheckReport) -> CheckReport:
-    failures = tuple(f for r in reports for f in r.failures)
-    return CheckReport(not failures, failures)
-
-
 # ---------------------------------------------------------------------------
 # the structure-constant kernel: F_p scalars as plain ints, Q scalars as
 # Fractions.  Sparse vectors are tuples of their nonzero (k, c); dense ones
@@ -418,6 +413,25 @@ def subalgebra_closure(A: Algebra, gens: Iterable[Sequence]) -> Subspace:
             basis.add(_multiply_raw(terms, w, u))
         i += 1
     return basis.span(A.field, A.dim)
+
+
+def _closed_subalgebra(A: Algebra, S: Subspace, unit: Sequence, message: str, labels=None):
+    """The algebra on a subspace S of A closed under products, on the RREF basis of S.
+
+    Returns it with the coordinate map of S, which raises
+    InvariantViolation(message) on a vector outside S.  Coordinates go
+    through `Subspace.coords_of`.
+    """
+
+    def coords(vec):
+        c = S.coords_of(vec)
+        if c is None:
+            raise InvariantViolation(message)
+        return c
+
+    rows = [_nonzero(r) for r in S.rows]
+    mult = [[coords(_multiply_raw(A.terms, u, v)) for v in rows] for u in rows]
+    return Algebra(A.field, mult, unit=coords(unit), labels=labels), coords
 
 
 def product_of_fields(field: Field, k: int) -> Algebra:

@@ -23,6 +23,7 @@ from psl.algebra import (
     NotAnIdeal,
     _add_scaled,
     _apply_raw,
+    _closed_subalgebra,
     _compact,
     _differ,
     _multiply_raw,
@@ -258,19 +259,11 @@ def induce_from_ideal(global_pa: PartialAction, e: Sequence) -> PartialAction:
         if B.multiply(e, r) != r or B.multiply(r, e) != r:
             raise NotRightIdealUnit("e is not an identity element of eB")
 
-    rows = ideal.rows
-    k = ideal.dim
-
-    def coords(vec):
-        c = ideal.coords_of(vec)
-        if c is None:
-            raise InvariantViolation("product escaped the right ideal eB")
-        return c
-
-    mult = [[coords(B.multiply(rows[s], rows[t])) for t in range(k)] for s in range(k)]
-    A = Algebra(B.field, mult, unit=coords(e), labels=[f"a{s}" for s in range(k)])
+    A, coords = _closed_subalgebra(
+        B, ideal, e, "product escaped the right ideal eB", [f"a{s}" for s in range(ideal.dim)]
+    )
     act = [
-        [coords(B.multiply(e, global_pa.act_basis(i, rows[s]))) for s in range(k)]
+        [coords(B.multiply(e, global_pa.act_basis(i, r))) for r in ideal.rows]
         for i in range(global_pa.hopf.dim)
     ]
     pa = PartialAction(global_pa.hopf, A, act)

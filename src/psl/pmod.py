@@ -10,6 +10,16 @@ m <| h subject to
 (left versions mirrored).  Action tensors are stored as
 a_act[i][j] = action of the i-th algebra basis element on the j-th
 module basis vector, and likewise h_act for the Hopf algebra.
+
+Exhaustive irreducibility over F_p, for partial modules and for plain
+modules alike, is `_exhaustively_irreducible`: it
+spins one vector per line of F_p^d and refuses more than `_CYCLIC_CAP`
+lines.  Annihilators are the left kernel of the flattened A-operators,
+quotients project an action tensor onto the complement cosets of the
+submodule, and the extensions, the smash-module conversion and the
+commutant run on the sparse operator rows.  The operator image algebra is
+the `subalgebra_closure` of the operators inside the matrix algebra M_d(k),
+made an algebra by the closed-subspace helper of `psl.algebra`.
 """
 
 from __future__ import annotations
@@ -21,30 +31,39 @@ from psl.algebra import (
     Algebra,
     CheckReport,
     InvariantViolation,
+    NotAnIdeal,
     _add_scaled,
     _apply_pair,
     _apply_raw,
+    _closed_subalgebra,
+    _compact,
     _differ,
     _operate,
     _operate_sum,
     is_ideal,
+    subalgebra_closure,
 )
 from psl.exactla import (
     DimensionMismatch,
     Matrix,
     Subspace,
-    _Echelon,
+    _canon,
+    _dense,
     _nonzero,
-    _operator_terms,
     _projective_raw,
+    _rref,
     _spin,
     enumerate_invariant_subspaces,
     unit_vec,
-    zero_vec,
 )
-from psl.hopf import dual_hopf, left_integrals
-from psl.paction import PartialAction, _comul_terms, action_to_coaction, is_h_stable
+from psl.hopf import left_integrals
+from psl.paction import PartialAction, _comul_terms, action_to_coaction, colon_ideal, is_h_stable
 from psl.radicals import DimensionTooLarge, FieldNotFinite, jacobson_radical
+from psl.smash import tensor_coords
+
+# the exhaustive irreducibility test spins one vector per line of F_p^d, and
+# refuses a space with more lines than this
+_CYCLIC_CAP = 1 << 14
 
 
 class AxiomViolation(ValueError):
@@ -130,40 +149,35 @@ def regular_module(A: Algebra, side: str = "right") -> AlgebraModule:
     return AlgebraModule(A, A.dim, side, act)
 
 
+def _cosets(U: Subspace, vectors) -> list[tuple]:
+    """Each vector modulo U, in the coordinates of the cosets of U.complement_indices()."""
+    comp = U.complement_indices()
+    return [tuple(r[c] for c in comp) for r in map(U._residual, vectors)]
+
+
+def _quotient_tensor(U: Subspace, act) -> list:
+    """An action tensor (operator i, basis j) -> image, induced on F^n/U for an invariant U."""
+    comp = U.complement_indices()
+    return [_cosets(U, [op[c] for c in comp]) for op in act]
+
+
 def quotient_module(A: Algebra, I: Subspace, side: str = "right") -> AlgebraModule:
-    """A/I as an A-module, for a one- or two-sided ideal I of matching side."""
-    comp = I.complement_indices()
+    """A/I as an A-module, for a left (side "left") or right (side "right") ideal I."""
+    regular = regular_module(A, side)
+    if not is_ideal(A, I, side):
+        raise NotAnIdeal(f"quotient_module needs a {side} ideal")
+    return AlgebraModule(A, A.dim - I.dim, side, _quotient_tensor(I, regular.act))
 
-    def project(vec):
-        r = I.reduce(vec)
-        return tuple(r[c] for c in comp)
 
-    lifts = [A.basis_vector(c) for c in comp]
-    if side == "right":
-        act = [
-            [project(A.multiply(lifts[j], A.basis_vector(i))) for j in range(len(comp))]
-            for i in range(A.dim)
-        ]
-    else:
-        act = [
-            [project(A.multiply(A.basis_vector(i), lifts[j])) for j in range(len(comp))]
-            for i in range(A.dim)
-        ]
-    return AlgebraModule(A, len(comp), side, act)
+def _annihilator(field, act, dim: int) -> Subspace:
+    """{x : sum_i x_i act[i] = 0} for an action tensor (operator i, basis j) -> image on F^dim."""
+    rows = tuple(tuple(x for v in op for x in v) for op in act)
+    return Matrix._of_raw(field, rows, dim * dim).left_kernel()
 
 
 def module_annihilator(mod: AlgebraModule) -> Subspace:
     """{a : M a = 0} (right) or {a : a M = 0} (left)."""
-    A = mod.algebra
-    if mod.dim == 0:
-        return Subspace.full_space(mod.field, A.dim)
-    rows = []
-    for i in range(A.dim):
-        block = []
-        for j in range(mod.dim):
-            block.extend(mod.act_basis(i, mod_basis(mod, j)))
-        rows.append(tuple(block))
-    return Matrix(mod.field, rows, ncols=mod.dim * mod.dim).left_kernel()
+    return _annihilator(mod.field, mod.act, mod.dim)
 
 
 class PartialModule:
@@ -291,29 +305,22 @@ def check_partial_module(M: PartialModule) -> CheckReport:
 
 def to_smash_module(M: PartialModule, sp) -> AlgebraModule:
     """m (a # h) := (m a) <| h (right), resp. (a # h) m := a (h |> m) (left)."""
-    carrier = sp.carrier
-    m_h = M.pa.hopf.dim
+    m, d, p = M.pa.hopf.dim, M.dim, M.field.char
+    a_ops, h_ops = M._a_terms, M._h_terms
     act = []
-    for c in range(carrier.dim):
-        row_c = []
-        coords = sp.coords.rows[c]
-        for j in range(M.dim):
-            w = M.basis_vector(j)
-            out = list(zero_vec(M.field, M.dim))
-            for idx, coeff in enumerate(coords):
-                if not coeff:
-                    continue
-                ja, ih = divmod(idx, m_h)
+    for row in sp.coords.rows:
+        images = []
+        for j in range(d):
+            out = [0] * d
+            for idx, c in _nonzero(row):
+                ja, ih = divmod(idx, m)
                 if M.side == "right":
-                    term = M.act_h_basis(ih, M.act_a_basis(ja, w))
+                    _add_scaled(out, c, _apply_raw(h_ops[ih], a_ops[ja][j], d))
                 else:
-                    term = M.act_a_basis(ja, M.act_h_basis(ih, w))
-                for t, x in enumerate(term):
-                    if x:
-                        out[t] = out[t] + coeff * x
-            row_c.append(tuple(out))
-        act.append(row_c)
-    mod = AlgebraModule(carrier, M.dim, M.side, act)
+                    _add_scaled(out, c, _apply_raw(a_ops[ja], h_ops[ih][j], d))
+            images.append(_canon(out, p))
+        act.append(images)
+    mod = AlgebraModule(sp.carrier, d, M.side, act)
     report = mod.check()
     if not report.ok:
         raise AxiomViolation("smash-module conversion failed: " + report.failures[0])
@@ -325,8 +332,6 @@ def from_smash_module(sp, mod: AlgebraModule) -> PartialModule:
     pa = sp.pa
     if mod.algebra != sp.carrier:
         raise NotAModule("module is not over this smash product's carrier")
-    from psl.smash import tensor_coords
-
     incl = [sp.include_a(pa.alg.basis_vector(i)) for i in range(pa.alg.dim)]
     h_img = [
         sp.project(tensor_coords(pa, pa.alg.unit, pa.hopf.alg.basis_vector(i)))
@@ -353,24 +358,30 @@ def mod_basis(mod: AlgebraModule, j: int) -> tuple:
 
 def annihilator(M: PartialModule) -> Subspace:
     """ann(M) as a subspace of A; always an H-stable ideal."""
-    A = M.pa.alg
-    if M.dim == 0:
-        return Subspace.full_space(M.field, A.dim)
-    rows = []
-    for i in range(A.dim):
-        block = []
-        for j in range(M.dim):
-            block.extend(M.act_a_basis(i, M.basis_vector(j)))
-        rows.append(tuple(block))
-    ann = Matrix(M.field, rows, ncols=M.dim * M.dim).left_kernel()
-    if not is_ideal(A, ann):
+    ann = _annihilator(M.field, M.a_act, M.dim)
+    if not is_ideal(M.pa.alg, ann):
         raise InvariantViolation("annihilator is not an ideal")
     if not is_h_stable(M.pa, ann):
         raise InvariantViolation("annihilator is not H-stable")
     return ann
 
 
-def is_irreducible(M: PartialModule, budget: int = 1 << 14) -> bool | None:
+def _check_cyclic_cap(p: int, d: int) -> None:
+    count = (p ** d - 1) // (p - 1)
+    if count > _CYCLIC_CAP:
+        raise DimensionTooLarge(f"{count} cyclic submodules exceed budget {_CYCLIC_CAP}")
+
+
+def _exhaustively_irreducible(field, d: int, ops) -> bool:
+    """Whether every nonzero vector of F_p^d spins up the whole space under the sparse operators.
+
+    One vector per line of F_p^d is spun; more than _CYCLIC_CAP lines raise DimensionTooLarge.
+    """
+    _check_cyclic_cap(field.char, d)
+    return all(_spin(field, d, [v], ops).dim == d for v in _projective_raw(field.char, d))
+
+
+def is_irreducible(M: PartialModule) -> bool | None:
     """No proper nonzero partial submodules.
 
     Finite fields: exhaustive over cyclic submodules.  Over Q: True/False
@@ -383,12 +394,9 @@ def is_irreducible(M: PartialModule, budget: int = 1 << 14) -> bool | None:
         return True
     field = M.field
     d = M.dim
-    ops = _operator_terms(field, d, M.operator_matrices())
+    ops = M._a_terms + M._h_terms
     if field.char:
-        count = (field.char ** d - 1) // (field.char - 1)
-        if count > budget:
-            raise DimensionTooLarge(f"{count} cyclic submodules exceed budget {budget}")
-        return all(_spin(field, d, [v], ops).dim == d for v in _projective_raw(field.char, d))
+        return _exhaustively_irreducible(field, d, ops)
 
     # Q mode: sufficient conditions only
     for e_j in Matrix.identity(field, d).rows:
@@ -402,52 +410,26 @@ def is_irreducible(M: PartialModule, budget: int = 1 << 14) -> bool | None:
     return None
 
 
+def _matrix_algebra(field, d: int) -> Algebra:
+    """M_d(k) on the matrix units, e_ij at index i*d + j, with e_ij e_jl = e_il."""
+    n = d * d
+    zero = (0,) * n
+    mult = [
+        [unit_vec(field, n, a - a % d + b % d) if a % d == b // d else zero for b in range(n)]
+        for a in range(n)
+    ]
+    return Algebra(field, mult, unit=[int(i % (d + 1) == 0) for i in range(n)])
+
+
 def _operator_image_algebra(M: PartialModule):
     """The unital subalgebra of End(M) generated by the partial-action operators.
 
-    Operators are flattened d x d matrices; the span is closed under
-    composition by spinning over pairs, as in `subalgebra_closure`.
+    Operators are flattened d x d matrices inside M_d(k), where the product
+    of the row-vector convention is the matrix product.
     """
-    field = M.field
-    d = M.dim
-
-    def compose(u, v):
-        """Flattened u @ v of sparse flattened matrices, dense and unreduced."""
-        v_rows = [[] for _ in range(d)]
-        for k, y in v:
-            v_rows[k // d].append((k % d, y))
-        out = [0] * (d * d)
-        for k, x in u:
-            i, j = divmod(k, d)
-            for l, y in v_rows[j]:
-                out[i * d + l] += x * y
-        return out
-
-    identity = Matrix.identity(field, d)
-    basis = _Echelon(field.char)
-    for op in M.operator_matrices() + [identity]:
-        basis.add([x for row in op.rows for x in row])
-    gens = basis.rows
-    i = 0
-    while i < len(gens) < d * d:
-        u = gens[i][1]
-        for j in range(i + 1):
-            w = gens[j][1]
-            basis.add(compose(u, w))
-            basis.add(compose(w, u))
-        i += 1
-    span = basis.span(field, d * d)
-
-    def coords(vec):
-        c = span.coords_of(vec)
-        if c is None:
-            raise InvariantViolation("operator image algebra is not closed")
-        return c
-
-    rows = [_nonzero(r) for r in span.rows]
-    mult = [[coords(compose(u, v)) for v in rows] for u in rows]
-    unit = coords([x for row in identity.rows for x in row])
-    return Algebra(field, mult, unit=unit)
+    E = _matrix_algebra(M.field, M.dim)
+    span = subalgebra_closure(E, [[x for v in op for x in v] for op in M.a_act + M.h_act])
+    return _closed_subalgebra(E, span, E.unit, "operator image algebra is not closed")[0]
 
 
 @dataclass(frozen=True)
@@ -469,14 +451,28 @@ class IrreducibleExtension:
     killed: Subspace
 
 
-def _restrict_operator(op: Matrix, W: Subspace) -> list[tuple]:
-    rows = []
-    for r in W.rows:
-        c = W.coords_of(op.apply(r))
+def _coords_in(W: Subspace, vectors, message: str) -> list[tuple]:
+    """The coordinates of each vector in the RREF basis of W; InvariantViolation(message) if one is outside."""
+    out = []
+    for v in vectors:
+        c = W.coords_of(v)
         if c is None:
-            raise InvariantViolation("extension space is not invariant under the action")
-        rows.append(c)
-    return rows
+            raise InvariantViolation(message)
+        out.append(c)
+    return out
+
+
+def _extension_module(pa: PartialAction, side: str, W: Subspace, a_rows, h_rows) -> PartialModule:
+    """The partial module on an invariant W of operators given by their dense (unreduced) rows."""
+
+    def restrict(rows):
+        op = [_compact(r, W.field.char) for r in rows]
+        images = [_apply_raw(op, _nonzero(w), W.ambient) for w in W.rows]
+        return _coords_in(W, images, "extension space is not invariant under the action")
+
+    module = PartialModule(side, pa, W.dim, [restrict(r) for r in a_rows], [restrict(r) for r in h_rows])
+    check_partial_module(module).raise_if_failed(f"extended {side} module axioms")
+    return module
 
 
 def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
@@ -486,122 +482,50 @@ def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     if not V.check().ok:
         raise NotAModule("V is not a unital A-module")
     H, A = pa.hopf, pa.alg
-    m = H.dim
+    m, n, dv = H.dim, A.dim, V.dim
     field = pa.field
-    amb = V.dim * m
+    p = field.char
+    amb = dv * m
+    act = pa._terms
+    comul = _comul_terms(H)
+    # the images of v_j under the basis of A
+    columns = [[V._terms[i][j] for i in range(n)] for j in range(dv)]
 
-    def tens(vvec, hvec):
-        out = list(zero_vec(field, amb))
-        for j, cv in enumerate(vvec):
-            if not cv:
-                continue
-            for i, ch in enumerate(hvec):
-                if ch:
-                    out[j * m + i] = out[j * m + i] + cv * ch
-        return tuple(out)
+    def row(images, j, k):
+        """sum v_j (k1 . x) (x) k2 for k = h_k, where images[q] = h_q . x; dense, unreduced."""
+        out = [0] * amb
+        for hp, hq, c in comul[k]:
+            for t, y in enumerate(_apply_raw(columns[j], images[hp], dv)):
+                if y:
+                    out[t * m + hq] += c * y
+        return out
 
-    gens = []
-    for jv in range(V.dim):
-        v = mod_basis(V, jv)
-        for x in range(A.dim):
-            for k in range(m):
-                out = list(zero_vec(field, amb))
-                for p in range(m):
-                    for q in range(m):
-                        c = H.comul[k][p][q]
-                        if not c:
-                            continue
-                        moved = V.act_vec(pa.act_basis(p, A.basis_vector(x)), v)
-                        for t, xv in enumerate(moved):
-                            if xv:
-                                out[t * m + q] = out[t * m + q] + c * xv
-                gens.append(tuple(out))
-    W = Subspace.from_vectors(field, amb, gens)
+    # (v (x) k) a = sum v (k1 . a) (x) k2, and these rows span W
+    a_rows = [[row([act[q][a] for q in range(m)], j, k) for j in range(dv) for k in range(m)] for a in range(n)]
+    W = Subspace._span(field, amb, [r for rows in a_rows for r in rows])
+    # (v (x) k) <| h = sum v ((kh)1 . 1_A) (x) (kh)2, as Delta(k)Delta(h) = Delta(kh)
+    unit_a = _nonzero(A.unit)
+    unit_images = [_compact(_apply_raw(act[q], unit_a, n), p) for q in range(m)]
+    base = [[_compact(row(unit_images, j, l), p) for l in range(m)] for j in range(dv)]
+    h_terms = H.alg.terms
+    h_rows = [[_apply_raw(base[j], h_terms[k][h], amb) for j in range(dv) for k in range(m)] for h in range(m)]
 
-    a_ops = []
-    for a in range(A.dim):
-        rows = []
-        for jv in range(V.dim):
-            for k in range(m):
-                out = list(zero_vec(field, amb))
-                for p in range(m):
-                    for q in range(m):
-                        c = H.comul[k][p][q]
-                        if not c:
-                            continue
-                        moved = V.act_vec(pa.act_basis(p, A.basis_vector(a)), mod_basis(V, jv))
-                        for t, xv in enumerate(moved):
-                            if xv:
-                                out[t * m + q] = out[t * m + q] + c * xv
-                rows.append(tuple(out))
-        a_ops.append(Matrix(field, rows, ncols=amb))
-
-    h_ops = []
-    for h in range(m):
-        rows = []
-        for jv in range(V.dim):
-            for k in range(m):
-                out = list(zero_vec(field, amb))
-                for p in range(m):
-                    for q in range(m):
-                        c = H.comul[k][p][q]
-                        if not c:
-                            continue
-                        for r in range(m):
-                            for s in range(m):
-                                c2 = H.comul[h][r][s]
-                                if not c2:
-                                    continue
-                                kh = H.alg.mult[p][r]
-                                moved = V.act_vec(pa.act_vec(kh, A.unit), mod_basis(V, jv))
-                                hq_hs = H.alg.mult[q][s]
-                                for t, xv in enumerate(moved):
-                                    if not xv:
-                                        continue
-                                    cc = c * c2 * xv
-                                    for u, xh in enumerate(hq_hs):
-                                        if xh:
-                                            out[t * m + u] = out[t * m + u] + cc * xh
-                rows.append(tuple(out))
-        h_ops.append(Matrix(field, rows, ncols=amb))
-
-    a_act = [_restrict_operator(op, W) for op in a_ops]
-    h_act = [_restrict_operator(op, W) for op in h_ops]
-    module = PartialModule("right", pa, W.dim, a_act, h_act)
-    check_partial_module(module).raise_if_failed("extended right module axioms")
-
-    emb_rows = []
-    for jv in range(V.dim):
-        c = W.coords_of(tens(mod_basis(V, jv), H.unit))
-        if c is None:
-            raise InvariantViolation("V (x) 1_H does not sit inside W")
-        emb_rows.append(c)
-    embedding = Matrix(field, emb_rows, ncols=W.dim)
+    module = _extension_module(pa, "right", W, a_rows, h_rows)
+    unit_h = _nonzero(H.unit)
+    v_tensor_1 = [_dense(((j * m + i, x) for i, x in unit_h), amb) for j in range(dv)]
+    embedding = Matrix(field, _coords_in(W, v_tensor_1, "V (x) 1_H does not sit inside W"), ncols=W.dim)
     return ModuleExtension(module, embedding, W)
 
 
 def _module_quotient(M: PartialModule, U: Subspace) -> tuple[PartialModule, Matrix]:
-    comp = U.complement_indices()
-
-    def project(vec):
-        r = U.reduce(vec)
-        return tuple(r[c] for c in comp)
-
-    lifts = [M.basis_vector(c) for c in comp]
-    a_act = [
-        [project(M.act_a_basis(i, lifts[j])) for j in range(len(comp))]
-        for i in range(M.pa.alg.dim)
-    ]
-    h_act = [
-        [project(M.act_h_basis(i, lifts[j])) for j in range(len(comp))]
-        for i in range(M.pa.hopf.dim)
-    ]
-    Q = PartialModule(M.side, M.pa, len(comp), a_act, h_act)
-    proj = Matrix(M.field, [project(M.basis_vector(j)) for j in range(M.dim)], ncols=len(comp))
+    """M/U for a submodule U, with the projection of M onto it."""
+    d = M.dim - U.dim
+    Q = PartialModule(M.side, M.pa, d, _quotient_tensor(U, M.a_act), _quotient_tensor(U, M.h_act))
+    proj = Matrix(M.field, _cosets(U, map(M.basis_vector, range(M.dim))), ncols=d)
     return Q, proj
 
 
-def module_is_irreducible_over_algebra(V: AlgebraModule, budget: int = 1 << 14) -> bool:
+def module_is_irreducible_over_algebra(V: AlgebraModule) -> bool:
     """Exhaustive irreducibility of a plain module over a finite field."""
     field = V.field
     if field.char == 0:
@@ -610,16 +534,10 @@ def module_is_irreducible_over_algebra(V: AlgebraModule, budget: int = 1 << 14) 
         raise ZeroModule("the zero module is not irreducible")
     if V.dim == 1:
         return True
-    ops = _operator_terms(field, V.dim, [V.act_matrix(i) for i in range(V.algebra.dim)])
-    count = (field.char ** V.dim - 1) // (field.char - 1)
-    if count > budget:
-        raise DimensionTooLarge(f"{count} cyclic submodules exceed budget {budget}")
-    return all(_spin(field, V.dim, [v], ops).dim == V.dim for v in _projective_raw(field.char, V.dim))
+    return _exhaustively_irreducible(field, V.dim, V._terms)
 
 
-def irreducible_extension(
-    pa: PartialAction, V: AlgebraModule, budget: int = 1 << 14
-) -> IrreducibleExtension:
+def irreducible_extension(pa: PartialAction, V: AlgebraModule) -> IrreducibleExtension:
     """Irreducible partial module M containing V, via a maximal submodule U of W.
 
     Exhaustive over finite fields; the first maximal U (canonical order) with
@@ -628,14 +546,12 @@ def irreducible_extension(
     field = pa.field
     if field.char == 0:
         raise FieldNotFinite("irreducible_extension needs a finite field")
-    if not module_is_irreducible_over_algebra(V, budget=budget):
+    if not module_is_irreducible_over_algebra(V):
         raise NotAModule("V must be an irreducible A-module")
     ext = extend_right_module(pa, V)
     W_mod = ext.module
     d = W_mod.dim
-    count = (field.char ** d - 1) // (field.char - 1)
-    if count > budget:
-        raise DimensionTooLarge(f"{count} cyclic submodules exceed budget {budget}")
+    _check_cyclic_cap(field.char, d)
     subs = enumerate_invariant_subspaces(field, d, W_mod.operator_matrices())
     v_image = Subspace.from_vectors(field, d, ext.embedding.rows)
     candidates = [U for U in subs if U.intersect(v_image).is_zero()]
@@ -646,18 +562,14 @@ def irreducible_extension(
     killed = maximal[0]
     M, proj = _module_quotient(W_mod, killed)
     check_partial_module(M).raise_if_failed("irreducible extension axioms")
-    if is_irreducible(M, budget=budget) is not True:
+    if is_irreducible(M) is not True:
         raise InvariantViolation("quotient is not irreducible")
     emb = Matrix(field, [proj.apply(r) for r in ext.embedding.rows], ncols=M.dim)
     if emb.rank() != V.dim:
         raise InvariantViolation("V does not survive into M")
     if M.dim > pa.hopf.dim * V.dim:
         raise InvariantViolation("dimension bound violated")
-    ann_m = annihilator(M)
-    from psl.paction import colon_ideal
-
-    ann_v = module_annihilator(V)
-    if ann_m != colon_ideal(pa, ann_v):
+    if annihilator(M) != colon_ideal(pa, module_annihilator(V)):
         raise InvariantViolation("ann(M) != (ann(V):H)")
     return IrreducibleExtension(M, emb, ext, killed)
 
@@ -669,109 +581,59 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     if not V.check().ok:
         raise NotAModule("V is not a unital A-module")
     A = pa.alg
-    K = dual_hopf(pa.hopf)
     pc = action_to_coaction(pa)
-    m = K.dim
+    K = pc.hopf
+    m, n, dv = K.dim, A.dim, V.dim
     field = pa.field
-    amb = V.dim * m
-    rho = pc.rho.rows
-    rho_unit = pc.rho_of(A.unit)
+    amb = dv * m
+    rho = [_nonzero(r) for r in pc.rho.rows]
+    k_terms = K.alg.terms
 
-    def rho_times(avec_rho, vvec, kvec):
-        """rho-coefficient vector acting on v (x) phi."""
-        out = list(zero_vec(field, amb))
-        for idx, c in enumerate(avec_rho):
-            if not c:
-                continue
+    def row(rho_x, j, s):
+        """rho(x) acting on v_j (x) p_s, for rho(x) sparse in A (x) H*; dense, unreduced."""
+        out = [0] * amb
+        for idx, c in rho_x:
             b, l = divmod(idx, m)
-            moved = V.act_basis(b, vvec)
-            prod_k = K.alg.multiply(K.alg.basis_vector(l), kvec)
-            for t, xv in enumerate(moved):
-                if not xv:
-                    continue
-                cc = c * xv
-                for u, xk in enumerate(prod_k):
-                    if xk:
-                        out[t * m + u] = out[t * m + u] + cc * xk
-        return tuple(out)
+            for t, y in V._terms[b][j]:
+                for u, z in k_terms[l][s]:
+                    out[t * m + u] += c * y * z
+        return out
 
-    gens = []
-    for x in range(A.dim):
-        for jv in range(V.dim):
-            for phi in range(m):
-                gens.append(
-                    rho_times(rho[x], mod_basis(V, jv), K.alg.basis_vector(phi))
-                )
-    W = Subspace.from_vectors(field, amb, gens)
+    # a.w = rho(a)w, and these rows span W
+    a_rows = [[row(rho[a], j, r) for j in range(dv) for r in range(m)] for a in range(n)]
+    W = Subspace._span(field, amb, [r for rows in a_rows for r in rows])
+    # h |> (v (x) p_r) = rho(1)(v (x) (h -> p_r)), where h_h -> p_r = sum_s Delta(p_r)[s][h] p_s
+    rho_unit = _compact(_apply_raw(rho, _nonzero(A.unit), n * m), field.char)
+    base = [[row(rho_unit, j, s) for s in range(m)] for j in range(dv)]
+    h_rows = [[[0] * amb for _ in range(amb)] for _ in range(m)]
+    for r, parts in enumerate(_comul_terms(K)):
+        for s, h, c in parts:
+            for j in range(dv):
+                _add_scaled(h_rows[h][j * m + r], c, base[j][s])
 
-    a_ops = []
-    for a in range(A.dim):
-        rows = []
-        for jv in range(V.dim):
-            for r in range(m):
-                rows.append(rho_times(rho[a], mod_basis(V, jv), K.alg.basis_vector(r)))
-        a_ops.append(Matrix(field, rows, ncols=amb))
-
-    h_ops = []
-    for h in range(pa.hopf.dim):
-        rows = []
-        for jv in range(V.dim):
-            for r in range(m):
-                # h -> p_r = sum_s comul_K[r][s][h] p_s, then multiply by rho(1)
-                out = list(zero_vec(field, amb))
-                for s in range(m):
-                    c = K.comul[r][s][h]
-                    if not c:
-                        continue
-                    term = rho_times(rho_unit, mod_basis(V, jv), K.alg.basis_vector(s))
-                    for t, x in enumerate(term):
-                        if x:
-                            out[t] = out[t] + c * x
-                rows.append(tuple(out))
-        h_ops.append(Matrix(field, rows, ncols=amb))
-
-    a_act = [_restrict_operator(op, W) for op in a_ops]
-    h_act = [_restrict_operator(op, W) for op in h_ops]
-    module = PartialModule("left", pa, W.dim, a_act, h_act)
-    check_partial_module(module).raise_if_failed("extended left module axioms")
-
+    module = _extension_module(pa, "left", W, a_rows, h_rows)
     ints = left_integrals(K)
     if ints.dim != 1:
         raise InvariantViolation("integral space of H* must be one-dimensional")
-    lam = ints.rows[0]
-    emb_rows = []
-    for jv in range(V.dim):
-        vec = list(zero_vec(field, amb))
-        for r, c in enumerate(lam):
-            if c:
-                vec[jv * m + r] = c
-        coords = W.coords_of(tuple(vec))
-        if coords is None:
-            raise InvariantViolation("V (x) lambda does not sit inside W")
-        emb_rows.append(coords)
-    embedding = Matrix(field, emb_rows, ncols=W.dim)
+    lam = _nonzero(ints.rows[0])
+    v_tensor_lam = [_dense(((j * m + r, c) for r, c in lam), amb) for j in range(dv)]
+    embedding = Matrix(field, _coords_in(W, v_tensor_lam, "V (x) lambda does not sit inside W"), ncols=W.dim)
     return ModuleExtension(module, embedding, W)
 
 
 def _commutant_dimension(M: PartialModule) -> int:
-    field = M.field
+    """dim {X : X op = op X for every operator of M}."""
     d = M.dim
-    ops = M.operator_matrices()
     rows = []
     for r in range(d):
         for s in range(d):
             block = []
-            for op in ops:
+            for op in M.a_act + M.h_act:
                 # (E_rs op - op E_rs) flattened
-                comm = [list(zero_vec(field, d)) for _ in range(d)]
-                for jj in range(d):
-                    x = op.rows[s][jj]
-                    if x:
-                        comm[r][jj] = comm[r][jj] + x
-                for ii in range(d):
-                    x = op.rows[ii][r]
-                    if x:
-                        comm[ii][s] = comm[ii][s] - x
-                block.extend(x for row in comm for x in row)
-            rows.append(tuple(block))
-    return Matrix(field, rows, ncols=len(rows[0])).left_kernel().dim
+                comm = [0] * (d * d)
+                comm[r * d:(r + 1) * d] = op[s]
+                for i in range(d):
+                    comm[i * d + s] -= op[i][r]
+                block.extend(comm)
+            rows.append(block)
+    return d * d - _rref(rows, M.field.char)[1]

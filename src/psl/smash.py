@@ -17,6 +17,7 @@ from psl.algebra import (
     NotAnIdeal,
     _add_scaled,
     _apply_raw,
+    _closed_subalgebra,
     _compact,
     _differ,
     _multiply_raw,
@@ -157,17 +158,9 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     image = Subspace._span(field, N, [_multiply_raw(terms, ((i, 1),), u_terms) for i in range(N)])
     rows = [_nonzero(r) for r in image.rows]
     d = image.dim
-
-    def in_carrier(raw):
-        c = image.coords_of(raw)
-        if c is None:
-            raise InvariantViolation("carrier is not multiplicatively closed")
-        return c
-
-    mult = [[in_carrier(_multiply_raw(terms, rows[s], rows[t])) for t in range(d)] for s in range(d)]
-    unit = in_carrier(_dense(u_terms, N))
-    labels = tuple(f"w{s}" for s in range(d))
-    carrier = Algebra(field, mult, unit=unit, labels=labels)
+    carrier, in_carrier = _closed_subalgebra(
+        full, image, _dense(u_terms, N), "carrier is not multiplicatively closed", [f"w{s}" for s in range(d)]
+    )
     check_algebra(carrier).raise_if_failed("partial smash carrier axioms")
 
     # a # 1_H for the basis of A

@@ -84,12 +84,6 @@ class Workspace:
         return self.actions[name]
 
 
-def _scalars(field: Field, nested):
-    if isinstance(nested, list):
-        return [_scalars(field, x) for x in nested]
-    return field.of(nested)
-
-
 def _section(doc: dict, key: str) -> dict:
     """A name -> entry section of the document, every entry an object."""
     section = doc.get(key, {})
@@ -166,15 +160,15 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
             elif ctor is None:
                 alg = Algebra(
                     field,
-                    _scalars(field, spec["mult"]),
-                    unit=_scalars(field, spec["unit"]),
+                    spec["mult"],
+                    unit=spec["unit"],
                     labels=spec.get("labels"),
                 )
                 H = HopfAlgebra(
                     alg,
-                    _scalars(field, spec["comul"]),
-                    _scalars(field, spec["counit"]),
-                    Matrix(field, _scalars(field, spec["antipode"])),
+                    spec["comul"],
+                    spec["counit"],
+                    Matrix(field, spec["antipode"]),
                 )
             else:
                 raise ParseError(f"hopf algebra {name!r}: unknown constructor {ctor!r}")
@@ -194,8 +188,8 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
             elif ctor is None:
                 A = Algebra(
                     field,
-                    _scalars(field, spec["mult"]),
-                    unit=_scalars(field, spec["unit"]) if "unit" in spec else None,
+                    spec["mult"],
+                    unit=spec["unit"] if "unit" in spec else None,
                     labels=spec.get("labels"),
                 )
             else:
@@ -222,7 +216,7 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
             elif builder == "dual_group_idempotent":
                 pa = dual_group_idempotent(field, get_group(spec["group"]), spec["subgroup"])
             elif builder is None:
-                pa = PartialAction(H, A, _scalars(field, spec["act"]))
+                pa = PartialAction(H, A, spec["act"])
             else:
                 raise ParseError(f"action {name!r}: unknown builder {builder!r}")
         if builder is None and check:
@@ -246,8 +240,7 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
             raise ParseError(f"ideal {name!r}: need an 'action' or 'algebra' reference")
         # e.g. an entry "1/0", or a vector whose length is not the ambient dimension
         with _entry("ideal", name):
-            vectors = [_scalars(field, v) for v in spec.get("vectors", [])]
-            ws.ideals[name] = Subspace.from_vectors(field, ambient, vectors)
+            ws.ideals[name] = Subspace.from_vectors(field, ambient, spec.get("vectors", []))
 
     for name, spec in _section(doc, "modules").items():
         pa = ws.actions.get(spec.get("action"))
@@ -258,8 +251,8 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
                 spec.get("side", "right"),
                 pa,
                 int(spec["dim"]),
-                _scalars(field, spec["a_act"]),
-                _scalars(field, spec["h_act"]),
+                spec["a_act"],
+                spec["h_act"],
             )
         if check:
             report = check_partial_module(M)

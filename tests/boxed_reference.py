@@ -15,13 +15,29 @@ reduces mod p after every operation and it compares equal to any int
 congruent to it.  Nothing here calls psl's kernel, so tests can compare
 the two.  Every function accepts psl's canonical scalars (or boxed ones)
 and returns canonical scalars: ints in [0, p) over F_p, Fractions over Q.
+
+The module constructions at the end (the right and left extensions, the
+smash-module conversion, the commutant and the operator image algebra) are
+psl's earlier dense loops over the coproduct tensors; they go through psl's
+public module and action methods.
 """
 
 import random
 from fractions import Fraction
 
-from psl.algebra import Algebra, CheckReport
-from psl.exactla import FieldMismatch, Subspace
+from psl.algebra import Algebra, CheckReport, InvariantViolation
+from psl.exactla import FieldMismatch, Matrix, Subspace, _Echelon, _nonzero, zero_vec
+from psl.hopf import dual_hopf, left_integrals
+from psl.paction import PartialAction, action_to_coaction
+from psl.pmod import (
+    AlgebraModule,
+    AxiomViolation,
+    ModuleExtension,
+    NotAModule,
+    PartialModule,
+    check_partial_module,
+    mod_basis,
+)
 
 
 class Fp:
@@ -822,3 +838,315 @@ def carrier(pa, full):
     mult = [[image.coords_of(multiply(full, r, s)) for s in rows] for r in rows]
     incl = [image.coords_of(tensor_coords(field, basis(field, A.dim, j), H.unit)) for j in range(A.dim)]
     return mult, image.coords_of(u), incl
+
+
+# ---------------------------------------------------------------------------
+# module constructions: psl's dense loops over `H.comul`, `K.comul` and
+# `zero_vec`, as they stood before the extensions, the smash-module
+# conversion, the commutant and the operator image algebra ran on sparse
+# operator rows.  Unlike the loops above they call psl's public module,
+# action and matrix methods; the loops themselves are the old ones.
+
+def to_smash_module(M: PartialModule, sp) -> AlgebraModule:
+    """m (a # h) := (m a) <| h (right), resp. (a # h) m := a (h |> m) (left)."""
+    carrier = sp.carrier
+    m_h = M.pa.hopf.dim
+    act = []
+    for c in range(carrier.dim):
+        row_c = []
+        coords = sp.coords.rows[c]
+        for j in range(M.dim):
+            w = M.basis_vector(j)
+            out = list(zero_vec(M.field, M.dim))
+            for idx, coeff in enumerate(coords):
+                if not coeff:
+                    continue
+                ja, ih = divmod(idx, m_h)
+                if M.side == "right":
+                    term = M.act_h_basis(ih, M.act_a_basis(ja, w))
+                else:
+                    term = M.act_a_basis(ja, M.act_h_basis(ih, w))
+                for t, x in enumerate(term):
+                    if x:
+                        out[t] = out[t] + coeff * x
+            row_c.append(tuple(out))
+        act.append(row_c)
+    mod = AlgebraModule(carrier, M.dim, M.side, act)
+    report = mod.check()
+    if not report.ok:
+        raise AxiomViolation("smash-module conversion failed: " + report.failures[0])
+    return mod
+
+
+def operator_image_algebra(M: PartialModule):
+    """The unital subalgebra of End(M) generated by the partial-action operators.
+
+    Operators are flattened d x d matrices; the span is closed under
+    composition by spinning over pairs, as in `subalgebra_closure`.
+    """
+    field = M.field
+    d = M.dim
+
+    def compose(u, v):
+        """Flattened u @ v of sparse flattened matrices, dense and unreduced."""
+        v_rows = [[] for _ in range(d)]
+        for k, y in v:
+            v_rows[k // d].append((k % d, y))
+        out = [0] * (d * d)
+        for k, x in u:
+            i, j = divmod(k, d)
+            for l, y in v_rows[j]:
+                out[i * d + l] += x * y
+        return out
+
+    identity = Matrix.identity(field, d)
+    basis = _Echelon(field.char)
+    for op in M.operator_matrices() + [identity]:
+        basis.add([x for row in op.rows for x in row])
+    gens = basis.rows
+    i = 0
+    while i < len(gens) < d * d:
+        u = gens[i][1]
+        for j in range(i + 1):
+            w = gens[j][1]
+            basis.add(compose(u, w))
+            basis.add(compose(w, u))
+        i += 1
+    span = basis.span(field, d * d)
+
+    def coords(vec):
+        c = span.coords_of(vec)
+        if c is None:
+            raise InvariantViolation("operator image algebra is not closed")
+        return c
+
+    rows = [_nonzero(r) for r in span.rows]
+    mult = [[coords(compose(u, v)) for v in rows] for u in rows]
+    unit = coords([x for row in identity.rows for x in row])
+    return Algebra(field, mult, unit=unit)
+
+
+def _restrict_operator(op: Matrix, W: Subspace) -> list[tuple]:
+    rows = []
+    for r in W.rows:
+        c = W.coords_of(op.apply(r))
+        if c is None:
+            raise InvariantViolation("extension space is not invariant under the action")
+        rows.append(c)
+    return rows
+
+
+def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
+    """W = span{sum v (k1 . x) (x) k2} <= V (x) H with the induced partial actions."""
+    if V.side != "right" or V.algebra != pa.alg:
+        raise NotAModule("extend_right_module needs a right A-module")
+    if not V.check().ok:
+        raise NotAModule("V is not a unital A-module")
+    H, A = pa.hopf, pa.alg
+    m = H.dim
+    field = pa.field
+    amb = V.dim * m
+
+    def tens(vvec, hvec):
+        out = list(zero_vec(field, amb))
+        for j, cv in enumerate(vvec):
+            if not cv:
+                continue
+            for i, ch in enumerate(hvec):
+                if ch:
+                    out[j * m + i] = out[j * m + i] + cv * ch
+        return tuple(out)
+
+    gens = []
+    for jv in range(V.dim):
+        v = mod_basis(V, jv)
+        for x in range(A.dim):
+            for k in range(m):
+                out = list(zero_vec(field, amb))
+                for p in range(m):
+                    for q in range(m):
+                        c = H.comul[k][p][q]
+                        if not c:
+                            continue
+                        moved = V.act_vec(pa.act_basis(p, A.basis_vector(x)), v)
+                        for t, xv in enumerate(moved):
+                            if xv:
+                                out[t * m + q] = out[t * m + q] + c * xv
+                gens.append(tuple(out))
+    W = Subspace.from_vectors(field, amb, gens)
+
+    a_ops = []
+    for a in range(A.dim):
+        rows = []
+        for jv in range(V.dim):
+            for k in range(m):
+                out = list(zero_vec(field, amb))
+                for p in range(m):
+                    for q in range(m):
+                        c = H.comul[k][p][q]
+                        if not c:
+                            continue
+                        moved = V.act_vec(pa.act_basis(p, A.basis_vector(a)), mod_basis(V, jv))
+                        for t, xv in enumerate(moved):
+                            if xv:
+                                out[t * m + q] = out[t * m + q] + c * xv
+                rows.append(tuple(out))
+        a_ops.append(Matrix(field, rows, ncols=amb))
+
+    h_ops = []
+    for h in range(m):
+        rows = []
+        for jv in range(V.dim):
+            for k in range(m):
+                out = list(zero_vec(field, amb))
+                for p in range(m):
+                    for q in range(m):
+                        c = H.comul[k][p][q]
+                        if not c:
+                            continue
+                        for r in range(m):
+                            for s in range(m):
+                                c2 = H.comul[h][r][s]
+                                if not c2:
+                                    continue
+                                kh = H.alg.mult[p][r]
+                                moved = V.act_vec(pa.act_vec(kh, A.unit), mod_basis(V, jv))
+                                hq_hs = H.alg.mult[q][s]
+                                for t, xv in enumerate(moved):
+                                    if not xv:
+                                        continue
+                                    cc = c * c2 * xv
+                                    for u, xh in enumerate(hq_hs):
+                                        if xh:
+                                            out[t * m + u] = out[t * m + u] + cc * xh
+                rows.append(tuple(out))
+        h_ops.append(Matrix(field, rows, ncols=amb))
+
+    a_act = [_restrict_operator(op, W) for op in a_ops]
+    h_act = [_restrict_operator(op, W) for op in h_ops]
+    module = PartialModule("right", pa, W.dim, a_act, h_act)
+    check_partial_module(module).raise_if_failed("extended right module axioms")
+
+    emb_rows = []
+    for jv in range(V.dim):
+        c = W.coords_of(tens(mod_basis(V, jv), H.unit))
+        if c is None:
+            raise InvariantViolation("V (x) 1_H does not sit inside W")
+        emb_rows.append(c)
+    embedding = Matrix(field, emb_rows, ncols=W.dim)
+    return ModuleExtension(module, embedding, W)
+
+
+def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
+    """W = rho(A)(V (x) H*) with a.w = rho(a)w and h |> w = rho(1)(id (x) h->)(w)."""
+    if V.side != "left" or V.algebra != pa.alg:
+        raise NotAModule("extend_left_module needs a left A-module")
+    if not V.check().ok:
+        raise NotAModule("V is not a unital A-module")
+    A = pa.alg
+    K = dual_hopf(pa.hopf)
+    pc = action_to_coaction(pa)
+    m = K.dim
+    field = pa.field
+    amb = V.dim * m
+    rho = pc.rho.rows
+    rho_unit = pc.rho_of(A.unit)
+
+    def rho_times(avec_rho, vvec, kvec):
+        """rho-coefficient vector acting on v (x) phi."""
+        out = list(zero_vec(field, amb))
+        for idx, c in enumerate(avec_rho):
+            if not c:
+                continue
+            b, l = divmod(idx, m)
+            moved = V.act_basis(b, vvec)
+            prod_k = K.alg.multiply(K.alg.basis_vector(l), kvec)
+            for t, xv in enumerate(moved):
+                if not xv:
+                    continue
+                cc = c * xv
+                for u, xk in enumerate(prod_k):
+                    if xk:
+                        out[t * m + u] = out[t * m + u] + cc * xk
+        return tuple(out)
+
+    gens = []
+    for x in range(A.dim):
+        for jv in range(V.dim):
+            for phi in range(m):
+                gens.append(
+                    rho_times(rho[x], mod_basis(V, jv), K.alg.basis_vector(phi))
+                )
+    W = Subspace.from_vectors(field, amb, gens)
+
+    a_ops = []
+    for a in range(A.dim):
+        rows = []
+        for jv in range(V.dim):
+            for r in range(m):
+                rows.append(rho_times(rho[a], mod_basis(V, jv), K.alg.basis_vector(r)))
+        a_ops.append(Matrix(field, rows, ncols=amb))
+
+    h_ops = []
+    for h in range(pa.hopf.dim):
+        rows = []
+        for jv in range(V.dim):
+            for r in range(m):
+                # h -> p_r = sum_s comul_K[r][s][h] p_s, then multiply by rho(1)
+                out = list(zero_vec(field, amb))
+                for s in range(m):
+                    c = K.comul[r][s][h]
+                    if not c:
+                        continue
+                    term = rho_times(rho_unit, mod_basis(V, jv), K.alg.basis_vector(s))
+                    for t, x in enumerate(term):
+                        if x:
+                            out[t] = out[t] + c * x
+                rows.append(tuple(out))
+        h_ops.append(Matrix(field, rows, ncols=amb))
+
+    a_act = [_restrict_operator(op, W) for op in a_ops]
+    h_act = [_restrict_operator(op, W) for op in h_ops]
+    module = PartialModule("left", pa, W.dim, a_act, h_act)
+    check_partial_module(module).raise_if_failed("extended left module axioms")
+
+    ints = left_integrals(K)
+    if ints.dim != 1:
+        raise InvariantViolation("integral space of H* must be one-dimensional")
+    lam = ints.rows[0]
+    emb_rows = []
+    for jv in range(V.dim):
+        vec = list(zero_vec(field, amb))
+        for r, c in enumerate(lam):
+            if c:
+                vec[jv * m + r] = c
+        coords = W.coords_of(tuple(vec))
+        if coords is None:
+            raise InvariantViolation("V (x) lambda does not sit inside W")
+        emb_rows.append(coords)
+    embedding = Matrix(field, emb_rows, ncols=W.dim)
+    return ModuleExtension(module, embedding, W)
+
+
+def commutant_dimension(M: PartialModule) -> int:
+    field = M.field
+    d = M.dim
+    ops = M.operator_matrices()
+    rows = []
+    for r in range(d):
+        for s in range(d):
+            block = []
+            for op in ops:
+                # (E_rs op - op E_rs) flattened
+                comm = [list(zero_vec(field, d)) for _ in range(d)]
+                for jj in range(d):
+                    x = op.rows[s][jj]
+                    if x:
+                        comm[r][jj] = comm[r][jj] + x
+                for ii in range(d):
+                    x = op.rows[ii][r]
+                    if x:
+                        comm[ii][s] = comm[ii][s] - x
+                block.extend(x for row in comm for x in row)
+            rows.append(tuple(block))
+    return Matrix(field, rows, ncols=len(rows[0])).left_kernel().dim

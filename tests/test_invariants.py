@@ -278,7 +278,7 @@ def irreducible_extension_fails_axioms(monkeypatch):
 
 def quotient_not_irreducible(monkeypatch):
     pa, V = irreducible_setup(monkeypatch)
-    monkeypatch.setattr(pmod, "is_irreducible", lambda M, budget: False)
+    monkeypatch.setattr(pmod, "is_irreducible", lambda M: False)
     return lambda: irreducible_extension(pa, V)
 
 

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from psl.algebra import ideal_closure, product_of_fields
-from psl.exactla import GF, QQ, Subspace, closure_under_operators
+from psl.algebra import Algebra, NotAnIdeal, ideal_closure, is_ideal, product_of_fields
+from psl.exactla import GF, QQ, Subspace, closure_under_operators, enumerate_invariant_subspaces
 from psl.hopf import GroupTable, group_algebra
 from psl.paction import colon_ideal, is_h_stable, trivial_action
 from psl.pmod import (
@@ -113,6 +113,30 @@ def test_fix_a_unique_simple_module():
     # e_N = 1_A acts as the identity
     assert M.act_a(pa.alg.unit, (1,)) == (QQ.one,)
     assert is_irreducible(M) is True
+
+
+def upper_triangular_f2():
+    """T_2 over F_2 on the basis (e11, e12, e22), with unit e11 + e22."""
+    mult = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    mult[0][0][0] = mult[0][1][1] = mult[1][2][1] = mult[2][2][2] = 1
+    return Algebra(F2, mult, unit=[1, 0, 1])
+
+
+def test_quotient_module_needs_an_ideal_of_its_side():
+    A = upper_triangular_f2()
+    # span{e11, e12 + e22} is neither: e11 (e12 + e22) = e12 lies outside it
+    with pytest.raises(NotAnIdeal):
+        quotient_module(A, Subspace.from_vectors(F2, 3, [[1, 0, 0], [0, 1, 1]]), "left")
+    refused = 0
+    for I in enumerate_invariant_subspaces(F2, 3, []):
+        for side in ("left", "right"):
+            if is_ideal(A, I, side):
+                assert quotient_module(A, I, side).check().ok
+            else:
+                with pytest.raises(NotAnIdeal):
+                    quotient_module(A, I, side)
+                refused += 1
+    assert refused == 18
 
 
 def test_annihilator_regular_and_quotient():

@@ -6,7 +6,10 @@ one corrupted tensor entry, both must give the same CheckReport (the same
 failure strings in the same order) for algebras, partial actions, Hopf
 algebras, partial coactions, modules and partial modules, the same full
 smash product, the same partial smash carrier, and the same subspace
-products and closures.
+products and closures.  The module constructions (extensions, smash-module
+conversion, commutant, operator image algebra) must match psl's earlier
+dense loops, also for Sweedler's H_4 and the S_3 corner, whose Hopf
+algebras are not cocommutative (and H_4 not commutative either).
 """
 
 import random
@@ -23,23 +26,39 @@ from psl.algebra import (
     is_ideal,
     is_nilpotent_subspace,
     nilpotency_index,
+    product_of_fields,
     span_products,
     subalgebra_closure,
 )
 from psl.exactla import GF, QQ, DimensionMismatch, FieldMismatch, Matrix
-from psl.hopf import HopfAlgebra, check_hopf, dual_hopf
+from psl.hopf import HopfAlgebra, check_hopf, dual_hopf, sweedler_h4
 from psl.paction import (
     PartialAction,
     PartialCoaction,
     action_to_coaction,
     check_partial_action,
     check_partial_coaction,
+    dual_group_idempotent,
+    trivial_action,
 )
-from psl.pmod import AlgebraModule, PartialModule, check_partial_module, from_smash_module, regular_module
+from psl.pmod import (
+    AlgebraModule,
+    PartialModule,
+    _commutant_dimension,
+    _operator_image_algebra,
+    check_partial_module,
+    extend_left_module,
+    extend_right_module,
+    from_smash_module,
+    quotient_module,
+    regular_module,
+    to_smash_module,
+)
 from psl.radicals import jacobson_radical
 from psl.smash import build_full_smash, build_partial_smash
 from psl.verify import random_partial_action, truncated_polynomial_algebra
 from helpers import rand_subspace, rand_vec
+from test_nonabelian import a3_indices
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 DRAWS = 30
@@ -283,3 +302,78 @@ def test_module_checkers_match_boxed_loops(field):
         assert V.act_vec(x, w) == ref.module_act_vec(V, x, w)
         assert pa.act_vec(h, a) == ref.act_vec(pa, h, a)
     assert modules >= DRAWS // 2 and failing_modules >= modules // 2 and failing_partial >= modules
+
+
+def module_instances(field):
+    """The seeded draws, then Sweedler's H_4 acting trivially on field^2 and the S_3 corner.
+
+    The cyclic draws have commutative, cocommutative Hopf algebras: only H_4
+    tells h_k h from h h_k, and only the last two tell Delta from its flip.
+    """
+    yield from draws(field)
+    rng = random.Random(9300 + field.char)
+    if field.char != 2:
+        yield rng, trivial_action(sweedler_h4(field), product_of_fields(field, 2))
+    if field.char != 3:
+        G, evens = a3_indices()
+        yield rng, dual_group_idempotent(field, G, evens)
+
+
+def a_modules(rng, A):
+    """The regular right and left A-modules and their quotients by a seeded one-sided ideal closure."""
+    for side in ("right", "left"):
+        yield regular_module(A, side)
+        I = ideal_closure(A, [rand_vec(rng, A.field, A.dim)], side)
+        if not I.is_full():
+            yield quotient_module(A, I, side)
+
+
+def is_cocommutative(H):
+    m = H.dim
+    return all(H.comul[i][p][q] == H.comul[i][q][p] for i in range(m) for p in range(m) for q in range(m))
+
+
+def same_small_module_invariants(M):
+    """The commutant and the operator image algebra of M agree with the dense loops."""
+    if M.dim > 6:
+        return 0
+    assert _commutant_dimension(M) == ref.commutant_dimension(M)
+    assert _operator_image_algebra(M) == ref.operator_image_algebra(M)
+    return 1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_module_extensions_match_dense_loops(field):
+    extensions = noncocommutative = small = 0
+    for rng, pa in module_instances(field):
+        if pa.alg.dim * pa.hopf.dim > 24:
+            continue
+        sp = build_partial_smash(pa)
+        for V in a_modules(rng, pa.alg):
+            if V.side == "right":
+                got, want = extend_right_module(pa, V), ref.extend_right_module(pa, V)
+            else:
+                got, want = extend_left_module(pa, V), ref.extend_left_module(pa, V)
+            assert got.space == want.space and got.embedding == want.embedding
+            M = got.module
+            assert (M.side, M.a_act, M.h_act) == (want.module.side, want.module.a_act, want.module.h_act)
+            assert to_smash_module(M, sp).act == ref.to_smash_module(M, sp).act
+            small += same_small_module_invariants(M)
+            extensions += 1
+            noncocommutative += not is_cocommutative(pa.hopf)
+    assert extensions >= 2 * DRAWS and noncocommutative >= 2 and small >= DRAWS
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_smash_module_conversion_matches_dense_loops(field):
+    modules = small = 0
+    for rng, pa in module_instances(field):
+        sp = build_partial_smash(pa)
+        if sp.carrier.dim > 8:
+            continue
+        for mod in a_modules(rng, sp.carrier):
+            M = from_smash_module(sp, mod)
+            assert to_smash_module(M, sp).act == ref.to_smash_module(M, sp).act == mod.act
+            small += same_small_module_invariants(M)
+            modules += 1
+    assert modules >= DRAWS and small >= DRAWS
