@@ -34,6 +34,7 @@ from psl.exactla import (
     _Echelon,
     _nonzero,
     _spin,
+    _vector,
     unit_vec,
     zero_vec,
 )
@@ -149,11 +150,10 @@ class Algebra:
         n = len(mult)
         self.field = field
         self.dim = n
-        of = field.of
-        self.mult = tuple(tuple(tuple(of(x) for x in e) for e in row) for row in mult)
+        self.mult = tuple(tuple(tuple(_vector(field, e)) for e in row) for row in mult)
         if any(len(row) != n or any(len(e) != n for e in row) for row in self.mult):
             raise DimensionMismatch("structure tensor is not n x n x n")
-        self.unit = None if unit is None else tuple(of(x) for x in unit)
+        self.unit = None if unit is None else tuple(_vector(field, unit))
         if self.unit is not None and len(self.unit) != n:
             raise DimensionMismatch("unit vector has wrong length")
         self.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))

@@ -432,13 +432,36 @@ def _operator_terms(field: Field, n: int, operators: Sequence["Matrix"]) -> list
     return ops
 
 
+def _vector(field: Field, vec: Sequence) -> list:
+    """A vector entering from outside as a dense list of canonical scalars.
+
+    A string is refused rather than read as a vector of its characters.
+    """
+    if isinstance(vec, str):
+        raise TypeError(f"expected a vector, got the string {vec!r}")
+    of = field.of
+    return [of(x) for x in vec]
+
+
 def _coerce(field: Field, vec: Sequence, n: int, error=DimensionMismatch) -> list:
     """A vector entering from outside as a dense list of canonical scalars, its length checked."""
-    of = field.of
-    v = [of(x) for x in vec]
+    v = _vector(field, vec)
     if len(v) != n:
         raise error(f"vector length {len(v)} != {n}")
     return v
+
+
+def _tensor(field: Field, tensor, shape: tuple[int, int, int], what: str) -> tuple:
+    """A tensor t[i][j] of vectors entering from outside as canonical tuples.
+
+    Every length must equal `shape` exactly: a short tensor is not indexed
+    out of range and a long one is not truncated.
+    """
+    out = tuple(tuple(tuple(_vector(field, v)) for v in row) for row in tensor)
+    rows, cols, width = shape
+    if len(out) != rows or any(len(row) != cols or any(len(v) != width for v in row) for row in out):
+        raise DimensionMismatch(f"{what} tensor shape mismatch: expected {rows} x {cols} x {width}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +473,7 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: Field, rows: Iterable[Iterable], ncols: int | None = None):
-        of = field.of
-        rws = tuple(tuple(of(x) for x in row) for row in rows)
+        rws = tuple(tuple(_vector(field, row)) for row in rows)
         if rws:
             ncols = len(rws[0])
             if any(len(r) != ncols for r in rws):

@@ -27,6 +27,8 @@ from psl.exactla import (
     _canon,
     _coerce,
     _nonzero,
+    _tensor,
+    _vector,
     unit_vec,
     zero_vec,
 )
@@ -114,12 +116,9 @@ class HopfAlgebra:
         if alg.unit is None:
             raise ValueError("Hopf algebra needs a unital underlying algebra")
         m = alg.dim
-        of = alg.field.of
         self.alg = alg
-        self.comul = tuple(
-            tuple(tuple(of(x) for x in comul[i][j]) for j in range(m)) for i in range(m)
-        )
-        self.counit = tuple(of(x) for x in counit)
+        self.comul = _tensor(alg.field, comul, (m, m, m), "comultiplication")
+        self.counit = tuple(_vector(alg.field, counit))
         if len(self.counit) != m:
             raise ValueError("counit length mismatch")
         if antipode.nrows != m or antipode.ncols != m:

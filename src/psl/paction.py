@@ -40,6 +40,7 @@ from psl.exactla import (
     _canon,
     _coerce,
     _nonzero,
+    _tensor,
     zero_vec,
 )
 from psl.hopf import GroupTable, HopfAlgebra, dual_group_algebra, dual_hopf, group_algebra
@@ -65,27 +66,26 @@ class CharDividesOrder(ValueError):
     pass
 
 
+def _check_pair(hopf: HopfAlgebra, alg: Algebra) -> None:
+    """Raise unless H can act partially on A: one field, A unital and nonzero."""
+    if hopf.field != alg.field:
+        raise DimensionMismatch("Hopf algebra and algebra over different fields")
+    if alg.unit is None:
+        raise ValueError("partial actions require a unital algebra")
+    if alg.dim == 0:
+        raise ValueError("partial actions require a nonzero algebra")
+
+
 class PartialAction:
     # `_terms[i][j]` is h_i . e_j as a sparse row; `_smash` holds the partial
     # smash product once build_partial_smash has made it
     __slots__ = ("hopf", "alg", "act", "_terms", "_smash")
 
     def __init__(self, hopf: HopfAlgebra, alg: Algebra, act):
-        if hopf.field != alg.field:
-            raise DimensionMismatch("Hopf algebra and algebra over different fields")
-        if alg.unit is None:
-            raise ValueError("partial actions require a unital algebra")
-        if alg.dim == 0:
-            raise ValueError("partial actions require a nonzero algebra")
-        m, n = hopf.dim, alg.dim
-        of = alg.field.of
+        _check_pair(hopf, alg)
         self.hopf = hopf
         self.alg = alg
-        self.act = tuple(
-            tuple(tuple(of(x) for x in act[i][j]) for j in range(n)) for i in range(m)
-        )
-        if any(len(self.act[i][j]) != n for i in range(m) for j in range(n)):
-            raise DimensionMismatch("action tensor shape mismatch")
+        self.act = _tensor(alg.field, act, (hopf.dim, alg.dim, alg.dim), "action")
         self._terms = tuple(tuple(_nonzero(v) for v in row) for row in self.act)
         self._smash = None
 
@@ -271,13 +271,19 @@ def induce_from_ideal(global_pa: PartialAction, e: Sequence) -> PartialAction:
     return pa
 
 
-def dual_group_idempotent(field, G: GroupTable, N: Sequence[int]) -> PartialAction:
-    """(kG)* acting partially on e_N kG for a normal subgroup N of order prime to char."""
+def _normal_subgroup(field, G: GroupTable, N: Sequence[int]) -> list[int]:
+    """N as sorted indices: BadSubgroup unless it is normal in G, CharDividesOrder if char | |N|."""
     Ns = sorted(set(int(x) for x in N))
-    if not G.is_normal(Ns):
+    if not (set(Ns) <= set(range(G.order)) and G.is_normal(Ns)):
         raise BadSubgroup(f"{Ns} is not a normal subgroup")
     if field.char and len(Ns) % field.char == 0:
         raise CharDividesOrder(f"char {field.char} divides |N| = {len(Ns)}")
+    return Ns
+
+
+def dual_group_idempotent(field, G: GroupTable, N: Sequence[int]) -> PartialAction:
+    """(kG)* acting partially on e_N kG for a normal subgroup N of order prime to char."""
+    Ns = _normal_subgroup(field, G, N)
     B = group_algebra(field, G).alg
     inv = pow(len(Ns), -1, field.char) if field.char else field.one / len(Ns)
     e_N = list(zero_vec(field, G.order))

@@ -44,7 +44,6 @@ from psl.algebra import (
     subalgebra_closure,
 )
 from psl.exactla import (
-    DimensionMismatch,
     Matrix,
     Subspace,
     _canon,
@@ -53,6 +52,7 @@ from psl.exactla import (
     _projective_raw,
     _rref,
     _spin,
+    _tensor,
     enumerate_invariant_subspaces,
     unit_vec,
 )
@@ -78,15 +78,6 @@ class NotAModule(ValueError):
     pass
 
 
-def _module_tensor(field, tensor, nops: int, dim: int, what: str) -> tuple:
-    """An action tensor (operator i, module basis j) -> image, as canonical tuples."""
-    of = field.of
-    out = tuple(tuple(tuple(of(x) for x in tensor[i][j]) for j in range(dim)) for i in range(nops))
-    if any(len(v) != dim for row in out for v in row):
-        raise DimensionMismatch(f"{what} action tensor shape mismatch")
-    return out
-
-
 class AlgebraModule:
     """Module over a plain Algebra (used for modules over the smash carrier)."""
 
@@ -99,7 +90,7 @@ class AlgebraModule:
         self.algebra = algebra
         self.dim = dim
         self.side = side
-        self.act = _module_tensor(algebra.field, act, algebra.dim, dim, "module")
+        self.act = _tensor(algebra.field, act, (algebra.dim, dim, dim), "module action")
         self._terms = tuple(tuple(_nonzero(v) for v in row) for row in self.act)
 
     @property
@@ -192,8 +183,8 @@ class PartialModule:
         self.side = side
         self.pa = pa
         self.dim = dim
-        self.a_act = _module_tensor(pa.field, a_act, pa.alg.dim, dim, "partial module A")
-        self.h_act = _module_tensor(pa.field, h_act, pa.hopf.dim, dim, "partial module H")
+        self.a_act = _tensor(pa.field, a_act, (pa.alg.dim, dim, dim), "partial module A action")
+        self.h_act = _tensor(pa.field, h_act, (pa.hopf.dim, dim, dim), "partial module H action")
         self._a_terms = tuple(tuple(_nonzero(v) for v in row) for row in self.a_act)
         self._h_terms = tuple(tuple(_nonzero(v) for v in row) for row in self.h_act)
 

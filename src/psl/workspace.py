@@ -2,15 +2,22 @@
 partial actions, ideals and modules.
 
 Scalars travel as strings "num/den" over Q and as plain integers over
-F_p, so every load/store round trip is bit-exact.  All explicit tensors
-are run through their checkers on load.
+F_p, so every load/store round trip is bit-exact.  Everything the document
+states is checked on load: its shape, every reference, every explicit
+tensor by its axiom checker, and the parameters of every builder action.
+A builder action (`trivial`, `c4_triple`, `dual_group_idempotent`) is
+built on its first lookup, at most once per `Workspace`, and the checks its
+builder runs on what it builds run then.  A command thus builds only the
+actions it uses; an ideal or module builds the action it names on load.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 from psl.algebra import Algebra, InvariantViolation, check_algebra, product_of_fields
 from psl.exactla import Field, Subspace, parse_field
@@ -26,6 +33,8 @@ from psl.hopf import (
 )
 from psl.paction import (
     PartialAction,
+    _check_pair,
+    _normal_subgroup,
     c4_triple,
     check_partial_action,
     dual_group_idempotent,
@@ -54,13 +63,41 @@ class WorkspaceAxiomError(ValueError):
         self.failures = failures
 
 
+class _Actions(Mapping):
+    """Read-only name -> PartialAction in document order.
+
+    An entry is a PartialAction or a thunk that builds one; a thunk runs on
+    the first lookup of its name, inside `_entry`, and its action replaces it.
+    """
+
+    def __init__(self):
+        self._entries = {}
+
+    def __getitem__(self, name: str) -> PartialAction:
+        entry = self._entries[name]
+        if not isinstance(entry, PartialAction):
+            with _entry("action", name):
+                entry = entry()
+            self._entries[name] = entry
+        return entry
+
+    def __contains__(self, name) -> bool:
+        return name in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 @dataclass
 class Workspace:
     field: Field
     groups: dict = dc_field(default_factory=dict)
     hopf_algebras: dict = dc_field(default_factory=dict)
     algebras: dict = dc_field(default_factory=dict)
-    actions: dict = dc_field(default_factory=dict)
+    actions: Mapping = dc_field(default_factory=_Actions)
     ideals: dict = dc_field(default_factory=dict)
     modules: dict = dc_field(default_factory=dict)
 
@@ -97,11 +134,14 @@ def _section(doc: dict, key: str) -> dict:
 
 @contextmanager
 def _entry(kind: str, name: str):
-    """Report a malformed entry as a ParseError that names it."""
+    """Report a malformed entry as a ParseError, and a name it uses that does not
+    resolve as an UnresolvedReference; either message names the entry."""
     try:
         yield
-    except (ParseError, UnresolvedReference, InvariantViolation):
+    except (ParseError, InvariantViolation):
         raise
+    except UnresolvedReference as exc:
+        raise UnresolvedReference(f"{kind} {name!r}: {exc.args[0]}") from exc
     except KeyError as exc:
         raise ParseError(f"{kind} {name!r}: missing {exc}") from exc
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -207,14 +247,17 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
             A = ws.algebras.get(spec.get("algebra"))
             if H is None or A is None:
                 raise UnresolvedReference(f"action {name!r}: unknown hopf/algebra reference")
-        # e.g. BadSubgroup or CharDividesOrder: the document asks for an impossible action
+        # e.g. BadSubgroup or CharDividesOrder: the document asks for an impossible action.
+        # A builder's parameters are checked here; the build waits for a lookup.
         with _entry("action", name):
             if builder == "trivial":
-                pa = trivial_action(H, A)
+                _check_pair(H, A)
+                pa = partial(trivial_action, H, A)
             elif builder == "c4_triple":
-                pa = c4_triple(field)
+                pa = partial(c4_triple, field)
             elif builder == "dual_group_idempotent":
-                pa = dual_group_idempotent(field, get_group(spec["group"]), spec["subgroup"])
+                G = get_group(spec["group"])
+                pa = partial(dual_group_idempotent, field, G, _normal_subgroup(field, G, spec["subgroup"]))
             elif builder is None:
                 pa = PartialAction(H, A, spec["act"])
             else:
@@ -223,7 +266,7 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
             report = check_partial_action(pa)
             if not report.ok:
                 raise WorkspaceAxiomError(name, "action", report.failures)
-        ws.actions[name] = pa
+        ws.actions._entries[name] = pa
 
     for name, spec in _section(doc, "ideals").items():
         if "action" in spec:

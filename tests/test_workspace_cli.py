@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from psl import paction, workspace
 from psl.cli import main
 from psl.exactla import QQ
 from psl.paction import c4_triple
@@ -333,4 +334,201 @@ def test_cli_malformed_workspace_exits_two(tmp_path, capsys, mutate, message):
     assert main(["radicals", "--workspace", str(path), "triple"]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def _with_bad_action(entry, field=None, groups=None):
+    def mutate(doc):
+        doc["actions"]["bad"] = entry
+        if field is not None:
+            doc["field"] = field
+        doc["groups"].update(groups or {})
+    return mutate
+
+
+S3_TABLE = {"cayley": [[0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 0, 1, 4, 5, 3],
+                       [3, 4, 5, 0, 1, 2], [4, 5, 3, 2, 0, 1], [5, 3, 4, 1, 2, 0]]}
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_with_bad_action({"builder": "dual_group_idempotent", "group": "S3", "subgroup": [0, 3]},
+                      groups={"S3": S3_TABLE}), "is not a normal subgroup"),
+    (_with_bad_action({"builder": "dual_group_idempotent", "group": "C3", "subgroup": [0, 1, 2]},
+                      field={"kind": "Fp", "p": 3}, groups={"C3": {"cyclic": 3}}),
+     "char 3 divides |N| = 3"),
+    (_with_bad_action({"builder": "dual_group_idempotent", "group": "C2", "subgroup": [0, 7]}),
+     "is not a normal subgroup"),
+    (_with_bad_action({"builder": "dual_group_idempotent", "subgroup": [0]}), "missing 'group'"),
+    (_with_bad_action({"builder": "dual_group_idempotent", "group": "C2"}), "missing 'subgroup'"),
+    (_with_bad_action({"builder": "dual_group_idempotent", "group": "C9", "subgroup": [0]}),
+     "group 'C9' not defined"),
+    (_with_bad_action({"builder": "nope"}), "unknown builder 'nope'"),
+    (_with_bad_action({"builder": "trivial", "hopf": "nope", "algebra": "Q3"}),
+     "unknown hopf/algebra reference"),
+    (_with_bad_action({"builder": "trivial", "hopf": "QC4", "algebra": "nope"}),
+     "unknown hopf/algebra reference"),
+], ids=["non-normal", "char-divides", "out-of-range", "no-group", "no-subgroup", "unknown-group",
+        "unknown-builder", "unresolved-hopf", "unresolved-algebra"])
+def test_cli_malformed_builder_exits_two_for_other_action(tmp_path, capsys, mutate, message):
+    # builder parameters are checked on load, though only the named action is built
+    doc = json.loads(SAMPLE.read_text())
+    mutate(doc)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    for command in ("radicals", "smash", "check"):
+        assert main([command, "--workspace", str(path), "triple"]) == 2
+        captured = capsys.readouterr()
+        assert "action 'bad'" in captured.err and message in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+
+BENCH_WORKSPACES = Path(__file__).resolve().parent.parent / "pslbench" / "workspaces"
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Count the calls of the action builders and of the action checker."""
+    counts = dict.fromkeys(("dual_group_idempotent", "c4_triple", "check_partial_action"), 0)
+    for name in counts:
+        original = getattr(paction, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(paction, name, counted)
+        if hasattr(workspace, name):
+            monkeypatch.setattr(workspace, name, counted)
+    return counts
+
+
+def test_cli_builds_only_the_named_action(build_counts, capsys):
+    assert main(["radicals", "--workspace", str(BENCH_WORKSPACES / "q.json"), "triple"]) == 0
+    capsys.readouterr()
+    assert build_counts == {"dual_group_idempotent": 0, "c4_triple": 1, "check_partial_action": 1}
+
+
+def test_cli_builds_the_action_on_every_call(build_counts, capsys):
+    # nothing built by one command is kept for the next
+    path = str(BENCH_WORKSPACES / "q.json")
+    assert main(["radicals", "--workspace", path, "corner"]) == 0
+    assert main(["radicals", "--workspace", path, "corner"]) == 0
+    capsys.readouterr()
+    assert build_counts["dual_group_idempotent"] == 2
+    assert build_counts["c4_triple"] == 0
+
+
+def test_workspace_builds_each_action_once(build_counts):
+    ws = load_workspace(str(BENCH_WORKSPACES / "q.json"))
+    assert build_counts["dual_group_idempotent"] == 0
+    assert list(ws.actions)[:2] == ["triple", "corner"]
+    assert "corner" in ws.actions and "nope" not in ws.actions
+    assert build_counts["dual_group_idempotent"] == 0
+    assert ws.actions["corner"] is ws.actions["corner"]
+    assert ws.action("corner") is ws.actions["corner"]
+    assert build_counts["dual_group_idempotent"] == 1
+    assert len(dict(ws.actions.items())) == len(ws.actions) == 11
+    assert build_counts["dual_group_idempotent"] == 4
+    assert build_counts["c4_triple"] == 1
+
+
+@pytest.mark.parametrize("path", [
+    SAMPLE, BENCH_WORKSPACES / "q.json", BENCH_WORKSPACES / "f2.json", BENCH_WORKSPACES / "f3.json",
+], ids=lambda p: p.name)
+def test_cli_check_every_named_object(path, capsys):
+    doc = json.loads(path.read_text())
+    for section in ("groups", "hopf_algebras", "algebras", "actions", "ideals", "modules"):
+        for name in doc.get(section, {}):
+            assert main(["check", "--workspace", str(path), name]) == 0, name
+    capsys.readouterr()
+
+
+def explicit_doc():
+    """QC2 written out as an explicit Hopf algebra acting trivially on Q^2, with an ideal
+    and the regular right partial module of the action."""
+    return {
+        "version": "psl-workspace/1",
+        "field": {"kind": "Q"},
+        "hopf_algebras": {"H": {
+            "mult": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]],
+            "unit": ["1", "0"],
+            "comul": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
+            "counit": ["1", "1"],
+            "antipode": [["1", "0"], ["0", "1"]],
+        }},
+        "algebras": {"A": {
+            "mult": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
+            "unit": ["1", "1"],
+        }},
+        "actions": {"t": {"hopf": "H", "algebra": "A",
+                          "act": [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]]}},
+        "ideals": {"I": {"action": "t", "vectors": [["1", "0"]]}},
+        "modules": {"reg": {
+            "action": "t", "side": "right", "dim": 2,
+            "a_act": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
+            "h_act": [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]],
+        }},
+    }
+
+
+TENSORS = {
+    "act": (("actions", "t", "act"), "action 't'"),
+    "comul": (("hopf_algebras", "H", "comul"), "hopf algebra 'H'"),
+    "a_act": (("modules", "reg", "a_act"), "module 'reg'"),
+    "h_act": (("modules", "reg", "h_act"), "module 'reg'"),
+}
+
+
+def test_explicit_doc_loads(tmp_path):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(explicit_doc()))
+    ws = load_workspace(str(path))
+    assert ws.modules["reg"].dim == 2 and ws.ideals["I"].dim == 1
+    assert main(["radicals", "--workspace", str(path), "t"]) == 0
+
+
+@pytest.mark.parametrize("tensor", sorted(TENSORS))
+@pytest.mark.parametrize("length", ["short", "long"])
+def test_cli_tensor_of_wrong_length_exits_two(tmp_path, capsys, tensor, length):
+    # a short tensor is not indexed out of range, a long one is not truncated
+    doc = explicit_doc()
+    (section, name, key), entry = TENSORS[tensor]
+    t = doc[section][name][key]
+    if length == "short":
+        t.pop()
+    else:
+        t.append(t[0])
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert main(["radicals", "--workspace", str(path), "t"]) == 2
+    captured = capsys.readouterr()
+    assert entry in captured.err and "DimensionMismatch" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def _string_at(section, name, key, i, j):
+    def mutate(doc):
+        doc[section][name][key][i][j] = "10"
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, entry", [
+    (lambda doc: doc["algebras"]["A"].update(unit="10"), "algebra 'A'"),
+    (lambda doc: doc["hopf_algebras"]["H"].update(counit="11"), "hopf algebra 'H'"),
+    (lambda doc: doc["ideals"]["I"].update(vectors=["10"]), "ideal 'I'"),
+    (lambda doc: doc["hopf_algebras"]["H"].update(antipode=["10", "01"]), "hopf algebra 'H'"),
+    (_string_at("actions", "t", "act", 1, 0), "action 't'"),
+    (_string_at("hopf_algebras", "H", "comul", 0, 0), "hopf algebra 'H'"),
+    (_string_at("modules", "reg", "a_act", 0, 0), "module 'reg'"),
+    (_string_at("modules", "reg", "h_act", 1, 1), "module 'reg'"),
+], ids=["unit", "counit", "ideal", "antipode", "act", "comul", "a_act", "h_act"])
+def test_cli_string_for_vector_exits_two(tmp_path, capsys, mutate, entry):
+    # "10" is not read as the vector (1, 0)
+    doc = explicit_doc()
+    mutate(doc)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--workspace", str(path), "t"]) == 2
+    captured = capsys.readouterr()
+    assert entry in captured.err and "TypeError" in captured.err
     assert "Traceback" not in captured.err + captured.out
