@@ -14,7 +14,13 @@ action, coaction and module loops built on `_apply_raw`) run on sparse
 vectors and on the rows of `Subspace` through `_multiply_raw`; over F_p they
 leave sums unreduced and reduce mod p only where a value is compared
 (`_differ`), returned or stored (`_canon`), or fed to a next product
-(`_compact`).
+(`_compact`).  Over Q the sparse vectors (`_nonzero`, `_compact`) hold an
+integral c as an int and any other as a Fraction, so these loops multiply
+plain ints wherever the constants allow; `_canon` makes every value a
+Fraction again on the way out.  An algebra psl builds from its own kernel
+output (`build_full_smash`, `quotient_algebra`, `_closed_subalgebra`) is made
+by `Algebra._of_terms` from such terms directly, and its dense `mult` is
+derived on first read.
 """
 
 from __future__ import annotations
@@ -67,10 +73,11 @@ class CheckReport:
 
 
 def _compact(raw: Sequence, p: int) -> tuple:
-    """The nonzero (k, c) of dense (possibly unreduced) coordinates, reduced mod p (p = 0 over Q)."""
+    """The nonzero (k, c) of dense (possibly unreduced) coordinates, reduced mod p (p = 0 over Q,
+    where an integral c becomes its int)."""
     if p:
         return tuple((k, v % p) for k, v in enumerate(raw) if v % p)
-    return tuple((k, v) for k, v in enumerate(raw) if v)
+    return _nonzero(raw, 0)
 
 
 def _differ(u: Sequence, v: Sequence, p: int) -> bool:
@@ -101,21 +108,23 @@ def _apply_raw(rows, x: Sequence, n: int) -> list:
     return out
 
 
-def _apply_pair(rows, x: Sequence, v: Sequence, n: int) -> list:
+def _apply_pair(rows, x: Sequence, v: Sequence, n: int, p: int) -> list:
     """sum_i x_i rows[i](v): a sparse x acting on a sparse v through operators given by their
     sparse rows, as in h . a = sum_i h_i (h_i . a); dense, unreduced."""
-    return _apply_raw({i: _nonzero(_apply_raw(rows[i], v, n)) for i, _ in x}, x, n)
+    return _apply_raw({i: _nonzero(_apply_raw(rows[i], v, n), p) for i, _ in x}, x, n)
 
 
 def _operate(field: Field, terms, i: int, vec: Sequence, n: int) -> tuple:
     """vec (length n) under operator i of the sparse action tensor `terms`, canonical."""
-    return _canon(_apply_raw(terms[i], _nonzero(_coerce(field, vec, n)), n), field.char)
+    p = field.char
+    return _canon(_apply_raw(terms[i], _nonzero(_coerce(field, vec, n), p), n), p)
 
 
 def _operate_sum(field: Field, terms, x: Sequence, vec: Sequence, n: int) -> tuple:
     """sum_i x_i (vec under operator i) of the sparse action tensor `terms`, canonical."""
-    x = _nonzero(_coerce(field, x, len(terms)))
-    return _canon(_apply_pair(terms, x, _nonzero(_coerce(field, vec, n)), n), field.char)
+    p = field.char
+    x = _nonzero(_coerce(field, x, len(terms)), p)
+    return _canon(_apply_pair(terms, x, _nonzero(_coerce(field, vec, n), p), n, p), p)
 
 
 def _tensor_terms(left, right) -> tuple:
@@ -138,7 +147,9 @@ def _add_scaled(acc: list, c, raw: Sequence) -> None:
 
 
 class Algebra:
-    __slots__ = ("field", "dim", "mult", "unit", "labels", "terms")
+    # `_mult` is the dense tensor behind `mult`: given to the public constructor,
+    # derived from `terms` on first read for an algebra built by `_of_terms`
+    __slots__ = ("field", "dim", "_mult", "unit", "labels", "terms")
 
     def __init__(
         self,
@@ -148,10 +159,11 @@ class Algebra:
         labels: Sequence[str] | None = None,
     ):
         n = len(mult)
+        p = field.char
         self.field = field
         self.dim = n
-        self.mult = tuple(tuple(tuple(_vector(field, e)) for e in row) for row in mult)
-        if any(len(row) != n or any(len(e) != n for e in row) for row in self.mult):
+        self._mult = tuple(tuple(tuple(_vector(field, e)) for e in row) for row in mult)
+        if any(len(row) != n or any(len(e) != n for e in row) for row in self._mult):
             raise DimensionMismatch("structure tensor is not n x n x n")
         self.unit = None if unit is None else tuple(_vector(field, unit))
         if self.unit is not None and len(self.unit) != n:
@@ -159,18 +171,43 @@ class Algebra:
         self.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))
         if len(self.labels) != n:
             raise DimensionMismatch("wrong number of labels")
-        self.terms = tuple(tuple(_nonzero(e) for e in row) for row in self.mult)
+        self.terms = tuple(tuple(_nonzero(e, p) for e in row) for row in self._mult)
+
+    @classmethod
+    def _of_terms(cls, field: Field, terms: tuple, unit: tuple | None = None, labels=None) -> "Algebra":
+        """An algebra on structure constants already in kernel form, as psl's own loops make them.
+
+        `terms[i][j]` holds the nonzero (k, c) of e_i * e_j, reduced (ints where
+        integral over Q), and `unit` is canonical; nothing is coerced or rescanned.
+        """
+        A = cls.__new__(cls)
+        n = len(terms)
+        A.field = field
+        A.dim = n
+        A._mult = None
+        A.unit = unit
+        A.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))
+        A.terms = terms
+        return A
+
+    @property
+    def mult(self) -> tuple:
+        """The dense structure tensor mult[i][j] = e_i * e_j, canonical."""
+        if self._mult is None:
+            n, p = self.dim, self.field.char
+            self._mult = tuple(tuple(_canon(_dense(e, n), p) for e in row) for row in self.terms)
+        return self._mult
 
     def __eq__(self, other):
         return (
             isinstance(other, Algebra)
             and self.field == other.field
-            and self.mult == other.mult
+            and self.terms == other.terms
             and self.unit == other.unit
         )
 
     def __hash__(self):
-        return hash((self.field, self.mult, self.unit))
+        return hash((self.field, self.terms, self.unit))
 
     def __repr__(self):
         u = "unital" if self.unit is not None else "non-unital"
@@ -183,12 +220,14 @@ class Algebra:
         return unit_vec(self.field, self.dim, i)
 
     def multiply(self, x: Sequence, y: Sequence) -> tuple:
-        x, y = _nonzero(_coerce(self.field, x, self.dim)), _nonzero(_coerce(self.field, y, self.dim))
-        return _canon(_multiply_raw(self.terms, x, y), self.field.char)
+        field, n = self.field, self.dim
+        p = field.char
+        x, y = _nonzero(_coerce(field, x, n), p), _nonzero(_coerce(field, y, n), p)
+        return _canon(_multiply_raw(self.terms, x, y), p)
 
     def _mult_matrix(self, x: Sequence, left: bool) -> Matrix:
-        x = _nonzero(_coerce(self.field, x, self.dim))
         p, terms = self.field.char, self.terms
+        x = _nonzero(_coerce(self.field, x, self.dim), p)
         rows = tuple(
             _canon(_multiply_raw(terms, x, ((j, 1),)) if left else _multiply_raw(terms, ((j, 1),), x), p)
             for j in range(self.dim)
@@ -231,7 +270,7 @@ def check_algebra(A: Algebra) -> CheckReport:
                 if _differ(lhs, rhs, p):
                     failures.append(f"associativity fails at basis triple ({i},{j},{k})")
     if A.unit is not None:
-        unit = _nonzero(A.unit)
+        unit = _nonzero(A.unit, p)
         for i in range(n):
             if _differ(_multiply_raw(terms, unit, basis[i]), dense[i], p):
                 failures.append(f"left unit law fails at basis {i}")
@@ -251,9 +290,9 @@ def span_products(A: Algebra, U: Subspace, V: Subspace) -> Subspace:
     """Span of {u*v : u in U, v in V} (the subspace product U V)."""
     _check_inside(A, U)
     _check_inside(A, V)
-    terms = A.terms
-    vs = [_nonzero(v) for v in V.rows]
-    return Subspace._span(A.field, A.dim, [_multiply_raw(terms, _nonzero(u), v) for u in U.rows for v in vs])
+    terms, p = A.terms, A.field.char
+    vs = [_nonzero(v, p) for v in V.rows]
+    return Subspace._span(A.field, A.dim, [_multiply_raw(terms, _nonzero(u, p), v) for u in U.rows for v in vs])
 
 
 def _mult_operators(A: Algebra, side: str) -> list:
@@ -279,8 +318,8 @@ def is_ideal(A: Algebra, I: Subspace, side: str = "two_sided") -> bool:
     if I.ambient != A.dim or I.field != A.field:
         raise DimensionMismatch("subspace does not live in the algebra")
     ops = _mult_operators(A, side)
-    n = A.dim
-    return all(I._holds(_apply_raw(op, _nonzero(v), n)) for v in I.rows for op in ops)
+    n, p = A.dim, A.field.char
+    return all(I._holds(_apply_raw(op, _nonzero(v, p), n)) for v in I.rows for op in ops)
 
 
 class AlgebraMap:
@@ -303,14 +342,14 @@ class AlgebraMap:
     def is_multiplicative(self) -> bool:
         src, tgt = self.source, self.target
         p, n = src.field.char, tgt.dim
-        images = [_nonzero(r) for r in self.matrix.rows]
+        images = [_nonzero(r, p) for r in self.matrix.rows]
         for i in range(src.dim):
             for j in range(src.dim):
                 lhs = _apply_raw(images, src.terms[i][j], n)
                 if _differ(lhs, _multiply_raw(tgt.terms, images[i], images[j]), p):
                     return False
         if src.unit is not None and tgt.unit is not None:
-            if _differ(_apply_raw(images, _nonzero(src.unit), n), list(tgt.unit), p):
+            if _differ(_apply_raw(images, _nonzero(src.unit, p), n), list(tgt.unit), p):
                 return False
         return True
 
@@ -329,14 +368,17 @@ def quotient_algebra(A: Algebra, I: Subspace) -> tuple[Algebra, AlgebraMap]:
     qdim = len(comp)
     n, p = A.dim, A.field.char
 
-    def project(raw):
+    def cosets(raw):
         r = I._residual(raw)
-        return _canon([r[c] for c in comp], p)
+        return [r[c] for c in comp]
 
-    mult = [[project(_dense(A.terms[ci][cj], n)) for cj in comp] for ci in comp]
+    def project(raw):
+        return _canon(cosets(raw), p)
+
+    terms = tuple(tuple(_compact(cosets(_dense(A.terms[ci][cj], n)), p) for cj in comp) for ci in comp)
     unit = project(A.unit) if A.unit is not None else None
     labels = tuple(f"[{A.labels[c]}]" for c in comp)
-    Q = Algebra(A.field, mult, unit=unit, labels=labels)
+    Q = Algebra._of_terms(A.field, terms, unit, labels)
     images = tuple(project(_dense(((i, 1),), n)) for i in range(n))
     proj = AlgebraMap(A, Q, Matrix._of_raw(A.field, images, qdim))
     return Q, proj
@@ -418,20 +460,22 @@ def subalgebra_closure(A: Algebra, gens: Iterable[Sequence]) -> Subspace:
 def _closed_subalgebra(A: Algebra, S: Subspace, unit: Sequence, message: str, labels=None):
     """The algebra on a subspace S of A closed under products, on the RREF basis of S.
 
-    Returns it with the coordinate map of S, which raises
+    Returns it with the coordinate map of S, which takes a dense vector of A
+    (unreduced entries allowed), returns its canonical coordinates and raises
     InvariantViolation(message) on a vector outside S.  Coordinates go
-    through `Subspace.coords_of`.
+    through `Subspace._coords`.
     """
 
     def coords(vec):
-        c = S.coords_of(vec)
+        c = S._coords(vec)
         if c is None:
             raise InvariantViolation(message)
         return c
 
-    rows = [_nonzero(r) for r in S.rows]
-    mult = [[coords(_multiply_raw(A.terms, u, v)) for v in rows] for u in rows]
-    return Algebra(A.field, mult, unit=coords(unit), labels=labels), coords
+    p, terms = A.field.char, A.terms
+    rows = [_nonzero(r, p) for r in S.rows]
+    products = tuple(tuple(_nonzero(coords(_multiply_raw(terms, u, v)), p) for v in rows) for u in rows)
+    return Algebra._of_terms(A.field, products, coords(unit), labels), coords
 
 
 def product_of_fields(field: Field, k: int) -> Algebra:

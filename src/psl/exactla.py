@@ -13,7 +13,12 @@ pure function.
 
 One elimination routine, `_rref`, serves both fields.  Over F_p it reduces
 mod p once per row update rather than once per scalar operation (the
-delayed reduction of the same paper).  Invariant subspaces are closed by
+delayed reduction of the same paper).  In the same spirit the kernel keeps
+machine words over Q where it can: the sparse form of a row (`_nonzero`)
+holds an integral rational as its int and any other as a Fraction, and
+`_canon` turns every value back into a Fraction where a container stores
+it or a method returns it, so the representation above is all a caller
+sees.  Only `_rref` and `_Echelon.add` divide, and always by a Fraction.  Invariant subspaces are closed by
 spinning (Parker, "The computer calculation of modular characters (the
 Meat-Axe)", 1984): each new image is reduced once against a growing
 echelon basis and kept only if it is new.
@@ -222,9 +227,10 @@ def projective_vectors(field: Field, n: int) -> Iterator[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# the kernel: rows are sequences of ints (F_p, p > 0) or Fractions (Q, p = 0);
-# sparse rows are tuples of their nonzero (index, value) pairs.  Over F_p,
-# entries handed to the kernel may be unreduced.
+# the kernel: rows are sequences of ints (F_p, p > 0) or of rationals (Q,
+# p = 0), each an int where it is integral or a Fraction; sparse rows are
+# tuples of their nonzero (index, value) pairs.  Over F_p, entries handed to
+# the kernel may be unreduced.
 
 
 def _one(p: int):
@@ -246,9 +252,15 @@ def _canon(vec: Sequence, p: int) -> tuple:
     return tuple((x if x.__class__ is Fraction else Fraction(x)) if x else _QZERO for x in vec)
 
 
-def _nonzero(row: Sequence) -> tuple:
-    """The sparse form of a dense row whose entries are reduced."""
-    return tuple((k, x) for k, x in enumerate(row) if x)
+def _nonzero(row: Sequence, p: int) -> tuple:
+    """The sparse form of a dense row whose entries are reduced.
+
+    Over Q (p = 0) an integral value becomes its int, so that the kernel
+    multiplies machine words wherever it can.
+    """
+    if p:
+        return tuple((k, x) for k, x in enumerate(row) if x)
+    return tuple((k, x.numerator if x.denominator == 1 else x) for k, x in enumerate(row) if x)
 
 
 def _dense(sparse: Iterable[tuple], n: int) -> list:
@@ -428,7 +440,7 @@ def _operator_terms(field: Field, n: int, operators: Sequence["Matrix"]) -> list
             raise FieldMismatch(f"operator over {op.field}, space over {field}")
         if op.nrows != n or op.ncols != n:
             raise DimensionMismatch(f"operator is {op.nrows}x{op.ncols}, space has dim {n}")
-        ops.append(tuple(_nonzero(row) for row in op.rows))
+        ops.append(tuple(_nonzero(row, field.char) for row in op.rows))
     return ops
 
 

@@ -34,8 +34,21 @@ from psl.exactla import (
 )
 
 
+# the largest group order psl builds: kG and (kG)* hold order^3 structure constants
+MAX_GROUP_ORDER = 64
+
+
 class InvalidGroupTable(ValueError):
     """Cayley table is not a group."""
+
+
+class GroupTooLarge(ValueError):
+    """Group order above MAX_GROUP_ORDER."""
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_GROUP_ORDER:
+        raise GroupTooLarge(f"group order {n} exceeds the cap {MAX_GROUP_ORDER}")
 
 
 class BadCharacteristic(ValueError):
@@ -49,6 +62,7 @@ class GroupTable:
 
     def __init__(self, cayley: Sequence[Sequence[int]], labels: Sequence[str] | None = None):
         n = len(cayley)
+        _check_order(n)
         tab = tuple(tuple(int(x) for x in row) for row in cayley)
         if any(len(row) != n for row in tab):
             raise InvalidGroupTable("table is not square")
@@ -84,6 +98,7 @@ class GroupTable:
     def cyclic(cls, n: int) -> "GroupTable":
         if n < 1:
             raise InvalidGroupTable("order must be positive")
+        _check_order(n)
         cayley = [[(i + j) % n for j in range(n)] for i in range(n)]
         labels = ["1"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
         return cls(cayley, labels=labels)
@@ -124,7 +139,7 @@ class HopfAlgebra:
         if antipode.nrows != m or antipode.ncols != m:
             raise ValueError("antipode shape mismatch")
         self.antipode = antipode
-        self._delta = tuple(_nonzero([x for row in block for x in row]) for block in self.comul)
+        self._delta = tuple(_nonzero([x for row in block for x in row], alg.field.char) for block in self.comul)
 
     @property
     def field(self) -> Field:
@@ -155,8 +170,9 @@ class HopfAlgebra:
 
     def comul_vec(self, vec: Sequence) -> tuple:
         """Delta extended linearly; result in first-factor-major H(x)H coords."""
-        v = _nonzero(_coerce(self.field, vec, self.dim))
-        return _canon(_apply_raw(self._delta, v, self.dim ** 2), self.field.char)
+        p = self.field.char
+        v = _nonzero(_coerce(self.field, vec, self.dim), p)
+        return _canon(_apply_raw(self._delta, v, self.dim ** 2), p)
 
     def counit_of(self, vec: Sequence):
         v = _coerce(self.field, vec, self.dim)
@@ -168,9 +184,10 @@ class HopfAlgebra:
     def tensor_square_multiply(self, x2: Sequence, y2: Sequence) -> tuple:
         """(a(x)b)(c(x)d) = ac (x) bd on H(x)H coordinate vectors."""
         field, m2 = self.field, self.dim ** 2
-        x, y = _nonzero(_coerce(field, x2, m2)), _nonzero(_coerce(field, y2, m2))
+        p = field.char
+        x, y = _nonzero(_coerce(field, x2, m2), p), _nonzero(_coerce(field, y2, m2), p)
         terms = self.alg.terms
-        return _canon(_multiply_raw(_tensor_terms(terms, terms), x, y), field.char)
+        return _canon(_multiply_raw(_tensor_terms(terms, terms), x, y), p)
 
 
 def check_hopf(H: HopfAlgebra) -> CheckReport:
@@ -201,7 +218,7 @@ def check_hopf(H: HopfAlgebra) -> CheckReport:
             failures.append(f"(id (x) eps)Delta != id at basis {i}")
 
     # bialgebra compatibility
-    unit = _nonzero(H.unit)
+    unit = _nonzero(H.unit, p)
     unit_sq = [cj * ck for cj in H.unit for ck in H.unit]
     if _differ(_apply_raw(delta, unit, m * m), unit_sq, p):
         failures.append("Delta(1) != 1 (x) 1")
@@ -217,7 +234,7 @@ def check_hopf(H: HopfAlgebra) -> CheckReport:
                 failures.append(f"eps not multiplicative at basis pair ({i},{j})")
 
     # antipode convolution identities
-    s = [_nonzero(row) for row in H.antipode.rows]
+    s = [_nonzero(row, p) for row in H.antipode.rows]
     for i in range(m):
         left, right = [0] * m, [0] * m
         for jk, c in delta[i]:

@@ -33,12 +33,15 @@ from psl.algebra import (
     is_ideal,
     quotient_algebra,
 )
+from fractions import Fraction
+
 from psl.exactla import (
     DimensionMismatch,
     Matrix,
     Subspace,
     _canon,
     _coerce,
+    _dense,
     _nonzero,
     _tensor,
     zero_vec,
@@ -77,17 +80,44 @@ def _check_pair(hopf: HopfAlgebra, alg: Algebra) -> None:
 
 
 class PartialAction:
-    # `_terms[i][j]` is h_i . e_j as a sparse row; `_smash` holds the partial
-    # smash product once build_partial_smash has made it
-    __slots__ = ("hopf", "alg", "act", "_terms", "_smash")
+    # `_terms[i][j]` is h_i . e_j as a sparse row; `_act` is the dense tensor
+    # behind `act`, derived from `_terms` on first read for an action built by
+    # `_of_terms`; `_smash` holds the partial smash product once
+    # build_partial_smash has made it
+    __slots__ = ("hopf", "alg", "_act", "_terms", "_smash")
 
     def __init__(self, hopf: HopfAlgebra, alg: Algebra, act):
         _check_pair(hopf, alg)
         self.hopf = hopf
         self.alg = alg
-        self.act = _tensor(alg.field, act, (hopf.dim, alg.dim, alg.dim), "action")
-        self._terms = tuple(tuple(_nonzero(v) for v in row) for row in self.act)
+        self._act = _tensor(alg.field, act, (hopf.dim, alg.dim, alg.dim), "action")
+        p = alg.field.char
+        self._terms = tuple(tuple(_nonzero(v, p) for v in row) for row in self._act)
         self._smash = None
+
+    @classmethod
+    def _of_terms(cls, hopf: HopfAlgebra, alg: Algebra, terms: tuple) -> "PartialAction":
+        """An action on rows already in kernel form, as psl's own loops make them.
+
+        `terms[i][j]` holds the nonzero (k, c) of h_i . e_j, reduced (ints where
+        integral over Q); nothing is coerced or rescanned.
+        """
+        _check_pair(hopf, alg)
+        pa = cls.__new__(cls)
+        pa.hopf = hopf
+        pa.alg = alg
+        pa._act = None
+        pa._terms = terms
+        pa._smash = None
+        return pa
+
+    @property
+    def act(self) -> tuple:
+        """The dense action tensor act[i][j] = h_i . e_j, canonical."""
+        if self._act is None:
+            n, p = self.alg.dim, self.field.char
+            self._act = tuple(tuple(_canon(_dense(v, n), p) for v in row) for row in self._terms)
+        return self._act
 
     @property
     def field(self):
@@ -98,11 +128,11 @@ class PartialAction:
             isinstance(other, PartialAction)
             and self.hopf == other.hopf
             and self.alg == other.alg
-            and self.act == other.act
+            and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.hopf, self.alg, self.act))
+        return hash((self.hopf, self.alg, self._terms))
 
     def __repr__(self):
         return f"PartialAction(H dim {self.hopf.dim} on A dim {self.alg.dim} over {self.field})"
@@ -144,14 +174,14 @@ def check_partial_action(pa: PartialAction, samples: int = 4) -> CheckReport:
     dense = [[int(t == j) for t in range(n)] for j in range(n)]
     # h . e_k as a linear function of h, then h_p . 1_A and (h_q h_g) . e_k
     columns = [[act[r][k] for r in range(m)] for k in range(n)]
-    unit_a = _nonzero(A.unit)
+    unit_a = _nonzero(A.unit, p)
     unit_images = [_compact(_apply_raw(act[i], unit_a, n), p) for i in range(m)]
     hg_act = [
         [[_compact(_apply_raw(columns[k], h_terms[q][g], n), p) for k in range(n)] for g in range(m)]
         for q in range(m)
     ]
 
-    unit_h = _nonzero(H.unit)
+    unit_h = _nonzero(H.unit, p)
     for j in range(n):
         if _differ(_apply_raw(columns[j], unit_h, n), dense[j], p):
             failures.append(f"PA1 fails: 1_H . a != a at basis a={A.labels[j]}")
@@ -262,11 +292,12 @@ def induce_from_ideal(global_pa: PartialAction, e: Sequence) -> PartialAction:
     A, coords = _closed_subalgebra(
         B, ideal, e, "product escaped the right ideal eB", [f"a{s}" for s in range(ideal.dim)]
     )
-    act = [
-        [coords(B.multiply(e, global_pa.act_basis(i, r))) for r in ideal.rows]
+    p = B.field.char
+    act = tuple(
+        tuple(_nonzero(coords(B.multiply(e, global_pa.act_basis(i, r))), p) for r in ideal.rows)
         for i in range(global_pa.hopf.dim)
-    ]
-    pa = PartialAction(global_pa.hopf, A, act)
+    )
+    pa = PartialAction._of_terms(global_pa.hopf, A, act)
     check_partial_action(pa).raise_if_failed("induced partial action axioms")
     return pa
 
@@ -285,7 +316,7 @@ def dual_group_idempotent(field, G: GroupTable, N: Sequence[int]) -> PartialActi
     """(kG)* acting partially on e_N kG for a normal subgroup N of order prime to char."""
     Ns = _normal_subgroup(field, G, N)
     B = group_algebra(field, G).alg
-    inv = pow(len(Ns), -1, field.char) if field.char else field.one / len(Ns)
+    inv = pow(len(Ns), -1, field.char) if field.char else Fraction(1, len(Ns))
     e_N = list(zero_vec(field, G.order))
     for idx in Ns:
         e_N[idx] = inv
@@ -324,10 +355,10 @@ def colon_ideal(pa: PartialAction, I: Subspace) -> Subspace:
         raise NotAnIdeal("colon_ideal needs a two-sided ideal")
     if I.is_zero():
         return I
-    n = pa.alg.dim
+    n, p = pa.alg.dim, pa.field.char
     act = pa._terms
     rows = tuple(
-        _canon([x for op in act for x in I._residual(_apply_raw(op, _nonzero(r), n))], pa.field.char)
+        _canon([x for op in act for x in I._residual(_apply_raw(op, _nonzero(r, p), n))], p)
         for r in I.rows
     )
     z = Matrix._of_raw(pa.field, rows, n * pa.hopf.dim).left_kernel()
@@ -341,9 +372,9 @@ def colon_ideal(pa: PartialAction, I: Subspace) -> Subspace:
 
 def is_h_stable(pa: PartialAction, I: Subspace) -> bool:
     """H . I <= I, checked on basis pairs."""
-    n = pa.alg.dim
+    n, p = pa.alg.dim, pa.field.char
     act = pa._terms
-    return all(I._holds(_apply_raw(op, _nonzero(r), n)) for r in I.rows for op in act)
+    return all(I._holds(_apply_raw(op, _nonzero(r, p), n)) for r in I.rows for op in act)
 
 
 def quotient_action(pa: PartialAction, I: Subspace) -> tuple[PartialAction, AlgebraMap]:
@@ -351,13 +382,12 @@ def quotient_action(pa: PartialAction, I: Subspace) -> tuple[PartialAction, Alge
     if not is_h_stable(pa, I):
         raise NotHStable("quotient_action needs an H-stable ideal")
     Q, proj = quotient_algebra(pa.alg, I)
+    p, n = pa.field.char, Q.dim
+    images = [_nonzero(r, p) for r in proj.matrix.rows]
     comp = I.complement_indices()
-    lifts = [pa.alg.basis_vector(c) for c in comp]
-    act = [
-        [proj.apply(pa.act_basis(i, lifts[j])) for j in range(Q.dim)]
-        for i in range(pa.hopf.dim)
-    ]
-    qpa = PartialAction(pa.hopf, Q, act)
+    # h_i . (e_c + I) = proj(h_i . e_c) on the coset basis
+    act = tuple(tuple(_compact(_apply_raw(images, row[c], n), p) for c in comp) for row in pa._terms)
+    qpa = PartialAction._of_terms(pa.hopf, Q, act)
     check_partial_action(qpa).raise_if_failed("quotient action axioms")
     return qpa, proj
 
@@ -414,7 +444,7 @@ def check_partial_coaction(pc: PartialCoaction) -> CheckReport:
     A, K = pc.alg, pc.hopf
     n, m = A.dim, K.dim
     p = pc.field.char
-    rho = [_nonzero(r) for r in pc.rho.rows]
+    rho = [_nonzero(r, p) for r in pc.rho.rows]
     eps = K.counit
     dense = [[int(t == j) for t in range(n)] for j in range(n)]
     tensor = _tensor_terms(A.terms, K.alg.terms)
@@ -434,7 +464,7 @@ def check_partial_coaction(pc: PartialCoaction) -> CheckReport:
                 failures.append(f"PC2 fails at basis pair ({A.labels[j]}, {A.labels[k]})")
 
     # (rho (x) id) rho(e_j) = (rho(1) (x) 1_K)((id (x) Delta) rho(e_j)) in A (x) K (x) K
-    rho_unit = _compact(_apply_raw(rho, _nonzero(A.unit), n * m), p)
+    rho_unit = _compact(_apply_raw(rho, _nonzero(A.unit, p), n * m), p)
     comul = _comul_terms(K)
     for j in range(n):
         lhs = [0] * (n * m * m)
@@ -447,7 +477,7 @@ def check_partial_coaction(pc: PartialCoaction) -> CheckReport:
                 slices[l2][a * m + l1] += c * d
         rhs = [0] * (n * m * m)
         for l2, part in enumerate(slices):
-            for t, x in enumerate(_multiply_raw(tensor, rho_unit, _nonzero(part))):
+            for t, x in enumerate(_multiply_raw(tensor, rho_unit, _nonzero(part, p))):
                 rhs[t * m + l2] += x
         if _differ(lhs, rhs, p):
             failures.append(f"PC3 fails at basis {A.labels[j]}")
@@ -459,11 +489,13 @@ def coinvariant_subalgebra(pc: PartialCoaction) -> Subspace:
     """Solutions of rho(x) = (x (x) 1_K) rho(1)."""
     A, K = pc.alg, pc.hopf
     n, m = A.dim, K.dim
+    p = pc.field.char
     tensor = _tensor_terms(A.terms, K.alg.terms)
-    rho_unit = _nonzero(pc.rho_of(A.unit))
+    rho_unit = _nonzero(pc.rho_of(A.unit), p)
+    unit_k = _nonzero(K.unit, p)
     rows = []
     for j in range(n):
-        x_tensor_one = tuple((j * m + k, c) for k, c in _nonzero(K.unit))
+        x_tensor_one = tuple((j * m + k, c) for k, c in unit_k)
         rhs = _multiply_raw(tensor, x_tensor_one, rho_unit)
         rows.append([a - b for a, b in zip(pc.rho.rows[j], rhs)])
     return Matrix(pc.field, rows, ncols=n * m).left_kernel()

@@ -91,7 +91,7 @@ class AlgebraModule:
         self.dim = dim
         self.side = side
         self.act = _tensor(algebra.field, act, (algebra.dim, dim, dim), "module action")
-        self._terms = tuple(tuple(_nonzero(v) for v in row) for row in self.act)
+        self._terms = tuple(tuple(_nonzero(v, algebra.field.char) for v in row) for row in self.act)
 
     @property
     def field(self):
@@ -111,7 +111,7 @@ class AlgebraModule:
         failures = []
         A = self.algebra
         d, p, ops = self.dim, self.field.char, self._terms
-        unit = None if A.unit is None else _nonzero(A.unit)
+        unit = None if A.unit is None else _nonzero(A.unit, p)
         for j in range(d):
             w = [int(t == j) for t in range(d)]
             # the images of w under every basis element of A
@@ -185,8 +185,9 @@ class PartialModule:
         self.dim = dim
         self.a_act = _tensor(pa.field, a_act, (pa.alg.dim, dim, dim), "partial module A action")
         self.h_act = _tensor(pa.field, h_act, (pa.hopf.dim, dim, dim), "partial module H action")
-        self._a_terms = tuple(tuple(_nonzero(v) for v in row) for row in self.a_act)
-        self._h_terms = tuple(tuple(_nonzero(v) for v in row) for row in self.h_act)
+        p = pa.field.char
+        self._a_terms = tuple(tuple(_nonzero(v, p) for v in row) for row in self.a_act)
+        self._h_terms = tuple(tuple(_nonzero(v, p) for v in row) for row in self.h_act)
 
     @property
     def field(self):
@@ -228,24 +229,24 @@ def check_partial_module(M: PartialModule) -> CheckReport:
     d, p = M.dim, M.field.char
     a_ops, h_ops = M._a_terms, M._h_terms
     comul = _comul_terms(H)
-    unit_a, unit_h = _nonzero(A.unit), _nonzero(H.unit)
+    unit_a, unit_h = _nonzero(A.unit, p), _nonzero(H.unit, p)
     # h_p . e_ia and h_p . 1_A, sparse
     act = pa._terms
-    unit_images = [_nonzero(pa.unit_image(q)) for q in range(H.dim)]
+    unit_images = [_nonzero(pa.unit_image(q), p) for q in range(H.dim)]
 
     def apply_a(x, v):
         """x in A acting on the sparse module vector v."""
-        return _nonzero(_apply_pair(a_ops, x, v, d))
+        return _nonzero(_apply_pair(a_ops, x, v, d, p), p)
 
     def apply_h(x, v):
-        return _nonzero(_apply_pair(h_ops, x, v, d))
+        return _nonzero(_apply_pair(h_ops, x, v, d, p), p)
 
     for j in range(d):
         w = ((j, 1),)
         dense = [int(t == j) for t in range(d)]
-        if _differ(_apply_pair(a_ops, unit_a, w, d), dense, p):
+        if _differ(_apply_pair(a_ops, unit_a, w, d, p), dense, p):
             failures.append(f"A-unit law fails at w{j}")
-        if _differ(_apply_pair(h_ops, unit_h, w, d), dense, p):
+        if _differ(_apply_pair(h_ops, unit_h, w, d, p), dense, p):
             failures.append(f"PM1 fails at w{j}")
         for i in range(A.dim):
             for k in range(A.dim):
@@ -253,7 +254,7 @@ def check_partial_module(M: PartialModule) -> CheckReport:
                     lhs = _apply_raw(a_ops[k], a_ops[i][j], d)
                 else:
                     lhs = _apply_raw(a_ops[i], a_ops[k][j], d)
-                if _differ(lhs, _apply_pair(a_ops, A.terms[i][k], w, d), p):
+                if _differ(lhs, _apply_pair(a_ops, A.terms[i][k], w, d, p), p):
                     failures.append(f"A-module law fails at (e{i}, e{k}, w{j})")
 
     for j in range(d):
@@ -270,7 +271,7 @@ def check_partial_module(M: PartialModule) -> CheckReport:
                     if right:
                         term = _apply_raw(h_ops[hq], apply_a(act[hp][ia], w), d)
                     else:
-                        term = _apply_pair(a_ops, act[hp][ia], h_ops[hq][j], d)
+                        term = _apply_pair(a_ops, act[hp][ia], h_ops[hq][j], d, p)
                     _add_scaled(rhs, c, term)
                 if _differ(lhs, rhs, p):
                     failures.append(f"PM3 fails at (h{ih}, e{ia}, w{j})")
@@ -284,9 +285,9 @@ def check_partial_module(M: PartialModule) -> CheckReport:
                 for hp, hq, c in comul[ih]:
                     hq_g = H.alg.terms[hq][g]
                     if right:
-                        term = _apply_pair(h_ops, hq_g, apply_a(unit_images[hp], w), d)
+                        term = _apply_pair(h_ops, hq_g, apply_a(unit_images[hp], w), d, p)
                     else:
-                        term = _apply_pair(a_ops, unit_images[hp], apply_h(hq_g, w), d)
+                        term = _apply_pair(a_ops, unit_images[hp], apply_h(hq_g, w), d, p)
                     _add_scaled(rhs, c, term)
                 if _differ(lhs, rhs, p):
                     failures.append(f"PM4 fails at (h{ih}, h{g}, w{j})")
@@ -303,7 +304,7 @@ def to_smash_module(M: PartialModule, sp) -> AlgebraModule:
         images = []
         for j in range(d):
             out = [0] * d
-            for idx, c in _nonzero(row):
+            for idx, c in _nonzero(row, p):
                 ja, ih = divmod(idx, m)
                 if M.side == "right":
                     _add_scaled(out, c, _apply_raw(h_ops[ih], a_ops[ja][j], d))
@@ -404,12 +405,11 @@ def is_irreducible(M: PartialModule) -> bool | None:
 def _matrix_algebra(field, d: int) -> Algebra:
     """M_d(k) on the matrix units, e_ij at index i*d + j, with e_ij e_jl = e_il."""
     n = d * d
-    zero = (0,) * n
-    mult = [
-        [unit_vec(field, n, a - a % d + b % d) if a % d == b // d else zero for b in range(n)]
+    terms = tuple(
+        tuple(((a - a % d + b % d, 1),) if a % d == b // d else () for b in range(n))
         for a in range(n)
-    ]
-    return Algebra(field, mult, unit=[int(i % (d + 1) == 0) for i in range(n)])
+    )
+    return Algebra._of_terms(field, terms, _canon([int(i % (d + 1) == 0) for i in range(n)], field.char))
 
 
 def _operator_image_algebra(M: PartialModule):
@@ -458,7 +458,7 @@ def _extension_module(pa: PartialAction, side: str, W: Subspace, a_rows, h_rows)
 
     def restrict(rows):
         op = [_compact(r, W.field.char) for r in rows]
-        images = [_apply_raw(op, _nonzero(w), W.ambient) for w in W.rows]
+        images = [_apply_raw(op, _nonzero(w, W.field.char), W.ambient) for w in W.rows]
         return _coords_in(W, images, "extension space is not invariant under the action")
 
     module = PartialModule(side, pa, W.dim, [restrict(r) for r in a_rows], [restrict(r) for r in h_rows])
@@ -495,14 +495,14 @@ def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     a_rows = [[row([act[q][a] for q in range(m)], j, k) for j in range(dv) for k in range(m)] for a in range(n)]
     W = Subspace._span(field, amb, [r for rows in a_rows for r in rows])
     # (v (x) k) <| h = sum v ((kh)1 . 1_A) (x) (kh)2, as Delta(k)Delta(h) = Delta(kh)
-    unit_a = _nonzero(A.unit)
+    unit_a = _nonzero(A.unit, p)
     unit_images = [_compact(_apply_raw(act[q], unit_a, n), p) for q in range(m)]
     base = [[_compact(row(unit_images, j, l), p) for l in range(m)] for j in range(dv)]
     h_terms = H.alg.terms
     h_rows = [[_apply_raw(base[j], h_terms[k][h], amb) for j in range(dv) for k in range(m)] for h in range(m)]
 
     module = _extension_module(pa, "right", W, a_rows, h_rows)
-    unit_h = _nonzero(H.unit)
+    unit_h = _nonzero(H.unit, p)
     v_tensor_1 = [_dense(((j * m + i, x) for i, x in unit_h), amb) for j in range(dv)]
     embedding = Matrix(field, _coords_in(W, v_tensor_1, "V (x) 1_H does not sit inside W"), ncols=W.dim)
     return ModuleExtension(module, embedding, W)
@@ -577,7 +577,8 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     m, n, dv = K.dim, A.dim, V.dim
     field = pa.field
     amb = dv * m
-    rho = [_nonzero(r) for r in pc.rho.rows]
+    p = field.char
+    rho = [_nonzero(r, p) for r in pc.rho.rows]
     k_terms = K.alg.terms
 
     def row(rho_x, j, s):
@@ -594,7 +595,7 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     a_rows = [[row(rho[a], j, r) for j in range(dv) for r in range(m)] for a in range(n)]
     W = Subspace._span(field, amb, [r for rows in a_rows for r in rows])
     # h |> (v (x) p_r) = rho(1)(v (x) (h -> p_r)), where h_h -> p_r = sum_s Delta(p_r)[s][h] p_s
-    rho_unit = _compact(_apply_raw(rho, _nonzero(A.unit), n * m), field.char)
+    rho_unit = _compact(_apply_raw(rho, _nonzero(A.unit, p), n * m), p)
     base = [[row(rho_unit, j, s) for s in range(m)] for j in range(dv)]
     h_rows = [[[0] * amb for _ in range(amb)] for _ in range(m)]
     for r, parts in enumerate(_comul_terms(K)):
@@ -606,7 +607,7 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     ints = left_integrals(K)
     if ints.dim != 1:
         raise InvariantViolation("integral space of H* must be one-dimensional")
-    lam = _nonzero(ints.rows[0])
+    lam = _nonzero(ints.rows[0], p)
     v_tensor_lam = [_dense(((j * m + r, c) for r, c in lam), amb) for j in range(dv)]
     embedding = Matrix(field, _coords_in(W, v_tensor_lam, "V (x) lambda does not sit inside W"), ncols=W.dim)
     return ModuleExtension(module, embedding, W)

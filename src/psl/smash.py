@@ -15,7 +15,6 @@ from psl.algebra import (
     AlgebraMap,
     InvariantViolation,
     NotAnIdeal,
-    _add_scaled,
     _apply_raw,
     _closed_subalgebra,
     _compact,
@@ -59,7 +58,7 @@ def build_full_smash(pa: PartialAction) -> Algebra:
         [[_compact(_multiply_raw(A.terms, ((j, 1),), act[r][k]), p) for r in range(m)] for k in range(n)]
         for j in range(n)
     ]
-    mult = []
+    terms = []
     for j in range(n):
         for i in range(m):
             row = []
@@ -73,22 +72,22 @@ def build_full_smash(pa: PartialAction) -> Algebra:
                             cxa = c * xa
                             for u, xh in hpart:
                                 out[t * m + u] += cxa * xh
-                    row.append(out)
-            mult.append(row)
+                    row.append(_compact(out, p))
+            terms.append(tuple(row))
+    terms = tuple(terms)
     labels = tuple(f"{A.labels[j]}#{H.alg.labels[i]}" for j in range(n) for i in range(m))
     candidate_unit = tensor_coords(pa, A.unit, H.unit)
-    unit = _nonzero(candidate_unit)
+    unit = _nonzero(candidate_unit, p)
 
     def unit_laws_hold(b):
-        left, right = [0] * N, [0] * N
-        for a, c in unit:
-            _add_scaled(left, c, mult[a][b])
-            _add_scaled(right, c, mult[b][a])
-        e_b = [int(t == b) for t in range(N)]
-        return not (_differ(left, e_b, p) or _differ(right, e_b, p))
+        e_b = ((b, 1),)
+        dense = [int(t == b) for t in range(N)]
+        return not (
+            _differ(_multiply_raw(terms, unit, e_b), dense, p) or _differ(_multiply_raw(terms, e_b, unit), dense, p)
+        )
 
     unit_ok = all(unit_laws_hold(b) for b in range(N))
-    return Algebra(field, mult, unit=candidate_unit if unit_ok else None, labels=labels)
+    return Algebra._of_terms(field, terms, candidate_unit if unit_ok else None, labels)
 
 
 class SmashProduct:
@@ -104,7 +103,7 @@ class SmashProduct:
         self.include_A = include_A
         self.unit_element = unit_element
         self.dual_action = dual_action
-        self._unit_terms = _nonzero(unit_element)
+        self._unit_terms = _nonzero(unit_element, pa.field.char)
 
     @property
     def field(self):
@@ -125,7 +124,8 @@ class SmashProduct:
 
     def project(self, tensor_vec: Sequence) -> tuple:
         """(x)(1_A # 1_H) in carrier coordinates, for any x in A # H."""
-        return self._project(_nonzero(_coerce(self.field, tensor_vec, self.full.dim)))
+        field = self.field
+        return self._project(_nonzero(_coerce(field, tensor_vec, self.full.dim), field.char))
 
     def _project(self, x: tuple) -> tuple:
         """project() of a sparse tensor vector."""
@@ -149,14 +149,15 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     H, A = pa.hopf, pa.alg
     m, n = H.dim, A.dim
     field = pa.field
+    p = field.char
     full = build_full_smash(pa)
     N = full.dim
     terms = full.terms
     u = tensor_coords(pa, A.unit, H.unit)
-    u_terms = _nonzero(u)
+    u_terms = _nonzero(u, p)
 
     image = Subspace._span(field, N, [_multiply_raw(terms, ((i, 1),), u_terms) for i in range(N)])
-    rows = [_nonzero(r) for r in image.rows]
+    rows = [_nonzero(r, p) for r in image.rows]
     d = image.dim
     carrier, in_carrier = _closed_subalgebra(
         full, image, _dense(u_terms, N), "carrier is not multiplicatively closed", [f"w{s}" for s in range(d)]
@@ -164,7 +165,7 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     check_algebra(carrier).raise_if_failed("partial smash carrier axioms")
 
     # a # 1_H for the basis of A
-    h_unit = _nonzero(H.unit)
+    h_unit = _nonzero(H.unit, p)
     incl_rows = tuple(in_carrier(_dense(((j * m + i, c) for i, c in h_unit), N)) for j in range(n))
     include_A = AlgebraMap(A, carrier, Matrix._of_raw(field, incl_rows, d))
     if not include_A.is_injective():
@@ -187,9 +188,9 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
                 j, i = divmod(idx, m)
                 for hp, x in coproducts[r][i]:
                     out[j * m + hp] += c * x
-            act_r.append(in_carrier(out))
-        act.append(act_r)
-    dual_action = PartialAction(K, carrier, act)
+            act_r.append(_nonzero(in_carrier(out), p))
+        act.append(tuple(act_r))
+    dual_action = PartialAction._of_terms(K, carrier, tuple(act))
     check_partial_action(dual_action).raise_if_failed("dual Hopf action axioms")
     if not is_global(dual_action):
         raise InvariantViolation("H* action on the partial smash product must be global")
@@ -242,12 +243,12 @@ def smash_quotient_map(sp: SmashProduct, I: Subspace) -> tuple[SmashProduct, Alg
     pa = sp.pa
     qpa, proj = quotient_action(pa, I)
     sq = build_partial_smash(qpa)
-    m = pa.hopf.dim
+    m, p = pa.hopf.dim, pa.field.char
     # e_j (x) h_i |-> proj(e_j) (x) h_i on A (x) H
-    images = [_nonzero(r) for r in proj.matrix.rows]
+    images = [_nonzero(r, p) for r in proj.matrix.rows]
     lift = [tuple((t * m + i, x) for t, x in images[j]) for j in range(pa.alg.dim) for i in range(m)]
     N = qpa.alg.dim * m
-    rows = [sq.carrier_coords(_apply_raw(lift, _nonzero(r), N)) for r in sp.coords.rows]
+    rows = [sq.carrier_coords(_apply_raw(lift, _nonzero(r, p), N)) for r in sp.coords.rows]
     amap = AlgebraMap(sp.carrier, sq.carrier, Matrix._of_raw(sp.field, tuple(rows), sq.carrier.dim))
     if not amap.is_multiplicative():
         raise InvariantViolation("smash quotient map is not an algebra map")

@@ -148,6 +148,21 @@ def _entry(kind: str, name: str):
         raise ParseError(f"{kind} {name!r}: {type(exc).__name__}: {exc}") from exc
 
 
+def _named(table: Mapping, spec: dict, key: str, what: str):
+    """The object that the reference `spec[key]` names in `table`.
+
+    Call it inside `_entry`, which names the entry in the error: a reference
+    that is not a string is a TypeError, one that names nothing an
+    UnresolvedReference.
+    """
+    ref = spec.get(key)
+    if ref is not None and not isinstance(ref, str):
+        raise TypeError(f"{key!r} must be a name, got {type(ref).__name__}")
+    if ref not in table:
+        raise UnresolvedReference(f"unknown {what} {ref!r}")
+    return table[ref]
+
+
 def load_workspace(path_or_dict, check: bool = True) -> Workspace:
     if isinstance(path_or_dict, dict):
         doc = path_or_dict
@@ -242,14 +257,12 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
 
     for name, spec in _section(doc, "actions").items():
         builder = spec.get("builder")
-        if builder in ("trivial", None):
-            H = ws.hopf_algebras.get(spec.get("hopf"))
-            A = ws.algebras.get(spec.get("algebra"))
-            if H is None or A is None:
-                raise UnresolvedReference(f"action {name!r}: unknown hopf/algebra reference")
         # e.g. BadSubgroup or CharDividesOrder: the document asks for an impossible action.
         # A builder's parameters are checked here; the build waits for a lookup.
         with _entry("action", name):
+            if builder in ("trivial", None):
+                H = _named(ws.hopf_algebras, spec, "hopf", "hopf/algebra reference")
+                A = _named(ws.algebras, spec, "algebra", "hopf/algebra reference")
             if builder == "trivial":
                 _check_pair(H, A)
                 pa = partial(trivial_action, H, A)
@@ -269,30 +282,21 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
         ws.actions._entries[name] = pa
 
     for name, spec in _section(doc, "ideals").items():
-        if "action" in spec:
-            pa = ws.actions.get(spec["action"])
-            if pa is None:
-                raise UnresolvedReference(f"ideal {name!r}: unknown action {spec['action']!r}")
-            ambient = pa.alg.dim
-        elif "algebra" in spec:
-            A = ws.algebras.get(spec["algebra"])
-            if A is None:
-                raise UnresolvedReference(f"ideal {name!r}: unknown algebra {spec['algebra']!r}")
-            ambient = A.dim
-        else:
-            raise ParseError(f"ideal {name!r}: need an 'action' or 'algebra' reference")
         # e.g. an entry "1/0", or a vector whose length is not the ambient dimension
         with _entry("ideal", name):
+            if "action" in spec:
+                ambient = _named(ws.actions, spec, "action", "action").alg.dim
+            elif "algebra" in spec:
+                ambient = _named(ws.algebras, spec, "algebra", "algebra").dim
+            else:
+                raise ParseError(f"ideal {name!r}: need an 'action' or 'algebra' reference")
             ws.ideals[name] = Subspace.from_vectors(field, ambient, spec.get("vectors", []))
 
     for name, spec in _section(doc, "modules").items():
-        pa = ws.actions.get(spec.get("action"))
-        if pa is None:
-            raise UnresolvedReference(f"module {name!r}: unknown action {spec.get('action')!r}")
         with _entry("module", name):
             M = PartialModule(
                 spec.get("side", "right"),
-                pa,
+                _named(ws.actions, spec, "action", "action"),
                 int(spec["dim"]),
                 spec["a_act"],
                 spec["h_act"],

@@ -52,7 +52,7 @@ def poly_action():
 
 def carrier_not_closed(monkeypatch):
     pa = fix_c()
-    monkeypatch.setattr(Subspace, "coords_of", lambda self, vec: None)
+    monkeypatch.setattr(Subspace, "_coords", lambda self, vec: None)
     return lambda: build_partial_smash(pa)
 
 
@@ -95,7 +95,7 @@ def quotient_map_not_multiplicative(monkeypatch):
 
 
 def induced_product_escapes(monkeypatch):
-    monkeypatch.setattr(Subspace, "coords_of", lambda self, vec: None)
+    monkeypatch.setattr(Subspace, "_coords", lambda self, vec: None)
     return lambda: dual_group_idempotent(QQ, GroupTable.cyclic(2), [0, 1])
 
 
@@ -257,7 +257,7 @@ def operator_image_not_closed(monkeypatch):
     # QC2 under the trivial C1-action: basis closure passes, so the image algebra is built
     pa = trivial_action(group_algebra(QQ, GroupTable.cyclic(1)), group_algebra(QQ, GroupTable.cyclic(2)).alg)
     M = regular_partial_module(pa)
-    monkeypatch.setattr(Subspace, "coords_of", lambda self, vec: None)
+    monkeypatch.setattr(Subspace, "_coords", lambda self, vec: None)
     return lambda: is_irreducible(M)
 
 

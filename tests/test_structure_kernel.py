@@ -14,6 +14,7 @@ algebras are not cocommutative (and H_4 not commutative either).
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,8 +31,8 @@ from psl.algebra import (
     span_products,
     subalgebra_closure,
 )
-from psl.exactla import GF, QQ, DimensionMismatch, FieldMismatch, Matrix
-from psl.hopf import HopfAlgebra, check_hopf, dual_hopf, sweedler_h4
+from psl.exactla import GF, QQ, DimensionMismatch, FieldMismatch, Matrix, Subspace
+from psl.hopf import GroupTable, HopfAlgebra, check_hopf, dual_hopf, group_algebra, sweedler_h4
 from psl.paction import (
     PartialAction,
     PartialCoaction,
@@ -39,12 +40,15 @@ from psl.paction import (
     check_partial_action,
     check_partial_coaction,
     dual_group_idempotent,
+    induce_from_ideal,
+    quotient_action,
     trivial_action,
 )
 from psl.pmod import (
     AlgebraModule,
     PartialModule,
     _commutant_dimension,
+    _matrix_algebra,
     _operator_image_algebra,
     check_partial_module,
     extend_left_module,
@@ -54,12 +58,14 @@ from psl.pmod import (
     regular_module,
     to_smash_module,
 )
-from psl.radicals import jacobson_radical
+from psl.radicals import h_jacobson_radical, jacobson_radical
 from psl.smash import build_full_smash, build_partial_smash
 from psl.verify import random_partial_action, truncated_polynomial_algebra
-from helpers import rand_subspace, rand_vec
+from psl.workspace import load_workspace
+from helpers import fix_a, fix_b, fix_c, fix_d, rand_subspace, rand_vec
 from test_nonabelian import a3_indices
 
+ROOT = Path(__file__).resolve().parent.parent
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 DRAWS = 30
 
@@ -377,3 +383,177 @@ def test_smash_module_conversion_matches_dense_loops(field):
             small += same_small_module_invariants(M)
             modules += 1
     assert modules >= DRAWS and small >= DRAWS
+
+
+# ---------------------------------------------------------------------------
+# the kernel form: over Q an integral structure constant is held as an int,
+# any other as a Fraction with denominator > 1; over F_p every constant is a
+# nonzero int in [0, p).  Algebras and actions psl builds from its own kernel
+# output (`_of_terms`) equal, and hash like, the public constructors' ones.
+
+Q_WORKSPACES = [ROOT / "workspaces" / "sample.json", ROOT / "pslbench" / "workspaces" / "q.json"]
+
+
+def assert_kernel_form(field, rows, what):
+    """Every (k, c) of nested sparse rows is in kernel form for the field."""
+    if isinstance(rows, tuple) and len(rows) == 2 and type(rows[0]) is int:
+        c = rows[1]
+        if field.char:
+            assert type(c) is int and 0 < c < field.char, f"{what}: {c!r} over {field}"
+        elif type(c) is Fraction:
+            assert c.denominator > 1, f"{what}: integral {c!r} held as a Fraction"
+        else:
+            assert type(c) is int and c, f"{what}: {c!r} over Q"
+        return
+    assert isinstance(rows, tuple), f"{what}: {rows!r}"
+    for r in rows:
+        assert_kernel_form(field, r, what)
+
+
+def assert_public_twin(X):
+    """X equals, and hashes like, the same object through the public constructor."""
+    if isinstance(X, PartialAction):
+        twin = PartialAction(X.hopf, X.alg, X.act)
+        assert X._terms == twin._terms
+    else:
+        twin = Algebra(X.field, X.mult, X.unit)
+        assert X.terms == twin.terms
+    assert X == twin and hash(X) == hash(twin)
+
+
+def kernel_built(pa):
+    """(what, object) for what psl derives from pa through its kernel: the full smash product,
+    the carrier, the dual action, a quotient and an induced action with their algebras."""
+    sp = build_partial_smash(pa)
+    J = h_jacobson_radical(pa)
+    ideal = J if not J.is_full() else Subspace.zero_space(pa.field, pa.alg.dim)
+    qpa, _ = quotient_action(pa, ideal)
+    induced = induce_from_ideal(sp.dual_action, sp.carrier.unit)
+    return [
+        ("full smash", sp.full), ("carrier", sp.carrier), ("dual action", sp.dual_action),
+        ("quotient", qpa.alg), ("quotient action", qpa),
+        ("induced", induced.alg), ("induced action", induced),
+    ]
+
+
+def assert_action_in_kernel_form(pa, what):
+    f = pa.field
+    assert_kernel_form(f, pa._terms, f"{what} _terms")
+    assert_kernel_form(f, pa.alg.terms, f"{what} algebra terms")
+    assert_kernel_form(f, pa.hopf.alg.terms, f"{what} hopf terms")
+    assert_kernel_form(f, pa.hopf._delta, f"{what} _delta")
+    for name, X in kernel_built(pa):
+        if isinstance(X, PartialAction):
+            assert_kernel_form(f, X._terms, f"{what}: {name}")
+            assert_kernel_form(f, X.hopf._delta, f"{what}: {name} _delta")
+        else:
+            assert_kernel_form(f, X.terms, f"{what}: {name}")
+        assert_public_twin(X)
+
+
+KERNEL_FIXTURES = {
+    "FIX-A": fix_a, "FIX-B": fix_b, "FIX-C": fix_c,
+    "FIX-A(F3)": lambda: fix_a(GF(3)), "FIX-C(F5)": lambda: fix_c(GF(5)), "FIX-D": fix_d,
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_FIXTURES)
+def test_fixtures_hold_the_kernel_form(name):
+    assert_action_in_kernel_form(KERNEL_FIXTURES[name](), name)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+def test_random_draws_hold_the_kernel_form(field):
+    fractional = 0
+    for t, (_, pa) in enumerate(draws(field)):
+        assert_action_in_kernel_form(pa, f"draw {t}")
+        fractional += any(type(c) is Fraction for row in pa._terms for v in row for _, c in v)
+    # over Q the draws must include actions with non-integral constants
+    assert field.char or fractional
+
+
+@pytest.mark.parametrize("path", Q_WORKSPACES, ids=lambda p: p.name)
+def test_q_workspace_objects_hold_the_kernel_form(path):
+    ws = load_workspace(str(path))
+    assert ws.field == QQ
+    for name, H in ws.hopf_algebras.items():
+        assert_kernel_form(QQ, H.alg.terms, name)
+        assert_kernel_form(QQ, H._delta, name)
+    for name, A in ws.algebras.items():
+        assert_kernel_form(QQ, A.terms, name)
+    for name, pa in ws.actions.items():
+        assert_action_in_kernel_form(pa, name)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_matrix_algebra_equals_its_public_twin(field, d):
+    E = _matrix_algebra(field, d)
+    assert_kernel_form(field, E.terms, "M_d")
+    assert sum(len(e) for row in E.terms for e in row) == d ** 3
+    assert_public_twin(E)
+    assert check_algebra(E).ok
+    # e_ij e_jl = e_il on the matrix units, the identity is the sum of the e_ii
+    units = [E.basis_vector(k) for k in range(d * d)]
+    for a in range(d * d):
+        for b in range(d * d):
+            i, j, k, l = a // d, a % d, b // d, b % d
+            assert E.multiply(units[a], units[b]) == (units[i * d + l] if j == k else E.zero())
+    assert E.unit == tuple(sum(units[i * d + i][t] for i in range(d)) for t in range(d * d))
+
+
+def scaled_truncated_polynomial_algebra(field, k):
+    """field[x]/(x^k) on the basis b_i = x^i / (i+1): b_i b_j = (i+j+1)/((i+1)(j+1)) b_(i+j)."""
+    mult = [
+        [[Fraction(i + j + 1, (i + 1) * (j + 1)) if t == i + j else 0 for t in range(k)] for j in range(k)]
+        for i in range(k)
+    ]
+    return Algebra(field, mult, unit=[int(t == 0) for t in range(k)])
+
+
+def mixed_actions():
+    """Partial actions over Q whose constants mix integers with 1/2, 1/3 and 1/4."""
+    yield dual_group_idempotent(QQ, GroupTable.cyclic(2), [0, 1])       # e_N with 1/2
+    yield dual_group_idempotent(QQ, GroupTable.cyclic(3), [0, 1, 2])    # e_N with 1/3
+    yield dual_group_idempotent(QQ, GroupTable.cyclic(4), [0, 2])       # e_N with 1/2
+    yield dual_group_idempotent(QQ, GroupTable.cyclic(6), [0, 2, 4])    # e_N with 1/3
+    yield dual_group_idempotent(QQ, GroupTable.cyclic(4), [0, 1, 2, 3])  # e_N with 1/4
+    C2 = group_algebra(QQ, GroupTable.cyclic(2))
+    for k in (3, 4):
+        yield trivial_action(C2, scaled_truncated_polynomial_algebra(QQ, k))
+
+
+def test_mixed_constants_match_boxed_loops():
+    rng = random.Random(9400)
+    fractional = failing = 0
+    for pa in mixed_actions():
+        A = pa.alg
+        sp = build_partial_smash(pa)
+        mult, unit = ref.build_full_smash(pa)
+        assert sp.full.mult == mult and sp.full.unit == unit
+        cmult, cunit, incl = ref.carrier(pa, sp.full)
+        assert [list(row) for row in sp.carrier.mult] == cmult and sp.carrier.unit == cunit
+        assert list(sp.include_A.matrix.rows) == incl
+        actions = [pa, sp.dual_action] + [PartialAction(pa.hopf, A, corrupt(rng, QQ, pa.act)) for _ in range(2)]
+        for act in actions:
+            got = check_partial_action(act)
+            assert got == ref.check_partial_action(act)
+            failing += not got.ok
+        algebras = [A, sp.full, sp.carrier, Algebra(QQ, corrupt(rng, QQ, A.mult), unit=A.unit)]
+        for alg in algebras:
+            got = check_algebra(alg)
+            assert got == ref.check_algebra(alg)
+            failing += not got.ok
+            for _ in range(3):
+                x, y = rand_vec(rng, QQ, alg.dim), rand_vec(rng, QQ, alg.dim)
+                assert alg.multiply(x, y) == ref.multiply(alg, x, y)
+            if alg.unit is not None:
+                # integral and non-integral coordinates mixed in one vector
+                x = tuple(Fraction(t % 3, 1 + t % 2) for t in range(alg.dim))
+                assert alg.multiply(x, alg.unit) == ref.multiply(alg, x, alg.unit)
+        h, a = rand_vec(rng, QQ, pa.hopf.dim), rand_vec(rng, QQ, A.dim)
+        assert pa.act_vec(h, a) == ref.act_vec(pa, h, a)
+        tensors = [X.terms for X in (A, sp.full, sp.carrier)] + [pa._terms]
+        fractional += any(type(c) is Fraction for t in tensors for row in t for e in row for _, c in e)
+    # every instance mixes integral and non-integral constants, and the corrupted copies fail
+    assert fractional == 7 and failing >= 8

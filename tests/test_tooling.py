@@ -32,3 +32,37 @@ def test_optimized_interpreter_prints_identical_bytes():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert b'"ok": true' in outputs[0]
+
+
+# functions allowed a true division: over Q the kernel holds integral values as
+# ints, and int / int is a float, so every other `/` in the package is a fault
+DIVISION_ALLOWED = {"exactla.py": {"_rref", "_Echelon.add"}}
+
+
+def true_divisions(tree):
+    """(qualified name of the enclosing function, line) of every `/` and `/=`."""
+    found = []
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_true_division_only_where_allowed(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = DIVISION_ALLOWED.get(path.name, set())
+    stray = [(scope, line) for scope, line in true_divisions(tree) if scope not in allowed]
+    assert not stray, f"true division in {path.name} outside {sorted(allowed)}: {stray}"
+
+
+def test_division_guard_sees_every_form():
+    tree = ast.parse("def f(a, b):\n    a /= b\n    return a / b\nclass C:\n    def g(self):\n        return 1 // 2 + 3 / 4\n")
+    assert true_divisions(tree) == [("f", 2), ("f", 3), ("C.g", 6)]

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from psl import paction, workspace
+from psl import hopf, paction, workspace
 from psl.cli import main
 from psl.exactla import QQ
+from psl.hopf import MAX_GROUP_ORDER, GroupTable, GroupTooLarge
 from psl.paction import c4_triple
 from psl.workspace import (
     ParseError,
@@ -532,3 +533,84 @@ def test_cli_string_for_vector_exits_two(tmp_path, capsys, mutate, entry):
     captured = capsys.readouterr()
     assert entry in captured.err and "TypeError" in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def _ideal_on_algebra(ref):
+    def mutate(doc):
+        ideal = doc["ideals"]["I"]
+        del ideal["action"]
+        ideal["algebra"] = ref
+    return mutate
+
+
+def _reference(section, name, key, ref):
+    def mutate(doc):
+        doc[section][name][key] = ref
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, entry, key", [
+    (_reference("actions", "t", "hopf", ["H"]), "action 't'", "hopf"),
+    (_reference("actions", "t", "algebra", {"x": 1}), "action 't'", "algebra"),
+    (_reference("ideals", "I", "action", ["t"]), "ideal 'I'", "action"),
+    (_ideal_on_algebra(["A"]), "ideal 'I'", "algebra"),
+    (_reference("modules", "reg", "action", ["t"]), "module 'reg'", "action"),
+], ids=["action-hopf", "action-algebra", "ideal-action", "ideal-algebra", "module-action"])
+def test_cli_reference_that_is_not_a_name_exits_two(tmp_path, capsys, mutate, entry, key):
+    doc = explicit_doc()
+    mutate(doc)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        load_workspace(str(path))
+    assert main(["radicals", "--workspace", str(path), "t"]) == 2
+    captured = capsys.readouterr()
+    assert entry in captured.err and f"{key!r} must be a name" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_ideal_on_an_algebra_still_loads(tmp_path):
+    doc = explicit_doc()
+    _ideal_on_algebra("A")(doc)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert load_workspace(str(path)).ideals["I"].dim == 1
+
+
+@pytest.fixture
+def no_large_range(monkeypatch):
+    """Fail at once if psl.hopf iterates over more than MAX_GROUP_ORDER elements."""
+    real = range
+
+    def guarded(*args):
+        if max(args) > MAX_GROUP_ORDER:
+            raise AssertionError(f"range{args} reached before the group-order cap")
+        return real(*args)
+
+    monkeypatch.setattr(hopf, "range", guarded, raising=False)
+
+
+@pytest.mark.parametrize("group, message", [
+    ({"cyclic": 1000000000}, "group order 1000000000 exceeds the cap"),
+    ({"cyclic": MAX_GROUP_ORDER + 1}, f"group order {MAX_GROUP_ORDER + 1} exceeds the cap"),
+    ({"cayley": [[0]] * (MAX_GROUP_ORDER + 1)}, f"group order {MAX_GROUP_ORDER + 1} exceeds the cap"),
+], ids=["cyclic-1e9", "cyclic-cap+1", "cayley-cap+1"])
+def test_cli_group_order_above_the_cap_exits_two(tmp_path, capsys, no_large_range, group, message):
+    # the cap is checked before the Cayley table is built: no_large_range fails the
+    # test instead of letting a table of that order be allocated
+    doc = json.loads(SAMPLE.read_text())
+    doc["groups"]["C4"] = group
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert main(["radicals", "--workspace", str(path), "triple"]) == 2
+    captured = capsys.readouterr()
+    assert "group 'C4'" in captured.err and message in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_group_order_cap_is_above_every_checked_in_workspace():
+    for path in [SAMPLE] + sorted(BENCH_WORKSPACES.glob("*.json")):
+        for group in load_workspace(str(path)).groups.values():
+            assert 4 * group.order <= MAX_GROUP_ORDER
+    with pytest.raises(GroupTooLarge):
+        GroupTable.cyclic(MAX_GROUP_ORDER + 1)
