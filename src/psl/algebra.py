@@ -13,19 +13,24 @@ the subspace products and ideal closures, algebra maps, and the Hopf,
 action, coaction and module loops built on `_apply_raw`) run on sparse
 vectors and on the rows of `Subspace` through `_multiply_raw`; over F_p they
 leave sums unreduced and reduce mod p only where a value is compared
-(`_differ`), returned or stored (`_canon`), or fed to a next product
-(`_compact`).  Over Q the sparse vectors (`_nonzero`, `_compact`) hold an
-integral c as an int and any other as a Fraction, so these loops multiply
-plain ints wherever the constants allow; `_canon` makes every value a
-Fraction again on the way out.  An algebra psl builds from its own kernel
-output (`build_full_smash`, `quotient_algebra`, `_closed_subalgebra`) is made
-by `Algebra._of_terms` from such terms directly, and its dense `mult` is
-derived on first read.
+(`_differ`, `_vanishes`), returned or stored (`_canon`), or fed to a next
+product (`_compact`).  Over Q the sparse vectors (`_nonzero`, `_compact`)
+hold an integral c as an int and any other as a Fraction, so these loops
+multiply plain ints wherever the constants allow; `_canon` makes every value
+a Fraction again on the way out.  The associativity and PA3/PA4 checks go
+further: they clear the denominators of what they read (`_cleared`, in the
+fraction-free spirit of Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", 1968) and run on ints alone.  An
+algebra psl builds from its own kernel output (`build_full_smash`,
+`quotient_algebra`, `_closed_subalgebra`) is made by `Algebra._of_terms` from
+such terms directly, and its dense `mult` is derived on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from psl.exactla import (
@@ -52,6 +57,15 @@ class NotAnIdeal(ValueError):
 
 class InvariantViolation(ValueError):
     """A computed object breaks a mathematical invariant it must satisfy."""
+
+
+class AlgebraTooLarge(ValueError):
+    """product_of_fields asked for more than MAX_GROUP_ORDER factors."""
+
+
+# the largest group order, and the most factors of product_of_fields, psl builds:
+# kG, (kG)* and field^k hold that many cubed structure constants
+MAX_GROUP_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -85,6 +99,43 @@ def _differ(u: Sequence, v: Sequence, p: int) -> bool:
     if p:
         return any((a - b) % p for a, b in zip(u, v))
     return u != v
+
+
+def _vanishes(acc: Sequence, p: int) -> bool:
+    """Whether a dense (possibly unreduced) vector is zero as field elements."""
+    if p:
+        return not any(map(p.__rmod__, acc))
+    return not any(acc)
+
+
+def _cleared(rows, p: int, depth: int = 0) -> tuple:
+    """(D, D * rows) for sparse rows, or for a tensor of them nested `depth` levels deep.
+
+    A sparse row holds tuples whose last item is the constant: the (k, c) of a
+    vector, or the (p, q, c) of a coproduct term.  Over Q, D is the lcm of the denominators of all the constants,
+    so every scaled constant is an int; over F_p, and over Q when D = 1, the
+    result is (1, rows) itself.
+    """
+    if p:
+        return 1, rows
+    flat = rows
+    for _ in range(depth):
+        flat = [row for part in flat for row in part]
+    D = 1
+    for row in flat:
+        for t in row:
+            c = t[-1]
+            if c.__class__ is Fraction:
+                D = lcm(D, c.denominator)
+    if D == 1:
+        return 1, rows
+
+    def scale(part, depth):
+        if depth:
+            return [scale(sub, depth - 1) for sub in part]
+        return [tuple(t[:-1] + (t[-1].numerator * (D // t[-1].denominator),) for t in row) for row in part]
+
+    return D, scale(rows, depth)
 
 
 def _multiply_raw(terms, x: Sequence, y: Sequence) -> list:
@@ -241,33 +292,38 @@ class Algebra:
     def right_mult_matrix(self, x: Sequence) -> Matrix:
         return self._mult_matrix(x, False)
 
-    def describe(self, vec: Sequence) -> str:
-        parts = []
-        for c, l in zip(vec, self.labels):
-            if c:
-                parts.append(f"{self.field.format_scalar(c)}*{l}")
-        return " + ".join(parts) if parts else "0"
-
 
 def multiply(A: Algebra, x: Sequence, y: Sequence) -> tuple:
     return A.multiply(x, y)
 
 
 def check_algebra(A: Algebra) -> CheckReport:
-    """Associativity on all basis triples plus unit laws (when a unit is present)."""
+    """Associativity on all basis triples plus unit laws (when a unit is present).
+
+    Each triple accumulates (e_i e_j) e_k - e_i (e_j e_k) into one vector.
+    Both sides are quadratic in the structure constants, so over Q they run on
+    the constants cleared of denominators, as ints.
+    """
     failures = []
     n = A.dim
     p = A.field.char
     terms = A.terms
     basis = [((i, 1),) for i in range(n)]
     dense = [[int(t == i) for t in range(n)] for i in range(n)]
+    T = _cleared(terms, p, 1)[1]
     for i in range(n):
+        Ti = T[i]
         for j in range(n):
-            ij = terms[i][j]
+            ij, Tj = Ti[j], T[j]
             for k in range(n):
-                lhs = _multiply_raw(terms, ij, basis[k])
-                rhs = _multiply_raw(terms, basis[i], terms[j][k])
-                if _differ(lhs, rhs, p):
+                acc = [0] * n
+                for t, x in ij:
+                    for u, y in T[t][k]:
+                        acc[u] += x * y
+                for s, x in Tj[k]:
+                    for u, y in Ti[s]:
+                        acc[u] -= x * y
+                if not _vanishes(acc, p):
                     failures.append(f"associativity fails at basis triple ({i},{j},{k})")
     if A.unit is not None:
         unit = _nonzero(A.unit, p)
@@ -479,10 +535,11 @@ def _closed_subalgebra(A: Algebra, S: Subspace, unit: Sequence, message: str, la
 
 
 def product_of_fields(field: Field, k: int) -> Algebra:
-    """The componentwise algebra field^k with the canonical idempotent basis."""
-    z = zero_vec(field, k)
-    mult = [
-        [unit_vec(field, k, i) if i == j else z for j in range(k)]
-        for i in range(k)
-    ]
-    return Algebra(field, mult, unit=(field.one,) * k, labels=[f"e{i+1}" for i in range(k)])
+    """The componentwise algebra field^k with the canonical idempotent basis.
+
+    AlgebraTooLarge for k above MAX_GROUP_ORDER, before anything is built.
+    """
+    if k > MAX_GROUP_ORDER:
+        raise AlgebraTooLarge(f"product_of_fields k = {k} exceeds the cap {MAX_GROUP_ORDER}")
+    terms = tuple(tuple(((i, 1),) if i == j else () for j in range(k)) for i in range(k))
+    return Algebra._of_terms(field, terms, (field.one,) * k, [f"e{i+1}" for i in range(k)])

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from psl.algebra import (
+    MAX_GROUP_ORDER,
     Algebra,
     CheckReport,
     InvariantViolation,
@@ -32,10 +33,6 @@ from psl.exactla import (
     unit_vec,
     zero_vec,
 )
-
-
-# the largest group order psl builds: kG and (kG)* hold order^3 structure constants
-MAX_GROUP_ORDER = 64
 
 
 class InvalidGroupTable(ValueError):

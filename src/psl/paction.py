@@ -23,6 +23,7 @@ from psl.algebra import (
     NotAnIdeal,
     _add_scaled,
     _apply_raw,
+    _cleared,
     _closed_subalgebra,
     _compact,
     _differ,
@@ -30,6 +31,7 @@ from psl.algebra import (
     _operate,
     _operate_sum,
     _tensor_terms,
+    _vanishes,
     is_ideal,
     quotient_algebra,
 )
@@ -161,7 +163,14 @@ def _comul_terms(H: HopfAlgebra) -> tuple:
 
 
 def check_partial_action(pa: PartialAction, samples: int = 4) -> CheckReport:
-    """PA1, PA3, PA4 on all basis tuples; PA2 re-checked on seeded random samples."""
+    """PA1, PA3, PA4 on all basis tuples; PA2 re-checked on seeded random samples.
+
+    PA3 and PA4 accumulate lhs - rhs of each triple into one vector and skip the
+    terms h_p (x) h_q of Delta(h_i) whose left factor h_p . e_j (PA3) or
+    h_p . 1_A (PA4) is zero.  Over Q they run on ints: the action, the constants
+    of A and of Delta, the unit images and the (h_q h_g) . e_k are cleared of
+    denominators (`_cleared`), and each side is multiplied up to one total scale.
+    """
     failures = []
     H, A = pa.hopf, pa.alg
     m, n = H.dim, A.dim
@@ -176,36 +185,67 @@ def check_partial_action(pa: PartialAction, samples: int = 4) -> CheckReport:
     columns = [[act[r][k] for r in range(m)] for k in range(n)]
     unit_a = _nonzero(A.unit, p)
     unit_images = [_compact(_apply_raw(act[i], unit_a, n), p) for i in range(m)]
-    hg_act = [
-        [[_compact(_apply_raw(columns[k], h_terms[q][g], n), p) for k in range(n)] for g in range(m)]
-        for q in range(m)
-    ]
+    # (h_q h_g) . e_k depends on h_q h_g only: one list per distinct product
+    products = {x for row in h_terms for x in row}
+    by_product = {x: [_compact(_apply_raw(col, x, n), p) for col in columns] for x in products}
+    hg_act = [[by_product[x] for x in row] for row in h_terms]
 
     unit_h = _nonzero(H.unit, p)
     for j in range(n):
         if _differ(_apply_raw(columns[j], unit_h, n), dense[j], p):
             failures.append(f"PA1 fails: 1_H . a != a at basis a={A.labels[j]}")
 
-    # PA3 on all basis triples
+    # the same data cleared of denominators: D * rows, all ints over Q
+    d_c, comul_s = _cleared(comul, p)
+    d_a, act_s = _cleared(act, p, 1)
+    d_t, T = _cleared(terms, p, 1)
+    d_u, units = _cleared(unit_images, p)
+    d_h, hg_s = _cleared(hg_act, p, 2)
+
+    # PA3 on all basis triples, both sides at scale d_c d_a^2 d_t
+    scale = d_c * d_a
     for i in range(m):
+        act_i = act_s[i]
         for j in range(n):
+            live = [(c, act_s[hp][j], act_s[hq]) for hp, hq, c in comul_s[i] if act_s[hp][j]]
+            Tj = T[j]
             for k in range(n):
-                lhs = _apply_raw(act[i], terms[j][k], n)
-                rhs = [0] * n
-                for hp, hq, c in comul[i]:
-                    _add_scaled(rhs, c, _multiply_raw(terms, act[hp][j], act[hq][k]))
-                if _differ(lhs, rhs, p):
+                acc = [0] * n
+                for s, x in Tj[k]:
+                    x *= scale
+                    for u, y in act_i[s]:
+                        acc[u] += x * y
+                for c, left, right in live:
+                    for t, y in right[k]:
+                        cy = c * y
+                        for s, x in left:
+                            cxy = cy * x
+                            for u, z in T[s][t]:
+                                acc[u] -= cxy * z
+                if not _vanishes(acc, p):
                     failures.append(f"PA3 fails at (h{i}, {A.labels[j]}, {A.labels[k]})")
 
-    # PA4 on all basis triples
+    # PA4 on all basis triples, both sides at scale d_c d_a^2 d_u d_h d_t
+    scale, rscale = d_c * d_u * d_h * d_t, d_a * d_a
     for i in range(m):
+        act_i = act_s[i]
+        live = [(c * rscale, units[hp], hg_s[hq]) for hp, hq, c in comul_s[i] if units[hp]]
         for g in range(m):
+            act_g = act_s[g]
             for k in range(n):
-                lhs = _apply_raw(act[i], act[g][k], n)
-                rhs = [0] * n
-                for hp, hq, c in comul[i]:
-                    _add_scaled(rhs, c, _multiply_raw(terms, unit_images[hp], hg_act[hq][g][k]))
-                if _differ(lhs, rhs, p):
+                acc = [0] * n
+                for s, x in act_g[k]:
+                    x *= scale
+                    for u, y in act_i[s]:
+                        acc[u] += x * y
+                for c, left, right in live:
+                    for t, y in right[g][k]:
+                        cy = c * y
+                        for s, x in left:
+                            cxy = cy * x
+                            for u, z in T[s][t]:
+                                acc[u] -= cxy * z
+                if not _vanishes(acc, p):
                     failures.append(f"PA4 fails at (h{i}, h{g}, {A.labels[k]})")
 
     # PA2 is implied by PA1+PA3+PA4 for unital A; sample it as redundancy

@@ -144,7 +144,7 @@ def _entry(kind: str, name: str):
         raise UnresolvedReference(f"{kind} {name!r}: {exc.args[0]}") from exc
     except KeyError as exc:
         raise ParseError(f"{kind} {name!r}: missing {exc}") from exc
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"{kind} {name!r}: {type(exc).__name__}: {exc}") from exc
 
 

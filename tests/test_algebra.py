@@ -5,7 +5,9 @@ import random
 import pytest
 
 from psl.algebra import (
+    MAX_GROUP_ORDER,
     Algebra,
+    AlgebraTooLarge,
     NotAnIdeal,
     check_algebra,
     direct_product,
@@ -205,3 +207,19 @@ def test_span_products_and_is_ideal():
     assert is_ideal(QC4, I)
     sq = span_products(QC4, I, I)
     assert sq <= I
+
+
+def test_product_of_fields_refuses_k_above_the_cap_before_building():
+    with pytest.raises(AlgebraTooLarge, match="k = 1000000 exceeds the cap"):
+        product_of_fields(QQ, 10 ** 6)
+    A = product_of_fields(F2, MAX_GROUP_ORDER)
+    assert A.dim == MAX_GROUP_ORDER and check_algebra(product_of_fields(QQ, 4)).ok
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=repr)
+def test_product_of_fields_equals_its_public_twin(field):
+    k = 4
+    mult = [[unit_vec(field, k, i) if i == j else (field.zero,) * k for j in range(k)] for i in range(k)]
+    twin = Algebra(field, mult, unit=(field.one,) * k, labels=[f"e{i+1}" for i in range(k)])
+    A = product_of_fields(field, k)
+    assert A == twin and hash(A) == hash(twin) and A.mult == twin.mult and A.labels == twin.labels

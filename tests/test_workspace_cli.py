@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from psl import hopf, paction, workspace
+from psl import algebra, hopf, paction, workspace
 from psl.cli import main
 from psl.exactla import QQ
 from psl.hopf import MAX_GROUP_ORDER, GroupTable, GroupTooLarge
@@ -579,22 +579,24 @@ def test_ideal_on_an_algebra_still_loads(tmp_path):
 
 @pytest.fixture
 def no_large_range(monkeypatch):
-    """Fail at once if psl.hopf iterates over more than MAX_GROUP_ORDER elements."""
+    """Fail at once if psl.hopf or psl.algebra iterates over more than MAX_GROUP_ORDER elements."""
     real = range
 
     def guarded(*args):
         if max(args) > MAX_GROUP_ORDER:
-            raise AssertionError(f"range{args} reached before the group-order cap")
+            raise AssertionError(f"range{args} reached before the cap")
         return real(*args)
 
     monkeypatch.setattr(hopf, "range", guarded, raising=False)
+    monkeypatch.setattr(algebra, "range", guarded, raising=False)
 
 
 @pytest.mark.parametrize("group, message", [
     ({"cyclic": 1000000000}, "group order 1000000000 exceeds the cap"),
     ({"cyclic": MAX_GROUP_ORDER + 1}, f"group order {MAX_GROUP_ORDER + 1} exceeds the cap"),
     ({"cayley": [[0]] * (MAX_GROUP_ORDER + 1)}, f"group order {MAX_GROUP_ORDER + 1} exceeds the cap"),
-], ids=["cyclic-1e9", "cyclic-cap+1", "cayley-cap+1"])
+    ({"cyclic": float("inf")}, "OverflowError: cannot convert float infinity to integer"),
+], ids=["cyclic-1e9", "cyclic-cap+1", "cayley-cap+1", "cyclic-infinity"])
 def test_cli_group_order_above_the_cap_exits_two(tmp_path, capsys, no_large_range, group, message):
     # the cap is checked before the Cayley table is built: no_large_range fails the
     # test instead of letting a table of that order be allocated
@@ -614,3 +616,21 @@ def test_group_order_cap_is_above_every_checked_in_workspace():
             assert 4 * group.order <= MAX_GROUP_ORDER
     with pytest.raises(GroupTooLarge):
         GroupTable.cyclic(MAX_GROUP_ORDER + 1)
+
+
+@pytest.mark.parametrize("k, message", [
+    (10 ** 6, "product_of_fields k = 1000000 exceeds the cap"),
+    (MAX_GROUP_ORDER + 1, f"product_of_fields k = {MAX_GROUP_ORDER + 1} exceeds the cap"),
+    (float("inf"), "OverflowError: cannot convert float infinity to integer"),
+], ids=["k-1e6", "k-cap+1", "k-infinity"])
+def test_cli_product_of_fields_above_the_cap_exits_two(tmp_path, capsys, no_large_range, k, message):
+    # the cap is checked before any tensor is built: no_large_range fails the test
+    # instead of letting a k x k x k tensor be allocated
+    doc = json.loads(SAMPLE.read_text())
+    doc["algebras"]["Q3"]["k"] = k
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert main(["radicals", "--workspace", str(path), "triple"]) == 2
+    captured = capsys.readouterr()
+    assert "algebra 'Q3'" in captured.err and message in captured.err
+    assert "Traceback" not in captured.err + captured.out
