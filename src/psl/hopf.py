@@ -3,7 +3,10 @@
 A HopfAlgebra bundles a unital Algebra with a comultiplication tensor
 (comul[i][j][k] is the coefficient of e_j (x) e_k in Delta(e_i)), a
 counit covector and an antipode matrix.  Tensor-square coordinates are
-first-factor-major: index (j, k) -> j*dim + k.
+first-factor-major: index (j, k) -> j*dim + k.  The public constructor coerces
+its input; `group_algebra`, `dual_group_algebra` and `dual_hopf` build from
+sparse terms through `HopfAlgebra._of_terms`, and the dense `comul` of such a
+Hopf algebra is derived on first read.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from psl.exactla import (
     Subspace,
     _canon,
     _coerce,
+    _dense,
     _nonzero,
     _tensor,
     _vector,
@@ -121,22 +125,54 @@ class GroupTable:
 
 
 class HopfAlgebra:
-    # `_delta` holds Delta(h_i) as the sparse (j*dim + k, c) of its H(x)H coordinates
-    __slots__ = ("alg", "comul", "counit", "antipode", "_delta")
+    # `_delta` holds Delta(h_i) as the sparse (j*dim + k, c) of its H(x)H coordinates;
+    # `_comul` is the dense tensor behind `comul`, derived from `_delta` on first read
+    # for a Hopf algebra built by `_of_terms`; `_dual` and `_semisimple` hold
+    # dual_hopf(H) and is_semisimple(H) once they have been computed
+    __slots__ = ("alg", "_comul", "counit", "antipode", "_delta", "_dual", "_semisimple")
 
     def __init__(self, alg: Algebra, comul, counit, antipode: Matrix):
         if alg.unit is None:
             raise ValueError("Hopf algebra needs a unital underlying algebra")
         m = alg.dim
         self.alg = alg
-        self.comul = _tensor(alg.field, comul, (m, m, m), "comultiplication")
+        self._comul = _tensor(alg.field, comul, (m, m, m), "comultiplication")
         self.counit = tuple(_vector(alg.field, counit))
         if len(self.counit) != m:
             raise ValueError("counit length mismatch")
         if antipode.nrows != m or antipode.ncols != m:
             raise ValueError("antipode shape mismatch")
         self.antipode = antipode
-        self._delta = tuple(_nonzero([x for row in block for x in row], alg.field.char) for block in self.comul)
+        self._delta = tuple(_nonzero([x for row in block for x in row], alg.field.char) for block in self._comul)
+        self._dual = None
+        self._semisimple = None
+
+    @classmethod
+    def _of_terms(cls, alg: Algebra, delta: tuple, counit: tuple, antipode: Matrix) -> "HopfAlgebra":
+        """A Hopf algebra on a comultiplication already in kernel form, as psl's own builders make it.
+
+        `delta[i]` holds the nonzero (j*dim + k, c) of Delta(h_i), reduced (ints
+        where integral over Q); `counit` and the rows of `antipode` are
+        canonical; nothing is coerced or rescanned.
+        """
+        H = cls.__new__(cls)
+        H.alg = alg
+        H._comul = None
+        H.counit = counit
+        H.antipode = antipode
+        H._delta = delta
+        H._dual = None
+        H._semisimple = None
+        return H
+
+    @property
+    def comul(self) -> tuple:
+        """The dense tensor comul[i][j][k], the coefficient of h_j (x) h_k in Delta(h_i), canonical."""
+        if self._comul is None:
+            m, p = self.dim, self.field.char
+            flat = [_canon(_dense(d, m * m), p) for d in self._delta]
+            self._comul = tuple(tuple(f[j * m:(j + 1) * m] for j in range(m)) for f in flat)
+        return self._comul
 
     @property
     def field(self) -> Field:
@@ -154,13 +190,13 @@ class HopfAlgebra:
         return (
             isinstance(other, HopfAlgebra)
             and self.alg == other.alg
-            and self.comul == other.comul
+            and self._delta == other._delta
             and self.counit == other.counit
             and self.antipode == other.antipode
         )
 
     def __hash__(self):
-        return hash((self.alg, self.comul, self.counit, self.antipode))
+        return hash((self.alg, self._delta, self.counit, self.antipode))
 
     def __repr__(self):
         return f"HopfAlgebra(dim {self.dim} over {self.field})"
@@ -249,56 +285,49 @@ def check_hopf(H: HopfAlgebra) -> CheckReport:
     return CheckReport(not failures, tuple(failures))
 
 
+def _inversion(field: Field, G: GroupTable) -> Matrix:
+    """g -> g^{-1} on the basis of kG, and p_g -> p_{g^{-1}} on that of (kG)*: both antipodes."""
+    n = G.order
+    return Matrix._of_raw(field, tuple(unit_vec(field, n, G.inverses[i]) for i in range(n)), n)
+
+
 def group_algebra(field: Field, G: GroupTable) -> HopfAlgebra:
     """kG with group-like basis: Delta(g) = g(x)g, eps(g) = 1, S(g) = g^{-1}."""
     n = G.order
-    mult = [[unit_vec(field, n, G.cayley[i][j]) for j in range(n)] for i in range(n)]
-    alg = Algebra(field, mult, unit=unit_vec(field, n, G.identity), labels=G.labels)
-    z = zero_vec(field, n)
-    comul = []
-    for i in range(n):
-        block = [list(z) for _ in range(n)]
-        block[i][i] = field.one
-        comul.append(block)
-    counit = (field.one,) * n
-    antipode = Matrix(field, [unit_vec(field, n, G.inverses[i]) for i in range(n)], ncols=n)
-    return HopfAlgebra(alg, comul, counit, antipode)
+    terms = tuple(tuple(((k, 1),) for k in row) for row in G.cayley)
+    alg = Algebra._of_terms(field, terms, unit_vec(field, n, G.identity), G.labels)
+    delta = tuple(((i * n + i, 1),) for i in range(n))
+    return HopfAlgebra._of_terms(alg, delta, (field.one,) * n, _inversion(field, G))
 
 
 def dual_group_algebra(field: Field, G: GroupTable) -> HopfAlgebra:
     """(kG)*: p_g p_h = delta p_g, Delta(p_g) = sum_{uv=g} p_u (x) p_v."""
     n = G.order
-    z = zero_vec(field, n)
-    mult = [[unit_vec(field, n, i) if i == j else z for j in range(n)] for i in range(n)]
-    labels = tuple(f"p({l})" for l in G.labels)
-    alg = Algebra(field, mult, unit=(field.one,) * n, labels=labels)
-    comul = []
-    for g in range(n):
-        block = [list(z) for _ in range(n)]
-        for u in range(n):
-            for v in range(n):
-                if G.cayley[u][v] == g:
-                    block[u][v] = field.one
-        comul.append(block)
-    counit = unit_vec(field, n, G.identity)
-    antipode = Matrix(field, [unit_vec(field, n, G.inverses[i]) for i in range(n)], ncols=n)
-    return HopfAlgebra(alg, comul, counit, antipode)
+    terms = tuple(tuple(((i, 1),) if i == j else () for j in range(n)) for i in range(n))
+    alg = Algebra._of_terms(field, terms, (field.one,) * n, tuple(f"p({l})" for l in G.labels))
+    # uv = g has the one solution v = u^{-1} g for each u, so the terms come in index order
+    delta = tuple(tuple((u * n + G.cayley[G.inverses[u]][g], 1) for u in range(n)) for g in range(n))
+    return HopfAlgebra._of_terms(alg, delta, unit_vec(field, n, G.identity), _inversion(field, G))
 
 
 def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
-    """Dual Hopf algebra on the dual basis (all structure tensors transposed)."""
-    m = H.dim
-    field = H.field
-    mult = [[tuple(H.comul[k][i][j] for k in range(m)) for j in range(m)] for i in range(m)]
-    labels = tuple(f"{l}*" for l in H.alg.labels)
-    alg = Algebra(field, mult, unit=H.counit, labels=labels)
-    comul = [
-        [[H.alg.mult[j][k][i] for k in range(m)] for j in range(m)]
-        for i in range(m)
-    ]
-    counit = H.unit
-    antipode = H.antipode.transpose()
-    return HopfAlgebra(alg, comul, counit, antipode)
+    """Dual Hopf algebra on the dual basis (all structure tensors transposed), built once and kept on H."""
+    if H._dual is None:
+        m = H.dim
+        # h_i* h_j* = sum_k Delta(h_k)[i, j] h_k*, and Delta(h_i*) = sum_{j,k} (h_j h_k)[i] h_j* (x) h_k*
+        products = [[] for _ in range(m * m)]
+        for k, d in enumerate(H._delta):
+            for ij, c in d:
+                products[ij].append((k, c))
+        delta = [[] for _ in range(m)]
+        for j, row in enumerate(H.alg.terms):
+            for k, e in enumerate(row):
+                for i, c in e:
+                    delta[i].append((j * m + k, c))
+        terms = tuple(tuple(tuple(products[i * m + j]) for j in range(m)) for i in range(m))
+        alg = Algebra._of_terms(H.field, terms, H.counit, tuple(f"{l}*" for l in H.alg.labels))
+        H._dual = HopfAlgebra._of_terms(alg, tuple(map(tuple, delta)), H.unit, H.antipode.transpose())
+    return H._dual
 
 
 def left_integrals(H: HopfAlgebra) -> Subspace:
@@ -319,13 +348,15 @@ def left_integrals(H: HopfAlgebra) -> Subspace:
 
 
 def is_semisimple(H: HopfAlgebra) -> bool:
-    """Maschke criterion: eps(Lambda) != 0 for a basis integral Lambda."""
-    ints = left_integrals(H)
-    if ints.dim != 1:
-        raise InvariantViolation(
-            f"integral space has dimension {ints.dim}; expected 1 for a valid Hopf algebra"
-        )
-    return bool(H.counit_of(ints.rows[0]))
+    """Maschke criterion: eps(Lambda) != 0 for a basis integral Lambda; decided once and kept on H."""
+    if H._semisimple is None:
+        ints = left_integrals(H)
+        if ints.dim != 1:
+            raise InvariantViolation(
+                f"integral space has dimension {ints.dim}; expected 1 for a valid Hopf algebra"
+            )
+        H._semisimple = bool(H.counit_of(ints.rows[0]))
+    return H._semisimple
 
 
 def sweedler_h4(field: Field) -> HopfAlgebra:

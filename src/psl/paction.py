@@ -279,37 +279,33 @@ def is_global(pa: PartialAction) -> bool:
 def trivial_action(H: HopfAlgebra, A: Algebra) -> PartialAction:
     """The global action h . a = eps(h) a."""
     n = A.dim
-    act = [[[e if k == j else 0 for k in range(n)] for j in range(n)] for e in H.counit]
-    return PartialAction(H, A, act)
+    eps = dict(_nonzero(H.counit, A.field.char))
+    act = tuple(tuple(((j, eps[i]),) if i in eps else () for j in range(n)) for i in range(H.dim))
+    return PartialAction._of_terms(H, A, act)
 
 
 def c4_triple(field) -> PartialAction:
     """C_4 acting partially on field^3 by shifting the canonical idempotents."""
     from psl.algebra import product_of_fields
 
-    H = group_algebra(field, GroupTable.cyclic(4))
-    A = product_of_fields(field, 3)
-    z = zero_vec(field, 3)
-    e = [A.basis_vector(i) for i in range(3)]
-    act = [
-        [e[0], e[1], e[2]],
-        [z, e[0], e[1]],
-        [e[2], z, e[0]],
-        [e[1], e[2], z],
-    ]
-    pa = PartialAction(H, A, act)
+    # g^i . e_j = e_k for k = shifts[i][j], and 0 where that is None
+    shifts = ((0, 1, 2), (None, 0, 1), (2, None, 0), (1, 2, None))
+    act = tuple(tuple(() if k is None else ((k, 1),) for k in row) for row in shifts)
+    pa = PartialAction._of_terms(group_algebra(field, GroupTable.cyclic(4)), product_of_fields(field, 3), act)
     check_partial_action(pa).raise_if_failed("c4_triple axioms")
     return pa
 
 
 def dual_group_translation_action(field, G: GroupTable) -> PartialAction:
     """The global (kG)*-action on kG given by p_g acting as projection on g."""
-    H = dual_group_algebra(field, G)
-    B = group_algebra(field, G).alg
-    n = G.order
-    z = zero_vec(field, n)
-    act = [[B.basis_vector(j) if i == j else z for j in range(n)] for i in range(n)]
-    pa = PartialAction(H, B, act)
+    return _translation_action(dual_group_algebra(field, G), group_algebra(field, G).alg)
+
+
+def _translation_action(H: HopfAlgebra, B: Algebra) -> PartialAction:
+    """dual_group_translation_action on H = (kG)* and B = kG as already built."""
+    n = B.dim
+    act = tuple(tuple(((j, 1),) if i == j else () for j in range(n)) for i in range(n))
+    pa = PartialAction._of_terms(H, B, act)
     check_partial_action(pa).raise_if_failed("dual group translation axioms")
     return pa
 
@@ -352,15 +348,21 @@ def _normal_subgroup(field, G: GroupTable, N: Sequence[int]) -> list[int]:
     return Ns
 
 
-def dual_group_idempotent(field, G: GroupTable, N: Sequence[int]) -> PartialAction:
-    """(kG)* acting partially on e_N kG for a normal subgroup N of order prime to char."""
+def dual_group_idempotent(field, G: GroupTable, N: Sequence[int], *,
+                          translation: PartialAction | None = None) -> PartialAction:
+    """(kG)* acting partially on e_N kG for a normal subgroup N of order prime to char.
+
+    `translation` is dual_group_translation_action(field, G) where the caller
+    already holds it; it is built here otherwise.
+    """
     Ns = _normal_subgroup(field, G, N)
-    B = group_algebra(field, G).alg
     inv = pow(len(Ns), -1, field.char) if field.char else Fraction(1, len(Ns))
     e_N = list(zero_vec(field, G.order))
     for idx in Ns:
         e_N[idx] = inv
-    return induce_from_ideal(dual_group_translation_action(field, G), tuple(e_N))
+    if translation is None:
+        translation = dual_group_translation_action(field, G)
+    return induce_from_ideal(translation, tuple(e_N))
 
 
 # ---------------------------------------------------------------------------

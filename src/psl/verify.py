@@ -4,7 +4,10 @@ Each theorem in THEOREMS runs one per-instance `check` alike on built-in
 fixtures, seeded random instances and workspace actions.  Random partial
 actions come only from soundness-preserving constructors (trivial actions,
 induced actions on idempotent ideals of group algebras, quotients by H-stable
-ideals): rejection-sampling raw tensors would find nothing.
+ideals): rejection-sampling raw tensors would find nothing.  Each call of an
+instance source draws from one pool, which builds every group, Hopf algebra and
+builder action once and hands equal draws the first of them; nothing in the
+pool outlives the call, so each object is still built and checked in every run.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from psl.algebra import (
 from psl.exactla import GF, QQ, Field, Subspace, unit_vec, zero_vec
 from psl.hopf import (
     GroupTable,
+    HopfAlgebra,
     dual_group_algebra,
     group_algebra,
     is_semisimple,
@@ -36,6 +40,7 @@ from psl.hopf import (
 )
 from psl.paction import (
     PartialAction,
+    _translation_action,
     c4_triple,
     colon_ideal,
     dual_group_idempotent,
@@ -85,10 +90,52 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 # fixtures and random instances
 
-def fixture_d() -> PartialAction:
+class _Pool:
+    """What one instance-source call builds, each once: the cyclic groups, kC_n and (kC_n)*,
+    the C4-triple and the dual-group idempotent actions, and the first of each set of equal
+    accepted draws.  A pool lives for one call, so every object it holds was built, and
+    axiom-checked, within that call."""
+
+    def __init__(self):
+        self._built = {}
+        self._draws = {}
+
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def cyclic(self, n: int) -> GroupTable:
+        return self._once(("C", n), lambda: GroupTable.cyclic(n))
+
+    def group_algebra(self, field: Field, n: int) -> HopfAlgebra:
+        return self._once(("kC", field, n), lambda: group_algebra(field, self.cyclic(n)))
+
+    def dual_group_algebra(self, field: Field, n: int) -> HopfAlgebra:
+        return self._once(("kC*", field, n), lambda: dual_group_algebra(field, self.cyclic(n)))
+
+    def c4_triple(self, field: Field) -> PartialAction:
+        return self._once(("C4-triple", field), lambda: c4_triple(field))
+
+    def dual_group_idempotent(self, field: Field, n: int, N: tuple[int, ...]) -> PartialAction:
+        translation = self._once(
+            ("translation", field, n),
+            lambda: _translation_action(self.dual_group_algebra(field, n), self.group_algebra(field, n).alg),
+        )
+        return self._once(
+            ("idempotent", field, n, N),
+            lambda: dual_group_idempotent(field, self.cyclic(n), N, translation=translation),
+        )
+
+    def first(self, pa: PartialAction) -> PartialAction:
+        """The first draw equal to `pa`, labels included, so that equal draws share one smash product."""
+        return self._draws.setdefault((pa, pa.alg.labels, pa.hopf.alg.labels), pa)
+
+
+def fixture_d(*, pool: _Pool | None = None) -> PartialAction:
     """F2C2 acting trivially on F2: the non-semisimple negative control."""
     F2 = GF(2)
-    return trivial_action(group_algebra(F2, GroupTable.cyclic(2)), product_of_fields(F2, 1))
+    return trivial_action((pool or _Pool()).group_algebra(F2, 2), product_of_fields(F2, 1))
 
 
 def truncated_polynomial_algebra(field: Field, k: int) -> Algebra:
@@ -106,21 +153,23 @@ def _random_vec(rng: random.Random, field: Field, n: int) -> tuple:
     return tuple(field.of(rng.randrange(field.char) if field.char else rng.randint(-2, 2)) for _ in range(n))
 
 
-def random_algebra(rng: random.Random, field: Field, max_dim: int = 4) -> Algebra:
+def random_algebra(rng: random.Random, field: Field, max_dim: int = 4, *, pool: _Pool | None = None) -> Algebra:
+    """A random unital algebra of dimension at most `max_dim`; group algebras come from `pool`."""
+    pool = pool or _Pool()
     kind = rng.randrange(5)
     if kind == 0:
         return product_of_fields(field, rng.randint(1, max_dim))
     if kind == 1:
         n = rng.randint(1, max_dim)
-        return group_algebra(field, GroupTable.cyclic(n)).alg
+        return pool.group_algebra(field, n).alg
     if kind == 2:
         return truncated_polynomial_algebra(field, rng.randint(1, min(3, max_dim)))
     if kind == 3:
         a = product_of_fields(field, rng.randint(1, 2))
-        b = group_algebra(field, GroupTable.cyclic(rng.randint(1, 2))).alg
+        b = pool.group_algebra(field, rng.randint(1, 2)).alg
         prod = direct_product(a, b)
         return prod if prod.dim <= max_dim else a
-    A = group_algebra(field, GroupTable.cyclic(rng.randint(2, max_dim))).alg
+    A = pool.group_algebra(field, rng.randint(2, max_dim)).alg
     I = ideal_closure(A, [_random_vec(rng, field, A.dim)])
     if I.is_full():
         return A
@@ -144,36 +193,44 @@ def random_partial_action(
     max_carrier: int = 10,
     semisimple_hopf: bool | None = None,
     tries: int = 60,
+    pool: _Pool | None = None,
 ) -> PartialAction:
-    """A random checked partial action with tractable radicals on both levels."""
+    """A random checked partial action with tractable radicals on both levels.
+
+    Groups, Hopf algebras and builder actions come from `pool` (a fresh one
+    when none is passed), and an accepted draw equal to one the pool has seen,
+    labels included, is replaced by that one, so equal draws share one smash
+    product.
+    """
+    pool = pool or _Pool()
     p = field.char
     for _ in range(tries):
         kind = rng.randrange(4)
         try:
             if kind == 0:
                 order = rng.randint(1, 4)
-                H = (group_algebra if rng.random() < 0.5 else dual_group_algebra)(field, GroupTable.cyclic(order))
+                H = (pool.group_algebra if rng.random() < 0.5 else pool.dual_group_algebra)(field, order)
                 if p == 2 and rng.random() < 0.3:
-                    H = group_algebra(field, GroupTable.cyclic(2))
-                A = random_algebra(rng, field, max_dim=max(1, max_carrier // H.dim))
+                    H = pool.group_algebra(field, 2)
+                A = random_algebra(rng, field, max_dim=max(1, max_carrier // H.dim), pool=pool)
                 pa = trivial_action(H, A)
             elif kind == 1:
                 if max_carrier < 12:
                     continue
-                pa = c4_triple(field)
+                pa = pool.c4_triple(field)
             elif kind == 2:
                 n = rng.choice([2, 3, 4, 6])
                 d = rng.choice([d for d in range(2, n + 1) if n % d == 0])
                 if p and d % p == 0:
                     continue
-                N = [i for i in range(n) if i % (n // d) == 0]
+                N = tuple(i for i in range(n) if i % (n // d) == 0)
                 if n * (n // d) > max_carrier:
                     continue
-                pa = dual_group_idempotent(field, GroupTable.cyclic(n), N)
+                pa = pool.dual_group_idempotent(field, n, N)
             else:
                 base = random_partial_action(
                     rng, field, max_carrier=max_carrier, semisimple_hopf=semisimple_hopf,
-                    tries=10,
+                    tries=10, pool=pool,
                 )
                 I = random_h_stable_ideal(rng, base)
                 if I.is_full() or I.is_zero():
@@ -188,6 +245,7 @@ def random_partial_action(
             continue
         if semisimple_hopf is not None and is_semisimple(pa.hopf) != semisimple_hopf:
             continue
+        pa = pool.first(pa)
         if not _radical_tractable(pa.alg):
             continue
         sp = build_partial_smash(pa)
@@ -378,17 +436,18 @@ def check_non_semisimple(report: VerifyReport, tag: str, pa: PartialAction, **_)
 
 def seeded_instances(semisimple_hopf: bool | None, seed: int, trials: int, dim_cap: int, field_cap: int, workspace):
     """Fixtures, draw t over the t-th of the primes 2, 3, 5, 7, 11, 13 cyclically, then the workspace."""
-    yield "FIX-A", dual_group_idempotent(QQ, GroupTable.cyclic(2), [0, 1])
-    yield "FIX-B", c4_triple(QQ)
-    yield "FIX-C", trivial_action(group_algebra(QQ, GroupTable.cyclic(2)), product_of_fields(QQ, 3))
+    pool = _Pool()
+    yield "FIX-A", pool.dual_group_idempotent(QQ, 2, (0, 1))
+    yield "FIX-B", pool.c4_triple(QQ)
+    yield "FIX-C", trivial_action(pool.group_algebra(QQ, 2), product_of_fields(QQ, 3))
     if not semisimple_hopf:  # F2C2 is not semisimple
-        yield "FIX-D", fixture_d()
+        yield "FIX-D", pool.first(fixture_d(pool=pool))
     rng = random.Random(seed)
     for t in range(trials):
         p = (2, 3, 5, 7, 11, 13)[t % 6]
         cap = 10 if p in (11, 13) else (8 if p == 2 else (7 if p == 3 else 6))
         try:
-            pa = random_partial_action(rng, GF(p), max_carrier=cap, semisimple_hopf=semisimple_hopf)
+            pa = random_partial_action(rng, GF(p), max_carrier=cap, semisimple_hopf=semisimple_hopf, pool=pool)
         except RuntimeError:
             continue
         yield f"random-{t}(F{p})", pa
@@ -400,11 +459,12 @@ def lattice_instances(primes: tuple[int, ...], fixtures: tuple, seed: int, trial
     """(tag, builder) fixtures, seeded draws over `primes` whose ideals can be enumerated, the workspace actions."""
     for tag, build in fixtures:
         yield tag, build()
+    pool = _Pool()
     rng = random.Random(seed)
     for t in range(trials):
         p = rng.choice(primes)
         try:
-            pa = random_partial_action(rng, GF(p), max_carrier=ENUM_CARRIER_CAP)
+            pa = random_partial_action(rng, GF(p), max_carrier=ENUM_CARRIER_CAP, pool=pool)
         except RuntimeError:
             continue
         if _enumerable(pa, dim_cap, field_cap):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from psl.exactla import GF, QQ, Matrix, Subspace, unit_vec
+from psl.algebra import Algebra
+from psl.exactla import GF, QQ, Matrix, Subspace, unit_vec, zero_vec
 from psl.hopf import (
     BadCharacteristic,
     GroupTable,
@@ -162,3 +163,74 @@ def test_convolution_identity_all_constructors():
         dual_hopf(sweedler_h4(QQ)),
     ):
         assert check_hopf(H).ok
+
+
+# ---------------------------------------------------------------------------
+# the sparse builders against the public coercing constructors on dense tensors
+
+def dense_group_algebra(field, G):
+    n = G.order
+    mult = [[unit_vec(field, n, G.cayley[i][j]) for j in range(n)] for i in range(n)]
+    alg = Algebra(field, mult, unit=unit_vec(field, n, G.identity), labels=G.labels)
+    comul = [[[field.one if i == j == k else field.zero for k in range(n)] for j in range(n)] for i in range(n)]
+    antipode = Matrix(field, [unit_vec(field, n, G.inverses[i]) for i in range(n)], ncols=n)
+    return HopfAlgebra(alg, comul, (field.one,) * n, antipode)
+
+
+def dense_dual_group_algebra(field, G):
+    n = G.order
+    z = zero_vec(field, n)
+    mult = [[unit_vec(field, n, i) if i == j else z for j in range(n)] for i in range(n)]
+    alg = Algebra(field, mult, unit=(field.one,) * n, labels=[f"p({l})" for l in G.labels])
+    comul = [
+        [[field.one if G.cayley[u][v] == g else field.zero for v in range(n)] for u in range(n)]
+        for g in range(n)
+    ]
+    antipode = Matrix(field, [unit_vec(field, n, G.inverses[i]) for i in range(n)], ncols=n)
+    return HopfAlgebra(alg, comul, unit_vec(field, n, G.identity), antipode)
+
+
+def dense_dual(H):
+    """H* from the dense tensors of H: the product is Delta transposed, Delta the product transposed."""
+    m = H.dim
+    mult = [[[H.comul[k][i][j] for k in range(m)] for j in range(m)] for i in range(m)]
+    alg = Algebra(H.field, mult, unit=H.counit, labels=[f"{l}*" for l in H.alg.labels])
+    comul = [[[H.alg.mult[j][k][i] for k in range(m)] for j in range(m)] for i in range(m)]
+    return HopfAlgebra(alg, comul, H.unit, Matrix(H.field, zip(*H.antipode.rows), ncols=m))
+
+
+def sparse_and_dense_twins():
+    """A kernel-built Hopf algebra and its twin from the public constructors, for each case."""
+    for field in (QQ, F2, GF(3), GF(5)):
+        for n in range(1, 7):
+            G = GroupTable.cyclic(n)
+            for name, H, twin in (
+                (f"kC{n}", group_algebra(field, G), dense_group_algebra(field, G)),
+                (f"(kC{n})*", dual_group_algebra(field, G), dense_dual_group_algebra(field, G)),
+            ):
+                yield pytest.param(H, twin, id=f"{name}/{field}")
+                yield pytest.param(dual_hopf(H), dense_dual(twin), id=f"dual {name}/{field}")
+                yield pytest.param(
+                    dual_hopf(dual_hopf(H)), dense_dual(dense_dual(twin)), id=f"double dual {name}/{field}"
+                )
+    H4 = sweedler_h4(QQ)
+    yield pytest.param(dual_hopf(H4), dense_dual(H4), id="dual H4/QQ")
+    yield pytest.param(dual_hopf(dual_hopf(H4)), dense_dual(dense_dual(H4)), id="double dual H4/QQ")
+
+
+@pytest.mark.parametrize("H, twin", sparse_and_dense_twins())
+def test_sparse_hopf_builders_match_the_public_constructors(H, twin):
+    assert H == twin and hash(H) == hash(twin)
+    # repr tells an int from a Fraction, so the dense tensors are identical, not just equal
+    assert repr(H.comul) == repr(twin.comul)
+    assert repr(H.alg.mult) == repr(twin.alg.mult)
+    assert repr((H.unit, H.counit, H.antipode.rows)) == repr((twin.unit, twin.counit, twin.antipode.rows))
+    assert H.alg.labels == twin.alg.labels
+    assert check_hopf(H).ok
+    assert dual_hopf(dual_hopf(H)) == H
+
+
+def test_dual_and_semisimplicity_are_kept_on_the_hopf_algebra():
+    H = group_algebra(F2, GroupTable.cyclic(2))
+    assert dual_hopf(H) is dual_hopf(H)
+    assert is_semisimple(H) is False and H._semisimple is False

@@ -1,12 +1,20 @@
-"""Source-level guards: no `assert` in the package, and `python -O` changes no output."""
+"""Source-level guards: no `assert` in the package, `python -O` changes no output, and the
+instance generator builds nothing through the coercing public constructors."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from psl.cli import main
+from psl.exactla import QQ
+from psl.hopf import HopfAlgebra, sweedler_h4
+from psl.paction import PartialAction, c4_triple
+from psl.workspace import load_workspace
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "psl").glob("*.py"))
@@ -66,3 +74,33 @@ def test_true_division_only_where_allowed(path):
 def test_division_guard_sees_every_form():
     tree = ast.parse("def f(a, b):\n    a /= b\n    return a / b\nclass C:\n    def g(self):\n        return 1 // 2 + 3 / 4\n")
     assert true_divisions(tree) == [("f", 2), ("f", 3), ("C.g", 6)]
+
+
+def test_verify_builds_nothing_through_the_public_constructors(monkeypatch, tmp_path):
+    # psl builds its Hopf algebras and actions from its own sparse terms; the
+    # coercing constructors are for outside input, and for sweedler_h4
+    calls = []
+    for cls in (HopfAlgebra, PartialAction):
+        real = cls.__init__
+
+        def counting(self, *args, cls=cls, real=real, **kwargs):
+            calls.append(cls.__name__)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert main(["verify", "T4.26"]) == 0
+    c4_triple(QQ)  # the FIX-B fixture of the run, also on its own
+    assert calls == []
+    sweedler_h4(QQ)
+    doc = {
+        "version": "psl-workspace/1",
+        "field": {"kind": "Q"},
+        "groups": {"C1": {"cyclic": 1}},
+        "hopf_algebras": {"H": {"constructor": "group_algebra", "group": "C1"}},
+        "algebras": {"A": {"constructor": "product_of_fields", "k": 1}},
+        "actions": {"explicit": {"hopf": "H", "algebra": "A", "act": [[["1"]]]}},
+    }
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    load_workspace(str(path)).actions["explicit"]
+    assert calls == ["HopfAlgebra", "PartialAction"]

@@ -9,12 +9,15 @@ from pathlib import Path
 
 import pytest
 
+import psl.paction as paction
 import psl.radicals as radicals
 import psl.smash as smash
 import psl.verify as verify
+from psl.algebra import InvariantViolation
 from psl.cli import main
 from psl.verify import NEGATIVE_CONTROLS, THEOREMS, fixture_d, run_theorem
 from psl.workspace import load_workspace
+from test_invariants import integrals_not_one_dimensional, translation_action_fails
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = ROOT / "workspaces" / "sample.json"
@@ -32,6 +35,49 @@ def test_full_smash_built_once_per_action(monkeypatch):
     assert run_theorem("T4.26", trials=6).ok
     assert built
     assert len(built) == len({id(pa) for pa in built})
+
+
+def test_one_verify_run_builds_each_hopf_algebra_once(monkeypatch):
+    built = []
+
+    def counting(name, real):
+        def build(field, G):
+            built.append((name, field, G.order))
+            return real(field, G)
+        return build
+
+    for module in (verify, paction):
+        for name in ("group_algebra", "dual_group_algebra"):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert run_theorem("T4.26").ok
+    assert built
+    assert len(built) == len(set(built))
+
+
+def test_equal_draws_share_one_full_smash(monkeypatch):
+    built = []
+    real = smash.build_full_smash
+
+    def counting(pa):
+        built.append((pa, pa.alg.labels, pa.hopf.alg.labels))
+        return real(pa)
+
+    monkeypatch.setattr(smash, "build_full_smash", counting)
+    assert run_theorem("T4.26").ok
+    assert built
+    assert len(built) == len(set(built))
+
+
+@pytest.mark.parametrize("breakage, message", [
+    (translation_action_fails, "dual group translation axioms failed"),
+    (integrals_not_one_dimensional, "integral space has dimension 0"),
+])
+def test_checks_still_fire_after_a_verify_run(monkeypatch, breakage, message):
+    # nothing a run builds outlives it, so fresh objects are built and checked again
+    assert run_theorem("T4.26", trials=6).ok
+    call = breakage(monkeypatch)
+    with pytest.raises(InvariantViolation, match=message):
+        call()
 
 
 def test_h_radicals_enumerate_once_per_instance(monkeypatch):
