@@ -21,9 +21,10 @@ a Fraction again on the way out.  The associativity and PA3/PA4 checks go
 further: they clear the denominators of what they read (`_cleared`, in the
 fraction-free spirit of Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", 1968) and run on ints alone.  An
-algebra psl builds from its own kernel output (`build_full_smash`,
-`quotient_algebra`, `_closed_subalgebra`) is made by `Algebra._of_terms` from
-such terms directly, and its dense `mult` is derived on first read.
+algebra psl builds itself (`build_full_smash`, `quotient_algebra`,
+`_closed_subalgebra`, `direct_product`, `product_of_fields`) is made by
+`Algebra._of_terms` from such terms directly, and its dense `mult` is derived
+on first read.
 """
 
 from __future__ import annotations
@@ -458,33 +459,17 @@ def nilpotency_index(A: Algebra, I: Subspace) -> int | None:
 
 
 def direct_product(A: Algebra, B: Algebra) -> Algebra:
+    """A x B on the basis of A followed by that of B; unital when both factors are."""
     if A.field != B.field:
         raise FieldMismatch("direct product across different fields")
     n, m = A.dim, B.dim
-    field = A.field
-
-    def emb_a(vec):
-        return tuple(vec) + zero_vec(field, m)
-
-    def emb_b(vec):
-        return zero_vec(field, n) + tuple(vec)
-
-    mult = []
-    for i in range(n + m):
-        row = []
-        for j in range(n + m):
-            if i < n and j < n:
-                row.append(emb_a(A.mult[i][j]))
-            elif i >= n and j >= n:
-                row.append(emb_b(B.mult[i - n][j - n]))
-            else:
-                row.append(zero_vec(field, n + m))
-        mult.append(row)
+    shifted = tuple(tuple(tuple((k + n, c) for k, c in e) for e in row) for row in B.terms)
+    terms = tuple(row + ((),) * m for row in A.terms) + tuple(((),) * n + row for row in shifted)
     unit = None
     if A.unit is not None and B.unit is not None:
         unit = tuple(A.unit) + tuple(B.unit)
     labels = tuple(f"{l}.1" for l in A.labels) + tuple(f"{l}.2" for l in B.labels)
-    return Algebra(field, mult, unit=unit, labels=labels)
+    return Algebra._of_terms(A.field, terms, unit, labels)
 
 
 def subalgebra_closure(A: Algebra, gens: Iterable[Sequence]) -> Subspace:

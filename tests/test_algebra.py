@@ -223,3 +223,45 @@ def test_product_of_fields_equals_its_public_twin(field):
     twin = Algebra(field, mult, unit=(field.one,) * k, labels=[f"e{i+1}" for i in range(k)])
     A = product_of_fields(field, k)
     assert A == twin and hash(A) == hash(twin) and A.mult == twin.mult and A.labels == twin.labels
+
+
+def dense_direct_product(A, B):
+    """Oracle: A x B by the public constructor on the dense block-diagonal tensor."""
+    n, m, z = A.dim, B.dim, A.field.zero
+    mult = [
+        [
+            list(A.mult[i][j]) + [z] * m if i < n and j < n
+            else [z] * n + list(B.mult[i - n][j - n]) if i >= n and j >= n
+            else [z] * (n + m)
+            for j in range(n + m)
+        ]
+        for i in range(n + m)
+    ]
+    unit = None if A.unit is None or B.unit is None else list(A.unit) + list(B.unit)
+    labels = [f"{l}.1" for l in A.labels] + [f"{l}.2" for l in B.labels]
+    return Algebra(A.field, mult, unit=unit, labels=labels)
+
+
+def scaled_idempotent(field):
+    """Non-unital: e0 * e0 = c e0 (c = 1/2 over Q, -1 over F_p), every other product 0."""
+    c = field.of("1/2") if field.char == 0 else field.of(-1)
+    z = field.zero
+    return Algebra(field, [[[c, z], [z, z]], [[z, z], [z, z]]], labels=["s", "n"])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=repr)
+def test_direct_product_equals_its_public_twin(field):
+    factors = [
+        product_of_fields(field, 2),
+        group_algebra(field, GroupTable.cyclic(3)).alg,
+        scaled_idempotent(field),
+        Algebra(field, [], unit=[]),
+    ]
+    for A in factors:
+        for B in factors:
+            P, twin = direct_product(A, B), dense_direct_product(A, B)
+            assert P == twin and hash(P) == hash(twin)
+            # repr tells a Fraction from an int, which == and hash do not
+            assert repr(P.mult) == repr(twin.mult) and repr(P.unit) == repr(twin.unit) and P.labels == twin.labels
+            assert (P.unit is None) == (A.unit is None or B.unit is None)
+            assert check_algebra(P).ok

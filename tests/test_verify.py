@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,14 +14,69 @@ import psl.paction as paction
 import psl.radicals as radicals
 import psl.smash as smash
 import psl.verify as verify
-from psl.algebra import InvariantViolation
+from psl.algebra import Algebra, InvariantViolation, check_algebra, is_ideal, is_nilpotent_subspace
 from psl.cli import main
-from psl.verify import NEGATIVE_CONTROLS, THEOREMS, fixture_d, run_theorem
+from psl.exactla import GF, QQ, unit_vec
+from psl.radicals import trace_form_kernel
+from psl.verify import (
+    NEGATIVE_CONTROLS,
+    THEOREMS,
+    fixture_d,
+    random_algebra,
+    random_partial_action,
+    run_theorem,
+    seeded_instances,
+    truncated_polynomial_algebra,
+)
 from psl.workspace import load_workspace
 from test_invariants import integrals_not_one_dimensional, translation_action_fails
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = ROOT / "workspaces" / "sample.json"
+
+
+def test_random_algebra_with_max_dim_one_asks_for_no_empty_range():
+    # kind 4 quotients a group algebra of order at least 2, more than max_dim = 1 allows
+    seeds = range(40)
+    assert any(random.Random(s).randrange(5) == 4 for s in seeds)
+    for s in seeds:
+        for p in (2, 3, 5):
+            assert random_algebra(random.Random(s), GF(p), max_dim=1).dim <= 2
+
+
+def test_seeded_draws_include_a_large_trace_form_kernel():
+    # F_5C_5 over F_5 has an identically zero trace form: K = A, and (5^5 - 1)/4 = 781 lines
+    hard = []
+    for tag, pa in seeded_instances(None, 0, 100, 6, 5, ()):
+        A, p = pa.alg, pa.field.char
+        if 0 < p <= A.dim:
+            K = trace_form_kernel(A)
+            if not (is_ideal(A, K) and is_nilpotent_subspace(A, K)) and (p ** K.dim - 1) // (p - 1) > 700:
+                hard.append(tag)
+    assert hard
+
+
+def test_an_error_inside_a_draw_propagates(monkeypatch):
+    def broken(H, A):
+        raise ValueError("broken builder")
+
+    monkeypatch.setattr(verify, "trivial_action", broken)
+    with pytest.raises(ValueError, match="broken builder"):
+        random_partial_action(random.Random(0), GF(3))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=repr)
+def test_truncated_polynomial_algebra_equals_its_public_twin(field):
+    for k in range(1, 6):
+        z = (field.zero,) * k
+        mult = [[unit_vec(field, k, i + j) if i + j < k else z for j in range(k)] for i in range(k)]
+        labels = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, k)]
+        twin = Algebra(field, mult, unit=unit_vec(field, k, 0), labels=labels)
+        A = truncated_polynomial_algebra(field, k)
+        assert A == twin and hash(A) == hash(twin)
+        # repr tells a Fraction from an int, which == and hash do not
+        assert repr(A.mult) == repr(twin.mult) and repr(A.unit) == repr(twin.unit) and A.labels == twin.labels
+        assert check_algebra(A).ok
 
 
 def test_full_smash_built_once_per_action(monkeypatch):
