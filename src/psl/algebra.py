@@ -20,11 +20,12 @@ multiply plain ints wherever the constants allow; `_canon` makes every value
 a Fraction again on the way out.  The associativity and PA3/PA4 checks go
 further: they clear the denominators of what they read (`_cleared`, in the
 fraction-free spirit of Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", 1968) and run on ints alone.  An
-algebra psl builds itself (`build_full_smash`, `quotient_algebra`,
-`_closed_subalgebra`, `direct_product`, `product_of_fields`) is made by
-`Algebra._of_terms` from such terms directly, and its dense `mult` is derived
-on first read.
+integer-preserving Gaussian elimination", 1968) and run on ints alone, and
+they accumulate all the triples of one basis pair into one n x n block that
+is tested once.  An algebra psl builds itself (`build_full_smash`,
+`quotient_algebra`, `_closed_subalgebra`, `direct_product`,
+`product_of_fields`) is made by `Algebra._of_terms` from such terms
+directly, and its dense `mult` is derived on first read.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ def _vanishes(acc: Sequence, p: int) -> bool:
     if p:
         return not any(map(p.__rmod__, acc))
     return not any(acc)
+
+
+def _failed_slices(block: Sequence, n: int, p: int) -> list[int]:
+    """The k whose slice block[k n : (k + 1) n] of a dense n x n block is not zero as field elements."""
+    return [k for k in range(n) if not _vanishes(block[k * n:(k + 1) * n], p)]
 
 
 def _cleared(rows, p: int, depth: int = 0) -> tuple:
@@ -301,9 +307,11 @@ def multiply(A: Algebra, x: Sequence, y: Sequence) -> tuple:
 def check_algebra(A: Algebra) -> CheckReport:
     """Associativity on all basis triples plus unit laws (when a unit is present).
 
-    Each triple accumulates (e_i e_j) e_k - e_i (e_j e_k) into one vector.
-    Both sides are quadratic in the structure constants, so over Q they run on
-    the constants cleared of denominators, as ints.
+    Each basis pair (i, j) accumulates (e_i e_j) e_k - e_i (e_j e_k) for every
+    k into one n x n block, slice k at offset k n, and tests the block once;
+    only a block that does not vanish is scanned slice by slice, in k order,
+    for its failures.  Both sides are quadratic in the structure constants,
+    so over Q they run on the constants cleared of denominators, as ints.
     """
     failures = []
     n = A.dim
@@ -312,20 +320,23 @@ def check_algebra(A: Algebra) -> CheckReport:
     basis = [((i, 1),) for i in range(n)]
     dense = [[int(t == i) for t in range(n)] for i in range(n)]
     T = _cleared(terms, p, 1)[1]
+    # row t of T for all k at once: flat[t] holds e_t e_k as (k n + u, c),
+    # split[t] as (k n, s, c)
+    flat = [tuple((k * n + u, y) for k in range(n) for u, y in row[k]) for row in T]
+    split = [tuple((k * n, s, x) for k in range(n) for s, x in row[k]) for row in T]
+    nn = n * n
     for i in range(n):
         Ti = T[i]
         for j in range(n):
-            ij, Tj = Ti[j], T[j]
-            for k in range(n):
-                acc = [0] * n
-                for t, x in ij:
-                    for u, y in T[t][k]:
-                        acc[u] += x * y
-                for s, x in Tj[k]:
-                    for u, y in Ti[s]:
-                        acc[u] -= x * y
-                if not _vanishes(acc, p):
-                    failures.append(f"associativity fails at basis triple ({i},{j},{k})")
+            acc = [0] * nn
+            for t, x in Ti[j]:
+                for u, y in flat[t]:
+                    acc[u] += x * y
+            for base, s, x in split[j]:
+                for u, y in Ti[s]:
+                    acc[base + u] -= x * y
+            if not _vanishes(acc, p):
+                failures += [f"associativity fails at basis triple ({i},{j},{k})" for k in _failed_slices(acc, n, p)]
     if A.unit is not None:
         unit = _nonzero(A.unit, p)
         for i in range(n):
@@ -504,7 +515,8 @@ def _closed_subalgebra(A: Algebra, S: Subspace, unit: Sequence, message: str, la
     Returns it with the coordinate map of S, which takes a dense vector of A
     (unreduced entries allowed), returns its canonical coordinates and raises
     InvariantViolation(message) on a vector outside S.  Coordinates go
-    through `Subspace._coords`.
+    through `Subspace._coords`.  A full S, such as the carrier of a global
+    action, keeps A's own constants.
     """
 
     def coords(vec):
@@ -514,6 +526,8 @@ def _closed_subalgebra(A: Algebra, S: Subspace, unit: Sequence, message: str, la
         return c
 
     p, terms = A.field.char, A.terms
+    if S.is_full():  # the RREF basis is the standard one, and A's constants are the products
+        return Algebra._of_terms(A.field, terms, coords(unit), labels), coords
     rows = [_nonzero(r, p) for r in S.rows]
     products = tuple(tuple(_nonzero(coords(_multiply_raw(terms, u, v)), p) for v in rows) for u in rows)
     return Algebra._of_terms(A.field, products, coords(unit), labels), coords

@@ -9,7 +9,10 @@ they enter a container, which is also where `FieldMismatch` is raised.
 Vectors are tuples, matrices row-major tuples of such tuples.  Subspaces
 are kept in reduced row echelon form so that equality of subspaces is
 structural equality.  Everything is immutable and every operation is a
-pure function.
+pure function.  In RREF a member's coordinates are its own pivot entries,
+so a subspace tests membership, takes residuals and reads coordinates in
+one pass over the non-pivot entries of its basis (`Subspace._tails`),
+and a full subspace does no work beyond copying the vector.
 
 One elimination routine, `_rref`, serves both fields.  Over F_p it reduces
 mod p once per row update rather than once per scalar operation (the
@@ -18,10 +21,10 @@ machine words over Q where it can: the sparse form of a row (`_nonzero`)
 holds an integral rational as its int and any other as a Fraction, and
 `_canon` turns every value back into a Fraction where a container stores
 it or a method returns it, so the representation above is all a caller
-sees.  Only `_rref` and `_Echelon.add` divide, and always by a Fraction.  Invariant subspaces are closed by
-spinning (Parker, "The computer calculation of modular characters (the
-Meat-Axe)", 1984): each new image is reduced once against a growing
-echelon basis and kept only if it is new.
+sees.  Only `_rref` and `_Echelon.add` divide, and always by a Fraction.
+Invariant subspaces are closed by spinning (Parker, "The computer
+calculation of modular characters (the Meat-Axe)", 1984): each new image is
+reduced once against a growing echelon basis and kept only if it is new.
 """
 
 from __future__ import annotations
@@ -48,14 +51,34 @@ _QZERO = Fraction(0)
 _QONE = Fraction(1)
 
 
+# Miller-Rabin to the first 13 prime bases is exact below the smallest strong
+# pseudoprime to all of them (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", 2017); PrimeField refuses any larger p
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= n < PRIME_LIMIT."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -132,6 +155,8 @@ class RationalField(Field):
 
 class PrimeField(Field):
     def __init__(self, p: int):
+        if p >= PRIME_LIMIT:
+            raise ValueError(f"GF({p}): p must be below {PRIME_LIMIT} for an exact primality test")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.char = p
@@ -328,24 +353,6 @@ def _rref(rows: Sequence[Sequence], p: int) -> tuple[list[list], int, list[int]]
     if not p:
         a = [list(_canon(row, 0)) for row in a]
     return a, r, pivots
-
-
-def _residual(vec: Sequence, rows: Sequence[Sequence], pivots: Sequence[int], p: int) -> list:
-    """vec minus its combination of the RREF rows, reduced once at the end.
-
-    In RREF only row r is nonzero at pivot r, so its coefficient is vec's own
-    entry there and the rows can be subtracted in any order.
-    """
-    v = list(vec)
-    for row, c in zip(rows, pivots):
-        f = v[c]
-        if f:
-            for j, x in enumerate(row):
-                if x:
-                    v[j] -= f * x
-    if p:
-        return [x % p for x in v]
-    return v
 
 
 def _combine(coeffs: Sequence, rows: Sequence[Sequence], n: int, p: int) -> tuple:
@@ -640,15 +647,24 @@ def kernel(m: Matrix) -> "Subspace":
 # subspaces (canonical RREF bases)
 
 class Subspace:
-    """Subspace of F^ambient given by an RREF basis of canonical rows, no zero rows."""
+    """Subspace of F^ambient given by an RREF basis of canonical rows, no zero rows.
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    In RREF a member's coordinates are its own entries at the pivots, and a
+    vector v lies in the span iff v_j = sum_s v_{c_s} row_s[j] at every
+    non-pivot column j.  `_tails` lists, for each non-pivot column j, the
+    nonzero (c_s, row_s[j]) of the basis, built on first use; membership,
+    residuals and coordinates make one pass over these tails only.
+    """
+
+    # `_tail` holds the tails once `_tails` has built them
+    __slots__ = ("field", "ambient", "rows", "pivots", "_tail")
 
     def __init__(self, field: Field, ambient: int, rows: tuple, pivots: tuple):
         self.field = field
         self.ambient = ambient
         self.rows = rows
         self.pivots = pivots
+        self._tail = None
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -704,17 +720,53 @@ class Subspace:
     def sort_key(self):
         return (self.dim, tuple(self.field.sort_key(x) for row in self.rows for x in row))
 
+    def _tails(self) -> tuple:
+        """(j, ((c_s, row_s[j]) for the rows with row_s[j] != 0)) for each non-pivot column j.
+
+        Over Q an integral entry is kept as its int, as in `_nonzero`.
+        """
+        if self._tail is None:
+            p, rows, pivots = self.field.char, self.rows, self.pivots
+            cols = [_nonzero(col, p) for col in zip(*rows)] if rows else [()] * self.ambient
+            lead = set(pivots)
+            self._tail = tuple(
+                (j, tuple((pivots[s], x) for s, x in col)) for j, col in enumerate(cols) if j not in lead
+            )
+        return self._tail
+
     def _residual(self, vec: Sequence) -> list:
-        """Residual of a vector (unreduced entries allowed over F_p)."""
-        return _residual(vec, self.rows, self.pivots, self.field.char)
+        """vec minus its combination of the basis rows (unreduced entries allowed over F_p).
+
+        The combination matches vec at every pivot, so the residual is zero
+        there and v_j - sum_s v_{c_s} row_s[j] at each non-pivot column j.
+        """
+        p = self.field.char
+        out = _zeros(p, self.ambient)
+        for j, tail in self._tails():
+            r = vec[j]
+            for c, x in tail:
+                f = vec[c]
+                if f:
+                    r -= f * x
+            out[j] = r % p if p else r
+        return out
 
     def _holds(self, vec: Sequence) -> bool:
-        """Membership of a vector (unreduced entries allowed over F_p)."""
-        return not any(self._residual(vec))
+        """Membership of a vector (unreduced entries allowed over F_p); stops at the first nonzero residual."""
+        p = self.field.char
+        for j, tail in self._tails():
+            r = vec[j]
+            for c, x in tail:
+                f = vec[c]
+                if f:
+                    r -= f * x
+            if (r % p if p else r):
+                return False
+        return True
 
     def _coords(self, vec: Sequence) -> tuple | None:
         """Coordinates of a vector in the RREF basis, or None if it is outside (unreduced entries allowed)."""
-        if any(self._residual(vec)):
+        if not self._holds(vec):
             return None
         return _canon([vec[c] for c in self.pivots], self.field.char)
 
@@ -723,7 +775,7 @@ class Subspace:
         return tuple(self._residual(_coerce(self.field, vec, self.ambient, AmbientMismatch)))
 
     def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))
+        return self._holds(_coerce(self.field, vec, self.ambient, AmbientMismatch))
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_compat(other)
@@ -796,8 +848,17 @@ def closure_under_operators(
     return _spin(field, ambient, seeds, _operator_terms(field, ambient, operators))
 
 
+# the most lines of F_p^n, one spin each, that enumerate_invariant_subspaces tries
+ENUM_BUDGET = 1 << 17
+
+
+def projective_size(p: int, n: int) -> int:
+    """The number of lines of F_p^n."""
+    return (p ** n - 1) // (p - 1)
+
+
 def enumerate_invariant_subspaces(
-    field: Field, ambient: int, operators: Sequence[Matrix], budget: int = 1 << 17
+    field: Field, ambient: int, operators: Sequence[Matrix], budget: int = ENUM_BUDGET
 ) -> list[Subspace]:
     """All subspaces invariant under the operators (finite fields only).
 
@@ -808,7 +869,7 @@ def enumerate_invariant_subspaces(
     p = field.char
     if p == 0:
         raise FieldMismatch("invariant-subspace enumeration needs a finite field")
-    count = (p ** ambient - 1) // (p - 1)
+    count = projective_size(p, ambient)
     if count > budget:
         raise ValueError(f"projective space too large ({count} > {budget})")
     ops = _operator_terms(field, ambient, operators)

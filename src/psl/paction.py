@@ -27,6 +27,7 @@ from psl.algebra import (
     _closed_subalgebra,
     _compact,
     _differ,
+    _failed_slices,
     _multiply_raw,
     _operate,
     _operate_sum,
@@ -165,11 +166,15 @@ def _comul_terms(H: HopfAlgebra) -> tuple:
 def check_partial_action(pa: PartialAction, samples: int = 4) -> CheckReport:
     """PA1, PA3, PA4 on all basis tuples; PA2 re-checked on seeded random samples.
 
-    PA3 and PA4 accumulate lhs - rhs of each triple into one vector and skip the
-    terms h_p (x) h_q of Delta(h_i) whose left factor h_p . e_j (PA3) or
-    h_p . 1_A (PA4) is zero.  Over Q they run on ints: the action, the constants
-    of A and of Delta, the unit images and the (h_q h_g) . e_k are cleared of
-    denominators (`_cleared`), and each side is multiplied up to one total scale.
+    PA3 accumulates lhs - rhs of the triples (h_i, e_j, e_k) of each basis pair
+    (h_i, e_j), and PA4 those of (h_i, h_g, e_k) of each pair (h_i, h_g), for
+    every k into one n x n block, slice k at offset k n, and tests the block
+    once; only a block that does not vanish is scanned slice by slice, in k
+    order, for its failures.  Both skip the terms h_p (x) h_q of Delta(h_i)
+    whose left factor h_p . e_j (PA3) or h_p . 1_A (PA4) is zero.  Over Q they
+    run on ints: the action, the constants of A and of Delta, the unit images
+    and the (h_q h_g) . e_k are cleared of denominators (`_cleared`), and each
+    side is multiplied up to one total scale.
     """
     failures = []
     H, A = pa.hopf, pa.alg
@@ -202,51 +207,55 @@ def check_partial_action(pa: PartialAction, samples: int = 4) -> CheckReport:
     d_u, units = _cleared(unit_images, p)
     d_h, hg_s = _cleared(hg_act, p, 2)
 
-    # PA3 on all basis triples, both sides at scale d_c d_a^2 d_t
+    # one n x n block per basis pair, slice k at offset k n
+    nn = n * n
+    offsets = range(0, nn, n)
+
+    # PA3 on all basis pairs (h_i, e_j), both sides at scale d_c d_a^2 d_t
     scale = d_c * d_a
     for i in range(m):
         act_i = act_s[i]
         for j in range(n):
             live = [(c, act_s[hp][j], act_s[hq]) for hp, hq, c in comul_s[i] if act_s[hp][j]]
-            Tj = T[j]
-            for k in range(n):
-                acc = [0] * n
-                for s, x in Tj[k]:
+            acc = [0] * nn
+            for base, Tjk in zip(offsets, T[j]):
+                for s, x in Tjk:
                     x *= scale
                     for u, y in act_i[s]:
-                        acc[u] += x * y
-                for c, left, right in live:
-                    for t, y in right[k]:
+                        acc[base + u] += x * y
+            for c, left, right in live:
+                for base, right_k in zip(offsets, right):
+                    for t, y in right_k:
                         cy = c * y
                         for s, x in left:
                             cxy = cy * x
                             for u, z in T[s][t]:
-                                acc[u] -= cxy * z
-                if not _vanishes(acc, p):
-                    failures.append(f"PA3 fails at (h{i}, {A.labels[j]}, {A.labels[k]})")
+                                acc[base + u] -= cxy * z
+            if not _vanishes(acc, p):
+                failures += [f"PA3 fails at (h{i}, {A.labels[j]}, {A.labels[k]})" for k in _failed_slices(acc, n, p)]
 
-    # PA4 on all basis triples, both sides at scale d_c d_a^2 d_u d_h d_t
+    # PA4 on all basis pairs (h_i, h_g), both sides at scale d_c d_a^2 d_u d_h d_t
     scale, rscale = d_c * d_u * d_h * d_t, d_a * d_a
     for i in range(m):
         act_i = act_s[i]
         live = [(c * rscale, units[hp], hg_s[hq]) for hp, hq, c in comul_s[i] if units[hp]]
         for g in range(m):
-            act_g = act_s[g]
-            for k in range(n):
-                acc = [0] * n
-                for s, x in act_g[k]:
+            acc = [0] * nn
+            for base, act_gk in zip(offsets, act_s[g]):
+                for s, x in act_gk:
                     x *= scale
                     for u, y in act_i[s]:
-                        acc[u] += x * y
-                for c, left, right in live:
-                    for t, y in right[g][k]:
+                        acc[base + u] += x * y
+            for c, left, right in live:
+                for base, right_k in zip(offsets, right[g]):
+                    for t, y in right_k:
                         cy = c * y
                         for s, x in left:
                             cxy = cy * x
                             for u, z in T[s][t]:
-                                acc[u] -= cxy * z
-                if not _vanishes(acc, p):
-                    failures.append(f"PA4 fails at (h{i}, h{g}, {A.labels[k]})")
+                                acc[base + u] -= cxy * z
+            if not _vanishes(acc, p):
+                failures += [f"PA4 fails at (h{i}, h{g}, {A.labels[k]})" for k in _failed_slices(acc, n, p)]
 
     # PA2 is implied by PA1+PA3+PA4 for unital A; sample it as redundancy
     rng = random.Random(20107)

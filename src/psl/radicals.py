@@ -24,12 +24,14 @@ from psl.algebra import (
     span_products,
 )
 from psl.exactla import (
+    ENUM_BUDGET,
     Matrix,
     Subspace,
     _canon,
     _rref,
     enumerate_invariant_subspaces,
     preimage_under,
+    projective_size,
 )
 from psl.paction import (
     NotHStable,
@@ -205,6 +207,22 @@ def is_h_semiprimitive(pa: PartialAction) -> bool:
     return h_jacobson_radical(pa).is_zero()
 
 
+def enumeration_refusal(p: int, dim: int, dim_cap: int, field_cap: int) -> str | None:
+    """Why the ideals of an algebra of dimension `dim` over F_p are not enumerated, or None.
+
+    They are not when dim or p passes its cap, or when F_p^dim has more lines
+    than the budget of `enumerate_invariant_subspaces`.
+    """
+    if dim > dim_cap:
+        return f"dim {dim} exceeds cap {dim_cap}"
+    if p > field_cap:
+        return f"field size {p} exceeds cap {field_cap}"
+    count = projective_size(p, dim)
+    if count > ENUM_BUDGET:
+        return f"projective space too large ({count} > {ENUM_BUDGET})"
+    return None
+
+
 def enumerate_h_stable_ideals(
     pa: PartialAction, dim_cap: int = 6, field_cap: int = 5
 ) -> list[Subspace]:
@@ -217,10 +235,9 @@ def enumerate_h_stable_ideals(
     p = A.field.char
     if p == 0:
         raise FieldNotFinite("H-stable ideal enumeration needs a finite field")
-    if A.dim > dim_cap:
-        raise DimensionTooLarge(f"dim {A.dim} exceeds cap {dim_cap}")
-    if p > field_cap:
-        raise DimensionTooLarge(f"field size {p} exceeds cap {field_cap}")
+    refusal = enumeration_refusal(p, A.dim, dim_cap, field_cap)
+    if refusal:
+        raise DimensionTooLarge(refusal)
     operators = (
         [A.left_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
         + [A.right_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]

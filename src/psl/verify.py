@@ -47,6 +47,7 @@ from psl.paction import (
 from psl.radicals import (
     _is_h_prime_among,
     enumerate_h_stable_ideals,
+    enumeration_refusal,
     h_jacobson_radical,
     h_radical_of_ideal,
     jacobson_radical,
@@ -245,8 +246,9 @@ def random_h_stable_ideal(rng: random.Random, pa: PartialAction) -> Subspace:
 # J code path and `kind` only labels their cases.
 
 def _enumerable(pa: PartialAction, dim_cap: int, field_cap: int) -> bool:
-    """Whether the H-stable ideals of A can be enumerated within the caps."""
-    return 0 < pa.field.char <= field_cap and pa.alg.dim <= dim_cap
+    """Whether the H-stable ideals of A can be enumerated within the caps and the budget."""
+    p = pa.field.char
+    return p > 0 and enumeration_refusal(p, pa.alg.dim, dim_cap, field_cap) is None
 
 
 def check_transfer(kind: str, report: VerifyReport, tag: str, pa: PartialAction, **_) -> bool:
@@ -356,7 +358,12 @@ def check_ideal_correspondence(report: VerifyReport, tag: str, pa: PartialAction
 def check_dual_ideals(report: VerifyReport, tag: str, pa: PartialAction, *,
                       seed: int, dim_cap: int, field_cap: int) -> bool:
     """C3.7: H*-stable ideals of A#H correspond bijectively to H-stable ideals of A."""
-    if not (_enumerable(pa, dim_cap, field_cap) and pa.alg.dim * pa.hopf.dim <= ENUM_CARRIER_CAP):
+    carrier_cap = pa.alg.dim * pa.hopf.dim  # the carrier has at most this dimension
+    if not (
+        _enumerable(pa, dim_cap, field_cap)
+        and carrier_cap <= ENUM_CARRIER_CAP
+        and enumeration_refusal(pa.field.char, carrier_cap, carrier_cap, field_cap) is None
+    ):
         return check_ideal_correspondence(report, tag, pa, seed=seed, dim_cap=dim_cap, field_cap=field_cap)
     sp = build_partial_smash(pa)
     ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)

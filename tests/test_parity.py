@@ -1,0 +1,86 @@
+"""Parity of psl's answers with a stored record, `parity.json`.
+
+The record holds one sha256 per key:
+
+- `verify:<id>:<seed>` hashes the `run_theorem` case list (name, ok, detail)
+  of every theorem id at seeds 0-3;
+- `<workspace>:<command>:<action>` hashes the exit code and JSON output of
+  `psl radicals`, `psl smash` and `psl check` on every action of the four
+  checked-in workspaces.
+
+A change that must not move any answer (a kernel rewrite, a new cache)
+keeps every hash, and a mismatch names the keys that moved.  After a change
+that is meant to move answers, such as a new random-number stream in the
+instance generator, regenerate the record and say so in CHANGES.md:
+
+    PYTHONPATH=src python3 tests/test_parity.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RECORD = Path(__file__).resolve().parent / "parity.json"
+SEEDS = range(4)
+WORKSPACES = {
+    "sample": ROOT / "workspaces" / "sample.json",
+    "q": ROOT / "pslbench" / "workspaces" / "q.json",
+    "f2": ROOT / "pslbench" / "workspaces" / "f2.json",
+    "f3": ROOT / "pslbench" / "workspaces" / "f3.json",
+}
+COMMANDS = ("radicals", "smash", "check")
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def _verify_cases(theorem_id: str, seed: int):
+    from psl.verify import run_theorem
+
+    return [[c.name, c.ok, c.detail] for c in run_theorem(theorem_id, seed=seed).cases]
+
+
+def _cli(args: list[str]):
+    from psl.cli import main
+
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(args + ["--output", "json"])
+    return [code, out.getvalue()]
+
+
+def snapshot() -> dict[str, str]:
+    """Every key of the record with the hash of what the code in `src/` answers now."""
+    from psl.verify import THEOREMS
+    from psl.workspace import load_workspace
+
+    record = {}
+    for theorem_id in sorted(THEOREMS):
+        for seed in SEEDS:
+            record[f"verify:{theorem_id}:{seed}"] = _digest(_verify_cases(theorem_id, seed))
+    for ws_name, path in WORKSPACES.items():
+        for action in load_workspace(str(path)).actions:
+            for command in COMMANDS:
+                out = _cli([command, "--workspace", str(path), action])
+                record[f"{ws_name}:{command}:{action}"] = _digest(out)
+    return record
+
+
+def test_answers_match_the_record():
+    stored = json.loads(RECORD.read_text())
+    now = snapshot()
+    moved = sorted(k for k in stored.keys() | now.keys() if stored.get(k) != now.get(k))
+    assert not moved, f"{len(moved)} of {len(stored)} answers moved: {', '.join(moved)}"
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+    RECORD.write_text(json.dumps(snapshot(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {RECORD}")

@@ -175,6 +175,63 @@ def test_cli_enumerate_ideals(tmp_path, capsys):
     assert "H-stable ideals" in out
 
 
+def trivial_workspace(tmp_path, p, k, group_order=1):
+    """kC_n acting trivially on the product of k copies of F_p."""
+    doc = {
+        "version": "psl-workspace/1",
+        "field": {"kind": "Fp", "p": p},
+        "groups": {"G": {"cyclic": group_order}},
+        "hopf_algebras": {"kG": {"constructor": "group_algebra", "group": "G"}},
+        "algebras": {"A": {"constructor": "product_of_fields", "k": k}},
+        "actions": {"triv": {"builder": "trivial", "hopf": "kG", "algebra": "A"}},
+    }
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# (p, k, caps): raised caps that let F_p^k pass the enumeration budget of 2^17 lines
+OVER_BUDGET = [
+    (13, 6, ["--dim-cap", "6", "--field-cap", "13"]),  # (13^6 - 1) / 12 = 402234 lines
+    (2, 20, ["--dim-cap", "20"]),  # 2^20 - 1 = 1048575 lines
+]
+
+
+@pytest.mark.parametrize("p, k, caps", OVER_BUDGET)
+def test_cli_enumerate_ideals_over_budget_exits_2(tmp_path, capsys, p, k, caps):
+    path = trivial_workspace(tmp_path, p, k)
+    assert main(["enumerate-ideals", "--workspace", str(path), "triv", *caps]) == 2
+    err = capsys.readouterr().err
+    assert "projective space too large" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p, k, caps", OVER_BUDGET)
+def test_cli_verify_over_budget_takes_the_non_enumerating_route(tmp_path, capsys, p, k, caps):
+    path = trivial_workspace(tmp_path, p, k)
+    for theorem in ("P4.22", "T3.6", "C3.7", "C4.13"):
+        assert main(["verify", theorem, "--trials", "0", "--workspace", str(path), *caps]) == 0
+    capsys.readouterr()
+
+
+def test_cli_verify_c37_carrier_over_budget(tmp_path, capsys):
+    # A = F_13^4 enumerates (2380 lines), but a carrier of dim up to 8 over F_13 would not
+    path = trivial_workspace(tmp_path, 13, 4, group_order=2)
+    assert main(["verify", "C3.7", "--trials", "0", "--workspace", str(path), "--field-cap", "13"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_large_prime_field(tmp_path, capsys):
+    path = tmp_path / "ws.json"
+    doc = json.loads(trivial_workspace(tmp_path, 2**61 - 1, 2, group_order=2).read_text())
+    for command in ("radicals", "smash", "check"):
+        assert main([command, "--workspace", str(path), "triv"]) == 0
+    capsys.readouterr()
+    doc["field"]["p"] = 2**89 - 1  # prime, but past the exact range of the primality test
+    path.write_text(json.dumps(doc))
+    assert main(["radicals", "--workspace", str(path), "triv"]) == 2
+    assert f"GF({2**89 - 1})" in capsys.readouterr().err
+
+
 def test_cli_verify_pass_and_unknown(capsys):
     assert main(["verify", "NEG-SS"]) == 0
     capsys.readouterr()
