@@ -46,6 +46,10 @@ class DimensionMismatch(ValueError):
     """Vector or matrix shapes do not agree."""
 
 
+class DimensionTooLarge(ValueError):
+    """Enumeration caps exceeded."""
+
+
 # zero and one over Q; `_canon` stores every zero over Q as this one object
 _QZERO = Fraction(0)
 _QONE = Fraction(1)
@@ -215,7 +219,10 @@ def parse_field(spec: dict) -> Field:
     if kind == "Q":
         return QQ
     if kind == "Fp":
-        return GF(int(spec["p"]))
+        p = spec["p"]
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise TypeError(f"'p' must be an integer, got {type(p).__name__}")
+        return GF(p)
     raise ValueError(f"unknown field kind {kind!r}")
 
 
@@ -848,34 +855,42 @@ def closure_under_operators(
     return _spin(field, ambient, seeds, _operator_terms(field, ambient, operators))
 
 
-# the most lines of F_p^n, one spin each, that enumerate_invariant_subspaces tries
+# the most lines of F_p^n that a walk over them, one spin each, takes
 ENUM_BUDGET = 1 << 17
 
 
-def projective_size(p: int, n: int) -> int:
-    """The number of lines of F_p^n."""
-    return (p ** n - 1) // (p - 1)
+def line_refusal(p: int, n: int) -> str | None:
+    """Why a walk over the lines of F_p^n is refused (more than ENUM_BUDGET of them), or None."""
+    count = (p ** n - 1) // (p - 1)
+    if count > ENUM_BUDGET:
+        return f"projective space too large ({count} > {ENUM_BUDGET})"
+    return None
 
 
-def enumerate_invariant_subspaces(
-    field: Field, ambient: int, operators: Sequence[Matrix], budget: int = ENUM_BUDGET
-) -> list[Subspace]:
+def _lines(p: int, n: int) -> Iterator[list]:
+    """`_projective_raw(p, n)`, refused with DimensionTooLarge before the walk starts."""
+    refusal = line_refusal(p, n)
+    if refusal:
+        raise DimensionTooLarge(refusal)
+    return _projective_raw(p, n)
+
+
+def enumerate_invariant_subspaces(field: Field, ambient: int, operators: Sequence[Matrix]) -> list[Subspace]:
     """All subspaces invariant under the operators (finite fields only).
 
     Every invariant subspace is the join of the cyclic closures of its
     vectors, so the lattice is generated by the closures of the projective
     representatives plus pairwise joins.  Returned in canonical order.
+    More than ENUM_BUDGET lines raise DimensionTooLarge.
     """
     p = field.char
     if p == 0:
         raise FieldMismatch("invariant-subspace enumeration needs a finite field")
-    count = projective_size(p, ambient)
-    if count > budget:
-        raise ValueError(f"projective space too large ({count} > {budget})")
+    lines = _lines(p, ambient)
     ops = _operator_terms(field, ambient, operators)
     zero = Subspace.zero_space(field, ambient)
     found: dict[tuple, Subspace] = {zero.rows: zero}
-    for v in _projective_raw(p, ambient):
+    for v in lines:
         c = _spin(field, ambient, [v], ops)
         found.setdefault(c.rows, c)
     frontier = list(found.values())

@@ -67,6 +67,8 @@ class GroupTable:
         tab = tuple(tuple(int(x) for x in row) for row in cayley)
         if any(len(row) != n for row in tab):
             raise InvalidGroupTable("table is not square")
+        if labels is not None and len(labels) != n:
+            raise InvalidGroupTable(f"'labels' has {len(labels)} entries for a group of order {n}")
         if any(x < 0 or x >= n for row in tab for x in row):
             raise InvalidGroupTable("entries out of range")
         identity = None

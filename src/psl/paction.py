@@ -51,6 +51,9 @@ from psl.exactla import (
 )
 from psl.hopf import GroupTable, HopfAlgebra, dual_group_algebra, dual_hopf, group_algebra
 
+# the seeded basis tuples on which check_partial_action re-checks PA2
+PA2_SAMPLES = 4
+
 
 class NotHStable(ValueError):
     """Ideal is not H-stable."""
@@ -163,8 +166,8 @@ def _comul_terms(H: HopfAlgebra) -> tuple:
     return tuple(tuple(divmod(pq, m) + (c,) for pq, c in d) for d in H._delta)
 
 
-def check_partial_action(pa: PartialAction, samples: int = 4) -> CheckReport:
-    """PA1, PA3, PA4 on all basis tuples; PA2 re-checked on seeded random samples.
+def check_partial_action(pa: PartialAction) -> CheckReport:
+    """PA1, PA3, PA4 on all basis tuples; PA2 re-checked on PA2_SAMPLES seeded random tuples.
 
     PA3 accumulates lhs - rhs of the triples (h_i, e_j, e_k) of each basis pair
     (h_i, e_j), and PA4 those of (h_i, h_g, e_k) of each pair (h_i, h_g), for
@@ -259,7 +262,7 @@ def check_partial_action(pa: PartialAction, samples: int = 4) -> CheckReport:
 
     # PA2 is implied by PA1+PA3+PA4 for unital A; sample it as redundancy
     rng = random.Random(20107)
-    for _ in range(samples):
+    for _ in range(PA2_SAMPLES):
         i = rng.randrange(m)
         g = rng.randrange(m)
         a = rng.randrange(n)

@@ -12,14 +12,15 @@ a_act[i][j] = action of the i-th algebra basis element on the j-th
 module basis vector, and likewise h_act for the Hopf algebra.
 
 Exhaustive irreducibility over F_p, for partial modules and for plain
-modules alike, is `_exhaustively_irreducible`: it
-spins one vector per line of F_p^d and refuses more than `_CYCLIC_CAP`
-lines.  Annihilators are the left kernel of the flattened A-operators,
-quotients project an action tensor onto the complement cosets of the
-submodule, and the extensions, the smash-module conversion and the
-commutant run on the sparse operator rows.  The operator image algebra is
-the `subalgebra_closure` of the operators inside the matrix algebra M_d(k),
+modules alike, is `_exhaustively_irreducible`: it spins one vector per
+line of F_p^d and refuses more than `ENUM_BUDGET` lines.  Over Q it is one
+dimension count (Burnside) on the operator image algebra, the
+`subalgebra_closure` of the operators inside the matrix algebra M_d(k),
 made an algebra by the closed-subspace helper of `psl.algebra`.
+Annihilators are the left kernel of the flattened A-operators, quotients
+project an action tensor onto the complement cosets of the submodule, and
+the extensions and the smash-module conversion run on the sparse operator
+rows.
 """
 
 from __future__ import annotations
@@ -48,22 +49,16 @@ from psl.exactla import (
     Subspace,
     _canon,
     _dense,
+    _lines,
     _nonzero,
-    _projective_raw,
-    _rref,
     _spin,
     _tensor,
-    enumerate_invariant_subspaces,
     unit_vec,
 )
 from psl.hopf import left_integrals
 from psl.paction import PartialAction, _comul_terms, action_to_coaction, colon_ideal, is_h_stable
-from psl.radicals import DimensionTooLarge, FieldNotFinite, jacobson_radical
+from psl.radicals import FieldNotFinite
 from psl.smash import tensor_coords
-
-# the exhaustive irreducibility test spins one vector per line of F_p^d, and
-# refuses a space with more lines than this
-_CYCLIC_CAP = 1 << 14
 
 
 class AxiomViolation(ValueError):
@@ -358,27 +353,21 @@ def annihilator(M: PartialModule) -> Subspace:
     return ann
 
 
-def _check_cyclic_cap(p: int, d: int) -> None:
-    count = (p ** d - 1) // (p - 1)
-    if count > _CYCLIC_CAP:
-        raise DimensionTooLarge(f"{count} cyclic submodules exceed budget {_CYCLIC_CAP}")
-
-
 def _exhaustively_irreducible(field, d: int, ops) -> bool:
     """Whether every nonzero vector of F_p^d spins up the whole space under the sparse operators.
 
-    One vector per line of F_p^d is spun; more than _CYCLIC_CAP lines raise DimensionTooLarge.
+    One vector per line of F_p^d is spun; more than ENUM_BUDGET lines raise DimensionTooLarge.
     """
-    _check_cyclic_cap(field.char, d)
-    return all(_spin(field, d, [v], ops).dim == d for v in _projective_raw(field.char, d))
+    return all(_spin(field, d, [v], ops).dim == d for v in _lines(field.char, d))
 
 
 def is_irreducible(M: PartialModule) -> bool | None:
     """No proper nonzero partial submodules.
 
-    Finite fields: exhaustive over cyclic submodules.  Over Q: True/False
-    when provable (basis generation, semisimplicity plus trivial commutant),
-    None when unknown.
+    Finite fields: exhaustive over cyclic submodules.  Over Q: False when a
+    basis vector spins up a proper submodule, True when the operators span
+    M_d(Q), which by Burnside's theorem and the Jacobson density theorem
+    holds exactly when M is irreducible with End(M) = Q, and None otherwise.
     """
     if M.dim == 0:
         raise ZeroModule("the zero module is not irreducible")
@@ -390,14 +379,10 @@ def is_irreducible(M: PartialModule) -> bool | None:
     if field.char:
         return _exhaustively_irreducible(field, d, ops)
 
-    # Q mode: sufficient conditions only
     for e_j in Matrix.identity(field, d).rows:
         if _spin(field, d, [list(e_j)], ops).dim != d:
             return False
-    # the image algebra acts faithfully, so M is semisimple over it iff its
-    # radical vanishes; together with a trivial commutant that forces simplicity
-    B = _operator_image_algebra(M)
-    if jacobson_radical(B).radical.is_zero() and _commutant_dimension(M) == 1:
+    if _operator_image_algebra(M).dim == d * d:
         return True
     return None
 
@@ -529,10 +514,13 @@ def module_is_irreducible_over_algebra(V: AlgebraModule) -> bool:
 
 
 def irreducible_extension(pa: PartialAction, V: AlgebraModule) -> IrreducibleExtension:
-    """Irreducible partial module M containing V, via a maximal submodule U of W.
+    """Irreducible partial module M = W/U containing V, for a maximal submodule U of W with U /\\ V = 0.
 
-    Exhaustive over finite fields; the first maximal U (canonical order) with
-    U /\\ V = 0 is taken, M = W/U.
+    Finite fields only.  U is grown in one pass over the lines of W (more
+    than ENUM_BUDGET of them raise DimensionTooLarge): a line is absorbed when
+    U plus its spin still meets V in 0.  A submodule meeting V in 0 that
+    strictly contains U would hold a line that the pass absorbed, so U is
+    maximal.
     """
     field = pa.field
     if field.char == 0:
@@ -542,15 +530,14 @@ def irreducible_extension(pa: PartialAction, V: AlgebraModule) -> IrreducibleExt
     ext = extend_right_module(pa, V)
     W_mod = ext.module
     d = W_mod.dim
-    _check_cyclic_cap(field.char, d)
-    subs = enumerate_invariant_subspaces(field, d, W_mod.operator_matrices())
+    ops = W_mod._a_terms + W_mod._h_terms
     v_image = Subspace.from_vectors(field, d, ext.embedding.rows)
-    candidates = [U for U in subs if U.intersect(v_image).is_zero()]
-    maximal = [
-        U for U in candidates
-        if not any(U is not T and U <= T for T in candidates)
-    ]
-    killed = maximal[0]
+    killed = Subspace.zero_space(field, d)
+    for v in _lines(field.char, d):
+        if not killed.contains(v):
+            grown = killed + _spin(field, d, [v], ops)
+            if grown.intersect(v_image).is_zero():
+                killed = grown
     M, proj = _module_quotient(W_mod, killed)
     check_partial_module(M).raise_if_failed("irreducible extension axioms")
     if is_irreducible(M) is not True:
@@ -612,20 +599,3 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     embedding = Matrix(field, _coords_in(W, v_tensor_lam, "V (x) lambda does not sit inside W"), ncols=W.dim)
     return ModuleExtension(module, embedding, W)
 
-
-def _commutant_dimension(M: PartialModule) -> int:
-    """dim {X : X op = op X for every operator of M}."""
-    d = M.dim
-    rows = []
-    for r in range(d):
-        for s in range(d):
-            block = []
-            for op in M.a_act + M.h_act:
-                # (E_rs op - op E_rs) flattened
-                comm = [0] * (d * d)
-                comm[r * d:(r + 1) * d] = op[s]
-                for i in range(d):
-                    comm[i * d + s] -= op[i][r]
-                block.extend(comm)
-            rows.append(block)
-    return d * d - _rref(rows, M.field.char)[1]

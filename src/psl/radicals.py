@@ -24,14 +24,14 @@ from psl.algebra import (
     span_products,
 )
 from psl.exactla import (
-    ENUM_BUDGET,
+    DimensionTooLarge,
     Matrix,
     Subspace,
     _canon,
     _rref,
     enumerate_invariant_subspaces,
+    line_refusal,
     preimage_under,
-    projective_size,
 )
 from psl.paction import (
     NotHStable,
@@ -44,10 +44,6 @@ from psl.paction import (
 
 class FieldNotFinite(ValueError):
     """Operation needs a finite field."""
-
-
-class DimensionTooLarge(ValueError):
-    """Enumeration caps exceeded."""
 
 
 @dataclass(frozen=True)
@@ -217,10 +213,7 @@ def enumeration_refusal(p: int, dim: int, dim_cap: int, field_cap: int) -> str |
         return f"dim {dim} exceeds cap {dim_cap}"
     if p > field_cap:
         return f"field size {p} exceeds cap {field_cap}"
-    count = projective_size(p, dim)
-    if count > ENUM_BUDGET:
-        return f"projective space too large ({count} > {ENUM_BUDGET})"
-    return None
+    return line_refusal(p, dim)
 
 
 def enumerate_h_stable_ideals(

@@ -23,7 +23,7 @@ from psl.algebra import (
     check_algebra,
     is_ideal,
 )
-from psl.exactla import Matrix, Subspace, _canon, _coerce, _dense, _nonzero
+from psl.exactla import Matrix, Subspace, _canon, _coerce, _dense, _nonzero, preimage_under
 from psl.hopf import dual_hopf
 from psl.paction import (
     NotHStable,
@@ -220,19 +220,11 @@ def phi_ideal(sp: SmashProduct, I: Subspace) -> Subspace:
 
 
 def psi_ideal(sp: SmashProduct, J: Subspace) -> Subspace:
-    """Psi(J) = J intersect A pulled back to A, for an ideal J of the carrier."""
+    """Psi(J) = {a : a # 1_H in J} for an ideal J of the carrier: J intersect A pulled back
+    along the injective inclusion, as one left kernel."""
     if not is_ideal(sp.carrier, J):
         raise NotAnIdeal("psi_ideal needs a two-sided ideal of the carrier")
-    incl = sp.include_A.matrix
-    image_of_a = Subspace.from_vectors(sp.field, sp.carrier.dim, incl.rows)
-    inter = J.intersect(image_of_a)
-    back = []
-    for w in inter.rows:
-        a = incl.solve_left(w)
-        if a is None:
-            raise InvariantViolation("intersection escaped the image of A")
-        back.append(a)
-    result = Subspace.from_vectors(sp.field, sp.pa.alg.dim, back)
+    result = preimage_under(sp.include_A.matrix, J)
     if not (is_ideal(sp.pa.alg, result) and is_h_stable(sp.pa, result)):
         raise InvariantViolation("psi image must be an H-stable ideal of A")
     return result

@@ -163,6 +163,28 @@ def _named(table: Mapping, spec: dict, key: str, what: str):
     return table[ref]
 
 
+def _integer(x, what: str) -> int:
+    """A count or index: a JSON integer (an int, not a bool); a TypeError naming `what` otherwise."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{what} must be an integer, got {type(x).__name__}")
+    return x
+
+
+def _integers(xs, what: str) -> list[int]:
+    """A JSON list of integers; a TypeError naming `what` otherwise."""
+    if not isinstance(xs, list):
+        raise TypeError(f"{what} must be a list, got {type(xs).__name__}")
+    return [_integer(x, f"{what} entry") for x in xs]
+
+
+def _labels(spec: dict) -> list[str] | None:
+    """The optional 'labels' of an entry: a JSON list of strings."""
+    labels = spec.get("labels")
+    if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise TypeError(f"'labels' must be a list of strings, got {labels!r}")
+    return labels
+
+
 def load_workspace(path_or_dict, check: bool = True) -> Workspace:
     if isinstance(path_or_dict, dict):
         doc = path_or_dict
@@ -187,9 +209,10 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
     for name, spec in _section(doc, "groups").items():
         with _entry("group", name):
             if "cyclic" in spec:
-                ws.groups[name] = GroupTable.cyclic(int(spec["cyclic"]))
+                ws.groups[name] = GroupTable.cyclic(_integer(spec["cyclic"], "'cyclic'"))
             elif "cayley" in spec:
-                ws.groups[name] = GroupTable(spec["cayley"], labels=spec.get("labels"))
+                cayley = [_integers(row, "'cayley' row") for row in spec["cayley"]]
+                ws.groups[name] = GroupTable(cayley, labels=_labels(spec))
             else:
                 raise ParseError(f"group {name!r}: need 'cyclic' or 'cayley'")
 
@@ -217,7 +240,7 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
                     field,
                     spec["mult"],
                     unit=spec["unit"],
-                    labels=spec.get("labels"),
+                    labels=_labels(spec),
                 )
                 H = HopfAlgebra(
                     alg,
@@ -237,7 +260,7 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
         ctor = spec.get("constructor")
         with _entry("algebra", name):
             if ctor == "product_of_fields":
-                A = product_of_fields(field, int(spec["k"]))
+                A = product_of_fields(field, _integer(spec["k"], "'k'"))
             elif ctor == "group_algebra":
                 A = group_algebra(field, get_group(spec["group"])).alg
             elif ctor is None:
@@ -245,7 +268,7 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
                     field,
                     spec["mult"],
                     unit=spec["unit"] if "unit" in spec else None,
-                    labels=spec.get("labels"),
+                    labels=_labels(spec),
                 )
             else:
                 raise ParseError(f"algebra {name!r}: unknown constructor {ctor!r}")
@@ -270,7 +293,8 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
                 pa = partial(c4_triple, field)
             elif builder == "dual_group_idempotent":
                 G = get_group(spec["group"])
-                pa = partial(dual_group_idempotent, field, G, _normal_subgroup(field, G, spec["subgroup"]))
+                N = _normal_subgroup(field, G, _integers(spec["subgroup"], "'subgroup'"))
+                pa = partial(dual_group_idempotent, field, G, N)
             elif builder is None:
                 pa = PartialAction(H, A, spec["act"])
             else:
@@ -297,7 +321,7 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
             M = PartialModule(
                 spec.get("side", "right"),
                 _named(ws.actions, spec, "action", "action"),
-                int(spec["dim"]),
+                _integer(spec["dim"], "'dim'"),
                 spec["a_act"],
                 spec["h_act"],
             )

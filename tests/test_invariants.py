@@ -74,12 +74,6 @@ def dual_action_not_global(monkeypatch):
     return lambda: build_partial_smash(pa)
 
 
-def psi_escapes_a(monkeypatch):
-    sp = build_partial_smash(fix_c())
-    monkeypatch.setattr(Matrix, "solve_left", lambda self, vec: None)
-    return lambda: psi_ideal(sp, full_ideal(sp))
-
-
 def psi_not_h_stable(monkeypatch):
     sp = build_partial_smash(fix_c())
     monkeypatch.setattr(smash, "is_h_stable", lambda pa, I: False)
@@ -311,7 +305,6 @@ def annihilators_disagree(monkeypatch):
     (a_not_embedded, "A does not embed"),
     (a_map_not_multiplicative, "A -> A#H is not an algebra map"),
     (dual_action_not_global, "must be global"),
-    (psi_escapes_a, "intersection escaped the image of A"),
     (psi_not_h_stable, "psi image must be an H-stable ideal"),
     (quotient_map_not_multiplicative, "smash quotient map is not an algebra map"),
     (induced_product_escapes, "product escaped the right ideal"),

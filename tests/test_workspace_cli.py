@@ -652,7 +652,7 @@ def no_large_range(monkeypatch):
     ({"cyclic": 1000000000}, "group order 1000000000 exceeds the cap"),
     ({"cyclic": MAX_GROUP_ORDER + 1}, f"group order {MAX_GROUP_ORDER + 1} exceeds the cap"),
     ({"cayley": [[0]] * (MAX_GROUP_ORDER + 1)}, f"group order {MAX_GROUP_ORDER + 1} exceeds the cap"),
-    ({"cyclic": float("inf")}, "OverflowError: cannot convert float infinity to integer"),
+    ({"cyclic": float("inf")}, "TypeError: 'cyclic' must be an integer, got float"),
 ], ids=["cyclic-1e9", "cyclic-cap+1", "cayley-cap+1", "cyclic-infinity"])
 def test_cli_group_order_above_the_cap_exits_two(tmp_path, capsys, no_large_range, group, message):
     # the cap is checked before the Cayley table is built: no_large_range fails the
@@ -678,7 +678,7 @@ def test_group_order_cap_is_above_every_checked_in_workspace():
 @pytest.mark.parametrize("k, message", [
     (10 ** 6, "product_of_fields k = 1000000 exceeds the cap"),
     (MAX_GROUP_ORDER + 1, f"product_of_fields k = {MAX_GROUP_ORDER + 1} exceeds the cap"),
-    (float("inf"), "OverflowError: cannot convert float infinity to integer"),
+    (float("inf"), "TypeError: 'k' must be an integer, got float"),
 ], ids=["k-1e6", "k-cap+1", "k-infinity"])
 def test_cli_product_of_fields_above_the_cap_exits_two(tmp_path, capsys, no_large_range, k, message):
     # the cap is checked before any tensor is built: no_large_range fails the test
@@ -690,4 +690,53 @@ def test_cli_product_of_fields_above_the_cap_exits_two(tmp_path, capsys, no_larg
     assert main(["radicals", "--workspace", str(path), "triple"]) == 2
     captured = capsys.readouterr()
     assert "algebra 'Q3'" in captured.err and message in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def counts_doc():
+    """F_5 workspace with a count or index in every place one can stand."""
+    return {
+        "version": "psl-workspace/1",
+        "field": {"kind": "Fp", "p": 5},
+        "groups": {"C2": {"cyclic": 2}, "T": {"cayley": [[0, 1], [1, 0]], "labels": ["a", "b"]}},
+        "hopf_algebras": {"kC2": {"constructor": "group_algebra", "group": "C2"}},
+        "algebras": {"A": {"constructor": "product_of_fields", "k": 2}},
+        "actions": {
+            "triv": {"builder": "trivial", "hopf": "kC2", "algebra": "A"},
+            "corner": {"builder": "dual_group_idempotent", "group": "T", "subgroup": [0, 1]},
+        },
+        "modules": {"M": {"action": "triv", "dim": 1, "a_act": [[[1]], [[0]]], "h_act": [[[1]], [[1]]]}},
+    }
+
+
+def test_counts_doc_loads(tmp_path, capsys):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(counts_doc()))
+    assert main(["radicals", "--workspace", str(path), "triv"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("section, name, key, value, entry", [
+    ("groups", "C2", "cyclic", 4.7, "group 'C2'"),
+    ("groups", "C2", "cyclic", True, "group 'C2'"),
+    ("algebras", "A", "k", 3.9, "algebra 'A'"),
+    (None, "field", "p", 5.5, "bad field spec"),
+    ("groups", "T", "cayley", [[0, 1.9], [1.2, 0]], "group 'T'"),
+    ("actions", "corner", "subgroup", [0, 1.5], "action 'corner'"),
+    ("groups", "T", "labels", "ab", "group 'T'"),
+    ("groups", "T", "labels", ["a"], "group 'T'"),
+    ("modules", "M", "dim", 1.0, "module 'M'"),
+], ids=["cyclic-float", "cyclic-bool", "k-float", "p-float", "cayley-float", "subgroup-float",
+        "labels-string", "labels-short", "module-dim-float"])
+def test_cli_count_index_or_label_of_the_wrong_type_exits_two(tmp_path, capsys, section, name, key, value, entry):
+    # a count or an index is a JSON integer (not a bool), and labels are a list of strings, one per element
+    doc = counts_doc()
+    (doc[section] if section else doc)[name][key] = value
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        load_workspace(str(path))
+    assert main(["radicals", "--workspace", str(path), "triv"]) == 2
+    captured = capsys.readouterr()
+    assert entry in captured.err and f"'{key}'" in captured.err
     assert "Traceback" not in captured.err + captured.out
