@@ -12,6 +12,7 @@ and is global when additionally h . 1_A = eps(h) 1_A.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Sequence
 
@@ -261,12 +262,7 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
                 failures += [f"PA4 fails at (h{i}, h{g}, {A.labels[k]})" for k in _failed_slices(acc, n, p)]
 
     # PA2 is implied by PA1+PA3+PA4 for unital A; sample it as redundancy
-    rng = random.Random(20107)
-    for _ in range(PA2_SAMPLES):
-        i = rng.randrange(m)
-        g = rng.randrange(m)
-        a = rng.randrange(n)
-        b = rng.randrange(n)
+    for i, g, a, b in _pa2_samples(m, n):
         lhs = _apply_raw(act[i], _compact(_multiply_raw(terms, basis[a], act[g][b]), p), n)
         rhs = [0] * n
         for hp, hq, c in comul[i]:
@@ -275,6 +271,15 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
             failures.append(f"PA2 fails at sampled (h{i}, h{g})")
 
     return CheckReport(not failures, tuple(failures))
+
+
+@functools.cache
+def _pa2_samples(m: int, n: int) -> tuple:
+    """The PA2_SAMPLES tuples (i, g, a, b) of H- and A-basis indices that PA2 is re-checked on."""
+    rng = random.Random(20107)
+    return tuple(
+        (rng.randrange(m), rng.randrange(m), rng.randrange(n), rng.randrange(n)) for _ in range(PA2_SAMPLES)
+    )
 
 
 def is_global(pa: PartialAction) -> bool:

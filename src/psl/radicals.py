@@ -9,11 +9,19 @@ characteristic (p <= dim) the trace-form kernel only contains the
 radical, and the Cohen-Ivanyos-Wales algorithm cuts it down to J(A) in
 floor(log_p dim) further linear steps.  Every radical is checked to be
 a nilpotent two-sided ideal before it is returned.
+
+The only heavy step of Cohen-Ivanyos-Wales is tr(L^e) mod q for q = p^(i+1).
+Products mod q run on packed rows (Kronecker substitution, with the
+reduction delayed to one per entry): each row of the right factor is one
+Python int with slots of w = (n (q-1)^2).bit_length() bits, wide enough
+that a row sum of n products of entries in [0, q) never carries out of its
+slot.  Square-and-multiply never forms its last product, only its trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lshift, mul
 
 from psl.algebra import (
     Algebra,
@@ -66,22 +74,51 @@ def trace_form_kernel(A: Algebra) -> Subspace:
 
 
 def _lifted_power_trace(L: list[list[int]], e: int, q: int) -> int:
-    """tr(L^e) mod q for an integer matrix L and e >= 1."""
-    n = len(L)
+    """tr(L^e) mod q for an integer matrix L and e >= 1.
+
+    Square-and-multiply on L mod q, with the last product never formed:
+    L^e = R B for B the top square, and tr(R B) is summed in n^2 steps
+    (tr(B B) when e is a power of two), so tr(L^2) needs no product at all.
+    """
+    base = [[x % q for x in row] for row in L]
     result = None
-    base = L
-    while e:
+    while e > 1:
         if e & 1:
-            result = base if result is None else _matmul_mod(result, base, q)
+            result = base if result is None else _packed_product(result, base, q)
         e >>= 1
-        if e:
-            base = _matmul_mod(base, base, q)
-    return sum(result[i][i] for i in range(n)) % q
+        if e == 1 and result is None:
+            return _trace_of_product(base, base, q)
+        base = _packed_product(base, base, q)
+    if result is None:
+        return sum(row[i] for i, row in enumerate(base)) % q
+    return _trace_of_product(result, base, q)
 
 
-def _matmul_mod(X: list[list[int]], Y: list[list[int]], q: int) -> list[list[int]]:
-    cols = list(zip(*Y))
-    return [[sum(x * y for x, y in zip(row, col)) % q for col in cols] for row in X]
+def _packed_product(X: list[list[int]], Y: list[list[int]], q: int) -> list[list[int]]:
+    """X Y mod q for square matrices with entries in [0, q), one packed int per row of Y.
+
+    Row k of Y is packed into P_k = sum_j Y_kj 2^(w j).  A row of X Y is then
+    sum_k X_ik P_k, n big-int multiply-adds, and slot j of that sum holds the
+    unreduced sum_k X_ik Y_kj <= n (q-1)^2 < 2^w, so no slot carries into the
+    next; each entry is read back with a shift, a mask and one reduction mod q.
+    """
+    w = (len(Y) * (q - 1) ** 2).bit_length()
+    mask = (1 << w) - 1
+    shifts = range(0, w * len(Y), w)
+    packed = [sum(map(lshift, row, shifts)) for row in Y]
+    out = []
+    for row in X:
+        acc = 0
+        for x, P in zip(row, packed):
+            if x:
+                acc += x * P
+        out.append([(acc >> s & mask) % q for s in shifts])
+    return out
+
+
+def _trace_of_product(X: list[list[int]], Y: list[list[int]], q: int) -> int:
+    """tr(X Y) = sum_ij X_ij Y_ji mod q, without forming X Y."""
+    return sum(sum(map(mul, row, col)) for row, col in zip(X, zip(*Y))) % q
 
 
 def _cohen_ivanyos_wales_radical(A: Algebra) -> Subspace:
@@ -95,7 +132,10 @@ def _cohen_ivanyos_wales_radical(A: Algebra) -> Subspace:
     then J(A) = I_l for l = floor(log_p dim A).  g_i is linear on the ideal
     I_{i-1}, so g_i(a e_b) = sum_s coord_s(a e_b) g_i(a_s) over the RREF
     basis a_s of I_{i-1}, and each step is one row reduction over F_p of the
-    rows [g_i(a_r e_b) for b | a_r].  All arithmetic is on plain ints.
+    rows [g_i(a_r e_b) for b | a_r].  All arithmetic is on plain ints.  The
+    traces tr(L~^(p^i)) mod p^(i+1) multiply packed rows (slot bound
+    n (q-1)^2 < 2^w, see the module docstring) and only trace their last
+    product, so the first step forms no product for p = 2 and one for p = 3.
     """
     p, n = A.field.char, A.dim
     K = trace_form_kernel(A)

@@ -3,7 +3,8 @@
 Tensor coordinates on A (x) H are A-block-major (index = a*dim_H + h), so
 the embedded copy a # 1_H of A keeps its own coordinates inside each block.
 The carrier of the partial smash product is the image of right
-multiplication by 1_A # 1_H, with its RREF rows as basis.
+multiplication by 1_A # 1_H, with its RREF rows as basis; when A # H is
+unital (a global action) that image is all of A (x) H and is not spanned.
 """
 
 from __future__ import annotations
@@ -156,7 +157,11 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     u = tensor_coords(pa, A.unit, H.unit)
     u_terms = _nonzero(u, p)
 
-    image = Subspace._span(field, N, [_multiply_raw(terms, ((i, 1),), u_terms) for i in range(N)])
+    if full.unit is not None:
+        # build_full_smash checked x u = x on every basis element: the carrier is A (x) H
+        image = Subspace.full_space(field, N)
+    else:
+        image = Subspace._span(field, N, [_multiply_raw(terms, ((i, 1),), u_terms) for i in range(N)])
     rows = [_nonzero(r, p) for r in image.rows]
     d = image.dim
     carrier, in_carrier = _closed_subalgebra(

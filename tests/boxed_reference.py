@@ -20,6 +20,10 @@ The module constructions at the end (the right and left extensions, the
 smash-module conversion, the commutant and the operator image algebra) are
 psl's earlier dense loops over the coproduct tensors; they go through psl's
 public module and action methods.
+
+The schoolbook matrix product mod q and the power trace built on it are the
+Cohen-Ivanyos-Wales kernel that packed-row products replaced in
+`psl.radicals`.
 """
 
 import random
@@ -1150,3 +1154,23 @@ def commutant_dimension(M: PartialModule) -> int:
                 block.extend(x for row in comm for x in row)
             rows.append(tuple(block))
     return Matrix(field, rows, ncols=len(rows[0])).left_kernel().dim
+
+
+def matmul_mod(X, Y, q):
+    """X Y mod q for integer matrices, one n-term dot product per entry."""
+    cols = list(zip(*Y))
+    return [[sum(x * y for x, y in zip(row, col)) % q for col in cols] for row in X]
+
+
+def lifted_power_trace(L, e, q):
+    """tr(L^e) mod q for an integer matrix L and e >= 1, every power formed in full."""
+    n = len(L)
+    result = None
+    base = L
+    while e:
+        if e & 1:
+            result = base if result is None else matmul_mod(result, base, q)
+        e >>= 1
+        if e:
+            base = matmul_mod(base, base, q)
+    return sum(result[i][i] for i in range(n)) % q

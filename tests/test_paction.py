@@ -13,7 +13,9 @@ from psl.paction import (
     CharDividesOrder,
     NotHStable,
     NotIdempotent,
+    PA2_SAMPLES,
     PartialAction,
+    _pa2_samples,
     action_to_coaction,
     c4_triple,
     check_partial_action,
@@ -260,3 +262,15 @@ def test_dual_translation_action_is_global():
     pa = dual_group_translation_action(QQ, GroupTable.cyclic(4))
     assert is_global(pa)
     assert check_partial_action(pa).ok
+
+
+def test_pa2_samples_are_the_seeded_draws():
+    # one pure function of (m, n), drawing what a fresh Random(20107) draws
+    for m in range(1, 13):
+        for n in range(1, 13):
+            rng = random.Random(20107)
+            want = tuple(
+                (rng.randrange(m), rng.randrange(m), rng.randrange(n), rng.randrange(n)) for _ in range(PA2_SAMPLES)
+            )
+            assert _pa2_samples(m, n) == want
+            assert _pa2_samples(m, n) is _pa2_samples(m, n)

@@ -9,11 +9,17 @@ The record holds one sha256 per key:
   checked-in workspaces.
 
 A change that must not move any answer (a kernel rewrite, a new cache)
-keeps every hash, and a mismatch names the keys that moved.  After a change
-that is meant to move answers, such as a new random-number stream in the
-instance generator, regenerate the record and say so in CHANGES.md:
+keeps every hash, and a mismatch names the keys that moved.  Run as a
+script, the file compares without writing: it prints the keys that moved
+and exits 1 if any did, 0 if none did.
 
     PYTHONPATH=src python3 tests/test_parity.py
+
+After a change that is meant to move answers, such as a new random-number
+stream in the instance generator, rewrite the record with `--write` and say
+so in CHANGES.md.  Any other argument exits 2.
+
+    PYTHONPATH=src python3 tests/test_parity.py --write
 """
 
 from __future__ import annotations
@@ -73,14 +79,33 @@ def snapshot() -> dict[str, str]:
     return record
 
 
+def moved_keys(stored: dict[str, str], now: dict[str, str]) -> list[str]:
+    """The keys whose hash differs, or that only one side has."""
+    return sorted(k for k in stored.keys() | now.keys() if stored.get(k) != now.get(k))
+
+
 def test_answers_match_the_record():
     stored = json.loads(RECORD.read_text())
-    now = snapshot()
-    moved = sorted(k for k in stored.keys() | now.keys() if stored.get(k) != now.get(k))
+    moved = moved_keys(stored, snapshot())
     assert not moved, f"{len(moved)} of {len(stored)} answers moved: {', '.join(moved)}"
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--write"]:
+        RECORD.write_text(json.dumps(snapshot(), indent=1, sort_keys=True) + "\n")
+        print(f"wrote {RECORD}")
+        return 0
+    if argv:
+        print("usage: test_parity.py [--write]", file=sys.stderr)
+        return 2
+    stored = json.loads(RECORD.read_text())
+    moved = moved_keys(stored, snapshot())
+    for key in moved:
+        print(key)
+    print(f"{len(moved)} of {len(stored)} answers moved")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
-    RECORD.write_text(json.dumps(snapshot(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {RECORD}")
+    sys.exit(main(sys.argv[1:]))

@@ -97,6 +97,49 @@ def test_partial_smash_dims_against_expansion_oracle():
         assert expansion_oracle_dim(pa) == expected
 
 
+def _count_products_span(monkeypatch):
+    """Record the ambient size of every span of as many rows as its ambient has columns."""
+    seen = []
+    span = Subspace._span.__func__
+
+    def counting(cls, field, ambient, rows):
+        if len(rows) == ambient:
+            seen.append(ambient)
+        return span(cls, field, ambient, rows)
+
+    monkeypatch.setattr(Subspace, "_span", classmethod(counting))
+    return seen
+
+
+def test_global_carrier_skips_the_products_span(monkeypatch):
+    # A # H is unital, so the carrier is all of A (x) H: no N x N span of e_i (1 # 1)
+    for pa in (fix_c(), fix_c(F2), fix_d()):
+        full = build_full_smash(pa)
+        assert full.unit is not None
+        N = full.dim
+        u = full.unit
+        products = [full.multiply(full.basis_vector(i), u) for i in range(N)]
+        seen = _count_products_span(monkeypatch)
+        sp = build_partial_smash(pa)
+        monkeypatch.undo()
+        assert N not in seen
+        # the same rows, scalars of the same types, as the span of the products
+        spanned = Subspace._span(pa.field, N, products)
+        assert sp.coords.rows == spanned.rows and sp.coords.pivots == spanned.pivots
+        assert [type(x) for r in sp.coords.rows for x in r] == [type(x) for r in spanned.rows for x in r]
+
+
+def test_non_unital_full_product_takes_the_span(monkeypatch):
+    for pa in (fix_a(), fix_b()):
+        N = pa.alg.dim * pa.hopf.dim
+        assert build_full_smash(pa).unit is None
+        seen = _count_products_span(monkeypatch)
+        sp = build_partial_smash(pa)
+        monkeypatch.undo()
+        assert seen.count(N) == 1
+        assert sp.carrier.dim < N
+
+
 def test_partial_smash_fix_b_basis_structure():
     # carrier = span{e_j # 1} + {e1#g, e2#g, e1#g^2, e3#g^2, e2#g^3, e3#g^3}
     pa = fix_b()

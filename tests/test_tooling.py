@@ -104,3 +104,23 @@ def test_verify_builds_nothing_through_the_public_constructors(monkeypatch, tmp_
     path.write_text(json.dumps(doc))
     load_workspace(str(path)).actions["explicit"]
     assert calls == ["HopfAlgebra", "PartialAction"]
+
+
+def test_parity_script_writes_only_with_write(monkeypatch, tmp_path, capsys):
+    import test_parity
+
+    record = tmp_path / "parity.json"
+    stored = {"a": "1", "b": "2"}
+    record.write_text(json.dumps(stored))
+    monkeypatch.setattr(test_parity, "RECORD", record)
+    now = {"a": "1", "b": "3", "c": "4"}
+    monkeypatch.setattr(test_parity, "snapshot", lambda: dict(now))
+
+    assert test_parity.main([]) == 1
+    assert capsys.readouterr().out.splitlines()[:2] == ["b", "c"]
+    assert test_parity.main(["--check"]) == 2
+    assert json.loads(record.read_text()) == stored  # compared, never written
+
+    assert test_parity.main(["--write"]) == 0
+    assert json.loads(record.read_text()) == now
+    assert test_parity.main([]) == 0
