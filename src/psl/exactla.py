@@ -24,7 +24,8 @@ it or a method returns it, so the representation above is all a caller
 sees.  Only `_rref` and `_Echelon.add` divide, and always by a Fraction.
 Invariant subspaces are closed by spinning (Parker, "The computer
 calculation of modular characters (the Meat-Axe)", 1984): each new image is
-reduced once against a growing echelon basis and kept only if it is new.
+reduced once against a growing echelon basis and kept only if it is new, and
+the basis is brought to RREF by back-substitution, with no second elimination.
 """
 
 from __future__ import annotations
@@ -419,8 +420,33 @@ class _Echelon:
         return True
 
     def span(self, field: Field, n: int) -> "Subspace":
-        """The spanned subspace in canonical RREF."""
-        return Subspace._span(field, n, [_dense(row, n) for _, row in self.rows])
+        """The spanned subspace in canonical RREF, by back-substitution.
+
+        The rows are walked from the last one added.  Every row after a row
+        is zero at its pivot, and so is every combination of them; clearing a
+        row at the pivots of the rows already reduced therefore keeps its
+        leading 1 and leaves those rows as they are.  Sorted by pivot, the
+        reduced rows are the RREF basis, which is unique.
+        """
+        p = self.p
+        reduced: dict[int, tuple] = {}  # pivot -> (canonical row, its sparse form)
+        for lead, row in reversed(self.rows):
+            v = _dense(row, n)
+            cleared = False
+            for c, (_, r) in reduced.items():
+                f = v[c]
+                if f:
+                    cleared = True
+                    for j, x in r:
+                        v[j] -= f * x
+            if cleared:
+                v = _canon(v, p)
+                row = _nonzero(v, p)
+            else:  # the row is already reduced: its entries are canonical over F_p
+                v = tuple(v) if p else _canon(v, 0)
+            reduced[lead] = (v, row)
+        pivots = sorted(reduced)
+        return Subspace(field, n, tuple(reduced[c][0] for c in pivots), tuple(pivots))
 
 
 def _spin(field: Field, n: int, seeds: Iterable[list], ops: Sequence[Sequence[tuple]]) -> "Subspace":
@@ -882,12 +908,35 @@ def enumerate_invariant_subspaces(field: Field, ambient: int, operators: Sequenc
     vectors, so the lattice is generated by the closures of the projective
     representatives plus pairwise joins.  Returned in canonical order.
     More than ENUM_BUDGET lines raise DimensionTooLarge.
+
+    A repeated operator, the zero operator and scalar ones (the identity
+    included) are dropped before any spin.  The lattice depends only on the
+    unital algebra the operators generate (Lux, Mueller and Ringe,
+    "Peakword condensation and submodule lattices", 1994), and every
+    subspace is invariant under a scalar, so dropping them is exact.
+    """
+    return _invariant_lattice(field, ambient, _operator_terms(field, ambient, operators))
+
+
+def _is_scalar(op: Sequence[tuple]) -> bool:
+    """Whether the sparse operator is c times the identity, c = 0 included."""
+    first = op[0] if op else ()
+    if not first:
+        return not any(op)
+    c = first[0][1]
+    return all(row == ((l, c),) for l, row in enumerate(op))
+
+
+def _invariant_lattice(field: Field, ambient: int, ops: Sequence[Sequence[tuple]]) -> list[Subspace]:
+    """`enumerate_invariant_subspaces` on sparse operators, tuples with ops[t][l] the image of e_l.
+
+    The spins use each distinct operator once and no zero or scalar one.
     """
     p = field.char
     if p == 0:
         raise FieldMismatch("invariant-subspace enumeration needs a finite field")
     lines = _lines(p, ambient)
-    ops = _operator_terms(field, ambient, operators)
+    ops = [op for op in dict.fromkeys(ops) if not _is_scalar(op)]
     zero = Subspace.zero_space(field, ambient)
     found: dict[tuple, Subspace] = {zero.rows: zero}
     for v in lines:

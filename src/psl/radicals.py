@@ -21,11 +21,12 @@ slot.  Square-and-multiply never forms its last product, only its trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import lshift, mul
+from operator import itemgetter, lshift, mul
 
 from psl.algebra import (
     Algebra,
     InvariantViolation,
+    _mult_operators,
     is_ideal,
     is_nilpotent_subspace,
     nilpotency_index,
@@ -36,8 +37,8 @@ from psl.exactla import (
     Matrix,
     Subspace,
     _canon,
+    _invariant_lattice,
     _rref,
-    enumerate_invariant_subspaces,
     line_refusal,
     preimage_under,
 )
@@ -161,10 +162,10 @@ def _cohen_ivanyos_wales_radical(A: Algebra) -> Subspace:
                 raise InvariantViolation(f"tr(L^{pi}) = {tr} mod {q} is not divisible by {pi}")
             lifts.append(L)
             g.append(tr // pi)
-        aug = [
-            [sum(L[b][c] * gs for c, gs in zip(pivots, g)) % p for b in range(n)] + a
-            for L, a in zip(lifts, rows)
-        ]
+        # g-block entry b of row r: sum_s L_r[b][pivots[s]] g_s, one C-level dot product
+        # (itemgetter of a single index returns the entry, not a 1-tuple)
+        pick = itemgetter(*pivots) if len(pivots) > 1 else lambda row, c=pivots[0]: (row[c],)
+        aug = [[sum(map(mul, pick(Lb), g)) % p for Lb in L] + a for L, a in zip(lifts, rows)]
         red, rank, pivs = _rref(aug, p)
         # rows pivoting in the a-block have a zero g-block: the RREF basis of I_i
         rows = [row[n:] for row, c in zip(red[:rank], pivs) if c >= n]
@@ -262,7 +263,10 @@ def enumerate_h_stable_ideals(
     """All H-stable two-sided ideals of A (finite fields, capped dimensions).
 
     These are exactly the subspaces invariant under left and right
-    multiplications and under the action of every basis element of H.
+    multiplications and under the action of every basis element of H.  The
+    operators go to the enumeration as sparse rows, and it drops the
+    repeated and scalar ones: 1_H acts as the identity, and each right
+    multiplication of a commutative A repeats a left one.
     """
     A = pa.alg
     p = A.field.char
@@ -271,12 +275,7 @@ def enumerate_h_stable_ideals(
     refusal = enumeration_refusal(p, A.dim, dim_cap, field_cap)
     if refusal:
         raise DimensionTooLarge(refusal)
-    operators = (
-        [A.left_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
-        + [A.right_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
-        + [pa.act_matrix(i) for i in range(pa.hopf.dim)]
-    )
-    return enumerate_invariant_subspaces(A.field, A.dim, operators)
+    return _invariant_lattice(A.field, A.dim, _mult_operators(A, "two_sided") + list(pa._terms))
 
 
 def is_h_prime(

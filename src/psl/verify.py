@@ -284,6 +284,22 @@ def check_intersection(kind: str, report: VerifyReport, tag: str, pa: PartialAct
     return True
 
 
+def _once_per_ideal(derive: Callable[[Subspace], Subspace]) -> Callable[[Subspace], Subspace]:
+    """`derive` run once per ideal of one instance, its images looked up by `Subspace.rows`.
+
+    The ideals of one instance share a field and an ambient space, so their
+    RREF rows name them; a miss runs `derive`, its preconditions included.
+    """
+    images: dict[tuple, Subspace] = {}
+
+    def image(I: Subspace) -> Subspace:
+        if I.rows not in images:
+            images[I.rows] = derive(I)
+        return images[I.rows]
+
+    return image
+
+
 def check_largest_h_ideal(report: VerifyReport, tag: str, pa: PartialAction, *,
                           dim_cap: int, field_cap: int, **_) -> bool:
     """P4.22: J_H = (J(A):H) is the largest H-stable ideal inside J(A)."""
@@ -311,15 +327,16 @@ def check_h_radicals(report: VerifyReport, tag: str, pa: PartialAction, *,
     ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
     proper = [I for I in ideals if not I.is_full()]
     primes = [I for I in proper if _is_h_prime_among(pa.alg, I, ideals)]
+    radical = _once_per_ideal(partial(h_radical_of_ideal, pa))
     for I in proper:
-        hrz = h_radical_of_ideal(pa, I)
+        hrz = radical(I)
         inter = reduce(Subspace.intersect, [P for P in primes if I <= P], Subspace.full_space(pa.field, pa.alg.dim))
         report.add(
             f"{tag}: Hrz(ideal dim {I.dim})",
             hrz == inter,
             f"quotient route dim {hrz.dim}, enumeration dim {inter.dim}",
         )
-        report.add(f"{tag}: idempotence at dim {I.dim}", h_radical_of_ideal(pa, hrz) == hrz, "")
+        report.add(f"{tag}: idempotence at dim {I.dim}", radical(hrz) == hrz, "")
     return True
 
 
@@ -332,9 +349,10 @@ def check_ideal_correspondence(report: VerifyReport, tag: str, pa: PartialAction
     else:  # beyond the caps, up to six random H-stable ideals
         rng = random.Random(seed)
         ideals = list({I.rows: I for I in (random_h_stable_ideal(rng, pa) for _ in range(6))}.values())
-    images = [phi_ideal(sp, I) for I in ideals]
-    for I, phi in zip(ideals, images):
-        report.add(f"{tag}: psi(phi(I)) = I at dim {I.dim}", psi_ideal(sp, phi) == I, "")
+    phi = _once_per_ideal(partial(phi_ideal, sp))
+    images = [phi(I) for I in ideals]
+    for I, im in zip(ideals, images):
+        report.add(f"{tag}: psi(phi(I)) = I at dim {I.dim}", psi_ideal(sp, im) == I, "")
     report.add(
         f"{tag}: phi is injective",
         len({im.rows for im in images}) == len(ideals),
@@ -342,10 +360,10 @@ def check_ideal_correspondence(report: VerifyReport, tag: str, pa: PartialAction
     )
     for i, j in combinations_with_replacement(range(len(ideals)), 2):
         I, J = ideals[i], ideals[j]
-        ok_sum = phi_ideal(sp, I + J) == images[i] + images[j]
-        ok_int = phi_ideal(sp, I.intersect(J)) == images[i].intersect(images[j])
+        ok_sum = phi(I + J) == images[i] + images[j]
+        ok_int = phi(I.intersect(J)) == images[i].intersect(images[j])
         prod = span_products(pa.alg, I, J)
-        ok_prod = phi_ideal(sp, prod) == span_products(sp.carrier, images[i], images[j])
+        ok_prod = phi(prod) == span_products(sp.carrier, images[i], images[j])
         if not (ok_sum and ok_int and ok_prod):
             report.add(
                 f"{tag}: lattice ops at pair ({i},{j})", False,

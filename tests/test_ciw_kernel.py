@@ -12,11 +12,12 @@ import random
 import pytest
 
 from boxed_reference import lifted_power_trace, matmul_mod
-from psl.algebra import Algebra, _tensor_terms, quotient_algebra
+from radical_oracle import brute_nilpotent_radical
+from psl.algebra import Algebra, _tensor_terms, direct_product, product_of_fields, quotient_algebra
 from psl.exactla import GF, unit_vec
 from psl.hopf import GroupTable, dual_group_algebra, group_algebra
 from psl.paction import PartialAction, check_partial_action, is_global
-from psl.radicals import _lifted_power_trace, _packed_product, jacobson_radical
+from psl.radicals import _lifted_power_trace, _packed_product, jacobson_radical, trace_form_kernel
 from psl.smash import build_partial_smash
 from psl.verify import truncated_polynomial_algebra
 
@@ -84,3 +85,17 @@ def test_dim_72_smash_product_radical():
     assert rep.radical.dim == 36
     Q, _ = quotient_algebra(S, rep.radical)
     assert jacobson_radical(Q).radical.is_zero()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_one_pivot_g_block(p):
+    # F_p^(p-1) x F_p[x]/(x^2) has dim p + 1 >= p and trace-form kernel span(x):
+    # the first step's g-block reads a single pivot column, where itemgetter
+    # returns the entry rather than a 1-tuple (a one-dimensional ideal inside
+    # the kernel is nilpotent, so that g-block is zero)
+    F = GF(p)
+    A = direct_product(product_of_fields(F, p - 1), truncated_polynomial_algebra(F, 2))
+    assert trace_form_kernel(A).dim == 1
+    rep = jacobson_radical(A)
+    assert rep.method == "cohen-ivanyos-wales"
+    assert rep.radical == brute_nilpotent_radical(A) and rep.radical.dim == 1

@@ -12,6 +12,7 @@ from psl.exactla import (
     FieldMismatch,
     Matrix,
     Subspace,
+    _Echelon,
     all_vectors,
     contains,
     intersect_spaces,
@@ -217,3 +218,35 @@ def test_solve_left_without_rows(field):
     assert empty.solve_left((1, 0)) is None
     assert empty.solve_left((0, 1)) is None
     assert Matrix(field, [], ncols=0).solve_left(()) == ()
+
+
+def echelon_inputs(rng, field, n):
+    """Random, sparse (most entries zero) and dependent vectors of F^n."""
+    vecs = []
+    for _ in range(rng.randint(0, n + 2)):
+        kind = rng.randrange(3)
+        if kind == 0 and vecs:
+            a, b = rng.choice(vecs), rng.choice(vecs)
+            vecs.append(tuple(field.of(x + 2 * y) for x, y in zip(a, b)))
+        elif kind == 1:
+            vecs.append(tuple(x if rng.random() < 0.3 else field.zero for x in rand_vec(rng, field, n)))
+        else:
+            vecs.append(rand_vec(rng, field, n))
+    return vecs
+
+
+@pytest.mark.parametrize("field", [QQ, F2, GF(3), F5], ids=repr)
+def test_echelon_span_back_substitution_matches_rref(field):
+    # rows are cleared at the pivots of rows added after them, or left as added;
+    # the span must be the RREF of one elimination of all the vectors, scalar types included
+    rng = random.Random(field.char + 11)
+    for n in range(1, 9):
+        for _ in range(12):
+            vecs = echelon_inputs(rng, field, n)
+            basis = _Echelon(field.char)
+            for v in vecs:
+                basis.add(list(v))
+            got = basis.span(field, n)
+            want = Subspace.from_vectors(field, n, vecs)
+            assert got == want and got.pivots == want.pivots
+            assert [type(x) for row in got.rows for x in row] == [type(x) for row in want.rows for x in row]

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import psl.smash as smash
 import psl.verify as verify
 from psl.algebra import Algebra, InvariantViolation, check_algebra, is_ideal, is_nilpotent_subspace
 from psl.cli import main
-from psl.exactla import GF, QQ, unit_vec
+from psl.exactla import GF, QQ, Subspace, unit_vec
 from psl.radicals import trace_form_kernel
 from psl.verify import (
     NEGATIVE_CONTROLS,
@@ -156,6 +157,53 @@ def test_h_radicals_enumerate_once_per_instance(monkeypatch):
     for seed in range(4):
         assert replace(theorem, check=check).run(seed).ok
     assert 0 < len(calls) == sum(enumerated)
+
+
+def calls_per_input(monkeypatch, theorem_id, name):
+    """Calls of `verify.<name>(obj, I)` over seeds 0-3, counted per (checked instance, rows of I).
+
+    `obj` is the smash product or the action of the instance being checked.
+    """
+    theorem = THEOREMS[theorem_id]
+    real = getattr(verify, name)
+    instance = [0]
+    calls = Counter()
+
+    def counting(obj, I):
+        calls[instance[0], I.rows] += 1
+        return real(obj, I)
+
+    def check(report, tag, pa, **kwargs):
+        instance[0] += 1
+        return theorem.check(report, tag, pa, **kwargs)
+
+    monkeypatch.setattr(verify, name, counting)
+    for seed in range(4):
+        assert replace(theorem, check=check).run(seed).ok
+    return calls
+
+
+def test_ideal_correspondence_derives_each_phi_once(monkeypatch):
+    # the pair loop reads Phi(I+J), Phi(I/\J) and Phi(IJ) from the images already derived
+    calls = calls_per_input(monkeypatch, "T3.6", "phi_ideal")
+    assert calls and set(calls.values()) == {1}
+
+
+def test_h_radicals_derive_each_hrz_once(monkeypatch):
+    # Hrz(Hrz(I)) is a lookup once the loop has reached Hrz(I), or derives it for the loop
+    calls = calls_per_input(monkeypatch, "C4.13", "h_radical_of_ideal")
+    assert calls and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2])
+def test_ideal_correspondence_catches_phi_wrong_at_one_dimension(monkeypatch, dim):
+    real = verify.phi_ideal
+
+    def corrupted(sp, I):
+        return Subspace.full_space(sp.field, sp.carrier.dim) if I.dim == dim else real(sp, I)
+
+    monkeypatch.setattr(verify, "phi_ideal", corrupted)
+    assert not all(THEOREMS["T3.6"].run(seed).ok for seed in range(4))
 
 
 @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
