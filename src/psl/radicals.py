@@ -265,8 +265,9 @@ def enumerate_h_stable_ideals(
     These are exactly the subspaces invariant under left and right
     multiplications and under the action of every basis element of H.  The
     operators go to the enumeration as sparse rows, and it drops the
-    repeated and scalar ones: 1_H acts as the identity, and each right
-    multiplication of a commutative A repeats a left one.
+    repeated and scalar ones: 1_H, where it is a basis element, acts as the
+    identity, and each right multiplication of a commutative A repeats a
+    left one.
     """
     A = pa.alg
     p = A.field.char
