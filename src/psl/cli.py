@@ -7,13 +7,15 @@
     psl verify THEOREM  [--workspace ws.json] [--seed N] [--trials N]
 
 Exit codes: 0 pass, 1 mathematical failure (with witness), 2 usage or
-parse error.  All reported entries are exact rationals or residues.
+parse error, 141 stdout closed by its reader.  All reported entries are
+exact rationals or residues.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from psl.algebra import check_algebra
@@ -40,6 +42,7 @@ from psl.workspace import (
 EXIT_PASS = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, a shell's status for a writer whose reader has gone
 
 
 def _emit(payload: dict, output: str) -> None:
@@ -272,7 +275,14 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now writes to devnull, so the interpreter's last flush of it cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

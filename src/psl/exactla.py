@@ -25,12 +25,15 @@ sees.  Only `_rref` and `_Echelon.add` divide, and always by a Fraction.
 Invariant subspaces are closed by spinning (Parker, "The computer
 calculation of modular characters (the Meat-Axe)", 1984): each new image is
 reduced once against a growing echelon basis and kept only if it is new, and
-the basis is brought to RREF by back-substitution, with no second elimination.
+the basis is brought to RREF by back-substitution, with no second elimination;
+a spin that reaches the whole space stops there and returns the shared
+identity rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -274,6 +277,13 @@ def _zeros(p: int, n: int) -> list:
     return [0] * n if p else [_QZERO] * n
 
 
+@cache
+def _identity_rows(p: int, n: int) -> tuple:
+    """The rows of the n x n identity as a container stores them, built once per (p, n)."""
+    one = _one(p)
+    return tuple(_canon(_dense(((i, one),), n), p) for i in range(n))
+
+
 def _canon(vec: Sequence, p: int) -> tuple:
     """Entries as a container stores them: reduced mod p, or Fractions over Q.
 
@@ -453,7 +463,9 @@ def _spin(field: Field, n: int, seeds: Iterable[list], ops: Sequence[Sequence[tu
     """Smallest subspace of F^n containing the seeds and invariant under ops.
 
     ops[t][l] is the sparse image of e_l under operator t.  Every basis
-    vector's images are reduced once against the basis built so far.
+    vector's images are reduced once against the basis built so far, and
+    the spin stops as soon as the basis spans F^n, which it returns with no
+    back-substitution.
     """
     basis = _Echelon(field.char)
     for v in seeds:
@@ -468,7 +480,10 @@ def _spin(field: Field, n: int, seeds: Iterable[list], ops: Sequence[Sequence[tu
             for l, x in w:
                 for k, c in op[l]:
                     out[k] += x * c
-            basis.add(out)
+            if basis.add(out) and len(rows) == n:
+                break
+    if len(rows) == n:
+        return Subspace.full_space(field, n)
     return basis.span(field, n)
 
 
@@ -549,8 +564,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        one = _one(field.char)
-        return cls._of_raw(field, tuple(_canon(_dense(((i, one),), n), field.char) for i in range(n)), n)
+        return cls._of_raw(field, _identity_rows(field.char, n), n)
 
     @classmethod
     def zeros(cls, field: Field, m: int, n: int) -> "Matrix":
@@ -717,7 +731,7 @@ class Subspace:
 
     @classmethod
     def full_space(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.identity(field, ambient).rows, tuple(range(ambient)))
+        return cls(field, ambient, _identity_rows(field.char, ambient), tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -906,8 +920,10 @@ def enumerate_invariant_subspaces(field: Field, ambient: int, operators: Sequenc
 
     Every invariant subspace is the join of the cyclic closures of its
     vectors, so the lattice is generated by the closures of the projective
-    representatives plus pairwise joins.  Returned in canonical order.
-    More than ENUM_BUDGET lines raise DimensionTooLarge.
+    representatives under joins.  Each unordered pair of subspaces found is
+    joined at most once, and not at all when one contains the other, since
+    that join is the larger one.  Returned in canonical order.  More than
+    ENUM_BUDGET lines raise DimensionTooLarge.
 
     A repeated operator, the zero operator and scalar ones (the identity
     included) are dropped before any spin.  The lattice depends only on the
@@ -931,6 +947,8 @@ def _invariant_lattice(field: Field, ambient: int, ops: Sequence[Sequence[tuple]
     """`enumerate_invariant_subspaces` on sparse operators, tuples with ops[t][l] the image of e_l.
 
     The spins use each distinct operator once and no zero or scalar one.
+    Containment is read from the smaller member's RREF rows, by `_holds`
+    against the larger; two distinct subspaces of one dimension never nest.
     """
     p = field.char
     if p == 0:
@@ -942,15 +960,14 @@ def _invariant_lattice(field: Field, ambient: int, ops: Sequence[Sequence[tuple]
     for v in lines:
         c = _spin(field, ambient, [v], ops)
         found.setdefault(c.rows, c)
-    frontier = list(found.values())
-    while frontier:
-        fresh = []
-        current = list(found.values())
-        for a in frontier:
-            for b in current:
-                s = a + b
-                if s.rows not in found:
-                    found[s.rows] = s
-                    fresh.append(s)
-        frontier = fresh
+    members = list(found.values())
+    for k, a in enumerate(members):  # a join found on the way is appended, and paired in turn
+        for b in members[:k]:
+            small, big = (a, b) if a.dim < b.dim else (b, a)
+            if small.dim < big.dim and all(map(big._holds, small.rows)):
+                continue
+            s = a + b
+            if s.rows not in found:
+                found[s.rows] = s
+                members.append(s)
     return sorted(found.values(), key=Subspace.sort_key)

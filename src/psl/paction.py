@@ -90,8 +90,9 @@ class PartialAction:
     # `_terms[i][j]` is h_i . e_j as a sparse row; `_act` is the dense tensor
     # behind `act`, derived from `_terms` on first read for an action built by
     # `_of_terms`; `_smash` holds the partial smash product once
-    # build_partial_smash has made it
-    __slots__ = ("hopf", "alg", "_act", "_terms", "_smash")
+    # build_partial_smash has made it, and `_ideals` the H-stable ideals once
+    # enumerate_h_stable_ideals has enumerated them
+    __slots__ = ("hopf", "alg", "_act", "_terms", "_smash", "_ideals")
 
     def __init__(self, hopf: HopfAlgebra, alg: Algebra, act):
         _check_pair(hopf, alg)
@@ -101,6 +102,7 @@ class PartialAction:
         p = alg.field.char
         self._terms = tuple(tuple(_nonzero(v, p) for v in row) for row in self._act)
         self._smash = None
+        self._ideals = None
 
     @classmethod
     def _of_terms(cls, hopf: HopfAlgebra, alg: Algebra, terms: tuple) -> "PartialAction":
@@ -116,6 +118,7 @@ class PartialAction:
         pa._act = None
         pa._terms = terms
         pa._smash = None
+        pa._ideals = None
         return pa
 
     @property

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter, lshift, mul
+from typing import Sequence
 
 from psl.algebra import (
     Algebra,
@@ -259,7 +260,7 @@ def enumeration_refusal(p: int, dim: int, dim_cap: int, field_cap: int) -> str |
 
 def enumerate_h_stable_ideals(
     pa: PartialAction, dim_cap: int = 6, field_cap: int = 5
-) -> list[Subspace]:
+) -> tuple[Subspace, ...]:
     """All H-stable two-sided ideals of A (finite fields, capped dimensions).
 
     These are exactly the subspaces invariant under left and right
@@ -267,7 +268,8 @@ def enumerate_h_stable_ideals(
     operators go to the enumeration as sparse rows, and it drops the
     repeated and scalar ones: 1_H, where it is a basis element, acts as the
     identity, and each right multiplication of a commutative A repeats a
-    left one.
+    left one.  The caps are checked on every call; the ideals are enumerated
+    once per action and kept on it, as a tuple in canonical order.
     """
     A = pa.alg
     p = A.field.char
@@ -276,7 +278,9 @@ def enumerate_h_stable_ideals(
     refusal = enumeration_refusal(p, A.dim, dim_cap, field_cap)
     if refusal:
         raise DimensionTooLarge(refusal)
-    return _invariant_lattice(A.field, A.dim, _mult_operators(A, "two_sided") + list(pa._terms))
+    if pa._ideals is None:
+        pa._ideals = tuple(_invariant_lattice(A.field, A.dim, _mult_operators(A, "two_sided") + list(pa._terms)))
+    return pa._ideals
 
 
 def is_h_prime(
@@ -291,7 +295,7 @@ def is_h_prime(
     return _is_h_prime_among(A, prime, enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap))
 
 
-def _is_h_prime_among(A: Algebra, prime: Subspace, ideals: list[Subspace]) -> bool:
+def _is_h_prime_among(A: Algebra, prime: Subspace, ideals: Sequence[Subspace]) -> bool:
     """No pair of the H-stable `ideals` outside `prime` has its product inside it."""
     outside = [I for I in ideals if not I <= prime]
     for I in outside:

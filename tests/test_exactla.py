@@ -13,6 +13,7 @@ from psl.exactla import (
     Matrix,
     Subspace,
     _Echelon,
+    _spin,
     all_vectors,
     contains,
     intersect_spaces,
@@ -250,3 +251,47 @@ def test_echelon_span_back_substitution_matches_rref(field):
             want = Subspace.from_vectors(field, n, vecs)
             assert got == want and got.pivots == want.pivots
             assert [type(x) for row in got.rows for x in row] == [type(x) for row in want.rows for x in row]
+
+
+def cycle(n, length):
+    """Sparse operator sending e_l to e_(l+1 mod length) for l < length, fixing the rest of F^n."""
+    return tuple((((l + 1) % length, 1),) if l < length else ((l, 1),) for l in range(n))
+
+
+def scalar_types(space):
+    return [type(x) for row in space.rows for x in row]
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F5], ids=repr)
+def test_spin_that_reaches_the_full_space_returns_the_canonical_one(field):
+    # the spin stops at n rows; what it returns must be what one elimination of the identity gives
+    one, zero = field.one, field.zero
+    for n in range(1, 7):
+        identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        want = Subspace._span(field, n, identity)
+        for seeds, ops in (([identity[0]], [cycle(n, n)]), (identity, []), ([identity[-1]] + identity, [cycle(n, n)])):
+            got = _spin(field, n, [list(v) for v in seeds], ops)
+            assert got == want and got.pivots == want.pivots
+            assert scalar_types(got) == scalar_types(want)
+            assert type(got.rows) is tuple and all(type(row) is tuple for row in got.rows)
+            assert hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F5], ids=repr)
+def test_spin_of_an_invariant_hyperplane_is_not_the_full_space(field):
+    # e_0 cycles through e_0, ..., e_(n-2) and never reaches e_(n-1): the spin ends one row short of n
+    one, zero = field.one, field.zero
+    for n in range(2, 7):
+        units = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        got = _spin(field, n, [units[0]], [cycle(n, n - 1)])
+        assert got == Subspace._span(field, n, units[:-1]) and got.dim == n - 1
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F5], ids=repr)
+def test_identity_rows_are_shared_and_immutable(field):
+    for n in range(5):
+        full, identity = Subspace.full_space(field, n), Matrix.identity(field, n)
+        assert full.rows is identity.rows
+        assert type(full.rows) is tuple and all(type(row) is tuple for row in full.rows)
+        assert full == Subspace._span(field, n, identity.rows)
+        assert scalar_types(full) == [type(field.one)] * (n * n)

@@ -6,7 +6,8 @@ The record holds one sha256 per key:
   of every theorem id at seeds 0-3;
 - `<workspace>:<command>:<action>` hashes the exit code and JSON output of
   `psl radicals`, `psl smash` and `psl check` on every action of the four
-  checked-in workspaces.
+  checked-in workspaces, and of `psl enumerate-ideals` on every action of
+  the two workspaces over F_p.
 
 A change that must not move any answer (a kernel rewrite, a new cache)
 keeps every hash, and a mismatch names the keys that moved.  Run as a
@@ -41,6 +42,8 @@ WORKSPACES = {
     "f3": ROOT / "pslbench" / "workspaces" / "f3.json",
 }
 COMMANDS = ("radicals", "smash", "check")
+# the workspaces over a finite field, whose H-stable ideals can be enumerated
+ENUMERATED = ("f2", "f3")
 
 
 def _digest(value) -> str:
@@ -76,6 +79,9 @@ def snapshot() -> dict[str, str]:
             for command in COMMANDS:
                 out = _cli([command, "--workspace", str(path), action])
                 record[f"{ws_name}:{command}:{action}"] = _digest(out)
+            if ws_name in ENUMERATED:
+                out = _cli(["enumerate-ideals", "--workspace", str(path), action])
+                record[f"{ws_name}:enumerate-ideals:{action}"] = _digest(out)
     return record
 
 

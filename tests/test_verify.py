@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,36 @@ def test_h_radicals_enumerate_once_per_instance(monkeypatch):
     assert 0 < len(calls) == sum(enumerated)
 
 
+@pytest.mark.parametrize("theorem_id", ["T3.6", "C3.7", "P4.22", "C4.13"])
+def test_lattice_theorems_enumerate_each_action_once(monkeypatch, theorem_id):
+    # the pool hands an equal draw to later tags as the same action, which keeps its ideals
+    real_enumerate, real_lattice = radicals.enumerate_h_stable_ideals, radicals._invariant_lattice
+    asked, lattices = [], []
+
+    def enumerate_ideals(pa, *args, **kwargs):
+        asked.append(pa)  # held for the run, so no two actions share an id
+        ideals = real_enumerate(pa, *args, **kwargs)
+        assert type(ideals) is tuple
+        return ideals
+
+    def lattice(*args):
+        lattices.append(args)
+        return real_lattice(*args)
+
+    monkeypatch.setattr(radicals, "enumerate_h_stable_ideals", enumerate_ideals)
+    monkeypatch.setattr(verify, "enumerate_h_stable_ideals", enumerate_ideals)
+    monkeypatch.setattr(radicals, "_invariant_lattice", lattice)
+    repeats = 0
+    for seed in range(4):
+        asked.clear()
+        lattices.clear()
+        assert THEOREMS[theorem_id].run(seed).ok
+        distinct = len({id(pa) for pa in asked})
+        assert len(lattices) == distinct, seed
+        repeats += len(asked) - distinct
+    assert repeats
+
+
 def calls_per_input(monkeypatch, theorem_id, name):
     """Calls of `verify.<name>(obj, I)` over seeds 0-3, counted per (checked instance, rows of I).
 
@@ -195,6 +226,46 @@ def test_h_radicals_derive_each_hrz_once(monkeypatch):
     assert calls and set(calls.values()) == {1}
 
 
+def ideal_correspondence_enumerations():
+    """(smash product, ideals, their Phi images) of each T3.6 instance at seeds 0-3 that enumerates."""
+    theorem = THEOREMS["T3.6"]
+    out = []
+
+    def check(report, tag, pa, **kwargs):
+        if verify._enumerable(pa, kwargs["dim_cap"], kwargs["field_cap"]):
+            sp = smash.build_partial_smash(pa)
+            ideals = radicals.enumerate_h_stable_ideals(pa)
+            out.append((sp, ideals, [smash.phi_ideal(sp, I) for I in ideals]))
+        return theorem.check(report, tag, pa, **kwargs)
+
+    for seed in range(4):
+        assert replace(theorem, check=check).run(seed).ok
+    return out
+
+
+def test_nested_pairs_read_by_inclusion_agree_with_elimination():
+    # on I <= J, Phi(I+J) = Phi(I)+Phi(J) and Phi(I/\J) = Phi(I)/\Phi(J) both read Phi(I) <= Phi(J)
+    nested = other = outside = 0
+    for sp, ideals, images in ideal_correspondence_enumerations():
+        for i, j in combinations_with_replacement(range(len(ideals)), 2):
+            I, J = ideals[i], ideals[j]
+            if not (I <= J or J <= I):
+                other += 1
+                continue
+            nested += 1
+            small, big = (i, j) if I.dim <= J.dim else (j, i)
+            by_inclusion = images[small] <= images[big]
+            by_sum = smash.phi_ideal(sp, I + J) == images[i] + images[j]
+            by_intersection = smash.phi_ideal(sp, I.intersect(J)) == images[i].intersect(images[j])
+            assert by_inclusion == by_sum == by_intersection
+        # the identity the shortcut rests on, also where the images do not nest
+        for X in images:
+            for Y in images:
+                assert (X <= Y) == (X + Y == Y) == (X.intersect(Y) == X)
+                outside += not X <= Y
+    assert nested and other and outside
+
+
 @pytest.mark.parametrize("dim", [0, 1, 2])
 def test_ideal_correspondence_catches_phi_wrong_at_one_dimension(monkeypatch, dim):
     real = verify.phi_ideal
@@ -227,6 +298,26 @@ def f2_workspace(tmp_path, p: int = 2) -> Path:
     path = tmp_path / "ws.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def test_ideal_correspondence_reads_a_nested_pair_by_inclusion(tmp_path, monkeypatch):
+    # Phi(span e_0) is made the whole carrier, which Phi(span(e_0, e_1)) does not contain
+    pa = load_workspace(str(f2_workspace(tmp_path))).action("t")
+    F2 = GF(2)
+    small = Subspace.from_vectors(F2, 3, [(1, 0, 0)])
+    big = Subspace.from_vectors(F2, 3, [(1, 0, 0), (0, 1, 0)])
+    real = verify.phi_ideal
+
+    def phi(sp, I):
+        return Subspace.full_space(sp.field, sp.carrier.dim) if I == small else real(sp, I)
+
+    monkeypatch.setattr(verify, "phi_ideal", phi)
+    report = verify.VerifyReport("T3.6")
+    verify.check_ideal_correspondence(report, "t", pa, seed=0, dim_cap=6, field_cap=5)
+    ideals = radicals.enumerate_h_stable_ideals(pa)
+    failed = {c.name: c.detail for c in report.cases if not c.ok}
+    pair = f"t: lattice ops at pair ({ideals.index(small)},{ideals.index(big)})"
+    assert failed[pair].startswith("sum False, intersection False")
 
 
 @pytest.mark.parametrize("theorem_id, name, detail", [
@@ -322,3 +413,20 @@ def test_optimized_interpreter_reports_the_same(argv):
         assert proc.returncode == 0, proc.stderr
         outputs.append(json.loads(proc.stdout))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_closed_stdout_exits_141_without_a_traceback(output):
+    # the reader of the pipe has gone before the command writes
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "psl.cli", "verify", "T3.6", "--output", output],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=600,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
