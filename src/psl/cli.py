@@ -9,11 +9,17 @@
 Exit codes: 0 pass, 1 mathematical failure (with witness), 2 usage or
 parse error, 141 stdout closed by its reader.  All reported entries are
 exact rationals or residues.
+
+`main(argv)` is the in-process entry point and returns the exit code.  It
+builds the argument grammar on its first call and keeps it for the process,
+so only later in-process calls skip that build; a shell invocation makes one
+call and does the same work as before.  Nothing else outlives a call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -242,8 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _grammar() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on its first call and kept for the process.
+    Parsing does not change it, so later calls only run `parse_args`."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command in-process and return its exit code."""
+    parser = _grammar()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

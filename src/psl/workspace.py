@@ -52,6 +52,10 @@ class ParseError(ValueError):
 class UnresolvedReference(KeyError):
     """A name used in the workspace or on the command line does not resolve."""
 
+    def __str__(self) -> str:
+        # KeyError.__str__ would quote the message as if it were a key
+        return self.args[0]
+
 
 class WorkspaceAxiomError(ValueError):
     """An explicit tensor in the workspace fails its axiom checker."""

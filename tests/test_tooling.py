@@ -124,3 +124,50 @@ def test_parity_script_writes_only_with_write(monkeypatch, tmp_path, capsys):
     assert test_parity.main(["--write"]) == 0
     assert json.loads(record.read_text()) == now
     assert test_parity.main([]) == 0
+
+
+GRAMMAR_PROBE = """
+import argparse, contextlib, io, json
+
+real_init = argparse.ArgumentParser.__init__
+built = []
+
+def counting(self, *args, **kwargs):
+    if kwargs.get("prog", args[0] if args else None) == "psl":
+        built.append(1)
+    real_init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting
+import psl.cli
+at_import = len(built)
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(psl.cli.main(["check", "--workspace", "workspaces/sample.json", "triple"]))
+    codes.append(psl.cli.main(["smash", "--workspace", "workspaces/sample.json", "corner"]))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(psl.cli.main(
+        ["radicals", "--workspace", "workspaces/sample.json", "triple", "--output", "json"]))
+print(json.dumps({"import": at_import, "main": len(built) - at_import, "codes": codes,
+                  "stdout": out.getvalue()}))
+"""
+
+
+def test_grammar_built_once_per_process():
+    # import builds no parser; the first main() call builds it and later calls reuse it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run(
+        [sys.executable, "-c", GRAMMAR_PROBE], capture_output=True, cwd=ROOT, env=env, timeout=600,
+    )
+    assert probe.returncode == 0, probe.stderr.decode()
+    seen = json.loads(probe.stdout)
+    assert (seen["import"], seen["main"], seen["codes"]) == (0, 1, [0, 0, 0])
+    # a shell invocation, one main() in its own process, prints the same answer
+    shell = subprocess.run(
+        [sys.executable, "-m", "psl.cli", "radicals", "--workspace", "workspaces/sample.json",
+         "triple", "--output", "json"],
+        capture_output=True, cwd=ROOT, env=env, timeout=600,
+    )
+    assert shell.returncode == seen["codes"][-1]
+    assert shell.stdout.decode() == seen["stdout"]
+    assert json.loads(seen["stdout"])["command"] == "radicals"

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from psl import algebra, hopf, paction, workspace
+from psl import algebra, cli, hopf, paction, workspace
 from psl.cli import main
 from psl.exactla import QQ
 from psl.hopf import MAX_GROUP_ORDER, GroupTable, GroupTooLarge
@@ -438,6 +438,69 @@ def test_cli_malformed_builder_exits_two_for_other_action(tmp_path, capsys, muta
         captured = capsys.readouterr()
         assert "action 'bad'" in captured.err and message in captured.err
         assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("mutate, action, line", [
+    (None, "nosuch", "error: no action named 'nosuch' in the workspace"),
+    (_with_bad_action({"builder": "dual_group_idempotent", "group": "C9", "subgroup": [0]}),
+     "triple", "error: action 'bad': group 'C9' not defined"),
+], ids=["unknown-action", "entry-prefixed"])
+def test_cli_unresolved_reference_prints_its_message_unquoted(tmp_path, capsys, mutate, action, line):
+    # UnresolvedReference is a KeyError, whose str() would put the message in quotes
+    doc = json.loads(SAMPLE.read_text())
+    if mutate is not None:
+        mutate(doc)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert main(["radicals", "--workspace", str(path), action]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n"
+    assert captured.out == ""
+
+
+def test_cli_reused_grammar_answers_as_a_fresh_one(monkeypatch, tmp_path, capsys):
+    # valid commands interleaved with every kind of usage error, run through the
+    # grammar main keeps and through a new build_parser() per call
+    valid = ["radicals", "--workspace", str(SAMPLE), "triple", "--output", "json"]
+    f2 = str(fp_workspace(tmp_path))
+    calls = [
+        valid,
+        ["verify"],
+        ["check", "--workspace", str(SAMPLE), "triple"],
+        ["verify", "T4.26", "--trials", "-1"],
+        ["enumerate-ideals", "--workspace", f2, "self", "--dim-cap", "0"],
+        ["smash", "--workspace", str(SAMPLE), "corner"],
+        ["radicals", "triple"],
+        ["enumerate-ideals", "--workspace", f2, "self"],
+        ["nosuch"],
+        ["--help"],
+        ["verify", "--help"],
+        valid,
+    ]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    kept = run_all()
+    monkeypatch.setattr(cli, "_grammar", cli.build_parser)
+    fresh = run_all()
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [0, 2, 0, 2, 2, 0, 2, 0, 2, 0, 0, 0]
+    assert kept[-1] == kept[0]
+    # text output after a JSON call: no option value outlives its call
+    assert kept[2][1] == "check triple (action): pass\n"
+    assert kept[5][1].startswith("smash corner: full 2, partial 1\n")
+    assert "the following arguments are required: theorem" in kept[1][2]
+    assert "must be at least 0, got -1" in kept[3][2]
+    assert "must be at least 1, got 0" in kept[4][2]
+    assert "the following arguments are required: --workspace" in kept[6][2]
+    assert "invalid choice: 'nosuch'" in kept[8][2]
+    assert kept[9][1].startswith("usage: psl ") and kept[10][1].startswith("usage: psl verify ")
 
 
 BENCH_WORKSPACES = Path(__file__).resolve().parent.parent / "pslbench" / "workspaces"
