@@ -1,5 +1,6 @@
-"""Source-level guards: no `assert` in the package, `python -O` changes no output, and the
-instance generator builds nothing through the coercing public constructors."""
+"""Source-level guards: no `assert` in the package, `python -O` changes no output, the
+instance generator builds nothing through the coercing public constructors, and `main`
+builds its grammar once per process."""
 
 import ast
 import json
@@ -20,6 +21,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "psl").glob("*.py"))
 
 
+def src_env() -> dict:
+    """The environment with this checkout's `src/` first on PYTHONPATH, for a fresh interpreter."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_assert_statements_in_package(path):
     # python -O strips asserts, so every invariant must raise a real exception
@@ -29,7 +35,7 @@ def test_no_assert_statements_in_package(path):
 
 
 def test_optimized_interpreter_prints_identical_bytes():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env = src_env()
     outputs = []
     for flags in ([], ["-O"]):
         proc = subprocess.run(
@@ -155,7 +161,7 @@ print(json.dumps({"import": at_import, "main": len(built) - at_import, "codes": 
 
 def test_grammar_built_once_per_process():
     # import builds no parser; the first main() call builds it and later calls reuse it
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env = src_env()
     probe = subprocess.run(
         [sys.executable, "-c", GRAMMAR_PROBE], capture_output=True, cwd=ROOT, env=env, timeout=600,
     )
