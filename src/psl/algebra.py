@@ -12,8 +12,9 @@ structure-constant loops (`multiply`, the axiom checkers, `build_full_smash`,
 the subspace products and ideal closures, algebra maps, and the Hopf,
 action, coaction and module loops built on `_apply_raw`) run on sparse
 vectors and on the rows of `Subspace` through `_multiply_raw`; over F_p they
-leave sums unreduced and reduce mod p only where a value is compared
-(`_differ`, `_vanishes`), returned or stored (`_canon`), or fed to a next
+leave sums unreduced and reduce mod p only where a compared value's exact
+ints differ (`_differ` and `_vanishes` test the ints first, at C speed), where
+a value is returned or stored (`_canon`), or where it is fed to a next
 product (`_compact`).  Over Q the sparse vectors (`_nonzero`, `_compact`)
 hold an integral c as an int and any other as a Fraction, so these loops
 multiply plain ints wherever the constants allow; `_canon` makes every value
@@ -96,17 +97,25 @@ def _compact(raw: Sequence, p: int) -> tuple:
     return _nonzero(raw, 0)
 
 
-def _differ(u: Sequence, v: Sequence, p: int) -> bool:
-    """Whether two dense (possibly unreduced) vectors differ as field elements; over Q both are lists."""
+def _differ(u: list, v: list, p: int) -> bool:
+    """Whether two dense (possibly unreduced) vectors differ as field elements.
+
+    Both must be lists (a list never equals a tuple).  Over F_p, vectors equal
+    as ints are equal; only unequal ones are compared entry by entry mod p.
+    """
     if p:
-        return any((a - b) % p for a, b in zip(u, v))
+        return u != v and any((a - b) % p for a, b in zip(u, v))
     return u != v
 
 
-def _vanishes(acc: Sequence, p: int) -> bool:
-    """Whether a dense (possibly unreduced) vector is zero as field elements."""
+def _vanishes(acc: list, p: int) -> bool:
+    """Whether a dense (possibly unreduced) list is zero as field elements.
+
+    Over F_p, a list of zero ints is zero; only one with a nonzero int is
+    reduced mod p entry by entry.
+    """
     if p:
-        return not any(map(p.__rmod__, acc))
+        return not any(acc) or not any(map(p.__rmod__, acc))
     return not any(acc)
 
 

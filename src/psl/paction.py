@@ -178,10 +178,13 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
     every k into one n x n block, slice k at offset k n, and tests the block
     once; only a block that does not vanish is scanned slice by slice, in k
     order, for its failures.  Both skip the terms h_p (x) h_q of Delta(h_i)
-    whose left factor h_p . e_j (PA3) or h_p . 1_A (PA4) is zero.  Over Q they
-    run on ints: the action, the constants of A and of Delta, the unit images
-    and the (h_q h_g) . e_k are cleared of denominators (`_cleared`), and each
-    side is multiplied up to one total scale.
+    whose left factor h_p . e_j (PA3) or h_p . 1_A (PA4) is zero.  The
+    (h_q h_g) . e_k are computed once per distinct product h_q h_g, and only
+    where that product is not a basis element h_r with coefficient 1 (as every
+    product is in kG): there they are the action's own rows h_r . e_k.  Over Q
+    they run on ints: the action, the constants of A and of Delta, the unit
+    images and the (h_q h_g) . e_k are cleared of denominators (`_cleared`),
+    and each side is multiplied up to one total scale.
     """
     failures = []
     H, A = pa.hopf, pa.alg
@@ -197,9 +200,13 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
     columns = [[act[r][k] for r in range(m)] for k in range(n)]
     unit_a = _nonzero(A.unit, p)
     unit_images = [_compact(_apply_raw(act[i], unit_a, n), p) for i in range(m)]
-    # (h_q h_g) . e_k depends on h_q h_g only: one list per distinct product
+    # (h_q h_g) . e_k depends on h_q h_g only: one list per distinct product,
+    # read off the action where the product is a basis element h_r
     products = {x for row in h_terms for x in row}
-    by_product = {x: [_compact(_apply_raw(col, x, n), p) for col in columns] for x in products}
+    by_product = {
+        x: act[x[0][0]] if len(x) == 1 and x[0][1] == 1 else [_compact(_apply_raw(col, x, n), p) for col in columns]
+        for x in products
+    }
     hg_act = [[by_product[x] for x in row] for row in h_terms]
 
     unit_h = _nonzero(H.unit, p)
@@ -287,9 +294,10 @@ def _pa2_samples(m: int, n: int) -> tuple:
 
 def is_global(pa: PartialAction) -> bool:
     """h . 1_A = eps(h) 1_A on every basis element."""
-    unit, p = pa.alg.unit, pa.field.char
+    unit, n, p = pa.alg.unit, pa.alg.dim, pa.field.char
+    sparse = _nonzero(unit, p)
     return not any(
-        _differ(list(pa.unit_image(i)), [e * x for x in unit], p) for i, e in enumerate(pa.hopf.counit)
+        _differ(_apply_raw(row, sparse, n), [e * x for x in unit], p) for row, e in zip(pa._terms, pa.hopf.counit)
     )
 
 
