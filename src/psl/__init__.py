@@ -27,6 +27,7 @@ from psl.paction import (
     c4_triple,
     check_partial_action,
     check_partial_coaction,
+    coaction_to_action,
     coinvariant_subalgebra,
     colon_ideal,
     dual_group_idempotent,
@@ -69,6 +70,7 @@ from psl.pmod import (
     from_smash_module,
     irreducible_extension,
     is_irreducible,
+    quotient_module,
     to_smash_module,
 )
 

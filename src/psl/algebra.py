@@ -292,26 +292,6 @@ class Algebra:
         x, y = _nonzero(_coerce(field, x, n), p), _nonzero(_coerce(field, y, n), p)
         return _canon(_multiply_raw(self.terms, x, y), p)
 
-    def _mult_matrix(self, x: Sequence, left: bool) -> Matrix:
-        p, terms = self.field.char, self.terms
-        x = _nonzero(_coerce(self.field, x, self.dim), p)
-        rows = tuple(
-            _canon(_multiply_raw(terms, x, ((j, 1),)) if left else _multiply_raw(terms, ((j, 1),), x), p)
-            for j in range(self.dim)
-        )
-        return Matrix._of_raw(self.field, rows, self.dim)
-
-    def left_mult_matrix(self, x: Sequence) -> Matrix:
-        """Matrix of a |-> x*a in the row-vector convention."""
-        return self._mult_matrix(x, True)
-
-    def right_mult_matrix(self, x: Sequence) -> Matrix:
-        return self._mult_matrix(x, False)
-
-
-def multiply(A: Algebra, x: Sequence, y: Sequence) -> tuple:
-    return A.multiply(x, y)
-
 
 def check_algebra(A: Algebra) -> CheckReport:
     """Associativity on all basis triples plus unit laws (when a unit is present).
@@ -459,11 +439,6 @@ def quotient_algebra(A: Algebra, I: Subspace) -> tuple[Algebra, AlgebraMap]:
     images = tuple(project(_dense(((i, 1),), n)) for i in range(n))
     proj = AlgebraMap(A, Q, Matrix._of_raw(A.field, images, qdim))
     return Q, proj
-
-
-def is_nilpotent_subspace(A: Algebra, I: Subspace) -> bool:
-    """True iff I^m = 0 for some m <= dim(A)+1 (iterated span products)."""
-    return nilpotency_index(A, I) is not None
 
 
 def nilpotency_index(A: Algebra, I: Subspace) -> int | None:

@@ -25,7 +25,6 @@ import os
 import sys
 
 from psl.algebra import check_algebra
-from psl.exactla import Subspace
 from psl.hopf import check_hopf
 from psl.paction import check_partial_action, colon_ideal, is_global
 from psl.pmod import check_partial_module
@@ -69,10 +68,8 @@ def cmd_check(ws, name: str, output: str) -> int:
         report = check_partial_action(obj)
     elif kind == "module":
         report = check_partial_module(obj)
-    elif kind == "group":
-        report = None  # construction already validated the table
-    else:
-        report = None  # ideals are canonical subspaces; nothing to check
+    else:  # a group's table is validated on construction; ideals are canonical subspaces
+        report = None
     ok = report.ok if report is not None else True
     failures = list(report.failures) if report is not None else []
     payload = {
@@ -274,9 +271,8 @@ def main(argv=None) -> int:
             return cmd_smash(ws, args.action, args.output)
         if args.command == "radicals":
             return cmd_radicals(ws, args.action, args.output)
-        if args.command == "enumerate-ideals":
-            return cmd_enumerate_ideals(ws, args.action, args.dim_cap, args.field_cap, args.output)
-        parser.error(f"unknown command {args.command!r}")
+        # the subparsers are required and their choices fixed, so this is enumerate-ideals
+        return cmd_enumerate_ideals(ws, args.action, args.dim_cap, args.field_cap, args.output)
     except WorkspaceAxiomError as exc:
         print(f"axiom failure: {exc}", file=sys.stderr)
         for witness in exc.failures[:5]:
@@ -285,7 +281,6 @@ def main(argv=None) -> int:
     except (ParseError, UnresolvedReference) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 def entrypoint() -> None:

@@ -112,9 +112,6 @@ class Field:
     def one(self):
         raise NotImplementedError
 
-    def elements(self) -> Iterator:
-        raise NotImplementedError
-
     def format_scalar(self, x):
         raise NotImplementedError
 
@@ -141,9 +138,6 @@ class RationalField(Field):
     @property
     def one(self):
         return _QONE
-
-    def elements(self):
-        raise FieldMismatch("Q is not finite")
 
     def format_scalar(self, x):
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else f"{x.numerator}"
@@ -187,9 +181,6 @@ class PrimeField(Field):
     @property
     def one(self):
         return 1
-
-    def elements(self):
-        return iter(range(self.char))
 
     def format_scalar(self, x):
         return str(self.of(x))
@@ -240,26 +231,6 @@ def zero_vec(field: Field, n: int) -> tuple:
 def unit_vec(field: Field, n: int, i: int) -> tuple:
     z = field.zero
     return tuple(field.one if j == i else z for j in range(n))
-
-
-def is_zero_vec(v: Sequence) -> bool:
-    return not any(v)
-
-
-def all_vectors(field: Field, n: int) -> Iterator[tuple]:
-    """Every vector of F_p^n (finite fields only)."""
-    if field.char == 0:
-        raise FieldMismatch("cannot enumerate vectors over Q")
-    for v in product(range(field.char), repeat=n):
-        yield v[::-1]
-
-
-def projective_vectors(field: Field, n: int) -> Iterator[tuple]:
-    """Nonzero vectors of F_p^n, one per scalar line (first nonzero entry 1)."""
-    if field.char == 0:
-        raise FieldMismatch("cannot enumerate vectors over Q")
-    for v in _projective_raw(field.char, n):
-        yield tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +537,6 @@ class Matrix:
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls._of_raw(field, _identity_rows(field.char, n), n)
 
-    @classmethod
-    def zeros(cls, field: Field, m: int, n: int) -> "Matrix":
-        return cls._of_raw(field, tuple(tuple(_zeros(field.char, n)) for _ in range(m)), n)
-
     def _check_field(self, other: "Matrix") -> None:
         if self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
@@ -589,17 +556,8 @@ class Matrix:
         body = "; ".join(" ".join(self.field.format_scalar(x) for x in r) for r in self.rows)
         return f"Matrix({self.field}, {self.nrows}x{self.ncols}: [{body}])"
 
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
     def transpose(self) -> "Matrix":
         return Matrix._of_raw(self.field, tuple(zip(*self.rows)), self.nrows)
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if self.ncols != other.ncols and self.nrows and other.nrows:
-            raise DimensionMismatch("column counts differ")
-        return Matrix._of_raw(self.field, self.rows + other.rows, max(self.ncols, other.ncols))
 
     def apply(self, vec: Sequence) -> tuple:
         """Row-vector action: vec @ self (rows of self are images of basis)."""
@@ -627,22 +585,8 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, -1)
 
-    def scale(self, c) -> "Matrix":
-        c = self.field.of(c)
-        p = self.field.char
-        return Matrix._of_raw(self.field, tuple(_canon([c * x for x in r], p) for r in self.rows), self.ncols)
-
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("trace of non-square matrix")
-        return self.field.of(sum(self.rows[i][i] for i in range(self.nrows)))
-
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.rows)
-
-    def rref(self) -> tuple["Matrix", int]:
-        red, rank, _ = _rref(self.rows, self.field.char)
-        return Matrix._of_raw(self.field, tuple(map(tuple, red)), self.ncols), rank
 
     def rank(self) -> int:
         return _rref(self.rows, self.field.char)[1]
@@ -666,28 +610,6 @@ class Matrix:
     def left_kernel(self) -> "Subspace":
         """Solutions of x @ self = 0 as a subspace of F^nrows."""
         return self.transpose().kernel()
-
-    def solve_left(self, target: Sequence) -> tuple | None:
-        """One solution x of x @ self = target, or None if inconsistent."""
-        t = _coerce(self.field, target, self.ncols)
-        # augmented column reduction of the transposed system, one equation per column
-        cols = zip(*self.rows) if self.rows else ((),) * self.ncols
-        aug = [col + (t[r],) for r, col in enumerate(cols)]
-        red, _, pivots = _rref(aug, self.field.char)
-        if self.nrows in pivots:
-            return None
-        sol = _zeros(self.field.char, self.nrows)
-        for r, c in enumerate(pivots):
-            sol[c] = red[r][self.nrows]
-        return tuple(sol)
-
-
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    return m.rref()
-
-
-def kernel(m: Matrix) -> "Subspace":
-    return m.kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -861,23 +783,6 @@ class Subspace:
         """Unit-vector indices extending the basis, in increasing order."""
         return tuple(c for c in range(self.ambient) if c not in self.pivots)
 
-    def vectors(self) -> Iterator[tuple]:
-        """All vectors of the subspace (finite fields only)."""
-        for coords in all_vectors(self.field, self.dim):
-            yield self.lift(coords)
-
-
-def sum_spaces(u: Subspace, v: Subspace) -> Subspace:
-    return u + v
-
-
-def intersect_spaces(u: Subspace, v: Subspace) -> Subspace:
-    return u.intersect(v)
-
-
-def contains(u: Subspace, x: Sequence) -> bool:
-    return u.contains(x)
-
 
 def preimage_under(matrix: Matrix, target: Subspace) -> Subspace:
     """{x : x @ matrix in target} as a subspace of F^nrows."""
@@ -885,14 +790,6 @@ def preimage_under(matrix: Matrix, target: Subspace) -> Subspace:
         raise AmbientMismatch("map target and subspace ambient differ")
     rows = tuple(tuple(target._residual(r)) for r in matrix.rows)
     return Matrix._of_raw(matrix.field, rows, matrix.ncols).left_kernel()
-
-
-def closure_under_operators(
-    field: Field, ambient: int, vecs: Iterable[Sequence], operators: Sequence[Matrix]
-) -> Subspace:
-    """Smallest subspace containing vecs and invariant under the row-vector operators."""
-    seeds = [_coerce(field, v, ambient, AmbientMismatch) for v in vecs]
-    return _spin(field, ambient, seeds, _operator_terms(field, ambient, operators))
 
 
 # the most lines of F_p^n that a walk over them, one spin each, takes

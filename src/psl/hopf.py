@@ -203,26 +203,9 @@ class HopfAlgebra:
     def __repr__(self):
         return f"HopfAlgebra(dim {self.dim} over {self.field})"
 
-    def comul_vec(self, vec: Sequence) -> tuple:
-        """Delta extended linearly; result in first-factor-major H(x)H coords."""
-        p = self.field.char
-        v = _nonzero(_coerce(self.field, vec, self.dim), p)
-        return _canon(_apply_raw(self._delta, v, self.dim ** 2), p)
-
     def counit_of(self, vec: Sequence):
         v = _coerce(self.field, vec, self.dim)
         return self.field.of(sum(c * e for c, e in zip(v, self.counit)))
-
-    def antipode_of(self, vec: Sequence) -> tuple:
-        return self.antipode.apply(vec)
-
-    def tensor_square_multiply(self, x2: Sequence, y2: Sequence) -> tuple:
-        """(a(x)b)(c(x)d) = ac (x) bd on H(x)H coordinate vectors."""
-        field, m2 = self.field, self.dim ** 2
-        p = field.char
-        x, y = _nonzero(_coerce(field, x2, m2), p), _nonzero(_coerce(field, y2, m2), p)
-        terms = self.alg.terms
-        return _canon(_multiply_raw(_tensor_terms(terms, terms), x, y), p)
 
 
 def check_hopf(H: HopfAlgebra) -> CheckReport:

@@ -155,10 +155,6 @@ class PartialAction:
         """h . a for arbitrary coordinate vectors."""
         return _operate_sum(self.field, self._terms, hvec, avec, self.alg.dim)
 
-    def act_matrix(self, i: int) -> Matrix:
-        """Matrix of a |-> h_i . a in the row-vector convention."""
-        return Matrix._of_raw(self.field, self.act[i], self.alg.dim)
-
     def unit_image(self, i: int) -> tuple:
         """h_i . 1_A."""
         return self.act_basis(i, self.alg.unit)

@@ -98,9 +98,6 @@ class AlgebraModule:
     def act_vec(self, avec: Sequence, mvec: Sequence) -> tuple:
         return _operate_sum(self.field, self._terms, avec, mvec, self.dim)
 
-    def act_matrix(self, i: int) -> Matrix:
-        return Matrix._of_raw(self.field, self.act[i], self.dim)
-
     def check(self) -> CheckReport:
         """Unital module axioms on all basis pairs."""
         failures = []
@@ -190,29 +187,6 @@ class PartialModule:
 
     def basis_vector(self, j: int) -> tuple:
         return unit_vec(self.field, self.dim, j)
-
-    def act_a_basis(self, i: int, mvec: Sequence) -> tuple:
-        return _operate(self.field, self._a_terms, i, mvec, self.dim)
-
-    def act_a(self, avec: Sequence, mvec: Sequence) -> tuple:
-        return _operate_sum(self.field, self._a_terms, avec, mvec, self.dim)
-
-    def act_h_basis(self, i: int, mvec: Sequence) -> tuple:
-        return _operate(self.field, self._h_terms, i, mvec, self.dim)
-
-    def act_h(self, hvec: Sequence, mvec: Sequence) -> tuple:
-        return _operate_sum(self.field, self._h_terms, hvec, mvec, self.dim)
-
-    def a_matrix(self, i: int) -> Matrix:
-        return Matrix._of_raw(self.field, self.a_act[i], self.dim)
-
-    def h_matrix(self, i: int) -> Matrix:
-        return Matrix._of_raw(self.field, self.h_act[i], self.dim)
-
-    def operator_matrices(self) -> list[Matrix]:
-        return [self.a_matrix(i) for i in range(self.pa.alg.dim)] + [
-            self.h_matrix(i) for i in range(self.pa.hopf.dim)
-        ]
 
 
 def check_partial_module(M: PartialModule) -> CheckReport:

@@ -29,7 +29,6 @@ from psl.algebra import (
     InvariantViolation,
     _mult_operators,
     is_ideal,
-    is_nilpotent_subspace,
     nilpotency_index,
     span_products,
 )
@@ -303,13 +302,3 @@ def _is_h_prime_among(A: Algebra, prime: Subspace, ideals: Sequence[Subspace]) -
             if span_products(A, I, J) <= prime:
                 return False
     return True
-
-
-def is_h_semiprime_by_enumeration(
-    pa: PartialAction, dim_cap: int = 6, field_cap: int = 5
-) -> bool:
-    """Definition-level check: no nonzero H-stable ideal with I^2 = 0 inside 0."""
-    ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
-    return not any(
-        not I.is_zero() and is_nilpotent_subspace(pa.alg, I) for I in ideals
-    )

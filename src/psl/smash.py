@@ -16,7 +16,6 @@ from psl.algebra import (
     AlgebraMap,
     InvariantViolation,
     NotAnIdeal,
-    _apply_raw,
     _closed_subalgebra,
     _compact,
     _differ,
@@ -33,7 +32,6 @@ from psl.paction import (
     check_partial_action,
     is_global,
     is_h_stable,
-    quotient_action,
 )
 
 
@@ -115,13 +113,6 @@ class SmashProduct:
             f"SmashProduct(A dim {self.pa.alg.dim} # H dim {self.pa.hopf.dim}: "
             f"full {self.full.dim}, carrier {self.carrier.dim})"
         )
-
-    def carrier_coords(self, tensor_vec: Sequence) -> tuple:
-        """Express an A(x)H vector lying in the carrier in carrier coordinates."""
-        c = self.coords.coords_of(tensor_vec)
-        if c is None:
-            raise ValueError("vector is not in the partial smash carrier")
-        return c
 
     def project(self, tensor_vec: Sequence) -> tuple:
         """(x)(1_A # 1_H) in carrier coordinates, for any x in A # H."""
@@ -233,20 +224,3 @@ def psi_ideal(sp: SmashProduct, J: Subspace) -> Subspace:
     if not (is_ideal(sp.pa.alg, result) and is_h_stable(sp.pa, result)):
         raise InvariantViolation("psi image must be an H-stable ideal of A")
     return result
-
-
-def smash_quotient_map(sp: SmashProduct, I: Subspace) -> tuple[SmashProduct, AlgebraMap]:
-    """Carrier of A #_par H onto the carrier of (A/I) #_par H, for H-stable I."""
-    pa = sp.pa
-    qpa, proj = quotient_action(pa, I)
-    sq = build_partial_smash(qpa)
-    m, p = pa.hopf.dim, pa.field.char
-    # e_j (x) h_i |-> proj(e_j) (x) h_i on A (x) H
-    images = [_nonzero(r, p) for r in proj.matrix.rows]
-    lift = [tuple((t * m + i, x) for t, x in images[j]) for j in range(pa.alg.dim) for i in range(m)]
-    N = qpa.alg.dim * m
-    rows = [sq.carrier_coords(_apply_raw(lift, _nonzero(r, p), N)) for r in sp.coords.rows]
-    amap = AlgebraMap(sp.carrier, sq.carrier, Matrix._of_raw(sp.field, tuple(rows), sq.carrier.dim))
-    if not amap.is_multiplicative():
-        raise InvariantViolation("smash quotient map is not an algebra map")
-    return sq, amap

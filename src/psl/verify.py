@@ -554,8 +554,3 @@ THEOREMS = {
     "NEG-SS": Theorem("NEG-SS necessity of semisimplicity", negative_controls, check_non_semisimple),
 }
 THEOREMS["T5.6"] = THEOREMS["T5.1"]
-
-
-def run_theorem(theorem_id: str, seed: int = 0, trials: int | None = None,
-                dim_cap: int = 6, field_cap: int = 5) -> VerifyReport:
-    return THEOREMS[theorem_id].run(seed, trials, dim_cap, field_cap)

@@ -849,7 +849,14 @@ def carrier(pa, full):
 # `zero_vec`, as they stood before the extensions, the smash-module
 # conversion, the commutant and the operator image algebra ran on sparse
 # operator rows.  Unlike the loops above they call psl's public module,
-# action and matrix methods; the loops themselves are the old ones.
+# action and matrix methods; the loops themselves are the old ones.  The
+# smash-module conversion acts on M through the boxed `act_a_basis` and
+# `act_h_basis` above.
+
+def operator_matrices(M: PartialModule) -> list[Matrix]:
+    """The matrices of M's A-operators, then of its H-operators, in the row-vector convention."""
+    return [Matrix._of_raw(M.field, op, M.dim) for op in M.a_act + M.h_act]
+
 
 def to_smash_module(M: PartialModule, sp) -> AlgebraModule:
     """m (a # h) := (m a) <| h (right), resp. (a # h) m := a (h |> m) (left)."""
@@ -867,9 +874,9 @@ def to_smash_module(M: PartialModule, sp) -> AlgebraModule:
                     continue
                 ja, ih = divmod(idx, m_h)
                 if M.side == "right":
-                    term = M.act_h_basis(ih, M.act_a_basis(ja, w))
+                    term = act_h_basis(M, ih, act_a_basis(M, ja, w))
                 else:
-                    term = M.act_a_basis(ja, M.act_h_basis(ih, w))
+                    term = act_a_basis(M, ja, act_h_basis(M, ih, w))
                 for t, x in enumerate(term):
                     if x:
                         out[t] = out[t] + coeff * x
@@ -905,7 +912,7 @@ def operator_image_algebra(M: PartialModule):
 
     identity = Matrix.identity(field, d)
     basis = _Echelon(field.char)
-    for op in M.operator_matrices() + [identity]:
+    for op in operator_matrices(M) + [identity]:
         basis.add([x for row in op.rows for x in row])
     gens = basis.rows
     i = 0
@@ -1135,7 +1142,7 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
 def commutant_dimension(M: PartialModule) -> int:
     field = M.field
     d = M.dim
-    ops = M.operator_matrices()
+    ops = operator_matrices(M)
     rows = []
     for r in range(d):
         for s in range(d):

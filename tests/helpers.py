@@ -1,12 +1,13 @@
-"""Shared fixtures and seeded-random generators for the test suite."""
+"""Shared fixtures, seeded-random generators and matrix builders for the test suite."""
 
 import random
 
 from fractions import Fraction
+from itertools import product
 
-from psl.exactla import Matrix, QQ, Subspace
+from psl.exactla import FieldMismatch, Matrix, QQ, Subspace, _canon, _coerce, _nonzero, _rref, _zeros
 
-from psl.algebra import product_of_fields
+from psl.algebra import _multiply_raw, product_of_fields
 from psl.hopf import GroupTable, group_algebra
 from psl.paction import c4_triple, dual_group_idempotent, trivial_action
 
@@ -52,3 +53,43 @@ def rand_matrix(rng: random.Random, field, m, n) -> Matrix:
 
 def rand_subspace(rng: random.Random, field, ambient, nvecs) -> Subspace:
     return Subspace.from_vectors(field, ambient, [rand_vec(rng, field, ambient) for _ in range(nvecs)])
+
+
+def all_vectors(field, n):
+    """Every vector of F_p^n (finite fields only)."""
+    if field.char == 0:
+        raise FieldMismatch("cannot enumerate vectors over Q")
+    for v in product(range(field.char), repeat=n):
+        yield v[::-1]
+
+
+def rref(m: Matrix) -> tuple[Matrix, int]:
+    """The reduced row echelon form of m, by psl's `_rref`, and its rank."""
+    red, rank, _ = _rref(m.rows, m.field.char)
+    return Matrix._of_raw(m.field, tuple(map(tuple, red)), m.ncols), rank
+
+
+def solve_left(m: Matrix, target) -> tuple | None:
+    """One solution x of x @ m = target, or None if inconsistent."""
+    t = _coerce(m.field, target, m.ncols)
+    # augmented column reduction of the transposed system, one equation per column
+    cols = zip(*m.rows) if m.rows else ((),) * m.ncols
+    aug = [col + (t[r],) for r, col in enumerate(cols)]
+    red, _, pivots = _rref(aug, m.field.char)
+    if m.nrows in pivots:
+        return None
+    sol = _zeros(m.field.char, m.nrows)
+    for r, c in enumerate(pivots):
+        sol[c] = red[r][m.nrows]
+    return tuple(sol)
+
+
+def mult_matrix(A, x, left: bool) -> Matrix:
+    """Matrix of a |-> x*a (left) or a |-> a*x (right) in the row-vector convention."""
+    p, terms = A.field.char, A.terms
+    x = _nonzero(_coerce(A.field, x, A.dim), p)
+    rows = tuple(
+        _canon(_multiply_raw(terms, x, ((j, 1),)) if left else _multiply_raw(terms, ((j, 1),), x), p)
+        for j in range(A.dim)
+    )
+    return Matrix._of_raw(A.field, rows, A.dim)

@@ -42,11 +42,11 @@ from psl.radicals import (
 )
 from psl.smash import build_partial_smash, phi_ideal, psi_ideal
 from psl.verify import (
+    THEOREMS,
     random_partial_action,
-    run_theorem,
     truncated_polynomial_algebra,
 )
-from helpers import fix_a, fix_b, fix_c, fix_d
+from helpers import fix_a, fix_b, fix_c, fix_d, mult_matrix
 from radical_oracle import brute_nilpotent_radical
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -139,9 +139,9 @@ def test_ac3_fix_b_semiprimitive():
 
 @criterion("AC-4 equivariant radical transfer on fixtures + 100 random instances")
 def test_ac4_radical_transfer():
-    rj = run_theorem("T4.26", seed=2026, trials=100)
+    rj = THEOREMS["T4.26"].run(seed=2026, trials=100)
     assert rj.ok, rj.summary()
-    rp = run_theorem("T4.14", seed=2026, trials=100)
+    rp = THEOREMS["T4.14"].run(seed=2026, trials=100)
     assert rp.ok, rp.summary()
     assert len(rj.cases) >= 208 and len(rp.cases) >= 208
 
@@ -193,9 +193,9 @@ def test_ac6_ideal_correspondence_exhaustive():
 
 @criterion("AC-7 (rad(A):H) = rad(A#H) /\\ A on fixtures and random instances")
 def test_ac7_colon_equals_intersection():
-    rj = run_theorem("P4.20", seed=11, trials=40)
+    rj = THEOREMS["P4.20"].run(seed=11, trials=40)
     assert rj.ok, rj.summary()
-    rp = run_theorem("C4.13-INT", seed=11, trials=40)
+    rp = THEOREMS["C4.13-INT"].run(seed=11, trials=40)
     assert rp.ok, rp.summary()
 
 
@@ -241,7 +241,7 @@ def test_ac8_module_machinery():
         A = pa.alg
         if A.dim * pa.hopf.dim > 6 and A.dim > 1:
             continue
-        right_ops = [A.right_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
+        right_ops = [mult_matrix(A, A.basis_vector(i), left=False) for i in range(A.dim)]
         right_ideals = enumerate_invariant_subspaces(F5, A.dim, right_ops)
         proper = [I for I in right_ideals if I.dim < A.dim]
         maximal = [I for I in proper if not any(I is not J and I <= J for J in proper)]

@@ -61,10 +61,7 @@ def check_hopf_object(rng, H):
     assert_canonical(f, H.counit, "counit")
     assert_canonical(f, H.antipode.rows, "antipode")
     x = raw_input(rng, f, m)
-    assert_canonical(f, H.comul_vec(x), "comul_vec")
     assert_canonical(f, (H.counit_of(x),), "counit_of")
-    assert_canonical(f, H.antipode_of(x), "antipode_of")
-    assert_canonical(f, H.tensor_square_multiply(raw_input(rng, f, m * m), H.comul_vec(x)), "tensor_square_multiply")
 
 
 def check_action_object(rng, pa):
@@ -76,7 +73,7 @@ def check_action_object(rng, pa):
     assert_canonical(f, pa.act_vec(h, a), "act_vec")
     assert_canonical(f, pa.act_basis(m - 1, a), "act_basis")
     assert_canonical(f, pa.unit_image(0), "unit_image")
-    assert_canonical(f, pa.act_matrix(0).apply(a), "Matrix.apply")
+    assert_canonical(f, Matrix(f, pa.act[0]).apply(a), "Matrix.apply")
     assert_canonical(f, action_to_coaction(pa).rho_of(a), "rho_of")
     sp = build_partial_smash(pa)
     check_algebra_object(rng, sp.full)
@@ -97,10 +94,6 @@ def check_action_object(rng, pa):
             assert_canonical(f, V.act_basis(0, w), "module act_basis")
             assert_canonical(f, M.a_act, "a_act")
             assert_canonical(f, M.h_act, "h_act")
-            assert_canonical(f, M.act_a(a, w), "act_a")
-            assert_canonical(f, M.act_h(h, w), "act_h")
-            assert_canonical(f, M.act_a_basis(0, w), "act_a_basis")
-            assert_canonical(f, M.act_h_basis(0, w), "act_h_basis")
 
 
 FIXTURES = {
@@ -148,9 +141,8 @@ def test_containers_store_canonical_rows(field):
     m = Matrix(field, [raw_input(rng, field, 3) for _ in range(2)] + [["7", True, -1]])
     assert_canonical(field, m.rows, "Matrix.rows")
     assert_canonical(field, m.apply(raw_input(rng, field, 3)), "Matrix.apply")
-    assert_canonical(field, (m.trace(),), "Matrix.trace")
     S = Subspace.from_vectors(field, 3, [raw_input(rng, field, 3)])
     assert_canonical(field, S.rows, "Subspace.rows")
     assert_canonical(field, S.lift(raw_input(rng, field, S.dim)), "Subspace.lift")
     assert_canonical(field, S.reduce(raw_input(rng, field, 3)), "Subspace.reduce")
-    assert_canonical(field, (field.zero, field.one) + tuple(field.elements() if field.char else ()), "field")
+    assert_canonical(field, (field.zero, field.one), "field")

@@ -18,9 +18,9 @@ import random
 import pytest
 
 import boxed_reference as ref
-from helpers import fix_a, fix_b, fix_c, rand_scalar
+from helpers import fix_a, fix_b, fix_c, mult_matrix, rand_scalar, solve_left
 from psl.algebra import direct_product, ideal_closure, product_of_fields
-from psl.exactla import GF, QQ, Subspace, _projective_raw, _spin, closure_under_operators, enumerate_invariant_subspaces
+from psl.exactla import GF, QQ, Subspace, _projective_raw, _spin, enumerate_invariant_subspaces
 from psl.hopf import GroupTable, dual_group_algebra, group_algebra, sweedler_h4
 from psl.paction import c4_triple, colon_ideal, dual_group_idempotent, quotient_action, trivial_action
 from psl.pmod import (
@@ -50,7 +50,7 @@ def psi_by_intersection(sp, J):
     """J intersect (A # 1_H), each basis row solved back to A."""
     incl = sp.include_A.matrix
     inter = J.intersect(Subspace.from_vectors(sp.field, sp.carrier.dim, incl.rows))
-    back = [incl.solve_left(w) for w in inter.rows]
+    back = [solve_left(incl, w) for w in inter.rows]
     assert None not in back
     return Subspace.from_vectors(sp.field, sp.pa.alg.dim, back)
 
@@ -84,8 +84,8 @@ def q_irreducible_by_commutant(M):
     d = M.dim
     if d == 1:
         return True
-    ops = M.operator_matrices()
-    if any(closure_under_operators(QQ, d, [e], ops).dim != d for e in Subspace.full_space(QQ, d).rows):
+    ops = ref.operator_matrices(M)
+    if any(ref.closure_under_operators(QQ, d, [e], ops).dim != d for e in Subspace.full_space(QQ, d).rows):
         return False
     if ref.commutant_dimension(M) == 1 and jacobson_radical(_operator_image_algebra(M)).radical.is_zero():
         return True
@@ -174,7 +174,7 @@ def fp_actions(F):
 
 def simple_right_modules(A):
     """A/m for every maximal right ideal m."""
-    right = [A.right_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
+    right = [mult_matrix(A, A.basis_vector(i), left=False) for i in range(A.dim)]
     proper = [I for I in enumerate_invariant_subspaces(A.field, A.dim, right) if not I.is_full()]
     for m in proper:
         if not any(m != I and m <= I for I in proper):
@@ -203,7 +203,7 @@ def test_one_pass_submodule_is_maximal_among_those_meeting_v_in_zero():
                 W, U = res.extension.module, res.killed
                 v_image = Subspace.from_vectors(F, W.dim, res.extension.embedding.rows)
                 assert U.intersect(v_image).is_zero()
-                for T in enumerate_invariant_subspaces(F, W.dim, W.operator_matrices()):
+                for T in enumerate_invariant_subspaces(F, W.dim, ref.operator_matrices(W)):
                     assert not (U <= T and T != U and T.intersect(v_image).is_zero()), (pa, V.act, U, T)
                 # more than one line was absorbed unless U is the spin of the first
                 first = first_absorbed(F, W, v_image)

@@ -13,7 +13,8 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from psl.exactla import GF, PRIME_LIMIT, QQ, Matrix, Subspace, _is_prime, rref
+from psl.exactla import GF, PRIME_LIMIT, QQ, Matrix, Subspace, _is_prime
+from helpers import rref
 
 SETTINGS = hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
 entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)

@@ -141,7 +141,7 @@ def test_sweedler_h4():
     assert not is_semisimple(H)
     # S(x) = -gx, S^2(x) = -x, S^4 = id
     x = unit_vec(QQ, 4, 2)
-    sx = H.antipode_of(x)
+    sx = H.antipode.apply(x)
     assert sx == (0, 0, 0, -1)
     s2 = H.antipode * H.antipode
     assert s2.apply(x) == (0, 0, -1, 0)

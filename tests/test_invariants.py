@@ -33,7 +33,7 @@ from psl.pmod import (
     quotient_module,
     regular_module,
 )
-from psl.smash import build_partial_smash, psi_ideal, smash_quotient_map
+from psl.smash import build_partial_smash, psi_ideal
 from psl.verify import truncated_polynomial_algebra
 from helpers import fix_b, fix_c
 
@@ -78,14 +78,6 @@ def psi_not_h_stable(monkeypatch):
     sp = build_partial_smash(fix_c())
     monkeypatch.setattr(smash, "is_h_stable", lambda pa, I: False)
     return lambda: psi_ideal(sp, full_ideal(sp))
-
-
-def quotient_map_not_multiplicative(monkeypatch):
-    sp = build_partial_smash(fix_c())
-    real = AlgebraMap.is_multiplicative
-    # only the map out of sp's carrier fails; the quotient's own A -> A#H stays intact
-    monkeypatch.setattr(AlgebraMap, "is_multiplicative", lambda self: self.source is not sp.carrier and real(self))
-    return lambda: smash_quotient_map(sp, Subspace.from_vectors(QQ, 3, [[1, 0, 0]]))
 
 
 def induced_product_escapes(monkeypatch):
@@ -306,7 +298,6 @@ def annihilators_disagree(monkeypatch):
     (a_map_not_multiplicative, "A -> A#H is not an algebra map"),
     (dual_action_not_global, "must be global"),
     (psi_not_h_stable, "psi image must be an H-stable ideal"),
-    (quotient_map_not_multiplicative, "smash quotient map is not an algebra map"),
     (induced_product_escapes, "product escaped the right ideal"),
     (invariants_lose_unit, "invariant subalgebra lost the unit"),
     (invariants_not_closed, "invariant subalgebra not closed"),

@@ -15,11 +15,12 @@ import random
 import pytest
 
 from psl.algebra import Algebra, ideal_closure
-from psl.exactla import GF, Matrix, Subspace, enumerate_invariant_subspaces, projective_vectors
+from psl.exactla import GF, Matrix, Subspace, _projective_raw, enumerate_invariant_subspaces
 from psl.hopf import GroupTable, group_algebra
 from psl.paction import trivial_action
 from psl.radicals import enumerate_h_stable_ideals
 from psl.verify import lattice_instances
+from helpers import mult_matrix
 from test_h_stable_oracle import as_vector_sets, brute_h_stable_ideals
 from test_lattice_oracle import CASES, random_operators
 
@@ -48,7 +49,7 @@ def trivially_acted(A):
 def test_an_ideal_only_a_join_reaches_is_enumerated(build):
     A, wanted = build()
     # no element generates the ideal: it is not the spin of any line
-    assert all(ideal_closure(A, [v]) != wanted for v in projective_vectors(A.field, A.dim))
+    assert all(ideal_closure(A, [v]) != wanted for v in _projective_raw(A.field.char, A.dim))
     pa = trivially_acted(A)
     ideals = enumerate_h_stable_ideals(pa)
     assert wanted in ideals
@@ -59,13 +60,13 @@ def operator_sets():
     """(field, n, dense operators): the two algebras above, the lattice draws at seeds 0-3, random sets."""
     for build in (klein_group_algebra, square_zero_plane):
         A = build()[0]
-        yield A.field, A.dim, [A.left_mult_matrix(A.basis_vector(b)) for b in range(A.dim)]
+        yield A.field, A.dim, [mult_matrix(A, A.basis_vector(b), left=True) for b in range(A.dim)]
     for seed in range(4):
         for _, pa in lattice_instances((2, 3), (), seed, 10, 6, 5, ()):
             A, n = pa.alg, pa.alg.dim
             basis = [A.basis_vector(b) for b in range(n)]
-            ops = [A.left_mult_matrix(e) for e in basis] + [A.right_mult_matrix(e) for e in basis]
-            yield A.field, n, ops + [pa.act_matrix(i) for i in range(pa.hopf.dim)]
+            ops = [mult_matrix(A, e, left) for left in (True, False) for e in basis]
+            yield A.field, n, ops + [Matrix(A.field, pa.act[i]) for i in range(pa.hopf.dim)]
     for p, n in CASES:
         for ops in random_operators(random.Random(7000 + 10 * p + n), p, n):
             yield GF(p), n, [Matrix(GF(p), op) for op in ops]

@@ -4,8 +4,9 @@ Every subspace of F_2^n (n <= 4) and of F_3^n (n <= 3) is listed by brute
 force as the set of its vectors, with plain integer arithmetic mod p and no
 `psl` code; the ones invariant under a seeded random operator set (the empty
 set and the identity included) must be exactly what
-`enumerate_invariant_subspaces` returns.  `closure_under_operators` must
-agree with the round-by-round closure it replaced on random vectors.
+`enumerate_invariant_subspaces` returns.  The spin closure (`_spin` on the
+operators' sparse rows from `_operator_terms`) must agree with the
+round-by-round closure it replaced on random vectors.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import random
 import pytest
 
 import boxed_reference as ref
-from psl.exactla import GF, Matrix, Subspace, closure_under_operators, enumerate_invariant_subspaces
+from psl.exactla import GF, Matrix, Subspace, _operator_terms, _spin, enumerate_invariant_subspaces
 
 CASES = [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)]
 
@@ -87,5 +88,5 @@ def test_spin_closure_matches_round_by_round_closure(p, n):
         mats = [Matrix(field, op) for op in ops]
         for k in range(3):
             vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
-            got = closure_under_operators(field, n, vecs, mats)
+            got = _spin(field, n, [list(v) for v in vecs], _operator_terms(field, n, mats))  # _spin consumes its seeds
             assert got == ref.closure_under_operators(field, n, vecs, mats)

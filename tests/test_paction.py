@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from psl.algebra import NotAnIdeal, ideal_closure, product_of_fields
-from psl.exactla import GF, QQ, Subspace, all_vectors, unit_vec
+from psl.exactla import GF, QQ, Subspace, unit_vec
 from psl.hopf import GroupTable, dual_group_algebra, group_algebra
 from psl.paction import (
     BadSubgroup,
@@ -32,7 +32,7 @@ from psl.paction import (
     quotient_action,
     trivial_action,
 )
-from helpers import fix_a, fix_b, fix_c, fix_d, rand_vec
+from helpers import all_vectors, fix_a, fix_b, fix_c, fix_d, mult_matrix, rand_vec, solve_left
 
 F2 = GF(2)
 F3 = GF(3)
@@ -187,7 +187,7 @@ def test_colon_ideal_maximality_property():
     for _ in range(15):
         I = ideal_closure(pa.alg, [rand_vec(rng, F3, 3)])
         c = colon_ideal(pa, I)
-        for v in I.vectors():
+        for v in map(I.lift, all_vectors(F3, I.dim)):
             J = ideal_closure(pa.alg, [v])
             stable = is_h_stable(pa, J)
             if stable and J <= I:
@@ -249,8 +249,7 @@ def test_invertible_invariants_closed_under_inverse():
         A = pa.alg
         for coords in all_vectors(A.field, inv.dim):
             a = inv.lift(coords)
-            left = A.left_mult_matrix(a)
-            x = left.solve_left(A.unit)
+            x = solve_left(mult_matrix(A, a, left=True), A.unit)
             if x is None:
                 continue
             if A.multiply(x, a) != A.unit:

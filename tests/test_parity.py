@@ -2,7 +2,7 @@
 
 The record holds one sha256 per key:
 
-- `verify:<id>:<seed>` hashes the `run_theorem` case list (name, ok, detail)
+- `verify:<id>:<seed>` hashes the `THEOREMS[id].run` case list (name, ok, detail)
   of every theorem id at seeds 0-3;
 - `<workspace>:<command>:<action>` hashes the exit code and JSON output of
   `psl radicals`, `psl smash` and `psl check` on every action of the four
@@ -51,9 +51,9 @@ def _digest(value) -> str:
 
 
 def _verify_cases(theorem_id: str, seed: int):
-    from psl.verify import run_theorem
+    from psl.verify import THEOREMS
 
-    return [[c.name, c.ok, c.detail] for c in run_theorem(theorem_id, seed=seed).cases]
+    return [[c.name, c.ok, c.detail] for c in THEOREMS[theorem_id].run(seed=seed).cases]
 
 
 def _cli(args: list[str]):

@@ -8,6 +8,7 @@ from psl.algebra import (
     InvariantViolation,
     direct_product,
     ideal_closure,
+    nilpotency_index,
     product_of_fields,
     quotient_algebra,
 )
@@ -23,7 +24,6 @@ from psl.radicals import (
     h_radical_of_ideal,
     is_h_prime,
     is_h_semiprime,
-    is_h_semiprime_by_enumeration,
     is_h_semiprimitive,
     is_semiprime,
     is_semiprimitive,
@@ -138,7 +138,6 @@ def test_enumeration_componentwise():
     assert sorted(i.dim for i in ideals) == [0, 1, 1, 2]
     assert is_h_prime(pa, Subspace.from_vectors(F2, 2, [[1, 0]]))
     assert not is_h_prime(pa, Subspace.zero_space(F2, 2))
-    assert is_h_semiprime_by_enumeration(pa)
 
 
 def test_enumeration_caps_and_fields():
@@ -271,8 +270,6 @@ def test_h_prime_radical_quotient_is_h_semiprime():
 
 def test_h_semiprime_iff_no_nilpotent_h_stable_ideal():
     # H-semiprime iff no nonzero nilpotent H-stable ideal (exhaustive)
-    from psl.algebra import is_nilpotent_subspace
-
     rng = random.Random(17)
     for _ in range(8):
         p = rng.choice([2, 3])
@@ -281,7 +278,7 @@ def test_h_semiprime_iff_no_nilpotent_h_stable_ideal():
             continue
         ideals = enumerate_h_stable_ideals(pa)
         has_nilpotent = any(
-            not I.is_zero() and is_nilpotent_subspace(pa.alg, I) for I in ideals
+            not I.is_zero() and nilpotency_index(pa.alg, I) is not None for I in ideals
         )
         assert is_h_semiprime(pa) == (not has_nilpotent)
 

@@ -22,10 +22,10 @@ import boxed_reference as ref
 from psl.algebra import (
     Algebra,
     AlgebraMap,
+    _operate_sum,
     check_algebra,
     ideal_closure,
     is_ideal,
-    is_nilpotent_subspace,
     nilpotency_index,
     product_of_fields,
     span_products,
@@ -61,7 +61,7 @@ from psl.radicals import h_jacobson_radical, jacobson_radical
 from psl.smash import build_full_smash, build_partial_smash
 from psl.verify import random_partial_action, truncated_polynomial_algebra
 from psl.workspace import load_workspace
-from helpers import fix_a, fix_b, fix_c, fix_d, rand_subspace, rand_vec
+from helpers import fix_a, fix_b, fix_c, fix_d, rand_subspace, rand_vec, solve_left
 from test_nonabelian import a3_indices
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -160,7 +160,7 @@ def test_subspace_products_match_boxed_loops(field):
                     assert is_ideal(A, S, side) == ref.is_ideal(A, S, side)
                 idx = nilpotency_index(A, S)
                 assert idx == ref.nilpotency_index(A, S)
-                assert is_nilpotent_subspace(A, S) == ref.is_nilpotent_subspace(A, S) == (idx is not None)
+                assert ref.is_nilpotent_subspace(A, S) == (idx is not None)
                 nilpotent += idx is not None and not S.is_zero()
                 proper += not S.is_full() and not S.is_zero()
     # both outcomes of every predicate must occur
@@ -211,7 +211,7 @@ def random_basis(rng, field, n):
     rebased structure constants stay small integers.
     """
     P = Matrix(field, [[int(k == i) or (rng.choice((-1, 0, 1)) if k > i else 0) for k in range(n)] for i in range(n)])
-    return P, Matrix(field, [P.solve_left(e) for e in Matrix.identity(field, n).rows])
+    return P, Matrix(field, [solve_left(P, e) for e in Matrix.identity(field, n).rows])
 
 
 def rebased_hopf(rng, field, H):
@@ -222,7 +222,7 @@ def rebased_hopf(rng, field, H):
     mult = [[Q.apply(H.alg.multiply(f[i], f[j])) for j in range(m)] for i in range(m)]
     # Q (x) Q re-expresses H (x) H coordinates on the new basis
     QxQ = Matrix(field, [[x * y for x in Q.rows[j] for y in Q.rows[k]] for j in range(m) for k in range(m)])
-    comul = [[list(r) for r in zip(*[iter(QxQ.apply(H.comul_vec(f[i])))] * m)] for i in range(m)]
+    comul = [[list(r) for r in zip(*[iter(QxQ.apply(ref.comul_vec(H, f[i])))] * m)] for i in range(m)]
     counit = [H.counit_of(f[i]) for i in range(m)]
     alg = Algebra(field, mult, unit=Q.apply(H.unit))
     return HopfAlgebra(alg, comul, counit, P * H.antipode * Q)
@@ -262,11 +262,9 @@ def test_hopf_and_coaction_checkers_match_boxed_loops(field):
             got = check_partial_coaction(c)
             assert got == ref.check_partial_coaction(c)
             failing_coactions += not got.ok
-        x, y = rand_vec(rng, field, pa.hopf.dim), rand_vec(rng, field, pa.hopf.dim ** 2)
-        H = pa.hopf
-        assert H.comul_vec(x) == ref.comul_vec(H, x)
-        assert H.counit_of(x) == ref.counit_of(H, x)
-        assert H.tensor_square_multiply(y, H.comul_vec(x)) == ref.tensor_multiply(H.alg, H.alg, y, ref.comul_vec(H, x))
+        x = rand_vec(rng, field, pa.hopf.dim)
+        rand_vec(rng, field, pa.hopf.dim ** 2)  # the draw is kept so that the later draws stay the same
+        assert pa.hopf.counit_of(x) == ref.counit_of(pa.hopf, x)
     assert failing_hopf >= 6 * DRAWS and failing_coactions >= DRAWS
 
 
@@ -302,7 +300,8 @@ def test_module_checkers_match_boxed_loops(field):
             assert got == ref.check_partial_module(N)
             failing_partial += not got.ok
         a, h, w = rand_vec(rng, field, pa.alg.dim), rand_vec(rng, field, pa.hopf.dim), rand_vec(rng, field, M.dim)
-        assert M.act_a(a, w) == ref.act_a(M, a, w) and M.act_h(h, w) == ref.act_h(M, h, w)
+        assert _operate_sum(field, M._a_terms, a, w, M.dim) == ref.act_a(M, a, w)
+        assert _operate_sum(field, M._h_terms, h, w, M.dim) == ref.act_h(M, h, w)
         x = rand_vec(rng, field, V.algebra.dim)
         assert V.act_vec(x, w) == ref.module_act_vec(V, x, w)
         assert pa.act_vec(h, a) == ref.act_vec(pa, h, a)

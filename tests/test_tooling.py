@@ -1,6 +1,7 @@
-"""Source-level guards: no `assert` in the package, `python -O` changes no output, the
-instance generator builds nothing through the coercing public constructors, and `main`
-builds its grammar once per process."""
+"""Source-level guards: no `assert` in the package, `python -O` changes no output, every
+public function has a caller in the package and every import a use, the instance
+generator builds nothing through the coercing public constructors, and `main` builds its
+grammar once per process."""
 
 import ast
 import json
@@ -80,6 +81,85 @@ def test_true_division_only_where_allowed(path):
 def test_division_guard_sees_every_form():
     tree = ast.parse("def f(a, b):\n    a /= b\n    return a / b\nclass C:\n    def g(self):\n        return 1 // 2 + 3 / 4\n")
     assert true_divisions(tree) == [("f", 2), ("f", 3), ("C.g", 6)]
+
+
+# public functions and methods that nothing in psl calls and the package does not
+# export, each kept for the reason given
+UNCALLED_ALLOWED = {
+    "hopf:HopfAlgebra.comul": "the dense comultiplication tensor, derived on first read (README)",
+    "exactla:Subspace.reduce": "a layer of pslbench/spans.py (exactla.reduce)",
+    "exactla:enumerate_invariant_subspaces": "a layer of pslbench/spans.py (exactla.enumerate), "
+    "and the entry point the lattice oracles test",
+}
+
+
+def uncalled_definitions(sources: dict, exported: set) -> list:
+    """`module:qualname` of each public function and method with no reference outside itself.
+
+    `sources` maps a module name to its text.  A module-level function is
+    referenced through a name and a method through an attribute, anywhere in
+    the sources but inside its own definition; an exported function needs none.
+    """
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    refs = {ast.Name: {}, ast.Attribute: {}}
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs[ast.Name].setdefault(node.id, []).append((mod, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs[ast.Attribute].setdefault(node.attr, []).append((mod, node.lineno))
+    found = []
+    for mod, tree in trees.items():
+        defs = [(None, n) for n in tree.body] + [
+            (cls.name, n) for cls in tree.body if isinstance(cls, ast.ClassDef) for n in cls.body
+        ]
+        for owner, node in defs:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            if owner is None and node.name in exported:
+                continue
+            uses = refs[ast.Name if owner is None else ast.Attribute].get(node.name, [])
+            if all(m == mod and node.lineno <= line <= node.end_lineno for m, line in uses):
+                found.append(f"{mod}:{owner + '.' if owner else ''}{node.name}")
+    return found
+
+
+def package_exports() -> set:
+    tree = ast.parse((ROOT / "src" / "psl" / "__init__.py").read_text(encoding="utf-8"))
+    return {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+def test_every_public_definition_has_a_caller():
+    # a function only tests call belongs next to those tests, not in the package
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES if p.name != "__init__.py"}
+    uncalled = uncalled_definitions(sources, package_exports())
+    assert sorted(set(uncalled) - set(UNCALLED_ALLOWED)) == []
+    assert sorted(set(UNCALLED_ALLOWED) - set(uncalled)) == []  # no stale allowance
+
+
+def test_caller_guard_sees_every_form():
+    sources = {
+        "m": "def f(n):\n    return f(n - 1)\ndef g():\n    return h()\ndef h():\n    pass\n"
+        "def exported():\n    pass\n"
+        "class C:\n    def rec(self):\n        return self.rec()\n    def used(self):\n        pass\n"
+        "    def _private(self):\n        pass\n",
+        "n": "def k(c):\n    return c.used()\n",
+    }
+    # recursion is no caller; a name reaches a function and an attribute a method
+    assert uncalled_definitions(sources, {"exported"}) == ["m:f", "m:g", "m:C.rec", "n:k"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == [], f"unused imports in {path.name}"
 
 
 def test_verify_builds_nothing_through_the_public_constructors(monkeypatch, tmp_path):

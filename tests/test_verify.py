@@ -16,7 +16,7 @@ import psl.paction as paction
 import psl.radicals as radicals
 import psl.smash as smash
 import psl.verify as verify
-from psl.algebra import Algebra, InvariantViolation, check_algebra, is_ideal, is_nilpotent_subspace
+from psl.algebra import Algebra, InvariantViolation, check_algebra, is_ideal, nilpotency_index
 from psl.cli import main
 from psl.exactla import GF, QQ, Subspace, unit_vec
 from psl.radicals import trace_form_kernel
@@ -26,7 +26,6 @@ from psl.verify import (
     fixture_d,
     random_algebra,
     random_partial_action,
-    run_theorem,
     seeded_instances,
     truncated_polynomial_algebra,
 )
@@ -53,7 +52,7 @@ def test_seeded_draws_include_a_large_trace_form_kernel():
         A, p = pa.alg, pa.field.char
         if 0 < p <= A.dim:
             K = trace_form_kernel(A)
-            if not (is_ideal(A, K) and is_nilpotent_subspace(A, K)) and (p ** K.dim - 1) // (p - 1) > 700:
+            if not (is_ideal(A, K) and nilpotency_index(A, K) is not None) and (p ** K.dim - 1) // (p - 1) > 700:
                 hard.append(tag)
     assert hard
 
@@ -90,7 +89,7 @@ def test_full_smash_built_once_per_action(monkeypatch):
         return real(pa)
 
     monkeypatch.setattr(smash, "build_full_smash", counting)
-    assert run_theorem("T4.26", trials=6).ok
+    assert THEOREMS["T4.26"].run(trials=6).ok
     assert built
     assert len(built) == len({id(pa) for pa in built})
 
@@ -107,7 +106,7 @@ def test_one_verify_run_builds_each_hopf_algebra_once(monkeypatch):
     for module in (verify, paction):
         for name in ("group_algebra", "dual_group_algebra"):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    assert run_theorem("T4.26").ok
+    assert THEOREMS["T4.26"].run().ok
     assert built
     assert len(built) == len(set(built))
 
@@ -121,7 +120,7 @@ def test_equal_draws_share_one_full_smash(monkeypatch):
         return real(pa)
 
     monkeypatch.setattr(smash, "build_full_smash", counting)
-    assert run_theorem("T4.26").ok
+    assert THEOREMS["T4.26"].run().ok
     assert built
     assert len(built) == len(set(built))
 
@@ -132,7 +131,7 @@ def test_equal_draws_share_one_full_smash(monkeypatch):
 ])
 def test_checks_still_fire_after_a_verify_run(monkeypatch, breakage, message):
     # nothing a run builds outlives it, so fresh objects are built and checked again
-    assert run_theorem("T4.26", trials=6).ok
+    assert THEOREMS["T4.26"].run(trials=6).ok
     call = breakage(monkeypatch)
     with pytest.raises(InvariantViolation, match=message):
         call()
@@ -347,7 +346,7 @@ def test_semisimple_theorems_take_only_workspace_actions_with_semisimple_h(tmp_p
 
 
 def test_negative_controls_have_their_radical_dimensions():
-    report = run_theorem("NEG-SS")
+    report = THEOREMS["NEG-SS"].run()
     assert [(c.name, c.ok, c.detail) for c in report.cases] == [
         (f"{tag}: J(A (x) H) has dimension {dim}", True, f"dim {dim}")
         for tag, (_, dim) in NEGATIVE_CONTROLS.items()
@@ -357,14 +356,14 @@ def test_negative_controls_have_their_radical_dimensions():
 
 def test_negative_control_with_another_radical_dimension_fails(monkeypatch):
     monkeypatch.setitem(NEGATIVE_CONTROLS, "FIX-D", (fixture_d, 2))
-    report = run_theorem("NEG-SS")
+    report = THEOREMS["NEG-SS"].run()
     assert not report.ok
     assert [c.detail for c in report.cases if not c.ok] == ["dim 1"]
 
 
 def test_negative_control_that_fails_the_hypotheses_fails(monkeypatch, capsys):
     monkeypatch.setattr(verify, "is_semisimple", lambda H: True)
-    report = run_theorem("NEG-SS")
+    report = THEOREMS["NEG-SS"].run()
     assert [c.name for c in report.cases] == [f"{tag}: hypotheses hold" for tag in NEGATIVE_CONTROLS]
     assert not any(c.ok for c in report.cases)
     assert main(["verify", "NEG-SS"]) == 1
@@ -372,7 +371,7 @@ def test_negative_control_that_fails_the_hypotheses_fails(monkeypatch, capsys):
 
 
 def test_hypotheses_floor_follows_trials(capsys):
-    report = run_theorem("T5.8", trials=6)
+    report = THEOREMS["T5.8"].run(trials=6)
     assert report.ok, report.summary()
     floor = report.cases[-1]
     assert floor.name == "hypotheses applied at least 6 times"
@@ -382,7 +381,7 @@ def test_hypotheses_floor_follows_trials(capsys):
 
 
 def test_default_trials_keep_the_floor_of_ten():
-    assert run_theorem("T5.1").cases[-1].name == "hypotheses applied at least 10 times"
+    assert THEOREMS["T5.1"].run().cases[-1].name == "hypotheses applied at least 10 times"
 
 
 @pytest.mark.parametrize("argv, message", [
