@@ -413,9 +413,6 @@ class AlgebraMap:
     def is_injective(self) -> bool:
         return self.matrix.rank() == self.source.dim
 
-    def kernel(self) -> Subspace:
-        return self.matrix.left_kernel()
-
 
 def quotient_algebra(A: Algebra, I: Subspace) -> tuple[Algebra, AlgebraMap]:
     """Quotient by a two-sided ideal on the standard complement-coset basis."""

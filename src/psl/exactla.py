@@ -14,20 +14,19 @@ so a subspace tests membership, takes residuals and reads coordinates in
 one pass over the non-pivot entries of its basis (`Subspace._tails`),
 and a full subspace does no work beyond copying the vector.
 
-One elimination routine, `_rref`, serves both fields.  Over F_p it reduces
-mod p once per row update rather than once per scalar operation (the
-delayed reduction of the same paper).  In the same spirit the kernel keeps
-machine words over Q where it can: the sparse form of a row (`_nonzero`)
-holds an integral rational as its int and any other as a Fraction, and
-`_canon` turns every value back into a Fraction where a container stores
-it or a method returns it, so the representation above is all a caller
-sees.  Only `_rref` and `_Echelon.add` divide, and always by a Fraction.
-Invariant subspaces are closed by spinning (Parker, "The computer
-calculation of modular characters (the Meat-Axe)", 1984): each new image is
-reduced once against a growing echelon basis and kept only if it is new, and
-the basis is brought to RREF by back-substitution, with no second elimination;
-a spin that reaches the whole space stops there and returns the shared
-identity rows.
+One elimination, `_Echelon`, serves both fields: each vector is reduced
+once against a growing semi-echelon basis of sparse rows, kept only if it
+is new, and the basis is brought to RREF by back-substitution.  Over F_p it
+reduces a row mod p once, when it is kept, not after every scalar operation
+(the delayed reduction of the same paper).  In the same spirit the kernel keeps machine
+words over Q where it can: the sparse form of a row (`_nonzero`) holds an
+integral rational as its int and any other as a Fraction, and `_canon`
+turns every value back into a Fraction where a container stores it or a
+method returns it.  Only `_Echelon.add` divides, and always by a Fraction.
+Invariant subspaces are spun on it (Parker, "The computer calculation of
+modular characters (the Meat-Axe)", 1984); a span or spin that reaches the
+whole space stops there and returns the shared identity rows.  Every null
+space is one `_null_span`: the rows of [left | right] that lead in right.
 """
 
 from __future__ import annotations
@@ -240,10 +239,6 @@ def unit_vec(field: Field, n: int, i: int) -> tuple:
 # the kernel may be unreduced.
 
 
-def _one(p: int):
-    return 1 if p else _QONE
-
-
 def _zeros(p: int, n: int) -> list:
     return [0] * n if p else [_QZERO] * n
 
@@ -251,7 +246,7 @@ def _zeros(p: int, n: int) -> list:
 @cache
 def _identity_rows(p: int, n: int) -> tuple:
     """The rows of the n x n identity as a container stores them, built once per (p, n)."""
-    one = _one(p)
+    one = 1 if p else _QONE
     return tuple(_canon(_dense(((i, one),), n), p) for i in range(n))
 
 
@@ -291,57 +286,6 @@ def _projective_raw(p: int, n: int) -> Iterator[list]:
         head = [0] * lead + [1]
         for tail in product(range(p), repeat=n - lead - 1):
             yield head + list(tail)
-
-
-def _rref(rows: Sequence[Sequence], p: int) -> tuple[list[list], int, list[int]]:
-    """Reduced row echelon form: (all rows, zero rows last; rank; pivot columns)."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if p:
-        a = [[x % p for x in row] for row in rows]
-    else:
-        a = [list(row) for row in rows]
-    pivots: list[int] = []
-    if m == 0 or n == 0:
-        return a, 0, pivots
-    r = 0
-    for c in range(n):
-        s = next((i for i in range(r, m) if a[i][c]), -1)
-        if s < 0:
-            continue
-        if s != r:
-            a[s], a[r] = a[r], a[s]
-        prow = a[r]
-        f = prow[c]
-        if f != 1:
-            if p:
-                f = pow(f, p - 2, p)
-                prow = [x * f % p for x in prow]
-            else:
-                f = f if f.__class__ is Fraction else Fraction(f)
-                prow = [x / f if x else x for x in prow]
-            a[r] = prow
-        nz = [(j, x) for j, x in enumerate(prow) if x]
-        for i in range(m):
-            if i == r:
-                continue
-            row = a[i]
-            f = row[c]
-            if not f:
-                continue
-            if p:
-                for j, x in nz:
-                    row[j] = (row[j] - f * x) % p
-            else:
-                for j, x in nz:
-                    row[j] = row[j] - f * x
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if not p:
-        a = [list(_canon(row, 0)) for row in a]
-    return a, r, pivots
 
 
 def _combine(coeffs: Sequence, rows: Sequence[Sequence], n: int, p: int) -> tuple:
@@ -428,6 +372,25 @@ class _Echelon:
             reduced[lead] = (v, row)
         pivots = sorted(reduced)
         return Subspace(field, n, tuple(reduced[c][0] for c in pivots), tuple(pivots))
+
+
+def _null_span(
+    field: Field, left: Sequence[Sequence], right: Sequence[Sequence], n_left: int, n_right: int
+) -> "Subspace":
+    """span{sum_r x_r right_r : sum_r x_r left_r = 0}, by one elimination of the rows [left_r | right_r].
+
+    The echelon rows have distinct leads, and a combination of them is
+    nonzero at the smallest lead it uses, so a combination with a zero left
+    block uses only the rows that lead in the right block.  Those rows,
+    shifted by n_left, are still semi-echelon, and back-substitution alone
+    brings them to RREF.
+    """
+    basis = _Echelon(field.char)
+    for l, r in zip(left, right):
+        basis.add([*l, *r])
+    kept = _Echelon(field.char)
+    kept.rows = [(c - n_left, tuple((j - n_left, x) for j, x in row)) for c, row in basis.rows if c >= n_left]
+    return kept.span(field, n_right)
 
 
 def _spin(field: Field, n: int, seeds: Iterable[list], ops: Sequence[Sequence[tuple]]) -> "Subspace":
@@ -589,27 +552,11 @@ class Matrix:
         return not any(any(r) for r in self.rows)
 
     def rank(self) -> int:
-        return _rref(self.rows, self.field.char)[1]
-
-    def kernel(self) -> "Subspace":
-        """Null space {x : self @ x^T = 0} as a subspace of F^ncols."""
-        p = self.field.char
-        red, _, pivots = _rref(self.rows, p)
-        n = self.ncols
-        one = _one(p)
-        free = set(range(n)) - set(pivots)
-        basis = []
-        for fc in sorted(free):
-            vec = _zeros(p, n)
-            vec[fc] = one
-            for r, pc in enumerate(pivots):
-                vec[pc] = -red[r][fc]
-            basis.append(vec)
-        return Subspace._span(self.field, n, basis)
+        return sum(map(_Echelon(self.field.char).add, map(list, self.rows)))
 
     def left_kernel(self) -> "Subspace":
         """Solutions of x @ self = 0 as a subspace of F^nrows."""
-        return self.transpose().kernel()
+        return _null_span(self.field, self.rows, _identity_rows(self.field.char, self.nrows), self.ncols, self.nrows)
 
 
 # ---------------------------------------------------------------------------
@@ -641,11 +588,12 @@ class Subspace:
 
     @classmethod
     def _span(cls, field: Field, ambient: int, rows: Sequence[Sequence]) -> "Subspace":
-        """Span of rows of length `ambient` (unreduced entries allowed over F_p)."""
-        if not rows:
-            return cls(field, ambient, (), ())
-        red, rank, pivots = _rref(rows, field.char)
-        return cls(field, ambient, tuple(map(tuple, red[:rank])), tuple(pivots))
+        """Span of rows of length `ambient` (unreduced entries allowed over F_p); stops once it is F^ambient."""
+        basis = _Echelon(field.char)
+        for row in rows:
+            if basis.add(list(row)) and len(basis.rows) == ambient:
+                return cls.full_space(field, ambient)
+        return basis.span(field, ambient)
 
     @classmethod
     def zero_space(cls, field: Field, ambient: int) -> "Subspace":
@@ -757,27 +705,16 @@ class Subspace:
         """Coordinates of vec in the RREF basis, or None if vec is outside."""
         return self._coords(_coerce(self.field, vec, self.ambient, AmbientMismatch))
 
-    def lift(self, coords: Sequence) -> tuple:
-        """Linear combination of the basis rows with the given coefficients."""
-        if len(coords) != self.dim:
-            raise DimensionMismatch(f"{len(coords)} coords for dim {self.dim}")
-        c = _coerce(self.field, coords, self.dim)
-        return _combine(c, self.rows, self.ambient, self.field.char)
-
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compat(other)
         return Subspace._span(self.field, self.ambient, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """The vectors sum_r x_r u_r with sum_r x_r u_r + sum_s y_s v_s = 0 over the two bases."""
         self._check_compat(other)
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero_space(self.field, self.ambient)
-        stacked = Matrix._of_raw(self.field, self.rows + other.rows, self.ambient)
-        null = stacked.left_kernel()
-        k, p = self.dim, self.field.char
-        return Subspace._span(
-            self.field, self.ambient, [_combine(z[:k], self.rows, self.ambient, p) for z in null.rows]
-        )
+        n = self.ambient
+        zeros = (_zeros(self.field.char, n),) * other.dim
+        return _null_span(self.field, self.rows + other.rows, self.rows + zeros, n, n)
 
     def complement_indices(self) -> tuple[int, ...]:
         """Unit-vector indices extending the basis, in increasing order."""
@@ -785,11 +722,11 @@ class Subspace:
 
 
 def preimage_under(matrix: Matrix, target: Subspace) -> Subspace:
-    """{x : x @ matrix in target} as a subspace of F^nrows."""
+    """{x : x @ matrix in target} as a subspace of F^nrows: the x whose residual against target vanishes."""
     if matrix.ncols != target.ambient:
         raise AmbientMismatch("map target and subspace ambient differ")
-    rows = tuple(tuple(target._residual(r)) for r in matrix.rows)
-    return Matrix._of_raw(matrix.field, rows, matrix.ncols).left_kernel()
+    rows = [target._residual(r) for r in matrix.rows]
+    return _null_span(matrix.field, rows, _identity_rows(matrix.field.char, matrix.nrows), matrix.ncols, matrix.nrows)
 
 
 # the most lines of F_p^n that a walk over them, one spin each, takes

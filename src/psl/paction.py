@@ -47,6 +47,7 @@ from psl.exactla import (
     _coerce,
     _dense,
     _nonzero,
+    _null_span,
     _tensor,
     zero_vec,
 )
@@ -416,19 +417,16 @@ def invariant_subalgebra(pa: PartialAction) -> Subspace:
 
 
 def colon_ideal(pa: PartialAction, I: Subspace) -> Subspace:
-    """(I:H) = {x in I : h . x in I for all h}: largest H-stable ideal inside I."""
+    """(I:H) = {x in I : h . x in I for all h}: largest H-stable ideal inside I, as one null span:
+    the combinations x of the basis rows of I whose residual blocks [h . x mod I for each h] vanish."""
     if not is_ideal(pa.alg, I):
         raise NotAnIdeal("colon_ideal needs a two-sided ideal")
     if I.is_zero():
         return I
     n, p = pa.alg.dim, pa.field.char
     act = pa._terms
-    rows = tuple(
-        _canon([x for op in act for x in I._residual(_apply_raw(op, _nonzero(r, p), n))], p)
-        for r in I.rows
-    )
-    z = Matrix._of_raw(pa.field, rows, n * pa.hopf.dim).left_kernel()
-    result = Subspace._span(pa.field, n, [I.lift(c) for c in z.rows])
+    blocks = [[x for op in act for x in I._residual(_apply_raw(op, _nonzero(r, p), n))] for r in I.rows]
+    result = _null_span(pa.field, blocks, I.rows, n * pa.hopf.dim, n)
     if not result <= I:
         raise InvariantViolation("colon ideal is not inside I")
     if not is_h_stable(pa, result):

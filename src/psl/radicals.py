@@ -38,7 +38,7 @@ from psl.exactla import (
     Subspace,
     _canon,
     _invariant_lattice,
-    _rref,
+    _null_span,
     line_refusal,
     preimage_under,
 )
@@ -132,23 +132,22 @@ def _cohen_ivanyos_wales_radical(A: Algebra) -> Subspace:
     trace-form kernel and I_i = {a in I_{i-1} : g_i(ab) = 0 for all b in A};
     then J(A) = I_l for l = floor(log_p dim A).  g_i is linear on the ideal
     I_{i-1}, so g_i(a e_b) = sum_s coord_s(a e_b) g_i(a_s) over the RREF
-    basis a_s of I_{i-1}, and each step is one row reduction over F_p of the
-    rows [g_i(a_r e_b) for b | a_r].  All arithmetic is on plain ints.  The
-    traces tr(L~^(p^i)) mod p^(i+1) multiply packed rows (slot bound
-    n (q-1)^2 < 2^w, see the module docstring) and only trace their last
-    product, so the first step forms no product for p = 2 and one for p = 3.
+    basis a_s of I_{i-1}, and each step is one `_null_span` over F_p of the
+    rows [g_i(a_r e_b) for b | a_r], which gives I_i in RREF.  All
+    arithmetic is on plain ints.  The traces tr(L~^(p^i)) mod p^(i+1)
+    multiply packed rows (slot bound n (q-1)^2 < 2^w, see the module
+    docstring) and only trace their last product, so the first step forms
+    no product for p = 2 and one for p = 3.
     """
     p, n = A.field.char, A.dim
-    K = trace_form_kernel(A)
-    rows = [list(r) for r in K.rows]
-    pivots = list(K.pivots)
+    I = trace_form_kernel(A)
     # mult[m][j] = nonzero (k, c_mj^k): row j of L_{e_m}
     mult = A.terms
     pi = p
-    while rows and pi <= n:
+    while I.rows and pi <= n:
         q = pi * p
         lifts, g = [], []
-        for a in rows:
+        for a in I.rows:
             L = [[0] * n for _ in range(n)]
             for m, am in enumerate(a):
                 if am:
@@ -164,14 +163,11 @@ def _cohen_ivanyos_wales_radical(A: Algebra) -> Subspace:
             g.append(tr // pi)
         # g-block entry b of row r: sum_s L_r[b][pivots[s]] g_s, one C-level dot product
         # (itemgetter of a single index returns the entry, not a 1-tuple)
-        pick = itemgetter(*pivots) if len(pivots) > 1 else lambda row, c=pivots[0]: (row[c],)
-        aug = [[sum(map(mul, pick(Lb), g)) % p for Lb in L] + a for L, a in zip(lifts, rows)]
-        red, rank, pivs = _rref(aug, p)
-        # rows pivoting in the a-block have a zero g-block: the RREF basis of I_i
-        rows = [row[n:] for row, c in zip(red[:rank], pivs) if c >= n]
-        pivots = [c - n for c in pivs if c >= n]
+        pick = itemgetter(*I.pivots) if len(I.pivots) > 1 else lambda row, c=I.pivots[0]: (row[c],)
+        blocks = [[sum(map(mul, pick(Lb), g)) % p for Lb in L] for L in lifts]
+        I = _null_span(A.field, blocks, I.rows, n, n)
         pi = q
-    return Subspace._span(A.field, n, rows)
+    return I
 
 
 def _check_radical(A: Algebra, J: Subspace) -> int:

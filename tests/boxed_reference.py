@@ -24,13 +24,18 @@ public module and action methods.
 The schoolbook matrix product mod q and the power trace built on it are the
 Cohen-Ivanyos-Wales kernel that packed-row products replaced in
 `psl.radicals`.
+
+`_rref` is the dense Gauss-Jordan elimination psl ran beside `_Echelon`
+until `_Echelon` became its only one; with the span and the free-column
+kernel built on it, it is the elimination oracle of the tests.
 """
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from psl.algebra import Algebra, CheckReport, InvariantViolation
-from psl.exactla import FieldMismatch, Matrix, Subspace, _Echelon, _nonzero, zero_vec
+from psl.exactla import FieldMismatch, Matrix, Subspace, _canon, _Echelon, _nonzero, zero_vec
 from psl.hopf import dual_hopf, left_integrals
 from psl.paction import PartialAction, action_to_coaction
 from psl.pmod import (
@@ -1181,3 +1186,78 @@ def lifted_power_trace(L, e, q):
         if e:
             base = matmul_mod(base, base, q)
     return sum(result[i][i] for i in range(n)) % q
+
+
+# ---------------------------------------------------------------------------
+# the dense Gauss-Jordan elimination
+
+
+def _rref(rows: Sequence[Sequence], p: int) -> tuple[list[list], int, list[int]]:
+    """Reduced row echelon form: (all rows, zero rows last; rank; pivot columns)."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if p:
+        a = [[x % p for x in row] for row in rows]
+    else:
+        a = [list(row) for row in rows]
+    pivots: list[int] = []
+    if m == 0 or n == 0:
+        return a, 0, pivots
+    r = 0
+    for c in range(n):
+        s = next((i for i in range(r, m) if a[i][c]), -1)
+        if s < 0:
+            continue
+        if s != r:
+            a[s], a[r] = a[r], a[s]
+        prow = a[r]
+        f = prow[c]
+        if f != 1:
+            if p:
+                f = pow(f, p - 2, p)
+                prow = [x * f % p for x in prow]
+            else:
+                f = f if f.__class__ is Fraction else Fraction(f)
+                prow = [x / f if x else x for x in prow]
+            a[r] = prow
+        nz = [(j, x) for j, x in enumerate(prow) if x]
+        for i in range(m):
+            if i == r:
+                continue
+            row = a[i]
+            f = row[c]
+            if not f:
+                continue
+            if p:
+                for j, x in nz:
+                    row[j] = (row[j] - f * x) % p
+            else:
+                for j, x in nz:
+                    row[j] = row[j] - f * x
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    if not p:
+        a = [list(_canon(row, 0)) for row in a]
+    return a, r, pivots
+
+
+def rref_span(field, n, rows) -> Subspace:
+    """The span of rows of length n: the nonzero rows and pivots of one `_rref`."""
+    red, rank, pivots = _rref(rows, field.char)
+    return Subspace(field, n, tuple(map(tuple, red[:rank])), tuple(pivots))
+
+
+def rref_kernel(m: Matrix) -> Subspace:
+    """{x : m @ x^T = 0}: one vector per free column of the RREF of m, spanned by `_rref` again."""
+    red, _, pivots = _rref(m.rows, m.field.char)
+    n = m.ncols
+    basis = []
+    for fc in sorted(set(range(n)) - set(pivots)):
+        vec = list(zero_vec(m.field, n))
+        vec[fc] = m.field.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return rref_span(m.field, n, basis)

@@ -5,11 +5,24 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from psl.exactla import FieldMismatch, Matrix, QQ, Subspace, _canon, _coerce, _nonzero, _rref, _zeros
+from psl.exactla import (
+    DimensionMismatch,
+    FieldMismatch,
+    Matrix,
+    QQ,
+    Subspace,
+    _canon,
+    _coerce,
+    _combine,
+    _nonzero,
+    _zeros,
+)
 
 from psl.algebra import _multiply_raw, product_of_fields
 from psl.hopf import GroupTable, group_algebra
 from psl.paction import c4_triple, dual_group_idempotent, trivial_action
+
+from boxed_reference import _rref
 
 
 def fix_a(field=QQ):
@@ -64,7 +77,7 @@ def all_vectors(field, n):
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
-    """The reduced row echelon form of m, by psl's `_rref`, and its rank."""
+    """The reduced row echelon form of m, by the boxed reference's `_rref`, and its rank."""
     red, rank, _ = _rref(m.rows, m.field.char)
     return Matrix._of_raw(m.field, tuple(map(tuple, red)), m.ncols), rank
 
@@ -82,6 +95,14 @@ def solve_left(m: Matrix, target) -> tuple | None:
     for r, c in enumerate(pivots):
         sol[c] = red[r][m.nrows]
     return tuple(sol)
+
+
+def lift(space: Subspace, coords) -> tuple:
+    """Linear combination of the basis rows of space with the given coefficients."""
+    if len(coords) != space.dim:
+        raise DimensionMismatch(f"{len(coords)} coords for dim {space.dim}")
+    c = _coerce(space.field, coords, space.dim)
+    return _combine(c, space.rows, space.ambient, space.field.char)
 
 
 def mult_matrix(A, x, left: bool) -> Matrix:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import fix_a, fix_b, fix_c, fix_d
+from helpers import fix_a, fix_b, fix_c, fix_d, lift
 from psl.exactla import GF, QQ, Matrix, Subspace
 from psl.hopf import dual_hopf, sweedler_h4
 from psl.paction import action_to_coaction
@@ -81,7 +81,7 @@ def check_action_object(rng, pa):
     assert_canonical(f, sp.dual_action.act, "dual act")
     assert_canonical(f, sp.unit_element, "smash unit")
     assert_canonical(f, sp.coords.rows, "carrier rows")
-    assert_canonical(f, sp.coords.lift(raw_input(rng, f, sp.coords.dim)), "Subspace.lift")
+    assert_canonical(f, lift(sp.coords, raw_input(rng, f, sp.coords.dim)), "_combine")
     assert_canonical(f, sp.include_a(a), "include_a")
     assert_canonical(f, tensor_coords(pa, a, h), "tensor_coords")
     if sp.carrier.dim <= 6:
@@ -143,6 +143,6 @@ def test_containers_store_canonical_rows(field):
     assert_canonical(field, m.apply(raw_input(rng, field, 3)), "Matrix.apply")
     S = Subspace.from_vectors(field, 3, [raw_input(rng, field, 3)])
     assert_canonical(field, S.rows, "Subspace.rows")
-    assert_canonical(field, S.lift(raw_input(rng, field, S.dim)), "Subspace.lift")
+    assert_canonical(field, lift(S, raw_input(rng, field, S.dim)), "_combine")
     assert_canonical(field, S.reduce(raw_input(rng, field, 3)), "Subspace.reduce")
     assert_canonical(field, (field.zero, field.one), "field")

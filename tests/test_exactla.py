@@ -17,7 +17,8 @@ from psl.exactla import (
     _spin,
     unit_vec,
 )
-from helpers import all_vectors, rand_matrix, rand_subspace, rand_vec, rref, solve_left
+from boxed_reference import rref_span
+from helpers import all_vectors, lift, rand_matrix, rand_subspace, rand_vec, rref, solve_left
 
 F2 = GF(2)
 F5 = GF(5)
@@ -59,8 +60,8 @@ def test_rref_idempotent_random():
 
 
 def test_kernel_identity_and_zero():
-    assert Matrix.identity(QQ, 4).kernel().is_zero()
-    k = Matrix(QQ, [[0] * 3] * 2).kernel()
+    assert Matrix.identity(QQ, 4).transpose().left_kernel().is_zero()
+    k = Matrix(QQ, [[0] * 3] * 2).transpose().left_kernel()
     assert k == Subspace.full_space(QQ, 3)
 
 
@@ -68,7 +69,7 @@ def test_kernel_f2_enumeration_oracle():
     m = Matrix(F2, [[1, 1]])
     expected = brute_kernel_fp(m)
     assert expected == Subspace.from_vectors(F2, 2, [[1, 1]])
-    assert m.kernel() == expected
+    assert m.transpose().left_kernel() == expected
 
 
 def test_kernel_rank_nullity_random():
@@ -76,14 +77,14 @@ def test_kernel_rank_nullity_random():
     for field in (QQ, F2, F5):
         for _ in range(25):
             m = rand_matrix(rng, field, rng.randint(1, 5), rng.randint(1, 5))
-            assert m.kernel().dim + m.rank() == m.ncols
+            assert m.transpose().left_kernel().dim + m.rank() == m.ncols
 
 
 def test_kernel_matches_enumeration_random_f2():
     rng = random.Random(5)
     for _ in range(10):
         m = rand_matrix(rng, F2, rng.randint(1, 3), rng.randint(1, 4))
-        assert m.kernel() == brute_kernel_fp(m)
+        assert m.transpose().left_kernel() == brute_kernel_fp(m)
 
 
 def test_sum_and_intersect_trivial():
@@ -143,7 +144,7 @@ def test_coords_and_lift_roundtrip():
         for _ in range(10):
             u = rand_subspace(rng, field, 5, 3)
             coords = rand_vec(rng, field, u.dim)
-            vec = u.lift(coords)
+            vec = lift(u, coords)
             assert u.coords_of(vec) == coords
     u = Subspace.from_vectors(QQ, 3, [[1, 0, 0]])
     assert u.coords_of((0, 1, 0)) is None
@@ -230,7 +231,8 @@ def echelon_inputs(rng, field, n):
 @pytest.mark.parametrize("field", [QQ, F2, GF(3), F5], ids=repr)
 def test_echelon_span_back_substitution_matches_rref(field):
     # rows are cleared at the pivots of rows added after them, or left as added;
-    # the span must be the RREF of one elimination of all the vectors, scalar types included
+    # the span must be the RREF of one Gauss-Jordan elimination of all the vectors, scalar types included,
+    # and so must `Subspace._span` of them unreduced, which stops once it holds n rows
     rng = random.Random(field.char + 11)
     for n in range(1, 9):
         for _ in range(12):
@@ -238,10 +240,12 @@ def test_echelon_span_back_substitution_matches_rref(field):
             basis = _Echelon(field.char)
             for v in vecs:
                 basis.add(list(v))
-            got = basis.span(field, n)
-            want = Subspace.from_vectors(field, n, vecs)
-            assert got == want and got.pivots == want.pivots
-            assert [type(x) for row in got.rows for x in row] == [type(x) for row in want.rows for x in row]
+            want = rref_span(field, n, vecs)
+            raw = [[x + field.char * rng.randint(-2, 2) for x in v] for v in vecs]
+            for got in (basis.span(field, n), Subspace._span(field, n, raw)):
+                assert got == want and got.pivots == want.pivots
+                assert [type(x) for row in got.rows for x in row] == [type(x) for row in want.rows for x in row]
+            assert Matrix(field, raw, ncols=n).rank() == want.dim
 
 
 def cycle(n, length):
@@ -255,11 +259,11 @@ def scalar_types(space):
 
 @pytest.mark.parametrize("field", [QQ, F2, F5], ids=repr)
 def test_spin_that_reaches_the_full_space_returns_the_canonical_one(field):
-    # the spin stops at n rows; what it returns must be what one elimination of the identity gives
+    # the spin stops at n rows; what it returns must be what one Gauss-Jordan elimination of the identity gives
     one, zero = field.one, field.zero
     for n in range(1, 7):
         identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        want = Subspace._span(field, n, identity)
+        want = rref_span(field, n, identity)
         for seeds, ops in (([identity[0]], [cycle(n, n)]), (identity, []), ([identity[-1]] + identity, [cycle(n, n)])):
             got = _spin(field, n, [list(v) for v in seeds], ops)
             assert got == want and got.pivots == want.pivots
@@ -284,5 +288,5 @@ def test_identity_rows_are_shared_and_immutable(field):
         full, identity = Subspace.full_space(field, n), Matrix.identity(field, n)
         assert full.rows is identity.rows
         assert type(full.rows) is tuple and all(type(row) is tuple for row in full.rows)
-        assert full == Subspace._span(field, n, identity.rows)
+        assert full == Subspace._span(field, n, identity.rows) == rref_span(field, n, identity.rows)
         assert scalar_types(full) == [type(field.one)] * (n * n)

@@ -32,7 +32,7 @@ from psl.paction import (
     quotient_action,
     trivial_action,
 )
-from helpers import all_vectors, fix_a, fix_b, fix_c, fix_d, mult_matrix, rand_vec, solve_left
+from helpers import all_vectors, fix_a, fix_b, fix_c, fix_d, lift, mult_matrix, rand_vec, solve_left
 
 F2 = GF(2)
 F3 = GF(3)
@@ -187,7 +187,7 @@ def test_colon_ideal_maximality_property():
     for _ in range(15):
         I = ideal_closure(pa.alg, [rand_vec(rng, F3, 3)])
         c = colon_ideal(pa, I)
-        for v in map(I.lift, all_vectors(F3, I.dim)):
+        for v in (lift(I, x) for x in all_vectors(F3, I.dim)):
             J = ideal_closure(pa.alg, [v])
             stable = is_h_stable(pa, J)
             if stable and J <= I:
@@ -248,7 +248,7 @@ def test_invertible_invariants_closed_under_inverse():
         inv = invariant_subalgebra(pa)
         A = pa.alg
         for coords in all_vectors(A.field, inv.dim):
-            a = inv.lift(coords)
+            a = lift(inv, coords)
             x = solve_left(mult_matrix(A, a, left=True), A.unit)
             if x is None:
                 continue

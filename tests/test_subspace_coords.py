@@ -16,6 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from psl.exactla import GF, QQ, Subspace
+from helpers import lift
 
 SETTINGS = hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
 FIELDS = (GF(2), GF(3), GF(5), QQ)
@@ -71,7 +72,7 @@ def cases(draw):
             field, n, [draw(st.lists(scalars(field), min_size=n, max_size=n)) for _ in range(k)]
         )
     coeffs = draw(st.lists(scalars(field), min_size=space.dim, max_size=space.dim))
-    member = list(space.lift(coeffs))
+    member = list(lift(space, coeffs))
     other = draw(st.lists(scalars(field), min_size=n, max_size=n))
     raw = draw(st.lists(scalars(field, unreduced=True), min_size=n, max_size=n))
     # a member with unreduced entries: add a multiple of p, or over Q turn integral entries into ints
@@ -95,7 +96,7 @@ def test_internal_methods_agree_with_dense_elimination(case):
         assert coords == oracle_coords(space, vec)
         if coords is not None:
             assert canonical(space.field, coords)
-            assert list(space.lift(coords)) == [x % space.field.char if space.field.char else x for x in vec]
+            assert list(lift(space, coords)) == [x % space.field.char if space.field.char else x for x in vec]
 
 
 @SETTINGS

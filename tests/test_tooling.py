@@ -51,7 +51,7 @@ def test_optimized_interpreter_prints_identical_bytes():
 
 # functions allowed a true division: over Q the kernel holds integral values as
 # ints, and int / int is a float, so every other `/` in the package is a fault
-DIVISION_ALLOWED = {"exactla.py": {"_rref", "_Echelon.add"}}
+DIVISION_ALLOWED = {"exactla.py": {"_Echelon.add"}}
 
 
 def true_divisions(tree):
