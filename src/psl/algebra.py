@@ -31,10 +31,9 @@ directly, and its dense `mult` is derived on first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from psl.exactla import (
     DimensionMismatch,
@@ -71,8 +70,7 @@ class AlgebraTooLarge(ValueError):
 MAX_GROUP_ORDER = 64
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of an axiom check; failures carry human-readable witnesses."""
 
     ok: bool

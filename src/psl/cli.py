@@ -13,7 +13,14 @@ exact rationals or residues.
 `main(argv)` is the in-process entry point and returns the exit code.  It
 builds the argument grammar on its first call and keeps it for the process,
 so only later in-process calls skip that build; a shell invocation makes one
-call and does the same work as before.  Nothing else outlives a call.
+call and does the same work as before.  Nothing a command computes
+outlives its call.
+
+`import psl.cli` loads what `check`, `smash`, `radicals` and
+`enumerate-ideals` run.  `psl.verify` (the theorem table) is imported on
+demand by `verify`, and `psl.pmod` (partial modules) by a workspace with a
+`modules` section, so no other command pays for them; like any import, each
+then stays loaded for the process.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ import sys
 from psl.algebra import check_algebra
 from psl.hopf import check_hopf
 from psl.paction import check_partial_action, colon_ideal, is_global
-from psl.pmod import check_partial_module
 from psl.radicals import (
     DimensionTooLarge,
     FieldNotFinite,
@@ -35,7 +41,6 @@ from psl.radicals import (
     jacobson_radical,
 )
 from psl.smash import build_partial_smash
-from psl.verify import THEOREMS
 from psl.workspace import (
     ParseError,
     UnresolvedReference,
@@ -67,6 +72,8 @@ def cmd_check(ws, name: str, output: str) -> int:
     elif kind == "action":
         report = check_partial_action(obj)
     elif kind == "module":
+        from psl.pmod import check_partial_module  # loaded already by the workspace's modules
+
         report = check_partial_module(obj)
     else:  # a group's table is validated on construction; ideals are canonical subspaces
         report = None
@@ -165,6 +172,8 @@ def cmd_enumerate_ideals(ws, name: str, dim_cap: int, field_cap: int, output: st
 
 
 def cmd_verify(args) -> int:
+    from psl.verify import THEOREMS
+
     theorem = THEOREMS.get(args.theorem)
     if theorem is None:
         print(

@@ -520,7 +520,9 @@ class Matrix:
         return f"Matrix({self.field}, {self.nrows}x{self.ncols}: [{body}])"
 
     def transpose(self) -> "Matrix":
-        return Matrix._of_raw(self.field, tuple(zip(*self.rows)), self.nrows)
+        # zip(*rows) of no rows is empty, but an m x n matrix has n columns to turn into rows
+        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
+        return Matrix._of_raw(self.field, rows, self.nrows)
 
     def apply(self, vec: Sequence) -> tuple:
         """Row-vector action: vec @ self (rows of self are images of basis)."""

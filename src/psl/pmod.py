@@ -25,8 +25,7 @@ rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from psl.algebra import (
     Algebra,
@@ -382,8 +381,7 @@ def _operator_image_algebra(M: PartialModule):
     return _closed_subalgebra(E, span, E.unit, "operator image algebra is not closed")[0]
 
 
-@dataclass(frozen=True)
-class ModuleExtension:
+class ModuleExtension(NamedTuple):
     """A partial module W built from an A-module V, with the embedding of V."""
 
     module: PartialModule
@@ -391,8 +389,7 @@ class ModuleExtension:
     space: Subspace    # W inside V (x) H (resp. V (x) H*)
 
 
-@dataclass(frozen=True)
-class IrreducibleExtension:
+class IrreducibleExtension(NamedTuple):
     """Irreducible quotient M = W/U with the surviving embedding of V."""
 
     module: PartialModule

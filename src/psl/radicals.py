@@ -20,9 +20,8 @@ slot.  Square-and-multiply never forms its last product, only its trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter, lshift, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from psl.algebra import (
     Algebra,
@@ -55,8 +54,7 @@ class FieldNotFinite(ValueError):
     """Operation needs a finite field."""
 
 
-@dataclass(frozen=True)
-class RadicalReport:
+class RadicalReport(NamedTuple):
     radical: Subspace
     method: str  # "trace-form" | "cohen-ivanyos-wales"
     nilpotency_index: int

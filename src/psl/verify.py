@@ -13,10 +13,9 @@ pool outlives the call, so each object is still built and checked in every run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
 from functools import partial, reduce
 from itertools import chain, combinations_with_replacement
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from psl.algebra import (
     Algebra,
@@ -58,17 +57,18 @@ from psl.smash import build_partial_smash, phi_ideal, psi_ideal
 ENUM_CARRIER_CAP = 8
 
 
-@dataclass(frozen=True)
-class VerifyCase:
+class VerifyCase(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass
 class VerifyReport:
-    theorem: str
-    cases: list[VerifyCase] = dc_field(default_factory=list)
+    """The cases one theorem run has checked, in order."""
+
+    def __init__(self, theorem: str):
+        self.theorem = theorem
+        self.cases: list[VerifyCase] = []
 
     @property
     def ok(self) -> bool:
@@ -499,8 +499,7 @@ def negative_controls(seed: int, trials: int, dim_cap: int, field_cap: int, work
 # ---------------------------------------------------------------------------
 # the theorem table
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     """One theorem: its instance source, the one check all instances get, the default
     number of random draws, and how often (at most `trials`) its hypotheses must apply."""
 

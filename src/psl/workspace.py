@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
 from functools import partial
 
 from psl.algebra import Algebra, InvariantViolation, check_algebra, product_of_fields
@@ -40,7 +39,6 @@ from psl.paction import (
     dual_group_idempotent,
     trivial_action,
 )
-from psl.pmod import PartialModule, check_partial_module
 
 WORKSPACE_VERSION = "psl-workspace/1"
 
@@ -95,15 +93,17 @@ class _Actions(Mapping):
         return len(self._entries)
 
 
-@dataclass
 class Workspace:
-    field: Field
-    groups: dict = dc_field(default_factory=dict)
-    hopf_algebras: dict = dc_field(default_factory=dict)
-    algebras: dict = dc_field(default_factory=dict)
-    actions: Mapping = dc_field(default_factory=_Actions)
-    ideals: dict = dc_field(default_factory=dict)
-    modules: dict = dc_field(default_factory=dict)
+    """The named objects of one document, one table per section."""
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.groups = {}
+        self.hopf_algebras = {}
+        self.algebras = {}
+        self.actions = _Actions()
+        self.ideals = {}
+        self.modules = {}
 
     def resolve(self, name: str):
         """(kind, object) for a name in any namespace."""
@@ -320,7 +320,10 @@ def load_workspace(path_or_dict, check: bool = True) -> Workspace:
                 raise ParseError(f"ideal {name!r}: need an 'action' or 'algebra' reference")
             ws.ideals[name] = Subspace.from_vectors(field, ambient, spec.get("vectors", []))
 
-    for name, spec in _section(doc, "modules").items():
+    modules = _section(doc, "modules")
+    if modules:
+        from psl.pmod import PartialModule, check_partial_module  # only a document with modules needs them
+    for name, spec in modules.items():
         with _entry("module", name):
             M = PartialModule(
                 spec.get("side", "right"),

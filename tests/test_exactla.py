@@ -213,6 +213,21 @@ def test_solve_left_without_rows(field):
     assert solve_left(Matrix(field, [], ncols=0), ()) == ()
 
 
+@pytest.mark.parametrize("field", [QQ, F2], ids=repr)
+def test_transpose_keeps_both_dimensions(field):
+    """An m x n matrix transposes to n x m, with no rows or no columns too, and back."""
+    t = Matrix(field, [], ncols=3).transpose()
+    assert (t.nrows, t.ncols, t.rows) == (3, 0, ((), (), ()))
+    back = t.transpose()
+    assert (back.nrows, back.ncols) == (0, 3)
+    assert back == Matrix(field, [], ncols=3)
+    m = Matrix(field, [[1, 0, 1], [0, 1, 1]])
+    assert m.transpose() == Matrix(field, [[1, 0], [0, 1], [1, 1]])
+    assert m.transpose().transpose() == m
+    empty = Matrix(field, [], ncols=0).transpose()
+    assert (empty.nrows, empty.ncols) == (0, 0)
+
+
 def echelon_inputs(rng, field, n):
     """Random, sparse (most entries zero) and dependent vectors of F^n."""
     vecs = []

@@ -1,9 +1,10 @@
 """Source-level guards: no `assert` in the package, `python -O` changes no output, every
 public function has a caller in the package and every import a use, the instance
-generator builds nothing through the coercing public constructors, and `main` builds its
-grammar once per process."""
+generator builds nothing through the coercing public constructors, `main` builds its
+grammar once per process, and each command imports only the modules it runs."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import psl
 from psl.cli import main
 from psl.exactla import QQ
 from psl.hopf import HopfAlgebra, sweedler_h4
@@ -125,8 +127,22 @@ def uncalled_definitions(sources: dict, exported: set) -> list:
 
 
 def package_exports() -> set:
-    tree = ast.parse((ROOT / "src" / "psl" / "__init__.py").read_text(encoding="utf-8"))
-    return {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    """The names `psl` exports: the keys of its lazy name -> module table."""
+    return set(psl._EXPORTS)
+
+
+def test_lazy_exports_resolve_to_their_modules():
+    assert psl.__all__ == sorted(psl._EXPORTS)
+    for name in psl.__all__:
+        assert getattr(psl, name) is getattr(importlib.import_module(psl._EXPORTS[name]), name), name
+    namespace = {}
+    exec("from psl import *", namespace)
+    assert set(psl.__all__) <= set(namespace)
+    assert set(psl.__all__) <= set(dir(psl))
+    with pytest.raises(AttributeError):
+        psl.no_such_name
+    with pytest.raises(ImportError):
+        exec("from psl import no_such_name", {})
 
 
 def test_every_public_definition_has_a_caller():
@@ -257,3 +273,73 @@ def test_grammar_built_once_per_process():
     assert shell.returncode == seen["codes"][-1]
     assert shell.stdout.decode() == seen["stdout"]
     assert json.loads(seen["stdout"])["command"] == "radicals"
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import psl
+argv = json.loads(sys.argv[1])
+code = None
+if argv is not None:
+    from psl.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+# loaded only by what runs them: psl.verify by `verify`, psl.pmod by a workspace with a
+# `modules` section; dataclasses (and inspect, which it imports) by no command
+ON_DEMAND = {"psl.verify", "psl.pmod", "dataclasses", "inspect"}
+
+MODULE_DOC = {
+    "version": "psl-workspace/1",
+    "field": {"kind": "Q"},
+    "groups": {"C2": {"cyclic": 2}},
+    "hopf_algebras": {"H": {"constructor": "group_algebra", "group": "C2"}},
+    "algebras": {"A": {"constructor": "product_of_fields", "k": 2}},
+    "actions": {"t": {"builder": "trivial", "hopf": "H", "algebra": "A"}},
+    "modules": {"reg": {
+        "action": "t", "side": "right", "dim": 2,
+        "a_act": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
+        "h_act": [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]],
+    }},
+}
+
+
+def loaded_after(argv) -> tuple:
+    """(exit code, sys.modules) of a fresh interpreter after `import psl` and, unless
+    `argv` is None, one `psl.cli.main(argv)`."""
+    probe = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
+        capture_output=True, cwd=ROOT, env=src_env(), timeout=600,
+    )
+    assert probe.returncode == 0, probe.stderr.decode()
+    seen = json.loads(probe.stdout)
+    return seen["code"], set(seen["modules"])
+
+
+def test_import_psl_loads_no_submodule():
+    _, modules = loaded_after(None)
+    assert sorted(m for m in modules if m.startswith("psl.")) == []
+
+
+def test_radicals_loads_neither_verify_nor_pmod():
+    code, modules = loaded_after(
+        ["radicals", "--workspace", str(ROOT / "pslbench" / "workspaces" / "f2.json"), "c2-on-f2"])
+    assert code == 0
+    assert "psl.radicals" in modules
+    assert sorted(modules & ON_DEMAND) == []
+
+
+def test_verify_loads_the_theorem_table_only():
+    code, modules = loaded_after(["verify", "NEG-SS"])
+    assert code == 0
+    assert sorted(modules & ON_DEMAND) == ["psl.verify"]
+
+
+def test_check_of_a_workspace_module_loads_pmod(tmp_path):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(MODULE_DOC))
+    code, modules = loaded_after(["check", "--workspace", str(path), "reg"])
+    assert code == 0
+    assert sorted(modules & ON_DEMAND) == ["psl.pmod"]

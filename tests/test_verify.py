@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -155,7 +154,7 @@ def test_h_radicals_enumerate_once_per_instance(monkeypatch):
         return theorem.check(report, tag, pa, **kwargs)
 
     for seed in range(4):
-        assert replace(theorem, check=check).run(seed).ok
+        assert theorem._replace(check=check).run(seed).ok
     assert 0 < len(calls) == sum(enumerated)
 
 
@@ -209,7 +208,7 @@ def calls_per_input(monkeypatch, theorem_id, name):
 
     monkeypatch.setattr(verify, name, counting)
     for seed in range(4):
-        assert replace(theorem, check=check).run(seed).ok
+        assert theorem._replace(check=check).run(seed).ok
     return calls
 
 
@@ -238,7 +237,7 @@ def ideal_correspondence_enumerations():
         return theorem.check(report, tag, pa, **kwargs)
 
     for seed in range(4):
-        assert replace(theorem, check=check).run(seed).ok
+        assert theorem._replace(check=check).run(seed).ok
     return out
 
 
