@@ -26,7 +26,9 @@ they accumulate all the triples of one basis pair into one n x n block that
 is tested once.  An algebra psl builds itself (`build_full_smash`,
 `quotient_algebra`, `_closed_subalgebra`, `direct_product`,
 `product_of_fields`) is made by `Algebra._of_terms` from such terms
-directly, and its dense `mult` is derived on first read.
+directly, and its dense `mult` is derived on first read.  A closure is one
+`exactla._spin`: the ideal closures here, and in `psl.pmod` the algebra
+that a module's operators generate.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from psl.exactla import (
     _canon,
     _coerce,
     _dense,
-    _Echelon,
     _nonzero,
     _spin,
     _vector,
@@ -460,32 +461,6 @@ def direct_product(A: Algebra, B: Algebra) -> Algebra:
         unit = tuple(A.unit) + tuple(B.unit)
     labels = tuple(f"{l}.1" for l in A.labels) + tuple(f"{l}.2" for l in B.labels)
     return Algebra._of_terms(A.field, terms, unit, labels)
-
-
-def subalgebra_closure(A: Algebra, gens: Iterable[Sequence]) -> Subspace:
-    """Smallest unital multiplicatively closed subspace containing gens.
-
-    Spinning over pairs: each new basis vector is multiplied on both sides
-    by every basis vector before it and by itself, and each product is
-    reduced once against the basis built so far.
-    """
-    gens = list(gens)
-    if A.unit is not None:
-        gens.append(A.unit)
-    terms = A.terms
-    basis = _Echelon(A.field.char)
-    for g in gens:
-        basis.add(_coerce(A.field, g, A.dim))
-    rows = basis.rows
-    i = 0
-    while i < len(rows) < A.dim:
-        u = rows[i][1]
-        for j in range(i + 1):
-            w = rows[j][1]
-            basis.add(_multiply_raw(terms, u, w))
-            basis.add(_multiply_raw(terms, w, u))
-        i += 1
-    return basis.span(A.field, A.dim)
 
 
 def _closed_subalgebra(A: Algebra, S: Subspace, unit: Sequence, message: str, labels=None):

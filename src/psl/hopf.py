@@ -106,9 +106,6 @@ class GroupTable:
         labels = ["1"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
         return cls(cayley, labels=labels)
 
-    def mult(self, i: int, j: int) -> int:
-        return self.cayley[i][j]
-
     def is_subgroup(self, subset: Sequence[int]) -> bool:
         s = set(subset)
         if self.identity not in s:

@@ -11,16 +11,17 @@ m <| h subject to
 a_act[i][j] = action of the i-th algebra basis element on the j-th
 module basis vector, and likewise h_act for the Hopf algebra.
 
-Exhaustive irreducibility over F_p, for partial modules and for plain
-modules alike, is `_exhaustively_irreducible`: it spins one vector per
-line of F_p^d and refuses more than `ENUM_BUDGET` lines.  Over Q it is one
-dimension count (Burnside) on the operator image algebra, the
-`subalgebra_closure` of the operators inside the matrix algebra M_d(k),
-made an algebra by the closed-subspace helper of `psl.algebra`.
-Annihilators are the left kernel of the flattened A-operators, quotients
-project an action tensor onto the complement cosets of the submodule, and
-the extensions and the smash-module conversion run on the sparse operator
-rows.
+Partial modules and plain modules reach one irreducibility walk,
+`_irreducible`.  Over F_p it is `_exhaustively_irreducible`, which spins
+one vector per line of F_p^d and refuses more than `ENUM_BUDGET` lines.
+Over Q it is one dimension count (Burnside): the unital algebra the
+operators generate is the spin of the identity of F^{d x d} under right
+multiplication by each operator.  `AlgebraModule.check` and
+`check_partial_module` run the unit and module laws of A through one loop,
+`_module_law`.  Annihilators are the left kernel of the flattened
+A-operators, quotients project an action tensor onto the complement cosets
+of the submodule, and the extensions and the smash-module conversion run on
+the sparse operator rows.
 """
 
 from __future__ import annotations
@@ -35,13 +36,11 @@ from psl.algebra import (
     _add_scaled,
     _apply_pair,
     _apply_raw,
-    _closed_subalgebra,
     _compact,
     _differ,
     _operate,
     _operate_sum,
     is_ideal,
-    subalgebra_closure,
 )
 from psl.exactla import (
     Matrix,
@@ -54,8 +53,8 @@ from psl.exactla import (
     _tensor,
     unit_vec,
 )
-from psl.hopf import left_integrals
-from psl.paction import PartialAction, _comul_terms, action_to_coaction, colon_ideal, is_h_stable
+from psl.hopf import dual_hopf, left_integrals
+from psl.paction import PartialAction, _comul_terms, colon_ideal, is_h_stable
 from psl.radicals import FieldNotFinite
 from psl.smash import tensor_coords
 
@@ -100,26 +99,37 @@ class AlgebraModule:
     def check(self) -> CheckReport:
         """Unital module axioms on all basis pairs."""
         failures = []
-        A = self.algebra
-        d, p, ops = self.dim, self.field.char, self._terms
-        unit = None if A.unit is None else _nonzero(A.unit, p)
-        for j in range(d):
-            w = [int(t == j) for t in range(d)]
-            # the images of w under every basis element of A
-            column = [ops[i][j] for i in range(A.dim)]
-            if unit is not None and _differ(_apply_raw(column, unit, d), w, p):
+        for j in range(self.dim):
+            unit_ok, bad = _module_law(self.algebra, self.side, self._terms, self.dim, j)
+            if not unit_ok:
                 failures.append(f"unit does not act as identity on basis {j}")
-            for i in range(A.dim):
-                for k in range(A.dim):
-                    if self.side == "right":
-                        # (w e_i) e_k = w (e_i e_k)
-                        lhs = _apply_raw(ops[k], ops[i][j], d)
-                    else:
-                        # e_i (e_k w) = (e_i e_k) w
-                        lhs = _apply_raw(ops[i], ops[k][j], d)
-                    if _differ(lhs, _apply_raw(column, A.terms[i][k], d), p):
-                        failures.append(f"module law fails at (e{i}, e{k}, w{j})")
+            failures += [f"module law fails at (e{i}, e{k}, w{j})" for i, k in bad]
         return CheckReport(not failures, tuple(failures))
+
+
+def _module_law(A: Algebra, side: str, ops, d: int, j: int) -> tuple[bool, list]:
+    """Whether 1_A fixes basis vector w_j, and the pairs (i, k) where the module law fails at w_j.
+
+    ops[i][j] is the sparse image of w_j under e_i.  A non-unital A has no
+    unit law, which then holds.
+    """
+    p = A.field.char
+    # the images of w_j under every basis element of A
+    column = [ops[i][j] for i in range(A.dim)]
+    w = [int(t == j) for t in range(d)]
+    unit_ok = A.unit is None or not _differ(_apply_raw(column, _nonzero(A.unit, p), d), w, p)
+    bad = []
+    for i in range(A.dim):
+        for k in range(A.dim):
+            if side == "right":
+                # (w e_i) e_k = w (e_i e_k)
+                lhs = _apply_raw(ops[k], ops[i][j], d)
+            else:
+                # e_i (e_k w) = (e_i e_k) w
+                lhs = _apply_raw(ops[i], ops[k][j], d)
+            if _differ(lhs, _apply_raw(column, A.terms[i][k], d), p):
+                bad.append((i, k))
+    return unit_ok, bad
 
 
 def regular_module(A: Algebra, side: str = "right") -> AlgebraModule:
@@ -197,7 +207,7 @@ def check_partial_module(M: PartialModule) -> CheckReport:
     d, p = M.dim, M.field.char
     a_ops, h_ops = M._a_terms, M._h_terms
     comul = _comul_terms(H)
-    unit_a, unit_h = _nonzero(A.unit, p), _nonzero(H.unit, p)
+    unit_h = _nonzero(H.unit, p)
     # h_p . e_ia and h_p . 1_A, sparse
     act = pa._terms
     unit_images = [_nonzero(pa.unit_image(q), p) for q in range(H.dim)]
@@ -206,24 +216,13 @@ def check_partial_module(M: PartialModule) -> CheckReport:
         """x in A acting on the sparse module vector v."""
         return _nonzero(_apply_pair(a_ops, x, v, d, p), p)
 
-    def apply_h(x, v):
-        return _nonzero(_apply_pair(h_ops, x, v, d, p), p)
-
     for j in range(d):
-        w = ((j, 1),)
-        dense = [int(t == j) for t in range(d)]
-        if _differ(_apply_pair(a_ops, unit_a, w, d, p), dense, p):
+        unit_ok, bad = _module_law(A, M.side, a_ops, d, j)
+        if not unit_ok:
             failures.append(f"A-unit law fails at w{j}")
-        if _differ(_apply_pair(h_ops, unit_h, w, d, p), dense, p):
+        if _differ(_apply_pair(h_ops, unit_h, ((j, 1),), d, p), [int(t == j) for t in range(d)], p):
             failures.append(f"PM1 fails at w{j}")
-        for i in range(A.dim):
-            for k in range(A.dim):
-                if right:
-                    lhs = _apply_raw(a_ops[k], a_ops[i][j], d)
-                else:
-                    lhs = _apply_raw(a_ops[i], a_ops[k][j], d)
-                if _differ(lhs, _apply_pair(a_ops, A.terms[i][k], w, d, p), p):
-                    failures.append(f"A-module law fails at (e{i}, e{k}, w{j})")
+        failures += [f"A-module law fails at (e{i}, e{k}, w{j})" for i, k in bad]
 
     for j in range(d):
         w = ((j, 1),)
@@ -255,7 +254,7 @@ def check_partial_module(M: PartialModule) -> CheckReport:
                     if right:
                         term = _apply_pair(h_ops, hq_g, apply_a(unit_images[hp], w), d, p)
                     else:
-                        term = _apply_pair(a_ops, unit_images[hp], apply_h(hq_g, w), d, p)
+                        term = _apply_pair(a_ops, unit_images[hp], _nonzero(_apply_pair(h_ops, hq_g, w, d, p), p), d, p)
                     _add_scaled(rhs, c, term)
                 if _differ(lhs, rhs, p):
                     failures.append(f"PM4 fails at (h{ih}, h{g}, w{j})")
@@ -334,51 +333,40 @@ def _exhaustively_irreducible(field, d: int, ops) -> bool:
     return all(_spin(field, d, [v], ops).dim == d for v in _lines(field.char, d))
 
 
-def is_irreducible(M: PartialModule) -> bool | None:
-    """No proper nonzero partial submodules.
+def _irreducible(field, d: int, ops) -> bool | None:
+    """Whether F^d has no proper nonzero subspace invariant under the sparse operators.
 
-    Finite fields: exhaustive over cyclic submodules.  Over Q: False when a
-    basis vector spins up a proper submodule, True when the operators span
-    M_d(Q), which by Burnside's theorem and the Jacobson density theorem
-    holds exactly when M is irreducible with End(M) = Q, and None otherwise.
+    Over F_p exhaustive.  Over Q: False when a basis vector spins up a proper
+    subspace, True when the operators generate M_d(Q), which by Burnside's
+    theorem and the Jacobson density theorem holds exactly when F^d is
+    irreducible with commutant Q, and None otherwise.
     """
-    if M.dim == 0:
+    if d == 0:
         raise ZeroModule("the zero module is not irreducible")
-    if M.dim == 1:
+    if d == 1:
         return True
-    field = M.field
-    d = M.dim
-    ops = M._a_terms + M._h_terms
     if field.char:
         return _exhaustively_irreducible(field, d, ops)
-
     for e_j in Matrix.identity(field, d).rows:
         if _spin(field, d, [list(e_j)], ops).dim != d:
             return False
-    if _operator_image_algebra(M).dim == d * d:
-        return True
-    return None
+    return True if _generated_span(field, d, ops).dim == d * d else None
 
 
-def _matrix_algebra(field, d: int) -> Algebra:
-    """M_d(k) on the matrix units, e_ij at index i*d + j, with e_ij e_jl = e_il."""
-    n = d * d
-    terms = tuple(
-        tuple(((a - a % d + b % d, 1),) if a % d == b // d else () for b in range(n))
-        for a in range(n)
-    )
-    return Algebra._of_terms(field, terms, _canon([int(i % (d + 1) == 0) for i in range(n)], field.char))
+def _generated_span(field, d: int, ops) -> Subspace:
+    """The unital algebra the sparse operators generate, in flattened d x d matrices (e_ij at i*d + j).
 
-
-def _operator_image_algebra(M: PartialModule):
-    """The unital subalgebra of End(M) generated by the partial-action operators.
-
-    Operators are flattened d x d matrices inside M_d(k), where the product
-    of the row-vector convention is the matrix product.
+    It is the span of the words in the operators: the spin of the identity
+    under X -> X G for each operator G, which sends e_ij to sum_l G[j][l] e_il.
     """
-    E = _matrix_algebra(M.field, M.dim)
-    span = subalgebra_closure(E, [[x for v in op for x in v] for op in M.a_act + M.h_act])
-    return _closed_subalgebra(E, span, E.unit, "operator image algebra is not closed")[0]
+    n = d * d
+    right = [[tuple((i * d + l, c) for l, c in op[j]) for i in range(d) for j in range(d)] for op in ops]
+    return _spin(field, n, [[int(a % (d + 1) == 0) for a in range(n)]], right)
+
+
+def is_irreducible(M: PartialModule) -> bool | None:
+    """No proper nonzero partial submodules: exhaustive over F_p; over Q Burnside's test, None when it cannot tell."""
+    return _irreducible(M.field, M.dim, M._a_terms + M._h_terms)
 
 
 class ModuleExtension(NamedTuple):
@@ -474,14 +462,9 @@ def _module_quotient(M: PartialModule, U: Subspace) -> tuple[PartialModule, Matr
 
 def module_is_irreducible_over_algebra(V: AlgebraModule) -> bool:
     """Exhaustive irreducibility of a plain module over a finite field."""
-    field = V.field
-    if field.char == 0:
+    if V.field.char == 0:
         raise FieldNotFinite("exhaustive module irreducibility needs a finite field")
-    if V.dim == 0:
-        raise ZeroModule("the zero module is not irreducible")
-    if V.dim == 1:
-        return True
-    return _exhaustively_irreducible(field, V.dim, V._terms)
+    return _irreducible(V.field, V.dim, V._terms)
 
 
 def irreducible_extension(pa: PartialAction, V: AlgebraModule) -> IrreducibleExtension:
@@ -530,13 +513,13 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     if not V.check().ok:
         raise NotAModule("V is not a unital A-module")
     A = pa.alg
-    pc = action_to_coaction(pa)
-    K = pc.hopf
+    K = dual_hopf(pa.hopf)
     m, n, dv = K.dim, A.dim, V.dim
     field = pa.field
     amb = dv * m
     p = field.char
-    rho = [_nonzero(r, p) for r in pc.rho.rows]
+    # rho(e_j) = sum_i (h_i . e_j) (x) p_i over the dual basis of H*, with (h_i . e_j)_a at a*m + i
+    rho = [[(a * m + i, c) for i in range(m) for a, c in pa._terms[i][j]] for j in range(n)]
     k_terms = K.alg.terms
 
     def row(rho_x, j, s):

@@ -430,7 +430,7 @@ def check_semisimple_transfer(kind: str, report: VerifyReport, tag: str, pa: Par
 def check_non_semisimple(report: VerifyReport, tag: str, pa: PartialAction, **_) -> bool:
     """NEG-SS: non-semisimple H acting trivially gives J(A (x) H) >= A (x) J(H) != 0; see NEGATIVE_CONTROLS."""
     want = NEGATIVE_CONTROLS[tag][1] if tag in NEGATIVE_CONTROLS else None
-    if is_semisimple(pa.hopf) or pa.act != trivial_action(pa.hopf, pa.alg).act:
+    if is_semisimple(pa.hopf) or pa != trivial_action(pa.hopf, pa.alg):
         if want:
             report.add(f"{tag}: hypotheses hold", False, "H is semisimple or acts nontrivially")
         return False

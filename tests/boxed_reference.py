@@ -804,20 +804,6 @@ def is_nilpotent_subspace(A, I):
     return False
 
 
-def subalgebra_closure(A, gens):
-    vecs = [unbox(bvec(A.field, g)) for g in gens]
-    if A.unit is not None:
-        vecs.append(A.unit)
-    S = Subspace.from_vectors(A.field, A.dim, vecs)
-    for _ in range(A.dim + 1):
-        new = list(S.rows) + [multiply(A, u, v) for u in S.rows for v in S.rows]
-        S2 = Subspace.from_vectors(A.field, A.dim, new)
-        if S2.dim == S.dim:
-            return S2
-        S = S2
-    return S
-
-
 def is_multiplicative(amap):
     src, tgt = amap.source, amap.target
     field = src.field
@@ -898,7 +884,7 @@ def operator_image_algebra(M: PartialModule):
     """The unital subalgebra of End(M) generated by the partial-action operators.
 
     Operators are flattened d x d matrices; the span is closed under
-    composition by spinning over pairs, as in `subalgebra_closure`.
+    composition by spinning over pairs of basis matrices.
     """
     field = M.field
     d = M.dim

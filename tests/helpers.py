@@ -18,7 +18,7 @@ from psl.exactla import (
     _zeros,
 )
 
-from psl.algebra import _multiply_raw, product_of_fields
+from psl.algebra import Algebra, _multiply_raw, product_of_fields
 from psl.hopf import GroupTable, group_algebra
 from psl.paction import c4_triple, dual_group_idempotent, trivial_action
 
@@ -47,6 +47,16 @@ def fix_d():
 
     F2 = GF(2)
     return trivial_action(group_algebra(F2, GroupTable.cyclic(2)), product_of_fields(F2, 1))
+
+
+def matrix_algebra(field, d):
+    """M_d(k) on the matrix units, e_ij at index i*d + j, with e_ij e_jl = e_il."""
+    n = d * d
+    terms = tuple(
+        tuple(((a - a % d + b % d, 1),) if a % d == b // d else () for b in range(n))
+        for a in range(n)
+    )
+    return Algebra._of_terms(field, terms, _canon([int(i % (d + 1) == 0) for i in range(n)], field.char))
 
 
 def rand_scalar(rng: random.Random, field):

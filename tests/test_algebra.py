@@ -17,7 +17,6 @@ from psl.algebra import (
     product_of_fields,
     quotient_algebra,
     span_products,
-    subalgebra_closure,
 )
 from psl.exactla import GF, QQ, Subspace, unit_vec
 from psl.hopf import GroupTable, group_algebra
@@ -182,11 +181,6 @@ def test_direct_product_reproduces_componentwise():
 def test_direct_product_with_zero_dim():
     zero_alg = Algebra(QQ, [], unit=[])
     assert direct_product(A3, zero_alg) == A3
-
-
-def test_subalgebra_closure_g_squared():
-    S = subalgebra_closure(QC4, [unit_vec(QQ, 4, 2)])
-    assert S == Subspace.from_vectors(QQ, 4, [[1, 0, 0, 0], [0, 0, 1, 0]])
 
 
 def test_associativity_random_elements():

@@ -5,6 +5,11 @@ against the longer route it replaced.
   intersects J with the image of A and solves for each basis row of the
   intersection.  J runs over J(A #_par H), its H*-colon ideal, seeded
   two-sided ideals and, over F_p, every enumerable H*-stable ideal.
+- The unital algebra the operators of a module generate is one spin of the
+  identity matrix under right multiplication by each operator.  The oracle
+  closes the span of the operator matrices under products of pairs
+  (`boxed_reference.operator_image_algebra`); both must have one dimension,
+  over Q and over F_p.
 - Over Q, `is_irreducible` answers True when the operators span M_d(Q)
   (Burnside).  The oracle answers True when the operator image algebra is
   semisimple and the commutant (the dense loop of `boxed_reference`) is Q.
@@ -18,14 +23,13 @@ import random
 import pytest
 
 import boxed_reference as ref
-from helpers import fix_a, fix_b, fix_c, mult_matrix, rand_scalar, solve_left
+from helpers import fix_a, fix_b, fix_c, matrix_algebra, mult_matrix, rand_scalar, solve_left
 from psl.algebra import direct_product, ideal_closure, product_of_fields
 from psl.exactla import GF, QQ, Subspace, _projective_raw, _spin, enumerate_invariant_subspaces
 from psl.hopf import GroupTable, dual_group_algebra, group_algebra, sweedler_h4
 from psl.paction import c4_triple, colon_ideal, dual_group_idempotent, quotient_action, trivial_action
 from psl.pmod import (
-    _matrix_algebra,
-    _operator_image_algebra,
+    _generated_span,
     from_smash_module,
     irreducible_extension,
     is_irreducible,
@@ -35,6 +39,7 @@ from psl.pmod import (
 from psl.radicals import enumerate_h_stable_ideals, enumeration_refusal, jacobson_radical
 from psl.smash import build_partial_smash, psi_ideal
 from psl.verify import random_partial_action, truncated_polynomial_algebra
+from test_structure_kernel import module_draws
 
 
 def sparse_vec(rng, field, n):
@@ -87,7 +92,7 @@ def q_irreducible_by_commutant(M):
     ops = ref.operator_matrices(M)
     if any(ref.closure_under_operators(QQ, d, [e], ops).dim != d for e in Subspace.full_space(QQ, d).rows):
         return False
-    if ref.commutant_dimension(M) == 1 and jacobson_radical(_operator_image_algebra(M)).radical.is_zero():
+    if ref.commutant_dimension(M) == 1 and jacobson_radical(ref.operator_image_algebra(M)).radical.is_zero():
         return True
     return None
 
@@ -127,6 +132,18 @@ def q_modules():
                     yield M
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=repr)
+def test_generated_span_has_the_dimension_of_the_operator_image_algebra(field):
+    """On the Q modules above, and over F_p on the partial modules of the structure-kernel draws."""
+    modules = list(q_modules()) if field == QQ else [M for *_, M in module_draws(field)]
+    proper = 0  # d > 1 and the operators generate less than M_d
+    for M in modules:
+        got = _generated_span(field, M.dim, M._a_terms + M._h_terms)
+        assert got.dim == ref.operator_image_algebra(M).dim, (M.pa, M.side, M.a_act, M.h_act)
+        proper += M.dim > 1 and not got.is_full()
+    assert len(modules) >= (150 if field == QQ else 20) and proper >= 10, (len(modules), proper)
+
+
 def test_q_irreducibility_by_burnside_matches_the_commutant_route():
     answers = {False: 0, True: 0, None: 0}
     wide_true = 0
@@ -156,7 +173,7 @@ def fp_actions(F):
     algebras = [product_of_fields(F, k) for k in range(1, 5)]
     algebras += [truncated_polynomial_algebra(F, k) for k in range(2, 5)]
     algebras += [group_algebra(F, GroupTable.cyclic(n)).alg for n in range(2, 5)]
-    algebras += [_matrix_algebra(F, 2), direct_product(product_of_fields(F, 1), truncated_polynomial_algebra(F, 2))]
+    algebras += [matrix_algebra(F, 2), direct_product(product_of_fields(F, 1), truncated_polynomial_algebra(F, 2))]
     for H in hopfs:
         for A in algebras:
             yield trivial_action(H, A)

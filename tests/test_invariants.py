@@ -29,7 +29,6 @@ from psl.pmod import (
     extend_right_module,
     from_smash_module,
     irreducible_extension,
-    is_irreducible,
     quotient_module,
     regular_module,
 )
@@ -239,14 +238,6 @@ def annihilator_not_h_stable(monkeypatch):
     return lambda: annihilator(M)
 
 
-def operator_image_not_closed(monkeypatch):
-    # QC2 under the trivial C1-action: basis closure passes, so the image algebra is built
-    pa = trivial_action(group_algebra(QQ, GroupTable.cyclic(1)), group_algebra(QQ, GroupTable.cyclic(2)).alg)
-    M = regular_partial_module(pa)
-    monkeypatch.setattr(Subspace, "_coords", lambda self, vec: None)
-    return lambda: is_irreducible(M)
-
-
 def irreducible_setup(monkeypatch):
     """FIX-B over F5 with V = A/(e2, e3); the extension is built before any patch."""
     pa = fix_b(F5)
@@ -318,7 +309,6 @@ def annihilators_disagree(monkeypatch):
     (v_not_in_left_extension, "V \\(x\\) lambda does not sit inside W"),
     (annihilator_not_ideal, "annihilator is not an ideal"),
     (annihilator_not_h_stable, "annihilator is not H-stable"),
-    (operator_image_not_closed, "operator image algebra is not closed"),
     (irreducible_extension_fails_axioms, "irreducible extension axioms failed"),
     (quotient_not_irreducible, "quotient is not irreducible"),
     (v_does_not_survive, "V does not survive into M"),

