@@ -38,7 +38,7 @@ _EXPORTS = {
         "psl.paction",
     ),
     **dict.fromkeys(
-        ("SmashProduct", "build_full_smash", "build_partial_smash", "dual_hopf_action", "phi_ideal", "psi_ideal"),
+        ("SmashProduct", "build_full_smash", "build_partial_smash", "phi_ideal", "psi_ideal"),
         "psl.smash",
     ),
     **dict.fromkeys(

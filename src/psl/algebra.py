@@ -1,13 +1,15 @@
 """Finite-dimensional associative algebras given by structure constants.
 
-An algebra of dimension n over a field is the tensor mult[i][j] with
-e_i * e_j = sum_k mult[i][j][k] e_k, an optional unit coordinate vector
+An algebra of dimension n over a field is its structure constants,
+e_i * e_j = sum_k c_ijk e_k, an optional unit coordinate vector
 (non-unital carriers are allowed for the full smash construction), and
 display labels.  Everything is immutable; elements are coordinate row
 vectors (tuples of canonical scalars: ints in [0, p) over F_p, Fractions
 over Q).
 
-`Algebra.terms[i][j]` lists the nonzero (k, c) of e_i * e_j.  The
+`Algebra.terms[i][j]` lists the nonzero (k, c) of e_i * e_j: the only stored
+form of the constants, which the public constructor parses once from a dense
+tensor mult[i][j][k], an input format only (`exactla._tensor`).  The
 structure-constant loops (`multiply`, the axiom checkers, `build_full_smash`,
 the subspace products and ideal closures, algebra maps, and the Hopf,
 action, coaction and module loops built on `_apply_raw`) run on sparse
@@ -25,8 +27,8 @@ integer-preserving Gaussian elimination", 1968) and run on ints alone, and
 they accumulate all the triples of one basis pair into one n x n block that
 is tested once.  An algebra psl builds itself (`build_full_smash`,
 `quotient_algebra`, `_closed_subalgebra`, `direct_product`,
-`product_of_fields`) is made by `Algebra._of_terms` from such terms
-directly, and its dense `mult` is derived on first read.  A closure is one
+`product_of_fields`, the algebras of `psl.hopf`) is made by
+`Algebra._of_terms` from such terms directly.  A closure is one
 `exactla._spin`: the ideal closures here, and in `psl.pmod` the algebra
 that a module's operators generate.
 """
@@ -48,9 +50,9 @@ from psl.exactla import (
     _dense,
     _nonzero,
     _spin,
+    _tensor,
     _vector,
     unit_vec,
-    zero_vec,
 )
 
 
@@ -213,9 +215,9 @@ def _add_scaled(acc: list, c, raw: Sequence) -> None:
 
 
 class Algebra:
-    # `_mult` is the dense tensor behind `mult`: given to the public constructor,
-    # derived from `terms` on first read for an algebra built by `_of_terms`
-    __slots__ = ("field", "dim", "_mult", "unit", "labels", "terms")
+    # `terms[i][j]` is e_i * e_j as a sparse row, the only stored form of the
+    # structure constants; a dense tensor is an input format of the constructor
+    __slots__ = ("field", "dim", "unit", "labels", "terms")
 
     def __init__(
         self,
@@ -225,19 +227,15 @@ class Algebra:
         labels: Sequence[str] | None = None,
     ):
         n = len(mult)
-        p = field.char
         self.field = field
         self.dim = n
-        self._mult = tuple(tuple(tuple(_vector(field, e)) for e in row) for row in mult)
-        if any(len(row) != n or any(len(e) != n for e in row) for row in self._mult):
-            raise DimensionMismatch("structure tensor is not n x n x n")
+        self.terms = _tensor(field, mult, (n, n, n), "structure")
         self.unit = None if unit is None else tuple(_vector(field, unit))
         if self.unit is not None and len(self.unit) != n:
             raise DimensionMismatch("unit vector has wrong length")
         self.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))
         if len(self.labels) != n:
             raise DimensionMismatch("wrong number of labels")
-        self.terms = tuple(tuple(_nonzero(e, p) for e in row) for row in self._mult)
 
     @classmethod
     def _of_terms(cls, field: Field, terms: tuple, unit: tuple | None = None, labels=None) -> "Algebra":
@@ -250,19 +248,10 @@ class Algebra:
         n = len(terms)
         A.field = field
         A.dim = n
-        A._mult = None
         A.unit = unit
         A.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))
         A.terms = terms
         return A
-
-    @property
-    def mult(self) -> tuple:
-        """The dense structure tensor mult[i][j] = e_i * e_j, canonical."""
-        if self._mult is None:
-            n, p = self.dim, self.field.char
-            self._mult = tuple(tuple(_canon(_dense(e, n), p) for e in row) for row in self.terms)
-        return self._mult
 
     def __eq__(self, other):
         return (
@@ -278,9 +267,6 @@ class Algebra:
     def __repr__(self):
         u = "unital" if self.unit is not None else "non-unital"
         return f"Algebra(dim {self.dim} over {self.field}, {u})"
-
-    def zero(self) -> tuple:
-        return zero_vec(self.field, self.dim)
 
     def basis_vector(self, i: int) -> tuple:
         return unit_vec(self.field, self.dim, i)

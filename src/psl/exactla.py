@@ -453,16 +453,17 @@ def _coerce(field: Field, vec: Sequence, n: int, error=DimensionMismatch) -> lis
 
 
 def _tensor(field: Field, tensor, shape: tuple[int, int, int], what: str) -> tuple:
-    """A tensor t[i][j] of vectors entering from outside as canonical tuples.
+    """The sparse rows (`_nonzero`) of a dense tensor t[i][j] of vectors entering from outside.
 
     Every length must equal `shape` exactly: a short tensor is not indexed
     out of range and a long one is not truncated.
     """
-    out = tuple(tuple(tuple(_vector(field, v)) for v in row) for row in tensor)
+    dense = [[_vector(field, v) for v in row] for row in tensor]
     rows, cols, width = shape
-    if len(out) != rows or any(len(row) != cols or any(len(v) != width for v in row) for row in out):
+    if len(dense) != rows or any(len(row) != cols or any(len(v) != width for v in row) for row in dense):
         raise DimensionMismatch(f"{what} tensor shape mismatch: expected {rows} x {cols} x {width}")
-    return out
+    p = field.char
+    return tuple(tuple(_nonzero(v, p) for v in row) for row in dense)
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +550,6 @@ class Matrix:
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, -1)
-
-    def is_zero(self) -> bool:
-        return not any(any(r) for r in self.rows)
 
     def rank(self) -> int:
         return sum(map(_Echelon(self.field.char).add, map(list, self.rows)))

@@ -1,12 +1,12 @@
 """Finite-dimensional Hopf algebras.
 
-A HopfAlgebra bundles a unital Algebra with a comultiplication tensor
-(comul[i][j][k] is the coefficient of e_j (x) e_k in Delta(e_i)), a
-counit covector and an antipode matrix.  Tensor-square coordinates are
-first-factor-major: index (j, k) -> j*dim + k.  The public constructor coerces
-its input; `group_algebra`, `dual_group_algebra` and `dual_hopf` build from
-sparse terms through `HopfAlgebra._of_terms`, and the dense `comul` of such a
-Hopf algebra is derived on first read.
+A HopfAlgebra bundles a unital Algebra with a comultiplication, stored only
+as the sparse rows `_delta[i]` of Delta(h_i), a counit covector and an
+antipode matrix.  Tensor-square coordinates are first-factor-major: index
+(j, k) -> j*dim + k.  The dense tensor comul[i][j][k], the coefficient of
+h_j (x) h_k in Delta(h_i), is an input format of the public constructor only;
+`group_algebra`, `dual_group_algebra`, `dual_hopf` and `sweedler_h4` build
+from sparse terms through `HopfAlgebra._of_terms`.
 """
 
 from __future__ import annotations
@@ -30,12 +30,10 @@ from psl.exactla import (
     Subspace,
     _canon,
     _coerce,
-    _dense,
     _nonzero,
     _tensor,
     _vector,
     unit_vec,
-    zero_vec,
 )
 
 
@@ -124,25 +122,24 @@ class GroupTable:
 
 
 class HopfAlgebra:
-    # `_delta` holds Delta(h_i) as the sparse (j*dim + k, c) of its H(x)H coordinates;
-    # `_comul` is the dense tensor behind `comul`, derived from `_delta` on first read
-    # for a Hopf algebra built by `_of_terms`; `_dual` and `_semisimple` hold
+    # `_delta` holds Delta(h_i) as the sparse (j*dim + k, c) of its H(x)H coordinates,
+    # the only stored form of the comultiplication; `_dual` and `_semisimple` hold
     # dual_hopf(H) and is_semisimple(H) once they have been computed
-    __slots__ = ("alg", "_comul", "counit", "antipode", "_delta", "_dual", "_semisimple")
+    __slots__ = ("alg", "counit", "antipode", "_delta", "_dual", "_semisimple")
 
     def __init__(self, alg: Algebra, comul, counit, antipode: Matrix):
         if alg.unit is None:
             raise ValueError("Hopf algebra needs a unital underlying algebra")
         m = alg.dim
         self.alg = alg
-        self._comul = _tensor(alg.field, comul, (m, m, m), "comultiplication")
+        rows = _tensor(alg.field, comul, (m, m, m), "comultiplication")
         self.counit = tuple(_vector(alg.field, counit))
         if len(self.counit) != m:
             raise ValueError("counit length mismatch")
         if antipode.nrows != m or antipode.ncols != m:
             raise ValueError("antipode shape mismatch")
         self.antipode = antipode
-        self._delta = tuple(_nonzero([x for row in block for x in row], alg.field.char) for block in self._comul)
+        self._delta = tuple(tuple((j * m + k, c) for j, row in enumerate(block) for k, c in row) for block in rows)
         self._dual = None
         self._semisimple = None
 
@@ -156,22 +153,12 @@ class HopfAlgebra:
         """
         H = cls.__new__(cls)
         H.alg = alg
-        H._comul = None
         H.counit = counit
         H.antipode = antipode
         H._delta = delta
         H._dual = None
         H._semisimple = None
         return H
-
-    @property
-    def comul(self) -> tuple:
-        """The dense tensor comul[i][j][k], the coefficient of h_j (x) h_k in Delta(h_i), canonical."""
-        if self._comul is None:
-            m, p = self.dim, self.field.char
-            flat = [_canon(_dense(d, m * m), p) for d in self._delta]
-            self._comul = tuple(tuple(f[j * m:(j + 1) * m] for j in range(m)) for f in flat)
-        return self._comul
 
     @property
     def field(self) -> Field:
@@ -342,39 +329,21 @@ def is_semisimple(H: HopfAlgebra) -> bool:
 
 
 def sweedler_h4(field: Field) -> HopfAlgebra:
-    """The 4-dimensional non-semisimple Hopf algebra <1, g, x, gx> (char != 2)."""
-    if field.char == 2:
+    """The 4-dimensional non-semisimple Hopf algebra <1, g, x, gx> (char != 2): g^2 = 1, x^2 = 0,
+    xg = -gx, g group-like, Delta(x) = x (x) 1 + g (x) x, eps(x) = 0, S(x) = -gx."""
+    p = field.char
+    if p == 2:
         raise BadCharacteristic("Sweedler's algebra needs characteristic != 2")
-    one = field.one
-    z = field.zero
-    I, G_, X, GX = range(4)
-
-    def vec(**coords):
-        out = [z, z, z, z]
-        for idx, c in coords.items():
-            out[int(idx[1])] = field.of(c)
-        return tuple(out)
-
+    neg = p - 1 if p else -1
+    terms = (
+        (((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),)),
+        (((1, 1),), ((0, 1),), ((3, 1),), ((2, 1),)),
+        (((2, 1),), ((3, neg),), (), ()),
+        (((3, 1),), ((2, neg),), (), ()),
+    )
     e = [unit_vec(field, 4, i) for i in range(4)]
-    zero4 = zero_vec(field, 4)
-    mult = [[zero4 for _ in range(4)] for _ in range(4)]
-    table = {
-        (I, I): e[I], (I, G_): e[G_], (I, X): e[X], (I, GX): e[GX],
-        (G_, I): e[G_], (G_, G_): e[I], (G_, X): e[GX], (G_, GX): e[X],
-        (X, I): e[X], (X, G_): vec(_3=-1), (X, X): zero4, (X, GX): zero4,
-        (GX, I): e[GX], (GX, G_): vec(_2=-1), (GX, X): zero4, (GX, GX): zero4,
-    }
-    for (i, j), v in table.items():
-        mult[i][j] = v
-    alg = Algebra(field, mult, unit=e[I], labels=("1", "g", "x", "gx"))
-
-    comul = [[[z] * 4 for _ in range(4)] for _ in range(4)]
-    comul[I][I][I] = one
-    comul[G_][G_][G_] = one
-    comul[X][X][I] = one            # x (x) 1
-    comul[X][G_][X] = one           # g (x) x
-    comul[GX][GX][G_] = one         # gx (x) g
-    comul[GX][I][GX] = one          # 1 (x) gx
-    counit = (one, one, z, z)
-    antipode = Matrix(field, [e[I], e[G_], vec(_3=-1), e[X]], ncols=4)
-    return HopfAlgebra(alg, comul, counit, antipode)
+    alg = Algebra._of_terms(field, terms, e[0], ("1", "g", "x", "gx"))
+    # at index j*4 + k: 1 (x) 1, g (x) g, g (x) x + x (x) 1, 1 (x) gx + gx (x) g
+    delta = (((0, 1),), ((5, 1),), ((6, 1), (8, 1)), ((3, 1), (13, 1)))
+    antipode = Matrix._of_raw(field, (e[0], e[1], _canon((0, 0, 0, neg), p), e[2]), 4)
+    return HopfAlgebra._of_terms(alg, delta, (field.one, field.one, field.zero, field.zero), antipode)

@@ -1,7 +1,9 @@
 """Partial actions of finite-dimensional Hopf algebras on algebras.
 
-The action tensor stores act[i][j] = h_i . e_j as a coordinate vector.
-A partial action satisfies, on a unital algebra,
+An action is stored once, as the sparse rows `_terms[i][j]`, the nonzero
+(k, c) of h_i . e_j; a dense tensor act[i][j] of coordinate vectors is an
+input format only, parsed once by the public constructor through
+`exactla._tensor`.  A partial action satisfies, on a unital algebra,
 
     PA1: 1_H . a = a
     PA3: h . (ab)    = sum (h1 . a)(h2 . b)
@@ -88,20 +90,17 @@ def _check_pair(hopf: HopfAlgebra, alg: Algebra) -> None:
 
 
 class PartialAction:
-    # `_terms[i][j]` is h_i . e_j as a sparse row; `_act` is the dense tensor
-    # behind `act`, derived from `_terms` on first read for an action built by
-    # `_of_terms`; `_smash` holds the partial smash product once
-    # build_partial_smash has made it, and `_ideals` the H-stable ideals once
+    # `_terms[i][j]` is h_i . e_j as a sparse row, the only stored form of the
+    # action; `_smash` holds the partial smash product once build_partial_smash
+    # has made it, and `_ideals` the H-stable ideals once
     # enumerate_h_stable_ideals has enumerated them
-    __slots__ = ("hopf", "alg", "_act", "_terms", "_smash", "_ideals")
+    __slots__ = ("hopf", "alg", "_terms", "_smash", "_ideals")
 
     def __init__(self, hopf: HopfAlgebra, alg: Algebra, act):
         _check_pair(hopf, alg)
         self.hopf = hopf
         self.alg = alg
-        self._act = _tensor(alg.field, act, (hopf.dim, alg.dim, alg.dim), "action")
-        p = alg.field.char
-        self._terms = tuple(tuple(_nonzero(v, p) for v in row) for row in self._act)
+        self._terms = _tensor(alg.field, act, (hopf.dim, alg.dim, alg.dim), "action")
         self._smash = None
         self._ideals = None
 
@@ -116,19 +115,10 @@ class PartialAction:
         pa = cls.__new__(cls)
         pa.hopf = hopf
         pa.alg = alg
-        pa._act = None
         pa._terms = terms
         pa._smash = None
         pa._ideals = None
         return pa
-
-    @property
-    def act(self) -> tuple:
-        """The dense action tensor act[i][j] = h_i . e_j, canonical."""
-        if self._act is None:
-            n, p = self.alg.dim, self.field.char
-            self._act = tuple(tuple(_canon(_dense(v, n), p) for v in row) for row in self._terms)
-        return self._act
 
     @property
     def field(self):
@@ -479,27 +469,27 @@ class PartialCoaction:
         return self.rho.apply(vec)
 
 
+def _coaction_terms(pa: PartialAction) -> list:
+    """rho(e_j) = sum_i (h_i . e_j) (x) p_i over the dual basis of H*, sparse, (h_i . e_j)_a at a*m + i."""
+    m = pa.hopf.dim
+    return [tuple((a * m + i, c) for i in range(m) for a, c in pa._terms[i][j]) for j in range(pa.alg.dim)]
+
+
 def action_to_coaction(pa: PartialAction) -> PartialCoaction:
     """rho(a) = sum_i (h_i . a) (x) p_i over the dual basis of H*."""
     K = dual_hopf(pa.hopf)
-    n, m = pa.alg.dim, K.dim
-    rows = tuple(tuple(pa.act[i][j][a] for a in range(n) for i in range(m)) for j in range(n))
-    return PartialCoaction(pa.alg, K, Matrix._of_raw(pa.field, rows, n * m))
+    nm, p = pa.alg.dim * K.dim, pa.field.char
+    rows = tuple(_canon(_dense(r, nm), p) for r in _coaction_terms(pa))
+    return PartialCoaction(pa.alg, K, Matrix._of_raw(pa.field, rows, nm))
 
 
 def coaction_to_action(pc: PartialCoaction, hopf: HopfAlgebra) -> PartialAction:
     """Reconstruct h . a = sum a0 a1(h) (dual-basis pairing against K = H*)."""
-    n, m = pc.alg.dim, pc.hopf.dim
+    m = pc.hopf.dim
     if hopf.dim != m:
         raise DimensionMismatch("Hopf algebra does not match the coacting dual")
-    act = [
-        [
-            tuple(pc.rho.rows[j][a * m + i] for a in range(n))
-            for j in range(n)
-        ]
-        for i in range(m)
-    ]
-    return PartialAction(hopf, pc.alg, act)
+    # (h_i . e_j)_a sits at a*m + i of rho(e_j)
+    return PartialAction(hopf, pc.alg, [[row[i::m] for row in pc.rho.rows] for i in range(m)])
 
 
 def check_partial_coaction(pc: PartialCoaction) -> CheckReport:

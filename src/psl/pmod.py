@@ -7,9 +7,10 @@ m <| h subject to
     PM3: (m <| h)a    = sum (m (h1 . a)) <| h2
     PM4: (m <| h) <| g = sum (m (h1 . 1_A)) <| (h2 g)
 
-(left versions mirrored).  Action tensors are stored as
-a_act[i][j] = action of the i-th algebra basis element on the j-th
-module basis vector, and likewise h_act for the Hopf algebra.
+(left versions mirrored).  An action is stored only as sparse rows:
+`_a_terms[i][j]` is the image of the j-th module basis vector under the
+i-th algebra basis element, and likewise `_h_terms` for the Hopf algebra;
+the dense tensors a_act and h_act are an input format of the constructor.
 
 Partial modules and plain modules reach one irreducibility walk,
 `_irreducible`.  Over F_p it is `_exhaustively_irreducible`, which spins
@@ -19,9 +20,9 @@ operators generate is the spin of the identity of F^{d x d} under right
 multiplication by each operator.  `AlgebraModule.check` and
 `check_partial_module` run the unit and module laws of A through one loop,
 `_module_law`.  Annihilators are the left kernel of the flattened
-A-operators, quotients project an action tensor onto the complement cosets
-of the submodule, and the extensions and the smash-module conversion run on
-the sparse operator rows.
+A-operators and quotients project each operator onto the complement cosets
+of the submodule, densifying its sparse rows there; the extensions and the
+smash-module conversion run on the sparse operator rows.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from psl.algebra import (
     _apply_raw,
     _compact,
     _differ,
-    _operate,
+    _mult_operators,
     _operate_sum,
     is_ideal,
 )
@@ -54,7 +55,7 @@ from psl.exactla import (
     unit_vec,
 )
 from psl.hopf import dual_hopf, left_integrals
-from psl.paction import PartialAction, _comul_terms, colon_ideal, is_h_stable
+from psl.paction import PartialAction, _coaction_terms, _comul_terms, colon_ideal, is_h_stable
 from psl.radicals import FieldNotFinite
 from psl.smash import tensor_coords
 
@@ -74,8 +75,9 @@ class NotAModule(ValueError):
 class AlgebraModule:
     """Module over a plain Algebra (used for modules over the smash carrier)."""
 
-    # `_terms[i][j]` is the image of module basis vector j under e_i, as a sparse row
-    __slots__ = ("algebra", "dim", "side", "act", "_terms")
+    # `_terms[i][j]` is the image of module basis vector j under e_i as a sparse
+    # row, the only stored form of the action
+    __slots__ = ("algebra", "dim", "side", "_terms")
 
     def __init__(self, algebra: Algebra, dim: int, side: str, act):
         if side not in ("left", "right"):
@@ -83,15 +85,11 @@ class AlgebraModule:
         self.algebra = algebra
         self.dim = dim
         self.side = side
-        self.act = _tensor(algebra.field, act, (algebra.dim, dim, dim), "module action")
-        self._terms = tuple(tuple(_nonzero(v, algebra.field.char) for v in row) for row in self.act)
+        self._terms = _tensor(algebra.field, act, (algebra.dim, dim, dim), "module action")
 
     @property
     def field(self):
         return self.algebra.field
-
-    def act_basis(self, i: int, mvec: Sequence) -> tuple:
-        return _operate(self.field, self._terms, i, mvec, self.dim)
 
     def act_vec(self, avec: Sequence, mvec: Sequence) -> tuple:
         return _operate_sum(self.field, self._terms, avec, mvec, self.dim)
@@ -134,11 +132,8 @@ def _module_law(A: Algebra, side: str, ops, d: int, j: int) -> tuple[bool, list]
 
 def regular_module(A: Algebra, side: str = "right") -> AlgebraModule:
     """A acting on itself."""
-    if side == "right":
-        act = [[A.mult[j][i] for j in range(A.dim)] for i in range(A.dim)]
-    else:
-        act = [[A.mult[i][j] for j in range(A.dim)] for i in range(A.dim)]
-    return AlgebraModule(A, A.dim, side, act)
+    ops = _mult_operators(A, side)
+    return AlgebraModule(A, A.dim, side, [[_dense(v, A.dim) for v in op] for op in ops])
 
 
 def _cosets(U: Subspace, vectors) -> list[tuple]:
@@ -147,10 +142,11 @@ def _cosets(U: Subspace, vectors) -> list[tuple]:
     return [tuple(r[c] for c in comp) for r in map(U._residual, vectors)]
 
 
-def _quotient_tensor(U: Subspace, act) -> list:
-    """An action tensor (operator i, basis j) -> image, induced on F^n/U for an invariant U."""
+def _quotient_tensor(U: Subspace, ops) -> list:
+    """Operators on F^n given by their sparse rows (operator i, basis j) -> image, induced on F^n/U
+    for an invariant U, as a dense tensor."""
     comp = U.complement_indices()
-    return [_cosets(U, [op[c] for c in comp]) for op in act]
+    return [_cosets(U, [_dense(op[c], U.ambient) for c in comp]) for op in ops]
 
 
 def quotient_module(A: Algebra, I: Subspace, side: str = "right") -> AlgebraModule:
@@ -158,25 +154,26 @@ def quotient_module(A: Algebra, I: Subspace, side: str = "right") -> AlgebraModu
     regular = regular_module(A, side)
     if not is_ideal(A, I, side):
         raise NotAnIdeal(f"quotient_module needs a {side} ideal")
-    return AlgebraModule(A, A.dim - I.dim, side, _quotient_tensor(I, regular.act))
+    return AlgebraModule(A, A.dim - I.dim, side, _quotient_tensor(I, regular._terms))
 
 
-def _annihilator(field, act, dim: int) -> Subspace:
-    """{x : sum_i x_i act[i] = 0} for an action tensor (operator i, basis j) -> image on F^dim."""
-    rows = tuple(tuple(x for v in op for x in v) for op in act)
+def _annihilator(field, ops, dim: int) -> Subspace:
+    """{x : sum_i x_i ops[i] = 0} for operators on F^dim given by their sparse rows (operator i, basis j) -> image."""
+    rows = tuple(_canon([x for v in op for x in _dense(v, dim)], field.char) for op in ops)
     return Matrix._of_raw(field, rows, dim * dim).left_kernel()
 
 
 def module_annihilator(mod: AlgebraModule) -> Subspace:
     """{a : M a = 0} (right) or {a : a M = 0} (left)."""
-    return _annihilator(mod.field, mod.act, mod.dim)
+    return _annihilator(mod.field, mod._terms, mod.dim)
 
 
 class PartialModule:
     """Right or left partial (A,H)-module over a partial action."""
 
-    # `_a_terms`/`_h_terms` hold `a_act`/`h_act` as sparse rows
-    __slots__ = ("side", "pa", "dim", "a_act", "h_act", "_a_terms", "_h_terms")
+    # `_a_terms[i][j]`/`_h_terms[i][j]` are the images of module basis vector j
+    # under e_i/h_i as sparse rows, the only stored form of the two actions
+    __slots__ = ("side", "pa", "dim", "_a_terms", "_h_terms")
 
     def __init__(self, side: str, pa: PartialAction, dim: int, a_act, h_act):
         if side not in ("left", "right"):
@@ -184,11 +181,8 @@ class PartialModule:
         self.side = side
         self.pa = pa
         self.dim = dim
-        self.a_act = _tensor(pa.field, a_act, (pa.alg.dim, dim, dim), "partial module A action")
-        self.h_act = _tensor(pa.field, h_act, (pa.hopf.dim, dim, dim), "partial module H action")
-        p = pa.field.char
-        self._a_terms = tuple(tuple(_nonzero(v, p) for v in row) for row in self.a_act)
-        self._h_terms = tuple(tuple(_nonzero(v, p) for v in row) for row in self.h_act)
+        self._a_terms = _tensor(pa.field, a_act, (pa.alg.dim, dim, dim), "partial module A action")
+        self._h_terms = _tensor(pa.field, h_act, (pa.hopf.dim, dim, dim), "partial module H action")
 
     @property
     def field(self):
@@ -317,7 +311,7 @@ def mod_basis(mod: AlgebraModule, j: int) -> tuple:
 
 def annihilator(M: PartialModule) -> Subspace:
     """ann(M) as a subspace of A; always an H-stable ideal."""
-    ann = _annihilator(M.field, M.a_act, M.dim)
+    ann = _annihilator(M.field, M._a_terms, M.dim)
     if not is_ideal(M.pa.alg, ann):
         raise InvariantViolation("annihilator is not an ideal")
     if not is_h_stable(M.pa, ann):
@@ -455,7 +449,7 @@ def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
 def _module_quotient(M: PartialModule, U: Subspace) -> tuple[PartialModule, Matrix]:
     """M/U for a submodule U, with the projection of M onto it."""
     d = M.dim - U.dim
-    Q = PartialModule(M.side, M.pa, d, _quotient_tensor(U, M.a_act), _quotient_tensor(U, M.h_act))
+    Q = PartialModule(M.side, M.pa, d, _quotient_tensor(U, M._a_terms), _quotient_tensor(U, M._h_terms))
     proj = Matrix(M.field, _cosets(U, map(M.basis_vector, range(M.dim))), ncols=d)
     return Q, proj
 
@@ -518,8 +512,7 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     field = pa.field
     amb = dv * m
     p = field.char
-    # rho(e_j) = sum_i (h_i . e_j) (x) p_i over the dual basis of H*, with (h_i . e_j)_a at a*m + i
-    rho = [[(a * m + i, c) for i in range(m) for a, c in pa._terms[i][j]] for j in range(n)]
+    rho = _coaction_terms(pa)
     k_terms = K.alg.terms
 
     def row(rho_x, j, s):

@@ -90,7 +90,10 @@ def build_full_smash(pa: PartialAction) -> Algebra:
 
 
 class SmashProduct:
-    """The unital partial smash product with its carrier data."""
+    """The unital partial smash product with its carrier data.
+
+    `dual_action` is the global H*-action phi |> (a # h) = sum a # h1 phi(h2) on the carrier.
+    """
 
     __slots__ = ("pa", "full", "carrier", "coords", "include_A", "unit_element", "dual_action", "_unit_terms")
 
@@ -192,11 +195,6 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
         raise InvariantViolation("H* action on the partial smash product must be global")
 
     return SmashProduct(pa, full, carrier, image, include_A, u, dual_action)
-
-
-def dual_hopf_action(sp: SmashProduct) -> PartialAction:
-    """The global H*-action phi |> (a # h) = sum a # h1 phi(h2) on the carrier."""
-    return sp.dual_action
 
 
 def phi_ideal(sp: SmashProduct, I: Subspace) -> Subspace:

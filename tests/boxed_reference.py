@@ -12,8 +12,9 @@ whole span each round, as psl did before it spun closures.
 
 `Fp` is the modular scalar psl used to box F_p values: its arithmetic
 reduces mod p after every operation and it compares equal to any int
-congruent to it.  Nothing here calls psl's kernel, so tests can compare
-the two.  Every function accepts psl's canonical scalars (or boxed ones)
+congruent to it.  The dense tensors walked here are the `dense_*` views of
+`helpers`, derived from the sparse rows psl stores.  Nothing here calls
+psl's kernel, so tests can compare the two.  Every function accepts psl's canonical scalars (or boxed ones)
 and returns canonical scalars: ints in [0, p) over F_p, Fractions over Q.
 
 The module constructions at the end (the right and left extensions, the
@@ -34,6 +35,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from helpers import dense_a_act, dense_act, dense_comul, dense_h_act, dense_module_act, dense_mult
 from psl.algebra import Algebra, CheckReport, InvariantViolation
 from psl.exactla import FieldMismatch, Matrix, Subspace, _canon, _Echelon, _nonzero, zero_vec
 from psl.hopf import dual_hopf, left_integrals
@@ -205,7 +207,7 @@ def multiply(A, x, y):
     field = A.field
     x = bvec(field, x)
     y = bvec(field, y)
-    mult = boxed(field, A.mult)
+    mult = boxed(field, dense_mult(A))
     out = list(zero(field, A.dim))
     for i, xi in enumerate(x):
         if not xi:
@@ -224,7 +226,7 @@ def multiply(A, x, y):
 def act_basis(pa, i, avec):
     field = pa.field
     v = bvec(field, avec)
-    act = boxed(field, pa.act)
+    act = boxed(field, dense_act(pa))
     out = list(zero(field, pa.alg.dim))
     for j, c in enumerate(v):
         if not c:
@@ -251,7 +253,7 @@ def act_vec(pa, hvec, avec):
 def check_algebra(A):
     failures = []
     n = A.dim
-    mult = A.mult
+    mult = dense_mult(A)
     base = [basis(A.field, n, i) for i in range(n)]
     for i in range(n):
         for j in range(n):
@@ -274,7 +276,7 @@ def _comul_sum(pa, i, product):
     """sum over Delta(h_i) = sum c h_p (x) h_q of c * product(p, q)."""
     H = pa.hopf
     m = H.dim
-    comul = boxed(pa.field, H.comul)
+    comul = boxed(pa.field, dense_comul(H))
     rhs = list(zero(pa.field, pa.alg.dim))
     for p in range(m):
         for q in range(m):
@@ -300,7 +302,7 @@ def check_partial_action(pa, samples=4):
     for i in range(m):
         for j in range(n):
             for k in range(n):
-                lhs = act_basis(pa, i, A.mult[j][k])
+                lhs = act_basis(pa, i, dense_mult(A)[j][k])
                 rhs = _comul_sum(pa, i, lambda p, q: multiply(
                     A, act_basis(pa, p, basis_a[j]), act_basis(pa, q, basis_a[k])))
                 if lhs != rhs:
@@ -312,7 +314,7 @@ def check_partial_action(pa, samples=4):
             for k in range(n):
                 lhs = act_basis(pa, i, act_basis(pa, g, basis_a[k]))
                 rhs = _comul_sum(pa, i, lambda p, q: multiply(
-                    A, unit_images[p], act_vec(pa, H.alg.mult[q][g], basis_a[k])))
+                    A, unit_images[p], act_vec(pa, dense_mult(H.alg)[q][g], basis_a[k])))
                 if lhs != rhs:
                     failures.append(f"PA4 fails at (h{i}, h{g}, {A.labels[k]})")
 
@@ -324,7 +326,7 @@ def check_partial_action(pa, samples=4):
         b = basis_a[rng.randrange(n)]
         lhs = act_basis(pa, i, multiply(A, a, act_basis(pa, g, b)))
         rhs = _comul_sum(pa, i, lambda p, q: multiply(
-            A, act_basis(pa, p, a), act_vec(pa, H.alg.mult[q][g], b)))
+            A, act_basis(pa, p, a), act_vec(pa, dense_mult(H.alg)[q][g], b)))
         if lhs != rhs:
             failures.append(f"PA2 fails at sampled (h{i}, h{g})")
 
@@ -337,8 +339,8 @@ def build_full_smash(pa):
     m, n = H.dim, A.dim
     N = n * m
     field = pa.field
-    comul = boxed(field, H.comul)
-    hmult = boxed(field, H.alg.mult)
+    comul = boxed(field, dense_comul(H))
+    hmult = boxed(field, dense_mult(H.alg))
     basis_a = [basis(field, n, j) for j in range(n)]
     mult = [[None] * N for _ in range(N)]
     for j in range(n):
@@ -368,7 +370,7 @@ def build_full_smash(pa):
         and multiply(full, basis(field, N, i), unit) == unbox(basis(field, N, i))
         for i in range(N)
     )
-    return full.mult, unit if unit_ok else None
+    return dense_mult(full), unit if unit_ok else None
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +379,7 @@ def build_full_smash(pa):
 def comul_vec(H, vec):
     field = H.field
     v = bvec(field, vec)
-    comul = boxed(field, H.comul)
+    comul = boxed(field, dense_comul(H))
     m = H.dim
     out = list(zero(field, m * m))
     for i, c in enumerate(v):
@@ -406,7 +408,7 @@ def tensor_multiply(A, K, u, v):
     """(a (x) k)(b (x) l) = ab (x) kl on A (x) K coordinate vectors."""
     field = A.field
     n, m = A.dim, K.dim
-    amult, kmult = boxed(field, A.mult), boxed(field, K.mult)
+    amult, kmult = boxed(field, dense_mult(A)), boxed(field, dense_mult(K))
     out = list(zero(field, n * m))
     for idx1, c1 in enumerate(bvec(field, u)):
         if not c1:
@@ -431,7 +433,7 @@ def check_hopf(H):
     failures = list(check_algebra(H.alg).failures)
     m = H.dim
     field = H.field
-    comul = boxed(field, H.comul)
+    comul = boxed(field, dense_comul(H))
     counit = bvec(field, H.counit)
     fzero = box(field, 0)
 
@@ -483,7 +485,7 @@ def check_hopf(H):
         failures.append("eps(1) != 1")
     for i in range(m):
         for j in range(m):
-            ij = H.alg.mult[i][j]
+            ij = dense_mult(H.alg)[i][j]
             lhs = comul_vec(H, ij)
             rhs = tensor_multiply(
                 H.alg, H.alg, comul_vec(H, basis(field, m, i)), comul_vec(H, basis(field, m, j))
@@ -525,8 +527,8 @@ def check_partial_coaction(pc):
     fzero = box(field, 0)
     rho = boxed(field, pc.rho.rows)
     counit = bvec(field, K.counit)
-    kcomul = boxed(field, K.comul)
-    amult, kmult = boxed(field, A.mult), boxed(field, K.alg.mult)
+    kcomul = boxed(field, dense_comul(K))
+    amult, kmult = boxed(field, dense_mult(A)), boxed(field, dense_mult(K.alg))
 
     for j in range(n):
         counit_applied = list(zero(field, n))
@@ -541,7 +543,7 @@ def check_partial_coaction(pc):
 
     for j in range(n):
         for k in range(n):
-            lhs = apply(pc.rho, A.mult[j][k])
+            lhs = apply(pc.rho, dense_mult(A)[j][k])
             rhs = tensor_multiply(A, K.alg, rho[j], rho[k])
             if lhs != rhs:
                 failures.append(f"PC2 fails at basis pair ({A.labels[j]}, {A.labels[k]})")
@@ -616,11 +618,11 @@ def _act_sum(field, tensor, xvec, mvec):
 
 
 def module_act_basis(mod, i, mvec):
-    return _act_tensor(mod.field, mod.act, i, mvec)
+    return _act_tensor(mod.field, dense_module_act(mod), i, mvec)
 
 
 def module_act_vec(mod, avec, mvec):
-    return _act_sum(mod.field, mod.act, avec, mvec)
+    return _act_sum(mod.field, dense_module_act(mod), avec, mvec)
 
 
 def check_module(mod):
@@ -637,25 +639,25 @@ def check_module(mod):
                     lhs = module_act_basis(mod, k, module_act_basis(mod, i, w))
                 else:
                     lhs = module_act_basis(mod, i, module_act_basis(mod, k, w))
-                if lhs != module_act_vec(mod, A.mult[i][k], w):
+                if lhs != module_act_vec(mod, dense_mult(A)[i][k], w):
                     failures.append(f"module law fails at (e{i}, e{k}, w{j})")
     return CheckReport(not failures, tuple(failures))
 
 
 def act_a_basis(M, i, mvec):
-    return _act_tensor(M.field, M.a_act, i, mvec)
+    return _act_tensor(M.field, dense_a_act(M), i, mvec)
 
 
 def act_a(M, avec, mvec):
-    return _act_sum(M.field, M.a_act, avec, mvec)
+    return _act_sum(M.field, dense_a_act(M), avec, mvec)
 
 
 def act_h_basis(M, i, mvec):
-    return _act_tensor(M.field, M.h_act, i, mvec)
+    return _act_tensor(M.field, dense_h_act(M), i, mvec)
 
 
 def act_h(M, hvec, mvec):
-    return _act_sum(M.field, M.h_act, hvec, mvec)
+    return _act_sum(M.field, dense_h_act(M), hvec, mvec)
 
 
 def check_partial_module(M):
@@ -664,7 +666,7 @@ def check_partial_module(M):
     A, H = pa.alg, pa.hopf
     field = M.field
     right = M.side == "right"
-    comul = boxed(field, H.comul)
+    comul = boxed(field, dense_comul(H))
 
     for j in range(M.dim):
         w = unbox(basis(field, M.dim, j))
@@ -678,7 +680,7 @@ def check_partial_module(M):
                     lhs = act_a_basis(M, k, act_a_basis(M, i, w))
                 else:
                     lhs = act_a_basis(M, i, act_a_basis(M, k, w))
-                if lhs != act_a(M, A.mult[i][k], w):
+                if lhs != act_a(M, dense_mult(A)[i][k], w):
                     failures.append(f"A-module law fails at (e{i}, e{k}, w{j})")
 
     for j in range(M.dim):
@@ -718,7 +720,7 @@ def check_partial_module(M):
                         c = comul[ih][p][q]
                         if not c:
                             continue
-                        hq_g = H.alg.mult[q][g]
+                        hq_g = dense_mult(H.alg)[q][g]
                         unit_image = act_basis(pa, p, A.unit)
                         if right:
                             term = act_h(M, hq_g, act_a(M, unit_image, w))
@@ -809,7 +811,7 @@ def is_multiplicative(amap):
     field = src.field
     for i in range(src.dim):
         for j in range(src.dim):
-            lhs = apply(amap.matrix, src.mult[i][j])
+            lhs = apply(amap.matrix, dense_mult(src)[i][j])
             rhs = multiply(
                 tgt, apply(amap.matrix, basis(field, src.dim, i)), apply(amap.matrix, basis(field, src.dim, j))
             )
@@ -836,17 +838,18 @@ def carrier(pa, full):
 
 
 # ---------------------------------------------------------------------------
-# module constructions: psl's dense loops over `H.comul`, `K.comul` and
+# module constructions: psl's dense loops over the coproduct tensors and
 # `zero_vec`, as they stood before the extensions, the smash-module
 # conversion, the commutant and the operator image algebra ran on sparse
 # operator rows.  Unlike the loops above they call psl's public module,
 # action and matrix methods; the loops themselves are the old ones.  The
 # smash-module conversion acts on M through the boxed `act_a_basis` and
-# `act_h_basis` above.
+# `act_h_basis` above, and the left extension on V through the boxed
+# `module_act_basis`.
 
 def operator_matrices(M: PartialModule) -> list[Matrix]:
     """The matrices of M's A-operators, then of its H-operators, in the row-vector convention."""
-    return [Matrix._of_raw(M.field, op, M.dim) for op in M.a_act + M.h_act]
+    return [Matrix._of_raw(M.field, op, M.dim) for op in dense_a_act(M) + dense_h_act(M)]
 
 
 def to_smash_module(M: PartialModule, sp) -> AlgebraModule:
@@ -967,7 +970,7 @@ def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
                 out = list(zero_vec(field, amb))
                 for p in range(m):
                     for q in range(m):
-                        c = H.comul[k][p][q]
+                        c = dense_comul(H)[k][p][q]
                         if not c:
                             continue
                         moved = V.act_vec(pa.act_basis(p, A.basis_vector(x)), v)
@@ -985,7 +988,7 @@ def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
                 out = list(zero_vec(field, amb))
                 for p in range(m):
                     for q in range(m):
-                        c = H.comul[k][p][q]
+                        c = dense_comul(H)[k][p][q]
                         if not c:
                             continue
                         moved = V.act_vec(pa.act_basis(p, A.basis_vector(a)), mod_basis(V, jv))
@@ -1003,17 +1006,17 @@ def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
                 out = list(zero_vec(field, amb))
                 for p in range(m):
                     for q in range(m):
-                        c = H.comul[k][p][q]
+                        c = dense_comul(H)[k][p][q]
                         if not c:
                             continue
                         for r in range(m):
                             for s in range(m):
-                                c2 = H.comul[h][r][s]
+                                c2 = dense_comul(H)[h][r][s]
                                 if not c2:
                                     continue
-                                kh = H.alg.mult[p][r]
+                                kh = dense_mult(H.alg)[p][r]
                                 moved = V.act_vec(pa.act_vec(kh, A.unit), mod_basis(V, jv))
-                                hq_hs = H.alg.mult[q][s]
+                                hq_hs = dense_mult(H.alg)[q][s]
                                 for t, xv in enumerate(moved):
                                     if not xv:
                                         continue
@@ -1061,7 +1064,7 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
             if not c:
                 continue
             b, l = divmod(idx, m)
-            moved = V.act_basis(b, vvec)
+            moved = module_act_basis(V, b, vvec)
             prod_k = K.alg.multiply(K.alg.basis_vector(l), kvec)
             for t, xv in enumerate(moved):
                 if not xv:
@@ -1097,7 +1100,7 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
                 # h -> p_r = sum_s comul_K[r][s][h] p_s, then multiply by rho(1)
                 out = list(zero_vec(field, amb))
                 for s in range(m):
-                    c = K.comul[r][s][h]
+                    c = dense_comul(K)[r][s][h]
                     if not c:
                         continue
                     term = rho_times(rho_unit, mod_basis(V, jv), K.alg.basis_vector(s))

@@ -1,4 +1,11 @@
-"""Shared fixtures, seeded-random generators and matrix builders for the test suite."""
+"""Shared fixtures, seeded-random generators, matrix builders and the dense views of psl's
+structures for the test suite.
+
+psl stores every structure tensor only as sparse rows; `dense_mult`,
+`dense_comul`, `dense_act`, `dense_module_act`, `dense_a_act` and `dense_h_act`
+derive the dense tensor of canonical scalars, the form the public
+constructors take, from those rows.
+"""
 
 import random
 
@@ -14,6 +21,7 @@ from psl.exactla import (
     _canon,
     _coerce,
     _combine,
+    _dense,
     _nonzero,
     _zeros,
 )
@@ -21,8 +29,6 @@ from psl.exactla import (
 from psl.algebra import Algebra, _multiply_raw, product_of_fields
 from psl.hopf import GroupTable, group_algebra
 from psl.paction import c4_triple, dual_group_idempotent, trivial_action
-
-from boxed_reference import _rref
 
 
 def fix_a(field=QQ):
@@ -88,12 +94,16 @@ def all_vectors(field, n):
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """The reduced row echelon form of m, by the boxed reference's `_rref`, and its rank."""
+    from boxed_reference import _rref  # imported here, as boxed_reference imports this module
+
     red, rank, _ = _rref(m.rows, m.field.char)
     return Matrix._of_raw(m.field, tuple(map(tuple, red)), m.ncols), rank
 
 
 def solve_left(m: Matrix, target) -> tuple | None:
     """One solution x of x @ m = target, or None if inconsistent."""
+    from boxed_reference import _rref
+
     t = _coerce(m.field, target, m.ncols)
     # augmented column reduction of the transposed system, one equation per column
     cols = zip(*m.rows) if m.rows else ((),) * m.ncols
@@ -124,3 +134,78 @@ def mult_matrix(A, x, left: bool) -> Matrix:
         for j in range(A.dim)
     )
     return Matrix._of_raw(A.field, rows, A.dim)
+
+
+# the dense views made so far, keyed by the sparse rows they are made from: the
+# boxed oracles read them in their inner loops, and `boxed` caches by the
+# identity of the dense tensor
+_DENSE = {}
+
+
+def _once(field, rows, build) -> tuple:
+    """build(), made once per field and sparse rows object `rows` that it reads."""
+    key = (id(rows), field)
+    hit = _DENSE.get(key)
+    if hit is None or hit[0] is not rows:
+        if len(_DENSE) > 64:
+            _DENSE.clear()
+        hit = _DENSE[key] = (rows, build())
+    return hit[1]
+
+
+def _dense_tensor(field, terms, n: int) -> tuple:
+    """The sparse rows terms[i][j] as canonical dense vectors of length n."""
+    p = field.char
+    return _once(field, terms, lambda: tuple(tuple(_canon(_dense(v, n), p) for v in row) for row in terms))
+
+
+def dense_mult(A) -> tuple:
+    """The dense structure tensor mult[i][j] = e_i * e_j of an Algebra, from `A.terms`."""
+    return _dense_tensor(A.field, A.terms, A.dim)
+
+
+def dense_comul(H) -> tuple:
+    """The dense tensor comul[i][j][k], the coefficient of h_j (x) h_k in Delta(h_i), from `H._delta`."""
+    m, p = H.dim, H.field.char
+
+    def build():
+        flat = [_canon(_dense(d, m * m), p) for d in H._delta]
+        return tuple(tuple(f[j * m:(j + 1) * m] for j in range(m)) for f in flat)
+
+    return _once(H.field, H._delta, build)
+
+
+def dense_act(pa) -> tuple:
+    """The dense action tensor act[i][j] = h_i . e_j of a PartialAction, from `pa._terms`."""
+    return _dense_tensor(pa.field, pa._terms, pa.alg.dim)
+
+
+def dense_module_act(V) -> tuple:
+    """The dense action tensor of an AlgebraModule (algebra basis i, module basis j) -> image, from `V._terms`."""
+    return _dense_tensor(V.field, V._terms, V.dim)
+
+
+def dense_a_act(M) -> tuple:
+    """The dense A-action tensor of a PartialModule, from `M._a_terms`."""
+    return _dense_tensor(M.field, M._a_terms, M.dim)
+
+
+def dense_h_act(M) -> tuple:
+    """The dense H-action tensor of a PartialModule, from `M._h_terms`."""
+    return _dense_tensor(M.field, M._h_terms, M.dim)
+
+
+def assert_kernel_form(field, rows, what):
+    """Every (k, c) of nested sparse rows is in kernel form for the field."""
+    if isinstance(rows, tuple) and len(rows) == 2 and type(rows[0]) is int:
+        c = rows[1]
+        if field.char:
+            assert type(c) is int and 0 < c < field.char, f"{what}: {c!r} over {field}"
+        elif type(c) is Fraction:
+            assert c.denominator > 1, f"{what}: integral {c!r} held as a Fraction"
+        else:
+            assert type(c) is int and c, f"{what}: {c!r} over Q"
+        return
+    assert isinstance(rows, tuple), f"{what}: {rows!r}"
+    for r in rows:
+        assert_kernel_form(field, r, what)

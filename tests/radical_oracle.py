@@ -9,6 +9,7 @@ boxed loops of `boxed_reference`, not psl's structure-constant kernel.
 """
 
 from boxed_reference import ideal_closure, is_ideal, is_nilpotent_subspace
+from helpers import dense_mult
 from psl.algebra import Algebra
 from psl.exactla import Subspace
 from psl.radicals import trace_form_kernel
@@ -118,7 +119,7 @@ def brute_nilpotent_radical(A: Algebra, budget: int = BRUTE_BUDGET) -> Subspace:
     # prefilter by nilpotency of the left-multiplication operator, a
     # necessary condition for membership in the radical
     kbasis = [list(row) for row in K.rows]
-    mult_flat = [x for plane in A.mult for row in plane for x in row]
+    mult_flat = [x for plane in dense_mult(A) for row in plane for x in row]
     survivors = nilpotent_lifts_fp(kbasis, mult_flat, A.dim, p)
     J = Subspace.zero_space(A.field, A.dim)
     for raw in survivors:

@@ -1,10 +1,12 @@
-"""Every scalar psl stores or returns is canonical.
+"""Every scalar psl stores or returns is canonical, and every structure it stores is in kernel form.
 
-Over F_p that is a plain int (not a bool) in [0, p); over Q a Fraction.  The
-walk covers the public tensors of the fixtures, of seeded random draws and of
-every workspace object, and the vectors the public methods return, fed with
-inputs that are not canonical themselves (ints outside [0, p), plain ints
-over Q).
+A canonical scalar is a plain int (not a bool) in [0, p) over F_p and a
+Fraction over Q.  The walk covers the vectors, matrices and subspaces of the
+fixtures, of seeded random draws and of every workspace object, and the
+vectors the public methods return, fed with inputs that are not canonical
+themselves (ints outside [0, p), plain ints over Q).  The structure tensors
+are stored only as sparse rows, whose constants are in kernel form
+(`helpers.assert_kernel_form`).
 """
 
 import random
@@ -13,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import fix_a, fix_b, fix_c, fix_d, lift
-from psl.exactla import GF, QQ, Matrix, Subspace
+from helpers import assert_kernel_form, dense_act, fix_a, fix_b, fix_c, fix_d, lift
+from psl.exactla import GF, QQ, Matrix, Subspace, zero_vec
 from psl.hopf import dual_hopf, sweedler_h4
 from psl.paction import action_to_coaction
 from psl.pmod import from_smash_module, regular_module
@@ -47,17 +49,17 @@ def raw_input(rng, field, n):
 
 def check_algebra_object(rng, A):
     f, n = A.field, A.dim
-    assert_canonical(f, A.mult, "mult")
+    assert_kernel_form(f, A.terms, "terms")
     if A.unit is not None:
         assert_canonical(f, A.unit, "unit")
     assert_canonical(f, A.multiply(raw_input(rng, f, n), raw_input(rng, f, n)), "multiply")
-    assert_canonical(f, A.zero() + A.basis_vector(n - 1) if n else (), "basis")
+    assert_canonical(f, zero_vec(f, n) + A.basis_vector(n - 1) if n else (), "basis")
 
 
 def check_hopf_object(rng, H):
     f, m = H.field, H.dim
     check_algebra_object(rng, H.alg)
-    assert_canonical(f, H.comul, "comul")
+    assert_kernel_form(f, H._delta, "_delta")
     assert_canonical(f, H.counit, "counit")
     assert_canonical(f, H.antipode.rows, "antipode")
     x = raw_input(rng, f, m)
@@ -68,17 +70,17 @@ def check_action_object(rng, pa):
     f, n, m = pa.field, pa.alg.dim, pa.hopf.dim
     check_hopf_object(rng, pa.hopf)
     check_algebra_object(rng, pa.alg)
-    assert_canonical(f, pa.act, "act")
+    assert_kernel_form(f, pa._terms, "_terms")
     a, h = raw_input(rng, f, n), raw_input(rng, f, m)
     assert_canonical(f, pa.act_vec(h, a), "act_vec")
     assert_canonical(f, pa.act_basis(m - 1, a), "act_basis")
     assert_canonical(f, pa.unit_image(0), "unit_image")
-    assert_canonical(f, Matrix(f, pa.act[0]).apply(a), "Matrix.apply")
+    assert_canonical(f, Matrix(f, dense_act(pa)[0]).apply(a), "Matrix.apply")
     assert_canonical(f, action_to_coaction(pa).rho_of(a), "rho_of")
     sp = build_partial_smash(pa)
     check_algebra_object(rng, sp.full)
     check_algebra_object(rng, sp.carrier)
-    assert_canonical(f, sp.dual_action.act, "dual act")
+    assert_kernel_form(f, sp.dual_action._terms, "dual _terms")
     assert_canonical(f, sp.unit_element, "smash unit")
     assert_canonical(f, sp.coords.rows, "carrier rows")
     assert_canonical(f, lift(sp.coords, raw_input(rng, f, sp.coords.dim)), "_combine")
@@ -89,11 +91,11 @@ def check_action_object(rng, pa):
             V = regular_module(sp.carrier, side)
             M = from_smash_module(sp, V)
             w = raw_input(rng, f, M.dim)
-            assert_canonical(f, V.act, "module act")
+            assert_kernel_form(f, V._terms, "module _terms")
             assert_canonical(f, V.act_vec(raw_input(rng, f, V.algebra.dim), w), "module act_vec")
-            assert_canonical(f, V.act_basis(0, w), "module act_basis")
-            assert_canonical(f, M.a_act, "a_act")
-            assert_canonical(f, M.h_act, "h_act")
+            assert_canonical(f, V.act_vec(V.algebra.basis_vector(0), w), "module act_vec on a basis element")
+            assert_kernel_form(f, M._a_terms, "_a_terms")
+            assert_kernel_form(f, M._h_terms, "_h_terms")
 
 
 FIXTURES = {
@@ -132,7 +134,7 @@ def test_workspace_objects_are_canonical(path):
     for I in ws.ideals.values():
         assert_canonical(f, I.rows, "ideal")
     for M in ws.modules.values():
-        assert_canonical(f, M.a_act + M.h_act, "module")
+        assert_kernel_form(f, M._a_terms + M._h_terms, "module")
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)

@@ -17,6 +17,7 @@ import random
 from fractions import Fraction as F
 
 import boxed_reference as ref
+from helpers import dense_act, dense_comul, dense_mult
 from psl.algebra import Algebra, check_algebra
 from psl.exactla import QQ, Matrix
 from psl.hopf import GroupTable, HopfAlgebra, check_hopf, dual_group_algebra, group_algebra, sweedler_h4
@@ -28,7 +29,7 @@ from test_structure_kernel import corrupt, scaled_truncated_polynomial_algebra
 def rescale_algebra(A, mu):
     """A on the basis a_j = mu_j e_j: a_j a_k = sum_l mu_j mu_k c_jkl / mu_l a_l."""
     n = A.dim
-    mult = [[[mu[j] * mu[k] * A.mult[j][k][l] / mu[l] for l in range(n)] for k in range(n)] for j in range(n)]
+    mult = [[[mu[j] * mu[k] * dense_mult(A)[j][k][l] / mu[l] for l in range(n)] for k in range(n)] for j in range(n)]
     unit = None if A.unit is None else [A.unit[l] / mu[l] for l in range(n)]
     return Algebra(QQ, mult, unit=unit, labels=A.labels)
 
@@ -36,7 +37,7 @@ def rescale_algebra(A, mu):
 def rescale_hopf(H, lam):
     """H on the basis b_i = lam_i h_i; Delta(b_i) = sum lam_i c^i_pq / (lam_p lam_q) b_p (x) b_q."""
     m = H.dim
-    comul = [[[lam[i] * H.comul[i][a][b] / (lam[a] * lam[b]) for b in range(m)] for a in range(m)] for i in range(m)]
+    comul = [[[lam[i] * dense_comul(H)[i][a][b] / (lam[a] * lam[b]) for b in range(m)] for a in range(m)] for i in range(m)]
     counit = [lam[i] * H.counit[i] for i in range(m)]
     antipode = Matrix(QQ, [[lam[i] * H.antipode.rows[i][k] / lam[k] for k in range(m)] for i in range(m)])
     return HopfAlgebra(rescale_algebra(H.alg, lam), comul, counit, antipode)
@@ -45,7 +46,7 @@ def rescale_hopf(H, lam):
 def rescale(pa, lam, mu):
     """pa on both rescaled bases: b_i . a_j = sum_k lam_i mu_j act_ijk / mu_k a_k."""
     m, n = pa.hopf.dim, pa.alg.dim
-    act = [[[lam[i] * mu[j] * pa.act[i][j][k] / mu[k] for k in range(n)] for j in range(n)] for i in range(m)]
+    act = [[[lam[i] * mu[j] * dense_act(pa)[i][j][k] / mu[k] for k in range(n)] for j in range(n)] for i in range(m)]
     return PartialAction(rescale_hopf(pa.hopf, lam), rescale_algebra(pa.alg, mu), act)
 
 
@@ -66,7 +67,7 @@ def instances():
 
 
 def corrupted_hopf(rng, H):
-    return HopfAlgebra(H.alg, corrupt(rng, QQ, H.comul), H.counit, H.antipode)
+    return HopfAlgebra(H.alg, corrupt(rng, QQ, dense_comul(H)), H.counit, H.antipode)
 
 
 def test_rescaled_instances_clear_no_scale_to_one():
@@ -92,14 +93,14 @@ def test_checkers_match_boxed_loops_on_rescaled_instances():
         spa = rescale(pa, LAM[:m], MU[:n])
         H, A = spa.hopf, spa.alg
         actions = [spa, build_partial_smash(spa).dual_action]
-        actions += [PartialAction(H, A, corrupt(rng, QQ, spa.act)) for _ in range(3)]
-        actions += [PartialAction(corrupted_hopf(rng, H), A, spa.act) for _ in range(3)]
+        actions += [PartialAction(H, A, corrupt(rng, QQ, dense_act(spa))) for _ in range(3)]
+        actions += [PartialAction(corrupted_hopf(rng, H), A, dense_act(spa)) for _ in range(3)]
         for act in actions:
             got = check_partial_action(act)
             assert got == ref.check_partial_action(act), act
             passing += got.ok
             failing += not got.ok
-        algebras = [A, H.alg] + [Algebra(QQ, corrupt(rng, QQ, X.mult), unit=X.unit) for X in (A, H.alg)]
+        algebras = [A, H.alg] + [Algebra(QQ, corrupt(rng, QQ, dense_mult(X)), unit=X.unit) for X in (A, H.alg)]
         for alg in algebras:
             got = check_algebra(alg)
             assert got == ref.check_algebra(alg), alg

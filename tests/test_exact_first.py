@@ -25,6 +25,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 import boxed_reference as ref
+from helpers import dense_act
 from psl.algebra import _differ, _vanishes, product_of_fields
 from psl.exactla import GF, QQ
 from psl.hopf import GroupTable, group_algebra, sweedler_h4
@@ -120,7 +121,7 @@ def moved_unit_image(rng, pa):
     """
     field, unit = pa.field, pa.alg.unit
     p = field.char
-    act = [[list(v) for v in row] for row in pa.act]
+    act = [[list(v) for v in row] for row in dense_act(pa)]
     i = rng.randrange(pa.hopf.dim)
     j = rng.choice([t for t, u in enumerate(unit) if u])
     k = rng.randrange(pa.alg.dim)
@@ -179,7 +180,7 @@ def test_sweedler_products_take_the_computed_branch(p):
     for pa in sweedler_actions(field):
         # x g = -g x: a basis element with coefficient p - 1
         assert pa.hopf.alg.terms[2][1] == ((3, p - 1),)
-        actions = [pa] + [PartialAction(pa.hopf, pa.alg, corrupt(rng, field, pa.act)) for _ in range(3)]
+        actions = [pa] + [PartialAction(pa.hopf, pa.alg, corrupt(rng, field, dense_act(pa))) for _ in range(3)]
         for act in actions:
             got = check_partial_action(act)
             assert got == ref.check_partial_action(act), act

@@ -5,7 +5,7 @@ and of the action to the enumeration, which drops repeated, zero and scalar
 operators.  Its answer must be every subspace of F_p^n invariant under all
 L_{e_b}, R_{e_b} and h_i., found by brute force over the vectors of each
 subspace from the dense products `Algebra.multiply` and the dense action
-tensor `PartialAction.act`, on seeded draws of the lattice instance source
+tensor `helpers.dense_act`, on seeded draws of the lattice instance source
 over F_2 and F_3 (dim A <= 3), on the C4-triple over F_2 and on trivial
 actions on the upper triangular 2 x 2 matrices.  The random
 operator sets of `test_lattice_oracle.py`, padded with repeated, zero and
@@ -17,6 +17,7 @@ from functools import cache, partial
 
 import pytest
 
+from helpers import dense_act
 from psl import exactla
 from psl.algebra import Algebra, product_of_fields
 from psl.exactla import GF, Matrix, enumerate_invariant_subspaces
@@ -35,7 +36,7 @@ def brute_h_stable_ideals(pa):
     basis = [A.basis_vector(i) for i in range(n)]
     ops = [[list(A.multiply(b, e)) for e in basis] for b in basis]
     ops += [[list(A.multiply(e, b)) for e in basis] for b in basis]
-    ops += [[list(v) for v in row] for row in pa.act]
+    ops += [[list(v) for v in row] for row in dense_act(pa)]
     return sorted(sorted(S) for S in subspaces_of(p, n) if all(invariant(p, S, op, n) for op in ops))
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import dense_comul, dense_mult
 from psl.algebra import Algebra
 from psl.exactla import GF, QQ, Matrix, Subspace, unit_vec, zero_vec
 from psl.hopf import (
@@ -58,14 +59,14 @@ def test_check_hopf_dual_group_algebra():
     # Delta(p_g) = sum_{uv=g} p_u (x) p_v checked by hand for C_2:
     # Delta(p_1) = p_1(x)p_1 + p_g(x)p_g, Delta(p_g) = p_1(x)p_g + p_g(x)p_1
     H = dual_group_algebra(QQ, GroupTable.cyclic(2))
-    assert H.comul[0][0][0] == 1 and H.comul[0][1][1] == 1
-    assert H.comul[1][0][1] == 1 and H.comul[1][1][0] == 1
+    assert dense_comul(H)[0][0][0] == 1 and dense_comul(H)[0][1][1] == 1
+    assert dense_comul(H)[1][0][1] == 1 and dense_comul(H)[1][1][0] == 1
     assert check_hopf(H).ok
 
 
 def test_check_hopf_catches_corrupt_antipode():
     H = group_algebra(QQ, GroupTable.cyclic(4))
-    bad = HopfAlgebra(H.alg, H.comul, H.counit, Matrix.identity(QQ, 4))
+    bad = HopfAlgebra(H.alg, dense_comul(H), H.counit, Matrix.identity(QQ, 4))
     report = check_hopf(bad)
     assert not report.ok
     assert any("antipode" in f for f in report.failures)
@@ -193,10 +194,29 @@ def dense_dual_group_algebra(field, G):
 def dense_dual(H):
     """H* from the dense tensors of H: the product is Delta transposed, Delta the product transposed."""
     m = H.dim
-    mult = [[[H.comul[k][i][j] for k in range(m)] for j in range(m)] for i in range(m)]
+    mult = [[[dense_comul(H)[k][i][j] for k in range(m)] for j in range(m)] for i in range(m)]
     alg = Algebra(H.field, mult, unit=H.counit, labels=[f"{l}*" for l in H.alg.labels])
-    comul = [[[H.alg.mult[j][k][i] for k in range(m)] for j in range(m)] for i in range(m)]
+    comul = [[[dense_mult(H.alg)[j][k][i] for k in range(m)] for j in range(m)] for i in range(m)]
     return HopfAlgebra(alg, comul, H.unit, Matrix(H.field, zip(*H.antipode.rows), ncols=m))
+
+
+def dense_sweedler_h4(field):
+    """Sweedler's H_4 on <1, g, x, gx> from dense tables: g^2 = 1, x^2 = 0, xg = -gx,
+    Delta(x) = x (x) 1 + g (x) x, eps(x) = 0, S(x) = -gx."""
+    e = [unit_vec(field, 4, i) for i in range(4)]
+    z, neg = zero_vec(field, 4), field.of(-1)
+    mult = [
+        [e[0], e[1], e[2], e[3]],
+        [e[1], e[0], e[3], e[2]],
+        [e[2], (0, 0, 0, neg), z, z],
+        [e[3], (0, 0, neg, 0), z, z],
+    ]
+    alg = Algebra(field, mult, unit=e[0], labels=("1", "g", "x", "gx"))
+    comul = [[[field.zero] * 4 for _ in range(4)] for _ in range(4)]
+    for i, j, k in ((0, 0, 0), (1, 1, 1), (2, 2, 0), (2, 1, 2), (3, 3, 1), (3, 0, 3)):
+        comul[i][j][k] = field.one  # h_j (x) h_k in Delta(h_i)
+    antipode = Matrix(field, [e[0], e[1], (0, 0, 0, neg), e[2]], ncols=4)
+    return HopfAlgebra(alg, comul, (field.one, field.one, field.zero, field.zero), antipode)
 
 
 def sparse_and_dense_twins():
@@ -213,6 +233,8 @@ def sparse_and_dense_twins():
                 yield pytest.param(
                     dual_hopf(dual_hopf(H)), dense_dual(dense_dual(twin)), id=f"double dual {name}/{field}"
                 )
+    for field in (QQ, GF(3), GF(5), GF(7)):
+        yield pytest.param(sweedler_h4(field), dense_sweedler_h4(field), id=f"H4/{field}")
     H4 = sweedler_h4(QQ)
     yield pytest.param(dual_hopf(H4), dense_dual(H4), id="dual H4/QQ")
     yield pytest.param(dual_hopf(dual_hopf(H4)), dense_dual(dense_dual(H4)), id="double dual H4/QQ")
@@ -221,9 +243,10 @@ def sparse_and_dense_twins():
 @pytest.mark.parametrize("H, twin", sparse_and_dense_twins())
 def test_sparse_hopf_builders_match_the_public_constructors(H, twin):
     assert H == twin and hash(H) == hash(twin)
-    # repr tells an int from a Fraction, so the dense tensors are identical, not just equal
-    assert repr(H.comul) == repr(twin.comul)
-    assert repr(H.alg.mult) == repr(twin.alg.mult)
+    # repr tells an int from a Fraction, so the stored rows are identical, not just equal
+    assert repr(H._delta) == repr(twin._delta) and repr(H.alg.terms) == repr(twin.alg.terms)
+    assert repr(dense_comul(H)) == repr(dense_comul(twin))
+    assert repr(dense_mult(H.alg)) == repr(dense_mult(twin.alg))
     assert repr((H.unit, H.counit, H.antipode.rows)) == repr((twin.unit, twin.counit, twin.antipode.rows))
     assert H.alg.labels == twin.alg.labels
     assert check_hopf(H).ok

@@ -20,7 +20,7 @@ from psl.hopf import GroupTable, group_algebra
 from psl.paction import trivial_action
 from psl.radicals import enumerate_h_stable_ideals
 from psl.verify import lattice_instances
-from helpers import mult_matrix
+from helpers import dense_act, mult_matrix
 from test_h_stable_oracle import as_vector_sets, brute_h_stable_ideals
 from test_lattice_oracle import CASES, random_operators
 
@@ -66,7 +66,7 @@ def operator_sets():
             A, n = pa.alg, pa.alg.dim
             basis = [A.basis_vector(b) for b in range(n)]
             ops = [mult_matrix(A, e, left) for left in (True, False) for e in basis]
-            yield A.field, n, ops + [Matrix(A.field, pa.act[i]) for i in range(pa.hopf.dim)]
+            yield A.field, n, ops + [Matrix(A.field, dense_act(pa)[i]) for i in range(pa.hopf.dim)]
     for p, n in CASES:
         for ops in random_operators(random.Random(7000 + 10 * p + n), p, n):
             yield GF(p), n, [Matrix(GF(p), op) for op in ops]

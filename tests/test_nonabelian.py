@@ -2,6 +2,7 @@
 
 from itertools import permutations
 
+from helpers import dense_comul
 from psl.exactla import GF, QQ, Subspace
 from psl.hopf import (
     GroupTable,
@@ -66,7 +67,7 @@ def test_s3_dual_is_hopf_and_noncommutative_coproduct():
     # S_3 is non-abelian, so the dual coproduct is non-cocommutative:
     # some Delta(p_g) has p_u (x) p_v without p_v (x) p_u
     flipped = all(
-        Hd.comul[i][u][v] == Hd.comul[i][v][u]
+        dense_comul(Hd)[i][u][v] == dense_comul(Hd)[i][v][u]
         for i in range(6)
         for u in range(6)
         for v in range(6)

@@ -30,7 +30,7 @@ from psl.algebra import (
     product_of_fields,
     span_products,
 )
-from psl.exactla import GF, QQ, DimensionMismatch, FieldMismatch, Matrix, Subspace
+from psl.exactla import GF, QQ, DimensionMismatch, FieldMismatch, Matrix, Subspace, zero_vec
 from psl.hopf import GroupTable, HopfAlgebra, check_hopf, dual_hopf, group_algebra, sweedler_h4
 from psl.paction import (
     PartialAction,
@@ -59,7 +59,7 @@ from psl.radicals import h_jacobson_radical, jacobson_radical
 from psl.smash import build_full_smash, build_partial_smash
 from psl.verify import random_partial_action, truncated_polynomial_algebra
 from psl.workspace import load_workspace
-from helpers import fix_a, fix_b, fix_c, fix_d, matrix_algebra, rand_subspace, rand_vec, solve_left
+from helpers import assert_kernel_form, dense_a_act, dense_act, dense_comul, dense_h_act, dense_module_act, dense_mult, fix_a, fix_b, fix_c, fix_d, matrix_algebra, rand_subspace, rand_vec, solve_left
 from test_nonabelian import a3_indices
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,15 +90,15 @@ def test_checkers_and_full_smash_match_boxed_loops(field):
     failing_actions = failing_algebras = 0
     for rng, pa in draws(field):
         A = pa.alg
-        actions = [pa] + [PartialAction(pa.hopf, A, corrupt(rng, field, pa.act)) for _ in range(3)]
+        actions = [pa] + [PartialAction(pa.hopf, A, corrupt(rng, field, dense_act(pa))) for _ in range(3)]
         for act in actions:
             got = check_partial_action(act)
             assert got == ref.check_partial_action(act), act
             failing_actions += not got.ok
         mult, unit = ref.build_full_smash(pa)
         full = build_full_smash(pa)
-        assert full.mult == mult and full.unit == unit
-        algebras = [A] + [Algebra(field, corrupt(rng, field, A.mult), unit=A.unit) for _ in range(3)] + [full]
+        assert dense_mult(full) == mult and full.unit == unit
+        algebras = [A] + [Algebra(field, corrupt(rng, field, dense_mult(A)), unit=A.unit) for _ in range(3)] + [full]
         for alg in algebras:
             got = check_algebra(alg)
             assert got == ref.check_algebra(alg), alg
@@ -170,7 +170,7 @@ def test_partial_smash_carrier_matches_boxed_loops(field):
     for rng, pa in draws(field):
         sp = build_partial_smash(pa)
         mult, unit, incl = ref.carrier(pa, sp.full)
-        assert [list(row) for row in sp.carrier.mult] == mult
+        assert [list(row) for row in dense_mult(sp.carrier)] == mult
         assert sp.carrier.unit == unit
         assert list(sp.include_A.matrix.rows) == incl
         maps = [sp.include_A]
@@ -235,10 +235,10 @@ def hopf_copies(rng, field, H):
     """H and copies with one corrupted entry in its product, coproduct, counit or antipode."""
     alg = H.alg
     return [H] + [
-        HopfAlgebra(Algebra(field, corrupt(rng, field, alg.mult), unit=alg.unit), H.comul, H.counit, H.antipode),
-        HopfAlgebra(alg, corrupt(rng, field, H.comul), H.counit, H.antipode),
-        HopfAlgebra(alg, H.comul, corrupt_vec(rng, field, H.counit), H.antipode),
-        HopfAlgebra(alg, H.comul, H.counit, corrupt_matrix(rng, field, H.antipode)),
+        HopfAlgebra(Algebra(field, corrupt(rng, field, dense_mult(alg)), unit=alg.unit), dense_comul(H), H.counit, H.antipode),
+        HopfAlgebra(alg, corrupt(rng, field, dense_comul(H)), H.counit, H.antipode),
+        HopfAlgebra(alg, dense_comul(H), corrupt_vec(rng, field, H.counit), H.antipode),
+        HopfAlgebra(alg, dense_comul(H), H.counit, corrupt_matrix(rng, field, H.antipode)),
     ]
 
 
@@ -274,7 +274,7 @@ def module_draws(field):
         for side in ("right", "left"):
             V = regular_module(sp.carrier, side)
             # the same module on a random basis, with dense action tensors
-            W = AlgebraModule(V.algebra, V.dim, side, rebased_module(rng, field, V.act, V.dim))
+            W = AlgebraModule(V.algebra, V.dim, side, rebased_module(rng, field, dense_module_act(V), V.dim))
             yield rng, pa, W, from_smash_module(sp, W)
 
 
@@ -283,14 +283,14 @@ def test_module_checkers_match_boxed_loops(field):
     modules = failing_modules = failing_partial = 0
     for rng, pa, V, M in module_draws(field):
         modules += 1
-        for mod in (V, AlgebraModule(V.algebra, V.dim, V.side, corrupt(rng, field, V.act))):
+        for mod in (V, AlgebraModule(V.algebra, V.dim, V.side, corrupt(rng, field, dense_module_act(V)))):
             got = mod.check()
             assert got == ref.check_module(mod)
             failing_modules += not got.ok
         copies = [
             M,
-            PartialModule(M.side, pa, M.dim, corrupt(rng, field, M.a_act), M.h_act),
-            PartialModule(M.side, pa, M.dim, M.a_act, corrupt(rng, field, M.h_act)),
+            PartialModule(M.side, pa, M.dim, corrupt(rng, field, dense_a_act(M)), dense_h_act(M)),
+            PartialModule(M.side, pa, M.dim, dense_a_act(M), corrupt(rng, field, dense_h_act(M))),
         ]
         for N in copies:
             got = check_partial_module(N)
@@ -331,7 +331,7 @@ def a_modules(rng, A):
 
 def is_cocommutative(H):
     m = H.dim
-    return all(H.comul[i][p][q] == H.comul[i][q][p] for i in range(m) for p in range(m) for q in range(m))
+    return all(dense_comul(H)[i][p][q] == dense_comul(H)[i][q][p] for i in range(m) for p in range(m) for q in range(m))
 
 
 def same_small_module_invariants(M):
@@ -356,8 +356,8 @@ def test_module_extensions_match_dense_loops(field):
                 got, want = extend_left_module(pa, V), ref.extend_left_module(pa, V)
             assert got.space == want.space and got.embedding == want.embedding
             M = got.module
-            assert (M.side, M.a_act, M.h_act) == (want.module.side, want.module.a_act, want.module.h_act)
-            assert to_smash_module(M, sp).act == ref.to_smash_module(M, sp).act
+            assert (M.side, dense_a_act(M), dense_h_act(M)) == (want.module.side, dense_a_act(want.module), dense_h_act(want.module))
+            assert dense_module_act(to_smash_module(M, sp)) == dense_module_act(ref.to_smash_module(M, sp))
             small += same_small_module_invariants(M)
             extensions += 1
             noncocommutative += not is_cocommutative(pa.hopf)
@@ -373,7 +373,7 @@ def test_smash_module_conversion_matches_dense_loops(field):
             continue
         for mod in a_modules(rng, sp.carrier):
             M = from_smash_module(sp, mod)
-            assert to_smash_module(M, sp).act == ref.to_smash_module(M, sp).act == mod.act
+            assert dense_module_act(to_smash_module(M, sp)) == dense_module_act(ref.to_smash_module(M, sp)) == dense_module_act(mod)
             small += same_small_module_invariants(M)
             modules += 1
     assert modules >= DRAWS and small >= DRAWS
@@ -388,29 +388,13 @@ def test_smash_module_conversion_matches_dense_loops(field):
 Q_WORKSPACES = [ROOT / "workspaces" / "sample.json", ROOT / "pslbench" / "workspaces" / "q.json"]
 
 
-def assert_kernel_form(field, rows, what):
-    """Every (k, c) of nested sparse rows is in kernel form for the field."""
-    if isinstance(rows, tuple) and len(rows) == 2 and type(rows[0]) is int:
-        c = rows[1]
-        if field.char:
-            assert type(c) is int and 0 < c < field.char, f"{what}: {c!r} over {field}"
-        elif type(c) is Fraction:
-            assert c.denominator > 1, f"{what}: integral {c!r} held as a Fraction"
-        else:
-            assert type(c) is int and c, f"{what}: {c!r} over Q"
-        return
-    assert isinstance(rows, tuple), f"{what}: {rows!r}"
-    for r in rows:
-        assert_kernel_form(field, r, what)
-
-
 def assert_public_twin(X):
     """X equals, and hashes like, the same object through the public constructor."""
     if isinstance(X, PartialAction):
-        twin = PartialAction(X.hopf, X.alg, X.act)
+        twin = PartialAction(X.hopf, X.alg, dense_act(X))
         assert X._terms == twin._terms
     else:
-        twin = Algebra(X.field, X.mult, X.unit)
+        twin = Algebra(X.field, dense_mult(X), X.unit)
         assert X.terms == twin.terms
     assert X == twin and hash(X) == hash(twin)
 
@@ -492,7 +476,7 @@ def test_matrix_algebra_equals_its_public_twin(field, d):
     for a in range(d * d):
         for b in range(d * d):
             i, j, k, l = a // d, a % d, b // d, b % d
-            assert E.multiply(units[a], units[b]) == (units[i * d + l] if j == k else E.zero())
+            assert E.multiply(units[a], units[b]) == (units[i * d + l] if j == k else zero_vec(field, d * d))
     assert E.unit == tuple(sum(units[i * d + i][t] for i in range(d)) for t in range(d * d))
 
 
@@ -524,16 +508,16 @@ def test_mixed_constants_match_boxed_loops():
         A = pa.alg
         sp = build_partial_smash(pa)
         mult, unit = ref.build_full_smash(pa)
-        assert sp.full.mult == mult and sp.full.unit == unit
+        assert dense_mult(sp.full) == mult and sp.full.unit == unit
         cmult, cunit, incl = ref.carrier(pa, sp.full)
-        assert [list(row) for row in sp.carrier.mult] == cmult and sp.carrier.unit == cunit
+        assert [list(row) for row in dense_mult(sp.carrier)] == cmult and sp.carrier.unit == cunit
         assert list(sp.include_A.matrix.rows) == incl
-        actions = [pa, sp.dual_action] + [PartialAction(pa.hopf, A, corrupt(rng, QQ, pa.act)) for _ in range(2)]
+        actions = [pa, sp.dual_action] + [PartialAction(pa.hopf, A, corrupt(rng, QQ, dense_act(pa))) for _ in range(2)]
         for act in actions:
             got = check_partial_action(act)
             assert got == ref.check_partial_action(act)
             failing += not got.ok
-        algebras = [A, sp.full, sp.carrier, Algebra(QQ, corrupt(rng, QQ, A.mult), unit=A.unit)]
+        algebras = [A, sp.full, sp.carrier, Algebra(QQ, corrupt(rng, QQ, dense_mult(A)), unit=A.unit)]
         for alg in algebras:
             got = check_algebra(alg)
             assert got == ref.check_algebra(alg)

@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import psl
+from psl.algebra import Algebra
 from psl.cli import main
 from psl.exactla import QQ
-from psl.hopf import HopfAlgebra, sweedler_h4
+from psl.hopf import HopfAlgebra
 from psl.paction import PartialAction, c4_triple
 from psl.workspace import load_workspace
 
@@ -88,7 +89,6 @@ def test_division_guard_sees_every_form():
 # public functions and methods that nothing in psl calls and the package does not
 # export, each kept for the reason given
 UNCALLED_ALLOWED = {
-    "hopf:HopfAlgebra.comul": "the dense comultiplication tensor, derived on first read (README)",
     "exactla:Subspace.reduce": "a layer of pslbench/spans.py (exactla.reduce)",
     "exactla:enumerate_invariant_subspaces": "a layer of pslbench/spans.py (exactla.enumerate), "
     "and the entry point the lattice oracles test",
@@ -179,10 +179,10 @@ def test_every_import_is_used(path):
 
 
 def test_verify_builds_nothing_through_the_public_constructors(monkeypatch, tmp_path):
-    # psl builds its Hopf algebras and actions from its own sparse terms; the
-    # coercing constructors are for outside input, and for sweedler_h4
+    # psl builds its algebras, Hopf algebras and actions from its own sparse
+    # terms; the coercing constructors are for outside input only
     calls = []
-    for cls in (HopfAlgebra, PartialAction):
+    for cls in (Algebra, HopfAlgebra, PartialAction):
         real = cls.__init__
 
         def counting(self, *args, cls=cls, real=real, **kwargs):
@@ -191,9 +191,9 @@ def test_verify_builds_nothing_through_the_public_constructors(monkeypatch, tmp_
 
         monkeypatch.setattr(cls, "__init__", counting)
     assert main(["verify", "T4.26"]) == 0
+    assert main(["verify", "NEG-SS"]) == 0  # builds sweedler_h4
     c4_triple(QQ)  # the FIX-B fixture of the run, also on its own
     assert calls == []
-    sweedler_h4(QQ)
     doc = {
         "version": "psl-workspace/1",
         "field": {"kind": "Q"},
@@ -205,7 +205,7 @@ def test_verify_builds_nothing_through_the_public_constructors(monkeypatch, tmp_
     path = tmp_path / "ws.json"
     path.write_text(json.dumps(doc))
     load_workspace(str(path)).actions["explicit"]
-    assert calls == ["HopfAlgebra", "PartialAction"]
+    assert calls == ["PartialAction"]
 
 
 def test_parity_script_writes_only_with_write(monkeypatch, tmp_path, capsys):
