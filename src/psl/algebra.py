@@ -188,13 +188,6 @@ def _operate(field: Field, terms, i: int, vec: Sequence, n: int) -> tuple:
     return _canon(_apply_raw(terms[i], _nonzero(_coerce(field, vec, n), p), n), p)
 
 
-def _operate_sum(field: Field, terms, x: Sequence, vec: Sequence, n: int) -> tuple:
-    """sum_i x_i (vec under operator i) of the sparse action tensor `terms`, canonical."""
-    p = field.char
-    x = _nonzero(_coerce(field, x, len(terms)), p)
-    return _canon(_apply_pair(terms, x, _nonzero(_coerce(field, vec, n), p), n, p), p)
-
-
 def _tensor_terms(left, right) -> tuple:
     """Structure constants of the tensor product of two algebras, index a*m + k (first factor major)."""
     n, m = len(left), len(right)

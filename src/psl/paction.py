@@ -33,7 +33,6 @@ from psl.algebra import (
     _failed_slices,
     _multiply_raw,
     _operate,
-    _operate_sum,
     _tensor_terms,
     _vanishes,
     is_ideal,
@@ -43,11 +42,12 @@ from fractions import Fraction
 
 from psl.exactla import (
     DimensionMismatch,
+    FieldMismatch,
     Matrix,
     Subspace,
-    _canon,
     _coerce,
     _dense,
+    _identity_rows,
     _nonzero,
     _null_span,
     _tensor,
@@ -80,7 +80,7 @@ class CharDividesOrder(ValueError):
 
 
 def _check_pair(hopf: HopfAlgebra, alg: Algebra) -> None:
-    """Raise unless H can act partially on A: one field, A unital and nonzero."""
+    """Raise unless H can act, or coact, partially on A: one field, A unital and nonzero."""
     if hopf.field != alg.field:
         raise DimensionMismatch("Hopf algebra and algebra over different fields")
     if alg.unit is None:
@@ -141,10 +141,6 @@ class PartialAction:
     def act_basis(self, i: int, avec: Sequence) -> tuple:
         """h_i . a for a basis element h_i."""
         return _operate(self.field, self._terms, i, avec, self.alg.dim)
-
-    def act_vec(self, hvec: Sequence, avec: Sequence) -> tuple:
-        """h . a for arbitrary coordinate vectors."""
-        return _operate_sum(self.field, self._terms, hvec, avec, self.alg.dim)
 
     def unit_image(self, i: int) -> tuple:
         """h_i . 1_A."""
@@ -384,24 +380,20 @@ def dual_group_idempotent(field, G: GroupTable, N: Sequence[int], *,
 # invariants, stability, quotients
 
 def invariant_subalgebra(pa: PartialAction) -> Subspace:
-    """Solutions of h . a = a (h . 1_A) for all basis h."""
+    """Solutions of h . a = a (h . 1_A) for all basis h, as one null span: the combinations x of
+    the basis of A whose blocks [h_i . x - x (h_i . 1_A) for each i] vanish."""
     A = pa.alg
-    n = A.dim
-    unit_images = [pa.unit_image(i) for i in range(pa.hopf.dim)]
-    rows = []
-    for j in range(n):
-        ej = A.basis_vector(j)
-        blocks = []
-        for i, ci in enumerate(unit_images):
-            diff = tuple(
-                x - y for x, y in zip(pa.act_basis(i, ej), A.multiply(ej, ci))
-            )
-            blocks.extend(diff)
-        rows.append(tuple(blocks))
-    S = Matrix(pa.field, rows, ncols=n * pa.hopf.dim).left_kernel()
-    if not S.contains(A.unit):
+    n, p, act = A.dim, pa.field.char, pa._terms
+    units = [_compact(_apply_raw(op, _nonzero(A.unit, p), n), p) for op in act]
+    blocks = [
+        [x - y for op, u in zip(act, units) for x, y in zip(_dense(op[j], n), _apply_raw(A.terms[j], u, n))]
+        for j in range(n)
+    ]
+    S = _null_span(pa.field, blocks, _identity_rows(p, n), n * pa.hopf.dim, n)
+    if not S._holds(A.unit):
         raise InvariantViolation("invariant subalgebra lost the unit")
-    if not all(S.contains(A.multiply(u, v)) for u in S.rows for v in S.rows):
+    rows = [_nonzero(r, p) for r in S.rows]
+    if not all(S._holds(_multiply_raw(A.terms, u, v)) for u in rows for v in rows):
         raise InvariantViolation("invariant subalgebra not closed")
     return S
 
@@ -450,37 +442,41 @@ def quotient_action(pa: PartialAction, I: Subspace) -> tuple[PartialAction, Alge
 # coactions (Eq. h . a = sum a0 a1(h) over the dual Hopf algebra)
 
 class PartialCoaction:
-    """rho: A -> A (x) K in first-factor-major coordinates (K coacting)."""
+    """rho: A -> A (x) K in first-factor-major coordinates (K coacting), stored only as the sparse
+    rows `_terms[j]` = rho(e_j), e_a (x) k_k at a m + k; the dense matrix of the public constructor
+    is an input format, parsed once.  Like an action, a coaction needs one field and a unital, nonzero A."""
 
-    __slots__ = ("alg", "hopf", "rho")
+    __slots__ = ("alg", "hopf", "_terms")
 
     def __init__(self, alg: Algebra, hopf: HopfAlgebra, rho: Matrix):
         if rho.nrows != alg.dim or rho.ncols != alg.dim * hopf.dim:
             raise DimensionMismatch("coaction matrix shape mismatch")
+        _check_pair(hopf, alg)
+        if rho.field != alg.field:
+            raise FieldMismatch("coaction matrix and algebra over different fields")
         self.alg = alg
         self.hopf = hopf
-        self.rho = rho
+        self._terms = tuple(_nonzero(r, alg.field.char) for r in rho.rows)
+
+    @classmethod
+    def _of_terms(cls, alg: Algebra, hopf: HopfAlgebra, terms: tuple) -> "PartialCoaction":
+        """A coaction on rows already in kernel form, as psl's own loops make them; nothing is coerced."""
+        pc = cls.__new__(cls)
+        pc.alg, pc.hopf, pc._terms = alg, hopf, terms
+        return pc
 
     @property
     def field(self):
         return self.alg.field
 
-    def rho_of(self, vec: Sequence) -> tuple:
-        return self.rho.apply(vec)
-
-
-def _coaction_terms(pa: PartialAction) -> list:
-    """rho(e_j) = sum_i (h_i . e_j) (x) p_i over the dual basis of H*, sparse, (h_i . e_j)_a at a*m + i."""
-    m = pa.hopf.dim
-    return [tuple((a * m + i, c) for i in range(m) for a, c in pa._terms[i][j]) for j in range(pa.alg.dim)]
-
 
 def action_to_coaction(pa: PartialAction) -> PartialCoaction:
-    """rho(a) = sum_i (h_i . a) (x) p_i over the dual basis of H*."""
-    K = dual_hopf(pa.hopf)
-    nm, p = pa.alg.dim * K.dim, pa.field.char
-    rows = tuple(_canon(_dense(r, nm), p) for r in _coaction_terms(pa))
-    return PartialCoaction(pa.alg, K, Matrix._of_raw(pa.field, rows, nm))
+    """rho(e_j) = sum_i (h_i . e_j) (x) p_i over the dual basis p_i of H*: (h_i . e_j)_a at a m + i."""
+    m = pa.hopf.dim
+    terms = tuple(
+        tuple(sorted((a * m + i, c) for i in range(m) for a, c in pa._terms[i][j])) for j in range(pa.alg.dim)
+    )
+    return PartialCoaction._of_terms(pa.alg, dual_hopf(pa.hopf), terms)
 
 
 def coaction_to_action(pc: PartialCoaction, hopf: HopfAlgebra) -> PartialAction:
@@ -489,7 +485,8 @@ def coaction_to_action(pc: PartialCoaction, hopf: HopfAlgebra) -> PartialAction:
     if hopf.dim != m:
         raise DimensionMismatch("Hopf algebra does not match the coacting dual")
     # (h_i . e_j)_a sits at a*m + i of rho(e_j)
-    return PartialAction(hopf, pc.alg, [[row[i::m] for row in pc.rho.rows] for i in range(m)])
+    act = tuple(tuple(tuple((idx // m, c) for idx, c in row if idx % m == i) for row in pc._terms) for i in range(m))
+    return PartialAction._of_terms(hopf, pc.alg, act)
 
 
 def check_partial_coaction(pc: PartialCoaction) -> CheckReport:
@@ -498,7 +495,7 @@ def check_partial_coaction(pc: PartialCoaction) -> CheckReport:
     A, K = pc.alg, pc.hopf
     n, m = A.dim, K.dim
     p = pc.field.char
-    rho = [_nonzero(r, p) for r in pc.rho.rows]
+    rho = pc._terms
     eps = K.counit
     dense = [[int(t == j) for t in range(n)] for j in range(n)]
     tensor = _tensor_terms(A.terms, K.alg.terms)
@@ -540,16 +537,17 @@ def check_partial_coaction(pc: PartialCoaction) -> CheckReport:
 
 
 def coinvariant_subalgebra(pc: PartialCoaction) -> Subspace:
-    """Solutions of rho(x) = (x (x) 1_K) rho(1)."""
+    """Solutions of rho(x) = (x (x) 1_K) rho(1), as one null span: the combinations x of the basis
+    of A whose blocks rho(e_j) - (e_j (x) 1_K) rho(1) vanish."""
     A, K = pc.alg, pc.hopf
     n, m = A.dim, K.dim
-    p = pc.field.char
+    nm, p = n * m, pc.field.char
+    rho = pc._terms
     tensor = _tensor_terms(A.terms, K.alg.terms)
-    rho_unit = _nonzero(pc.rho_of(A.unit), p)
+    rho_1 = _compact(_apply_raw(rho, _nonzero(A.unit, p), nm), p)
     unit_k = _nonzero(K.unit, p)
-    rows = []
-    for j in range(n):
-        x_tensor_one = tuple((j * m + k, c) for k, c in unit_k)
-        rhs = _multiply_raw(tensor, x_tensor_one, rho_unit)
-        rows.append([a - b for a, b in zip(pc.rho.rows[j], rhs)])
-    return Matrix(pc.field, rows, ncols=n * m).left_kernel()
+    blocks = [
+        [x - y for x, y in zip(_dense(rho[j], nm), _multiply_raw(tensor, [(j * m + k, c) for k, c in unit_k], rho_1))]
+        for j in range(n)
+    ]
+    return _null_span(pc.field, blocks, _identity_rows(p, n), nm, n)

@@ -9,8 +9,10 @@ m <| h subject to
 
 (left versions mirrored).  An action is stored only as sparse rows:
 `_a_terms[i][j]` is the image of the j-th module basis vector under the
-i-th algebra basis element, and likewise `_h_terms` for the Hopf algebra;
-the dense tensors a_act and h_act are an input format of the constructor.
+i-th algebra basis element, likewise `_h_terms` for the Hopf algebra and
+`AlgebraModule._terms` for a plain module.  The dense tensors are an input
+format of the public constructors, for outside input only: every module
+pmod builds is made by `_of_terms` from the sparse rows its loop computes.
 
 Partial modules and plain modules reach one irreducibility walk,
 `_irreducible`.  Over F_p it is `_exhaustively_irreducible`, which spins
@@ -22,12 +24,13 @@ multiplication by each operator.  `AlgebraModule.check` and
 `_module_law`.  Annihilators are the left kernel of the flattened
 A-operators and quotients project each operator onto the complement cosets
 of the submodule, densifying its sparse rows there; the extensions and the
-smash-module conversion run on the sparse operator rows.
+smash-module conversion run on the sparse operator rows, the left extension
+on rho as `action_to_coaction` stores it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from psl.algebra import (
     Algebra,
@@ -40,7 +43,6 @@ from psl.algebra import (
     _compact,
     _differ,
     _mult_operators,
-    _operate_sum,
     is_ideal,
 )
 from psl.exactla import (
@@ -54,8 +56,8 @@ from psl.exactla import (
     _tensor,
     unit_vec,
 )
-from psl.hopf import dual_hopf, left_integrals
-from psl.paction import PartialAction, _coaction_terms, _comul_terms, colon_ideal, is_h_stable
+from psl.hopf import left_integrals
+from psl.paction import PartialAction, _comul_terms, action_to_coaction, colon_ideal, is_h_stable
 from psl.radicals import FieldNotFinite
 from psl.smash import tensor_coords
 
@@ -87,12 +89,16 @@ class AlgebraModule:
         self.side = side
         self._terms = _tensor(algebra.field, act, (algebra.dim, dim, dim), "module action")
 
+    @classmethod
+    def _of_terms(cls, algebra: Algebra, dim: int, side: str, terms: tuple) -> "AlgebraModule":
+        """A module on rows already in kernel form, as psl's own loops make them; nothing is checked."""
+        mod = cls.__new__(cls)
+        mod.algebra, mod.dim, mod.side, mod._terms = algebra, dim, side, terms
+        return mod
+
     @property
     def field(self):
         return self.algebra.field
-
-    def act_vec(self, avec: Sequence, mvec: Sequence) -> tuple:
-        return _operate_sum(self.field, self._terms, avec, mvec, self.dim)
 
     def check(self) -> CheckReport:
         """Unital module axioms on all basis pairs."""
@@ -132,8 +138,9 @@ def _module_law(A: Algebra, side: str, ops, d: int, j: int) -> tuple[bool, list]
 
 def regular_module(A: Algebra, side: str = "right") -> AlgebraModule:
     """A acting on itself."""
-    ops = _mult_operators(A, side)
-    return AlgebraModule(A, A.dim, side, [[_dense(v, A.dim) for v in op] for op in ops])
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    return AlgebraModule._of_terms(A, A.dim, side, tuple(_mult_operators(A, side)))
 
 
 def _cosets(U: Subspace, vectors) -> list[tuple]:
@@ -142,11 +149,11 @@ def _cosets(U: Subspace, vectors) -> list[tuple]:
     return [tuple(r[c] for c in comp) for r in map(U._residual, vectors)]
 
 
-def _quotient_tensor(U: Subspace, ops) -> list:
+def _quotient_terms(U: Subspace, ops) -> tuple:
     """Operators on F^n given by their sparse rows (operator i, basis j) -> image, induced on F^n/U
-    for an invariant U, as a dense tensor."""
-    comp = U.complement_indices()
-    return [_cosets(U, [_dense(op[c], U.ambient) for c in comp]) for op in ops]
+    for an invariant U, as sparse rows in the coset coordinates."""
+    comp, p = U.complement_indices(), U.field.char
+    return tuple(tuple(_nonzero(v, p) for v in _cosets(U, [_dense(op[c], U.ambient) for c in comp])) for op in ops)
 
 
 def quotient_module(A: Algebra, I: Subspace, side: str = "right") -> AlgebraModule:
@@ -154,7 +161,7 @@ def quotient_module(A: Algebra, I: Subspace, side: str = "right") -> AlgebraModu
     regular = regular_module(A, side)
     if not is_ideal(A, I, side):
         raise NotAnIdeal(f"quotient_module needs a {side} ideal")
-    return AlgebraModule(A, A.dim - I.dim, side, _quotient_tensor(I, regular._terms))
+    return AlgebraModule._of_terms(A, A.dim - I.dim, side, _quotient_terms(I, regular._terms))
 
 
 def _annihilator(field, ops, dim: int) -> Subspace:
@@ -183,6 +190,13 @@ class PartialModule:
         self.dim = dim
         self._a_terms = _tensor(pa.field, a_act, (pa.alg.dim, dim, dim), "partial module A action")
         self._h_terms = _tensor(pa.field, h_act, (pa.hopf.dim, dim, dim), "partial module H action")
+
+    @classmethod
+    def _of_terms(cls, side: str, pa: PartialAction, dim: int, a_terms: tuple, h_terms: tuple) -> "PartialModule":
+        """A partial module on rows already in kernel form, as psl's own loops make them; nothing is checked."""
+        M = cls.__new__(cls)
+        M.side, M.pa, M.dim, M._a_terms, M._h_terms = side, pa, dim, a_terms, h_terms
+        return M
 
     @property
     def field(self):
@@ -271,9 +285,9 @@ def to_smash_module(M: PartialModule, sp) -> AlgebraModule:
                     _add_scaled(out, c, _apply_raw(h_ops[ih], a_ops[ja][j], d))
                 else:
                     _add_scaled(out, c, _apply_raw(a_ops[ja], h_ops[ih][j], d))
-            images.append(_canon(out, p))
-        act.append(images)
-    mod = AlgebraModule(sp.carrier, d, M.side, act)
+            images.append(_compact(out, p))
+        act.append(tuple(images))
+    mod = AlgebraModule._of_terms(sp.carrier, d, M.side, tuple(act))
     report = mod.check()
     if not report.ok:
         raise AxiomViolation("smash-module conversion failed: " + report.failures[0])
@@ -285,28 +299,20 @@ def from_smash_module(sp, mod: AlgebraModule) -> PartialModule:
     pa = sp.pa
     if mod.algebra != sp.carrier:
         raise NotAModule("module is not over this smash product's carrier")
+    d, p = mod.dim, mod.field.char
     incl = [sp.include_a(pa.alg.basis_vector(i)) for i in range(pa.alg.dim)]
-    h_img = [
-        sp.project(tensor_coords(pa, pa.alg.unit, pa.hopf.alg.basis_vector(i)))
-        for i in range(pa.hopf.dim)
-    ]
-    a_act = [
-        [mod.act_vec(incl[i], mod_basis(mod, j)) for j in range(mod.dim)]
-        for i in range(pa.alg.dim)
-    ]
-    h_act = [
-        [mod.act_vec(h_img[i], mod_basis(mod, j)) for j in range(mod.dim)]
-        for i in range(pa.hopf.dim)
-    ]
-    M = PartialModule(mod.side, pa, mod.dim, a_act, h_act)
+    h_img = [sp.project(tensor_coords(pa, pa.alg.unit, pa.hopf.alg.basis_vector(i))) for i in range(pa.hopf.dim)]
+
+    def images(x):
+        """The sparse images of the module basis under x in the carrier."""
+        x = _nonzero(x, p)
+        return tuple(_compact(_apply_pair(mod._terms, x, ((j, 1),), d, p), p) for j in range(d))
+
+    M = PartialModule._of_terms(mod.side, pa, d, tuple(map(images, incl)), tuple(map(images, h_img)))
     report = check_partial_module(M)
     if not report.ok:
         raise AxiomViolation("partial-module conversion failed: " + report.failures[0])
     return M
-
-
-def mod_basis(mod: AlgebraModule, j: int) -> tuple:
-    return unit_vec(mod.field, mod.dim, j)
 
 
 def annihilator(M: PartialModule) -> Subspace:
@@ -393,13 +399,14 @@ def _coords_in(W: Subspace, vectors, message: str) -> list[tuple]:
 
 def _extension_module(pa: PartialAction, side: str, W: Subspace, a_rows, h_rows) -> PartialModule:
     """The partial module on an invariant W of operators given by their dense (unreduced) rows."""
+    p = W.field.char
 
     def restrict(rows):
-        op = [_compact(r, W.field.char) for r in rows]
-        images = [_apply_raw(op, _nonzero(w, W.field.char), W.ambient) for w in W.rows]
-        return _coords_in(W, images, "extension space is not invariant under the action")
+        op = [_compact(r, p) for r in rows]
+        images = [_apply_raw(op, _nonzero(w, p), W.ambient) for w in W.rows]
+        return tuple(_nonzero(c, p) for c in _coords_in(W, images, "extension space is not invariant under the action"))
 
-    module = PartialModule(side, pa, W.dim, [restrict(r) for r in a_rows], [restrict(r) for r in h_rows])
+    module = PartialModule._of_terms(side, pa, W.dim, tuple(map(restrict, a_rows)), tuple(map(restrict, h_rows)))
     check_partial_module(module).raise_if_failed(f"extended {side} module axioms")
     return module
 
@@ -449,7 +456,7 @@ def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
 def _module_quotient(M: PartialModule, U: Subspace) -> tuple[PartialModule, Matrix]:
     """M/U for a submodule U, with the projection of M onto it."""
     d = M.dim - U.dim
-    Q = PartialModule(M.side, M.pa, d, _quotient_tensor(U, M._a_terms), _quotient_tensor(U, M._h_terms))
+    Q = PartialModule._of_terms(M.side, M.pa, d, _quotient_terms(U, M._a_terms), _quotient_terms(U, M._h_terms))
     proj = Matrix(M.field, _cosets(U, map(M.basis_vector, range(M.dim))), ncols=d)
     return Q, proj
 
@@ -507,12 +514,12 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     if not V.check().ok:
         raise NotAModule("V is not a unital A-module")
     A = pa.alg
-    K = dual_hopf(pa.hopf)
+    pc = action_to_coaction(pa)
+    K, rho = pc.hopf, pc._terms
     m, n, dv = K.dim, A.dim, V.dim
     field = pa.field
     amb = dv * m
     p = field.char
-    rho = _coaction_terms(pa)
     k_terms = K.alg.terms
 
     def row(rho_x, j, s):

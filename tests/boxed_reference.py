@@ -20,7 +20,7 @@ and returns canonical scalars: ints in [0, p) over F_p, Fractions over Q.
 The module constructions at the end (the right and left extensions, the
 smash-module conversion, the commutant and the operator image algebra) are
 psl's earlier dense loops over the coproduct tensors; they go through psl's
-public module and action methods.
+public module and action methods and the vector helpers of `helpers`.
 
 The schoolbook matrix product mod q and the power trace built on it are the
 Cohen-Ivanyos-Wales kernel that packed-row products replaced in
@@ -35,7 +35,8 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from helpers import dense_a_act, dense_act, dense_comul, dense_h_act, dense_module_act, dense_mult
+import helpers
+from helpers import dense_a_act, dense_act, dense_comul, dense_h_act, dense_module_act, dense_mult, dense_rho, mod_basis
 from psl.algebra import Algebra, CheckReport, InvariantViolation
 from psl.exactla import FieldMismatch, Matrix, Subspace, _canon, _Echelon, _nonzero, zero_vec
 from psl.hopf import dual_hopf, left_integrals
@@ -47,7 +48,6 @@ from psl.pmod import (
     NotAModule,
     PartialModule,
     check_partial_module,
-    mod_basis,
 )
 
 
@@ -525,7 +525,8 @@ def check_partial_coaction(pc):
     n, m = A.dim, K.dim
     field = pc.field
     fzero = box(field, 0)
-    rho = boxed(field, pc.rho.rows)
+    rho_matrix = Matrix(field, dense_rho(pc), ncols=n * m)
+    rho = boxed(field, rho_matrix.rows)
     counit = bvec(field, K.counit)
     kcomul = boxed(field, dense_comul(K))
     amult, kmult = boxed(field, dense_mult(A)), boxed(field, dense_mult(K.alg))
@@ -543,12 +544,12 @@ def check_partial_coaction(pc):
 
     for j in range(n):
         for k in range(n):
-            lhs = apply(pc.rho, dense_mult(A)[j][k])
+            lhs = apply(rho_matrix, dense_mult(A)[j][k])
             rhs = tensor_multiply(A, K.alg, rho[j], rho[k])
             if lhs != rhs:
                 failures.append(f"PC2 fails at basis pair ({A.labels[j]}, {A.labels[k]})")
 
-    rho_unit = bvec(field, apply(pc.rho, A.unit))
+    rho_unit = bvec(field, apply(rho_matrix, A.unit))
     for j in range(n):
         lhs = {}
         for idx, c in enumerate(rho[j]):
@@ -842,7 +843,8 @@ def carrier(pa, full):
 # `zero_vec`, as they stood before the extensions, the smash-module
 # conversion, the commutant and the operator image algebra ran on sparse
 # operator rows.  Unlike the loops above they call psl's public module,
-# action and matrix methods; the loops themselves are the old ones.  The
+# action and matrix methods and `helpers.act_vec`/`module_act_vec`, which
+# act through psl's sparse rows; the loops themselves are the old ones.  The
 # smash-module conversion acts on M through the boxed `act_a_basis` and
 # `act_h_basis` above, and the left extension on V through the boxed
 # `module_act_basis`.
@@ -973,7 +975,7 @@ def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
                         c = dense_comul(H)[k][p][q]
                         if not c:
                             continue
-                        moved = V.act_vec(pa.act_basis(p, A.basis_vector(x)), v)
+                        moved = helpers.module_act_vec(V, pa.act_basis(p, A.basis_vector(x)), v)
                         for t, xv in enumerate(moved):
                             if xv:
                                 out[t * m + q] = out[t * m + q] + c * xv
@@ -991,7 +993,7 @@ def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
                         c = dense_comul(H)[k][p][q]
                         if not c:
                             continue
-                        moved = V.act_vec(pa.act_basis(p, A.basis_vector(a)), mod_basis(V, jv))
+                        moved = helpers.module_act_vec(V, pa.act_basis(p, A.basis_vector(a)), mod_basis(V, jv))
                         for t, xv in enumerate(moved):
                             if xv:
                                 out[t * m + q] = out[t * m + q] + c * xv
@@ -1015,7 +1017,7 @@ def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
                                 if not c2:
                                     continue
                                 kh = dense_mult(H.alg)[p][r]
-                                moved = V.act_vec(pa.act_vec(kh, A.unit), mod_basis(V, jv))
+                                moved = helpers.module_act_vec(V, helpers.act_vec(pa, kh, A.unit), mod_basis(V, jv))
                                 hq_hs = dense_mult(H.alg)[q][s]
                                 for t, xv in enumerate(moved):
                                     if not xv:
@@ -1054,8 +1056,8 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     m = K.dim
     field = pa.field
     amb = V.dim * m
-    rho = pc.rho.rows
-    rho_unit = pc.rho_of(A.unit)
+    rho = dense_rho(pc)
+    rho_unit = apply(Matrix(field, rho, ncols=A.dim * m), A.unit)
 
     def rho_times(avec_rho, vvec, kvec):
         """rho-coefficient vector acting on v (x) phi."""

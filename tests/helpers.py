@@ -2,9 +2,11 @@
 structures for the test suite.
 
 psl stores every structure tensor only as sparse rows; `dense_mult`,
-`dense_comul`, `dense_act`, `dense_module_act`, `dense_a_act` and `dense_h_act`
-derive the dense tensor of canonical scalars, the form the public
-constructors take, from those rows.
+`dense_comul`, `dense_act`, `dense_module_act`, `dense_a_act`, `dense_h_act`
+and `dense_rho` derive the dense tensor (or matrix) of canonical scalars, the
+form the public constructors take, from those rows.  `act_vec`,
+`module_act_vec` and `rho_of` apply an action, a module or a coaction to
+arbitrary coordinate vectors through the same rows.
 """
 
 import random
@@ -24,9 +26,10 @@ from psl.exactla import (
     _dense,
     _nonzero,
     _zeros,
+    unit_vec,
 )
 
-from psl.algebra import Algebra, _multiply_raw, product_of_fields
+from psl.algebra import Algebra, _apply_pair, _apply_raw, _multiply_raw, product_of_fields
 from psl.hopf import GroupTable, group_algebra
 from psl.paction import c4_triple, dual_group_idempotent, trivial_action
 
@@ -136,6 +139,34 @@ def mult_matrix(A, x, left: bool) -> Matrix:
     return Matrix._of_raw(A.field, rows, A.dim)
 
 
+def operate_sum(field, terms, x, vec, n) -> tuple:
+    """sum_i x_i (vec under operator i) of the sparse action tensor `terms`, canonical."""
+    p = field.char
+    x = _nonzero(_coerce(field, x, len(terms)), p)
+    return _canon(_apply_pair(terms, x, _nonzero(_coerce(field, vec, n), p), n, p), p)
+
+
+def act_vec(pa, hvec, avec) -> tuple:
+    """h . a of a PartialAction for arbitrary coordinate vectors."""
+    return operate_sum(pa.field, pa._terms, hvec, avec, pa.alg.dim)
+
+
+def module_act_vec(mod, avec, mvec) -> tuple:
+    """An AlgebraModule's action of an arbitrary algebra element on an arbitrary module vector."""
+    return operate_sum(mod.field, mod._terms, avec, mvec, mod.dim)
+
+
+def mod_basis(mod, j: int) -> tuple:
+    return unit_vec(mod.field, mod.dim, j)
+
+
+def rho_of(pc, vec) -> tuple:
+    """rho(a) of a PartialCoaction for an arbitrary coordinate vector a."""
+    field, n = pc.field, pc.alg.dim
+    p = field.char
+    return _canon(_apply_raw(pc._terms, _nonzero(_coerce(field, vec, n), p), n * pc.hopf.dim), p)
+
+
 # the dense views made so far, keyed by the sparse rows they are made from: the
 # boxed oracles read them in their inner loops, and `boxed` caches by the
 # identity of the dense tensor
@@ -193,6 +224,12 @@ def dense_a_act(M) -> tuple:
 def dense_h_act(M) -> tuple:
     """The dense H-action tensor of a PartialModule, from `M._h_terms`."""
     return _dense_tensor(M.field, M._h_terms, M.dim)
+
+
+def dense_rho(pc) -> tuple:
+    """The dense rows rho(e_j) of a PartialCoaction, from `pc._terms`."""
+    nm, p = pc.alg.dim * pc.hopf.dim, pc.field.char
+    return _once(pc.field, pc._terms, lambda: tuple(_canon(_dense(r, nm), p) for r in pc._terms))
 
 
 def assert_kernel_form(field, rows, what):

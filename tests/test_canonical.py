@@ -15,11 +15,19 @@ from pathlib import Path
 
 import pytest
 
-from helpers import assert_kernel_form, dense_act, fix_a, fix_b, fix_c, fix_d, lift
+from helpers import act_vec, assert_kernel_form, dense_act, fix_a, fix_b, fix_c, fix_d, lift, module_act_vec, rho_of
 from psl.exactla import GF, QQ, Matrix, Subspace, zero_vec
 from psl.hopf import dual_hopf, sweedler_h4
 from psl.paction import action_to_coaction
-from psl.pmod import from_smash_module, regular_module
+from psl.pmod import (
+    extend_left_module,
+    extend_right_module,
+    from_smash_module,
+    irreducible_extension,
+    quotient_module,
+    regular_module,
+    to_smash_module,
+)
 from psl.smash import build_partial_smash, tensor_coords
 from psl.verify import random_partial_action
 from psl.workspace import load_workspace
@@ -72,11 +80,13 @@ def check_action_object(rng, pa):
     check_algebra_object(rng, pa.alg)
     assert_kernel_form(f, pa._terms, "_terms")
     a, h = raw_input(rng, f, n), raw_input(rng, f, m)
-    assert_canonical(f, pa.act_vec(h, a), "act_vec")
+    assert_canonical(f, act_vec(pa, h, a), "act_vec")
     assert_canonical(f, pa.act_basis(m - 1, a), "act_basis")
     assert_canonical(f, pa.unit_image(0), "unit_image")
     assert_canonical(f, Matrix(f, dense_act(pa)[0]).apply(a), "Matrix.apply")
-    assert_canonical(f, action_to_coaction(pa).rho_of(a), "rho_of")
+    pc = action_to_coaction(pa)
+    assert_kernel_form(f, pc._terms, "coaction _terms")
+    assert_canonical(f, rho_of(pc, a), "rho_of")
     sp = build_partial_smash(pa)
     check_algebra_object(rng, sp.full)
     check_algebra_object(rng, sp.carrier)
@@ -92,10 +102,11 @@ def check_action_object(rng, pa):
             M = from_smash_module(sp, V)
             w = raw_input(rng, f, M.dim)
             assert_kernel_form(f, V._terms, "module _terms")
-            assert_canonical(f, V.act_vec(raw_input(rng, f, V.algebra.dim), w), "module act_vec")
-            assert_canonical(f, V.act_vec(V.algebra.basis_vector(0), w), "module act_vec on a basis element")
+            assert_canonical(f, module_act_vec(V, raw_input(rng, f, V.algebra.dim), w), "module act_vec")
+            assert_canonical(f, module_act_vec(V, V.algebra.basis_vector(0), w), "module act_vec on a basis element")
             assert_kernel_form(f, M._a_terms, "_a_terms")
             assert_kernel_form(f, M._h_terms, "_h_terms")
+            assert_kernel_form(f, to_smash_module(M, sp)._terms, "smash module _terms")
 
 
 FIXTURES = {
@@ -107,6 +118,25 @@ FIXTURES = {
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixtures_are_canonical(name):
     check_action_object(random.Random(5), FIXTURES[name]())
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_module_builders_store_kernel_form(name):
+    # the modules pmod builds skip the public constructors, so nothing else puts their rows in kernel form
+    pa = FIXTURES[name]()
+    f, A = pa.field, pa.alg
+    # every fixture acts on a product of fields, where the span of e_1 .. e_{n-1} is an ideal
+    I = Subspace.from_vectors(f, A.dim, [A.basis_vector(j) for j in range(1, A.dim)])
+    V = {side: quotient_module(A, I, side) for side in ("right", "left")}
+    extensions = [extend_right_module(pa, V["right"]).module, extend_left_module(pa, V["left"]).module]
+    if f.char:
+        extensions.append(irreducible_extension(pa, V["right"]).module)
+    sp = build_partial_smash(pa)
+    smash = [to_smash_module(M, sp) for M in extensions]
+    for mod in [regular_module(A, side) for side in V] + list(V.values()) + smash:
+        assert_kernel_form(f, mod._terms, f"{name} module _terms")
+    for M in extensions + [from_smash_module(sp, mod) for mod in smash]:
+        assert_kernel_form(f, M._a_terms + M._h_terms, f"{name} partial module terms")
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=repr)

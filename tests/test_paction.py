@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from psl.algebra import NotAnIdeal, ideal_closure, product_of_fields
-from psl.exactla import GF, QQ, Subspace, unit_vec
-from psl.hopf import GroupTable, dual_group_algebra, group_algebra
+from psl.algebra import Algebra, NotAnIdeal, ideal_closure, product_of_fields
+from psl.exactla import GF, QQ, DimensionMismatch, FieldMismatch, Matrix, Subspace, unit_vec
+from psl.hopf import GroupTable, dual_group_algebra, dual_hopf, group_algebra
 from psl.paction import (
     BadSubgroup,
     CharDividesOrder,
@@ -15,6 +15,7 @@ from psl.paction import (
     NotIdempotent,
     PA2_SAMPLES,
     PartialAction,
+    PartialCoaction,
     _pa2_samples,
     action_to_coaction,
     c4_triple,
@@ -32,7 +33,20 @@ from psl.paction import (
     quotient_action,
     trivial_action,
 )
-from helpers import all_vectors, dense_act, fix_a, fix_b, fix_c, fix_d, lift, mult_matrix, rand_vec, solve_left
+from psl.verify import random_partial_action
+from helpers import (
+    all_vectors,
+    dense_act,
+    fix_a,
+    fix_b,
+    fix_c,
+    fix_d,
+    lift,
+    mult_matrix,
+    rand_vec,
+    rho_of,
+    solve_left,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -232,7 +246,7 @@ def test_coaction_trivial_shape():
     for j in range(3):
         for k, c in enumerate(pc.hopf.unit):
             expected[j * m + k] = pa.alg.unit[j] * c
-    assert pc.rho_of(pa.alg.unit) == tuple(expected)
+    assert rho_of(pc, pa.alg.unit) == tuple(expected)
     # global coaction: coinvariants = {x : rho(x) = x (x) 1}
     assert coinvariant_subalgebra(pc) == Subspace.full_space(QQ, 3)
 
@@ -240,6 +254,53 @@ def test_coaction_trivial_shape():
 def test_coaction_pc3_fix_b():
     pc = action_to_coaction(fix_b())
     assert check_partial_coaction(pc).ok
+
+
+def test_coaction_refuses_a_dual_over_another_field():
+    K = dual_hopf(group_algebra(F3, GroupTable.cyclic(2)))
+    with pytest.raises(DimensionMismatch, match="different fields"):
+        PartialCoaction(product_of_fields(QQ, 1), K, Matrix(QQ, [[1, 0]]))
+
+
+def test_coaction_refuses_a_matrix_over_another_field():
+    K = dual_hopf(group_algebra(QQ, GroupTable.cyclic(2)))
+    with pytest.raises(FieldMismatch):
+        PartialCoaction(product_of_fields(QQ, 1), K, Matrix(F3, [[1, 0]]))
+
+
+def test_coaction_refuses_a_non_unital_algebra():
+    K = dual_hopf(group_algebra(QQ, GroupTable.cyclic(2)))
+    with pytest.raises(ValueError, match="unital"):
+        PartialCoaction(Algebra(QQ, [[[0]]]), K, Matrix(QQ, [[1, 0]]))
+
+
+def invariant_cases(field):
+    """Every fixture defined over `field` (FIX-A needs char != 2, FIX-D is over F_2), then 12 seeded draws."""
+    cases = [fix_b(field), fix_c(field)] + ([fix_d()] if field.char == 2 else [fix_a(field)])
+    rng = random.Random(2600 + field.char)
+    return cases + [random_partial_action(rng, field, max_carrier=12) for _ in range(12)]
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, GF(5)], ids=repr)
+def test_invariants_are_the_coinvariants_of_the_coaction(field):
+    # both solve h_i . x = x (h_i . 1_A): one on the action's rows, one on rho's; over F_2 and
+    # F_3 at dim A <= 4 both also equal the brute-force listing of those x
+    listed = 0
+    for pa in invariant_cases(field):
+        inv = invariant_subalgebra(pa)
+        assert inv == coinvariant_subalgebra(action_to_coaction(pa))
+        A = pa.alg
+        if field.char in (2, 3) and A.dim <= 4:
+            units = [pa.unit_image(i) for i in range(pa.hopf.dim)]
+            fixed = [
+                a for a in all_vectors(field, A.dim)
+                if all(pa.act_basis(i, a) == A.multiply(a, u) for i, u in enumerate(units))
+            ]
+            assert len(fixed) == field.char ** inv.dim
+            assert all(inv.contains(a) for a in fixed)
+            listed += 1
+    if field.char in (2, 3):
+        assert listed >= 10
 
 
 def test_invertible_invariants_closed_under_inverse():

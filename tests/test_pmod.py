@@ -21,7 +21,6 @@ from psl.pmod import (
     from_smash_module,
     irreducible_extension,
     is_irreducible,
-    mod_basis,
     module_annihilator,
     module_is_irreducible_over_algebra,
     quotient_module,
@@ -30,7 +29,18 @@ from psl.pmod import (
 )
 from psl.radicals import FieldNotFinite
 from psl.smash import build_partial_smash, tensor_coords
-from helpers import dense_a_act, dense_h_act, dense_module_act, fix_a, fix_b, fix_c, fix_d, solve_left
+from helpers import (
+    dense_a_act,
+    dense_h_act,
+    dense_module_act,
+    fix_a,
+    fix_b,
+    fix_c,
+    fix_d,
+    mod_basis,
+    module_act_vec,
+    solve_left,
+)
 import boxed_reference as ref
 
 F2 = GF(2)
@@ -149,7 +159,7 @@ def test_annihilator_regular_and_quotient():
     I = [[1, 0, 0]]
     qm = quotient_module(pa.alg, Subspace.from_vectors(QQ, 3, I), "right")
     h_act = [
-        [qm.act_vec(pa.unit_image(0), mod_basis(qm, j)) for j in range(qm.dim)]
+        [module_act_vec(qm, pa.unit_image(0), mod_basis(qm, j)) for j in range(qm.dim)]
         for _ in range(pa.hopf.dim)
     ]
     # trivial action: m <| h = eps(h) m

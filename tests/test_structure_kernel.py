@@ -22,7 +22,6 @@ import boxed_reference as ref
 from psl.algebra import (
     Algebra,
     AlgebraMap,
-    _operate_sum,
     check_algebra,
     ideal_closure,
     is_ideal,
@@ -59,7 +58,7 @@ from psl.radicals import h_jacobson_radical, jacobson_radical
 from psl.smash import build_full_smash, build_partial_smash
 from psl.verify import random_partial_action, truncated_polynomial_algebra
 from psl.workspace import load_workspace
-from helpers import assert_kernel_form, dense_a_act, dense_act, dense_comul, dense_h_act, dense_module_act, dense_mult, fix_a, fix_b, fix_c, fix_d, matrix_algebra, rand_subspace, rand_vec, solve_left
+from helpers import assert_kernel_form, act_vec, dense_a_act, dense_act, dense_comul, dense_h_act, dense_module_act, dense_mult, dense_rho, fix_a, fix_b, fix_c, fix_d, matrix_algebra, module_act_vec, operate_sum, rand_subspace, rand_vec, solve_left
 from test_nonabelian import a3_indices
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -253,7 +252,7 @@ def test_hopf_and_coaction_checkers_match_boxed_loops(field):
             failing_hopf += not got.ok
         pc = action_to_coaction(pa)
         coactions = [pc] + [
-            PartialCoaction(pa.alg, pc.hopf, corrupt_matrix(rng, field, pc.rho)) for _ in range(2)
+            PartialCoaction(pa.alg, pc.hopf, corrupt_matrix(rng, field, Matrix(field, dense_rho(pc)))) for _ in range(2)
         ]
         for c in coactions:
             got = check_partial_coaction(c)
@@ -297,11 +296,11 @@ def test_module_checkers_match_boxed_loops(field):
             assert got == ref.check_partial_module(N)
             failing_partial += not got.ok
         a, h, w = rand_vec(rng, field, pa.alg.dim), rand_vec(rng, field, pa.hopf.dim), rand_vec(rng, field, M.dim)
-        assert _operate_sum(field, M._a_terms, a, w, M.dim) == ref.act_a(M, a, w)
-        assert _operate_sum(field, M._h_terms, h, w, M.dim) == ref.act_h(M, h, w)
+        assert operate_sum(field, M._a_terms, a, w, M.dim) == ref.act_a(M, a, w)
+        assert operate_sum(field, M._h_terms, h, w, M.dim) == ref.act_h(M, h, w)
         x = rand_vec(rng, field, V.algebra.dim)
-        assert V.act_vec(x, w) == ref.module_act_vec(V, x, w)
-        assert pa.act_vec(h, a) == ref.act_vec(pa, h, a)
+        assert module_act_vec(V, x, w) == ref.module_act_vec(V, x, w)
+        assert act_vec(pa, h, a) == ref.act_vec(pa, h, a)
     assert modules >= DRAWS // 2 and failing_modules >= modules // 2 and failing_partial >= modules
 
 
@@ -530,7 +529,7 @@ def test_mixed_constants_match_boxed_loops():
                 x = tuple(Fraction(t % 3, 1 + t % 2) for t in range(alg.dim))
                 assert alg.multiply(x, alg.unit) == ref.multiply(alg, x, alg.unit)
         h, a = rand_vec(rng, QQ, pa.hopf.dim), rand_vec(rng, QQ, A.dim)
-        assert pa.act_vec(h, a) == ref.act_vec(pa, h, a)
+        assert act_vec(pa, h, a) == ref.act_vec(pa, h, a)
         tensors = [X.terms for X in (A, sp.full, sp.carrier)] + [pa._terms]
         fractional += any(type(c) is Fraction for t in tensors for row in t for e in row for _, c in e)
     # every instance mixes integral and non-integral constants, and the corrupted copies fail

@@ -1,7 +1,8 @@
 """Source-level guards: no `assert` in the package, `python -O` changes no output, every
 public function has a caller in the package and every import a use, the instance
-generator builds nothing through the coercing public constructors, `main` builds its
-grammar once per process, and each command imports only the modules it runs."""
+generator, the module builders and the coaction dictionary build nothing through the
+coercing public constructors, `main` builds its grammar once per process, and each
+command imports only the modules it runs."""
 
 import ast
 import importlib
@@ -16,9 +17,21 @@ import pytest
 import psl
 from psl.algebra import Algebra
 from psl.cli import main
-from psl.exactla import QQ
+from psl.exactla import GF, QQ, Subspace
 from psl.hopf import HopfAlgebra
-from psl.paction import PartialAction, c4_triple
+from psl.paction import PartialAction, PartialCoaction, action_to_coaction, c4_triple, coaction_to_action
+from psl.pmod import (
+    AlgebraModule,
+    PartialModule,
+    extend_left_module,
+    extend_right_module,
+    from_smash_module,
+    irreducible_extension,
+    quotient_module,
+    regular_module,
+    to_smash_module,
+)
+from psl.smash import build_partial_smash
 from psl.workspace import load_workspace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -178,11 +191,10 @@ def test_every_import_is_used(path):
     assert sorted(imported - used) == [], f"unused imports in {path.name}"
 
 
-def test_verify_builds_nothing_through_the_public_constructors(monkeypatch, tmp_path):
-    # psl builds its algebras, Hopf algebras and actions from its own sparse
-    # terms; the coercing constructors are for outside input only
+def count_constructor_calls(monkeypatch, classes) -> list:
+    """The list that each later `__init__` call of one of `classes` appends its class name to."""
     calls = []
-    for cls in (Algebra, HopfAlgebra, PartialAction):
+    for cls in classes:
         real = cls.__init__
 
         def counting(self, *args, cls=cls, real=real, **kwargs):
@@ -190,6 +202,13 @@ def test_verify_builds_nothing_through_the_public_constructors(monkeypatch, tmp_
             real(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting)
+    return calls
+
+
+def test_verify_builds_nothing_through_the_public_constructors(monkeypatch, tmp_path):
+    # psl builds its algebras, Hopf algebras and actions from its own sparse
+    # terms; the coercing constructors are for outside input only
+    calls = count_constructor_calls(monkeypatch, (Algebra, HopfAlgebra, PartialAction))
     assert main(["verify", "T4.26"]) == 0
     assert main(["verify", "NEG-SS"]) == 0  # builds sweedler_h4
     c4_triple(QQ)  # the FIX-B fixture of the run, also on its own
@@ -206,6 +225,24 @@ def test_verify_builds_nothing_through_the_public_constructors(monkeypatch, tmp_
     path.write_text(json.dumps(doc))
     load_workspace(str(path)).actions["explicit"]
     assert calls == ["PartialAction"]
+
+
+def test_module_builders_and_coactions_build_nothing_through_the_public_constructors(monkeypatch):
+    # pmod's modules and the action <-> coaction dictionary store the sparse rows
+    # their loops compute; the coercing constructors are for outside input only
+    calls = count_constructor_calls(monkeypatch, (AlgebraModule, PartialModule, PartialCoaction, PartialAction))
+    F5 = GF(5)
+    pa = c4_triple(F5)  # FIX-B over F_5, with the simple modules A/(e2, e3) on both sides
+    I = Subspace.from_vectors(F5, 3, [[0, 1, 0], [0, 0, 1]])
+    right, left = quotient_module(pa.alg, I, "right"), quotient_module(pa.alg, I, "left")
+    sp = build_partial_smash(pa)
+    for side in ("right", "left"):
+        to_smash_module(from_smash_module(sp, regular_module(sp.carrier, side)), sp)
+    extend_right_module(pa, right)
+    extend_left_module(pa, left)
+    irreducible_extension(pa, right)
+    coaction_to_action(action_to_coaction(pa), pa.hopf)
+    assert calls == []
 
 
 def test_parity_script_writes_only_with_write(monkeypatch, tmp_path, capsys):
