@@ -162,10 +162,6 @@ class PrimeField(Field):
             raise ValueError(f"{p} is not prime")
         self.char = p
 
-    @property
-    def p(self) -> int:
-        return self.char
-
     def of(self, x):
         if x.__class__ is int:
             return x % self.char

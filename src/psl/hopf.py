@@ -30,7 +30,10 @@ from psl.exactla import (
     Subspace,
     _canon,
     _coerce,
+    _dense,
+    _identity_rows,
     _nonzero,
+    _null_span,
     _tensor,
     _vector,
     unit_vec,
@@ -300,20 +303,18 @@ def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
 
 
 def left_integrals(H: HopfAlgebra) -> Subspace:
-    """Solutions of h*L = eps(h)*L for all basis h (1-dimensional by Larson-Sweedler)."""
+    """Solutions of h*L = eps(h)*L for all basis h (1-dimensional by Larson-Sweedler), as one
+    `_null_span`: row j holds, in block i, h_i h_j less eps(h_i) at coordinate j."""
     m = H.dim
-    field = H.field
     rows = []
     for j in range(m):
         row = []
-        for i in range(m):
-            img = H.alg.multiply(H.alg.basis_vector(i), H.alg.basis_vector(j))
-            shifted = list(img)
-            shifted[j] = shifted[j] - H.counit[i]
-            # condition block for basis element i, acting on coordinate j of Lambda
-            row.extend(shifted)
-        rows.append(tuple(row))
-    return Matrix(field, rows, ncols=m * m).left_kernel()
+        for i, e in enumerate(H.counit):
+            block = _dense(H.alg.terms[i][j], m)
+            block[j] -= e
+            row += block
+        rows.append(row)
+    return _null_span(H.field, rows, _identity_rows(H.field.char, m), m * m, m)
 
 
 def is_semisimple(H: HopfAlgebra) -> bool:

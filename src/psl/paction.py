@@ -82,7 +82,7 @@ class CharDividesOrder(ValueError):
 def _check_pair(hopf: HopfAlgebra, alg: Algebra) -> None:
     """Raise unless H can act, or coact, partially on A: one field, A unital and nonzero."""
     if hopf.field != alg.field:
-        raise DimensionMismatch("Hopf algebra and algebra over different fields")
+        raise FieldMismatch("Hopf algebra and algebra over different fields")
     if alg.unit is None:
         raise ValueError("partial actions require a unital algebra")
     if alg.dim == 0:

@@ -18,7 +18,6 @@ from psl.algebra import (
     NotAnIdeal,
     _closed_subalgebra,
     _compact,
-    _differ,
     _multiply_raw,
     check_algebra,
     is_ideal,
@@ -43,7 +42,12 @@ def tensor_coords(pa: PartialAction, avec: Sequence, hvec: Sequence) -> tuple:
 
 
 def build_full_smash(pa: PartialAction) -> Algebra:
-    """A # H with (a#h)(b#g) = sum a(h1.b) # h2 g; non-unital unless global."""
+    """A # H with (a#h)(b#g) = sum a(h1.b) # h2 g, with unit 1_A # 1_H exactly when `is_global(pa)`.
+
+    (1 # 1)(b # g) = b # g always, and (a # h)(1 # 1) = a # h for all a, h
+    iff h . 1_A = eps(h) 1_A; a wrong answer fails the carrier's right unit
+    law in `build_partial_smash`.
+    """
     H, A = pa.hopf, pa.alg
     m, n = H.dim, A.dim
     N = n * m
@@ -75,18 +79,8 @@ def build_full_smash(pa: PartialAction) -> Algebra:
             terms.append(tuple(row))
     terms = tuple(terms)
     labels = tuple(f"{A.labels[j]}#{H.alg.labels[i]}" for j in range(n) for i in range(m))
-    candidate_unit = tensor_coords(pa, A.unit, H.unit)
-    unit = _nonzero(candidate_unit, p)
-
-    def unit_laws_hold(b):
-        e_b = ((b, 1),)
-        dense = [int(t == b) for t in range(N)]
-        return not (
-            _differ(_multiply_raw(terms, unit, e_b), dense, p) or _differ(_multiply_raw(terms, e_b, unit), dense, p)
-        )
-
-    unit_ok = all(unit_laws_hold(b) for b in range(N))
-    return Algebra._of_terms(field, terms, candidate_unit if unit_ok else None, labels)
+    unit = tensor_coords(pa, A.unit, H.unit) if is_global(pa) else None
+    return Algebra._of_terms(field, terms, unit, labels)
 
 
 class SmashProduct:
@@ -152,7 +146,7 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     u_terms = _nonzero(u, p)
 
     if full.unit is not None:
-        # build_full_smash checked x u = x on every basis element: the carrier is A (x) H
+        # a global action: x u = x for every x, so the carrier is A (x) H
         image = Subspace.full_space(field, N)
     else:
         image = Subspace._span(field, N, [_multiply_raw(terms, ((i, 1),), u_terms) for i in range(N)])

@@ -25,7 +25,7 @@ from psl.algebra import (
     quotient_algebra,
     span_products,
 )
-from psl.exactla import GF, QQ, Field, Subspace, unit_vec
+from psl.exactla import GF, QQ, Field, Subspace, line_refusal, unit_vec
 from psl.hopf import (
     GroupTable,
     HopfAlgebra,
@@ -254,8 +254,8 @@ def _enumerable(pa: PartialAction, dim_cap: int, field_cap: int) -> bool:
 def check_transfer(kind: str, report: VerifyReport, tag: str, pa: PartialAction, **_) -> bool:
     """T4.26 / T4.14: kind_{H*}(A#H) = kind_H(A)#H, and back through Psi."""
     sp = build_partial_smash(pa)
-    side_a = colon_ideal(pa, jacobson_radical(pa.alg).radical)
-    side_c = colon_ideal(sp.dual_action, jacobson_radical(sp.carrier).radical)
+    side_a = h_jacobson_radical(pa)
+    side_c = h_jacobson_radical(sp.dual_action)
     transferred = phi_ideal(sp, side_a)
     report.add(
         f"{tag}: {kind}_H*(A#H) = {kind}_H(A)#H",
@@ -274,7 +274,7 @@ def check_transfer(kind: str, report: VerifyReport, tag: str, pa: PartialAction,
 def check_intersection(kind: str, report: VerifyReport, tag: str, pa: PartialAction, **_) -> bool:
     """P4.20 / C4.13-INT: (kind(A):H) = kind(A#H) /\\ A through independent routes."""
     sp = build_partial_smash(pa)
-    lhs = colon_ideal(pa, jacobson_radical(pa.alg).radical)
+    lhs = h_jacobson_radical(pa)
     rhs = psi_ideal(sp, jacobson_radical(sp.carrier).radical)
     report.add(
         f"{tag}: ({kind}(A):H) = {kind}(A#H) /\\ A",
@@ -388,7 +388,7 @@ def check_dual_ideals(report: VerifyReport, tag: str, pa: PartialAction, *,
     if not (
         _enumerable(pa, dim_cap, field_cap)
         and carrier_cap <= ENUM_CARRIER_CAP
-        and enumeration_refusal(pa.field.char, carrier_cap, carrier_cap, field_cap) is None
+        and line_refusal(pa.field.char, carrier_cap) is None
     ):
         return check_ideal_correspondence(report, tag, pa, seed=seed, dim_cap=dim_cap, field_cap=field_cap)
     sp = build_partial_smash(pa)

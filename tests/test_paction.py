@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from psl.algebra import Algebra, NotAnIdeal, ideal_closure, product_of_fields
-from psl.exactla import GF, QQ, DimensionMismatch, FieldMismatch, Matrix, Subspace, unit_vec
+from psl.exactla import GF, QQ, FieldMismatch, Matrix, Subspace, unit_vec
 from psl.hopf import GroupTable, dual_group_algebra, dual_hopf, group_algebra
 from psl.paction import (
     BadSubgroup,
@@ -258,8 +258,16 @@ def test_coaction_pc3_fix_b():
 
 def test_coaction_refuses_a_dual_over_another_field():
     K = dual_hopf(group_algebra(F3, GroupTable.cyclic(2)))
-    with pytest.raises(DimensionMismatch, match="different fields"):
+    with pytest.raises(FieldMismatch, match="different fields"):
         PartialCoaction(product_of_fields(QQ, 1), K, Matrix(QQ, [[1, 0]]))
+
+
+def test_actions_refuse_an_algebra_over_another_field():
+    H, A = group_algebra(F3, GroupTable.cyclic(2)), product_of_fields(QQ, 1)
+    with pytest.raises(FieldMismatch, match="different fields"):
+        PartialAction(H, A, [[[1]], [[1]]])
+    with pytest.raises(FieldMismatch, match="different fields"):
+        trivial_action(H, A)
 
 
 def test_coaction_refuses_a_matrix_over_another_field():

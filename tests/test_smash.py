@@ -2,14 +2,25 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from psl.algebra import AlgebraMap, NotAnIdeal, _apply_raw, check_algebra, ideal_closure, span_products
+from psl import smash
+from psl.algebra import (
+    AlgebraMap,
+    InvariantViolation,
+    NotAnIdeal,
+    _apply_raw,
+    check_algebra,
+    ideal_closure,
+    span_products,
+)
 from psl.exactla import GF, QQ, Matrix, Subspace, _nonzero, unit_vec, zero_vec
 from psl.hopf import GroupTable, group_algebra
 from psl.paction import (
     NotHStable,
+    c4_triple,
     colon_ideal,
     invariant_subalgebra,
     is_global,
@@ -25,10 +36,13 @@ from psl.smash import (
     psi_ideal,
     tensor_coords,
 )
+from psl.verify import THEOREMS
+from psl.workspace import load_workspace
 from helpers import act_vec, dense_comul, dense_mult, fix_a, fix_b, fix_c, fix_d, rand_vec
 
 F2 = GF(2)
 F3 = GF(3)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def expansion_oracle_dim(pa):
@@ -137,6 +151,46 @@ def test_non_unital_full_product_takes_the_span(monkeypatch):
         monkeypatch.undo()
         assert seen.count(N) == 1
         assert sp.carrier.dim < N
+
+
+def _globality_actions():
+    """T4.26's source at seeds 0-3, every action of the sample and pslbench workspaces."""
+    for seed in range(4):
+        yield from (pa for _tag, pa in THEOREMS["T4.26"].instances(seed, 100, 6, 5, ()))
+    for path in [ROOT / "workspaces" / "sample.json", *sorted((ROOT / "pslbench" / "workspaces").glob("*.json"))]:
+        ws = load_workspace(str(path))
+        yield from (ws.actions[name] for name in ws.actions)
+
+
+def _is_unit(full, u) -> bool:
+    """Whether u is a two-sided unit of `full`, by the public product on every basis element."""
+    return all(
+        full.multiply(u, b) == b and full.multiply(b, u) == b
+        for b in (full.basis_vector(i) for i in range(full.dim))
+    )
+
+
+def test_full_smash_unit_is_decided_by_globality():
+    # A # H is unital, with unit 1_A # 1_H, exactly when the action is global
+    seen = {True: 0, False: 0}
+    for pa in _globality_actions():
+        for action in (pa, build_partial_smash(pa).dual_action):
+            full = build_full_smash(action)
+            glob = is_global(action)
+            u = tensor_coords(action, action.alg.unit, action.hopf.unit)
+            assert (full.unit is not None) == glob == _is_unit(full, u)
+            assert full.unit in (None, u)
+            seen[glob] += 1
+    assert seen[True] > 0 and seen[False] > 0
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=repr)
+def test_a_wrong_global_answer_fails_the_carrier_check(monkeypatch, field):
+    # the unit 1_A # 1_H of a wrongly global A # H makes the carrier all of A (x) H,
+    # where it is no right unit
+    monkeypatch.setattr(smash, "is_global", lambda pa: True)
+    with pytest.raises(InvariantViolation, match="right unit law"):
+        build_partial_smash(c4_triple(field))
 
 
 def test_partial_smash_fix_b_basis_structure():

@@ -17,7 +17,7 @@ import pytest
 import psl
 from psl.algebra import Algebra
 from psl.cli import main
-from psl.exactla import GF, QQ, Subspace
+from psl.exactla import GF, QQ, Matrix, Subspace
 from psl.hopf import HopfAlgebra
 from psl.paction import PartialAction, PartialCoaction, action_to_coaction, c4_triple, coaction_to_action
 from psl.pmod import (
@@ -114,15 +114,24 @@ def uncalled_definitions(sources: dict, exported: set) -> list:
     `sources` maps a module name to its text.  A module-level function is
     referenced through a name and a method through an attribute, anywhere in
     the sources but inside its own definition; an exported function needs none.
+    An attribute of `self` or `cls` inside class C references only
+    C's own method of that name.
     """
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    # name -> (module, line, (module, class) of a self/cls attribute inside a class, else None)
     refs = {ast.Name: {}, ast.Attribute: {}}
     for mod, tree in trees.items():
-        for node in ast.walk(tree):
+        stack = [(tree, None)]
+        while stack:
+            node, cls = stack.pop()
+            if isinstance(node, ast.ClassDef):
+                cls = node.name
+            stack.extend((child, cls) for child in ast.iter_child_nodes(node))
             if isinstance(node, ast.Name):
-                refs[ast.Name].setdefault(node.id, []).append((mod, node.lineno))
+                refs[ast.Name].setdefault(node.id, []).append((mod, node.lineno, None))
             elif isinstance(node, ast.Attribute):
-                refs[ast.Attribute].setdefault(node.attr, []).append((mod, node.lineno))
+                own = cls and isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+                refs[ast.Attribute].setdefault(node.attr, []).append((mod, node.lineno, (mod, cls) if own else None))
     found = []
     for mod, tree in trees.items():
         defs = [(None, n) for n in tree.body] + [
@@ -134,6 +143,7 @@ def uncalled_definitions(sources: dict, exported: set) -> list:
             if owner is None and node.name in exported:
                 continue
             uses = refs[ast.Name if owner is None else ast.Attribute].get(node.name, [])
+            uses = [(m, line) for m, line, scope in uses if scope in (None, (mod, owner))]
             if all(m == mod and node.lineno <= line <= node.end_lineno for m, line in uses):
                 found.append(f"{mod}:{owner + '.' if owner else ''}{node.name}")
     return found
@@ -171,11 +181,14 @@ def test_caller_guard_sees_every_form():
         "m": "def f(n):\n    return f(n - 1)\ndef g():\n    return h()\ndef h():\n    pass\n"
         "def exported():\n    pass\n"
         "class C:\n    def rec(self):\n        return self.rec()\n    def used(self):\n        pass\n"
-        "    def _private(self):\n        pass\n",
-        "n": "def k(c):\n    return c.used()\n",
+        "    def _private(self):\n        pass\n    def size(self):\n        pass\n"
+        "    def own(self):\n        pass\n    def _reads_own(self):\n        return self.own\n",
+        "n": "def k(c):\n    return c.used()\n"
+        "class D:\n    def __init__(self):\n        self.size = 0\n",
     }
-    # recursion is no caller; a name reaches a function and an attribute a method
-    assert uncalled_definitions(sources, {"exported"}) == ["m:f", "m:g", "m:C.rec", "n:k"]
+    # recursion is no caller; a name reaches a function and an attribute a method,
+    # but self.<name> inside a class only that class's own method
+    assert uncalled_definitions(sources, {"exported"}) == ["m:f", "m:g", "m:C.rec", "m:C.size", "n:k"]
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
@@ -206,11 +219,11 @@ def count_constructor_calls(monkeypatch, classes) -> list:
 
 
 def test_verify_builds_nothing_through_the_public_constructors(monkeypatch, tmp_path):
-    # psl builds its algebras, Hopf algebras and actions from its own sparse
-    # terms; the coercing constructors are for outside input only
-    calls = count_constructor_calls(monkeypatch, (Algebra, HopfAlgebra, PartialAction))
+    # psl builds its algebras, Hopf algebras, actions and matrices from its own
+    # sparse terms; the coercing constructors are for outside input only
+    calls = count_constructor_calls(monkeypatch, (Algebra, HopfAlgebra, PartialAction, Matrix))
     assert main(["verify", "T4.26"]) == 0
-    assert main(["verify", "NEG-SS"]) == 0  # builds sweedler_h4
+    assert main(["verify", "NEG-SS"]) == 0  # builds sweedler_h4 and asks is_semisimple
     c4_triple(QQ)  # the FIX-B fixture of the run, also on its own
     assert calls == []
     doc = {
