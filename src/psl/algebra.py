@@ -20,10 +20,12 @@ a value is returned or stored (`_canon`), or where it is fed to a next
 product (`_compact`).  Over Q the sparse vectors (`_nonzero`, `_compact`)
 hold an integral c as an int and any other as a Fraction, so these loops
 multiply plain ints wherever the constants allow; `_canon` makes every value
-a Fraction again on the way out.  The associativity and PA3/PA4 checks go
-further: they clear the denominators of what they read (`_cleared`, in the
-fraction-free spirit of Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", 1968) and run on ints alone, and
+a Fraction again on the way out, but not in the constants of a subalgebra
+(`_closed_subalgebra`), which store `Subspace._coords` as it is.  The
+associativity and PA3/PA4 checks go further: they clear the denominators of
+what they read (`_cleared`, in the fraction-free spirit of Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", 1968) and run on ints alone, and
 they accumulate all the triples of one basis pair into one n x n block that
 is tested once.  An algebra psl builds itself (`build_full_smash`,
 `quotient_algebra`, `_closed_subalgebra`, `direct_product`,
@@ -47,6 +49,7 @@ from psl.exactla import (
     Subspace,
     _canon,
     _coerce,
+    _compact,
     _dense,
     _nonzero,
     _spin,
@@ -88,14 +91,6 @@ class CheckReport(NamedTuple):
 # the structure-constant kernel: F_p scalars as plain ints, Q scalars as
 # Fractions.  Sparse vectors are tuples of their nonzero (k, c); dense ones
 # are lists.
-
-
-def _compact(raw: Sequence, p: int) -> tuple:
-    """The nonzero (k, c) of dense (possibly unreduced) coordinates, reduced mod p (p = 0 over Q,
-    where an integral c becomes its int)."""
-    if p:
-        return tuple((k, v % p) for k, v in enumerate(raw) if v % p)
-    return _nonzero(raw, 0)
 
 
 def _differ(u: list, v: list, p: int) -> bool:
@@ -354,7 +349,7 @@ def is_ideal(A: Algebra, I: Subspace, side: str = "two_sided") -> bool:
         raise DimensionMismatch("subspace does not live in the algebra")
     ops = _mult_operators(A, side)
     n, p = A.dim, A.field.char
-    return all(I._holds(_apply_raw(op, _nonzero(v, p), n)) for v in I.rows for op in ops)
+    return all(I._holds(_apply_raw(op, v, n)) for v in (_nonzero(r, p) for r in I.rows) for op in ops)
 
 
 class AlgebraMap:
@@ -446,10 +441,10 @@ def _closed_subalgebra(A: Algebra, S: Subspace, unit: Sequence, message: str, la
     """The algebra on a subspace S of A closed under products, on the RREF basis of S.
 
     Returns it with the coordinate map of S, which takes a dense vector of A
-    (unreduced entries allowed), returns its canonical coordinates and raises
-    InvariantViolation(message) on a vector outside S.  Coordinates go
-    through `Subspace._coords`.  A full S, such as the carrier of a global
-    action, keeps A's own constants.
+    (unreduced entries allowed) and returns its sparse kernel-form
+    coordinates from `Subspace._coords`, stored as they are in the products,
+    or raises InvariantViolation(message) on a vector outside S.  A full S,
+    such as the carrier of a global action, keeps A's own constants.
     """
 
     def coords(vec):
@@ -459,11 +454,10 @@ def _closed_subalgebra(A: Algebra, S: Subspace, unit: Sequence, message: str, la
         return c
 
     p, terms = A.field.char, A.terms
-    if S.is_full():  # the RREF basis is the standard one, and A's constants are the products
-        return Algebra._of_terms(A.field, terms, coords(unit), labels), coords
-    rows = [_nonzero(r, p) for r in S.rows]
-    products = tuple(tuple(_nonzero(coords(_multiply_raw(terms, u, v)), p) for v in rows) for u in rows)
-    return Algebra._of_terms(A.field, products, coords(unit), labels), coords
+    if not S.is_full():  # else the RREF basis is the standard one, and A's constants are the products
+        rows = [_nonzero(r, p) for r in S.rows]
+        terms = tuple(tuple(coords(_multiply_raw(terms, u, v)) for v in rows) for u in rows)
+    return Algebra._of_terms(A.field, terms, _canon(_dense(coords(unit), S.dim), p), labels), coords
 
 
 def product_of_fields(field: Field, k: int) -> Algebra:

@@ -22,7 +22,8 @@ reduces a row mod p once, when it is kept, not after every scalar operation
 words over Q where it can: the sparse form of a row (`_nonzero`) holds an
 integral rational as its int and any other as a Fraction, and `_canon`
 turns every value back into a Fraction where a container stores it or a
-method returns it.  Only `_Echelon.add` divides, and always by a Fraction.
+method returns it; `Subspace._coords` returns coordinates sparse, for the
+constants that store them.  Only `_Echelon.add` divides, always by a Fraction.
 Invariant subspaces are spun on it (Parker, "The computer calculation of
 modular characters (the Meat-Axe)", 1984); a span or spin that reaches the
 whole space stops there and returns the shared identity rows.  Every null
@@ -266,6 +267,13 @@ def _nonzero(row: Sequence, p: int) -> tuple:
     if p:
         return tuple((k, x) for k, x in enumerate(row) if x)
     return tuple((k, x.numerator if x.denominator == 1 else x) for k, x in enumerate(row) if x)
+
+
+def _compact(raw: Sequence, p: int) -> tuple:
+    """The nonzero (k, c) of dense, possibly unreduced coordinates, reduced mod p; over Q an integral c is an int."""
+    if p:
+        return tuple((k, v % p) for k, v in enumerate(raw) if v % p)
+    return _nonzero(raw, 0)
 
 
 def _dense(sparse: Iterable[tuple], n: int) -> list:
@@ -678,10 +686,11 @@ class Subspace:
         return True
 
     def _coords(self, vec: Sequence) -> tuple | None:
-        """Coordinates of a vector in the RREF basis, or None if it is outside (unreduced entries allowed)."""
+        """Coordinates of a vector in the RREF basis, sparse and in kernel form (`_compact`), or None if it is
+        outside (unreduced entries allowed); the one membership-and-coordinates routine."""
         if not self._holds(vec):
             return None
-        return _canon([vec[c] for c in self.pivots], self.field.char)
+        return _compact([vec[c] for c in self.pivots], self.field.char)
 
     def reduce(self, vec: Sequence) -> tuple:
         """Residual of vec after elimination against the basis."""
@@ -699,7 +708,8 @@ class Subspace:
 
     def coords_of(self, vec: Sequence) -> tuple | None:
         """Coordinates of vec in the RREF basis, or None if vec is outside."""
-        return self._coords(_coerce(self.field, vec, self.ambient, AmbientMismatch))
+        c = self._coords(_coerce(self.field, vec, self.ambient, AmbientMismatch))
+        return None if c is None else _canon(_dense(c, self.dim), self.field.char)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compat(other)

@@ -79,11 +79,11 @@ class GroupTable:
                 break
         if identity is None:
             raise InvalidGroupTable("no identity element")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if tab[tab[i][j]][k] != tab[i][tab[j][k]]:
-                        raise InvalidGroupTable(f"associativity fails at ({i},{j},{k})")
+        for i, row in enumerate(tab):
+            for j, ij in enumerate(row):
+                if tab[ij] != tuple(map(row.__getitem__, tab[j])):  # (ij)k = i(jk) for every k at once
+                    k = next(k for k in range(n) if tab[ij][k] != row[tab[j][k]])
+                    raise InvalidGroupTable(f"associativity fails at ({i},{j},{k})")
         inverses = []
         for i in range(n):
             inv = next((j for j in range(n) if tab[i][j] == identity and tab[j][i] == identity), None)

@@ -28,7 +28,6 @@ from psl.algebra import (
     _apply_raw,
     _cleared,
     _closed_subalgebra,
-    _compact,
     _differ,
     _failed_slices,
     _multiply_raw,
@@ -46,6 +45,7 @@ from psl.exactla import (
     Matrix,
     Subspace,
     _coerce,
+    _compact,
     _dense,
     _identity_rows,
     _nonzero,
@@ -276,11 +276,13 @@ def _pa2_samples(m: int, n: int) -> tuple:
 
 
 def is_global(pa: PartialAction) -> bool:
-    """h . 1_A = eps(h) 1_A on every basis element."""
-    unit, n, p = pa.alg.unit, pa.alg.dim, pa.field.char
-    sparse = _nonzero(unit, p)
+    """h . 1_A = eps(h) 1_A on every basis element; eps(h) 1_A is formed once per counit value."""
+    n, p = pa.alg.dim, pa.field.char
+    unit = _nonzero(pa.alg.unit, p)
+    scaled = {0: [0] * n, 1: _dense(unit, n)}  # eps(h) 1_A by the value of eps(h), 1_A in kernel form
     return not any(
-        _differ(_apply_raw(row, sparse, n), [e * x for x in unit], p) for row, e in zip(pa._terms, pa.hopf.counit)
+        _differ(_apply_raw(row, unit, n), scaled.get(e) or scaled.setdefault(e, [e * x for x in scaled[1]]), p)
+        for row, e in zip(pa._terms, pa.hopf.counit)
     )
 
 
@@ -326,23 +328,24 @@ def induce_from_ideal(global_pa: PartialAction, e: Sequence) -> PartialAction:
     if not is_global(global_pa):
         raise ValueError("induce_from_ideal needs a global action")
     B = global_pa.alg
-    e = tuple(_coerce(B.field, e, B.dim))
-    if B.multiply(e, e) != e:
+    n, p, terms = B.dim, B.field.char, B.terms
+    e = _coerce(B.field, e, n)
+    es = _nonzero(e, p)
+    if _differ(_multiply_raw(terms, es, es), e, p):
         raise NotIdempotent("e is not idempotent")
-    ideal = Subspace.from_vectors(
-        B.field, B.dim, [B.multiply(e, B.basis_vector(j)) for j in range(B.dim)]
-    )
-    for r in ideal.rows:
-        if B.multiply(e, r) != r or B.multiply(r, e) != r:
+    de = _cleared((es,), p)[1][0]  # e B = (D e) B, and D e is integral
+    ideal = Subspace._span(B.field, n, [_multiply_raw(terms, de, ((j, 1),)) for j in range(n)])
+    rows = [_nonzero(r, p) for r in ideal.rows]
+    for r, dense in zip(rows, map(list, ideal.rows)):
+        if _differ(_multiply_raw(terms, es, r), dense, p) or _differ(_multiply_raw(terms, r, es), dense, p):
             raise NotRightIdealUnit("e is not an identity element of eB")
 
     A, coords = _closed_subalgebra(
         B, ideal, e, "product escaped the right ideal eB", [f"a{s}" for s in range(ideal.dim)]
     )
-    p = B.field.char
     act = tuple(
-        tuple(_nonzero(coords(B.multiply(e, global_pa.act_basis(i, r))), p) for r in ideal.rows)
-        for i in range(global_pa.hopf.dim)
+        tuple(coords(_multiply_raw(terms, es, _compact(_apply_raw(op, r, n), p))) for r in rows)
+        for op in global_pa._terms
     )
     pa = PartialAction._of_terms(global_pa.hopf, A, act)
     check_partial_action(pa).raise_if_failed("induced partial action axioms")
@@ -420,7 +423,7 @@ def is_h_stable(pa: PartialAction, I: Subspace) -> bool:
     """H . I <= I, checked on basis pairs."""
     n, p = pa.alg.dim, pa.field.char
     act = pa._terms
-    return all(I._holds(_apply_raw(op, _nonzero(r, p), n)) for r in I.rows for op in act)
+    return all(I._holds(_apply_raw(op, r, n)) for r in (_nonzero(v, p) for v in I.rows) for op in act)
 
 
 def quotient_action(pa: PartialAction, I: Subspace) -> tuple[PartialAction, AlgebraMap]:

@@ -40,7 +40,6 @@ from psl.algebra import (
     _add_scaled,
     _apply_pair,
     _apply_raw,
-    _compact,
     _differ,
     _mult_operators,
     is_ideal,
@@ -49,6 +48,7 @@ from psl.exactla import (
     Matrix,
     Subspace,
     _canon,
+    _compact,
     _dense,
     _lines,
     _nonzero,

@@ -5,6 +5,8 @@ the embedded copy a # 1_H of A keeps its own coordinates inside each block.
 The carrier of the partial smash product is the image of right
 multiplication by 1_A # 1_H, with its RREF rows as basis; when A # H is
 unital (a global action) that image is all of A (x) H and is not spanned.
+Carrier coordinates stay in the sparse kernel form of `Subspace._coords`
+throughout the build; only `SmashProduct.project` makes them canonical.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ from psl.algebra import (
     AlgebraMap,
     InvariantViolation,
     NotAnIdeal,
+    _cleared,
     _closed_subalgebra,
-    _compact,
     _multiply_raw,
     check_algebra,
     is_ideal,
 )
-from psl.exactla import Matrix, Subspace, _canon, _coerce, _dense, _nonzero, preimage_under
+from psl.exactla import Matrix, Subspace, _canon, _coerce, _compact, _dense, _nonzero, preimage_under
 from psl.hopf import dual_hopf
 from psl.paction import (
     NotHStable,
@@ -41,16 +43,27 @@ def tensor_coords(pa: PartialAction, avec: Sequence, hvec: Sequence) -> tuple:
     return _canon([x * y for x in _coerce(field, avec, pa.alg.dim) for y in h], field.char)
 
 
+def _summed(pairs, p: int) -> tuple:
+    """The sum of sparse (k, x) pairs as its nonzero (k, c) in key order, in kernel form (`_compact`)."""
+    acc = {}
+    for k, x in pairs:
+        acc[k] = acc.get(k, 0) + x
+    keys = sorted(acc)
+    return tuple((keys[s], c) for s, c in _compact([acc[k] for k in keys], p))
+
+
 def build_full_smash(pa: PartialAction) -> Algebra:
     """A # H with (a#h)(b#g) = sum a(h1.b) # h2 g, with unit 1_A # 1_H exactly when `is_global(pa)`.
 
     (1 # 1)(b # g) = b # g always, and (a # h)(1 # 1) = a # h for all a, h
     iff h . 1_A = eps(h) 1_A; a wrong answer fails the carrier's right unit
     law in `build_partial_smash`.
+
+    Delta(h_i)(1 (x) h_g) is formed once per pair (h_i, h_g), and each product
+    is accumulated, sparse, over the nonzero terms of Delta(h_i)(1 (x) h_g) only.
     """
     H, A = pa.hopf, pa.alg
     m, n = H.dim, A.dim
-    N = n * m
     field = pa.field
     p = field.char
     h_terms = H.alg.terms
@@ -61,23 +74,22 @@ def build_full_smash(pa: PartialAction) -> Algebra:
         [[_compact(_multiply_raw(A.terms, ((j, 1),), act[r][k]), p) for r in range(m)] for k in range(n)]
         for j in range(n)
     ]
-    terms = []
-    for j in range(n):
-        for i in range(m):
-            row = []
-            for k in range(n):
-                parts = a_parts[j][k]
-                for g in range(m):
-                    out = [0] * N
-                    for hp, hq, c in comul[i]:
-                        hpart = h_terms[hq][g]
-                        for t, xa in parts[hp]:
-                            cxa = c * xa
-                            for u, xh in hpart:
-                                out[t * m + u] += cxa * xh
-                    row.append(_compact(out, p))
-            terms.append(tuple(row))
-    terms = tuple(terms)
+    terms = [[None] * (n * m) for _ in range(n * m)]
+    for i in range(m):
+        for g in range(m):
+            d = [((hp, u), c * x) for hp, hq, c in comul[i] for u, x in h_terms[hq][g]]  # Delta(h_i)(1 (x) h_g)
+            d = d if len(d) == 1 else _summed(d, p)  # its nonzero terms ((r, u), c), for h_r (x) h_u
+            move = d[0][0] if len(d) == 1 and d[0][1] == 1 else None  # one term with coefficient 1: entries only move
+            for j in range(n):
+                row = terms[j * m + i]
+                for k in range(n):
+                    parts = a_parts[j][k]
+                    if move:
+                        r, u = move
+                        row[k * m + g] = tuple((t * m + u, xa) for t, xa in parts[r])
+                    else:
+                        row[k * m + g] = _summed(((t * m + u, c * xa) for (r, u), c in d for t, xa in parts[r]), p)
+    terms = tuple(map(tuple, terms))
     labels = tuple(f"{A.labels[j]}#{H.alg.labels[i]}" for j in range(n) for i in range(m))
     unit = tensor_coords(pa, A.unit, H.unit) if is_global(pa) else None
     return Algebra._of_terms(field, terms, unit, labels)
@@ -113,11 +125,11 @@ class SmashProduct:
 
     def project(self, tensor_vec: Sequence) -> tuple:
         """(x)(1_A # 1_H) in carrier coordinates, for any x in A # H."""
-        field = self.field
-        return self._project(_nonzero(_coerce(field, tensor_vec, self.full.dim), field.char))
+        c = self._project(_nonzero(_coerce(self.field, tensor_vec, self.full.dim), self.field.char))
+        return _canon(_dense(c, self.carrier.dim), self.field.char)
 
     def _project(self, x: tuple) -> tuple:
-        """project() of a sparse tensor vector."""
+        """project() of a sparse tensor vector, as the sparse coordinates of `Subspace._coords`."""
         c = self.coords._coords(_multiply_raw(self.full.terms, x, self._unit_terms))
         if c is None:
             raise ValueError("vector is not in the partial smash carrier")
@@ -148,8 +160,9 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     if full.unit is not None:
         # a global action: x u = x for every x, so the carrier is A (x) H
         image = Subspace.full_space(field, N)
-    else:
-        image = Subspace._span(field, N, [_multiply_raw(terms, ((i, 1),), u_terms) for i in range(N)])
+    else:  # x u and x (D u) span the same image, and D u is integral (`_cleared`)
+        du = _cleared((u_terms,), p)[1][0]
+        image = Subspace._span(field, N, [_multiply_raw(terms, ((i, 1),), du) for i in range(N)])
     rows = [_nonzero(r, p) for r in image.rows]
     d = image.dim
     carrier, in_carrier = _closed_subalgebra(
@@ -159,8 +172,8 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
 
     # a # 1_H for the basis of A
     h_unit = _nonzero(H.unit, p)
-    incl_rows = tuple(in_carrier(_dense(((j * m + i, c) for i, c in h_unit), N)) for j in range(n))
-    include_A = AlgebraMap(A, carrier, Matrix._of_raw(field, incl_rows, d))
+    incl = [in_carrier(_dense(((j * m + i, c) for i, c in h_unit), N)) for j in range(n)]
+    include_A = AlgebraMap(A, carrier, Matrix._of_raw(field, tuple(_canon(_dense(c, d), p) for c in incl), d))
     if not include_A.is_injective():
         raise InvariantViolation("A does not embed in the partial smash product")
     if not include_A.is_multiplicative():
@@ -181,7 +194,7 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
                 j, i = divmod(idx, m)
                 for hp, x in coproducts[r][i]:
                     out[j * m + hp] += c * x
-            act_r.append(_nonzero(in_carrier(out), p))
+            act_r.append(in_carrier(out))
         act.append(tuple(act_r))
     dual_action = PartialAction._of_terms(K, carrier, tuple(act))
     check_partial_action(dual_action).raise_if_failed("dual Hopf action axioms")
@@ -200,7 +213,7 @@ def phi_ideal(sp: SmashProduct, I: Subspace) -> Subspace:
         raise NotHStable("phi_ideal needs an H-stable ideal")
     m = pa.hopf.dim
     vecs = [
-        sp._project(tuple((j * m + i, c) for j, c in enumerate(x) if c))
+        _dense(sp._project(tuple((j * m + i, c) for j, c in enumerate(x) if c)), sp.carrier.dim)
         for x in I.rows
         for i in range(m)
     ]

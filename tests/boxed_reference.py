@@ -8,7 +8,8 @@ antipode, tensor-square products and `build_full_smash` did before they ran
 on sparse canonical scalars.  The subspace products, ideal closures,
 carrier of the partial smash product and algebra-map check below multiply
 through `multiply` here and close subspaces round by round, re-reducing the
-whole span each round, as psl did before it spun closures.
+whole span each round, as psl did before it spun closures.  The dual
+H*-action on the carrier is read off the coproduct tensor entry by entry.
 
 `Fp` is the modular scalar psl used to box F_p values: its arithmetic
 reduces mod p after every operation and it compares equal to any int
@@ -824,18 +825,52 @@ def is_multiplicative(amap):
     return True
 
 
+def carrier_space(pa, full):
+    """(A # H)(1_A # 1_H) as a subspace of A # H."""
+    field = pa.field
+    u = tensor_coords(field, pa.alg.unit, pa.hopf.unit)
+    return Subspace.from_vectors(
+        field, full.dim, [multiply(full, basis(field, full.dim, i), u) for i in range(full.dim)]
+    )
+
+
 def carrier(pa, full):
     """(mult, unit, include_A rows) of A #_par H on the RREF basis of (A # H)(1_A # 1_H)."""
     A, H = pa.alg, pa.hopf
     field = pa.field
     u = tensor_coords(field, A.unit, H.unit)
-    image = Subspace.from_vectors(
-        field, full.dim, [multiply(full, basis(field, full.dim, i), u) for i in range(full.dim)]
-    )
+    image = carrier_space(pa, full)
     rows = image.rows
     mult = [[image.coords_of(multiply(full, r, s)) for s in rows] for r in rows]
     incl = [image.coords_of(tensor_coords(field, basis(field, A.dim, j), H.unit)) for j in range(A.dim)]
     return mult, image.coords_of(u), incl
+
+
+def dual_action(pa, full):
+    """The dense tensor act[r][s] of the dual action on the carrier: phi_r |> w_s, in carrier coordinates.
+
+    phi_r |> (a # h) = sum a # h1 phi_r(h2) for the dual basis phi_r of H*, so
+    a_j # h_i goes to sum_q comul[i][q][r] a_j # h_q.
+    """
+    field, m = pa.field, pa.hopf.dim
+    comul = boxed(field, dense_comul(pa.hopf))
+    image = carrier_space(pa, full)
+    act = []
+    for r in range(m):
+        images = []
+        for w in image.rows:
+            out = list(zero(field, full.dim))
+            for idx, c in enumerate(bvec(field, w)):
+                if not c:
+                    continue
+                j, i = divmod(idx, m)
+                for q in range(m):
+                    x = comul[i][q][r]
+                    if x:
+                        out[j * m + q] = out[j * m + q] + c * x
+            images.append(image.coords_of(unbox(out)))
+        act.append(tuple(images))
+    return tuple(act)
 
 
 # ---------------------------------------------------------------------------

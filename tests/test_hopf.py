@@ -1,5 +1,7 @@
 """Hopf algebras: constructors, axiom checker, integrals, semisimplicity."""
 
+import random
+
 import pytest
 
 from helpers import dense_comul, dense_mult
@@ -49,6 +51,72 @@ def test_group_table_rejects_garbage():
         GroupTable([[0, 1], [1, 1]])  # 1 has no inverse / not a group
     with pytest.raises(InvalidGroupTable):
         GroupTable([[0, 1], [0, 1]])  # no identity
+
+
+def first_associativity_failure(tab):
+    """The first (i, j, k) in lexicographic order with (ij)k != i(jk), by the n^3 loop, or None."""
+    n = len(tab)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if tab[tab[i][j]][k] != tab[i][tab[j][k]]:
+                    return i, j, k
+    return None
+
+
+def reduced_latin_squares(n, rng=None):
+    """Latin squares on 0..n-1 with 0 as identity: all of them, or with rng one at random."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield [row[:] for row in rows]
+            return
+        i, j = divmod(cell, n)
+        if rows[i][j] is not None:
+            yield from fill(cell + 1)
+            return
+        used = set(rows[i]) | {rows[r][j] for r in range(n)}
+        candidates = [x for x in range(n) if x not in used]
+        if rng is not None:
+            rng.shuffle(candidates)
+        for x in candidates:
+            rows[i][j] = x
+            yield from fill(cell + 1)
+        rows[i][j] = None
+
+    return fill(0)
+
+
+def relabelled(tab, perm):
+    """The table of the same loop with element a renamed perm[a]: its identity moves to perm[0]."""
+    n = len(tab)
+    out = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[tab[a][b]]
+    return out
+
+
+def test_associativity_check_reports_the_first_failing_triple():
+    rng = random.Random(2801)
+    squares = [sq for n in (3, 4, 5) for sq in reduced_latin_squares(n)]
+    for n in (6, 7, 8):
+        squares += [next(reduced_latin_squares(n, rng)) for _ in range(20)]
+    failing = 0
+    for sq in squares:
+        perm = list(range(len(sq)))
+        rng.shuffle(perm)
+        tab = relabelled(sq, perm)
+        triple = first_associativity_failure(tab)
+        if triple is None:
+            assert GroupTable(tab).identity == perm[0]
+        else:
+            with pytest.raises(InvalidGroupTable, match=rf"^associativity fails at \({triple[0]},{triple[1]},{triple[2]}\)$"):
+                GroupTable(tab)
+            failing += 1
+    # 56 reduced squares of order 5, of which only the 6 labellings of C_5 are groups
+    assert failing >= 50 + 50 and len(squares) - failing >= 8
 
 
 def test_check_hopf_group_algebra():

@@ -9,7 +9,10 @@ smash product, the same partial smash carrier, and the same subspace
 products and closures.  The module constructions (extensions, smash-module
 conversion, the dimension of the algebra the operators generate) must match
 psl's earlier dense loops, also for Sweedler's H_4 and the S_3 corner, whose
-Hopf algebras are not cocommutative (and H_4 not commutative either).
+Hopf algebras are not cocommutative (and H_4 not commutative either).  The
+dual H*-action on the carrier must match the boxed formula
+phi_r |> (a # h) = sum a # h1 phi_r(h2), on the draws and on the corners of
+the Q benchmark workspace.
 """
 
 import random
@@ -183,6 +186,27 @@ def test_partial_smash_carrier_matches_boxed_loops(field):
             assert got == ref.is_multiplicative(amap)
             broken += not got
     assert broken >= DRAWS // 2
+
+
+Q_CORNERS = ("corner", "c6-corner", "c8-corner", "s3-corner")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_dual_action_matches_boxed_loop(field):
+    partial = 0
+    for _, pa in draws(field):
+        sp = build_partial_smash(pa)
+        assert dense_act(sp.dual_action) == ref.dual_action(pa, sp.full)
+        partial += sp.carrier.dim < sp.full.dim
+    assert partial >= DRAWS // 3
+
+
+@pytest.mark.parametrize("name", Q_CORNERS)
+def test_dual_action_of_the_q_workspace_corners_matches_boxed_loop(name):
+    pa = load_workspace(str(ROOT / "pslbench" / "workspaces" / "q.json")).actions[name]
+    sp = build_partial_smash(pa)
+    assert sp.carrier.dim < sp.full.dim
+    assert dense_act(sp.dual_action) == ref.dual_action(pa, sp.full)
 
 
 def corrupt_vec(rng, field, vec):

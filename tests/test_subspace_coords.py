@@ -6,6 +6,10 @@ v_c times the basis row of pivot c for every pivot, walking every entry of
 every row, then reduce.  hypothesis draws subspaces over F_2, F_3, F_5 and Q
 (zero and full spaces included) and vectors that are members, non-members,
 and over F_p unreduced, and every method must agree with the oracle.
+
+`Subspace._coords` returns the coordinates in kernel form: the sparse
+nonzero (s, c), reduced mod p, and over Q an int where c is integral.  The
+public `coords_of` returns them canonical and dense.
 """
 
 from fractions import Fraction
@@ -16,7 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from psl.exactla import GF, QQ, Subspace
-from helpers import lift
+from helpers import assert_kernel_form, lift
 
 SETTINGS = hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
 FIELDS = (GF(2), GF(3), GF(5), QQ)
@@ -40,6 +44,13 @@ def oracle_coords(space, vec):
         return None
     p = space.field.char
     return tuple(vec[c] % p if p else Fraction(vec[c]) for c in space.pivots)
+
+
+def kernel_form(field, coords):
+    """The nonzero (s, c) of canonical dense coordinates, over Q with an int for an integral c."""
+    if coords is None:
+        return None
+    return tuple((s, c.numerator if c.denominator == 1 else c) for s, c in enumerate(coords) if c)
 
 
 def canonical(field, vec):
@@ -93,10 +104,11 @@ def test_internal_methods_agree_with_dense_elimination(case):
         assert space._residual(vec) == expected
         assert space._holds(vec) == (not any(expected))
         coords = space._coords(vec)
-        assert coords == oracle_coords(space, vec)
+        expected = oracle_coords(space, vec)
+        assert coords == kernel_form(space.field, expected)
         if coords is not None:
-            assert canonical(space.field, coords)
-            assert list(lift(space, coords)) == [x % space.field.char if space.field.char else x for x in vec]
+            assert_kernel_form(space.field, coords, "_coords")
+            assert list(lift(space, expected)) == [x % space.field.char if space.field.char else x for x in vec]
 
 
 @SETTINGS
@@ -110,6 +122,19 @@ def test_public_methods_agree_with_dense_elimination(case):
         assert list(reduced) == expected and canonical(space.field, reduced)
         assert space.contains(vec) == (not any(expected))
         assert space.coords_of(vec) == oracle_coords(space, vec)
+
+
+@SETTINGS
+@hypothesis.given(cases())
+def test_internal_coordinates_are_the_kernel_form_of_the_public_ones(case):
+    space, *vectors = case
+    for vec in vectors:  # the raw vectors hold unreduced ints over F_p and ints over Q
+        coords = space._coords(vec)
+        assert (coords is None) == (not space._holds(vec))
+        if coords is not None:
+            public = space.coords_of(vec)
+            assert canonical(space.field, public) and coords == kernel_form(space.field, public)
+            assert all(c.__class__ is int for _, c in coords if c.denominator == 1)
 
 
 @pytest.mark.parametrize("field", FIELDS)

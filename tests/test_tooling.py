@@ -1,7 +1,8 @@
 """Source-level guards: no `assert` in the package, `python -O` changes no output, every
 public function has a caller in the package and every import a use, the instance
 generator, the module builders and the coaction dictionary build nothing through the
-coercing public constructors, `main` builds its grammar once per process, and each
+coercing public constructors, the partial smash builds of the workspaces call no coercing
+method, `main` builds its grammar once per process, and each
 command imports only the modules it runs."""
 
 import ast
@@ -102,6 +103,8 @@ def test_division_guard_sees_every_form():
 # public functions and methods that nothing in psl calls and the package does not
 # export, each kept for the reason given
 UNCALLED_ALLOWED = {
+    "algebra:Algebra.multiply": "a layer of pslbench/spans.py (algebra.multiply), and the product of "
+    "outside vectors; psl's own loops multiply through _multiply_raw",
     "exactla:Subspace.reduce": "a layer of pslbench/spans.py (exactla.reduce)",
     "exactla:enumerate_invariant_subspaces": "a layer of pslbench/spans.py (exactla.enumerate), "
     "and the entry point the lattice oracles test",
@@ -255,6 +258,37 @@ def test_module_builders_and_coactions_build_nothing_through_the_public_construc
     extend_left_module(pa, left)
     irreducible_extension(pa, right)
     coaction_to_action(action_to_coaction(pa), pa.hopf)
+    assert calls == []
+
+
+WORKSPACES = [ROOT / "pslbench" / "workspaces" / f for f in ("q.json", "f2.json", "f3.json")]
+WORKSPACES.append(ROOT / "workspaces" / "sample.json")
+
+
+@pytest.mark.parametrize("path", WORKSPACES, ids=lambda p: p.name)
+def test_partial_smash_builds_call_no_coercing_method(monkeypatch, path):
+    # building an action and its partial smash product runs on the kernel routines
+    # (_multiply_raw, _apply_raw, Subspace._span and _coords); the coercing methods
+    # below are for outside input only
+    ws = load_workspace(str(path))
+    calls = []
+    for cls, name in ((Algebra, "multiply"), (PartialAction, "act_basis"), (Subspace, "coords_of")):
+        real = getattr(cls, name)
+
+        def counting(self, *args, real=real, name=name):
+            calls.append(name)
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    real_from_vectors = Subspace.from_vectors.__func__
+
+    def from_vectors(cls, *args):
+        calls.append("from_vectors")
+        return real_from_vectors(cls, *args)
+
+    monkeypatch.setattr(Subspace, "from_vectors", classmethod(from_vectors))
+    for name in ws.actions:
+        build_partial_smash(ws.actions[name])
     assert calls == []
 
 
