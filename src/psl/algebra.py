@@ -26,8 +26,9 @@ associativity and PA3/PA4 checks go further: they clear the denominators of
 what they read (`_cleared`, in the fraction-free spirit of Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", 1968) and run on ints alone, and
-they accumulate all the triples of one basis pair into one n x n block that
-is tested once.  An algebra psl builds itself (`build_full_smash`,
+they accumulate all the triples of one basis pair into one sparse n x n
+block, a dict of the entries k n + u they write, whose values alone are
+tested (`_vanishes`).  An algebra psl builds itself (`build_full_smash`,
 `quotient_algebra`, `_closed_subalgebra`, `direct_product`,
 `product_of_fields`, the algebras of `psl.hopf`) is made by
 `Algebra._of_terms` from such terms directly.  A closure is one
@@ -104,20 +105,21 @@ def _differ(u: list, v: list, p: int) -> bool:
     return u != v
 
 
-def _vanishes(acc: list, p: int) -> bool:
-    """Whether a dense (possibly unreduced) list is zero as field elements.
+def _vanishes(acc, p: int) -> bool:
+    """Whether (possibly unreduced) values, a list or a dict's values, are all zero as field elements.
 
-    Over F_p, a list of zero ints is zero; only one with a nonzero int is
-    reduced mod p entry by entry.
+    Over F_p, zero ints are zero; only values with a nonzero int are reduced
+    mod p one by one.
     """
     if p:
         return not any(acc) or not any(map(p.__rmod__, acc))
     return not any(acc)
 
 
-def _failed_slices(block: Sequence, n: int, p: int) -> list[int]:
-    """The k whose slice block[k n : (k + 1) n] of a dense n x n block is not zero as field elements."""
-    return [k for k in range(n) if not _vanishes(block[k * n:(k + 1) * n], p)]
+def _failed_slices(block: dict, n: int, p: int) -> list[int]:
+    """In increasing order, the k whose slice k n .. k n + n - 1 of a sparse n x n block, a dict of
+    the entries written, is not zero as field elements."""
+    return sorted({u // n for u, c in block.items() if (c % p if p else c)})
 
 
 def _cleared(rows, p: int, depth: int = 0) -> tuple:
@@ -204,8 +206,10 @@ def _add_scaled(acc: list, c, raw: Sequence) -> None:
 
 class Algebra:
     # `terms[i][j]` is e_i * e_j as a sparse row, the only stored form of the
-    # structure constants; a dense tensor is an input format of the constructor
-    __slots__ = ("field", "dim", "unit", "labels", "terms")
+    # structure constants; a dense tensor is an input format of the constructor.
+    # `_ops` keeps the operators of each side once `_mult_operators` has built
+    # them, and `_radical` the checked report of `jacobson_radical`
+    __slots__ = ("field", "dim", "unit", "labels", "terms", "_ops", "_radical")
 
     def __init__(
         self,
@@ -224,6 +228,7 @@ class Algebra:
         self.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))
         if len(self.labels) != n:
             raise DimensionMismatch("wrong number of labels")
+        self._ops, self._radical = {}, None
 
     @classmethod
     def _of_terms(cls, field: Field, terms: tuple, unit: tuple | None = None, labels=None) -> "Algebra":
@@ -239,6 +244,7 @@ class Algebra:
         A.unit = unit
         A.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))
         A.terms = terms
+        A._ops, A._radical = {}, None
         return A
 
     def __eq__(self, other):
@@ -270,10 +276,11 @@ def check_algebra(A: Algebra) -> CheckReport:
     """Associativity on all basis triples plus unit laws (when a unit is present).
 
     Each basis pair (i, j) accumulates (e_i e_j) e_k - e_i (e_j e_k) for every
-    k into one n x n block, slice k at offset k n, and tests the block once;
-    only a block that does not vanish is scanned slice by slice, in k order,
-    for its failures.  Both sides are quadratic in the structure constants,
-    so over Q they run on the constants cleared of denominators, as ints.
+    k into one sparse n x n block, a dict keyed by the entries k n + u it
+    writes, and tests only those values; a block that does not vanish names
+    its failing slices k in increasing order.  Both sides are quadratic in
+    the structure constants, so over Q they run on the constants cleared of
+    denominators, as ints.
     """
     failures = []
     n = A.dim
@@ -286,18 +293,19 @@ def check_algebra(A: Algebra) -> CheckReport:
     # split[t] as (k n, s, c)
     flat = [tuple((k * n + u, y) for k in range(n) for u, y in row[k]) for row in T]
     split = [tuple((k * n, s, x) for k in range(n) for s, x in row[k]) for row in T]
-    nn = n * n
     for i in range(n):
         Ti = T[i]
         for j in range(n):
-            acc = [0] * nn
+            acc = {}
+            get = acc.get
             for t, x in Ti[j]:
                 for u, y in flat[t]:
-                    acc[u] += x * y
+                    acc[u] = get(u, 0) + x * y
             for base, s, x in split[j]:
                 for u, y in Ti[s]:
-                    acc[base + u] -= x * y
-            if not _vanishes(acc, p):
+                    u += base
+                    acc[u] = get(u, 0) - x * y
+            if not _vanishes(acc.values(), p):
                 failures += [f"associativity fails at basis triple ({i},{j},{k})" for k in _failed_slices(acc, n, p)]
     if A.unit is not None:
         unit = _nonzero(A.unit, p)
@@ -320,21 +328,24 @@ def span_products(A: Algebra, U: Subspace, V: Subspace) -> Subspace:
     """Span of {u*v : u in U, v in V} (the subspace product U V)."""
     _check_inside(A, U)
     _check_inside(A, V)
-    terms, p = A.terms, A.field.char
-    vs = [_nonzero(v, p) for v in V.rows]
-    return Subspace._span(A.field, A.dim, [_multiply_raw(terms, _nonzero(u, p), v) for u in U.rows for v in vs])
+    terms, vs = A.terms, V._sparse_rows()
+    return Subspace._span(A.field, A.dim, [_multiply_raw(terms, u, v) for u in U._sparse_rows() for v in vs])
 
 
-def _mult_operators(A: Algebra, side: str) -> list:
-    """Multiplication by each basis element on the requested sides, as sparse operator rows."""
-    if side not in ("left", "right", "two_sided"):
-        raise ValueError(f"bad side {side!r}")
-    n, terms = A.dim, A.terms
-    ops = []
-    if side in ("left", "two_sided"):  # v |-> e_b v sends e_l to e_b e_l
-        ops += [terms[b] for b in range(n)]
-    if side in ("right", "two_sided"):  # v |-> v e_b sends e_l to e_l e_b
-        ops += [tuple(terms[l][b] for l in range(n)) for b in range(n)]
+def _mult_operators(A: Algebra, side: str) -> tuple:
+    """Multiplication by each basis element on the requested sides, as sparse operator rows: built
+    once per side and kept on A."""
+    ops = A._ops.get(side)
+    if ops is None:
+        if side == "left":  # v |-> e_b v sends e_l to e_b e_l
+            ops = A.terms
+        elif side == "right":  # v |-> v e_b sends e_l to e_l e_b
+            ops = tuple(zip(*A.terms))
+        elif side == "two_sided":
+            ops = _mult_operators(A, "left") + _mult_operators(A, "right")
+        else:
+            raise ValueError(f"bad side {side!r}")
+        A._ops[side] = ops
     return ops
 
 
@@ -347,9 +358,8 @@ def ideal_closure(A: Algebra, gens: Iterable[Sequence], side: str = "two_sided")
 def is_ideal(A: Algebra, I: Subspace, side: str = "two_sided") -> bool:
     if I.ambient != A.dim or I.field != A.field:
         raise DimensionMismatch("subspace does not live in the algebra")
-    ops = _mult_operators(A, side)
-    n, p = A.dim, A.field.char
-    return all(I._holds(_apply_raw(op, v, n)) for v in (_nonzero(r, p) for r in I.rows) for op in ops)
+    ops, n = _mult_operators(A, side), A.dim
+    return all(I._holds(_apply_raw(op, v, n)) for v in I._sparse_rows() for op in ops)
 
 
 class AlgebraMap:
@@ -455,7 +465,7 @@ def _closed_subalgebra(A: Algebra, S: Subspace, unit: Sequence, message: str, la
 
     p, terms = A.field.char, A.terms
     if not S.is_full():  # else the RREF basis is the standard one, and A's constants are the products
-        rows = [_nonzero(r, p) for r in S.rows]
+        rows = S._sparse_rows()
         terms = tuple(tuple(coords(_multiply_raw(terms, u, v)) for v in rows) for u in rows)
     return Algebra._of_terms(A.field, terms, _canon(_dense(coords(unit), S.dim), p), labels), coords
 

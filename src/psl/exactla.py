@@ -573,11 +573,13 @@ class Subspace:
     vector v lies in the span iff v_j = sum_s v_{c_s} row_s[j] at every
     non-pivot column j.  `_tails` lists, for each non-pivot column j, the
     nonzero (c_s, row_s[j]) of the basis, built on first use; membership,
-    residuals and coordinates make one pass over these tails only.
+    residuals and coordinates make one pass over these tails only.  The
+    kernel form of the rows (`_nonzero`), which products and operators read,
+    is likewise built once, by `_sparse_rows`.
     """
 
-    # `_tail` holds the tails once `_tails` has built them
-    __slots__ = ("field", "ambient", "rows", "pivots", "_tail")
+    # `_tail` and `_sparse` hold the tails and the sparse rows once they are built
+    __slots__ = ("field", "ambient", "rows", "pivots", "_tail", "_sparse")
 
     def __init__(self, field: Field, ambient: int, rows: tuple, pivots: tuple):
         self.field = field
@@ -585,6 +587,7 @@ class Subspace:
         self.rows = rows
         self.pivots = pivots
         self._tail = None
+        self._sparse = None
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -654,6 +657,12 @@ class Subspace:
                 (j, tuple((pivots[s], x) for s, x in col)) for j, col in enumerate(cols) if j not in lead
             )
         return self._tail
+
+    def _sparse_rows(self) -> tuple:
+        """The basis rows in kernel form (`_nonzero`), built on first use."""
+        if self._sparse is None:
+            self._sparse = tuple(_nonzero(r, self.field.char) for r in self.rows)
+        return self._sparse
 
     def _residual(self, vec: Sequence) -> list:
         """vec minus its combination of the basis rows (unreduced entries allowed over F_p).

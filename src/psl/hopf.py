@@ -126,9 +126,9 @@ class GroupTable:
 
 class HopfAlgebra:
     # `_delta` holds Delta(h_i) as the sparse (j*dim + k, c) of its H(x)H coordinates,
-    # the only stored form of the comultiplication; `_dual` and `_semisimple` hold
-    # dual_hopf(H) and is_semisimple(H) once they have been computed
-    __slots__ = ("alg", "counit", "antipode", "_delta", "_dual", "_semisimple")
+    # the only stored form of the comultiplication; `_dual`, `_semisimple` and `_comul` hold
+    # dual_hopf(H), is_semisimple(H) and paction._comul_terms(H) once they have been computed
+    __slots__ = ("alg", "counit", "antipode", "_delta", "_dual", "_semisimple", "_comul")
 
     def __init__(self, alg: Algebra, comul, counit, antipode: Matrix):
         if alg.unit is None:
@@ -145,6 +145,7 @@ class HopfAlgebra:
         self._delta = tuple(tuple((j * m + k, c) for j, row in enumerate(block) for k, c in row) for block in rows)
         self._dual = None
         self._semisimple = None
+        self._comul = None
 
     @classmethod
     def _of_terms(cls, alg: Algebra, delta: tuple, counit: tuple, antipode: Matrix) -> "HopfAlgebra":
@@ -161,6 +162,7 @@ class HopfAlgebra:
         H._delta = delta
         H._dual = None
         H._semisimple = None
+        H._comul = None
         return H
 
     @property

@@ -91,10 +91,10 @@ def _check_pair(hopf: HopfAlgebra, alg: Algebra) -> None:
 
 class PartialAction:
     # `_terms[i][j]` is h_i . e_j as a sparse row, the only stored form of the
-    # action; `_smash` holds the partial smash product once build_partial_smash
-    # has made it, and `_ideals` the H-stable ideals once
-    # enumerate_h_stable_ideals has enumerated them
-    __slots__ = ("hopf", "alg", "_terms", "_smash", "_ideals")
+    # action; `_smash` holds the partial smash product once build_partial_smash has made
+    # it, `_ideals` the H-stable ideals once enumerate_h_stable_ideals has enumerated
+    # them, and `_h_radical` J_H(A) once h_jacobson_radical has computed it
+    __slots__ = ("hopf", "alg", "_terms", "_smash", "_ideals", "_h_radical")
 
     def __init__(self, hopf: HopfAlgebra, alg: Algebra, act):
         _check_pair(hopf, alg)
@@ -103,6 +103,7 @@ class PartialAction:
         self._terms = _tensor(alg.field, act, (hopf.dim, alg.dim, alg.dim), "action")
         self._smash = None
         self._ideals = None
+        self._h_radical = None
 
     @classmethod
     def _of_terms(cls, hopf: HopfAlgebra, alg: Algebra, terms: tuple) -> "PartialAction":
@@ -118,6 +119,7 @@ class PartialAction:
         pa._terms = terms
         pa._smash = None
         pa._ideals = None
+        pa._h_radical = None
         return pa
 
     @property
@@ -148,9 +150,11 @@ class PartialAction:
 
 
 def _comul_terms(H: HopfAlgebra) -> tuple:
-    """Delta(h_i) as its nonzero (p, q, c), in index order."""
-    m = H.dim
-    return tuple(tuple(divmod(pq, m) + (c,) for pq, c in d) for d in H._delta)
+    """Delta(h_i) as its nonzero (p, q, c), in index order: built once and kept on H."""
+    if H._comul is None:
+        m = H.dim
+        H._comul = tuple(tuple(divmod(pq, m) + (c,) for pq, c in d) for d in H._delta)
+    return H._comul
 
 
 def check_partial_action(pa: PartialAction) -> CheckReport:
@@ -158,16 +162,17 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
 
     PA3 accumulates lhs - rhs of the triples (h_i, e_j, e_k) of each basis pair
     (h_i, e_j), and PA4 those of (h_i, h_g, e_k) of each pair (h_i, h_g), for
-    every k into one n x n block, slice k at offset k n, and tests the block
-    once; only a block that does not vanish is scanned slice by slice, in k
-    order, for its failures.  Both skip the terms h_p (x) h_q of Delta(h_i)
-    whose left factor h_p . e_j (PA3) or h_p . 1_A (PA4) is zero.  The
-    (h_q h_g) . e_k are computed once per distinct product h_q h_g, and only
-    where that product is not a basis element h_r with coefficient 1 (as every
-    product is in kG): there they are the action's own rows h_r . e_k.  Over Q
-    they run on ints: the action, the constants of A and of Delta, the unit
-    images and the (h_q h_g) . e_k are cleared of denominators (`_cleared`),
-    and each side is multiplied up to one total scale.
+    every k into one sparse n x n block, a dict keyed by the entries k n + u
+    it writes, and tests only those values; a block that does not vanish
+    names its failing slices k in increasing order.  Both skip the terms
+    h_p (x) h_q of Delta(h_i) whose left factor h_p . e_j (PA3) or h_p . 1_A
+    (PA4) is zero.  The (h_q h_g) . e_k are computed once per distinct product
+    h_q h_g, and only where that product is not a basis element h_r with
+    coefficient 1 (as every product is in kG): there they are the action's own
+    rows h_r . e_k.  Over Q they run on ints: the action, the constants of A
+    and of Delta, the unit images and the (h_q h_g) . e_k are cleared of
+    denominators (`_cleared`), and each side is multiplied up to one total
+    scale.
     """
     failures = []
     H, A = pa.hopf, pa.alg
@@ -204,9 +209,8 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
     d_u, units = _cleared(unit_images, p)
     d_h, hg_s = _cleared(hg_act, p, 2)
 
-    # one n x n block per basis pair, slice k at offset k n
-    nn = n * n
-    offsets = range(0, nn, n)
+    # one sparse n x n block per basis pair, slice k at offset k n
+    offsets = range(0, n * n, n)
 
     # PA3 on all basis pairs (h_i, e_j), both sides at scale d_c d_a^2 d_t
     scale = d_c * d_a
@@ -214,12 +218,14 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
         act_i = act_s[i]
         for j in range(n):
             live = [(c, act_s[hp][j], act_s[hq]) for hp, hq, c in comul_s[i] if act_s[hp][j]]
-            acc = [0] * nn
+            acc = {}
+            get = acc.get
             for base, Tjk in zip(offsets, T[j]):
                 for s, x in Tjk:
                     x *= scale
                     for u, y in act_i[s]:
-                        acc[base + u] += x * y
+                        u += base
+                        acc[u] = get(u, 0) + x * y
             for c, left, right in live:
                 for base, right_k in zip(offsets, right):
                     for t, y in right_k:
@@ -227,8 +233,9 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
                         for s, x in left:
                             cxy = cy * x
                             for u, z in T[s][t]:
-                                acc[base + u] -= cxy * z
-            if not _vanishes(acc, p):
+                                u += base
+                                acc[u] = get(u, 0) - cxy * z
+            if not _vanishes(acc.values(), p):
                 failures += [f"PA3 fails at (h{i}, {A.labels[j]}, {A.labels[k]})" for k in _failed_slices(acc, n, p)]
 
     # PA4 on all basis pairs (h_i, h_g), both sides at scale d_c d_a^2 d_u d_h d_t
@@ -237,12 +244,14 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
         act_i = act_s[i]
         live = [(c * rscale, units[hp], hg_s[hq]) for hp, hq, c in comul_s[i] if units[hp]]
         for g in range(m):
-            acc = [0] * nn
+            acc = {}
+            get = acc.get
             for base, act_gk in zip(offsets, act_s[g]):
                 for s, x in act_gk:
                     x *= scale
                     for u, y in act_i[s]:
-                        acc[base + u] += x * y
+                        u += base
+                        acc[u] = get(u, 0) + x * y
             for c, left, right in live:
                 for base, right_k in zip(offsets, right[g]):
                     for t, y in right_k:
@@ -250,8 +259,9 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
                         for s, x in left:
                             cxy = cy * x
                             for u, z in T[s][t]:
-                                acc[base + u] -= cxy * z
-            if not _vanishes(acc, p):
+                                u += base
+                                acc[u] = get(u, 0) - cxy * z
+            if not _vanishes(acc.values(), p):
                 failures += [f"PA4 fails at (h{i}, h{g}, {A.labels[k]})" for k in _failed_slices(acc, n, p)]
 
     # PA2 is implied by PA1+PA3+PA4 for unital A; sample it as redundancy
@@ -335,7 +345,7 @@ def induce_from_ideal(global_pa: PartialAction, e: Sequence) -> PartialAction:
         raise NotIdempotent("e is not idempotent")
     de = _cleared((es,), p)[1][0]  # e B = (D e) B, and D e is integral
     ideal = Subspace._span(B.field, n, [_multiply_raw(terms, de, ((j, 1),)) for j in range(n)])
-    rows = [_nonzero(r, p) for r in ideal.rows]
+    rows = ideal._sparse_rows()
     for r, dense in zip(rows, map(list, ideal.rows)):
         if _differ(_multiply_raw(terms, es, r), dense, p) or _differ(_multiply_raw(terms, r, es), dense, p):
             raise NotRightIdealUnit("e is not an identity element of eB")
@@ -395,7 +405,7 @@ def invariant_subalgebra(pa: PartialAction) -> Subspace:
     S = _null_span(pa.field, blocks, _identity_rows(p, n), n * pa.hopf.dim, n)
     if not S._holds(A.unit):
         raise InvariantViolation("invariant subalgebra lost the unit")
-    rows = [_nonzero(r, p) for r in S.rows]
+    rows = S._sparse_rows()
     if not all(S._holds(_multiply_raw(A.terms, u, v)) for u in rows for v in rows):
         raise InvariantViolation("invariant subalgebra not closed")
     return S
@@ -408,9 +418,8 @@ def colon_ideal(pa: PartialAction, I: Subspace) -> Subspace:
         raise NotAnIdeal("colon_ideal needs a two-sided ideal")
     if I.is_zero():
         return I
-    n, p = pa.alg.dim, pa.field.char
-    act = pa._terms
-    blocks = [[x for op in act for x in I._residual(_apply_raw(op, _nonzero(r, p), n))] for r in I.rows]
+    n, act = pa.alg.dim, pa._terms
+    blocks = [[x for op in act for x in I._residual(_apply_raw(op, r, n))] for r in I._sparse_rows()]
     result = _null_span(pa.field, blocks, I.rows, n * pa.hopf.dim, n)
     if not result <= I:
         raise InvariantViolation("colon ideal is not inside I")
@@ -421,9 +430,8 @@ def colon_ideal(pa: PartialAction, I: Subspace) -> Subspace:
 
 def is_h_stable(pa: PartialAction, I: Subspace) -> bool:
     """H . I <= I, checked on basis pairs."""
-    n, p = pa.alg.dim, pa.field.char
-    act = pa._terms
-    return all(I._holds(_apply_raw(op, r, n)) for r in (_nonzero(v, p) for v in I.rows) for op in act)
+    n, act = pa.alg.dim, pa._terms
+    return all(I._holds(_apply_raw(op, r, n)) for r in I._sparse_rows() for op in act)
 
 
 def quotient_action(pa: PartialAction, I: Subspace) -> tuple[PartialAction, AlgebraMap]:

@@ -140,7 +140,7 @@ def regular_module(A: Algebra, side: str = "right") -> AlgebraModule:
     """A acting on itself."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    return AlgebraModule._of_terms(A, A.dim, side, tuple(_mult_operators(A, side)))
+    return AlgebraModule._of_terms(A, A.dim, side, _mult_operators(A, side))
 
 
 def _cosets(U: Subspace, vectors) -> list[tuple]:
@@ -275,11 +275,11 @@ def to_smash_module(M: PartialModule, sp) -> AlgebraModule:
     m, d, p = M.pa.hopf.dim, M.dim, M.field.char
     a_ops, h_ops = M._a_terms, M._h_terms
     act = []
-    for row in sp.coords.rows:
+    for row in sp.coords._sparse_rows():
         images = []
         for j in range(d):
             out = [0] * d
-            for idx, c in _nonzero(row, p):
+            for idx, c in row:
                 ja, ih = divmod(idx, m)
                 if M.side == "right":
                     _add_scaled(out, c, _apply_raw(h_ops[ih], a_ops[ja][j], d))
@@ -386,14 +386,12 @@ class IrreducibleExtension(NamedTuple):
     killed: Subspace
 
 
-def _coords_in(W: Subspace, vectors, message: str) -> list[tuple]:
-    """The coordinates of each vector in the RREF basis of W; InvariantViolation(message) if one is outside."""
-    out = []
-    for v in vectors:
-        c = W.coords_of(v)
-        if c is None:
-            raise InvariantViolation(message)
-        out.append(c)
+def _coords_in(read, vectors, message: str) -> tuple:
+    """The coordinates `read` finds for each vector, a subspace's `_coords` (sparse, kernel form) or
+    `coords_of` (dense, canonical); InvariantViolation(message) if one is outside."""
+    out = tuple(map(read, vectors))
+    if None in out:
+        raise InvariantViolation(message)
     return out
 
 
@@ -403,8 +401,8 @@ def _extension_module(pa: PartialAction, side: str, W: Subspace, a_rows, h_rows)
 
     def restrict(rows):
         op = [_compact(r, p) for r in rows]
-        images = [_apply_raw(op, _nonzero(w, p), W.ambient) for w in W.rows]
-        return tuple(_nonzero(c, p) for c in _coords_in(W, images, "extension space is not invariant under the action"))
+        images = [_apply_raw(op, w, W.ambient) for w in W._sparse_rows()]
+        return _coords_in(W._coords, images, "extension space is not invariant under the action")
 
     module = PartialModule._of_terms(side, pa, W.dim, tuple(map(restrict, a_rows)), tuple(map(restrict, h_rows)))
     check_partial_module(module).raise_if_failed(f"extended {side} module axioms")
@@ -449,7 +447,7 @@ def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     module = _extension_module(pa, "right", W, a_rows, h_rows)
     unit_h = _nonzero(H.unit, p)
     v_tensor_1 = [_dense(((j * m + i, x) for i, x in unit_h), amb) for j in range(dv)]
-    embedding = Matrix(field, _coords_in(W, v_tensor_1, "V (x) 1_H does not sit inside W"), ncols=W.dim)
+    embedding = Matrix._of_raw(field, _coords_in(W.coords_of, v_tensor_1, "V (x) 1_H does not sit inside W"), W.dim)
     return ModuleExtension(module, embedding, W)
 
 
@@ -550,6 +548,7 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
         raise InvariantViolation("integral space of H* must be one-dimensional")
     lam = _nonzero(ints.rows[0], p)
     v_tensor_lam = [_dense(((j * m + r, c) for r, c in lam), amb) for j in range(dv)]
-    embedding = Matrix(field, _coords_in(W, v_tensor_lam, "V (x) lambda does not sit inside W"), ncols=W.dim)
+    coords = _coords_in(W.coords_of, v_tensor_lam, "V (x) lambda does not sit inside W")
+    embedding = Matrix._of_raw(field, coords, W.dim)
     return ModuleExtension(module, embedding, W)
 

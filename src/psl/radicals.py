@@ -179,19 +179,17 @@ def _check_radical(A: Algebra, J: Subspace) -> int:
 
 
 def jacobson_radical(A: Algebra) -> RadicalReport:
-    """J(A) for a unital finite-dimensional algebra."""
+    """J(A) for a unital finite-dimensional algebra, computed and checked once and kept on A."""
     if A.unit is None:
         raise ValueError("jacobson_radical expects a unital algebra")
-    if A.dim == 0:
-        return RadicalReport(Subspace.zero_space(A.field, 0), "trace-form", 1)
-    p = A.field.char
-    if p == 0 or p > A.dim:
-        J = trace_form_kernel(A)
-        method = "trace-form"
-    else:
-        J = _cohen_ivanyos_wales_radical(A)
-        method = "cohen-ivanyos-wales"
-    return RadicalReport(J, method, _check_radical(A, J))
+    if A._radical is None:  # dim 0 takes the trace form, whose kernel is the zero space
+        p = A.field.char
+        if p == 0 or p > A.dim:
+            J, method = trace_form_kernel(A), "trace-form"
+        else:
+            J, method = _cohen_ivanyos_wales_radical(A), "cohen-ivanyos-wales"
+        A._radical = RadicalReport(J, method, _check_radical(A, J))
+    return A._radical
 
 
 def prime_radical(A: Algebra) -> Subspace:
@@ -200,8 +198,10 @@ def prime_radical(A: Algebra) -> Subspace:
 
 
 def h_jacobson_radical(pa: PartialAction) -> Subspace:
-    """J_H(A) = (J(A):H)."""
-    return colon_ideal(pa, jacobson_radical(pa.alg).radical)
+    """J_H(A) = (J(A):H), computed once and kept on pa."""
+    if pa._h_radical is None:
+        pa._h_radical = colon_ideal(pa, jacobson_radical(pa.alg).radical)
+    return pa._h_radical
 
 
 def h_prime_radical(pa: PartialAction) -> Subspace:
@@ -272,7 +272,7 @@ def enumerate_h_stable_ideals(
     if refusal:
         raise DimensionTooLarge(refusal)
     if pa._ideals is None:
-        pa._ideals = tuple(_invariant_lattice(A.field, A.dim, _mult_operators(A, "two_sided") + list(pa._terms)))
+        pa._ideals = tuple(_invariant_lattice(A.field, A.dim, _mult_operators(A, "two_sided") + pa._terms))
     return pa._ideals
 
 

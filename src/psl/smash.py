@@ -163,7 +163,7 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     else:  # x u and x (D u) span the same image, and D u is integral (`_cleared`)
         du = _cleared((u_terms,), p)[1][0]
         image = Subspace._span(field, N, [_multiply_raw(terms, ((i, 1),), du) for i in range(N)])
-    rows = [_nonzero(r, p) for r in image.rows]
+    rows = image._sparse_rows()
     d = image.dim
     carrier, in_carrier = _closed_subalgebra(
         full, image, _dense(u_terms, N), "carrier is not multiplicatively closed", [f"w{s}" for s in range(d)]

@@ -32,6 +32,11 @@ from psl.exactla import (
 from psl.algebra import Algebra, _apply_pair, _apply_raw, _multiply_raw, product_of_fields
 from psl.hopf import GroupTable, group_algebra
 from psl.paction import c4_triple, dual_group_idempotent, trivial_action
+from psl.algebra import _tensor_terms
+from psl.exactla import GF
+from psl.hopf import dual_group_algebra
+from psl.paction import PartialAction
+from psl.verify import truncated_polynomial_algebra
 
 
 def fix_a(field=QQ):
@@ -56,6 +61,18 @@ def fix_d():
 
     F2 = GF(2)
     return trivial_action(group_algebra(F2, GroupTable.cyclic(2)), product_of_fields(F2, 1))
+
+
+def graded_c6_action():
+    """(F_2 C_6)* acting globally on F_2 C_6 (x) F_2[x]/(x^2) by projection onto the C_6-graded
+    parts: its smash product has dim 72, and J of it dim 36."""
+    F = GF(2)
+    G = GroupTable.cyclic(6)
+    kG = group_algebra(F, G).alg
+    T = truncated_polynomial_algebra(F, 2)
+    A = Algebra._of_terms(F, _tensor_terms(kG.terms, T.terms), unit_vec(F, 12, 2 * G.identity))
+    act = tuple(tuple(((j, 1),) if j // 2 == g else () for j in range(12)) for g in range(6))
+    return PartialAction._of_terms(dual_group_algebra(F, G), A, act)
 
 
 def matrix_algebra(field, d):

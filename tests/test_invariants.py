@@ -178,16 +178,16 @@ def after(monkeypatch, module, name, flag):
 
 
 def coords_fail_after(monkeypatch, module, name):
-    """Subspace.coords_of finds nothing once module.name has returned."""
+    """Subspace._coords finds nothing once module.name has returned."""
     flag = []
     after(monkeypatch, module, name, flag)
-    real = Subspace.coords_of
-    monkeypatch.setattr(Subspace, "coords_of", lambda self, vec: None if flag else real(self, vec))
+    real = Subspace._coords
+    monkeypatch.setattr(Subspace, "_coords", lambda self, vec: None if flag else real(self, vec))
 
 
 def extension_not_invariant(monkeypatch):
     pa, V = right_v()
-    monkeypatch.setattr(Subspace, "coords_of", lambda self, vec: None)
+    monkeypatch.setattr(Subspace, "_coords", lambda self, vec: None)
     return lambda: extend_right_module(pa, V)
 
 

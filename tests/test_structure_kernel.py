@@ -63,6 +63,7 @@ from psl.verify import random_partial_action, truncated_polynomial_algebra
 from psl.workspace import load_workspace
 from helpers import assert_kernel_form, act_vec, dense_a_act, dense_act, dense_comul, dense_h_act, dense_module_act, dense_mult, dense_rho, fix_a, fix_b, fix_c, fix_d, matrix_algebra, module_act_vec, operate_sum, rand_subspace, rand_vec, solve_left
 from test_nonabelian import a3_indices
+from helpers import graded_c6_action
 
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
@@ -558,3 +559,44 @@ def test_mixed_constants_match_boxed_loops():
         fractional += any(type(c) is Fraction for t in tensors for row in t for e in row for _, c in e)
     # every instance mixes integral and non-integral constants, and the corrupted copies fail
     assert fractional == 7 and failing >= 8
+
+
+BENCH_WORKSPACES = ("q.json", "f2.json", "f3.json")
+
+
+@pytest.mark.parametrize("name", BENCH_WORKSPACES)
+def test_workspace_carriers_and_dual_actions_match_boxed_loops(name):
+    # the carriers of the benchmark workspaces reach dim 16, past the dim <= 12 of the
+    # draws, so the sparse blocks of the checkers meet larger n with and without failures
+    ws = load_workspace(str(ROOT / "pslbench" / "workspaces" / name))
+    field = ws.field
+    rng = random.Random(9500)
+    largest = failing_algebras = failing_actions = 0
+    for pa in ws.actions.values():
+        sp = build_partial_smash(pa)
+        C, dual = sp.carrier, sp.dual_action
+        largest = max(largest, C.dim)
+        corrupted = [Algebra(field, corrupt(rng, field, dense_mult(C)), unit=C.unit) for _ in range(3)]
+        for alg in [C] + corrupted:
+            got = check_algebra(alg)
+            assert got == ref.check_algebra(alg), (pa, alg)
+            failing_algebras += not got.ok
+        corrupted = [PartialAction(dual.hopf, C, corrupt(rng, field, dense_act(dual))) for _ in range(3)]
+        for act in [dual] + corrupted:
+            got = check_partial_action(act)
+            assert got == ref.check_partial_action(act), (pa, act)
+            failing_actions += not got.ok
+    # build_partial_smash has checked each carrier and dual action; every corrupted dual action
+    # fails, and a corrupted carrier may be an algebra again (over F_2, moving a constant 1 to 0
+    # can give the dual numbers), but most must fail
+    assert failing_actions == 3 * len(ws.actions)
+    assert failing_algebras >= 2 * len(ws.actions)
+    assert largest == 16 or name != "q.json"
+
+
+def test_dim_72_carrier_and_dual_action_pass_the_checkers():
+    # too large for the boxed loops: both checkers must accept the graded carrier and its dual action
+    sp = build_partial_smash(graded_c6_action())
+    assert sp.carrier.dim == 72
+    assert check_algebra(sp.carrier) == (True, ())
+    assert check_partial_action(sp.dual_action) == (True, ())

@@ -427,3 +427,58 @@ def test_check_of_a_workspace_module_loads_pmod(tmp_path):
     code, modules = loaded_after(["check", "--workspace", str(path), "reg"])
     assert code == 0
     assert sorted(modules & ON_DEMAND) == ["psl.pmod"]
+
+
+def constructor_paths() -> dict:
+    """For each class of psl with `__slots__` and a second constructor, one instance built through
+    each of its constructors, by path name."""
+    from psl.hopf import GroupTable, group_algebra
+    from psl.pmod import PartialModule
+
+    F = GF(3)
+    one, terms = [[[1]]], ((((0, 1),),),)
+    A, A_kernel = Algebra(F, one, unit=[1]), Algebra._of_terms(F, terms, (1,))
+    H = HopfAlgebra(A, one, [1], Matrix(F, [[1]]))
+    H_kernel = group_algebra(F, GroupTable.cyclic(1))
+    pa = PartialAction(H, A, one)
+    return {
+        Matrix: {"__init__": Matrix(F, [[1, 2]]), "_of_raw": Matrix._of_raw(F, ((1, 2),), 2)},
+        Algebra: {"__init__": A, "_of_terms": A_kernel},
+        HopfAlgebra: {"__init__": H, "_of_terms": H_kernel},
+        PartialAction: {"__init__": pa, "_of_terms": PartialAction._of_terms(H_kernel, A_kernel, terms)},
+        PartialCoaction: {
+            "__init__": PartialCoaction(A, H, Matrix(F, [[1]])),
+            "_of_terms": PartialCoaction._of_terms(A, H, (((0, 1),),)),
+        },
+        AlgebraModule: {
+            "__init__": AlgebraModule(A, 1, "right", one),
+            "_of_terms": AlgebraModule._of_terms(A, 1, "right", terms),
+        },
+        PartialModule: {
+            "__init__": PartialModule("right", pa, 1, one, one),
+            "_of_terms": PartialModule._of_terms("right", pa, 1, terms, terms),
+        },
+    }
+
+
+def slotted_classes_with_a_second_constructor() -> set:
+    found = set()
+    for path in SOURCES:
+        module = importlib.import_module(f"psl.{path.stem}") if path.stem != "__init__" else psl
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and obj.__module__ == module.__name__ and "__slots__" in vars(obj)
+                    and ("_of_terms" in vars(obj) or "_of_raw" in vars(obj))):
+                found.add(obj)
+    return found
+
+
+def test_every_slot_is_set_on_every_constructor_path():
+    # a kept view whose slot one constructor leaves unset fails only when that path is
+    # taken, as an AttributeError far from the constructor
+    paths = constructor_paths()
+    assert set(paths) == slotted_classes_with_a_second_constructor()
+    for cls, built in paths.items():
+        for path, obj in built.items():
+            assert type(obj) is cls
+            unset = [slot for slot in cls.__slots__ if not hasattr(obj, slot)]
+            assert unset == [], f"{cls.__name__}.{path} leaves {unset} unset"
