@@ -3,8 +3,8 @@ products and equivariant (H-)radicals of finite-dimensional algebras.
 
 Everything is computed over Q (arbitrary-precision rationals) or a prime
 field F_p; no floating point anywhere.  Every scalar is an int in [0, p)
-over F_p or a Fraction over Q, with the field kept on the container that
-holds it; see psl.exactla.
+over F_p, and over Q an int where it is integral and a Fraction otherwise,
+with the field kept on the container that holds it; see psl.exactla.
 
 `import psl` loads no submodule.  Each name of `__all__` is looked up in
 `_EXPORTS` on its first access (PEP 562), which imports the module that

@@ -4,8 +4,8 @@ An algebra of dimension n over a field is its structure constants,
 e_i * e_j = sum_k c_ijk e_k, an optional unit coordinate vector
 (non-unital carriers are allowed for the full smash construction), and
 display labels.  Everything is immutable; elements are coordinate row
-vectors (tuples of canonical scalars: ints in [0, p) over F_p, Fractions
-over Q).
+vectors (tuples of canonical scalars: ints in [0, p) over F_p; over Q an
+int where integral and a Fraction otherwise).
 
 `Algebra.terms[i][j]` lists the nonzero (k, c) of e_i * e_j: the only stored
 form of the constants, which the public constructor parses once from a dense
@@ -17,11 +17,9 @@ vectors and on the rows of `Subspace` through `_multiply_raw`; over F_p they
 leave sums unreduced and reduce mod p only where a compared value's exact
 ints differ (`_differ` and `_vanishes` test the ints first, at C speed), where
 a value is returned or stored (`_canon`), or where it is fed to a next
-product (`_compact`).  Over Q the sparse vectors (`_nonzero`, `_compact`)
-hold an integral c as an int and any other as a Fraction, so these loops
-multiply plain ints wherever the constants allow; `_canon` makes every value
-a Fraction again on the way out, but not in the constants of a subalgebra
-(`_closed_subalgebra`), which store `Subspace._coords` as it is.  The
+product (`_compact`); over Q the same two bring a sum that came out
+integral back to an int, so these loops multiply plain ints wherever the
+constants allow.  The
 associativity and PA3/PA4 checks go further: they clear the denominators of
 what they read (`_cleared`, in the fraction-free spirit of Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
@@ -90,7 +88,7 @@ class CheckReport(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # the structure-constant kernel: F_p scalars as plain ints, Q scalars as
-# Fractions.  Sparse vectors are tuples of their nonzero (k, c); dense ones
+# ints or Fractions.  Sparse vectors are tuples of their nonzero (k, c); dense ones
 # are lists.
 
 
@@ -176,13 +174,13 @@ def _apply_raw(rows, x: Sequence, n: int) -> list:
 def _apply_pair(rows, x: Sequence, v: Sequence, n: int, p: int) -> list:
     """sum_i x_i rows[i](v): a sparse x acting on a sparse v through operators given by their
     sparse rows, as in h . a = sum_i h_i (h_i . a); dense, unreduced."""
-    return _apply_raw({i: _nonzero(_apply_raw(rows[i], v, n), p) for i, _ in x}, x, n)
+    return _apply_raw({i: _compact(_apply_raw(rows[i], v, n), p) for i, _ in x}, x, n)
 
 
 def _operate(field: Field, terms, i: int, vec: Sequence, n: int) -> tuple:
     """vec (length n) under operator i of the sparse action tensor `terms`, canonical."""
     p = field.char
-    return _canon(_apply_raw(terms[i], _nonzero(_coerce(field, vec, n), p), n), p)
+    return _canon(_apply_raw(terms[i], _nonzero(_coerce(field, vec, n)), n), p)
 
 
 def _tensor_terms(left, right) -> tuple:
@@ -268,7 +266,7 @@ class Algebra:
     def multiply(self, x: Sequence, y: Sequence) -> tuple:
         field, n = self.field, self.dim
         p = field.char
-        x, y = _nonzero(_coerce(field, x, n), p), _nonzero(_coerce(field, y, n), p)
+        x, y = _nonzero(_coerce(field, x, n)), _nonzero(_coerce(field, y, n))
         return _canon(_multiply_raw(self.terms, x, y), p)
 
 
@@ -308,7 +306,7 @@ def check_algebra(A: Algebra) -> CheckReport:
             if not _vanishes(acc.values(), p):
                 failures += [f"associativity fails at basis triple ({i},{j},{k})" for k in _failed_slices(acc, n, p)]
     if A.unit is not None:
-        unit = _nonzero(A.unit, p)
+        unit = _nonzero(A.unit)
         for i in range(n):
             if _differ(_multiply_raw(terms, unit, basis[i]), dense[i], p):
                 failures.append(f"left unit law fails at basis {i}")
@@ -382,14 +380,14 @@ class AlgebraMap:
     def is_multiplicative(self) -> bool:
         src, tgt = self.source, self.target
         p, n = src.field.char, tgt.dim
-        images = [_nonzero(r, p) for r in self.matrix.rows]
+        images = list(map(_nonzero, self.matrix.rows))
         for i in range(src.dim):
             for j in range(src.dim):
                 lhs = _apply_raw(images, src.terms[i][j], n)
                 if _differ(lhs, _multiply_raw(tgt.terms, images[i], images[j]), p):
                     return False
         if src.unit is not None and tgt.unit is not None:
-            if _differ(_apply_raw(images, _nonzero(src.unit, p), n), list(tgt.unit), p):
+            if _differ(_apply_raw(images, _nonzero(src.unit), n), list(tgt.unit), p):
                 return False
         return True
 
@@ -403,20 +401,17 @@ def quotient_algebra(A: Algebra, I: Subspace) -> tuple[Algebra, AlgebraMap]:
         raise NotAnIdeal("subspace is not a two-sided ideal")
     comp = I.complement_indices()
     qdim = len(comp)
-    n, p = A.dim, A.field.char
+    n = A.dim
 
     def cosets(raw):
         r = I._residual(raw)
-        return [r[c] for c in comp]
+        return tuple(r[c] for c in comp)
 
-    def project(raw):
-        return _canon(cosets(raw), p)
-
-    terms = tuple(tuple(_compact(cosets(_dense(A.terms[ci][cj], n)), p) for cj in comp) for ci in comp)
-    unit = project(A.unit) if A.unit is not None else None
+    terms = tuple(tuple(_nonzero(cosets(_dense(A.terms[ci][cj], n))) for cj in comp) for ci in comp)
+    unit = cosets(A.unit) if A.unit is not None else None
     labels = tuple(f"[{A.labels[c]}]" for c in comp)
     Q = Algebra._of_terms(A.field, terms, unit, labels)
-    images = tuple(project(_dense(((i, 1),), n)) for i in range(n))
+    images = tuple(cosets(_dense(((i, 1),), n)) for i in range(n))
     proj = AlgebraMap(A, Q, Matrix._of_raw(A.field, images, qdim))
     return Q, proj
 
@@ -463,11 +458,11 @@ def _closed_subalgebra(A: Algebra, S: Subspace, unit: Sequence, message: str, la
             raise InvariantViolation(message)
         return c
 
-    p, terms = A.field.char, A.terms
+    terms = A.terms
     if not S.is_full():  # else the RREF basis is the standard one, and A's constants are the products
         rows = S._sparse_rows()
         terms = tuple(tuple(coords(_multiply_raw(terms, u, v)) for v in rows) for u in rows)
-    return Algebra._of_terms(A.field, terms, _canon(_dense(coords(unit), S.dim), p), labels), coords
+    return Algebra._of_terms(A.field, terms, tuple(_dense(coords(unit), S.dim)), labels), coords
 
 
 def product_of_fields(field: Field, k: int) -> Algebra:

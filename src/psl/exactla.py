@@ -1,11 +1,13 @@
 """Exact linear algebra over Q and over prime fields F_p.
 
 Every scalar psl stores or returns is canonical, and the field lives on
-the container that holds it: an int in [0, p) over F_p, a
-`fractions.Fraction` over Q (the word-size representation of Dumas, Giorgi
-and Pernet, "Dense linear algebra over word-size prime fields: the FFLAS
-and FFPACK packages", 2008).  Inputs are coerced once, by `Field.of`, when
-they enter a container, which is also where `FieldMismatch` is raised.
+the container that holds it: an int in [0, p) over F_p (the word-size
+representation of Dumas, Giorgi and Pernet, "Dense linear algebra over
+word-size prime fields: the FFLAS and FFPACK packages", 2008), and over Q
+an int where the value is integral and a `fractions.Fraction` with
+denominator > 1 otherwise (`_rational`), so that the kernel multiplies
+machine words wherever it can.  Inputs are coerced once, by `Field.of`,
+when they enter a container, which is also where `FieldMismatch` is raised.
 Vectors are tuples, matrices row-major tuples of such tuples.  Subspaces
 are kept in reduced row echelon form so that equality of subspaces is
 structural equality.  Everything is immutable and every operation is a
@@ -18,12 +20,10 @@ One elimination, `_Echelon`, serves both fields: each vector is reduced
 once against a growing semi-echelon basis of sparse rows, kept only if it
 is new, and the basis is brought to RREF by back-substitution.  Over F_p it
 reduces a row mod p once, when it is kept, not after every scalar operation
-(the delayed reduction of the same paper).  In the same spirit the kernel keeps machine
-words over Q where it can: the sparse form of a row (`_nonzero`) holds an
-integral rational as its int and any other as a Fraction, and `_canon`
-turns every value back into a Fraction where a container stores it or a
-method returns it; `Subspace._coords` returns coordinates sparse, for the
-constants that store them.  Only `_Echelon.add` divides, always by a Fraction.
+(the delayed reduction of the same paper).  The kernel's sparse rows
+(`_nonzero`) hold the same scalars as the containers, and
+`Subspace._coords` returns coordinates sparse, for the constants that store
+them.  Only `_Echelon.add` divides, always by a Fraction.
 Invariant subspaces are spun on it (Parker, "The computer calculation of
 modular characters (the Meat-Axe)", 1984); a span or spin that reaches the
 whole space stops there and returns the shared identity rows.  Every null
@@ -52,11 +52,6 @@ class DimensionMismatch(ValueError):
 
 class DimensionTooLarge(ValueError):
     """Enumeration caps exceeded."""
-
-
-# zero and one over Q; `_canon` stores every zero over Q as this one object
-_QZERO = Fraction(0)
-_QONE = Fraction(1)
 
 
 # Miller-Rabin to the first 13 prime bases is exact below the smallest strong
@@ -94,9 +89,10 @@ class Field:
     """Field descriptor; char 0 means Q, prime char means F_p.
 
     Scalars are canonical values, and the field lives on the container that
-    holds them: an int in [0, p) over F_p, a `Fraction` over Q.  `of` turns
-    an input (an int, a str, or a Fraction over Q) into that value and raises
-    `FieldMismatch` on a foreign type.
+    holds them: an int in [0, p) over F_p; over Q an int where integral and a
+    `Fraction` otherwise, so dividing two Q scalars needs a `Fraction` (an
+    int / int is a float).  `of` turns an input (an int, a str, or a Fraction
+    over Q) into that value and raises `FieldMismatch` on a foreign type.
     """
 
     char: int
@@ -123,24 +119,22 @@ class RationalField(Field):
     char = 0
 
     def of(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x) if x else _QZERO
         if isinstance(x, str):
-            return Fraction(x)
-        raise FieldMismatch(f"cannot coerce {type(x).__name__} into Q")
+            x = Fraction(x)
+        elif not isinstance(x, (int, Fraction)):
+            raise FieldMismatch(f"cannot coerce {type(x).__name__} into Q")
+        return _rational(x)
 
     @property
     def zero(self):
-        return _QZERO
+        return 0
 
     @property
     def one(self):
-        return _QONE
+        return 1
 
     def format_scalar(self, x):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else f"{x.numerator}"
+        return str(x)
 
     def sort_key(self, x):
         return (x.numerator, x.denominator)
@@ -231,49 +225,40 @@ def unit_vec(field: Field, n: int, i: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # the kernel: rows are sequences of ints (F_p, p > 0) or of rationals (Q,
-# p = 0), each an int where it is integral or a Fraction; sparse rows are
-# tuples of their nonzero (index, value) pairs.  Over F_p, entries handed to
-# the kernel may be unreduced.
+# p = 0); sparse rows are tuples of their nonzero (index, value) pairs.
+# Over F_p, entries handed to the kernel may be unreduced, and over Q a
+# raw sum may be an integral Fraction; `_canon` and `_compact` bring either
+# to the one form.
 
 
-def _zeros(p: int, n: int) -> list:
-    return [0] * n if p else [_QZERO] * n
+def _rational(x):
+    """An int or Fraction in the one form over Q: its int where it is integral (a bool as 0 or 1)."""
+    return x.numerator if x.denominator == 1 else x
 
 
 @cache
-def _identity_rows(p: int, n: int) -> tuple:
-    """The rows of the n x n identity as a container stores them, built once per (p, n)."""
-    one = 1 if p else _QONE
-    return tuple(_canon(_dense(((i, one),), n), p) for i in range(n))
+def _identity_rows(n: int) -> tuple:
+    """The rows of the n x n identity as a container stores them, built once per n."""
+    return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
 
 
 def _canon(vec: Sequence, p: int) -> tuple:
-    """Entries as a container stores them: reduced mod p, or Fractions over Q.
-
-    Over Q every zero is the one shared `_QZERO`, so stored rows do not hold
-    a Fraction object per zero entry.
-    """
+    """Entries as a container stores them: reduced mod p, or in the one form over Q."""
     if p:
         return tuple(x % p for x in vec)
-    return tuple((x if x.__class__ is Fraction else Fraction(x)) if x else _QZERO for x in vec)
+    return tuple(map(_rational, vec))
 
 
-def _nonzero(row: Sequence, p: int) -> tuple:
-    """The sparse form of a dense row whose entries are reduced.
-
-    Over Q (p = 0) an integral value becomes its int, so that the kernel
-    multiplies machine words wherever it can.
-    """
-    if p:
-        return tuple((k, x) for k, x in enumerate(row) if x)
-    return tuple((k, x.numerator if x.denominator == 1 else x) for k, x in enumerate(row) if x)
+def _nonzero(row: Sequence) -> tuple:
+    """The sparse form of a dense row whose entries are canonical."""
+    return tuple((k, x) for k, x in enumerate(row) if x)
 
 
 def _compact(raw: Sequence, p: int) -> tuple:
-    """The nonzero (k, c) of dense, possibly unreduced coordinates, reduced mod p; over Q an integral c is an int."""
+    """The nonzero (k, c) of dense, possibly unreduced coordinates, each c canonical."""
     if p:
         return tuple((k, v % p) for k, v in enumerate(raw) if v % p)
-    return _nonzero(raw, 0)
+    return tuple((k, _rational(v)) for k, v in enumerate(raw) if v)
 
 
 def _dense(sparse: Iterable[tuple], n: int) -> list:
@@ -294,13 +279,13 @@ def _projective_raw(p: int, n: int) -> Iterator[list]:
 
 def _combine(coeffs: Sequence, rows: Sequence[Sequence], n: int, p: int) -> tuple:
     """sum_i coeffs[i] rows[i] for dense rows, reduced once at the end."""
-    out = _zeros(p, n)
+    out = [0] * n
     for c, row in zip(coeffs, rows):
         if c:
             for j, x in enumerate(row):
                 if x:
                     out[j] += c * x
-    return _canon(out, p) if p else tuple(out)
+    return _canon(out, p)
 
 
 class _Echelon:
@@ -345,7 +330,7 @@ class _Echelon:
             else:
                 return False
             x = x if x.__class__ is Fraction else Fraction(x)
-            self.rows.append((lead, tuple((j, y / x) for j, y in enumerate(v) if y)))
+            self.rows.append((lead, tuple((j, _rational(y / x)) for j, y in enumerate(v) if y)))
         return True
 
     def span(self, field: Field, n: int) -> "Subspace":
@@ -355,7 +340,8 @@ class _Echelon:
         is zero at its pivot, and so is every combination of them; clearing a
         row at the pivots of the rows already reduced therefore keeps its
         leading 1 and leaves those rows as they are.  Sorted by pivot, the
-        reduced rows are the RREF basis, which is unique.
+        reduced rows are the RREF basis, which is unique; the subspace keeps
+        their sparse forms.
         """
         p = self.p
         reduced: dict[int, tuple] = {}  # pivot -> (canonical row, its sparse form)
@@ -370,12 +356,14 @@ class _Echelon:
                         v[j] -= f * x
             if cleared:
                 v = _canon(v, p)
-                row = _nonzero(v, p)
-            else:  # the row is already reduced: its entries are canonical over F_p
-                v = tuple(v) if p else _canon(v, 0)
+                row = _nonzero(v)
+            else:  # the row is already reduced, its entries canonical
+                v = tuple(v)
             reduced[lead] = (v, row)
         pivots = sorted(reduced)
-        return Subspace(field, n, tuple(reduced[c][0] for c in pivots), tuple(pivots))
+        S = Subspace(field, n, tuple(reduced[c][0] for c in pivots), tuple(pivots))
+        S._sparse = tuple(reduced[c][1] for c in pivots)
+        return S
 
 
 def _null_span(
@@ -433,7 +421,7 @@ def _operator_terms(field: Field, n: int, operators: Sequence["Matrix"]) -> list
             raise FieldMismatch(f"operator over {op.field}, space over {field}")
         if op.nrows != n or op.ncols != n:
             raise DimensionMismatch(f"operator is {op.nrows}x{op.ncols}, space has dim {n}")
-        ops.append(tuple(_nonzero(row, field.char) for row in op.rows))
+        ops.append(tuple(map(_nonzero, op.rows)))
     return ops
 
 
@@ -466,8 +454,7 @@ def _tensor(field: Field, tensor, shape: tuple[int, int, int], what: str) -> tup
     rows, cols, width = shape
     if len(dense) != rows or any(len(row) != cols or any(len(v) != width for v in row) for row in dense):
         raise DimensionMismatch(f"{what} tensor shape mismatch: expected {rows} x {cols} x {width}")
-    p = field.char
-    return tuple(tuple(_nonzero(v, p) for v in row) for row in dense)
+    return tuple(tuple(map(_nonzero, row)) for row in dense)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +490,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls._of_raw(field, _identity_rows(field.char, n), n)
+        return cls._of_raw(field, _identity_rows(n), n)
 
     def _check_field(self, other: "Matrix") -> None:
         if self.field != other.field:
@@ -560,7 +547,7 @@ class Matrix:
 
     def left_kernel(self) -> "Subspace":
         """Solutions of x @ self = 0 as a subspace of F^nrows."""
-        return _null_span(self.field, self.rows, _identity_rows(self.field.char, self.nrows), self.ncols, self.nrows)
+        return _null_span(self.field, self.rows, _identity_rows(self.nrows), self.ncols, self.nrows)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +595,7 @@ class Subspace:
 
     @classmethod
     def full_space(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, _identity_rows(field.char, ambient), tuple(range(ambient)))
+        return cls(field, ambient, _identity_rows(ambient), tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -645,13 +632,10 @@ class Subspace:
         return (self.dim, tuple(self.field.sort_key(x) for row in self.rows for x in row))
 
     def _tails(self) -> tuple:
-        """(j, ((c_s, row_s[j]) for the rows with row_s[j] != 0)) for each non-pivot column j.
-
-        Over Q an integral entry is kept as its int, as in `_nonzero`.
-        """
+        """(j, ((c_s, row_s[j]) for the rows with row_s[j] != 0)) for each non-pivot column j."""
         if self._tail is None:
-            p, rows, pivots = self.field.char, self.rows, self.pivots
-            cols = [_nonzero(col, p) for col in zip(*rows)] if rows else [()] * self.ambient
+            rows, pivots = self.rows, self.pivots
+            cols = list(map(_nonzero, zip(*rows))) if rows else [()] * self.ambient
             lead = set(pivots)
             self._tail = tuple(
                 (j, tuple((pivots[s], x) for s, x in col)) for j, col in enumerate(cols) if j not in lead
@@ -661,7 +645,7 @@ class Subspace:
     def _sparse_rows(self) -> tuple:
         """The basis rows in kernel form (`_nonzero`), built on first use."""
         if self._sparse is None:
-            self._sparse = tuple(_nonzero(r, self.field.char) for r in self.rows)
+            self._sparse = tuple(map(_nonzero, self.rows))
         return self._sparse
 
     def _residual(self, vec: Sequence) -> list:
@@ -671,14 +655,14 @@ class Subspace:
         there and v_j - sum_s v_{c_s} row_s[j] at each non-pivot column j.
         """
         p = self.field.char
-        out = _zeros(p, self.ambient)
+        out = [0] * self.ambient
         for j, tail in self._tails():
             r = vec[j]
             for c, x in tail:
                 f = vec[c]
                 if f:
                     r -= f * x
-            out[j] = r % p if p else r
+            out[j] = r % p if p else _rational(r)
         return out
 
     def _holds(self, vec: Sequence) -> bool:
@@ -718,7 +702,7 @@ class Subspace:
     def coords_of(self, vec: Sequence) -> tuple | None:
         """Coordinates of vec in the RREF basis, or None if vec is outside."""
         c = self._coords(_coerce(self.field, vec, self.ambient, AmbientMismatch))
-        return None if c is None else _canon(_dense(c, self.dim), self.field.char)
+        return None if c is None else tuple(_dense(c, self.dim))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compat(other)
@@ -728,7 +712,7 @@ class Subspace:
         """The vectors sum_r x_r u_r with sum_r x_r u_r + sum_s y_s v_s = 0 over the two bases."""
         self._check_compat(other)
         n = self.ambient
-        zeros = (_zeros(self.field.char, n),) * other.dim
+        zeros = ((0,) * n,) * other.dim
         return _null_span(self.field, self.rows + other.rows, self.rows + zeros, n, n)
 
     def complement_indices(self) -> tuple[int, ...]:
@@ -741,7 +725,7 @@ def preimage_under(matrix: Matrix, target: Subspace) -> Subspace:
     if matrix.ncols != target.ambient:
         raise AmbientMismatch("map target and subspace ambient differ")
     rows = [target._residual(r) for r in matrix.rows]
-    return _null_span(matrix.field, rows, _identity_rows(matrix.field.char, matrix.nrows), matrix.ncols, matrix.nrows)
+    return _null_span(matrix.field, rows, _identity_rows(matrix.nrows), matrix.ncols, matrix.nrows)
 
 
 # the most lines of F_p^n that a walk over them, one spin each, takes

@@ -28,7 +28,6 @@ from psl.exactla import (
     Field,
     Matrix,
     Subspace,
-    _canon,
     _coerce,
     _dense,
     _identity_rows,
@@ -225,7 +224,7 @@ def check_hopf(H: HopfAlgebra) -> CheckReport:
             failures.append(f"(id (x) eps)Delta != id at basis {i}")
 
     # bialgebra compatibility
-    unit = _nonzero(H.unit, p)
+    unit = _nonzero(H.unit)
     unit_sq = [cj * ck for cj in H.unit for ck in H.unit]
     if _differ(_apply_raw(delta, unit, m * m), unit_sq, p):
         failures.append("Delta(1) != 1 (x) 1")
@@ -241,7 +240,7 @@ def check_hopf(H: HopfAlgebra) -> CheckReport:
                 failures.append(f"eps not multiplicative at basis pair ({i},{j})")
 
     # antipode convolution identities
-    s = [_nonzero(row, p) for row in H.antipode.rows]
+    s = list(map(_nonzero, H.antipode.rows))
     for i in range(m):
         left, right = [0] * m, [0] * m
         for jk, c in delta[i]:
@@ -316,7 +315,7 @@ def left_integrals(H: HopfAlgebra) -> Subspace:
             block[j] -= e
             row += block
         rows.append(row)
-    return _null_span(H.field, rows, _identity_rows(H.field.char, m), m * m, m)
+    return _null_span(H.field, rows, _identity_rows(m), m * m, m)
 
 
 def is_semisimple(H: HopfAlgebra) -> bool:
@@ -348,5 +347,5 @@ def sweedler_h4(field: Field) -> HopfAlgebra:
     alg = Algebra._of_terms(field, terms, e[0], ("1", "g", "x", "gx"))
     # at index j*4 + k: 1 (x) 1, g (x) g, g (x) x + x (x) 1, 1 (x) gx + gx (x) g
     delta = (((0, 1),), ((5, 1),), ((6, 1), (8, 1)), ((3, 1), (13, 1)))
-    antipode = Matrix._of_raw(field, (e[0], e[1], _canon((0, 0, 0, neg), p), e[2]), 4)
+    antipode = Matrix._of_raw(field, (e[0], e[1], (0, 0, 0, neg), e[2]), 4)
     return HopfAlgebra._of_terms(alg, delta, (field.one, field.one, field.zero, field.zero), antipode)

@@ -186,7 +186,7 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
     dense = [[int(t == j) for t in range(n)] for j in range(n)]
     # h . e_k as a linear function of h, then h_p . 1_A and (h_q h_g) . e_k
     columns = [[act[r][k] for r in range(m)] for k in range(n)]
-    unit_a = _nonzero(A.unit, p)
+    unit_a = _nonzero(A.unit)
     unit_images = [_compact(_apply_raw(act[i], unit_a, n), p) for i in range(m)]
     # (h_q h_g) . e_k depends on h_q h_g only: one list per distinct product,
     # read off the action where the product is a basis element h_r
@@ -197,7 +197,7 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
     }
     hg_act = [[by_product[x] for x in row] for row in h_terms]
 
-    unit_h = _nonzero(H.unit, p)
+    unit_h = _nonzero(H.unit)
     for j in range(n):
         if _differ(_apply_raw(columns[j], unit_h, n), dense[j], p):
             failures.append(f"PA1 fails: 1_H . a != a at basis a={A.labels[j]}")
@@ -288,7 +288,7 @@ def _pa2_samples(m: int, n: int) -> tuple:
 def is_global(pa: PartialAction) -> bool:
     """h . 1_A = eps(h) 1_A on every basis element; eps(h) 1_A is formed once per counit value."""
     n, p = pa.alg.dim, pa.field.char
-    unit = _nonzero(pa.alg.unit, p)
+    unit = _nonzero(pa.alg.unit)
     scaled = {0: [0] * n, 1: _dense(unit, n)}  # eps(h) 1_A by the value of eps(h), 1_A in kernel form
     return not any(
         _differ(_apply_raw(row, unit, n), scaled.get(e) or scaled.setdefault(e, [e * x for x in scaled[1]]), p)
@@ -302,7 +302,7 @@ def is_global(pa: PartialAction) -> bool:
 def trivial_action(H: HopfAlgebra, A: Algebra) -> PartialAction:
     """The global action h . a = eps(h) a."""
     n = A.dim
-    eps = dict(_nonzero(H.counit, A.field.char))
+    eps = dict(_nonzero(H.counit))
     act = tuple(tuple(((j, eps[i]),) if i in eps else () for j in range(n)) for i in range(H.dim))
     return PartialAction._of_terms(H, A, act)
 
@@ -340,7 +340,7 @@ def induce_from_ideal(global_pa: PartialAction, e: Sequence) -> PartialAction:
     B = global_pa.alg
     n, p, terms = B.dim, B.field.char, B.terms
     e = _coerce(B.field, e, n)
-    es = _nonzero(e, p)
+    es = _nonzero(e)
     if _differ(_multiply_raw(terms, es, es), e, p):
         raise NotIdempotent("e is not idempotent")
     de = _cleared((es,), p)[1][0]  # e B = (D e) B, and D e is integral
@@ -397,12 +397,12 @@ def invariant_subalgebra(pa: PartialAction) -> Subspace:
     the basis of A whose blocks [h_i . x - x (h_i . 1_A) for each i] vanish."""
     A = pa.alg
     n, p, act = A.dim, pa.field.char, pa._terms
-    units = [_compact(_apply_raw(op, _nonzero(A.unit, p), n), p) for op in act]
+    units = [_compact(_apply_raw(op, _nonzero(A.unit), n), p) for op in act]
     blocks = [
         [x - y for op, u in zip(act, units) for x, y in zip(_dense(op[j], n), _apply_raw(A.terms[j], u, n))]
         for j in range(n)
     ]
-    S = _null_span(pa.field, blocks, _identity_rows(p, n), n * pa.hopf.dim, n)
+    S = _null_span(pa.field, blocks, _identity_rows(n), n * pa.hopf.dim, n)
     if not S._holds(A.unit):
         raise InvariantViolation("invariant subalgebra lost the unit")
     rows = S._sparse_rows()
@@ -440,7 +440,7 @@ def quotient_action(pa: PartialAction, I: Subspace) -> tuple[PartialAction, Alge
         raise NotHStable("quotient_action needs an H-stable ideal")
     Q, proj = quotient_algebra(pa.alg, I)
     p, n = pa.field.char, Q.dim
-    images = [_nonzero(r, p) for r in proj.matrix.rows]
+    images = list(map(_nonzero, proj.matrix.rows))
     comp = I.complement_indices()
     # h_i . (e_c + I) = proj(h_i . e_c) on the coset basis
     act = tuple(tuple(_compact(_apply_raw(images, row[c], n), p) for c in comp) for row in pa._terms)
@@ -467,7 +467,7 @@ class PartialCoaction:
             raise FieldMismatch("coaction matrix and algebra over different fields")
         self.alg = alg
         self.hopf = hopf
-        self._terms = tuple(_nonzero(r, alg.field.char) for r in rho.rows)
+        self._terms = tuple(map(_nonzero, rho.rows))
 
     @classmethod
     def _of_terms(cls, alg: Algebra, hopf: HopfAlgebra, terms: tuple) -> "PartialCoaction":
@@ -526,7 +526,7 @@ def check_partial_coaction(pc: PartialCoaction) -> CheckReport:
                 failures.append(f"PC2 fails at basis pair ({A.labels[j]}, {A.labels[k]})")
 
     # (rho (x) id) rho(e_j) = (rho(1) (x) 1_K)((id (x) Delta) rho(e_j)) in A (x) K (x) K
-    rho_unit = _compact(_apply_raw(rho, _nonzero(A.unit, p), n * m), p)
+    rho_unit = _compact(_apply_raw(rho, _nonzero(A.unit), n * m), p)
     comul = _comul_terms(K)
     for j in range(n):
         lhs = [0] * (n * m * m)
@@ -539,7 +539,7 @@ def check_partial_coaction(pc: PartialCoaction) -> CheckReport:
                 slices[l2][a * m + l1] += c * d
         rhs = [0] * (n * m * m)
         for l2, part in enumerate(slices):
-            for t, x in enumerate(_multiply_raw(tensor, rho_unit, _nonzero(part, p))):
+            for t, x in enumerate(_multiply_raw(tensor, rho_unit, _compact(part, p))):
                 rhs[t * m + l2] += x
         if _differ(lhs, rhs, p):
             failures.append(f"PC3 fails at basis {A.labels[j]}")
@@ -555,10 +555,10 @@ def coinvariant_subalgebra(pc: PartialCoaction) -> Subspace:
     nm, p = n * m, pc.field.char
     rho = pc._terms
     tensor = _tensor_terms(A.terms, K.alg.terms)
-    rho_1 = _compact(_apply_raw(rho, _nonzero(A.unit, p), nm), p)
-    unit_k = _nonzero(K.unit, p)
+    rho_1 = _compact(_apply_raw(rho, _nonzero(A.unit), nm), p)
+    unit_k = _nonzero(K.unit)
     blocks = [
         [x - y for x, y in zip(_dense(rho[j], nm), _multiply_raw(tensor, [(j * m + k, c) for k, c in unit_k], rho_1))]
         for j in range(n)
     ]
-    return _null_span(pc.field, blocks, _identity_rows(p, n), nm, n)
+    return _null_span(pc.field, blocks, _identity_rows(n), nm, n)

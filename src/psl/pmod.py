@@ -121,7 +121,7 @@ def _module_law(A: Algebra, side: str, ops, d: int, j: int) -> tuple[bool, list]
     # the images of w_j under every basis element of A
     column = [ops[i][j] for i in range(A.dim)]
     w = [int(t == j) for t in range(d)]
-    unit_ok = A.unit is None or not _differ(_apply_raw(column, _nonzero(A.unit, p), d), w, p)
+    unit_ok = A.unit is None or not _differ(_apply_raw(column, _nonzero(A.unit), d), w, p)
     bad = []
     for i in range(A.dim):
         for k in range(A.dim):
@@ -152,8 +152,8 @@ def _cosets(U: Subspace, vectors) -> list[tuple]:
 def _quotient_terms(U: Subspace, ops) -> tuple:
     """Operators on F^n given by their sparse rows (operator i, basis j) -> image, induced on F^n/U
     for an invariant U, as sparse rows in the coset coordinates."""
-    comp, p = U.complement_indices(), U.field.char
-    return tuple(tuple(_nonzero(v, p) for v in _cosets(U, [_dense(op[c], U.ambient) for c in comp])) for op in ops)
+    comp = U.complement_indices()
+    return tuple(tuple(map(_nonzero, _cosets(U, [_dense(op[c], U.ambient) for c in comp]))) for op in ops)
 
 
 def quotient_module(A: Algebra, I: Subspace, side: str = "right") -> AlgebraModule:
@@ -215,14 +215,14 @@ def check_partial_module(M: PartialModule) -> CheckReport:
     d, p = M.dim, M.field.char
     a_ops, h_ops = M._a_terms, M._h_terms
     comul = _comul_terms(H)
-    unit_h = _nonzero(H.unit, p)
+    unit_h = _nonzero(H.unit)
     # h_p . e_ia and h_p . 1_A, sparse
     act = pa._terms
-    unit_images = [_nonzero(pa.unit_image(q), p) for q in range(H.dim)]
+    unit_images = [_nonzero(pa.unit_image(q)) for q in range(H.dim)]
 
     def apply_a(x, v):
         """x in A acting on the sparse module vector v."""
-        return _nonzero(_apply_pair(a_ops, x, v, d, p), p)
+        return _compact(_apply_pair(a_ops, x, v, d, p), p)
 
     for j in range(d):
         unit_ok, bad = _module_law(A, M.side, a_ops, d, j)
@@ -262,7 +262,7 @@ def check_partial_module(M: PartialModule) -> CheckReport:
                     if right:
                         term = _apply_pair(h_ops, hq_g, apply_a(unit_images[hp], w), d, p)
                     else:
-                        term = _apply_pair(a_ops, unit_images[hp], _nonzero(_apply_pair(h_ops, hq_g, w, d, p), p), d, p)
+                        term = _apply_pair(a_ops, unit_images[hp], _compact(_apply_pair(h_ops, hq_g, w, d, p), p), d, p)
                     _add_scaled(rhs, c, term)
                 if _differ(lhs, rhs, p):
                     failures.append(f"PM4 fails at (h{ih}, h{g}, w{j})")
@@ -305,7 +305,7 @@ def from_smash_module(sp, mod: AlgebraModule) -> PartialModule:
 
     def images(x):
         """The sparse images of the module basis under x in the carrier."""
-        x = _nonzero(x, p)
+        x = _nonzero(x)
         return tuple(_compact(_apply_pair(mod._terms, x, ((j, 1),), d, p), p) for j in range(d))
 
     M = PartialModule._of_terms(mod.side, pa, d, tuple(map(images, incl)), tuple(map(images, h_img)))
@@ -386,10 +386,10 @@ class IrreducibleExtension(NamedTuple):
     killed: Subspace
 
 
-def _coords_in(read, vectors, message: str) -> tuple:
-    """The coordinates `read` finds for each vector, a subspace's `_coords` (sparse, kernel form) or
-    `coords_of` (dense, canonical); InvariantViolation(message) if one is outside."""
-    out = tuple(map(read, vectors))
+def _coords_in(W: Subspace, vectors, message: str) -> tuple:
+    """The sparse coordinates (`Subspace._coords`) of each vector in W; InvariantViolation(message) if one
+    is outside."""
+    out = tuple(map(W._coords, vectors))
     if None in out:
         raise InvariantViolation(message)
     return out
@@ -402,7 +402,7 @@ def _extension_module(pa: PartialAction, side: str, W: Subspace, a_rows, h_rows)
     def restrict(rows):
         op = [_compact(r, p) for r in rows]
         images = [_apply_raw(op, w, W.ambient) for w in W._sparse_rows()]
-        return _coords_in(W._coords, images, "extension space is not invariant under the action")
+        return _coords_in(W, images, "extension space is not invariant under the action")
 
     module = PartialModule._of_terms(side, pa, W.dim, tuple(map(restrict, a_rows)), tuple(map(restrict, h_rows)))
     check_partial_module(module).raise_if_failed(f"extended {side} module axioms")
@@ -438,16 +438,17 @@ def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     a_rows = [[row([act[q][a] for q in range(m)], j, k) for j in range(dv) for k in range(m)] for a in range(n)]
     W = Subspace._span(field, amb, [r for rows in a_rows for r in rows])
     # (v (x) k) <| h = sum v ((kh)1 . 1_A) (x) (kh)2, as Delta(k)Delta(h) = Delta(kh)
-    unit_a = _nonzero(A.unit, p)
+    unit_a = _nonzero(A.unit)
     unit_images = [_compact(_apply_raw(act[q], unit_a, n), p) for q in range(m)]
     base = [[_compact(row(unit_images, j, l), p) for l in range(m)] for j in range(dv)]
     h_terms = H.alg.terms
     h_rows = [[_apply_raw(base[j], h_terms[k][h], amb) for j in range(dv) for k in range(m)] for h in range(m)]
 
     module = _extension_module(pa, "right", W, a_rows, h_rows)
-    unit_h = _nonzero(H.unit, p)
+    unit_h = _nonzero(H.unit)
     v_tensor_1 = [_dense(((j * m + i, x) for i, x in unit_h), amb) for j in range(dv)]
-    embedding = Matrix._of_raw(field, _coords_in(W.coords_of, v_tensor_1, "V (x) 1_H does not sit inside W"), W.dim)
+    coords = _coords_in(W, v_tensor_1, "V (x) 1_H does not sit inside W")
+    embedding = Matrix._of_raw(field, tuple(tuple(_dense(c, W.dim)) for c in coords), W.dim)
     return ModuleExtension(module, embedding, W)
 
 
@@ -534,7 +535,7 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     a_rows = [[row(rho[a], j, r) for j in range(dv) for r in range(m)] for a in range(n)]
     W = Subspace._span(field, amb, [r for rows in a_rows for r in rows])
     # h |> (v (x) p_r) = rho(1)(v (x) (h -> p_r)), where h_h -> p_r = sum_s Delta(p_r)[s][h] p_s
-    rho_unit = _compact(_apply_raw(rho, _nonzero(A.unit, p), n * m), p)
+    rho_unit = _compact(_apply_raw(rho, _nonzero(A.unit), n * m), p)
     base = [[row(rho_unit, j, s) for s in range(m)] for j in range(dv)]
     h_rows = [[[0] * amb for _ in range(amb)] for _ in range(m)]
     for r, parts in enumerate(_comul_terms(K)):
@@ -546,9 +547,9 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     ints = left_integrals(K)
     if ints.dim != 1:
         raise InvariantViolation("integral space of H* must be one-dimensional")
-    lam = _nonzero(ints.rows[0], p)
+    lam = _nonzero(ints.rows[0])
     v_tensor_lam = [_dense(((j * m + r, c) for r, c in lam), amb) for j in range(dv)]
-    coords = _coords_in(W.coords_of, v_tensor_lam, "V (x) lambda does not sit inside W")
-    embedding = Matrix._of_raw(field, coords, W.dim)
+    coords = _coords_in(W, v_tensor_lam, "V (x) lambda does not sit inside W")
+    embedding = Matrix._of_raw(field, tuple(tuple(_dense(c, W.dim)) for c in coords), W.dim)
     return ModuleExtension(module, embedding, W)
 

@@ -5,8 +5,8 @@ the embedded copy a # 1_H of A keeps its own coordinates inside each block.
 The carrier of the partial smash product is the image of right
 multiplication by 1_A # 1_H, with its RREF rows as basis; when A # H is
 unital (a global action) that image is all of A (x) H and is not spanned.
-Carrier coordinates stay in the sparse kernel form of `Subspace._coords`
-throughout the build; only `SmashProduct.project` makes them canonical.
+Carrier coordinates stay in the sparse form of `Subspace._coords`
+throughout the build; only `SmashProduct.project` makes them dense.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class SmashProduct:
         self.include_A = include_A
         self.unit_element = unit_element
         self.dual_action = dual_action
-        self._unit_terms = _nonzero(unit_element, pa.field.char)
+        self._unit_terms = _nonzero(unit_element)
 
     @property
     def field(self):
@@ -125,8 +125,8 @@ class SmashProduct:
 
     def project(self, tensor_vec: Sequence) -> tuple:
         """(x)(1_A # 1_H) in carrier coordinates, for any x in A # H."""
-        c = self._project(_nonzero(_coerce(self.field, tensor_vec, self.full.dim), self.field.char))
-        return _canon(_dense(c, self.carrier.dim), self.field.char)
+        c = self._project(_nonzero(_coerce(self.field, tensor_vec, self.full.dim)))
+        return tuple(_dense(c, self.carrier.dim))
 
     def _project(self, x: tuple) -> tuple:
         """project() of a sparse tensor vector, as the sparse coordinates of `Subspace._coords`."""
@@ -155,7 +155,7 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     N = full.dim
     terms = full.terms
     u = tensor_coords(pa, A.unit, H.unit)
-    u_terms = _nonzero(u, p)
+    u_terms = _nonzero(u)
 
     if full.unit is not None:
         # a global action: x u = x for every x, so the carrier is A (x) H
@@ -171,9 +171,9 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     check_algebra(carrier).raise_if_failed("partial smash carrier axioms")
 
     # a # 1_H for the basis of A
-    h_unit = _nonzero(H.unit, p)
+    h_unit = _nonzero(H.unit)
     incl = [in_carrier(_dense(((j * m + i, c) for i, c in h_unit), N)) for j in range(n)]
-    include_A = AlgebraMap(A, carrier, Matrix._of_raw(field, tuple(_canon(_dense(c, d), p) for c in incl), d))
+    include_A = AlgebraMap(A, carrier, Matrix._of_raw(field, tuple(tuple(_dense(c, d)) for c in incl), d))
     if not include_A.is_injective():
         raise InvariantViolation("A does not embed in the partial smash product")
     if not include_A.is_multiplicative():

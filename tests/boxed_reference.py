@@ -962,7 +962,7 @@ def operator_image_algebra(M: PartialModule):
             raise InvariantViolation("operator image algebra is not closed")
         return c
 
-    rows = [_nonzero(r, field.char) for r in span.rows]
+    rows = [_nonzero(r) for r in span.rows]
     mult = [[coords(compose(u, v)) for v in rows] for u in rows]
     unit = coords([x for row in identity.rows for x in row])
     return Algebra(field, mult, unit=unit)

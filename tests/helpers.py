@@ -25,7 +25,6 @@ from psl.exactla import (
     _combine,
     _dense,
     _nonzero,
-    _zeros,
     unit_vec,
 )
 
@@ -86,7 +85,7 @@ def matrix_algebra(field, d):
 
 
 def rand_scalar(rng: random.Random, field):
-    """A canonical scalar: a Fraction over Q, an int in [0, p) over F_p."""
+    """A scalar psl accepts: a Fraction over Q (integral ones included), an int in [0, p) over F_p."""
     if field.char == 0:
         return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return rng.randrange(field.char)
@@ -131,7 +130,7 @@ def solve_left(m: Matrix, target) -> tuple | None:
     red, _, pivots = _rref(aug, m.field.char)
     if m.nrows in pivots:
         return None
-    sol = _zeros(m.field.char, m.nrows)
+    sol = [0] * m.nrows
     for r, c in enumerate(pivots):
         sol[c] = red[r][m.nrows]
     return tuple(sol)
@@ -148,7 +147,7 @@ def lift(space: Subspace, coords) -> tuple:
 def mult_matrix(A, x, left: bool) -> Matrix:
     """Matrix of a |-> x*a (left) or a |-> a*x (right) in the row-vector convention."""
     p, terms = A.field.char, A.terms
-    x = _nonzero(_coerce(A.field, x, A.dim), p)
+    x = _nonzero(_coerce(A.field, x, A.dim))
     rows = tuple(
         _canon(_multiply_raw(terms, x, ((j, 1),)) if left else _multiply_raw(terms, ((j, 1),), x), p)
         for j in range(A.dim)
@@ -159,8 +158,8 @@ def mult_matrix(A, x, left: bool) -> Matrix:
 def operate_sum(field, terms, x, vec, n) -> tuple:
     """sum_i x_i (vec under operator i) of the sparse action tensor `terms`, canonical."""
     p = field.char
-    x = _nonzero(_coerce(field, x, len(terms)), p)
-    return _canon(_apply_pair(terms, x, _nonzero(_coerce(field, vec, n), p), n, p), p)
+    x = _nonzero(_coerce(field, x, len(terms)))
+    return _canon(_apply_pair(terms, x, _nonzero(_coerce(field, vec, n)), n, p), p)
 
 
 def act_vec(pa, hvec, avec) -> tuple:
@@ -181,7 +180,7 @@ def rho_of(pc, vec) -> tuple:
     """rho(a) of a PartialCoaction for an arbitrary coordinate vector a."""
     field, n = pc.field, pc.alg.dim
     p = field.char
-    return _canon(_apply_raw(pc._terms, _nonzero(_coerce(field, vec, n), p), n * pc.hopf.dim), p)
+    return _canon(_apply_raw(pc._terms, _nonzero(_coerce(field, vec, n)), n * pc.hopf.dim), p)
 
 
 # the dense views made so far, keyed by the sparse rows they are made from: the
@@ -249,16 +248,19 @@ def dense_rho(pc) -> tuple:
     return _once(pc.field, pc._terms, lambda: tuple(_canon(_dense(r, nm), p) for r in pc._terms))
 
 
+def is_canonical(field, x) -> bool:
+    """Whether x is in the one scalar form: over F_p an int in [0, p); over Q an int, or a Fraction
+    with denominator > 1 (a bool is neither)."""
+    if field.char:
+        return type(x) is int and 0 <= x < field.char
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def assert_kernel_form(field, rows, what):
-    """Every (k, c) of nested sparse rows is in kernel form for the field."""
+    """Every (k, c) of nested sparse rows is in kernel form for the field: c canonical and nonzero."""
     if isinstance(rows, tuple) and len(rows) == 2 and type(rows[0]) is int:
         c = rows[1]
-        if field.char:
-            assert type(c) is int and 0 < c < field.char, f"{what}: {c!r} over {field}"
-        elif type(c) is Fraction:
-            assert c.denominator > 1, f"{what}: integral {c!r} held as a Fraction"
-        else:
-            assert type(c) is int and c, f"{what}: {c!r} over Q"
+        assert c and is_canonical(field, c), f"{what}: {c!r} over {field}"
         return
     assert isinstance(rows, tuple), f"{what}: {rows!r}"
     for r in rows:

@@ -1,12 +1,13 @@
 """Every scalar psl stores or returns is canonical, and every structure it stores is in kernel form.
 
-A canonical scalar is a plain int (not a bool) in [0, p) over F_p and a
-Fraction over Q.  The walk covers the vectors, matrices and subspaces of the
-fixtures, of seeded random draws and of every workspace object, and the
-vectors the public methods return, fed with inputs that are not canonical
-themselves (ints outside [0, p), plain ints over Q).  The structure tensors
-are stored only as sparse rows, whose constants are in kernel form
-(`helpers.assert_kernel_form`).
+A canonical scalar is a plain int (not a bool) in [0, p) over F_p, and over
+Q a plain int or a Fraction with denominator > 1 (`helpers.is_canonical`).
+The walk covers the vectors, matrices and subspaces of the fixtures, of
+seeded random draws and of every workspace object, and the vectors the
+public methods return, fed with inputs that are not canonical themselves
+(ints outside [0, p); over Q halves, whose sums and products are often
+integral Fractions).  The structure tensors are stored only as sparse rows,
+whose constants are in kernel form (`helpers.assert_kernel_form`).
 """
 
 import random
@@ -15,9 +16,22 @@ from pathlib import Path
 
 import pytest
 
-from helpers import act_vec, assert_kernel_form, dense_act, fix_a, fix_b, fix_c, fix_d, lift, module_act_vec, rho_of
+from helpers import (
+    act_vec,
+    assert_kernel_form,
+    dense_act,
+    fix_a,
+    fix_b,
+    fix_c,
+    fix_d,
+    is_canonical,
+    lift,
+    module_act_vec,
+    rho_of,
+)
+from psl.algebra import product_of_fields
 from psl.exactla import GF, QQ, Matrix, Subspace, zero_vec
-from psl.hopf import dual_hopf, sweedler_h4
+from psl.hopf import GroupTable, dual_hopf, group_algebra, sweedler_h4
 from psl.paction import action_to_coaction
 from psl.pmod import (
     extend_left_module,
@@ -42,17 +56,14 @@ def assert_canonical(field, value, what):
         for x in value:
             assert_canonical(field, x, what)
         return
-    if field.char:
-        assert type(value) is int and 0 <= value < field.char, f"{what}: {value!r} over {field}"
-    else:
-        assert type(value) is Fraction, f"{what}: {value!r} over Q"
+    assert is_canonical(field, value), f"{what}: {value!r} over {field}"
 
 
 def raw_input(rng, field, n):
-    """A vector of inputs that are valid but not canonical."""
+    """A vector of inputs that are valid but not canonical: over Q halves, integral ones held as Fractions."""
     if field.char:
         return tuple(rng.randrange(-3 * field.char, 3 * field.char) for _ in range(n))
-    return tuple(rng.randint(-3, 3) for _ in range(n))
+    return tuple(Fraction(rng.randint(-6, 6), 2) for _ in range(n))
 
 
 def check_algebra_object(rng, A):
@@ -93,7 +104,10 @@ def check_action_object(rng, pa):
     assert_kernel_form(f, sp.dual_action._terms, "dual _terms")
     assert_canonical(f, sp.unit_element, "smash unit")
     assert_canonical(f, sp.coords.rows, "carrier rows")
-    assert_canonical(f, lift(sp.coords, raw_input(rng, f, sp.coords.dim)), "_combine")
+    member = lift(sp.coords, raw_input(rng, f, sp.coords.dim))
+    assert_canonical(f, member, "_combine")
+    assert_canonical(f, sp.coords.coords_of(member), "carrier coords_of")
+    assert_canonical(f, sp.project(raw_input(rng, f, sp.full.dim)), "project")
     assert_canonical(f, sp.include_a(a), "include_a")
     assert_canonical(f, tensor_coords(pa, a, h), "tensor_coords")
     if sp.carrier.dim <= 6:
@@ -177,4 +191,22 @@ def test_containers_store_canonical_rows(field):
     assert_canonical(field, S.rows, "Subspace.rows")
     assert_canonical(field, lift(S, raw_input(rng, field, S.dim)), "_combine")
     assert_canonical(field, S.reduce(raw_input(rng, field, 3)), "Subspace.reduce")
+    assert_canonical(field, S.coords_of(S.rows[0]), "Subspace.coords_of")
     assert_canonical(field, (field.zero, field.one), "field")
+
+
+def test_integral_results_of_fraction_inputs_are_ints():
+    # 1/2 + 1/2, 3/2 - 1/2 and 2 * 1/2 are Fraction(1) until they are brought to the one form
+    half, one = Fraction(1, 2), Fraction(2, 2)
+    S = Subspace.from_vectors(QQ, 2, [[1, half]])
+    H = group_algebra(QQ, GroupTable.cyclic(2))
+    results = {
+        "Subspace.reduce": (S.reduce((one, 3 * half)), (0, 1)),
+        "Subspace.coords_of": (S.coords_of((2 * one, one)), (2,)),
+        "Matrix.apply": (Matrix(QQ, [[1], [1]]).apply((half, half)), (1,)),
+        "Algebra.multiply": (product_of_fields(QQ, 2).multiply((half, 3 * half), (2, 2)), (1, 3)),
+        "counit_of": ((H.counit_of((half, half)),), (1,)),
+    }
+    for what, (got, expected) in results.items():
+        assert got == expected, what
+        assert_canonical(QQ, got, what)

@@ -181,15 +181,29 @@ def test_ambient_mismatch_errors():
 
 
 def test_scalar_semantics():
-    """Scalars are canonical: ints in [0, p) over F_p, Fractions over Q."""
+    """Scalars are canonical: ints in [0, p) over F_p; over Q an int where integral, else a Fraction."""
     assert F5.of(7) == 2 and F5.of(-3) == 2 and F5.of("12") == 2
     assert type(F5.of(True)) is int and F5.zero == 0 and F5.one == 1
     assert (Matrix(F5, [[3]]) * Matrix(F5, [[2]])).rows == ((1,),)  # 3 * 2 = 6 = 1
     assert Fraction(2, 4) == Fraction(1, 2)
     assert QQ.of("3/6") == Fraction(1, 2)
-    assert type(QQ.of(3)) is Fraction and QQ.of(0) == QQ.zero
+    assert type(QQ.of(3)) is int and QQ.of(0) == QQ.zero
     with pytest.raises(ZeroDivisionError):
         QQ.of("1/0")
+
+
+def test_rational_scalar_contract():
+    # an int where integral, whatever the input's type; a Fraction only with denominator > 1
+    for x, value in ((3, 3), (True, 1), ("6/3", 2), (Fraction(4, 2), 2), (Fraction(0), 0)):
+        assert type(QQ.of(x)) is int and QQ.of(x) == value, x
+    half = QQ.of("1/2")
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    with pytest.raises(FieldMismatch):
+        QQ.of(0.5)
+    # the strings QQ printed when every scalar was a Fraction
+    for text, printed in (("-3/2", "-3/2"), ("0", "0"), ("2", "2"), ("6/4", "3/2"), ("-4/2", "-2")):
+        assert QQ.format_scalar(QQ.of(text)) == printed
+    assert [QQ.format_scalar(x) for x in (QQ.zero, QQ.one)] == ["0", "1"]
 
 
 def test_projective_vectors_count():

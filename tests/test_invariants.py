@@ -4,6 +4,8 @@ Each case breaks one helper with monkeypatch so that exactly one check fires;
 the checks are real raises, so `python -O` keeps them.
 """
 
+from fractions import Fraction
+
 import pytest
 
 import psl.hopf as hopf
@@ -126,7 +128,7 @@ def translation_action_fails(monkeypatch):
 def induced_action_fails(monkeypatch):
     glob = dual_group_translation_action(QQ, GroupTable.cyclic(2))
     fail_checks(monkeypatch, paction, "check_partial_action")
-    half = QQ.one / QQ.of(2)
+    half = Fraction(1, 2)
     return lambda: induce_from_ideal(glob, (half, half))
 
 

@@ -1,6 +1,7 @@
 """The kernel views psl keeps on an immutable object equal what they replace, and die with the command.
 
-A `Subspace` keeps the kernel form of its rows, an `Algebra` its multiplication
+A `Subspace` keeps the kernel form of its rows (handed over by the elimination
+that spans it, or built on first use), an `Algebra` its multiplication
 operators per side and its checked Jacobson radical, a `PartialAction` its
 J_H(A) and a `HopfAlgebra` its comultiplication terms.  Every such object that
 the commands below create is recorded as it is made; afterwards each view it
@@ -13,7 +14,7 @@ repeats every radical computation of the first.
 from collections import Counter
 from pathlib import Path
 
-from psl import radicals
+from psl import exactla, radicals
 from psl.algebra import Algebra, _mult_operators
 from psl.cli import main
 from psl.exactla import Subspace, _nonzero
@@ -63,7 +64,7 @@ def test_kept_views_equal_what_they_replace(monkeypatch, capsys):
     kept = Counter()
     for X in made:
         if isinstance(X, Subspace) and X._sparse is not None:
-            assert X._sparse == tuple(_nonzero(r, X.field.char) for r in X.rows)
+            assert X._sparse == tuple(_nonzero(r) for r in X.rows)
             kept["rows"] += 1
         elif isinstance(X, Algebra):
             twin = fresh_algebra(X)
@@ -82,6 +83,27 @@ def test_kept_views_equal_what_they_replace(monkeypatch, capsys):
             kept["comultiplication"] += 1
     # every kind of view was kept somewhere, so none of the comparisons above is vacuous
     assert sorted(kept) == ["comultiplication", "h-radical", "operators", "radical", "rows"], kept
+
+
+def test_spans_hand_over_their_sparse_rows(monkeypatch, capsys):
+    # a spanned subspace holds the sparse rows of its elimination from the start, so
+    # `_sparse_rows` finds them without a pass of `_nonzero` over the dense rows
+    spanned = []
+    span = exactla._Echelon.span
+
+    def recorded_span(self, field, n):
+        S = span(self, field, n)
+        spanned.append((S, S._sparse))
+        return S
+
+    monkeypatch.setattr(exactla._Echelon, "span", recorded_span)
+    assert main(["verify", "T3.6", "--seed", "2", "--output", "json"]) == 0
+    for name in load_workspace(str(Q_WORKSPACE)).actions:
+        assert main(["radicals", "--workspace", str(Q_WORKSPACE), name, "--output", "json"]) == 0
+    assert 0 in {S.field.char for S, _ in spanned} and any(S.field.char for S, _ in spanned)  # Q and F_p
+    for S, handed in spanned:
+        assert handed is not None and handed == tuple(_nonzero(r) for r in S.rows)
+        assert S._sparse_rows() is handed
 
 
 def test_nothing_a_command_computes_outlives_it(monkeypatch, capsys):

@@ -333,12 +333,12 @@ def smash_quotient_map(sp, I) -> AlgebraMap:
     pa = sp.pa
     qpa, proj = quotient_action(pa, I)
     sq = build_partial_smash(qpa)
-    m, p = pa.hopf.dim, pa.field.char
+    m = pa.hopf.dim
     # e_j (x) h_i |-> proj(e_j) (x) h_i on A (x) H
-    images = [_nonzero(r, p) for r in proj.matrix.rows]
+    images = [_nonzero(r) for r in proj.matrix.rows]
     lift = [tuple((t * m + i, x) for t, x in images[j]) for j in range(pa.alg.dim) for i in range(m)]
     N = qpa.alg.dim * m
-    rows = [sq.coords.coords_of(_apply_raw(lift, _nonzero(r, p), N)) for r in sp.coords.rows]
+    rows = [sq.coords.coords_of(_apply_raw(lift, _nonzero(r), N)) for r in sp.coords.rows]
     assert None not in rows, "an image lies outside the quotient's carrier"
     amap = AlgebraMap(sp.carrier, sq.carrier, Matrix._of_raw(sp.field, tuple(rows), sq.carrier.dim))
     assert amap.is_multiplicative()

@@ -8,8 +8,9 @@ every row, then reduce.  hypothesis draws subspaces over F_2, F_3, F_5 and Q
 and over F_p unreduced, and every method must agree with the oracle.
 
 `Subspace._coords` returns the coordinates in kernel form: the sparse
-nonzero (s, c), reduced mod p, and over Q an int where c is integral.  The
-public `coords_of` returns them canonical and dense.
+nonzero (s, c), each c canonical (`helpers.is_canonical`: reduced mod p,
+and over Q an int where c is integral).  The public `coords_of` returns
+the same scalars dense.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from psl.exactla import GF, QQ, Subspace
-from helpers import assert_kernel_form, lift
+from helpers import assert_kernel_form, is_canonical, lift
 
 SETTINGS = hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
 FIELDS = (GF(2), GF(3), GF(5), QQ)
@@ -46,17 +47,15 @@ def oracle_coords(space, vec):
     return tuple(vec[c] % p if p else Fraction(vec[c]) for c in space.pivots)
 
 
-def kernel_form(field, coords):
-    """The nonzero (s, c) of canonical dense coordinates, over Q with an int for an integral c."""
+def kernel_form(coords):
+    """The nonzero (s, c) of dense coordinates, or None for None."""
     if coords is None:
         return None
-    return tuple((s, c.numerator if c.denominator == 1 else c) for s, c in enumerate(coords) if c)
+    return tuple((s, c) for s, c in enumerate(coords) if c)
 
 
 def canonical(field, vec):
-    if field.char:
-        return all(x.__class__ is int and 0 <= x < field.char for x in vec)
-    return all(x.__class__ is Fraction for x in vec)
+    return all(is_canonical(field, x) for x in vec)
 
 
 def scalars(field, unreduced=False):
@@ -105,7 +104,7 @@ def test_internal_methods_agree_with_dense_elimination(case):
         assert space._holds(vec) == (not any(expected))
         coords = space._coords(vec)
         expected = oracle_coords(space, vec)
-        assert coords == kernel_form(space.field, expected)
+        assert coords == kernel_form(expected)
         if coords is not None:
             assert_kernel_form(space.field, coords, "_coords")
             assert list(lift(space, expected)) == [x % space.field.char if space.field.char else x for x in vec]
@@ -121,7 +120,9 @@ def test_public_methods_agree_with_dense_elimination(case):
         reduced = space.reduce(vec)
         assert list(reduced) == expected and canonical(space.field, reduced)
         assert space.contains(vec) == (not any(expected))
-        assert space.coords_of(vec) == oracle_coords(space, vec)
+        coords = space.coords_of(vec)
+        assert coords == oracle_coords(space, vec)
+        assert coords is None or canonical(space.field, coords)
 
 
 @SETTINGS
@@ -133,8 +134,8 @@ def test_internal_coordinates_are_the_kernel_form_of_the_public_ones(case):
         assert (coords is None) == (not space._holds(vec))
         if coords is not None:
             public = space.coords_of(vec)
-            assert canonical(space.field, public) and coords == kernel_form(space.field, public)
-            assert all(c.__class__ is int for _, c in coords if c.denominator == 1)
+            assert canonical(space.field, public) and coords == kernel_form(public)
+            assert_kernel_form(space.field, coords, "_coords")
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -71,20 +71,27 @@ def test_optimized_interpreter_prints_identical_bytes():
 DIVISION_ALLOWED = {"exactla.py": {"_Echelon.add"}}
 
 
-def true_divisions(tree):
-    """(qualified name of the enclosing function, line) of every `/` and `/=`."""
+def scoped_matches(tree, match):
+    """(qualified name of the enclosing function, line) of every node for which match(node) holds."""
     found = []
 
     def walk(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        if match(node):
             found.append((".".join(scope), node.lineno))
         for child in ast.iter_child_nodes(node):
             walk(child, scope)
 
     walk(tree, ())
     return found
+
+
+def true_divisions(tree):
+    """(qualified name of the enclosing function, line) of every `/` and `/=`."""
+    return scoped_matches(
+        tree, lambda node: isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    )
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -100,11 +107,46 @@ def test_division_guard_sees_every_form():
     assert true_divisions(tree) == [("f", 2), ("f", 3), ("C.g", 6)]
 
 
+# functions allowed to make a Fraction: over Q a scalar is an int where it is integral
+# and a Fraction only otherwise, so one is made only where an input enters
+# (`RationalField.of`), where the elimination divides (`_Echelon.add`) and for the
+# 1/|N| of `dual_group_idempotent`; any other would be a second scalar form
+FRACTION_ALLOWED = {"exactla.py": {"RationalField.of", "_Echelon.add"}, "paction.py": {"dual_group_idempotent"}}
+
+
+def fraction_calls(tree):
+    """(qualified name of the enclosing function, line) of every call of `Fraction` or `<module>.Fraction`."""
+    return scoped_matches(
+        tree,
+        lambda node: isinstance(node, ast.Call)
+        and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)),
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_fraction_made_only_where_allowed(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = FRACTION_ALLOWED.get(path.name, set())
+    stray = [(scope, line) for scope, line in fraction_calls(tree) if scope not in allowed]
+    assert not stray, f"Fraction made in {path.name} outside {sorted(allowed)}: {stray}"
+
+
+def test_fraction_guard_sees_every_form():
+    tree = ast.parse(
+        "def f(x):\n    return Fraction(x)\nclass C:\n    def g(self, x):\n        return fractions.Fraction(1, x)\n"
+        "def h(x):\n    return isinstance(x, Fraction) or x.__class__ is Fraction\n"
+    )
+    # a call by name or through the module counts; a test of the type does not
+    assert fraction_calls(tree) == [("f", 2), ("C.g", 5)]
+
+
 # public functions and methods that nothing in psl calls and the package does not
 # export, each kept for the reason given
 UNCALLED_ALLOWED = {
     "algebra:Algebra.multiply": "a layer of pslbench/spans.py (algebra.multiply), and the product of "
     "outside vectors; psl's own loops multiply through _multiply_raw",
+    "exactla:Subspace.coords_of": "the coordinates of an outside vector, beside contains and reduce; "
+    "psl's own loops read the sparse Subspace._coords",
     "exactla:Subspace.reduce": "a layer of pslbench/spans.py (exactla.reduce)",
     "exactla:enumerate_invariant_subspaces": "a layer of pslbench/spans.py (exactla.enumerate), "
     "and the entry point the lattice oracles test",
