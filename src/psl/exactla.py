@@ -242,6 +242,12 @@ def _identity_rows(n: int) -> tuple:
     return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
 
 
+@cache
+def _identity_sparse(n: int) -> tuple:
+    """The rows of the n x n identity in kernel form (`_nonzero`), built once per n."""
+    return tuple(((i, 1),) for i in range(n))
+
+
 def _canon(vec: Sequence, p: int) -> tuple:
     """Entries as a container stores them: reduced mod p, or in the one form over Q."""
     if p:
@@ -595,7 +601,9 @@ class Subspace:
 
     @classmethod
     def full_space(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, _identity_rows(ambient), tuple(range(ambient)))
+        S = cls(field, ambient, _identity_rows(ambient), tuple(range(ambient)))
+        S._sparse = _identity_sparse(ambient)
+        return S
 
     @property
     def dim(self) -> int:

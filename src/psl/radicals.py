@@ -205,8 +205,8 @@ def h_jacobson_radical(pa: PartialAction) -> Subspace:
 
 
 def h_prime_radical(pa: PartialAction) -> Subspace:
-    """P_H(A) = (P(A):H)."""
-    return colon_ideal(pa, prime_radical(pa.alg))
+    """P_H(A) = (P(A):H), which is J_H(A) since P(A) = J(A): the kept h_jacobson_radical(pa)."""
+    return h_jacobson_radical(pa)
 
 
 def h_radical_of_ideal(pa: PartialAction, I: Subspace) -> Subspace:

@@ -1,9 +1,10 @@
 """The kernel views psl keeps on an immutable object equal what they replace, and die with the command.
 
 A `Subspace` keeps the kernel form of its rows (handed over by the elimination
-that spans it, or built on first use), an `Algebra` its multiplication
-operators per side and its checked Jacobson radical, a `PartialAction` its
-J_H(A) and a `HopfAlgebra` its comultiplication terms.  Every such object that
+that spans it, the identity's shared rows for the full space, or built on first
+use), an `Algebra` its multiplication operators per side and its checked
+Jacobson radical, a `PartialAction` its J_H(A) and a `HopfAlgebra` its
+comultiplication terms.  Every such object that
 the commands below create is recorded as it is made; afterwards each view it
 kept must equal the view computed afresh, on the object itself or on an equal
 object built anew, which has kept nothing.  The views live on the objects, and
@@ -104,6 +105,25 @@ def test_spans_hand_over_their_sparse_rows(monkeypatch, capsys):
     for S, handed in spanned:
         assert handed is not None and handed == tuple(_nonzero(r) for r in S.rows)
         assert S._sparse_rows() is handed
+
+
+def test_full_spaces_hold_the_shared_identity_rows(monkeypatch, capsys):
+    # a full subspace holds the identity's sparse rows from the start, one tuple per
+    # dimension, so `_sparse_rows` never rebuilds them
+    full = []
+    full_space = Subspace.full_space.__func__
+
+    def recorded_full_space(cls, field, ambient):
+        full.append(full_space(cls, field, ambient))
+        return full[-1]
+
+    monkeypatch.setattr(Subspace, "full_space", classmethod(recorded_full_space))
+    assert main(["verify", "T3.6", "--seed", "2", "--output", "json"]) == 0
+    monkeypatch.undo()
+    assert full
+    for S in full:
+        assert S._sparse is not None and S._sparse == tuple(_nonzero(r) for r in S.rows)
+        assert S._sparse_rows() is Subspace.full_space(S.field, S.ambient)._sparse
 
 
 def test_nothing_a_command_computes_outlives_it(monkeypatch, capsys):

@@ -37,7 +37,7 @@ from psl.verify import (
     random_partial_action,
     truncated_polynomial_algebra,
 )
-from helpers import fix_b, fix_c, fix_d
+from helpers import fix_a, fix_b, fix_c, fix_d
 from radical_oracle import UnsupportedCharacteristic, brute_nilpotent_radical
 
 F2 = GF(2)
@@ -81,6 +81,25 @@ def test_h_radical_of_ideal_zero_is_prime_radical():
     for pa in (fix_b(), fix_c(), fix_d()):
         z = Subspace.zero_space(pa.field, pa.alg.dim)
         assert h_radical_of_ideal(pa, z) == h_prime_radical(pa)
+
+
+def test_h_prime_radical_is_the_kept_colon_of_the_radical():
+    # P_H(A) = (P(A):H) with P = J: h_prime_radical returns the J_H(A) kept on the action,
+    # which must equal the colon ideal of J(A) computed afresh
+    actions = [fix_a(), fix_b(), fix_c(), fix_d()]
+    for field in (F2, F3, QQ):
+        rng = random.Random(3100 + field.char)
+        actions += [random_partial_action(rng, field) for _ in range(10)]
+        H2 = group_algebra(field, GroupTable.cyclic(2))
+        actions += [trivial_action(H2, H2.alg), trivial_action(H2, truncated_polynomial_algebra(field, 3))]
+    nonzero = 0
+    for pa in actions:
+        oracle = colon_ideal(pa, jacobson_radical(pa.alg).radical)
+        got = h_prime_radical(pa)
+        assert got == oracle, pa
+        assert got is h_jacobson_radical(pa)
+        nonzero += not got.is_zero()
+    assert nonzero >= 3
 
 
 def test_h_radical_of_ideal_semiprime_quotient():

@@ -12,7 +12,9 @@ psl's earlier dense loops, also for Sweedler's H_4 and the S_3 corner, whose
 Hopf algebras are not cocommutative (and H_4 not commutative either).  The
 dual H*-action on the carrier must match the boxed formula
 phi_r |> (a # h) = sum a # h1 phi_r(h2), on the draws and on the corners of
-the Q benchmark workspace.
+the Q benchmark workspace.  PA2, which `check_partial_action` derives from
+PA3 and PA4 instead of checking, must hold on every valid draw, and every
+corrupted copy that breaks it must already be rejected.
 """
 
 import random
@@ -108,6 +110,21 @@ def test_checkers_and_full_smash_match_boxed_loops(field):
             failing_algebras += not got.ok
     # the corrupted copies must exercise the failure paths
     assert failing_actions >= DRAWS and failing_algebras >= DRAWS
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_pa2_follows_from_the_checked_axioms(field):
+    # check_partial_action tests PA1, PA3 and PA4 only: PA2, on every basis tuple, must then hold
+    # on each valid draw, and every corrupted copy that breaks it must already be rejected
+    violating = 0
+    for rng, pa in draws(field):
+        assert ref.pa2_failures(pa) == [], pa
+        for _ in range(3):
+            act = PartialAction(pa.hopf, pa.alg, corrupt(rng, field, dense_act(pa)))
+            if ref.pa2_failures(act):
+                violating += 1
+                assert not check_partial_action(act).ok, act
+    assert violating >= 1
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

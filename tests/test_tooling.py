@@ -2,8 +2,9 @@
 public function has a caller in the package and every import a use, the instance
 generator, the module builders and the coaction dictionary build nothing through the
 coercing public constructors, the partial smash builds of the workspaces call no coercing
-method, `main` builds its grammar once per process, and each
-command imports only the modules it runs."""
+method, `main` builds its grammar once per process, each command imports only the
+modules it runs, and a failing hypothesis test does not stop the run under the repo's
+warning filters."""
 
 import ast
 import importlib
@@ -64,6 +65,35 @@ def test_optimized_interpreter_prints_identical_bytes():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert b'"ok": true' in outputs[0]
+
+
+FAILING_THEN_PASSING = '''
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
+    # under the repo's warning filters, reporting a falsifying example must not end the
+    # session in INTERNALERROR: the passing test after it still runs and is reported
+    (tmp_path / "pyproject.toml").write_text((ROOT / "pyproject.toml").read_text(encoding="utf-8"), encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_probe.py").write_text(FAILING_THEN_PASSING, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=600,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout + proc.stderr
 
 
 # functions allowed a true division: over Q the kernel holds integral values as
