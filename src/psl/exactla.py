@@ -26,7 +26,8 @@ reduces a row mod p once, when it is kept, not after every scalar operation
 them.  Only `_Echelon.add` divides, always by a Fraction.
 Invariant subspaces are spun on it (Parker, "The computer calculation of
 modular characters (the Meat-Axe)", 1984); a span or spin that reaches the
-whole space stops there and returns the shared identity rows.  Every null
+whole space stops there and returns the shared identity rows, and a spin of
+the line walk reuses the closures of the lines walked before it.  Every null
 space is one `_null_span`: the rows of [left | right] that lead in right.
 """
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
 
@@ -275,9 +276,10 @@ def _dense(sparse: Iterable[tuple], n: int) -> list:
     return out
 
 
-def _projective_raw(p: int, n: int) -> Iterator[list]:
-    """One vector per line of F_p^n: first nonzero entry 1, as lists of ints."""
-    for lead in range(n):
+def _projective_raw(p: int, n: int, latest_lead_first: bool = False) -> Iterator[list]:
+    """One vector per line of F_p^n: first nonzero entry 1, as lists of ints, by increasing lead
+    or, with `latest_lead_first`, by decreasing lead."""
+    for lead in reversed(range(n)) if latest_lead_first else range(n):
         head = [0] * lead + [1]
         for tail in product(range(p), repeat=n - lead - 1):
             yield head + list(tail)
@@ -391,20 +393,34 @@ def _null_span(
     return kept.span(field, n_right)
 
 
-def _spin(field: Field, n: int, seeds: Iterable[list], ops: Sequence[Sequence[tuple]]) -> "Subspace":
+def _spin(
+    field: Field, n: int, seeds: Iterable[list], ops: Sequence[Sequence[tuple]], known: dict | None = None
+) -> "Subspace":
     """Smallest subspace of F^n containing the seeds and invariant under ops.
 
     ops[t][l] is the sparse image of e_l under operator t.  Every basis
     vector's images are reduced once against the basis built so far, and
     the spin stops as soon as the basis spans F^n, which it returns with no
     back-substitution.
+
+    `known` (F_p only) maps the `_line_code` of a line to its invariant
+    closure U.  When an image adds a basis row whose line is known, U is
+    put into the basis whole, or returned at once if it is F^n, and the row
+    and the rows U adds are closed: they get no operators.  Each closed row
+    is u - sum f_i r_i for some u in U and earlier rows r_i, so the span
+    stays closed under ops and the result is as without the map.
     """
-    basis = _Echelon(field.char)
+    p = field.char
+    basis = _Echelon(p)
     for v in seeds:
         basis.add(v)
     rows = basis.rows
+    closed: set[int] = set()  # indices of rows inside an absorbed closure
     i = 0
     while i < len(rows) < n:
+        if i in closed:
+            i += 1
+            continue
         w = rows[i][1]
         i += 1
         for op in ops:
@@ -412,7 +428,18 @@ def _spin(field: Field, n: int, seeds: Iterable[list], ops: Sequence[Sequence[tu
             for l, x in w:
                 for k, c in op[l]:
                     out[k] += x * c
-            if basis.add(out) and len(rows) == n:
+            if not basis.add(out):
+                continue
+            if known is not None and len(rows) < n:
+                U = known.get(_line_code(rows[-1][1], p, n))
+                if U is not None:
+                    if U.is_full():
+                        return U
+                    start = len(rows) - 1
+                    for u in U.rows:
+                        basis.add(list(u))
+                    closed.update(range(start, len(rows)))
+            if len(rows) == n:
                 break
     if len(rows) == n:
         return Subspace.full_space(field, n)
@@ -736,7 +763,7 @@ def preimage_under(matrix: Matrix, target: Subspace) -> Subspace:
     return _null_span(matrix.field, rows, _identity_rows(matrix.nrows), matrix.ncols, matrix.nrows)
 
 
-# the most lines of F_p^n that a walk over them, one spin each, takes
+# the most lines of F_p^n that a walk over them takes
 ENUM_BUDGET = 1 << 17
 
 
@@ -748,12 +775,45 @@ def line_refusal(p: int, n: int) -> str | None:
     return None
 
 
-def _lines(p: int, n: int) -> Iterator[list]:
-    """`_projective_raw(p, n)`, refused with DimensionTooLarge before the walk starts."""
+def _lines(p: int, n: int, latest_lead_first: bool = False) -> Iterator[list]:
+    """`_projective_raw(p, n, latest_lead_first)`, refused with DimensionTooLarge before the walk starts."""
     refusal = line_refusal(p, n)
     if refusal:
         raise DimensionTooLarge(refusal)
-    return _projective_raw(p, n)
+    return _projective_raw(p, n, latest_lead_first)
+
+
+def _line_code(row: Sequence[tuple], p: int, n: int) -> int:
+    """sum_j x_j p^(n-1-j) for a sparse row of canonical F_p entries, so one code per line for rows
+    with first nonzero entry 1; the lines with lead n - 1 - m, as `_projective_raw` lists them,
+    have the codes p^m .. 2 p^m - 1 in order."""
+    return sum(x * p ** (n - 1 - j) for j, x in row)
+
+
+def _line_closures(field: Field, n: int, ops: Sequence[Sequence[tuple]]) -> Iterator[Subspace]:
+    """Each distinct invariant closure of a line of F_p^n under the sparse operators, once.
+
+    More than ENUM_BUDGET lines raise DimensionTooLarge before any spin, and
+    repeated, zero and scalar operators are dropped (see
+    `enumerate_invariant_subspaces`).  The lines are walked latest lead
+    first, and every spin reads the closures of the lines walked before it
+    (`_spin`'s `known`): a basis row that leads after its seed's lead is
+    such a line, so an irreducible set spins about two vectors per line.
+    All lines whose closure is F^n share one full `Subspace`.
+    """
+    p = field.char
+    lines = _lines(p, n, latest_lead_first=True)
+    ops = [op for op in dict.fromkeys(ops) if not _is_scalar(op)]
+    codes = chain.from_iterable(range(p ** m, 2 * p ** m) for m in range(n))  # the `_line_code` of each line
+    known: dict[int, Subspace] = {}
+    distinct: dict[tuple | None, Subspace] = {}  # keyed by the rows, None for F^n, whose rows are not hashed per line
+    for code, v in zip(codes, lines):
+        c = _spin(field, n, [v], ops, known)
+        key = None if c.is_full() else c.rows
+        if key not in distinct:
+            distinct[key] = c
+            yield c
+        known[code] = distinct[key]
 
 
 def enumerate_invariant_subspaces(field: Field, ambient: int, operators: Sequence[Matrix]) -> list[Subspace]:
@@ -761,7 +821,8 @@ def enumerate_invariant_subspaces(field: Field, ambient: int, operators: Sequenc
 
     Every invariant subspace is the join of the cyclic closures of its
     vectors, so the lattice is generated by the closures of the projective
-    representatives under joins.  Each unordered pair of subspaces found is
+    representatives under joins (`_line_closures` walks the lines).  Each
+    unordered pair of subspaces found is
     joined at most once, and not at all when one contains the other, since
     that join is the larger one.  Returned in canonical order.  More than
     ENUM_BUDGET lines raise DimensionTooLarge.
@@ -787,21 +848,15 @@ def _is_scalar(op: Sequence[tuple]) -> bool:
 def _invariant_lattice(field: Field, ambient: int, ops: Sequence[Sequence[tuple]]) -> list[Subspace]:
     """`enumerate_invariant_subspaces` on sparse operators, tuples with ops[t][l] the image of e_l.
 
-    The spins use each distinct operator once and no zero or scalar one.
-    Containment is read from the smaller member's RREF rows, by `_holds`
-    against the larger; two distinct subspaces of one dimension never nest.
+    The line closures come from the one walk, `_line_closures`, which spins
+    with each distinct operator once and no zero or scalar one.  Containment
+    is read from the smaller member's RREF rows, by `_holds` against the
+    larger; two distinct subspaces of one dimension never nest.
     """
-    p = field.char
-    if p == 0:
+    if field.char == 0:
         raise FieldMismatch("invariant-subspace enumeration needs a finite field")
-    lines = _lines(p, ambient)
-    ops = [op for op in dict.fromkeys(ops) if not _is_scalar(op)]
-    zero = Subspace.zero_space(field, ambient)
-    found: dict[tuple, Subspace] = {zero.rows: zero}
-    for v in lines:
-        c = _spin(field, ambient, [v], ops)
-        found.setdefault(c.rows, c)
-    members = list(found.values())
+    members = [Subspace.zero_space(field, ambient), *_line_closures(field, ambient, ops)]
+    found = {S.rows: S for S in members}
     for k, a in enumerate(members):  # a join found on the way is appended, and paired in turn
         for b in members[:k]:
             small, big = (a, b) if a.dim < b.dim else (b, a)

@@ -316,20 +316,26 @@ def _translation_action(H: HopfAlgebra, B: Algebra) -> PartialAction:
 
 
 def induce_from_ideal(global_pa: PartialAction, e: Sequence) -> PartialAction:
-    """Restrict a global action to the right ideal eB via a |-> e (h . a)."""
+    """Restrict a global action to the right ideal eB via a |-> e (h . a).
+
+    The checks on e multiply by the integral D e, where D clears the
+    denominators of e over Q (D = 1 over F_p): e e = e iff (De)(De) = D (De),
+    and e r = r iff (De) r = D r.  The action rows multiply by e itself.
+    """
     if not is_global(global_pa):
         raise ValueError("induce_from_ideal needs a global action")
     B = global_pa.alg
     n, p, terms = B.dim, B.field.char, B.terms
     e = _coerce(B.field, e, n)
     es = _nonzero(e)
-    if _differ(_multiply_raw(terms, es, es), e, p):
+    D, (de,) = _cleared((es,), p)
+    if _differ(_multiply_raw(terms, de, de), [D * x for x in _dense(de, n)], p):
         raise NotIdempotent("e is not idempotent")
-    de = _cleared((es,), p)[1][0]  # e B = (D e) B, and D e is integral
-    ideal = Subspace._span(B.field, n, [_multiply_raw(terms, de, ((j, 1),)) for j in range(n)])
+    ideal = Subspace._span(B.field, n, [_multiply_raw(terms, de, ((j, 1),)) for j in range(n)])  # e B = (D e) B
     rows = ideal._sparse_rows()
-    for r, dense in zip(rows, map(list, ideal.rows)):
-        if _differ(_multiply_raw(terms, es, r), dense, p) or _differ(_multiply_raw(terms, r, es), dense, p):
+    for r, dense in zip(rows, ideal.rows):
+        scaled = [D * x for x in dense]
+        if _differ(_multiply_raw(terms, de, r), scaled, p) or _differ(_multiply_raw(terms, r, de), scaled, p):
             raise NotRightIdealUnit("e is not an identity element of eB")
 
     A, coords = _closed_subalgebra(

@@ -15,8 +15,11 @@ format of the public constructors, for outside input only: every module
 pmod builds is made by `_of_terms` from the sparse rows its loop computes.
 
 Partial modules and plain modules reach one irreducibility walk,
-`_irreducible`.  Over F_p it is `_exhaustively_irreducible`, which spins
-one vector per line of F_p^d and refuses more than `ENUM_BUDGET` lines.
+`_irreducible`.  Over F_p it is `_exhaustively_irreducible`, the line walk of
+the invariant-subspace enumeration (`exactla._line_closures`), in which each
+spin reuses the closures of the lines walked before it; it refuses more than
+`ENUM_BUDGET` lines.  `irreducible_extension` keeps its own pass over the
+lines in increasing lead order, since the submodule it grows depends on it.
 Over Q it is one dimension count (Burnside): the unital algebra the
 operators generate is the spin of the identity of F^{d x d} under right
 multiplication by each operator.  `AlgebraModule.check` and
@@ -50,6 +53,7 @@ from psl.exactla import (
     _canon,
     _compact,
     _dense,
+    _line_closures,
     _lines,
     _nonzero,
     _spin,
@@ -328,9 +332,11 @@ def annihilator(M: PartialModule) -> Subspace:
 def _exhaustively_irreducible(field, d: int, ops) -> bool:
     """Whether every nonzero vector of F_p^d spins up the whole space under the sparse operators.
 
-    One vector per line of F_p^d is spun; more than ENUM_BUDGET lines raise DimensionTooLarge.
+    The walk of the invariant-subspace enumeration, `_line_closures`, stops at
+    the first closure that is not F_p^d; more than ENUM_BUDGET lines raise
+    DimensionTooLarge.
     """
-    return all(_spin(field, d, [v], ops).dim == d for v in _lines(field.char, d))
+    return all(c.is_full() for c in _line_closures(field, d, ops))
 
 
 def _irreducible(field, d: int, ops) -> bool | None:

@@ -86,9 +86,9 @@ def test_spins_run_once_per_distinct_operator(monkeypatch):
     seen = []
     real = exactla._spin
 
-    def recording(field, n, seeds, ops):
+    def recording(field, n, seeds, ops, known=None):
         seen.append(len(ops))
-        return real(field, n, seeds, ops)
+        return real(field, n, seeds, ops, known)
 
     monkeypatch.setattr(exactla, "_spin", recording)
     ideals = enumerate_h_stable_ideals(pa)

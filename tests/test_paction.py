@@ -328,3 +328,19 @@ def test_dual_translation_action_is_global():
     pa = dual_group_translation_action(QQ, GroupTable.cyclic(4))
     assert is_global(pa)
     assert check_partial_action(pa).ok
+
+
+def test_induce_from_ideal_checks_an_e_with_denominators():
+    # the checks run on D e, D = 2 here: (1/2) 1 is not idempotent, and e = e11 + (1/2) e12 of the
+    # upper triangular 2x2 matrices is idempotent with e B = span(e11, e12), but e12 e = 0 != e12
+    from psl.paction import NotRightIdealUnit, trivial_action
+
+    half = Fraction(1, 2)
+    glob = dual_group_translation_action(QQ, GroupTable.cyclic(2))
+    with pytest.raises(NotIdempotent):
+        induce_from_ideal(glob, (half, 0))
+    z = (0, 0, 0)
+    B = Algebra(QQ, [[(1, 0, 0), (0, 1, 0), z], [z, z, (0, 1, 0)], [z, z, (0, 0, 1)]], unit=(1, 0, 1))
+    glob = trivial_action(group_algebra(QQ, GroupTable.cyclic(2)), B)
+    with pytest.raises(NotRightIdealUnit):
+        induce_from_ideal(glob, (1, half, 0))
