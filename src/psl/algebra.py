@@ -37,6 +37,7 @@ that a module's operators generate.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
@@ -50,6 +51,7 @@ from psl.exactla import (
     _coerce,
     _compact,
     _dense,
+    _identity_rows,
     _nonzero,
     _spin,
     _tensor,
@@ -395,24 +397,31 @@ class AlgebraMap:
         return self.matrix.rank() == self.source.dim
 
 
+def _cosets(U: Subspace, vectors) -> list[tuple]:
+    """Each vector modulo U, in the coordinates of the cosets of U.complement_indices()."""
+    comp = U.complement_indices()
+    return [tuple(r[c] for c in comp) for r in map(U._residual, vectors)]
+
+
+def _quotient_terms(U: Subspace, ops) -> tuple:
+    """Operators on F^n given by their sparse rows (operator i, basis j) -> image, induced on F^n/U
+    for an invariant U, as sparse rows in the coset coordinates; all rows go through one `_cosets`."""
+    comp = U.complement_indices()
+    rows = map(_nonzero, _cosets(U, [_dense(op[c], U.ambient) for op in ops for c in comp]))
+    return tuple(tuple(islice(rows, len(comp))) for _ in ops)
+
+
 def quotient_algebra(A: Algebra, I: Subspace) -> tuple[Algebra, AlgebraMap]:
     """Quotient by a two-sided ideal on the standard complement-coset basis."""
     if not is_ideal(A, I):
         raise NotAnIdeal("subspace is not a two-sided ideal")
     comp = I.complement_indices()
-    qdim = len(comp)
-    n = A.dim
-
-    def cosets(raw):
-        r = I._residual(raw)
-        return tuple(r[c] for c in comp)
-
-    terms = tuple(tuple(_nonzero(cosets(_dense(A.terms[ci][cj], n))) for cj in comp) for ci in comp)
-    unit = cosets(A.unit) if A.unit is not None else None
+    terms = _quotient_terms(I, [A.terms[c] for c in comp])
+    unit = _cosets(I, [A.unit])[0] if A.unit is not None else None
     labels = tuple(f"[{A.labels[c]}]" for c in comp)
     Q = Algebra._of_terms(A.field, terms, unit, labels)
-    images = tuple(cosets(_dense(((i, 1),), n)) for i in range(n))
-    proj = AlgebraMap(A, Q, Matrix._of_raw(A.field, images, qdim))
+    images = tuple(_cosets(I, _identity_rows(A.dim)))
+    proj = AlgebraMap(A, Q, Matrix._of_raw(A.field, images, len(comp)))
     return Q, proj
 
 

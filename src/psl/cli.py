@@ -33,11 +33,12 @@ import sys
 
 from psl.algebra import check_algebra
 from psl.hopf import check_hopf
-from psl.paction import check_partial_action, colon_ideal, is_global
+from psl.paction import check_partial_action, is_global
 from psl.radicals import (
     DimensionTooLarge,
     FieldNotFinite,
     enumerate_h_stable_ideals,
+    h_jacobson_radical,
     jacobson_radical,
 )
 from psl.smash import build_partial_smash
@@ -122,8 +123,8 @@ def cmd_radicals(ws, name: str, output: str) -> int:
     sp = build_partial_smash(pa)
     ja = jacobson_radical(pa.alg)
     jc = jacobson_radical(sp.carrier)
-    # in finite dimension P = J, so P_H = (P:H) is the colon ideal J_H = (J:H)
-    jh = colon_ideal(pa, ja.radical)
+    # in finite dimension P = J, so P_H = (P:H) is the kept J_H = (J:H)
+    jh = h_jacobson_radical(pa)
     entries = [
         ("J(A)", ja.radical), ("P(A)", ja.radical),
         ("J_H(A)", jh), ("P_H(A)", jh),

@@ -97,16 +97,10 @@ class Field:
     """
 
     char: int
+    zero = 0
+    one = 1
 
     def of(self, x):
-        raise NotImplementedError
-
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def one(self):
         raise NotImplementedError
 
     def format_scalar(self, x):
@@ -125,14 +119,6 @@ class RationalField(Field):
         elif not isinstance(x, (int, Fraction)):
             raise FieldMismatch(f"cannot coerce {type(x).__name__} into Q")
         return _rational(x)
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def format_scalar(self, x):
         return str(x)
@@ -164,14 +150,6 @@ class PrimeField(Field):
         if isinstance(x, (int, str)):
             return int(x) % self.char
         raise FieldMismatch(f"cannot coerce {type(x).__name__} into F_{self.char}")
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def format_scalar(self, x):
         return str(self.of(x))
@@ -276,10 +254,9 @@ def _dense(sparse: Iterable[tuple], n: int) -> list:
     return out
 
 
-def _projective_raw(p: int, n: int, latest_lead_first: bool = False) -> Iterator[list]:
-    """One vector per line of F_p^n: first nonzero entry 1, as lists of ints, by increasing lead
-    or, with `latest_lead_first`, by decreasing lead."""
-    for lead in reversed(range(n)) if latest_lead_first else range(n):
+def _projective_raw(p: int, n: int) -> Iterator[list]:
+    """One vector per line of F_p^n: first nonzero entry 1, as lists of ints, latest lead first."""
+    for lead in reversed(range(n)):
         head = [0] * lead + [1]
         for tail in product(range(p), repeat=n - lead - 1):
             yield head + list(tail)
@@ -775,14 +752,6 @@ def line_refusal(p: int, n: int) -> str | None:
     return None
 
 
-def _lines(p: int, n: int, latest_lead_first: bool = False) -> Iterator[list]:
-    """`_projective_raw(p, n, latest_lead_first)`, refused with DimensionTooLarge before the walk starts."""
-    refusal = line_refusal(p, n)
-    if refusal:
-        raise DimensionTooLarge(refusal)
-    return _projective_raw(p, n, latest_lead_first)
-
-
 def _line_code(row: Sequence[tuple], p: int, n: int) -> int:
     """sum_j x_j p^(n-1-j) for a sparse row of canonical F_p entries, so one code per line for rows
     with first nonzero entry 1; the lines with lead n - 1 - m, as `_projective_raw` lists them,
@@ -793,7 +762,9 @@ def _line_code(row: Sequence[tuple], p: int, n: int) -> int:
 def _line_closures(field: Field, n: int, ops: Sequence[Sequence[tuple]]) -> Iterator[Subspace]:
     """Each distinct invariant closure of a line of F_p^n under the sparse operators, once.
 
-    More than ENUM_BUDGET lines raise DimensionTooLarge before any spin, and
+    The one walk over the lines: the lattice enumeration, the irreducibility
+    test and `pmod.irreducible_extension` all read it.  More than ENUM_BUDGET
+    lines raise DimensionTooLarge before any line is listed or spun, and
     repeated, zero and scalar operators are dropped (see
     `enumerate_invariant_subspaces`).  The lines are walked latest lead
     first, and every spin reads the closures of the lines walked before it
@@ -802,12 +773,14 @@ def _line_closures(field: Field, n: int, ops: Sequence[Sequence[tuple]]) -> Iter
     All lines whose closure is F^n share one full `Subspace`.
     """
     p = field.char
-    lines = _lines(p, n, latest_lead_first=True)
+    refusal = line_refusal(p, n)
+    if refusal:
+        raise DimensionTooLarge(refusal)
     ops = [op for op in dict.fromkeys(ops) if not _is_scalar(op)]
     codes = chain.from_iterable(range(p ** m, 2 * p ** m) for m in range(n))  # the `_line_code` of each line
     known: dict[int, Subspace] = {}
     distinct: dict[tuple | None, Subspace] = {}  # keyed by the rows, None for F^n, whose rows are not hashed per line
-    for code, v in zip(codes, lines):
+    for code, v in zip(codes, _projective_raw(p, n)):
         c = _spin(field, n, [v], ops, known)
         key = None if c.is_full() else c.rows
         if key not in distinct:

@@ -29,6 +29,7 @@ from psl.algebra import (
     _failed_slices,
     _multiply_raw,
     _operate,
+    _quotient_terms,
     _tensor_terms,
     _vanishes,
     is_ideal,
@@ -151,6 +152,33 @@ def _comul_terms(H: HopfAlgebra) -> tuple:
     return H._comul
 
 
+def _pa_block(op, rows, scale, live, right, T, offsets) -> dict:
+    """sum_k (scale op(rows[k]) - sum c left right[q][k]) over (c, left, q) in live, as one sparse
+    n x n block with slice k at offsets[k] = k n: a dict of the entries it writes.
+
+    op[s] is the sparse image of e_s, left and right[q][k] are sparse
+    elements of A multiplied by the constants T, and all scalars are ints.
+    """
+    acc = {}
+    get = acc.get
+    for base, row in zip(offsets, rows):
+        for s, x in row:
+            x *= scale
+            for u, y in op[s]:
+                u += base
+                acc[u] = get(u, 0) + x * y
+    for c, left, q in live:
+        for base, right_k in zip(offsets, right[q]):
+            for t, y in right_k:
+                cy = c * y
+                for s, x in left:
+                    cxy = cy * x
+                    for u, z in T[s][t]:
+                        u += base
+                        acc[u] = get(u, 0) - cxy * z
+    return acc
+
+
 def check_partial_action(pa: PartialAction) -> CheckReport:
     """PA1, PA3 and PA4 on all basis tuples.
 
@@ -165,8 +193,9 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
     PA3 accumulates lhs - rhs of the triples (h_i, e_j, e_k) of each basis pair
     (h_i, e_j), and PA4 those of (h_i, h_g, e_k) of each pair (h_i, h_g), for
     every k into one sparse n x n block, a dict keyed by the entries k n + u
-    it writes, and tests only those values; a block that does not vanish
-    names its failing slices k in increasing order.  Both skip the terms
+    it writes (`_pa_block`, one routine for both axioms), and tests only
+    those values; a block that does not vanish names its failing slices k in
+    increasing order.  Both skip the terms
     h_p (x) h_q of Delta(h_i) whose left factor h_p . e_j (PA3) or h_p . 1_A
     (PA4) is zero.  The (h_q h_g) . e_k are computed once per distinct product
     h_q h_g, and only where that product is not a basis element h_r with
@@ -189,13 +218,14 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
     unit_a = _nonzero(A.unit)
     unit_images = [_compact(_apply_raw(act[i], unit_a, n), p) for i in range(m)]
     # (h_q h_g) . e_k depends on h_q h_g only: one list per distinct product,
-    # read off the action where the product is a basis element h_r
+    # read off the action where the product is a basis element h_r; hg_act[g][q]
+    # lists the (h_q h_g) . e_k, so PA4 reads one row hg_act[g] per h_g
     products = {x for row in h_terms for x in row}
     by_product = {
         x: act[x[0][0]] if len(x) == 1 and x[0][1] == 1 else [_compact(_apply_raw(col, x, n), p) for col in columns]
         for x in products
     }
-    hg_act = [[by_product[x] for x in row] for row in h_terms]
+    hg_act = [[by_product[row[g]] for row in h_terms] for g in range(m)]
 
     unit_h = _nonzero(H.unit)
     for j in range(n):
@@ -215,52 +245,18 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
     # PA3 on all basis pairs (h_i, e_j), both sides at scale d_c d_a^2 d_t
     scale = d_c * d_a
     for i in range(m):
-        act_i = act_s[i]
         for j in range(n):
-            live = [(c, act_s[hp][j], act_s[hq]) for hp, hq, c in comul_s[i] if act_s[hp][j]]
-            acc = {}
-            get = acc.get
-            for base, Tjk in zip(offsets, T[j]):
-                for s, x in Tjk:
-                    x *= scale
-                    for u, y in act_i[s]:
-                        u += base
-                        acc[u] = get(u, 0) + x * y
-            for c, left, right in live:
-                for base, right_k in zip(offsets, right):
-                    for t, y in right_k:
-                        cy = c * y
-                        for s, x in left:
-                            cxy = cy * x
-                            for u, z in T[s][t]:
-                                u += base
-                                acc[u] = get(u, 0) - cxy * z
+            live = [(c, act_s[hp][j], hq) for hp, hq, c in comul_s[i] if act_s[hp][j]]
+            acc = _pa_block(act_s[i], T[j], scale, live, act_s, T, offsets)
             if not _vanishes(acc.values(), p):
                 failures += [f"PA3 fails at (h{i}, {A.labels[j]}, {A.labels[k]})" for k in _failed_slices(acc, n, p)]
 
     # PA4 on all basis pairs (h_i, h_g), both sides at scale d_c d_a^2 d_u d_h d_t
     scale, rscale = d_c * d_u * d_h * d_t, d_a * d_a
     for i in range(m):
-        act_i = act_s[i]
-        live = [(c * rscale, units[hp], hg_s[hq]) for hp, hq, c in comul_s[i] if units[hp]]
+        live = [(c * rscale, units[hp], hq) for hp, hq, c in comul_s[i] if units[hp]]
         for g in range(m):
-            acc = {}
-            get = acc.get
-            for base, act_gk in zip(offsets, act_s[g]):
-                for s, x in act_gk:
-                    x *= scale
-                    for u, y in act_i[s]:
-                        u += base
-                        acc[u] = get(u, 0) + x * y
-            for c, left, right in live:
-                for base, right_k in zip(offsets, right[g]):
-                    for t, y in right_k:
-                        cy = c * y
-                        for s, x in left:
-                            cxy = cy * x
-                            for u, z in T[s][t]:
-                                u += base
-                                acc[u] = get(u, 0) - cxy * z
+            acc = _pa_block(act_s[i], act_s[g], scale, live, hg_s[g], T, offsets)
             if not _vanishes(acc.values(), p):
                 failures += [f"PA4 fails at (h{i}, h{g}, {A.labels[k]})" for k in _failed_slices(acc, n, p)]
 
@@ -427,12 +423,8 @@ def quotient_action(pa: PartialAction, I: Subspace) -> tuple[PartialAction, Alge
     if not is_h_stable(pa, I):
         raise NotHStable("quotient_action needs an H-stable ideal")
     Q, proj = quotient_algebra(pa.alg, I)
-    p, n = pa.field.char, Q.dim
-    images = list(map(_nonzero, proj.matrix.rows))
-    comp = I.complement_indices()
-    # h_i . (e_c + I) = proj(h_i . e_c) on the coset basis
-    act = tuple(tuple(_compact(_apply_raw(images, row[c], n), p) for c in comp) for row in pa._terms)
-    qpa = PartialAction._of_terms(pa.hopf, Q, act)
+    # h_i . (e_c + I) = (h_i . e_c) + I on the coset basis
+    qpa = PartialAction._of_terms(pa.hopf, Q, _quotient_terms(I, pa._terms))
     check_partial_action(qpa).raise_if_failed("quotient action axioms")
     return qpa, proj
 

@@ -18,15 +18,16 @@ Partial modules and plain modules reach one irreducibility walk,
 `_irreducible`.  Over F_p it is `_exhaustively_irreducible`, the line walk of
 the invariant-subspace enumeration (`exactla._line_closures`), in which each
 spin reuses the closures of the lines walked before it; it refuses more than
-`ENUM_BUDGET` lines.  `irreducible_extension` keeps its own pass over the
-lines in increasing lead order, since the submodule it grows depends on it.
+`ENUM_BUDGET` lines.  `irreducible_extension` grows its maximal submodule in
+one pass over the closures of the same walk.
 Over Q it is one dimension count (Burnside): the unital algebra the
 operators generate is the spin of the identity of F^{d x d} under right
 multiplication by each operator.  `AlgebraModule.check` and
 `check_partial_module` run the unit and module laws of A through one loop,
 `_module_law`.  Annihilators are the left kernel of the flattened
-A-operators and quotients project each operator onto the complement cosets
-of the submodule, densifying its sparse rows there; the extensions and the
+A-operators, and a quotient takes each operator's rows to the complement
+cosets of the submodule through `algebra._quotient_terms`, the one coset map
+that the quotient algebra and quotient action also use; the extensions and the
 smash-module conversion run on the sparse operator rows, the left extension
 on rho as `action_to_coaction` stores it.
 """
@@ -43,8 +44,10 @@ from psl.algebra import (
     _add_scaled,
     _apply_pair,
     _apply_raw,
+    _cosets,
     _differ,
     _mult_operators,
+    _quotient_terms,
     is_ideal,
 )
 from psl.exactla import (
@@ -54,7 +57,6 @@ from psl.exactla import (
     _compact,
     _dense,
     _line_closures,
-    _lines,
     _nonzero,
     _spin,
     _tensor,
@@ -145,19 +147,6 @@ def regular_module(A: Algebra, side: str = "right") -> AlgebraModule:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     return AlgebraModule._of_terms(A, A.dim, side, _mult_operators(A, side))
-
-
-def _cosets(U: Subspace, vectors) -> list[tuple]:
-    """Each vector modulo U, in the coordinates of the cosets of U.complement_indices()."""
-    comp = U.complement_indices()
-    return [tuple(r[c] for c in comp) for r in map(U._residual, vectors)]
-
-
-def _quotient_terms(U: Subspace, ops) -> tuple:
-    """Operators on F^n given by their sparse rows (operator i, basis j) -> image, induced on F^n/U
-    for an invariant U, as sparse rows in the coset coordinates."""
-    comp = U.complement_indices()
-    return tuple(tuple(map(_nonzero, _cosets(U, [_dense(op[c], U.ambient) for c in comp]))) for op in ops)
 
 
 def quotient_module(A: Algebra, I: Subspace, side: str = "right") -> AlgebraModule:
@@ -476,11 +465,13 @@ def module_is_irreducible_over_algebra(V: AlgebraModule) -> bool:
 def irreducible_extension(pa: PartialAction, V: AlgebraModule) -> IrreducibleExtension:
     """Irreducible partial module M = W/U containing V, for a maximal submodule U of W with U /\\ V = 0.
 
-    Finite fields only.  U is grown in one pass over the lines of W (more
-    than ENUM_BUDGET of them raise DimensionTooLarge): a line is absorbed when
-    U plus its spin still meets V in 0.  A submodule meeting V in 0 that
-    strictly contains U would hold a line that the pass absorbed, so U is
-    maximal.
+    Finite fields only.  U is grown in one pass over the distinct line
+    closures of W from the one line walk, `_line_closures` (more than
+    ENUM_BUDGET lines raise DimensionTooLarge): a closure C not inside U is
+    absorbed when U + C still meets V in 0.  U is maximal whatever the order:
+    a submodule meeting V in 0 that strictly contains U holds some v outside
+    U, and the closure of v, offered when U was smaller, would have been
+    absorbed then.
     """
     field = pa.field
     if field.char == 0:
@@ -493,9 +484,9 @@ def irreducible_extension(pa: PartialAction, V: AlgebraModule) -> IrreducibleExt
     ops = W_mod._a_terms + W_mod._h_terms
     v_image = Subspace.from_vectors(field, d, ext.embedding.rows)
     killed = Subspace.zero_space(field, d)
-    for v in _lines(field.char, d):
-        if not killed.contains(v):
-            grown = killed + _spin(field, d, [v], ops)
+    for C in _line_closures(field, d, ops):
+        if not C <= killed:
+            grown = killed + C
             if grown.intersect(v_image).is_zero():
                 killed = grown
     M, proj = _module_quotient(W_mod, killed)

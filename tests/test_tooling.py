@@ -3,8 +3,8 @@ public function has a caller in the package and every import a use, the instance
 generator, the module builders and the coaction dictionary build nothing through the
 coercing public constructors, the partial smash builds of the workspaces call no coercing
 method, `main` builds its grammar once per process, each command imports only the
-modules it runs, and a failing hypothesis test does not stop the run under the repo's
-warning filters."""
+modules it runs, one function walks the lines of F_p^n, and a failing hypothesis test
+does not stop the run under the repo's warning filters."""
 
 import ast
 import importlib
@@ -137,6 +137,21 @@ def test_division_guard_sees_every_form():
     assert true_divisions(tree) == [("f", 2), ("f", 3), ("C.g", 6)]
 
 
+def test_one_walk_over_the_lines():
+    # the lattice enumeration, the irreducibility test and irreducible_extension
+    # read the one line walk; a second caller of _projective_raw would be a second walk
+    callers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls = scoped_matches(
+            tree,
+            lambda node: isinstance(node, ast.Call)
+            and "_projective_raw" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)),
+        )
+        callers.update(f"{path.stem}:{scope}" for scope, _ in calls)
+    assert callers == {"exactla:_line_closures"}
+
+
 # functions allowed to make a Fraction: over Q a scalar is an int where it is integral
 # and a Fraction only otherwise, so one is made only where an input enters
 # (`RationalField.of`), where the elimination divides (`_Echelon.add`) and for the
@@ -175,6 +190,7 @@ def test_fraction_guard_sees_every_form():
 UNCALLED_ALLOWED = {
     "algebra:Algebra.multiply": "a layer of pslbench/spans.py (algebra.multiply), and the product of "
     "outside vectors; psl's own loops multiply through _multiply_raw",
+    "exactla:Subspace.contains": "membership of an outside vector, beside coords_of and reduce",
     "exactla:Subspace.coords_of": "the coordinates of an outside vector, beside contains and reduce; "
     "psl's own loops read the sparse Subspace._coords",
     "exactla:Subspace.reduce": "a layer of pslbench/spans.py (exactla.reduce)",
