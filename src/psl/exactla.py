@@ -572,11 +572,13 @@ class Subspace:
     nonzero (c_s, row_s[j]) of the basis, built on first use; membership,
     residuals and coordinates make one pass over these tails only.  The
     kernel form of the rows (`_nonzero`), which products and operators read,
-    is likewise built once, by `_sparse_rows`.
+    and the non-pivot columns (`complement_indices`), which quotients read,
+    are likewise built once.
     """
 
-    # `_tail` and `_sparse` hold the tails and the sparse rows once they are built
-    __slots__ = ("field", "ambient", "rows", "pivots", "_tail", "_sparse")
+    # `_tail`, `_sparse` and `_complement` hold the tails, the sparse rows and the
+    # non-pivot columns once they are built
+    __slots__ = ("field", "ambient", "rows", "pivots", "_tail", "_sparse", "_complement")
 
     def __init__(self, field: Field, ambient: int, rows: tuple, pivots: tuple):
         self.field = field
@@ -585,6 +587,7 @@ class Subspace:
         self.pivots = pivots
         self._tail = None
         self._sparse = None
+        self._complement = None
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -728,8 +731,11 @@ class Subspace:
         return _null_span(self.field, self.rows + other.rows, self.rows + zeros, n, n)
 
     def complement_indices(self) -> tuple[int, ...]:
-        """Unit-vector indices extending the basis, in increasing order."""
-        return tuple(c for c in range(self.ambient) if c not in self.pivots)
+        """Unit-vector indices extending the basis, in increasing order, built on first use."""
+        if self._complement is None:
+            lead = set(self.pivots)
+            self._complement = tuple(c for c in range(self.ambient) if c not in lead)
+        return self._complement
 
 
 def preimage_under(matrix: Matrix, target: Subspace) -> Subspace:

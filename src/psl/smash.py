@@ -6,7 +6,10 @@ The carrier of the partial smash product is the image of right
 multiplication by 1_A # 1_H, with its RREF rows as basis; when A # H is
 unital (a global action) that image is all of A (x) H and is not spanned.
 Carrier coordinates stay in the sparse form of `Subspace._coords`
-throughout the build; only `SmashProduct.project` makes them dense.
+throughout the build; only `SmashProduct.project` makes them dense.  The
+dual H*-action on the carrier is built, and its axioms checked, on first read
+of `SmashProduct.dual_action`, so a command that never reads it pays for
+neither.
 """
 
 from __future__ import annotations
@@ -98,24 +101,32 @@ def build_full_smash(pa: PartialAction) -> Algebra:
 class SmashProduct:
     """The unital partial smash product with its carrier data.
 
-    `dual_action` is the global H*-action phi |> (a # h) = sum a # h1 phi(h2) on the carrier.
+    `dual_action` is the global H*-action phi |> (a # h) = sum a # h1 phi(h2) on the carrier,
+    built and checked on first read and kept.
     """
 
-    __slots__ = ("pa", "full", "carrier", "coords", "include_A", "unit_element", "dual_action", "_unit_terms")
+    # `_dual` holds the dual action once `dual_action` has built it
+    __slots__ = ("pa", "full", "carrier", "coords", "include_A", "unit_element", "_unit_terms", "_dual")
 
-    def __init__(self, pa, full, carrier, coords, include_A, unit_element, dual_action):
+    def __init__(self, pa, full, carrier, coords, include_A, unit_element):
         self.pa = pa
         self.full = full
         self.carrier = carrier
         self.coords = coords
         self.include_A = include_A
         self.unit_element = unit_element
-        self.dual_action = dual_action
         self._unit_terms = _nonzero(unit_element)
+        self._dual = None
 
     @property
     def field(self):
         return self.pa.field
+
+    @property
+    def dual_action(self) -> PartialAction:
+        if self._dual is None:
+            self._dual = _build_dual_action(self)
+        return self._dual
 
     def __repr__(self):
         return (
@@ -153,8 +164,7 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     p = field.char
     full = build_full_smash(pa)
     N = full.dim
-    terms = full.terms
-    u = tensor_coords(pa, A.unit, H.unit)
+    u = full.unit if full.unit is not None else tensor_coords(pa, A.unit, H.unit)  # 1_A # 1_H
     u_terms = _nonzero(u)
 
     if full.unit is not None:
@@ -162,8 +172,7 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
         image = Subspace.full_space(field, N)
     else:  # x u and x (D u) span the same image, and D u is integral (`_cleared`)
         du = _cleared((u_terms,), p)[1][0]
-        image = Subspace._span(field, N, [_multiply_raw(terms, ((i, 1),), du) for i in range(N)])
-    rows = image._sparse_rows()
+        image = Subspace._span(field, N, [_multiply_raw(full.terms, ((i, 1),), du) for i in range(N)])
     d = image.dim
     carrier, in_carrier = _closed_subalgebra(
         full, image, _dense(u_terms, N), "carrier is not multiplicatively closed", [f"w{s}" for s in range(d)]
@@ -179,8 +188,14 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     if not include_A.is_multiplicative():
         raise InvariantViolation("A -> A#H is not an algebra map")
 
+    return SmashProduct(pa, full, carrier, image, include_A, u)
+
+
+def _build_dual_action(sp: SmashProduct) -> PartialAction:
+    """The dual action of `sp`, checked: its axioms hold and it is global."""
+    H, image = sp.pa.hopf, sp.coords
+    m, N = H.dim, sp.full.dim
     # h_r* -> (a # h_i) = sum_p comul[i][p][r] a # h_p
-    K = dual_hopf(H)
     coproducts = [[[] for _ in range(m)] for _ in range(m)]
     for i, parts in enumerate(_comul_terms(H)):
         for hp, hq, c in parts:
@@ -188,20 +203,22 @@ def _build_partial_smash(pa: PartialAction) -> SmashProduct:
     act = []
     for r in range(m):
         act_r = []
-        for row in rows:
+        for row in image._sparse_rows():
             out = [0] * N
             for idx, c in row:
                 j, i = divmod(idx, m)
                 for hp, x in coproducts[r][i]:
                     out[j * m + hp] += c * x
-            act_r.append(in_carrier(out))
+            coords = image._coords(out)
+            if coords is None:
+                raise InvariantViolation("carrier is not multiplicatively closed")
+            act_r.append(coords)
         act.append(tuple(act_r))
-    dual_action = PartialAction._of_terms(K, carrier, tuple(act))
+    dual_action = PartialAction._of_terms(dual_hopf(H), sp.carrier, tuple(act))
     check_partial_action(dual_action).raise_if_failed("dual Hopf action axioms")
     if not is_global(dual_action):
         raise InvariantViolation("H* action on the partial smash product must be global")
-
-    return SmashProduct(pa, full, carrier, image, include_A, u, dual_action)
+    return dual_action
 
 
 def phi_ideal(sp: SmashProduct, I: Subspace) -> Subspace:

@@ -72,7 +72,7 @@ def a_map_not_multiplicative(monkeypatch):
 def dual_action_not_global(monkeypatch):
     pa = fix_c()
     monkeypatch.setattr(smash, "is_global", lambda pa: False)
-    return lambda: build_partial_smash(pa)
+    return lambda: build_partial_smash(pa).dual_action
 
 
 def psi_not_h_stable(monkeypatch):
@@ -147,7 +147,7 @@ def carrier_fails_axioms(monkeypatch):
 def dual_action_fails_axioms(monkeypatch):
     pa = fix_c()
     fail_checks(monkeypatch, smash, "check_partial_action")
-    return lambda: build_partial_smash(pa)
+    return lambda: build_partial_smash(pa).dual_action
 
 
 def integrals_not_one_dimensional(monkeypatch):

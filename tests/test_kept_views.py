@@ -2,9 +2,10 @@
 
 A `Subspace` keeps the kernel form of its rows (handed over by the elimination
 that spans it, the identity's shared rows for the full space, or built on first
-use), an `Algebra` its multiplication operators per side and its checked
-Jacobson radical, a `PartialAction` its J_H(A) and a `HopfAlgebra` its
-comultiplication terms.  Every such object that
+use) and its non-pivot columns, an `Algebra` its multiplication operators per
+side and its checked Jacobson radical, a `PartialAction` its J_H(A), a
+`HopfAlgebra` its comultiplication terms and a `SmashProduct` its checked dual
+action.  Every such object that
 the commands below create is recorded as it is made; afterwards each view it
 kept must equal the view computed afresh, on the object itself or on an equal
 object built anew, which has kept nothing.  The views live on the objects, and
@@ -22,6 +23,7 @@ from psl.exactla import Subspace, _nonzero
 from psl.hopf import HopfAlgebra
 from psl.paction import PartialAction, _comul_terms
 from psl.radicals import h_jacobson_radical, jacobson_radical
+from psl.smash import SmashProduct, build_partial_smash
 from psl.workspace import load_workspace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,6 +86,32 @@ def test_kept_views_equal_what_they_replace(monkeypatch, capsys):
             kept["comultiplication"] += 1
     # every kind of view was kept somewhere, so none of the comparisons above is vacuous
     assert sorted(kept) == ["comultiplication", "h-radical", "operators", "radical", "rows"], kept
+
+
+def test_kept_dual_action_equals_one_built_afresh(monkeypatch, capsys):
+    made = record_instances(monkeypatch, (SmashProduct,))
+    assert main(["verify", "T4.26", "--output", "json"]) == 0
+    for path in sorted((ROOT / "pslbench" / "workspaces").glob("*.json")):
+        for name in load_workspace(str(path)).actions:
+            assert main(["smash", "--workspace", str(path), name, "--output", "json"]) == 0
+    monkeypatch.undo()
+    kept = [sp for sp in made if sp._dual is not None]
+    assert kept
+    for sp in kept:
+        pa = sp.pa
+        twin = PartialAction._of_terms(pa.hopf, fresh_algebra(pa.alg), pa._terms)
+        assert sp._dual == build_partial_smash(twin).dual_action
+
+
+def test_kept_complement_equals_the_recomputed_one(monkeypatch, capsys):
+    made = record_instances(monkeypatch, (Subspace,))
+    assert main(["verify", "T4.26", "--output", "json"]) == 0
+    monkeypatch.undo()
+    kept = [S for S in made if S._complement is not None]
+    assert kept
+    for S in kept:
+        assert S._complement == tuple(c for c in range(S.ambient) if c not in S.pivots)
+        assert S.complement_indices() is S._complement
 
 
 def test_spans_hand_over_their_sparse_rows(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""Smash products: carrier construction, H*-action, ideal correspondence."""
+"""Smash products: carrier construction, H*-action (built on first read), ideal correspondence."""
 
 import random
 from fractions import Fraction
@@ -16,6 +16,7 @@ from psl.algebra import (
     ideal_closure,
     span_products,
 )
+from psl.cli import main
 from psl.exactla import GF, QQ, Matrix, Subspace, _nonzero, unit_vec, zero_vec
 from psl.hopf import GroupTable, group_algebra
 from psl.paction import (
@@ -366,3 +367,78 @@ def test_subdirect_product_kernels():
     m1 = smash_quotient_map(sp, I1)
     m2 = smash_quotient_map(sp, I2)
     assert m1.matrix.left_kernel().intersect(m2.matrix.left_kernel()).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the dual H*-action is built, and its axioms checked, on first read only
+
+BENCH_WORKSPACES = sorted((ROOT / "pslbench" / "workspaces").glob("*.json"))
+
+
+def record_smash_builds(monkeypatch) -> tuple[list, list]:
+    """The smash products built from now on, and the actions whose axioms smash.py checks, in order."""
+    built, checked = [], []
+    build, check = smash._build_partial_smash, smash.check_partial_action
+
+    def recorded_build(pa):
+        built.append(build(pa))
+        return built[-1]
+
+    def recorded_check(action):
+        checked.append(action)
+        return check(action)
+
+    monkeypatch.setattr(smash, "_build_partial_smash", recorded_build)
+    monkeypatch.setattr(smash, "check_partial_action", recorded_check)
+    return built, checked
+
+
+def test_building_a_smash_product_builds_no_dual_action(monkeypatch):
+    built, checked = record_smash_builds(monkeypatch)
+    for pa in (fix_a(), fix_b(), fix_c(), fix_d(), c4_triple(F3)):
+        assert build_partial_smash(pa)._dual is None
+    assert len(built) == 5 and checked == []
+
+
+def run_command(argv: list) -> None:
+    """Run a command, on every action of its workspace when it names one."""
+    if "--workspace" in argv:
+        for name in load_workspace(argv[-1]).actions:
+            assert main([*argv, name, "--output", "json"]) == 0
+    else:
+        assert main([*argv, "--output", "json"]) == 0
+
+
+def command_id(argv: list) -> str:
+    return f"{argv[0]}:{Path(argv[-1]).name}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["radicals", "--workspace", str(path)] for path in BENCH_WORKSPACES]
+    + [["verify", theorem] for theorem in ("P4.20", "T5.1", "C5.7", "NEG-SS")],
+    ids=command_id,
+)
+def test_commands_that_never_read_the_dual_action_build_none(monkeypatch, capsys, argv):
+    built, checked = record_smash_builds(monkeypatch)
+    run_command(argv)
+    assert built and checked == []
+    assert all(sp._dual is None for sp in built)
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "T4.26"]] + [["smash", "--workspace", str(path)] for path in BENCH_WORKSPACES], ids=command_id
+)
+def test_reading_the_dual_action_builds_it_once_per_smash_product(monkeypatch, capsys, argv):
+    built, checked = record_smash_builds(monkeypatch)
+    run_command(argv)
+    assert built and len(checked) == len(built)
+    assert [sum(action is sp._dual for action in checked) for sp in built] == [1] * len(built)
+
+
+def test_second_read_returns_the_kept_dual_action_unchecked(monkeypatch):
+    _, checked = record_smash_builds(monkeypatch)
+    sp = build_partial_smash(fix_b())
+    first = sp.dual_action
+    assert sp.dual_action is first and sp._dual is first
+    assert checked == [first]

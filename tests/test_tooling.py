@@ -3,8 +3,9 @@ public function has a caller in the package and every import a use, the instance
 generator, the module builders and the coaction dictionary build nothing through the
 coercing public constructors, the partial smash builds of the workspaces call no coercing
 method, `main` builds its grammar once per process, each command imports only the
-modules it runs, one function walks the lines of F_p^n, and a failing hypothesis test
-does not stop the run under the repo's warning filters."""
+modules it runs, one function walks the lines of F_p^n, one function builds and checks
+the dual action of a smash product, and a failing hypothesis test does not stop the run
+under the repo's warning filters."""
 
 import ast
 import importlib
@@ -150,6 +151,20 @@ def test_one_walk_over_the_lines():
         )
         callers.update(f"{path.stem}:{scope}" for scope, _ in calls)
     assert callers == {"exactla:_line_closures"}
+
+
+def test_one_dual_action_builder():
+    # the dual H*-action of a smash product is built, and its axioms checked, on first
+    # read only; a second caller of dual_hopf or check_partial_action in smash.py would
+    # be an eager build
+    tree = ast.parse((ROOT / "src" / "psl" / "smash.py").read_text(encoding="utf-8"))
+    for name in ("dual_hopf", "check_partial_action"):
+        calls = scoped_matches(
+            tree,
+            lambda node: isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)),
+        )
+        assert {scope for scope, _ in calls} == {"_build_dual_action"}, name
 
 
 # functions allowed to make a Fraction: over Q a scalar is an int where it is integral
