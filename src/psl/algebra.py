@@ -411,6 +411,11 @@ def _quotient_terms(U: Subspace, ops) -> tuple:
     return tuple(tuple(islice(rows, len(comp))) for _ in ops)
 
 
+def _coset_projection(U: Subspace) -> Matrix:
+    """The projection of F^n onto F^n/U, each basis vector to its coset coordinates."""
+    return Matrix._of_raw(U.field, tuple(_cosets(U, _identity_rows(U.ambient))), U.ambient - U.dim)
+
+
 def quotient_algebra(A: Algebra, I: Subspace) -> tuple[Algebra, AlgebraMap]:
     """Quotient by a two-sided ideal on the standard complement-coset basis."""
     if not is_ideal(A, I):
@@ -420,9 +425,7 @@ def quotient_algebra(A: Algebra, I: Subspace) -> tuple[Algebra, AlgebraMap]:
     unit = _cosets(I, [A.unit])[0] if A.unit is not None else None
     labels = tuple(f"[{A.labels[c]}]" for c in comp)
     Q = Algebra._of_terms(A.field, terms, unit, labels)
-    images = tuple(_cosets(I, _identity_rows(A.dim)))
-    proj = AlgebraMap(A, Q, Matrix._of_raw(A.field, images, len(comp)))
-    return Q, proj
+    return Q, AlgebraMap(A, Q, _coset_projection(I))
 
 
 def nilpotency_index(A: Algebra, I: Subspace) -> int | None:

@@ -10,6 +10,12 @@ input format only, parsed once by the public constructor through
     PA4: h . (g . b) = sum (h1 . 1_A)((h2 g) . b)
 
 and is global when additionally h . 1_A = eps(h) 1_A.
+
+A partial coaction rho: A -> A (x) K of a finite-dimensional K is the same
+structure as the partial action h . a = sum a0 a1(h) of H = K*
+(Caenepeel-Janssen 2008), and is read through that dictionary: one routine,
+`_pa_failures`, finds the failing axioms of both checkers, and one null
+span, `_invariant_span`, gives both the invariants and the coinvariants.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from psl.algebra import (
     _multiply_raw,
     _operate,
     _quotient_terms,
-    _tensor_terms,
     _vanishes,
     is_ideal,
     quotient_algebra,
@@ -180,7 +185,7 @@ def _pa_block(op, rows, scale, live, right, T, offsets) -> dict:
 
 
 def check_partial_action(pa: PartialAction) -> CheckReport:
-    """PA1, PA3 and PA4 on all basis tuples.
+    """PA1, PA3 and PA4 on all basis tuples, with the failing positions of `_pa_failures`.
 
     The mixed axiom PA2, h . (a (g . b)) = sum (h1 . a)(h2 g . b), follows for a
     unital A (Caenepeel-Janssen 2008) by the coassociativity of Delta, which
@@ -189,6 +194,17 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
         h . (a (g . b)) = sum (h1 . a)(h2 . (g . b))           by PA3
                         = sum (h1 . a)(h2 . 1_A)(h3 g . b)     by PA4
                         = sum (h1 . a)(h2 g . b)               by PA3 with b = 1_A
+    """
+    pa1, pa3, pa4 = _pa_failures(pa)
+    labels = pa.alg.labels
+    failures = [f"PA1 fails: 1_H . a != a at basis a={labels[j]}" for j in pa1]
+    failures += [f"PA3 fails at (h{i}, {labels[j]}, {labels[k]})" for i, j, k in pa3]
+    failures += [f"PA4 fails at (h{i}, h{g}, {labels[k]})" for i, g, k in pa4]
+    return CheckReport(not failures, tuple(failures))
+
+
+def _pa_failures(pa: PartialAction) -> tuple[list, list, list]:
+    """The failing positions of PA1 at j, PA3 at (i, j, k) and PA4 at (i, g, k), each in increasing order.
 
     PA3 accumulates lhs - rhs of the triples (h_i, e_j, e_k) of each basis pair
     (h_i, e_j), and PA4 those of (h_i, h_g, e_k) of each pair (h_i, h_g), for
@@ -205,7 +221,6 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
     denominators (`_cleared`), and each side is multiplied up to one total
     scale.
     """
-    failures = []
     H, A = pa.hopf, pa.alg
     m, n = H.dim, A.dim
     field = pa.field
@@ -228,9 +243,7 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
     hg_act = [[by_product[row[g]] for row in h_terms] for g in range(m)]
 
     unit_h = _nonzero(H.unit)
-    for j in range(n):
-        if _differ(_apply_raw(columns[j], unit_h, n), dense[j], p):
-            failures.append(f"PA1 fails: 1_H . a != a at basis a={A.labels[j]}")
+    pa1 = [j for j in range(n) if _differ(_apply_raw(columns[j], unit_h, n), dense[j], p)]
 
     # the same data cleared of denominators: D * rows, all ints over Q
     d_c, comul_s = _cleared(_comul_terms(H), p)
@@ -243,24 +256,26 @@ def check_partial_action(pa: PartialAction) -> CheckReport:
     offsets = range(0, n * n, n)
 
     # PA3 on all basis pairs (h_i, e_j), both sides at scale d_c d_a^2 d_t
+    pa3 = []
     scale = d_c * d_a
     for i in range(m):
         for j in range(n):
             live = [(c, act_s[hp][j], hq) for hp, hq, c in comul_s[i] if act_s[hp][j]]
             acc = _pa_block(act_s[i], T[j], scale, live, act_s, T, offsets)
             if not _vanishes(acc.values(), p):
-                failures += [f"PA3 fails at (h{i}, {A.labels[j]}, {A.labels[k]})" for k in _failed_slices(acc, n, p)]
+                pa3 += [(i, j, k) for k in _failed_slices(acc, n, p)]
 
     # PA4 on all basis pairs (h_i, h_g), both sides at scale d_c d_a^2 d_u d_h d_t
+    pa4 = []
     scale, rscale = d_c * d_u * d_h * d_t, d_a * d_a
     for i in range(m):
         live = [(c * rscale, units[hp], hq) for hp, hq, c in comul_s[i] if units[hp]]
         for g in range(m):
             acc = _pa_block(act_s[i], act_s[g], scale, live, hg_s[g], T, offsets)
             if not _vanishes(acc.values(), p):
-                failures += [f"PA4 fails at (h{i}, h{g}, {A.labels[k]})" for k in _failed_slices(acc, n, p)]
+                pa4 += [(i, g, k) for k in _failed_slices(acc, n, p)]
 
-    return CheckReport(not failures, tuple(failures))
+    return pa1, pa3, pa4
 
 
 def is_global(pa: PartialAction) -> bool:
@@ -377,6 +392,18 @@ def dual_group_idempotent(field, G: GroupTable, N: Sequence[int], *,
 # invariants, stability, quotients
 
 def invariant_subalgebra(pa: PartialAction) -> Subspace:
+    """Solutions of h . a = a (h . 1_A) for all basis h (`_invariant_span`), checked to be a unital subalgebra."""
+    A = pa.alg
+    S = _invariant_span(pa)
+    if not S._holds(A.unit):
+        raise InvariantViolation("invariant subalgebra lost the unit")
+    rows = S._sparse_rows()
+    if not all(S._holds(_multiply_raw(A.terms, u, v)) for u in rows for v in rows):
+        raise InvariantViolation("invariant subalgebra not closed")
+    return S
+
+
+def _invariant_span(pa: PartialAction) -> Subspace:
     """Solutions of h . a = a (h . 1_A) for all basis h, as one null span: the combinations x of
     the basis of A whose blocks [h_i . x - x (h_i . 1_A) for each i] vanish."""
     A = pa.alg
@@ -386,13 +413,7 @@ def invariant_subalgebra(pa: PartialAction) -> Subspace:
         [x - y for op, u in zip(act, units) for x, y in zip(_dense(op[j], n), _apply_raw(A.terms[j], u, n))]
         for j in range(n)
     ]
-    S = _null_span(pa.field, blocks, _identity_rows(n), n * pa.hopf.dim, n)
-    if not S._holds(A.unit):
-        raise InvariantViolation("invariant subalgebra lost the unit")
-    rows = S._sparse_rows()
-    if not all(S._holds(_multiply_raw(A.terms, u, v)) for u in rows for v in rows):
-        raise InvariantViolation("invariant subalgebra not closed")
-    return S
+    return _null_span(pa.field, blocks, _identity_rows(n), n * pa.hopf.dim, n)
 
 
 def colon_ideal(pa: PartialAction, I: Subspace) -> Subspace:
@@ -481,64 +502,23 @@ def coaction_to_action(pc: PartialCoaction, hopf: HopfAlgebra) -> PartialAction:
 
 
 def check_partial_coaction(pc: PartialCoaction) -> CheckReport:
-    """PC1, PC2 on basis pairs, PC3 on all basis elements."""
-    failures = []
-    A, K = pc.alg, pc.hopf
-    n, m = A.dim, K.dim
-    p = pc.field.char
-    rho = pc._terms
-    eps = K.counit
-    dense = [[int(t == j) for t in range(n)] for j in range(n)]
-    tensor = _tensor_terms(A.terms, K.alg.terms)
+    """PC1 and PC3 on all basis elements and PC2 on all basis pairs, read off the action kernel.
 
-    for j in range(n):
-        counit_applied = [0] * n
-        for idx, c in rho[j]:
-            a, k = divmod(idx, m)
-            counit_applied[a] += c * eps[k]
-        if _differ(counit_applied, dense[j], p):
-            failures.append(f"PC1 fails at basis {A.labels[j]}")
-
-    for j in range(n):
-        for k in range(n):
-            lhs = _apply_raw(rho, A.terms[j][k], n * m)
-            if _differ(lhs, _multiply_raw(tensor, rho[j], rho[k]), p):
-                failures.append(f"PC2 fails at basis pair ({A.labels[j]}, {A.labels[k]})")
-
-    # (rho (x) id) rho(e_j) = (rho(1) (x) 1_K)((id (x) Delta) rho(e_j)) in A (x) K (x) K
-    rho_unit = _compact(_apply_raw(rho, _nonzero(A.unit), n * m), p)
-    comul = _comul_terms(K)
-    for j in range(n):
-        lhs = [0] * (n * m * m)
-        slices = [[0] * (n * m) for _ in range(m)]  # (id (x) Delta) rho(e_j), by its last factor
-        for idx, c in rho[j]:
-            a, k = divmod(idx, m)
-            for idx2, c2 in rho[a]:
-                lhs[idx2 * m + k] += c * c2
-            for l1, l2, d in comul[k]:
-                slices[l2][a * m + l1] += c * d
-        rhs = [0] * (n * m * m)
-        for l2, part in enumerate(slices):
-            for t, x in enumerate(_multiply_raw(tensor, rho_unit, _compact(part, p))):
-                rhs[t * m + l2] += x
-        if _differ(lhs, rhs, p):
-            failures.append(f"PC3 fails at basis {A.labels[j]}")
-
+    Through the dictionary, `coaction_to_action` over H = K*, the component of
+    each coaction identity along the basis k_i of K is the matching action
+    identity at the dual basis element h_i: so PC1 fails at e_j exactly where
+    PA1 fails at j, PC2 at (e_j, e_k) where PA3 fails at some (h_i, e_j, e_k),
+    and PC3 at e_k where PA4 fails at some (h_i, h_g, e_k).
+    """
+    pa1, pa3, pa4 = _pa_failures(coaction_to_action(pc, dual_hopf(pc.hopf)))
+    labels = pc.alg.labels
+    failures = [f"PC1 fails at basis {labels[j]}" for j in pa1]
+    failures += [f"PC2 fails at basis pair ({labels[j]}, {labels[k]})" for j, k in sorted({(j, k) for _, j, k in pa3})]
+    failures += [f"PC3 fails at basis {labels[k]}" for k in sorted({k for _, _, k in pa4})]
     return CheckReport(not failures, tuple(failures))
 
 
 def coinvariant_subalgebra(pc: PartialCoaction) -> Subspace:
-    """Solutions of rho(x) = (x (x) 1_K) rho(1), as one null span: the combinations x of the basis
-    of A whose blocks rho(e_j) - (e_j (x) 1_K) rho(1) vanish."""
-    A, K = pc.alg, pc.hopf
-    n, m = A.dim, K.dim
-    nm, p = n * m, pc.field.char
-    rho = pc._terms
-    tensor = _tensor_terms(A.terms, K.alg.terms)
-    rho_1 = _compact(_apply_raw(rho, _nonzero(A.unit), nm), p)
-    unit_k = _nonzero(K.unit)
-    blocks = [
-        [x - y for x, y in zip(_dense(rho[j], nm), _multiply_raw(tensor, [(j * m + k, c) for k, c in unit_k], rho_1))]
-        for j in range(n)
-    ]
-    return _null_span(pc.field, blocks, _identity_rows(n), nm, n)
+    """Solutions of rho(x) = (x (x) 1_K) rho(1): through the dictionary, the invariant null span
+    (`_invariant_span`) of the action of K*, without the subalgebra checks of `invariant_subalgebra`."""
+    return _invariant_span(coaction_to_action(pc, dual_hopf(pc.hopf)))

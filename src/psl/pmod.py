@@ -44,7 +44,7 @@ from psl.algebra import (
     _add_scaled,
     _apply_pair,
     _apply_raw,
-    _cosets,
+    _coset_projection,
     _differ,
     _mult_operators,
     _quotient_terms,
@@ -449,10 +449,8 @@ def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
 
 def _module_quotient(M: PartialModule, U: Subspace) -> tuple[PartialModule, Matrix]:
     """M/U for a submodule U, with the projection of M onto it."""
-    d = M.dim - U.dim
-    Q = PartialModule._of_terms(M.side, M.pa, d, _quotient_terms(U, M._a_terms), _quotient_terms(U, M._h_terms))
-    proj = Matrix(M.field, _cosets(U, map(M.basis_vector, range(M.dim))), ncols=d)
-    return Q, proj
+    a_terms, h_terms = _quotient_terms(U, M._a_terms), _quotient_terms(U, M._h_terms)
+    return PartialModule._of_terms(M.side, M.pa, M.dim - U.dim, a_terms, h_terms), _coset_projection(U)
 
 
 def module_is_irreducible_over_algebra(V: AlgebraModule) -> bool:
@@ -493,7 +491,7 @@ def irreducible_extension(pa: PartialAction, V: AlgebraModule) -> IrreducibleExt
     check_partial_module(M).raise_if_failed("irreducible extension axioms")
     if is_irreducible(M) is not True:
         raise InvariantViolation("quotient is not irreducible")
-    emb = Matrix(field, [proj.apply(r) for r in ext.embedding.rows], ncols=M.dim)
+    emb = ext.embedding * proj
     if emb.rank() != V.dim:
         raise InvariantViolation("V does not survive into M")
     if M.dim > pa.hopf.dim * V.dim:

@@ -30,7 +30,7 @@ from psl.exactla import (
 
 from psl.algebra import Algebra, _apply_pair, _apply_raw, _multiply_raw, product_of_fields
 from psl.hopf import GroupTable, group_algebra
-from psl.paction import c4_triple, dual_group_idempotent, trivial_action
+from psl.paction import c4_triple, dual_group_idempotent, dual_group_translation_action, trivial_action
 from psl.algebra import _tensor_terms
 from psl.exactla import GF
 from psl.hopf import dual_group_algebra
@@ -72,6 +72,19 @@ def graded_c6_action():
     A = Algebra._of_terms(F, _tensor_terms(kG.terms, T.terms), unit_vec(F, 12, 2 * G.identity))
     act = tuple(tuple(((j, 1),) if j // 2 == g else () for j in range(12)) for g in range(6))
     return PartialAction._of_terms(dual_group_algebra(F, G), A, act)
+
+
+def s3_translations(field) -> tuple:
+    """The two global translation actions of S_3: (kS_3)* on kS_3, p_g . h = [g = h] h
+    (`dual_group_translation_action`), and kS_3 on k^{S_3}, g . e_h = e_{gh}.  The
+    first H is not cocommutative and the second not commutative."""
+    from test_nonabelian import s3_table  # imported here, as test_nonabelian imports this module
+
+    G, _, _ = s3_table()
+    n = G.order
+    act = [[unit_vec(field, n, gh) for gh in row] for row in G.cayley]
+    regular = PartialAction(group_algebra(field, G), product_of_fields(field, n), act)
+    return dual_group_translation_action(field, G), regular
 
 
 def matrix_algebra(field, d):

@@ -32,9 +32,12 @@ from psl.paction import (
     trivial_action,
 )
 from psl.verify import random_partial_action
+from boxed_reference import rref_kernel
 from helpers import (
     all_vectors,
     dense_act,
+    dense_mult,
+    dense_rho,
     fix_a,
     fix_b,
     fix_c,
@@ -43,6 +46,7 @@ from helpers import (
     mult_matrix,
     rand_vec,
     rho_of,
+    s3_translations,
     solve_left,
 )
 
@@ -344,3 +348,42 @@ def test_induce_from_ideal_checks_an_e_with_denominators():
     glob = trivial_action(group_algebra(QQ, GroupTable.cyclic(2)), B)
     with pytest.raises(NotRightIdealUnit):
         induce_from_ideal(glob, (1, half, 0))
+
+
+def coinvariants_by_solve(pc) -> Subspace:
+    """{x : rho(x) = (x (x) 1_K) rho(1)}, solved from the dense rho and the dense products of A
+    and K by the boxed elimination: no dictionary, no action and no psl null span."""
+    A, K = pc.alg, pc.hopf
+    n, m = A.dim, K.dim
+    rho, amult, kmult = dense_rho(pc), dense_mult(A), dense_mult(K.alg)
+    rho_1 = [sum(u * r[t] for u, r in zip(A.unit, rho)) for t in range(n * m)]
+    one_k = [[sum(u * kmult[s][l][k] for s, u in enumerate(K.unit)) for k in range(m)] for l in range(m)]
+    # row j: rho(e_j) - (e_j (x) 1_K) rho(1), with (a (x) k)(b (x) l) = ab (x) kl
+    rows = []
+    for j in range(n):
+        row = list(rho[j])
+        for idx, c in enumerate(rho_1):
+            b, l = divmod(idx, m)
+            for a, x in enumerate(amult[j][b]):
+                for k, y in enumerate(one_k[l]):
+                    row[a * m + k] -= c * x * y
+        rows.append(row)
+    # x @ rows = 0 is the kernel of the transpose
+    return rref_kernel(Matrix(pc.field, list(zip(*rows)), ncols=n))
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, GF(5)], ids=repr)
+def test_coinvariants_match_a_solve_of_the_coaction_equation(field):
+    # on the draws, the S_3 translations and copies with one corrupted rho entry, where
+    # the coinvariants need not be a subalgebra
+    from test_structure_kernel import corrupt_matrix
+
+    rng = random.Random(3600 + field.char)
+    proper = 0
+    for pa in invariant_cases(field) + list(s3_translations(field)):
+        pc = action_to_coaction(pa)
+        for c in [pc] + [PartialCoaction(pa.alg, pc.hopf, corrupt_matrix(rng, field, Matrix(field, dense_rho(pc))))]:
+            coinv = coinvariant_subalgebra(c)
+            assert coinv == coinvariants_by_solve(c)
+            proper += 0 < coinv.dim < pa.alg.dim
+    assert proper >= 10

@@ -6,7 +6,9 @@ one corrupted tensor entry, both must give the same CheckReport (the same
 failure strings in the same order) for algebras, partial actions, Hopf
 algebras, partial coactions, modules and partial modules, the same full
 smash product, the same partial smash carrier, and the same subspace
-products and closures.  The module constructions (extensions, smash-module
+products and closures; the coaction checker also meets the coactions of the
+two S_3 translation actions, whose K is not commutative or not
+cocommutative.  The module constructions (extensions, smash-module
 conversion, the dimension of the algebra the operators generate) must match
 psl's earlier dense loops, also for Sweedler's H_4 and the S_3 corner, whose
 Hopf algebras are not cocommutative (and H_4 not commutative either).  The
@@ -65,7 +67,7 @@ from psl.verify import random_partial_action, truncated_polynomial_algebra
 from psl.workspace import load_workspace
 from helpers import assert_kernel_form, act_vec, dense_a_act, dense_act, dense_comul, dense_h_act, dense_module_act, dense_mult, dense_rho, fix_a, fix_b, fix_c, fix_d, matrix_algebra, module_act_vec, operate_sum, rand_subspace, rand_vec, solve_left
 from test_nonabelian import a3_indices
-from helpers import graded_c6_action
+from helpers import graded_c6_action, s3_translations
 
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
@@ -292,18 +294,31 @@ def test_hopf_and_coaction_checkers_match_boxed_loops(field):
             got = check_hopf(H)
             assert got == ref.check_hopf(H), H
             failing_hopf += not got.ok
-        pc = action_to_coaction(pa)
-        coactions = [pc] + [
-            PartialCoaction(pa.alg, pc.hopf, corrupt_matrix(rng, field, Matrix(field, dense_rho(pc)))) for _ in range(2)
-        ]
-        for c in coactions:
-            got = check_partial_coaction(c)
-            assert got == ref.check_partial_coaction(c)
-            failing_coactions += not got.ok
+        failing_coactions += coactions_match_boxed_loops(rng, field, pa)
         x = rand_vec(rng, field, pa.hopf.dim)
         rand_vec(rng, field, pa.hopf.dim ** 2)  # the draw is kept so that the later draws stay the same
         assert pa.hopf.counit_of(x) == ref.counit_of(pa.hopf, x)
     assert failing_hopf >= 6 * DRAWS and failing_coactions >= DRAWS
+    # after the draws, so that their rng stream stays the same: the S_3 translations, whose
+    # coactions are over a non-commutative and a non-cocommutative K, so that a transposed
+    # product or coproduct in the dictionary shows
+    rng = random.Random(3500 + field.char)
+    assert sum(coactions_match_boxed_loops(rng, field, pa) for pa in s3_translations(field)) == 4  # every corrupted copy
+
+
+def coactions_match_boxed_loops(rng, field, pa) -> int:
+    """Assert that the coaction of pa and two copies with a corrupted rho entry get the boxed
+    CheckReport; return how many of the three fail."""
+    pc = action_to_coaction(pa)
+    coactions = [pc] + [
+        PartialCoaction(pa.alg, pc.hopf, corrupt_matrix(rng, field, Matrix(field, dense_rho(pc)))) for _ in range(2)
+    ]
+    failing = 0
+    for c in coactions:
+        got = check_partial_coaction(c)
+        assert got == ref.check_partial_coaction(c)
+        failing += not got.ok
+    return failing
 
 
 def module_draws(field):

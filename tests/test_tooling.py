@@ -4,8 +4,9 @@ generator, the module builders and the coaction dictionary build nothing through
 coercing public constructors, the partial smash builds of the workspaces call no coercing
 method, `main` builds its grammar once per process, each command imports only the
 modules it runs, one function walks the lines of F_p^n, one function builds and checks
-the dual action of a smash product, and a failing hypothesis test does not stop the run
-under the repo's warning filters."""
+the dual action of a smash product, one routine checks the partial-action axioms for
+both the action and the coaction checker, and a failing hypothesis test does not stop
+the run under the repo's warning filters."""
 
 import ast
 import importlib
@@ -165,6 +166,25 @@ def test_one_dual_action_builder():
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)),
         )
         assert {scope for scope, _ in calls} == {"_build_dual_action"}, name
+
+
+def test_one_kernel_for_the_partial_action_axioms():
+    # the action checker and the coaction checker read the axioms off one failure
+    # routine, and the coaction layer multiplies nothing itself: a second caller of
+    # _pa_block, or a product in A (x) K, would be a second kernel
+    tree = ast.parse((ROOT / "src" / "psl" / "paction.py").read_text(encoding="utf-8"))
+
+    def callers(name):
+        calls = scoped_matches(
+            tree,
+            lambda node: isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)),
+        )
+        return {scope for scope, _ in calls}
+
+    assert callers("_pa_block") == {"_pa_failures"}
+    for name in ("_multiply_raw", "_tensor_terms"):
+        assert not callers(name) & {"check_partial_coaction", "coinvariant_subalgebra"}, name
 
 
 # functions allowed to make a Fraction: over Q a scalar is an int where it is integral
@@ -349,7 +369,7 @@ def test_verify_builds_nothing_through_the_public_constructors(monkeypatch, tmp_
 def test_module_builders_and_coactions_build_nothing_through_the_public_constructors(monkeypatch):
     # pmod's modules and the action <-> coaction dictionary store the sparse rows
     # their loops compute; the coercing constructors are for outside input only
-    calls = count_constructor_calls(monkeypatch, (AlgebraModule, PartialModule, PartialCoaction, PartialAction))
+    calls = count_constructor_calls(monkeypatch, (AlgebraModule, PartialModule, PartialCoaction, PartialAction, Matrix))
     F5 = GF(5)
     pa = c4_triple(F5)  # FIX-B over F_5, with the simple modules A/(e2, e3) on both sides
     I = Subspace.from_vectors(F5, 3, [[0, 1, 0], [0, 0, 1]])
