@@ -29,6 +29,7 @@ from psl.algebra import (
     InvariantViolation,
     NotAnIdeal,
     _apply_raw,
+    _axiom_block,
     _cleared,
     _closed_subalgebra,
     _differ,
@@ -157,33 +158,6 @@ def _comul_terms(H: HopfAlgebra) -> tuple:
     return H._comul
 
 
-def _pa_block(op, rows, scale, live, right, T, offsets) -> dict:
-    """sum_k (scale op(rows[k]) - sum c left right[q][k]) over (c, left, q) in live, as one sparse
-    n x n block with slice k at offsets[k] = k n: a dict of the entries it writes.
-
-    op[s] is the sparse image of e_s, left and right[q][k] are sparse
-    elements of A multiplied by the constants T, and all scalars are ints.
-    """
-    acc = {}
-    get = acc.get
-    for base, row in zip(offsets, rows):
-        for s, x in row:
-            x *= scale
-            for u, y in op[s]:
-                u += base
-                acc[u] = get(u, 0) + x * y
-    for c, left, q in live:
-        for base, right_k in zip(offsets, right[q]):
-            for t, y in right_k:
-                cy = c * y
-                for s, x in left:
-                    cxy = cy * x
-                    for u, z in T[s][t]:
-                        u += base
-                        acc[u] = get(u, 0) - cxy * z
-    return acc
-
-
 def check_partial_action(pa: PartialAction) -> CheckReport:
     """PA1, PA3 and PA4 on all basis tuples, with the failing positions of `_pa_failures`.
 
@@ -207,11 +181,12 @@ def _pa_failures(pa: PartialAction) -> tuple[list, list, list]:
     """The failing positions of PA1 at j, PA3 at (i, j, k) and PA4 at (i, g, k), each in increasing order.
 
     PA3 accumulates lhs - rhs of the triples (h_i, e_j, e_k) of each basis pair
-    (h_i, e_j), and PA4 those of (h_i, h_g, e_k) of each pair (h_i, h_g), for
-    every k into one sparse n x n block, a dict keyed by the entries k n + u
-    it writes (`_pa_block`, one routine for both axioms), and tests only
-    those values; a block that does not vanish names its failing slices k in
-    increasing order.  Both skip the terms
+    (h_i, e_j) into one sparse n x n block, slice k at offset k n, and PA4
+    those of all (h_i, h_g, e_k) of each h_i into one block, slice (g, k) at
+    offset (g n + k) n; both are built by `algebra._axiom_block`, the one block
+    routine of the action and module axioms, a dict keyed by the entries it
+    writes.  Only those values are tested; a block that does not vanish names
+    its failing slices in increasing order.  Both skip the terms
     h_p (x) h_q of Delta(h_i) whose left factor h_p . e_j (PA3) or h_p . 1_A
     (PA4) is zero.  The (h_q h_g) . e_k are computed once per distinct product
     h_q h_g, and only where that product is not a basis element h_r with
@@ -222,58 +197,56 @@ def _pa_failures(pa: PartialAction) -> tuple[list, list, list]:
     scale.
     """
     H, A = pa.hopf, pa.alg
-    m, n = H.dim, A.dim
-    field = pa.field
-    p = field.char
+    m, n, p = H.dim, A.dim, pa.field.char
     terms, h_terms = A.terms, H.alg.terms
     act = pa._terms
-    dense = [[int(t == j) for t in range(n)] for j in range(n)]
     # h . e_k as a linear function of h, then h_p . 1_A and (h_q h_g) . e_k
     columns = [[act[r][k] for r in range(m)] for k in range(n)]
     unit_a = _nonzero(A.unit)
     unit_images = [_compact(_apply_raw(act[i], unit_a, n), p) for i in range(m)]
     # (h_q h_g) . e_k depends on h_q h_g only: one list per distinct product,
-    # read off the action where the product is a basis element h_r; hg_act[g][q]
-    # lists the (h_q h_g) . e_k, so PA4 reads one row hg_act[g] per h_g
+    # read off the action where the product is a basis element h_r; hg_act[q]
+    # lists the (h_q h_g) . e_k for all g, g-major, so PA4 reads one row per h_q
     products = {x for row in h_terms for x in row}
     by_product = {
         x: act[x[0][0]] if len(x) == 1 and x[0][1] == 1 else [_compact(_apply_raw(col, x, n), p) for col in columns]
         for x in products
     }
-    hg_act = [[by_product[row[g]] for row in h_terms] for g in range(m)]
+    hg_act = [[e for x in row for e in by_product[x]] for row in h_terms]
 
     unit_h = _nonzero(H.unit)
-    pa1 = [j for j in range(n) if _differ(_apply_raw(columns[j], unit_h, n), dense[j], p)]
+    pa1 = [j for j in range(n) if _differ(_apply_raw(columns[j], unit_h, n), _dense(((j, 1),), n), p)]
 
     # the same data cleared of denominators: D * rows, all ints over Q
     d_c, comul_s = _cleared(_comul_terms(H), p)
     d_a, act_s = _cleared(act, p, 1)
     d_t, T = _cleared(terms, p, 1)
     d_u, units = _cleared(unit_images, p)
-    d_h, hg_s = _cleared(hg_act, p, 2)
+    d_h, hg_s = _cleared(hg_act, p, 1)
 
-    # one sparse n x n block per basis pair, slice k at offset k n
-    offsets = range(0, n * n, n)
-
-    # PA3 on all basis pairs (h_i, e_j), both sides at scale d_c d_a^2 d_t
+    # PA3 on all basis pairs (h_i, e_j), both sides at scale d_c d_a^2 d_t: one
+    # sparse n x n block per pair, slice k at offset k n
     pa3 = []
     scale = d_c * d_a
+    offsets = range(0, n * n, n)
     for i in range(m):
         for j in range(n):
-            live = [(c, act_s[hp][j], hq) for hp, hq, c in comul_s[i] if act_s[hp][j]]
-            acc = _pa_block(act_s[i], T[j], scale, live, act_s, T, offsets)
+            bilinear = [(-c, act_s[hp][j], act_s[hq], T) for hp, hq, c in comul_s[i] if act_s[hp][j]]
+            acc = _axiom_block(((scale, act_s[i], T[j]),), bilinear, offsets)
             if not _vanishes(acc.values(), p):
                 pa3 += [(i, j, k) for k in _failed_slices(acc, n, p)]
 
-    # PA4 on all basis pairs (h_i, h_g), both sides at scale d_c d_a^2 d_u d_h d_t
+    # PA4 on all (h_i, h_g, e_k), both sides at scale d_c d_a^2 d_u d_h d_t: one
+    # sparse block per h_i, slice (g, k) at offset (g n + k) n
     pa4 = []
     scale, rscale = d_c * d_u * d_h * d_t, d_a * d_a
+    offsets = range(0, m * n * n, n)
+    act_gk = [row for rows in act_s for row in rows]
     for i in range(m):
-        live = [(c * rscale, units[hp], hq) for hp, hq, c in comul_s[i] if units[hp]]
-        for g in range(m):
-            acc = _pa_block(act_s[i], act_s[g], scale, live, hg_s[g], T, offsets)
-            if not _vanishes(acc.values(), p):
-                pa4 += [(i, g, k) for k in _failed_slices(acc, n, p)]
+        bilinear = [(-c * rscale, units[hp], hg_s[hq], T) for hp, hq, c in comul_s[i] if units[hp]]
+        acc = _axiom_block(((scale, act_s[i], act_gk),), bilinear, offsets)
+        if not _vanishes(acc.values(), p):
+            pa4 += [(i,) + divmod(gk, n) for gk in _failed_slices(acc, n, p)]
 
     return pa1, pa3, pa4
 

@@ -23,18 +23,20 @@ one pass over the closures of the same walk.
 Over Q it is one dimension count (Burnside): the unital algebra the
 operators generate is the spin of the identity of F^{d x d} under right
 multiplication by each operator.  `AlgebraModule.check` and
-`check_partial_module` run the unit and module laws of A through one loop,
-`_module_law`.  Annihilators are the left kernel of the flattened
-A-operators, and a quotient takes each operator's rows to the complement
-cosets of the submodule through `algebra._quotient_terms`, the one coset map
-that the quotient algebra and quotient action also use; the extensions and the
-smash-module conversion run on the sparse operator rows, the left extension
-on rho as `action_to_coaction` stores it.
+`check_partial_module` run the unit and module laws of A through one routine,
+`_module_law`, and build every block of the module law, PM3 and PM4 through
+`algebra._axiom_block`, the block routine of PA3 and PA4.  Annihilators are
+the left kernel of the flattened A-operators, and a quotient takes each
+operator's rows to the complement cosets of the submodule through
+`algebra._quotient_terms`, the one coset map that the quotient algebra and
+quotient action also use; the extensions and the smash-module conversion run
+on the sparse operator rows, the left extension on rho as `action_to_coaction`
+stores it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from psl.algebra import (
     Algebra,
@@ -44,8 +46,10 @@ from psl.algebra import (
     _add_scaled,
     _apply_pair,
     _apply_raw,
+    _axiom_block,
     _coset_projection,
     _differ,
+    _failed_slices,
     _mult_operators,
     _quotient_terms,
     is_ideal,
@@ -60,7 +64,6 @@ from psl.exactla import (
     _nonzero,
     _spin,
     _tensor,
-    unit_vec,
 )
 from psl.hopf import left_integrals
 from psl.paction import PartialAction, _comul_terms, action_to_coaction, colon_ideal, is_h_stable
@@ -109,37 +112,36 @@ class AlgebraModule:
     def check(self) -> CheckReport:
         """Unital module axioms on all basis pairs."""
         failures = []
-        for j in range(self.dim):
-            unit_ok, bad = _module_law(self.algebra, self.side, self._terms, self.dim, j)
+        for j, (unit_ok, bad) in enumerate(_module_law(self.algebra, self.side, self._terms, self.dim)):
             if not unit_ok:
                 failures.append(f"unit does not act as identity on basis {j}")
             failures += [f"module law fails at (e{i}, e{k}, w{j})" for i, k in bad]
         return CheckReport(not failures, tuple(failures))
 
 
-def _module_law(A: Algebra, side: str, ops, d: int, j: int) -> tuple[bool, list]:
-    """Whether 1_A fixes basis vector w_j, and the pairs (i, k) where the module law fails at w_j.
+def _module_law(A: Algebra, side: str, ops, d: int) -> Iterator[tuple[bool, list]]:
+    """For each basis vector w_j: whether 1_A fixes it, and the pairs (i, k) where the module law fails at it.
 
     ops[i][j] is the sparse image of w_j under e_i.  A non-unital A has no
-    unit law, which then holds.
+    unit law, which then holds.  Both sides for every k go into one block of
+    `_axiom_block` per (w_j, e_i), slice k at k d.
     """
-    p = A.field.char
-    # the images of w_j under every basis element of A
-    column = [ops[i][j] for i in range(A.dim)]
-    w = [int(t == j) for t in range(d)]
-    unit_ok = A.unit is None or not _differ(_apply_raw(column, _nonzero(A.unit), d), w, p)
-    bad = []
-    for i in range(A.dim):
-        for k in range(A.dim):
-            if side == "right":
-                # (w e_i) e_k = w (e_i e_k)
-                lhs = _apply_raw(ops[k], ops[i][j], d)
-            else:
-                # e_i (e_k w) = (e_i e_k) w
-                lhs = _apply_raw(ops[i], ops[k][j], d)
-            if _differ(lhs, _apply_raw(column, A.terms[i][k], d), p):
-                bad.append((i, k))
-    return unit_ok, bad
+    p, n = A.field.char, A.dim
+    offsets, basis = [k * d for k in range(n)], [((k, 1),) for k in range(n)]
+    transposed = tuple(zip(*ops))  # [s][t]: w_s e_t, resp. e_t w_s
+    for j in range(d):
+        # the images of w_j under every basis element of A
+        column = [op[j] for op in ops]
+        unit_ok = A.unit is None or not _differ(_apply_raw(column, _nonzero(A.unit), d), _dense(((j, 1),), d), p)
+        bad = []
+        for i in range(n):
+            rhs = (-1, column, A.terms[i])
+            if side == "right":  # (w e_i) e_k = w (e_i e_k)
+                acc = _axiom_block([rhs], [(1, ops[i][j], basis, transposed)], offsets)
+            else:  # e_i (e_k w) = (e_i e_k) w
+                acc = _axiom_block([(1, ops[i], column), rhs], (), offsets)
+            bad += [(i, k) for k in _failed_slices(acc, d, p)]
+        yield unit_ok, bad
 
 
 def regular_module(A: Algebra, side: str = "right") -> AlgebraModule:
@@ -195,70 +197,59 @@ class PartialModule:
     def field(self):
         return self.pa.field
 
-    def basis_vector(self, j: int) -> tuple:
-        return unit_vec(self.field, self.dim, j)
-
 
 def check_partial_module(M: PartialModule) -> CheckReport:
-    """PM1, PM3, PM4 plus the unital A-module laws, on all basis tuples."""
+    """PM1, PM3, PM4 plus the unital A-module laws, on all basis tuples.
+
+    PM3 at (h_i, e_k, w_j) and PM4 at (h_i, h_g, w_j) put both sides for every k, resp. every g,
+    into one block of `_axiom_block` per (w_j, h_i), slice k at k d, like the module law.
+    """
     failures = []
     pa = M.pa
     A, H = pa.alg, pa.hopf
-    right = M.side == "right"
+    n, m = A.dim, H.dim
     d, p = M.dim, M.field.char
     a_ops, h_ops = M._a_terms, M._h_terms
     comul = _comul_terms(H)
     unit_h = _nonzero(H.unit)
-    # h_p . e_ia and h_p . 1_A, sparse
+    # h_p . e_k and h_p . 1_A, sparse
     act = pa._terms
-    unit_images = [_nonzero(pa.unit_image(q)) for q in range(H.dim)]
+    units = [_nonzero(pa.unit_image(q)) for q in range(m)]
+    # [s][t]: w_s e_t (resp. e_t w_s) and w_s <| h_t (resp. h_t |> w_s)
+    a_tr, h_tr = tuple(zip(*a_ops)), tuple(zip(*h_ops))
+    h_terms = H.alg.terms
+    a_off, h_off = [k * d for k in range(n)], [g * d for g in range(m)]
+    a_basis, h_basis = [((k, 1),) for k in range(n)], [((g, 1),) for g in range(m)]
 
-    def apply_a(x, v):
-        """x in A acting on the sparse module vector v."""
-        return _compact(_apply_pair(a_ops, x, v, d, p), p)
-
-    for j in range(d):
-        unit_ok, bad = _module_law(A, M.side, a_ops, d, j)
+    for j, (unit_ok, bad) in enumerate(_module_law(A, M.side, a_ops, d)):
         if not unit_ok:
             failures.append(f"A-unit law fails at w{j}")
-        if _differ(_apply_pair(h_ops, unit_h, ((j, 1),), d, p), [int(t == j) for t in range(d)], p):
+        if _differ(_apply_raw([op[j] for op in h_ops], unit_h, d), _dense(((j, 1),), d), p):
             failures.append(f"PM1 fails at w{j}")
         failures += [f"A-module law fails at (e{i}, e{k}, w{j})" for i, k in bad]
 
     for j in range(d):
-        w = ((j, 1),)
-        for ih in range(H.dim):
-            for ia in range(A.dim):
-                # PM3
-                if right:
-                    lhs = _apply_raw(a_ops[ia], h_ops[ih][j], d)
-                else:
-                    lhs = _apply_raw(h_ops[ih], a_ops[ia][j], d)
-                rhs = [0] * d
-                for hp, hq, c in comul[ih]:
-                    if right:
-                        term = _apply_raw(h_ops[hq], apply_a(act[hp][ia], w), d)
-                    else:
-                        term = _apply_pair(a_ops, act[hp][ia], h_ops[hq][j], d, p)
-                    _add_scaled(rhs, c, term)
-                if _differ(lhs, rhs, p):
-                    failures.append(f"PM3 fails at (h{ih}, e{ia}, w{j})")
-            for g in range(H.dim):
-                # PM4
-                if right:
-                    lhs = _apply_raw(h_ops[g], h_ops[ih][j], d)
-                else:
-                    lhs = _apply_raw(h_ops[ih], h_ops[g][j], d)
-                rhs = [0] * d
-                for hp, hq, c in comul[ih]:
-                    hq_g = H.alg.terms[hq][g]
-                    if right:
-                        term = _apply_pair(h_ops, hq_g, apply_a(unit_images[hp], w), d, p)
-                    else:
-                        term = _apply_pair(a_ops, unit_images[hp], _compact(_apply_pair(h_ops, hq_g, w, d, p), p), d, p)
-                    _add_scaled(rhs, c, term)
-                if _differ(lhs, rhs, p):
-                    failures.append(f"PM4 fails at (h{ih}, h{g}, w{j})")
+        a_col, h_col = [op[j] for op in a_ops], [op[j] for op in h_ops]
+        if M.side == "right":
+            # w_j (h_p . e_k) and w_j (h_p . 1_A)
+            wa = [[_compact(_apply_raw(a_col, x, d), p) for x in row] for row in act]
+            wu = [_compact(_apply_raw(a_col, x, d), p) for x in units]
+        else:
+            # (h_q h_g) |> w_j
+            hw = [[_compact(_apply_raw(h_col, x, d), p) for x in row] for row in h_terms]
+        for i in range(m):
+            delta = comul[i]
+            # the linear and the bilinear terms of each block
+            if M.side == "right":
+                # (w <| h) e_k = sum (w (h1 . e_k)) <| h2, (w <| h) <| g = sum (w (h1 . 1_A)) <| (h2 g)
+                pm3 = [(-c, h_ops[q], wa[r]) for r, q, c in delta], [(1, h_col[i], a_basis, a_tr)]
+                pm4 = (), [(1, h_col[i], h_basis, h_tr)] + [(-c, wu[r], h_terms[q], h_tr) for r, q, c in delta]
+            else:
+                # h |> (e_k w) = sum (h1 . e_k)(h2 |> w), h |> (g |> w) = sum (h1 . 1_A)((h2 g) |> w)
+                pm3 = [(1, h_ops[i], a_col)], [(-c, h_col[q], act[r], a_tr) for r, q, c in delta]
+                pm4 = [(1, h_ops[i], h_col)], [(-c, units[r], hw[q], a_ops) for r, q, c in delta]
+            failures += [f"PM3 fails at (h{i}, e{k}, w{j})" for k in _failed_slices(_axiom_block(*pm3, a_off), d, p)]
+            failures += [f"PM4 fails at (h{i}, h{g}, w{j})" for g in _failed_slices(_axiom_block(*pm4, h_off), d, p)]
 
     return CheckReport(not failures, tuple(failures))
 

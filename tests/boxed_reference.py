@@ -40,7 +40,7 @@ from typing import Sequence
 import helpers
 from helpers import dense_a_act, dense_act, dense_comul, dense_h_act, dense_module_act, dense_mult, dense_rho, mod_basis
 from psl.algebra import Algebra, CheckReport, InvariantViolation
-from psl.exactla import FieldMismatch, Matrix, Subspace, _canon, _Echelon, _nonzero, zero_vec
+from psl.exactla import FieldMismatch, Matrix, Subspace, _canon, _Echelon, _nonzero, unit_vec, zero_vec
 from psl.hopf import dual_hopf, left_integrals
 from psl.paction import PartialAction, action_to_coaction
 from psl.pmod import (
@@ -906,7 +906,7 @@ def to_smash_module(M: PartialModule, sp) -> AlgebraModule:
         row_c = []
         coords = sp.coords.rows[c]
         for j in range(M.dim):
-            w = M.basis_vector(j)
+            w = unit_vec(M.field, M.dim, j)
             out = list(zero_vec(M.field, M.dim))
             for idx, coeff in enumerate(coords):
                 if not coeff:

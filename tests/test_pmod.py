@@ -5,7 +5,7 @@ import random
 import pytest
 
 from psl.algebra import Algebra, NotAnIdeal, ideal_closure, is_ideal, product_of_fields
-from psl.exactla import GF, QQ, Subspace, enumerate_invariant_subspaces
+from psl.exactla import GF, QQ, Subspace, enumerate_invariant_subspaces, unit_vec
 from psl.hopf import GroupTable, group_algebra
 from psl.paction import colon_ideal, is_h_stable, trivial_action
 from psl.pmod import (
@@ -77,7 +77,7 @@ def test_corrupt_h_action_gives_pm_witness():
     sp = build_partial_smash(pa)
     M = from_smash_module(sp, regular_module(sp.carrier, "right"))
     h_act = [list(map(tuple, row)) for row in dense_h_act(M)]
-    h_act[1][0] = M.basis_vector(0)
+    h_act[1][0] = unit_vec(M.field, M.dim, 0)
     bad = PartialModule("right", pa, M.dim, dense_a_act(M), h_act)
     report = check_partial_module(bad)
     assert not report.ok
@@ -366,7 +366,7 @@ def test_conversion_rejects_corrupted_module():
     sp = build_partial_smash(pa)
     M = from_smash_module(sp, regular_module(sp.carrier, "right"))
     h_act = [list(map(tuple, row)) for row in dense_h_act(M)]
-    h_act[1][0] = M.basis_vector(0)
+    h_act[1][0] = unit_vec(M.field, M.dim, 0)
     bad = PartialModule("right", pa, M.dim, dense_a_act(M), h_act)
     with pytest.raises(AxiomViolation):
         to_smash_module(bad, sp)

@@ -8,7 +8,8 @@ algebras, partial coactions, modules and partial modules, the same full
 smash product, the same partial smash carrier, and the same subspace
 products and closures; the coaction checker also meets the coactions of the
 two S_3 translation actions, whose K is not commutative or not
-cocommutative.  The module constructions (extensions, smash-module
+cocommutative, and the partial-module checker the partial modules extended
+over them.  The module constructions (extensions, smash-module
 conversion, the dimension of the algebra the operators generate) must match
 psl's earlier dense loops, also for Sweedler's H_4 and the S_3 corner, whose
 Hopf algebras are not cocommutative (and H_4 not commutative either).  The
@@ -359,6 +360,33 @@ def test_module_checkers_match_boxed_loops(field):
         assert module_act_vec(V, x, w) == ref.module_act_vec(V, x, w)
         assert act_vec(pa, h, a) == ref.act_vec(pa, h, a)
     assert modules >= DRAWS // 2 and failing_modules >= modules // 2 and failing_partial >= modules
+    # after the draws, so that their rng stream stays the same: partial modules over the S_3
+    # translations, whose H is not cocommutative or not commutative, so that a flipped
+    # coproduct or a product in the wrong order shows
+    rng = random.Random(3600 + field.char)
+    failing_s3 = 0
+    for pa, M in s3_partial_modules(field):
+        copies = [
+            M,
+            PartialModule(M.side, pa, M.dim, corrupt(rng, field, dense_a_act(M)), dense_h_act(M)),
+            PartialModule(M.side, pa, M.dim, dense_a_act(M), corrupt(rng, field, dense_h_act(M))),
+        ]
+        for N in copies:
+            got = check_partial_module(N)
+            assert got == ref.check_partial_module(N)
+            failing_s3 += not got.ok
+    assert failing_s3 == 8  # every corrupted copy
+
+
+def s3_partial_modules(field):
+    """(action, module) for the right and left partial modules extended from a one-dimensional
+    A-module over each S_3 translation: the trivial character of kS_3, and the evaluation of k^{S_3}
+    at the identity."""
+    dual, regular = s3_translations(field)
+    for pa, character in ((dual, (1,) * 6), (regular, (1,) + (0,) * 5)):
+        for side, extend in (("right", extend_right_module), ("left", extend_left_module)):
+            V = AlgebraModule(pa.alg, 1, side, [[[x]] for x in character])
+            yield pa, extend(pa, V).module
 
 
 def module_instances(field):

@@ -168,23 +168,33 @@ def test_one_dual_action_builder():
         assert {scope for scope, _ in calls} == {"_build_dual_action"}, name
 
 
-def test_one_kernel_for_the_partial_action_axioms():
-    # the action checker and the coaction checker read the axioms off one failure
-    # routine, and the coaction layer multiplies nothing itself: a second caller of
-    # _pa_block, or a product in A (x) K, would be a second kernel
-    tree = ast.parse((ROOT / "src" / "psl" / "paction.py").read_text(encoding="utf-8"))
+def test_one_block_kernel_for_the_action_and_module_axioms():
+    # PA3 and PA4, the module law and PM3 and PM4 all build their blocks through one
+    # routine, the module checkers keep no dense loop of their own, and the coaction
+    # layer multiplies nothing itself: a second block routine, a dense module loop or a
+    # product in A (x) K would be a second kernel
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    defined = [
+        path for path, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_axiom_block"
+    ]
+    assert defined == ["algebra"]
 
-    def callers(name):
+    def callers(module, name):
         calls = scoped_matches(
-            tree,
+            trees[module],
             lambda node: isinstance(node, ast.Call)
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)),
         )
         return {scope for scope, _ in calls}
 
-    assert callers("_pa_block") == {"_pa_failures"}
+    assert {f"{module}:{scope}" for module in trees for scope in callers(module, "_axiom_block")} == {
+        "paction:_pa_failures", "pmod:_module_law", "pmod:check_partial_module",
+    }
+    for name in ("_apply_pair", "_add_scaled"):
+        assert not callers("pmod", name) & {"_module_law", "check_partial_module"}, name
     for name in ("_multiply_raw", "_tensor_terms"):
-        assert not callers(name) & {"check_partial_coaction", "coinvariant_subalgebra"}, name
+        assert not callers("paction", name) & {"check_partial_coaction", "coinvariant_subalgebra"}, name
 
 
 # functions allowed to make a Fraction: over Q a scalar is an int where it is integral
