@@ -750,14 +750,6 @@ def preimage_under(matrix: Matrix, target: Subspace) -> Subspace:
 ENUM_BUDGET = 1 << 17
 
 
-def line_refusal(p: int, n: int) -> str | None:
-    """Why a walk over the lines of F_p^n is refused (more than ENUM_BUDGET of them), or None."""
-    count = (p ** n - 1) // (p - 1)
-    if count > ENUM_BUDGET:
-        return f"projective space too large ({count} > {ENUM_BUDGET})"
-    return None
-
-
 def _line_code(row: Sequence[tuple], p: int, n: int) -> int:
     """sum_j x_j p^(n-1-j) for a sparse row of canonical F_p entries, so one code per line for rows
     with first nonzero entry 1; the lines with lead n - 1 - m, as `_projective_raw` lists them,
@@ -779,9 +771,9 @@ def _line_closures(field: Field, n: int, ops: Sequence[Sequence[tuple]]) -> Iter
     All lines whose closure is F^n share one full `Subspace`.
     """
     p = field.char
-    refusal = line_refusal(p, n)
-    if refusal:
-        raise DimensionTooLarge(refusal)
+    count = (p ** n - 1) // (p - 1)
+    if count > ENUM_BUDGET:
+        raise DimensionTooLarge(f"projective space too large ({count} > {ENUM_BUDGET})")
     ops = [op for op in dict.fromkeys(ops) if not _is_scalar(op)]
     codes = chain.from_iterable(range(p ** m, 2 * p ** m) for m in range(n))  # the `_line_code` of each line
     known: dict[int, Subspace] = {}

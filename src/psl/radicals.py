@@ -38,7 +38,6 @@ from psl.exactla import (
     _canon,
     _invariant_lattice,
     _null_span,
-    line_refusal,
     preimage_under,
 )
 from psl.paction import (
@@ -238,19 +237,6 @@ def is_h_semiprimitive(pa: PartialAction) -> bool:
     return h_jacobson_radical(pa).is_zero()
 
 
-def enumeration_refusal(p: int, dim: int, dim_cap: int, field_cap: int) -> str | None:
-    """Why the ideals of an algebra of dimension `dim` over F_p are not enumerated, or None.
-
-    They are not when dim or p passes its cap, or when F_p^dim has more lines
-    than the budget of `enumerate_invariant_subspaces`.
-    """
-    if dim > dim_cap:
-        return f"dim {dim} exceeds cap {dim_cap}"
-    if p > field_cap:
-        return f"field size {p} exceeds cap {field_cap}"
-    return line_refusal(p, dim)
-
-
 def enumerate_h_stable_ideals(
     pa: PartialAction, dim_cap: int = 6, field_cap: int = 5
 ) -> tuple[Subspace, ...]:
@@ -261,16 +247,20 @@ def enumerate_h_stable_ideals(
     operators go to the enumeration as sparse rows, and it drops the
     repeated and scalar ones: 1_H, where it is a basis element, acts as the
     identity, and each right multiplication of a commutative A repeats a
-    left one.  The caps are checked on every call; the ideals are enumerated
-    once per action and kept on it, as a tuple in canonical order.
+    left one.  The caps are checked here, on every call, and the line
+    budget in the walk (`exactla._line_closures`); each refusal raises
+    FieldNotFinite or DimensionTooLarge before any line is spun.  The ideals
+    are enumerated once per action and kept on it, as a tuple in canonical
+    order.
     """
     A = pa.alg
     p = A.field.char
     if p == 0:
         raise FieldNotFinite("H-stable ideal enumeration needs a finite field")
-    refusal = enumeration_refusal(p, A.dim, dim_cap, field_cap)
-    if refusal:
-        raise DimensionTooLarge(refusal)
+    if A.dim > dim_cap:
+        raise DimensionTooLarge(f"dim {A.dim} exceeds cap {dim_cap}")
+    if p > field_cap:
+        raise DimensionTooLarge(f"field size {p} exceeds cap {field_cap}")
     if pa._ideals is None:
         pa._ideals = tuple(_invariant_lattice(A.field, A.dim, _mult_operators(A, "two_sided") + pa._terms))
     return pa._ideals

@@ -13,7 +13,7 @@ pool outlives the call, so each object is still built and checked in every run.
 from __future__ import annotations
 
 import random
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import chain, combinations_with_replacement
 from typing import Callable, Iterable, NamedTuple
 
@@ -25,7 +25,7 @@ from psl.algebra import (
     quotient_algebra,
     span_products,
 )
-from psl.exactla import GF, QQ, Field, Subspace, line_refusal, unit_vec
+from psl.exactla import GF, QQ, DimensionTooLarge, Field, Subspace, unit_vec
 from psl.hopf import (
     GroupTable,
     HopfAlgebra,
@@ -44,16 +44,16 @@ from psl.paction import (
     trivial_action,
 )
 from psl.radicals import (
+    FieldNotFinite,
     _is_h_prime_among,
     enumerate_h_stable_ideals,
-    enumeration_refusal,
     h_jacobson_radical,
     h_radical_of_ideal,
     jacobson_radical,
 )
 from psl.smash import build_partial_smash, phi_ideal, psi_ideal
 
-# max dim A * dim H of the ideal-lattice draws, and of the carriers C3.7 enumerates
+# max dim A * dim H of the ideal-lattice draws, and the dim cap of the carriers C3.7 enumerates
 ENUM_CARRIER_CAP = 8
 
 
@@ -245,10 +245,16 @@ def random_h_stable_ideal(rng: random.Random, pa: PartialAction) -> Subspace:
 # only semisimple H).  In finite dimension P(A) = J(A), so the P theorems run the
 # J code path and `kind` only labels their cases.
 
-def _enumerable(pa: PartialAction, dim_cap: int, field_cap: int) -> bool:
-    """Whether the H-stable ideals of A can be enumerated within the caps and the budget."""
-    p = pa.field.char
-    return p > 0 and enumeration_refusal(p, pa.alg.dim, dim_cap, field_cap) is None
+def _ideals_or_none(pa: PartialAction, dim_cap: int, field_cap: int) -> tuple[Subspace, ...] | None:
+    """The kept H-stable ideals of A, or None where the enumeration refuses them.
+
+    It refuses an infinite field, A or p beyond the caps and more lines than
+    the walk's budget; any other error propagates.
+    """
+    try:
+        return enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
+    except (FieldNotFinite, DimensionTooLarge):
+        return None
 
 
 def check_transfer(kind: str, report: VerifyReport, tag: str, pa: PartialAction, **_) -> bool:
@@ -284,30 +290,14 @@ def check_intersection(kind: str, report: VerifyReport, tag: str, pa: PartialAct
     return True
 
 
-def _once_per_ideal(derive: Callable[[Subspace], Subspace]) -> Callable[[Subspace], Subspace]:
-    """`derive` run once per ideal of one instance, its images looked up by `Subspace.rows`.
-
-    The ideals of one instance share a field and an ambient space, so their
-    RREF rows name them; a miss runs `derive`, its preconditions included.
-    """
-    images: dict[tuple, Subspace] = {}
-
-    def image(I: Subspace) -> Subspace:
-        if I.rows not in images:
-            images[I.rows] = derive(I)
-        return images[I.rows]
-
-    return image
-
-
 def check_largest_h_ideal(report: VerifyReport, tag: str, pa: PartialAction, *,
                           dim_cap: int, field_cap: int, **_) -> bool:
     """P4.22: J_H = (J(A):H) is the largest H-stable ideal inside J(A)."""
-    if not _enumerable(pa, dim_cap, field_cap):
+    ideals = _ideals_or_none(pa, dim_cap, field_cap)
+    if ideals is None:
         return check_intersection("J", report, tag, pa)
     ja = jacobson_radical(pa.alg).radical
-    jh = colon_ideal(pa, ja)
-    ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
+    jh = h_jacobson_radical(pa)
     inside = [I for I in ideals if not I.is_zero() and I <= ja]
     report.add(
         f"{tag}: semiprimitivity criterion",
@@ -322,12 +312,12 @@ def check_largest_h_ideal(report: VerifyReport, tag: str, pa: PartialAction, *,
 def check_h_radicals(report: VerifyReport, tag: str, pa: PartialAction, *,
                      dim_cap: int, field_cap: int, **_) -> bool:
     """C4.13: Hrz(I) = (sqrt(I):H), quotient route against the H-primes over I."""
-    if not _enumerable(pa, dim_cap, field_cap):
+    ideals = _ideals_or_none(pa, dim_cap, field_cap)
+    if ideals is None:
         return check_intersection("P", report, tag, pa)
-    ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
     proper = [I for I in ideals if not I.is_full()]
     primes = [I for I in proper if _is_h_prime_among(pa.alg, I, ideals)]
-    radical = _once_per_ideal(partial(h_radical_of_ideal, pa))
+    radical = cache(partial(h_radical_of_ideal, pa))
     for I in proper:
         hrz = radical(I)
         inter = reduce(Subspace.intersect, [P for P in primes if I <= P], Subspace.full_space(pa.field, pa.alg.dim))
@@ -348,12 +338,11 @@ def check_ideal_correspondence(report: VerifyReport, tag: str, pa: PartialAction
     exactly when Phi(I) <= Phi(J); only the other pairs are eliminated.
     """
     sp = build_partial_smash(pa)
-    if _enumerable(pa, dim_cap, field_cap):
-        ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
-    else:  # beyond the caps, up to six random H-stable ideals
+    ideals = _ideals_or_none(pa, dim_cap, field_cap)
+    if ideals is None:  # refused by the enumeration: up to six random H-stable ideals
         rng = random.Random(seed)
         ideals = list({I.rows: I for I in (random_h_stable_ideal(rng, pa) for _ in range(6))}.values())
-    phi = _once_per_ideal(partial(phi_ideal, sp))
+    phi = cache(partial(phi_ideal, sp))
     images = [phi(I) for I in ideals]
     for I, im in zip(ideals, images):
         report.add(f"{tag}: psi(phi(I)) = I at dim {I.dim}", psi_ideal(sp, im) == I, "")
@@ -384,16 +373,11 @@ def check_ideal_correspondence(report: VerifyReport, tag: str, pa: PartialAction
 def check_dual_ideals(report: VerifyReport, tag: str, pa: PartialAction, *,
                       seed: int, dim_cap: int, field_cap: int) -> bool:
     """C3.7: H*-stable ideals of A#H correspond bijectively to H-stable ideals of A."""
-    carrier_cap = pa.alg.dim * pa.hopf.dim  # the carrier has at most this dimension
-    if not (
-        _enumerable(pa, dim_cap, field_cap)
-        and carrier_cap <= ENUM_CARRIER_CAP
-        and line_refusal(pa.field.char, carrier_cap) is None
-    ):
-        return check_ideal_correspondence(report, tag, pa, seed=seed, dim_cap=dim_cap, field_cap=field_cap)
     sp = build_partial_smash(pa)
-    ideals = enumerate_h_stable_ideals(pa, dim_cap=dim_cap, field_cap=field_cap)
-    dual_ideals = enumerate_h_stable_ideals(sp.dual_action, dim_cap=max(dim_cap, sp.carrier.dim), field_cap=field_cap)
+    ideals = _ideals_or_none(pa, dim_cap, field_cap)
+    dual_ideals = None if ideals is None else _ideals_or_none(sp.dual_action, ENUM_CARRIER_CAP, field_cap)
+    if dual_ideals is None:
+        return check_ideal_correspondence(report, tag, pa, seed=seed, dim_cap=dim_cap, field_cap=field_cap)
     report.add(
         f"{tag}: same count on both sides",
         len(ideals) == len(dual_ideals),
@@ -466,7 +450,8 @@ def seeded_instances(semisimple_hopf: bool | None, seed: int, trials: int, dim_c
 
 def lattice_instances(primes: tuple[int, ...], fixtures: tuple, seed: int, trials: int, dim_cap: int, field_cap: int,
                       workspace):
-    """(tag, builder) fixtures, seeded draws over `primes` whose ideals can be enumerated, the workspace actions."""
+    """(tag, builder) fixtures, seeded draws over `primes` whose ideals the enumeration admits (and keeps for the
+    check), the workspace actions."""
     for tag, build in fixtures:
         yield tag, build()
     pool = _Pool()
@@ -477,7 +462,7 @@ def lattice_instances(primes: tuple[int, ...], fixtures: tuple, seed: int, trial
             pa = random_partial_action(rng, GF(p), max_carrier=ENUM_CARRIER_CAP, pool=pool)
         except RuntimeError:
             continue
-        if _enumerable(pa, dim_cap, field_cap):
+        if _ideals_or_none(pa, dim_cap, field_cap) is not None:
             yield f"random-{t}(F{p})", pa
     yield from workspace
 

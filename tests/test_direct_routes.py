@@ -36,7 +36,7 @@ from psl.pmod import (
     quotient_module,
     regular_module,
 )
-from psl.radicals import enumerate_h_stable_ideals, enumeration_refusal, jacobson_radical
+from psl.radicals import enumerate_h_stable_ideals, jacobson_radical
 from psl.smash import build_partial_smash, psi_ideal
 from psl.verify import random_partial_action, truncated_polynomial_algebra
 from test_structure_kernel import module_draws
@@ -69,7 +69,7 @@ def test_psi_is_the_preimage_of_j(field):
         J = jacobson_radical(sp.carrier).radical
         ideals = [J, colon_ideal(sp.dual_action, J)]
         ideals += [ideal_closure(sp.carrier, [sparse_vec(rng, field, sp.carrier.dim)]) for _ in range(3)]
-        if field.char and enumeration_refusal(field.char, sp.carrier.dim, 6, 5) is None:
+        if 0 < field.char <= 5 and sp.carrier.dim <= 6:
             ideals += enumerate_h_stable_ideals(sp.dual_action)
         for I in ideals:
             got = psi_ideal(sp, I)

@@ -165,6 +165,16 @@ def test_enumeration_caps_and_fields():
     pa = trivial_action(group_algebra(F7, GroupTable.cyclic(2)), product_of_fields(F7, 2))
     with pytest.raises(DimensionTooLarge):
         enumerate_h_stable_ideals(pa)  # field cap default 5
+    # the caps are compared on every call, a kept lattice included; the line budget in the walk
+    pa = trivial_action(group_algebra(F2, GroupTable.cyclic(2)), product_of_fields(F2, 3))
+    assert len(enumerate_h_stable_ideals(pa)) == 8
+    with pytest.raises(DimensionTooLarge, match=r"^dim 3 exceeds cap 2$"):
+        enumerate_h_stable_ideals(pa, dim_cap=2)
+    with pytest.raises(DimensionTooLarge, match=r"^field size 2 exceeds cap 1$"):
+        enumerate_h_stable_ideals(pa, field_cap=1)
+    big = trivial_action(group_algebra(F2, GroupTable.cyclic(1)), product_of_fields(F2, 18))
+    with pytest.raises(DimensionTooLarge, match=r"^projective space too large \(262143 > 131072\)$"):
+        enumerate_h_stable_ideals(big, dim_cap=18)
 
 
 def test_brute_requires_finite_field():

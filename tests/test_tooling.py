@@ -154,6 +154,34 @@ def test_one_walk_over_the_lines():
     assert callers == {"exactla:_line_closures"}
 
 
+def test_one_enumeration_gate():
+    # the enumeration decides alone whether an ideal lattice is affordable: the caps are
+    # compared where it starts and the line budget where the walk starts, and verify acts
+    # on the refusal raised; a predicate or refusal helper that re-derives either would be
+    # a second gate
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None) or ""
+
+    def scopes(match):
+        return {f"{module}:{scope}" for module, tree in trees.items() for scope, _ in scoped_matches(tree, match)}
+
+    def comparing(*wanted):
+        return scopes(
+            lambda node: isinstance(node, ast.Compare) and {name(n) for n in (node.left, *node.comparators)} & set(wanted)
+        )
+
+    assert comparing("dim_cap", "field_cap") == {"radicals:enumerate_h_stable_ideals"}
+    assert comparing("ENUM_BUDGET") == {"exactla:_line_closures"}
+    assert comparing("ENUM_CARRIER_CAP") == set()  # C3.7 passes it to the enumeration as a cap
+    imported = {
+        alias.name for node in ast.walk(trees["verify"]) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert not [n for n in imported if "refusal" in n or "enumerable" in n]
+    assert not scopes(lambda node: isinstance(node, ast.Call) and "refusal" in name(node.func))
+
+
 def test_one_dual_action_builder():
     # the dual H*-action of a smash product is built, and its axioms checked, on first
     # read only; a second caller of dual_hopf or check_partial_action in smash.py would

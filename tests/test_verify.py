@@ -139,25 +139,27 @@ def test_checks_still_fire_after_a_verify_run(monkeypatch, breakage, message):
 
 
 def test_h_radicals_enumerate_once_per_instance(monkeypatch):
-    calls = []
-    real = radicals.enumerate_h_stable_ideals
+    # the source asks for the ideals of a draw and the check asks again: one lattice per checked action
+    lattices = []
+    real = radicals._invariant_lattice
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def counting(*args):
+        lattices.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(radicals, "enumerate_h_stable_ideals", counting)
-    monkeypatch.setattr(verify, "enumerate_h_stable_ideals", counting)
+    monkeypatch.setattr(radicals, "_invariant_lattice", counting)
     theorem = THEOREMS["C4.13"]
-    enumerated = []
+    enumerated = {}
 
     def check(report, tag, pa, **kwargs):
-        enumerated.append(verify._enumerable(pa, kwargs["dim_cap"], kwargs["field_cap"]))
-        return theorem.check(report, tag, pa, **kwargs)
+        applied = theorem.check(report, tag, pa, **kwargs)
+        if pa._ideals is not None:
+            enumerated[id(pa)] = pa  # held for the run, so no two actions share an id
+        return applied
 
     for seed in range(4):
         assert theorem._replace(check=check).run(seed).ok
-    assert 0 < len(calls) == sum(enumerated)
+    assert 0 < len(lattices) == len(enumerated)
 
 
 @pytest.mark.parametrize("theorem_id", ["T3.6", "C3.7", "P4.22", "C4.13"])
@@ -167,9 +169,9 @@ def test_lattice_theorems_enumerate_each_action_once(monkeypatch, theorem_id):
     asked, lattices = [], []
 
     def enumerate_ideals(pa, *args, **kwargs):
-        asked.append(pa)  # held for the run, so no two actions share an id
         ideals = real_enumerate(pa, *args, **kwargs)
         assert type(ideals) is tuple
+        asked.append(pa)  # only the asks answered, held for the run, so no two actions share an id
         return ideals
 
     def lattice(*args):
@@ -179,14 +181,21 @@ def test_lattice_theorems_enumerate_each_action_once(monkeypatch, theorem_id):
     monkeypatch.setattr(radicals, "enumerate_h_stable_ideals", enumerate_ideals)
     monkeypatch.setattr(verify, "enumerate_h_stable_ideals", enumerate_ideals)
     monkeypatch.setattr(radicals, "_invariant_lattice", lattice)
+    theorem = THEOREMS[theorem_id]
+    checked = []
+
+    def check(report, tag, pa, **kwargs):
+        checked.append(pa)
+        return theorem.check(report, tag, pa, **kwargs)
+
     repeats = 0
     for seed in range(4):
         asked.clear()
         lattices.clear()
-        assert THEOREMS[theorem_id].run(seed).ok
-        distinct = len({id(pa) for pa in asked})
-        assert len(lattices) == distinct, seed
-        repeats += len(asked) - distinct
+        checked.clear()
+        assert theorem._replace(check=check).run(seed).ok
+        assert len(lattices) == len({id(pa) for pa in asked}), seed
+        repeats += len(checked) - len({id(pa) for pa in checked})  # tags checked on a shared action
     assert repeats
 
 
@@ -232,9 +241,9 @@ def ideal_correspondence_enumerations():
     out = []
 
     def check(report, tag, pa, **kwargs):
-        if verify._enumerable(pa, kwargs["dim_cap"], kwargs["field_cap"]):
+        ideals = verify._ideals_or_none(pa, kwargs["dim_cap"], kwargs["field_cap"])
+        if ideals is not None:
             sp = smash.build_partial_smash(pa)
-            ideals = radicals.enumerate_h_stable_ideals(pa)
             out.append((sp, ideals, [smash.phi_ideal(sp, I) for I in ideals]))
         return theorem.check(report, tag, pa, **kwargs)
 
@@ -332,6 +341,45 @@ def test_small_finite_workspace_actions_get_the_enumeration_cases(tmp_path, theo
     report = THEOREMS[theorem_id].run(trials=0, workspace=workspace)
     assert report.ok, report.summary()
     assert (name, True, detail) in [(c.name, c.ok, c.detail) for c in report.cases]
+
+
+def test_dual_ideals_enumerate_a_carrier_by_its_dimension(tmp_path, capsys):
+    # the corner has dim A * dim H = 12 but a carrier of dim 4; F_2^4 under C2 has a carrier
+    # of dim 8, the enumeration's cap on that side, above --dim-cap; F_2^5's has dim 10
+    doc = {
+        "version": "psl-workspace/1",
+        "field": {"kind": "Fp", "p": 2},
+        "groups": {"C2": {"cyclic": 2}, "C6": {"cyclic": 6}},
+        "hopf_algebras": {"H": {"constructor": "group_algebra", "group": "C2"}},
+        "algebras": {"A4": {"constructor": "product_of_fields", "k": 4},
+                     "A5": {"constructor": "product_of_fields", "k": 5}},
+        "actions": {
+            "corner": {"builder": "dual_group_idempotent", "group": "C6", "subgroup": [0, 2, 4]},
+            "t4": {"builder": "trivial", "hopf": "H", "algebra": "A4"},
+            "t5": {"builder": "trivial", "hopf": "H", "algebra": "A5"},
+        },
+    }
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    ws = load_workspace(str(path))
+    report = THEOREMS["C3.7"].run(trials=0, workspace=[(f"workspace:{n}", pa) for n, pa in ws.actions.items()])
+    assert report.ok, report.summary()
+    cases = [(c.name, c.detail) for c in report.cases]
+    assert ("workspace:corner: same count on both sides", "2 vs 2") in cases
+    assert ("workspace:t4: same count on both sides", "16 vs 16") in cases
+    assert ("workspace:t5: lattice ops on all pairs", "32^2 pairs") in cases  # the T3.6 check
+    assert main(["verify", "C3.7", "--trials", "0", "--workspace", str(path), "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == len(cases)
+
+
+def test_the_enumeration_gate_passes_on_any_other_error(monkeypatch):
+    # InvariantViolation is a ValueError, but not a refusal: it must not turn into the fallback route
+    def broken(*args):
+        raise InvariantViolation("lattice check failed")
+
+    monkeypatch.setattr(radicals, "_invariant_lattice", broken)
+    with pytest.raises(InvariantViolation, match="lattice check failed"):
+        THEOREMS["P4.22"].run()
 
 
 @pytest.mark.parametrize("theorem_id", ["T5.1", "C5.7", "T5.8", "C5.9"])
