@@ -157,9 +157,10 @@ def _cleared(rows, p: int, depth: int = 0) -> tuple:
     """(D, D * rows) for sparse rows, or for a tensor of them nested `depth` levels deep.
 
     A sparse row holds tuples whose last item is the constant: the (k, c) of a
-    vector, or the (p, q, c) of a coproduct term.  Over Q, D is the lcm of the denominators of all the constants,
-    so every scaled constant is an int; over F_p, and over Q when D = 1, the
-    result is (1, rows) itself.
+    vector, or the (j, k, c) of a term of Delta(h_i) in `HopfAlgebra._delta`.
+    Over Q, D is the lcm of the denominators of all the constants, so every
+    scaled constant is an int; over F_p, and over Q when D = 1, the result is
+    (1, rows) itself.
     """
     if p:
         return 1, rows

@@ -538,20 +538,6 @@ class Matrix:
         p, n = self.field.char, other.ncols
         return Matrix._of_raw(self.field, tuple(_combine(r, other.rows, n, p) for r in self.rows), n)
 
-    def _entrywise(self, other: "Matrix", sign: int) -> "Matrix":
-        self._check_field(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("shapes differ")
-        p = self.field.char
-        rows = tuple(_canon([x + sign * y for x, y in zip(r, s)], p) for r, s in zip(self.rows, other.rows))
-        return Matrix._of_raw(self.field, rows, self.ncols)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, 1)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, -1)
-
     def rank(self) -> int:
         return sum(map(_Echelon(self.field.char).add, map(list, self.rows)))
 

@@ -1,9 +1,9 @@
 """Finite-dimensional Hopf algebras.
 
 A HopfAlgebra bundles a unital Algebra with a comultiplication, stored only
-as the sparse rows `_delta[i]` of Delta(h_i), a counit covector and an
-antipode matrix.  Tensor-square coordinates are first-factor-major: index
-(j, k) -> j*dim + k.  The dense tensor comul[i][j][k], the coefficient of
+as `_delta[i]`, the nonzero (j, k, c) of Delta(h_i) = sum c h_j (x) h_k in
+index order, a counit covector and an antipode matrix; every kernel reads
+those triples.  The dense tensor comul[i][j][k], the coefficient of
 h_j (x) h_k in Delta(h_i), is an input format of the public constructor only;
 `group_algebra`, `dual_group_algebra`, `dual_hopf` and `sweedler_h4` build
 from sparse terms through `HopfAlgebra._of_terms`.
@@ -124,10 +124,10 @@ class GroupTable:
 
 
 class HopfAlgebra:
-    # `_delta` holds Delta(h_i) as the sparse (j*dim + k, c) of its H(x)H coordinates,
-    # the only stored form of the comultiplication; `_dual`, `_semisimple` and `_comul` hold
-    # dual_hopf(H), is_semisimple(H) and paction._comul_terms(H) once they have been computed
-    __slots__ = ("alg", "counit", "antipode", "_delta", "_dual", "_semisimple", "_comul")
+    # `_delta[i]` holds the nonzero (j, k, c) of Delta(h_i), the only stored form of the
+    # comultiplication; `_dual` and `_semisimple` hold dual_hopf(H) and is_semisimple(H)
+    # once they have been computed
+    __slots__ = ("alg", "counit", "antipode", "_delta", "_dual", "_semisimple")
 
     def __init__(self, alg: Algebra, comul, counit, antipode: Matrix):
         if alg.unit is None:
@@ -141,16 +141,15 @@ class HopfAlgebra:
         if antipode.nrows != m or antipode.ncols != m:
             raise ValueError("antipode shape mismatch")
         self.antipode = antipode
-        self._delta = tuple(tuple((j * m + k, c) for j, row in enumerate(block) for k, c in row) for block in rows)
+        self._delta = tuple(tuple((j, k, c) for j, row in enumerate(block) for k, c in row) for block in rows)
         self._dual = None
         self._semisimple = None
-        self._comul = None
 
     @classmethod
     def _of_terms(cls, alg: Algebra, delta: tuple, counit: tuple, antipode: Matrix) -> "HopfAlgebra":
         """A Hopf algebra on a comultiplication already in kernel form, as psl's own builders make it.
 
-        `delta[i]` holds the nonzero (j*dim + k, c) of Delta(h_i), reduced (ints
+        `delta[i]` holds the nonzero (j, k, c) of Delta(h_i) in index order, reduced (ints
         where integral over Q); `counit` and the rows of `antipode` are
         canonical; nothing is coerced or rescanned.
         """
@@ -161,7 +160,6 @@ class HopfAlgebra:
         H._delta = delta
         H._dual = None
         H._semisimple = None
-        H._comul = None
         return H
 
     @property
@@ -208,12 +206,11 @@ def check_hopf(H: HopfAlgebra) -> CheckReport:
     for i in range(m):
         lhs, rhs = [0] * m ** 3, [0] * m ** 3
         left_counit, right_counit = [0] * m, [0] * m
-        for jk, c in delta[i]:
-            j, k = divmod(jk, m)
-            for ab, x in delta[j]:
-                lhs[ab * m + k] += c * x
-            for ab, y in delta[k]:
-                rhs[j * m * m + ab] += c * y
+        for j, k, c in delta[i]:
+            for a, b, x in delta[j]:
+                lhs[(a * m + b) * m + k] += c * x
+            for a, b, y in delta[k]:
+                rhs[(j * m + a) * m + b] += c * y
             left_counit[k] += eps[j] * c
             right_counit[j] += eps[k] * c
         if _differ(lhs, rhs, p):
@@ -223,10 +220,11 @@ def check_hopf(H: HopfAlgebra) -> CheckReport:
         if _differ(right_counit, dense[i], p):
             failures.append(f"(id (x) eps)Delta != id at basis {i}")
 
-    # bialgebra compatibility
+    # bialgebra compatibility, on Delta(h_i) as the sparse (j*dim + k, c) of its H(x)H coordinates
+    flat = [tuple((j * m + k, c) for j, k, c in d) for d in delta]
     unit = _nonzero(H.unit)
     unit_sq = [cj * ck for cj in H.unit for ck in H.unit]
-    if _differ(_apply_raw(delta, unit, m * m), unit_sq, p):
+    if _differ(_apply_raw(flat, unit, m * m), unit_sq, p):
         failures.append("Delta(1) != 1 (x) 1")
     if _differ([sum(c * eps[k] for k, c in unit)], [1], p):
         failures.append("eps(1) != 1")
@@ -234,7 +232,7 @@ def check_hopf(H: HopfAlgebra) -> CheckReport:
     for i in range(m):
         for j in range(m):
             ij = terms[i][j]
-            if _differ(_apply_raw(delta, ij, m * m), _multiply_raw(square, delta[i], delta[j]), p):
+            if _differ(_apply_raw(flat, ij, m * m), _multiply_raw(square, flat[i], flat[j]), p):
                 failures.append(f"Delta not multiplicative at basis pair ({i},{j})")
             if _differ([sum(c * eps[k] for k, c in ij)], [eps[i] * eps[j]], p):
                 failures.append(f"eps not multiplicative at basis pair ({i},{j})")
@@ -243,8 +241,7 @@ def check_hopf(H: HopfAlgebra) -> CheckReport:
     s = list(map(_nonzero, H.antipode.rows))
     for i in range(m):
         left, right = [0] * m, [0] * m
-        for jk, c in delta[i]:
-            j, k = divmod(jk, m)
+        for j, k, c in delta[i]:
             for t, x in enumerate(_multiply_raw(terms, s[j], ((k, 1),))):
                 left[t] += c * x
             for t, x in enumerate(_multiply_raw(terms, ((j, 1),), s[k])):
@@ -269,7 +266,7 @@ def group_algebra(field: Field, G: GroupTable) -> HopfAlgebra:
     n = G.order
     terms = tuple(tuple(((k, 1),) for k in row) for row in G.cayley)
     alg = Algebra._of_terms(field, terms, unit_vec(field, n, G.identity), G.labels)
-    delta = tuple(((i * n + i, 1),) for i in range(n))
+    delta = tuple(((i, i, 1),) for i in range(n))
     return HopfAlgebra._of_terms(alg, delta, (field.one,) * n, _inversion(field, G))
 
 
@@ -279,7 +276,7 @@ def dual_group_algebra(field: Field, G: GroupTable) -> HopfAlgebra:
     terms = tuple(tuple(((i, 1),) if i == j else () for j in range(n)) for i in range(n))
     alg = Algebra._of_terms(field, terms, (field.one,) * n, tuple(f"p({l})" for l in G.labels))
     # uv = g has the one solution v = u^{-1} g for each u, so the terms come in index order
-    delta = tuple(tuple((u * n + G.cayley[G.inverses[u]][g], 1) for u in range(n)) for g in range(n))
+    delta = tuple(tuple((u, G.cayley[G.inverses[u]][g], 1) for u in range(n)) for g in range(n))
     return HopfAlgebra._of_terms(alg, delta, unit_vec(field, n, G.identity), _inversion(field, G))
 
 
@@ -290,13 +287,13 @@ def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
         # h_i* h_j* = sum_k Delta(h_k)[i, j] h_k*, and Delta(h_i*) = sum_{j,k} (h_j h_k)[i] h_j* (x) h_k*
         products = [[] for _ in range(m * m)]
         for k, d in enumerate(H._delta):
-            for ij, c in d:
-                products[ij].append((k, c))
+            for i, j, c in d:
+                products[i * m + j].append((k, c))
         delta = [[] for _ in range(m)]
         for j, row in enumerate(H.alg.terms):
             for k, e in enumerate(row):
                 for i, c in e:
-                    delta[i].append((j * m + k, c))
+                    delta[i].append((j, k, c))
         terms = tuple(tuple(tuple(products[i * m + j]) for j in range(m)) for i in range(m))
         alg = Algebra._of_terms(H.field, terms, H.counit, tuple(f"{l}*" for l in H.alg.labels))
         H._dual = HopfAlgebra._of_terms(alg, tuple(map(tuple, delta)), H.unit, H.antipode.transpose())
@@ -345,7 +342,7 @@ def sweedler_h4(field: Field) -> HopfAlgebra:
     )
     e = [unit_vec(field, 4, i) for i in range(4)]
     alg = Algebra._of_terms(field, terms, e[0], ("1", "g", "x", "gx"))
-    # at index j*4 + k: 1 (x) 1, g (x) g, g (x) x + x (x) 1, 1 (x) gx + gx (x) g
-    delta = (((0, 1),), ((5, 1),), ((6, 1), (8, 1)), ((3, 1), (13, 1)))
+    # 1 (x) 1, g (x) g, g (x) x + x (x) 1, 1 (x) gx + gx (x) g
+    delta = (((0, 0, 1),), ((1, 1, 1),), ((1, 2, 1), (2, 0, 1)), ((0, 3, 1), (3, 1, 1)))
     antipode = Matrix._of_raw(field, (e[0], e[1], (0, 0, 0, neg), e[2]), 4)
     return HopfAlgebra._of_terms(alg, delta, (field.one, field.one, field.zero, field.zero), antipode)

@@ -150,14 +150,6 @@ class PartialAction:
         return self.act_basis(i, self.alg.unit)
 
 
-def _comul_terms(H: HopfAlgebra) -> tuple:
-    """Delta(h_i) as its nonzero (p, q, c), in index order: built once and kept on H."""
-    if H._comul is None:
-        m = H.dim
-        H._comul = tuple(tuple(divmod(pq, m) + (c,) for pq, c in d) for d in H._delta)
-    return H._comul
-
-
 def check_partial_action(pa: PartialAction) -> CheckReport:
     """PA1, PA3 and PA4 on all basis tuples, with the failing positions of `_pa_failures`.
 
@@ -186,12 +178,12 @@ def _pa_failures(pa: PartialAction) -> tuple[list, list, list]:
     offset (g n + k) n; both are built by `algebra._axiom_block`, the one block
     routine of the action and module axioms, a dict keyed by the entries it
     writes.  Only those values are tested; a block that does not vanish names
-    its failing slices in increasing order.  Both skip the terms
-    h_p (x) h_q of Delta(h_i) whose left factor h_p . e_j (PA3) or h_p . 1_A
-    (PA4) is zero.  The (h_q h_g) . e_k are computed once per distinct product
-    h_q h_g, and only where that product is not a basis element h_r with
-    coefficient 1 (as every product is in kG): there they are the action's own
-    rows h_r . e_k.  Over Q they run on ints: the action, the constants of A
+    its failing slices in increasing order.  Both read Delta(h_i) as it is
+    stored, the (p, q, c) of `H._delta[i]`, and skip the terms h_p (x) h_q
+    whose left factor h_p . e_j (PA3) or h_p . 1_A (PA4) is zero.  The
+    (h_q h_g) . e_k are computed once per distinct product h_q h_g, and only
+    where that product is not a basis element h_r with coefficient 1 (as
+    every product is in kG): there they are the action's own rows h_r . e_k.  Over Q they run on ints: the action, the constants of A
     and of Delta, the unit images and the (h_q h_g) . e_k are cleared of
     denominators (`_cleared`), and each side is multiplied up to one total
     scale.
@@ -218,7 +210,7 @@ def _pa_failures(pa: PartialAction) -> tuple[list, list, list]:
     pa1 = [j for j in range(n) if _differ(_apply_raw(columns[j], unit_h, n), _dense(((j, 1),), n), p)]
 
     # the same data cleared of denominators: D * rows, all ints over Q
-    d_c, comul_s = _cleared(_comul_terms(H), p)
+    d_c, comul_s = _cleared(H._delta, p)
     d_a, act_s = _cleared(act, p, 1)
     d_t, T = _cleared(terms, p, 1)
     d_u, units = _cleared(unit_images, p)

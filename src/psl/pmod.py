@@ -66,7 +66,7 @@ from psl.exactla import (
     _tensor,
 )
 from psl.hopf import left_integrals
-from psl.paction import PartialAction, _comul_terms, action_to_coaction, colon_ideal, is_h_stable
+from psl.paction import PartialAction, action_to_coaction, colon_ideal, is_h_stable
 from psl.radicals import FieldNotFinite
 from psl.smash import tensor_coords
 
@@ -210,7 +210,6 @@ def check_partial_module(M: PartialModule) -> CheckReport:
     n, m = A.dim, H.dim
     d, p = M.dim, M.field.char
     a_ops, h_ops = M._a_terms, M._h_terms
-    comul = _comul_terms(H)
     unit_h = _nonzero(H.unit)
     # h_p . e_k and h_p . 1_A, sparse
     act = pa._terms
@@ -238,7 +237,7 @@ def check_partial_module(M: PartialModule) -> CheckReport:
             # (h_q h_g) |> w_j
             hw = [[_compact(_apply_raw(h_col, x, d), p) for x in row] for row in h_terms]
         for i in range(m):
-            delta = comul[i]
+            delta = H._delta[i]
             # the linear and the bilinear terms of each block
             if M.side == "right":
                 # (w <| h) e_k = sum (w (h1 . e_k)) <| h2, (w <| h) <| g = sum (w (h1 . 1_A)) <| (h2 g)
@@ -407,14 +406,13 @@ def extend_right_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     p = field.char
     amb = dv * m
     act = pa._terms
-    comul = _comul_terms(H)
     # the images of v_j under the basis of A
     columns = [[V._terms[i][j] for i in range(n)] for j in range(dv)]
 
     def row(images, j, k):
         """sum v_j (k1 . x) (x) k2 for k = h_k, where images[q] = h_q . x; dense, unreduced."""
         out = [0] * amb
-        for hp, hq, c in comul[k]:
+        for hp, hq, c in H._delta[k]:
             for t, y in enumerate(_apply_raw(columns[j], images[hp], dv)):
                 if y:
                     out[t * m + hq] += c * y
@@ -524,7 +522,7 @@ def extend_left_module(pa: PartialAction, V: AlgebraModule) -> ModuleExtension:
     rho_unit = _compact(_apply_raw(rho, _nonzero(A.unit), n * m), p)
     base = [[row(rho_unit, j, s) for s in range(m)] for j in range(dv)]
     h_rows = [[[0] * amb for _ in range(amb)] for _ in range(m)]
-    for r, parts in enumerate(_comul_terms(K)):
+    for r, parts in enumerate(K._delta):
         for s, h, c in parts:
             for j in range(dv):
                 _add_scaled(h_rows[h][j * m + r], c, base[j][s])

@@ -8,7 +8,9 @@ kernel of the trace form (x, y) |-> tr(L_{xy}).  In small positive
 characteristic (p <= dim) the trace-form kernel only contains the
 radical, and the Cohen-Ivanyos-Wales algorithm cuts it down to J(A) in
 floor(log_p dim) further linear steps.  Every radical is checked to be
-a nilpotent two-sided ideal before it is returned.
+a nilpotent two-sided ideal before it is returned.  The H-radical of an
+H-stable ideal I is Hrz(I) = (sqrt(I):H), sqrt(I) the preimage of J(A/I)
+under the quotient algebra map.
 
 The only heavy step of Cohen-Ivanyos-Wales is tr(L^e) mod q for q = p^(i+1).
 Products mod q run on packed rows (Kronecker substitution, with the
@@ -29,6 +31,7 @@ from psl.algebra import (
     _mult_operators,
     is_ideal,
     nilpotency_index,
+    quotient_algebra,
     span_products,
 )
 from psl.exactla import (
@@ -45,7 +48,6 @@ from psl.paction import (
     PartialAction,
     colon_ideal,
     is_h_stable,
-    quotient_action,
 )
 
 
@@ -209,16 +211,16 @@ def h_prime_radical(pa: PartialAction) -> Subspace:
 
 
 def h_radical_of_ideal(pa: PartialAction, I: Subspace) -> Subspace:
-    """Smallest H-semiprime ideal containing the H-stable ideal I.
+    """Hrz(I) = (sqrt(I):H), the smallest H-semiprime ideal containing the H-stable ideal I.
 
-    Computed in the quotient: the preimage of P_H(A/I) under A -> A/I.
+    sqrt(I) is the preimage of J(A/I) under A -> A/I; no action on A/I is built.
     """
     if not is_h_stable(pa, I):
         raise NotHStable("h_radical_of_ideal needs an H-stable ideal")
     if I.is_full():
         raise ValueError("the improper ideal has no H-radical")
-    qpa, proj = quotient_action(pa, I)
-    return preimage_under(proj.matrix, h_prime_radical(qpa))
+    Q, proj = quotient_algebra(pa.alg, I)
+    return colon_ideal(pa, preimage_under(proj.matrix, jacobson_radical(Q).radical))
 
 
 def is_semiprime(A: Algebra) -> bool:

@@ -32,7 +32,6 @@ from psl.hopf import dual_hopf
 from psl.paction import (
     NotHStable,
     PartialAction,
-    _comul_terms,
     check_partial_action,
     is_global,
     is_h_stable,
@@ -71,7 +70,6 @@ def build_full_smash(pa: PartialAction) -> Algebra:
     p = field.char
     h_terms = H.alg.terms
     act = pa._terms
-    comul = _comul_terms(H)
     # e_j (h_r . e_k) for every j, k and r
     a_parts = [
         [[_compact(_multiply_raw(A.terms, ((j, 1),), act[r][k]), p) for r in range(m)] for k in range(n)]
@@ -80,7 +78,7 @@ def build_full_smash(pa: PartialAction) -> Algebra:
     terms = [[None] * (n * m) for _ in range(n * m)]
     for i in range(m):
         for g in range(m):
-            d = [((hp, u), c * x) for hp, hq, c in comul[i] for u, x in h_terms[hq][g]]  # Delta(h_i)(1 (x) h_g)
+            d = [((hp, u), c * x) for hp, hq, c in H._delta[i] for u, x in h_terms[hq][g]]  # Delta(h_i)(1 (x) h_g)
             d = d if len(d) == 1 else _summed(d, p)  # its nonzero terms ((r, u), c), for h_r (x) h_u
             move = d[0][0] if len(d) == 1 and d[0][1] == 1 else None  # one term with coefficient 1: entries only move
             for j in range(n):
@@ -197,7 +195,7 @@ def _build_dual_action(sp: SmashProduct) -> PartialAction:
     m, N = H.dim, sp.full.dim
     # h_r* -> (a # h_i) = sum_p comul[i][p][r] a # h_p
     coproducts = [[[] for _ in range(m)] for _ in range(m)]
-    for i, parts in enumerate(_comul_terms(H)):
+    for i, parts in enumerate(H._delta):
         for hp, hq, c in parts:
             coproducts[hq][i].append((hp, c))
     act = []

@@ -229,7 +229,7 @@ def dense_comul(H) -> tuple:
     m, p = H.dim, H.field.char
 
     def build():
-        flat = [_canon(_dense(d, m * m), p) for d in H._delta]
+        flat = [_canon(_dense(((j * m + k, c) for j, k, c in d), m * m), p) for d in H._delta]
         return tuple(tuple(f[j * m:(j + 1) * m] for j in range(m)) for f in flat)
 
     return _once(H.field, H._delta, build)
@@ -270,9 +270,9 @@ def is_canonical(field, x) -> bool:
 
 
 def assert_kernel_form(field, rows, what):
-    """Every (k, c) of nested sparse rows is in kernel form for the field: c canonical and nonzero."""
-    if isinstance(rows, tuple) and len(rows) == 2 and type(rows[0]) is int:
-        c = rows[1]
+    """Every (k, c) or (j, k, c) of nested sparse rows is in kernel form for the field: c canonical and nonzero."""
+    if isinstance(rows, tuple) and len(rows) in (2, 3) and type(rows[0]) is int:
+        c = rows[-1]
         assert c and is_canonical(field, c), f"{what}: {c!r} over {field}"
         return
     assert isinstance(rows, tuple), f"{what}: {rows!r}"

@@ -6,13 +6,19 @@ It is exponential in the kernel's dimension and shares nothing with the
 Cohen-Ivanyos-Wales steps of `psl.radicals` beyond the trace-form kernel,
 so tests compare the two.  Its ideal closures and nilpotency tests are the
 boxed loops of `boxed_reference`, not psl's structure-constant kernel.
+
+`quotient_route_h_radical` is the H-radical of an ideal by the route of the
+definition: build the induced action on A/I, check its axioms, and pull
+P_H(A/I) back to A.  psl computes the same ideal as (sqrt(I):H) without any
+quotient action, so tests compare the two.
 """
 
 from boxed_reference import ideal_closure, is_ideal, is_nilpotent_subspace
 from helpers import dense_mult
 from psl.algebra import Algebra
-from psl.exactla import Subspace
-from psl.radicals import trace_form_kernel
+from psl.exactla import Subspace, preimage_under
+from psl.paction import PartialAction, quotient_action
+from psl.radicals import h_prime_radical, trace_form_kernel
 
 
 class UnsupportedCharacteristic(ValueError):
@@ -132,3 +138,9 @@ def brute_nilpotent_radical(A: Algebra, budget: int = BRUTE_BUDGET) -> Subspace:
             if J == K:
                 break
     return J
+
+
+def quotient_route_h_radical(pa: PartialAction, I: Subspace) -> Subspace:
+    """The preimage of P_H(A/I) under A -> A/I, for a proper H-stable ideal I."""
+    qpa, proj = quotient_action(pa, I)
+    return preimage_under(proj.matrix, h_prime_radical(qpa))

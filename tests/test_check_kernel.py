@@ -77,7 +77,7 @@ def test_rescaled_instances_clear_no_scale_to_one():
         H, A = spa.hopf, spa.alg
         assert check_hopf(H).ok
         denominators = [
-            {c.denominator for d in H._delta for _, c in d},
+            {c.denominator for d in H._delta for *_, c in d},
             {c.denominator for row in A.terms for e in row for _, c in e},
             {c.denominator for row in spa._terms for v in row for _, c in v},
             {x.denominator for x in A.unit},

@@ -154,7 +154,7 @@ def test_field_mismatch_errors():
     mq = Matrix(QQ, [[1, 2]])
     m2 = Matrix(F2, [[1, 0]])
     with pytest.raises(FieldMismatch):
-        mq + m2
+        mq * m2
     with pytest.raises(FieldMismatch):
         Subspace.from_vectors(QQ, 2, [[1, 0]]).intersect(Subspace.from_vectors(F2, 2, [[1, 0]]))
     # foreign scalar types are rejected where they enter a container

@@ -3,9 +3,8 @@
 A `Subspace` keeps the kernel form of its rows (handed over by the elimination
 that spans it, the identity's shared rows for the full space, or built on first
 use) and its non-pivot columns, an `Algebra` its multiplication operators per
-side and its checked Jacobson radical, a `PartialAction` its J_H(A), a
-`HopfAlgebra` its comultiplication terms and a `SmashProduct` its checked dual
-action.  Every such object that
+side and its checked Jacobson radical, a `PartialAction` its J_H(A) and a
+`SmashProduct` its checked dual action.  Every such object that
 the commands below create is recorded as it is made; afterwards each view it
 kept must equal the view computed afresh, on the object itself or on an equal
 object built anew, which has kept nothing.  The views live on the objects, and
@@ -20,8 +19,7 @@ from psl import exactla, radicals
 from psl.algebra import Algebra, _mult_operators
 from psl.cli import main
 from psl.exactla import Subspace, _nonzero
-from psl.hopf import HopfAlgebra
-from psl.paction import PartialAction, _comul_terms
+from psl.paction import PartialAction
 from psl.radicals import h_jacobson_radical, jacobson_radical
 from psl.smash import SmashProduct, build_partial_smash
 from psl.workspace import load_workspace
@@ -58,7 +56,7 @@ def fresh_algebra(A: Algebra) -> Algebra:
 
 
 def test_kept_views_equal_what_they_replace(monkeypatch, capsys):
-    made = record_instances(monkeypatch, (Subspace, Algebra, HopfAlgebra, PartialAction))
+    made = record_instances(monkeypatch, (Subspace, Algebra, PartialAction))
     assert main(["verify", "T3.6", "--seed", "2", "--output", "json"]) == 0
     assert main(["verify", "T4.26", "--output", "json"]) == 0  # J_H(A) through h_jacobson_radical
     for name in load_workspace(str(Q_WORKSPACE)).actions:
@@ -81,11 +79,8 @@ def test_kept_views_equal_what_they_replace(monkeypatch, capsys):
             twin = PartialAction._of_terms(X.hopf, fresh_algebra(X.alg), X._terms)
             assert X._h_radical == h_jacobson_radical(twin)
             kept["h-radical"] += 1
-        elif isinstance(X, HopfAlgebra) and X._comul is not None:
-            assert X._comul == _comul_terms(HopfAlgebra._of_terms(X.alg, X._delta, X.counit, X.antipode))
-            kept["comultiplication"] += 1
     # every kind of view was kept somewhere, so none of the comparisons above is vacuous
-    assert sorted(kept) == ["comultiplication", "h-radical", "operators", "radical", "rows"], kept
+    assert sorted(kept) == ["h-radical", "operators", "radical", "rows"], kept
 
 
 def test_kept_dual_action_equals_one_built_afresh(monkeypatch, capsys):

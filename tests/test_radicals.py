@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import psl.paction as paction
+import psl.radicals as radicals
 from psl.algebra import (
     InvariantViolation,
     direct_product,
@@ -14,7 +16,14 @@ from psl.algebra import (
 )
 from psl.exactla import GF, QQ, Subspace
 from psl.hopf import GroupTable, group_algebra, is_semisimple, sweedler_h4
-from psl.paction import c4_triple, colon_ideal, quotient_action, trivial_action
+from psl.paction import (
+    PartialAction,
+    c4_triple,
+    colon_ideal,
+    dual_group_translation_action,
+    quotient_action,
+    trivial_action,
+)
 from psl.radicals import (
     DimensionTooLarge,
     FieldNotFinite,
@@ -32,13 +41,15 @@ from psl.radicals import (
 )
 from psl.smash import build_partial_smash, psi_ideal
 from psl.verify import (
+    THEOREMS,
+    lattice_instances,
     random_algebra,
     random_h_stable_ideal,
     random_partial_action,
     truncated_polynomial_algebra,
 )
 from helpers import fix_a, fix_b, fix_c, fix_d
-from radical_oracle import UnsupportedCharacteristic, brute_nilpotent_radical
+from radical_oracle import UnsupportedCharacteristic, brute_nilpotent_radical, quotient_route_h_radical
 
 F2 = GF(2)
 F3 = GF(3)
@@ -127,6 +138,58 @@ def test_h_radical_idempotent_random_f3():
         hrz = h_radical_of_ideal(pa, I)
         assert h_radical_of_ideal(pa, hrz) == hrz
         assert I <= hrz
+
+
+def translation_actions() -> dict:
+    """The global translation actions of (F_2C_2)*, (F_2C_4)* and (F_3C_3)* on F_pC_n, by tag.
+
+    Their only proper H-stable ideal is 0, J_H(A) = 0, and J(A) has dim 1, 3 and 2: sqrt(0) = J(A)
+    is not H-stable, so Hrz(0) = (sqrt(0):H) = 0 tells the colon from its argument.
+    """
+    return {
+        f"(F{p}C{n})*": dual_group_translation_action(GF(p), GroupTable.cyclic(n)) for p, n in ((2, 2), (2, 4), (3, 3))
+    }
+
+
+def test_h_radical_of_ideal_takes_the_colon_of_the_radical():
+    actions = translation_actions()
+    assert [jacobson_radical(pa.alg).radical.dim for pa in actions.values()] == [1, 3, 2]
+    assert all(h_jacobson_radical(pa).is_zero() for pa in actions.values())
+    report = THEOREMS["C4.13"].run(trials=0, workspace=actions.items())
+    hrz = {c.name: c for c in report.cases if "Hrz(" in c.name}
+    assert sorted(hrz) == sorted(f"{tag}: Hrz(ideal dim 0)" for tag in actions)
+    assert all(c.ok and c.detail.startswith("quotient route dim 0,") for c in hrz.values()), hrz
+    assert report.ok, report.summary()
+
+
+def test_h_radical_of_ideal_is_the_quotient_route_without_an_action(monkeypatch):
+    # every proper H-stable ideal of the C4.13 lattice draws at seeds 0-3 and of the translation actions
+    actions = [pa for seed in range(4) for _, pa in lattice_instances((2, 3), (), seed, 10, 6, 5, ())]
+    actions += translation_actions().values()
+    pairs = [(pa, I) for pa in actions for I in enumerate_h_stable_ideals(pa) if not I.is_full()]
+    expected = [quotient_route_h_radical(pa, I) for pa, I in pairs]
+    # enough of the ideals are not their own H-radical for the comparison to bite
+    larger = sum(want != I for (_, I), want in zip(pairs, expected))
+    assert len(pairs) >= 60 and larger >= 5, (len(pairs), larger)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("h_radical_of_ideal built or checked a partial action")
+
+    monkeypatch.setattr(PartialAction, "_of_terms", classmethod(refuse))
+    monkeypatch.setattr(paction, "check_partial_action", refuse)
+    asked = []
+    stable = paction.is_h_stable
+
+    def counted(pa, J):
+        asked.append(J)
+        return stable(pa, J)
+
+    monkeypatch.setattr(paction, "is_h_stable", counted)
+    monkeypatch.setattr(radicals, "is_h_stable", counted)
+    for (pa, I), want in zip(pairs, expected):
+        asked.clear()
+        assert h_radical_of_ideal(pa, I) == want, (pa, I)
+        assert sum(J is I for J in asked) == 1  # the input check, once
 
 
 def test_predicates_fix_b():
